@@ -10,6 +10,7 @@ package gpucluster
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"gpucluster/internal/batch"
 	"gpucluster/internal/city"
@@ -95,6 +96,26 @@ func BenchmarkStrongScaling(b *testing.B) {
 			b.Fatal(err)
 		}
 		sink = rows
+	}
+}
+
+// BenchmarkClusterStepModel measures one evaluation of the composed
+// per-step model, the call every LBM/PDE runtime estimate makes, on the
+// paper's 30 nodes and at the scheduler's scales. Its network column is
+// a closed form of the grid, so ns/op is bounded whatever the node count
+// and allocs/op is 0 (TestClusterStepZeroAlloc).
+func BenchmarkClusterStepModel(b *testing.B) {
+	h := perfmodel.Paper()
+	for _, nodes := range []int{30, 1000, 10000} {
+		b.Run(fmt.Sprintf("nodes=%d", nodes), func(b *testing.B) {
+			g := sched.Arrange3D(nodes)
+			var br perfmodel.StepBreakdown
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				br = h.ClusterStep(g, sub80, perfmodel.Options{})
+			}
+			sink = br
+		})
 	}
 }
 
@@ -279,26 +300,53 @@ func BenchmarkCGPoisson(b *testing.B) {
 // BenchmarkBatchThroughput measures batch-scheduler throughput: jobs
 // placed per second draining a 1000-job mixed queue (LBM, CG, PDE
 // kinds) on a 32-node cluster under EASY backfill. Estimation runs
-// through the perfmodel at submit; nothing executes.
+// through the perfmodel at submit; nothing executes. jobs/s is the
+// whole iteration (mix generation, submit, drain, report); the phase
+// metrics are those of BenchmarkBatchThroughputScale, so the two
+// benchmarks can be compared layer by layer.
 func BenchmarkBatchThroughput(b *testing.B) {
 	const jobs = 1000
+	var phases submitDrain
 	for i := 0; i < b.N; i++ {
 		s := batch.New(batch.Config{
 			Cluster: batch.NewCluster(32, netsim.GigabitSwitch(32)),
 			Policy:  batch.Backfill,
 		})
-		for _, j := range batch.SyntheticMix(1, jobs, 32) {
+		mix := batch.SyntheticMix(1, jobs, 32)
+		t0 := time.Now()
+		for _, j := range mix {
 			if err := s.Submit(j); err != nil {
 				b.Fatal(err)
 			}
 		}
+		t1 := time.Now()
 		rep := s.Run()
+		phases.add(t0, t1)
 		if len(rep.Jobs) != jobs {
 			b.Fatalf("finished %d of %d jobs", len(rep.Jobs), jobs)
 		}
 		sink = rep
 	}
 	b.ReportMetric(jobs*float64(b.N)/b.Elapsed().Seconds(), "jobs/s")
+	phases.report(b, jobs)
+}
+
+// submitDrain splits a BatchThroughput benchmark's iterations into their
+// two layers: submit (validation plus the runtime estimate) and drain
+// (the scheduler's event loop).
+type submitDrain struct{ submit, drain time.Duration }
+
+// add accounts one iteration whose submit loop ran from t0 to t1 and
+// whose drain has just returned.
+func (p *submitDrain) add(t0, t1 time.Time) {
+	p.submit += t1.Sub(t0)
+	p.drain += time.Since(t1)
+}
+
+func (p *submitDrain) report(b *testing.B, jobs int) {
+	total := float64(jobs) * float64(b.N)
+	b.ReportMetric(float64(p.submit.Nanoseconds())/total, "submit-ns/job")
+	b.ReportMetric(total/p.drain.Seconds(), "drain-jobs/s")
 }
 
 // BenchmarkBatchThroughputScale is the datacenter-scale pin: one
@@ -312,13 +360,15 @@ func BenchmarkBatchThroughput(b *testing.B) {
 // regression against the committed baseline
 // (.github/bench-baseline.json). RunUntil is used instead of Run so the
 // measurement drains the scheduler without materializing a
-// million-entry report copy.
+// million-entry report copy. jobs/s times submit plus drain; submit-ns/job
+// and drain-jobs/s report the two layers apart.
 func BenchmarkBatchThroughputScale(b *testing.B) {
 	const (
 		jobs  = 1_000_000
 		nodes = 10_000
 		depth = 512
 	)
+	var phases submitDrain
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		mix := batch.SyntheticMix(1, jobs, nodes)
@@ -328,12 +378,15 @@ func BenchmarkBatchThroughputScale(b *testing.B) {
 			Policy:        batch.Backfill,
 			BackfillDepth: depth,
 		})
+		t0 := time.Now()
 		for _, j := range mix {
 			if err := s.Submit(j); err != nil {
 				b.Fatal(err)
 			}
 		}
+		t1 := time.Now()
 		s.RunUntil(batch.Forever)
+		phases.add(t0, t1)
 		for _, j := range mix {
 			if j.State != batch.Done {
 				b.Fatalf("job %d ended %v, want done", j.ID, j.State)
@@ -341,6 +394,7 @@ func BenchmarkBatchThroughputScale(b *testing.B) {
 		}
 	}
 	b.ReportMetric(jobs*float64(b.N)/b.Elapsed().Seconds(), "jobs/s")
+	phases.report(b, jobs)
 }
 
 // BenchmarkBatchThroughputRecorder is BenchmarkBatchThroughput with a

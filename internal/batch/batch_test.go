@@ -1,6 +1,8 @@
 package batch
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"sort"
 	"strings"
 	"testing"
@@ -284,6 +286,25 @@ func TestEstimatorShapes(t *testing.T) {
 				t.Fatalf("estimate not monotonic in steps: %v vs %v", d, d2)
 			}
 		}
+	}
+}
+
+// TestEstimateFingerprint pins every runtime estimate of a 2000-job mix on
+// the 10,000-node machine (gangs up to the full machine, all three
+// kinds) as one hash, recorded with perfmodel.netTime still walking the
+// built schedule through netsim. Estimates feed every makespan and
+// golden in the tree; a faster model must reproduce them to the
+// nanosecond.
+func TestEstimateFingerprint(t *testing.T) {
+	e := NewPerfEstimator()
+	h := fnv.New64a()
+	var buf [8]byte
+	for _, j := range SyntheticMix(1, 2000, 10000) {
+		binary.LittleEndian.PutUint64(buf[:], uint64(e.Estimate(j)))
+		h.Write(buf[:])
+	}
+	if got, want := h.Sum64(), uint64(0xca3065dd6c79240c); got != want {
+		t.Fatalf("estimate fingerprint %#x, want %#x", got, want)
 	}
 }
 

@@ -72,6 +72,39 @@ func GigabitSwitch(ports int) Config {
 	}
 }
 
+// efficiency returns the link derating; a value outside (0, 1] means none.
+func (c Config) efficiency() float64 {
+	if c.Efficiency <= 0 || c.Efficiency > 1 {
+		return 1
+	}
+	return c.Efficiency
+}
+
+// wireTime returns the latency plus serialization time of one message of
+// the given size at the given rate.
+func (c Config) wireTime(bytes int64, rate float64) time.Duration {
+	return c.MsgLatency + time.Duration(float64(bytes)/rate*float64(time.Second))
+}
+
+// ExchangeTime returns the duration of one pairwise exchange of a
+// schedule step in which `crossing` exchanges traverse the stacking
+// trunk, this one among them; crossing == 0 is an exchange that stays on
+// one switch. The trunk is full duplex, so the crossing exchanges divide
+// its per-direction rate evenly, and an exchange runs at its share or at
+// the derated link rate, whichever is lower. A step whose pairs start
+// together and carry equal messages lasts ExchangeTime(bytes, its
+// crossing count).
+func (c Config) ExchangeTime(bytes int64, crossing int) time.Duration {
+	eff := c.efficiency()
+	rate := c.LinkBandwidth * eff
+	if crossing > 0 && c.TrunkBandwidth > 0 {
+		if share := c.TrunkBandwidth * eff / float64(crossing); share < rate {
+			rate = share
+		}
+	}
+	return c.wireTime(bytes, rate)
+}
+
 // Stats aggregates traffic accounting.
 type Stats struct {
 	Transfers     int64
@@ -93,9 +126,7 @@ func New(cfg Config) *Network {
 	if cfg.Ports <= 0 {
 		panic(fmt.Sprintf("netsim: invalid port count %d", cfg.Ports))
 	}
-	if cfg.Efficiency <= 0 || cfg.Efficiency > 1 {
-		cfg.Efficiency = 1
-	}
+	cfg.Efficiency = cfg.efficiency()
 	return &Network{cfg: cfg, busyUntil: make([]time.Duration, cfg.Ports)}
 }
 
@@ -110,9 +141,6 @@ func (n *Network) Reset() {
 	n.Stats = Stats{}
 }
 
-// effRate returns the achievable per-flow rate in bytes/second.
-func (n *Network) effRate() float64 { return n.cfg.LinkBandwidth * n.cfg.Efficiency }
-
 // crossesTrunk reports whether a flow between ports a and b traverses the
 // stacking trunk: exactly one endpoint sits behind it (two stacked-switch
 // ports talk locally on the second switch).
@@ -121,12 +149,6 @@ func (n *Network) crossesTrunk(a, b int) bool {
 		return false
 	}
 	return (a >= n.cfg.NonBlockingPorts) != (b >= n.cfg.NonBlockingPorts)
-}
-
-// wireTime returns the serialization time for one message of the given
-// size at the given rate.
-func (n *Network) wireTime(bytes int64, rate float64) time.Duration {
-	return n.cfg.MsgLatency + time.Duration(float64(bytes)/rate*float64(time.Second))
 }
 
 // Transfer models one unidirectional message of `bytes` from port src to
@@ -148,11 +170,11 @@ func (n *Network) Transfer(src, dst int, bytes int64, at time.Duration) (start, 
 		start = n.busyUntil[dst]
 		interrupted = true
 	}
-	dur := n.wireTime(bytes, n.effRate())
+	dur := n.cfg.ExchangeTime(bytes, 0)
 	if n.crossesTrunk(src, dst) {
 		n.Stats.TrunkFlows++
 		if n.cfg.TrunkBandwidth > 0 && n.cfg.TrunkBandwidth < n.cfg.LinkBandwidth {
-			dur = n.wireTime(bytes, n.cfg.TrunkBandwidth*n.cfg.Efficiency)
+			dur = n.cfg.wireTime(bytes, n.cfg.TrunkBandwidth*n.cfg.Efficiency)
 		}
 	}
 	if interrupted {
@@ -181,11 +203,12 @@ type Exchange struct {
 // schedule — and the function panics otherwise.
 //
 // Trunk sharing: all exchanges crossing the trunk divide TrunkBandwidth
-// evenly, so a step's trunk exchanges take (number of trunk flows) times
-// longer than a lone trunk exchange. This deterministic fluid
-// approximation is what creates the contention knee for large clusters.
+// evenly (Config.ExchangeTime), so a step's trunk exchanges take (number
+// of trunk flows) times longer than a lone trunk exchange. This
+// deterministic fluid approximation is what creates the contention knee
+// for large clusters.
 func (n *Network) StepTimes(pairs []Exchange, ready []time.Duration) []time.Duration {
-	seen := make(map[int]bool, len(pairs)*2)
+	seen := make([]bool, n.cfg.Ports)
 	crossing := 0
 	for _, p := range pairs {
 		if p.A == p.B || p.A < 0 || p.B < 0 || p.A >= n.cfg.Ports || p.B >= n.cfg.Ports {
@@ -196,9 +219,6 @@ func (n *Network) StepTimes(pairs []Exchange, ready []time.Duration) []time.Dura
 		}
 		seen[p.A], seen[p.B] = true, true
 		if n.crossesTrunk(p.A, p.B) {
-			// The trunk is full duplex, so an exchange loads each
-			// direction with one flow; concurrent crossing exchanges
-			// divide the per-direction trunk rate.
 			crossing++
 		}
 	}
@@ -209,16 +229,14 @@ func (n *Network) StepTimes(pairs []Exchange, ready []time.Duration) []time.Dura
 		if ready[p.B] > start {
 			start = ready[p.B]
 		}
-		rate := n.effRate()
-		if n.crossesTrunk(p.A, p.B) && crossing > 0 && n.cfg.TrunkBandwidth > 0 {
-			share := n.cfg.TrunkBandwidth * n.cfg.Efficiency / float64(crossing)
-			if share < rate {
-				rate = share
+		shared := 0
+		if n.crossesTrunk(p.A, p.B) {
+			shared = crossing
+			if n.cfg.TrunkBandwidth > 0 {
+				n.Stats.TrunkFlows += 2
 			}
-			n.Stats.TrunkFlows += 2
 		}
-		dur := n.wireTime(p.Bytes, rate)
-		end := start + dur
+		end := start + n.cfg.ExchangeTime(p.Bytes, shared)
 		done[p.A], done[p.B] = end, end
 		n.Stats.Transfers += 2
 		n.Stats.Bytes += 2 * p.Bytes

@@ -5,7 +5,6 @@ import (
 	"math"
 	"time"
 
-	"gpucluster/internal/netsim"
 	"gpucluster/internal/sched"
 )
 
@@ -64,17 +63,38 @@ func borderFloats(sub [3]int, dim int) int {
 	}
 }
 
-// avgNeighbors returns the mean axial neighbor count over the grid.
+// stepBytes returns the message size of a schedule step along axis: axial
+// steps carry the 5-distribution border; diagonal steps (Direct pattern)
+// carry only the thin edge column along the axis' zero component.
+func stepBytes(axis, sub [3]int) int64 {
+	zero, last, nonzero := 0, 0, 0
+	for d, a := range axis {
+		if a == 0 {
+			zero = d
+		} else {
+			last = d
+			nonzero++
+		}
+	}
+	if nonzero > 1 {
+		return int64(sub[zero] * 4)
+	}
+	return int64(borderFloats(sub, last) * 4)
+}
+
+// avgNeighbors returns the mean axial neighbor count over the grid: along
+// a dimension of extent P each of the n/P lines of ranks holds P-1
+// adjacencies, and each adjacency is a neighbor to both its ends.
 func avgNeighbors(g sched.NodeGrid) float64 {
-	ns := sched.Neighbors(g)
-	if len(ns) == 0 {
+	n := g.Size()
+	if n <= 0 {
 		return 0
 	}
 	total := 0
-	for _, n := range ns {
-		total += n
+	for _, extent := range [3]int{g.PX, g.PY, g.PZ} {
+		total += 2 * (extent - 1) * (n / extent)
 	}
-	return float64(total) / float64(len(ns))
+	return float64(total) / float64(n)
 }
 
 // cpuStep returns the CPU cluster per-step time. Network time is fully
@@ -132,49 +152,34 @@ func (h Hardware) gpuCPUComm(g sched.NodeGrid, sub [3]int) time.Duration {
 // netTime returns the full per-step network communication time for the
 // schedule over the switch, including setup, congestion, trunk sharing
 // and synchronization costs.
+//
+// The schedule is never built. Every node enters every schedule step
+// together (the model hands the switch no skew between nodes), so the
+// steps do not interact and the network time is a sum of independent
+// per-step columns, as in the paper's Table 1. All pairs of a step carry
+// the same message, so the step lasts as long as its slowest exchange:
+// one that crosses the stacking trunk, if any does, at the trunk rate
+// divided by the number of crossing pairs (netsim.Config.ExchangeTime).
+// A step therefore contributes through two integers only, both closed
+// forms of the grid: its pair count, and its count of pairs with exactly
+// one rank behind the trunk (sched.StepSpec.Pairs, Straddling). The
+// differential test in model_test.go holds this equal, bit for bit, to
+// walking sched.Build through netsim.Network.StepTimes.
 func (h Hardware) netTime(g sched.NodeGrid, sub [3]int, opt Options) time.Duration {
 	n := g.Size()
 	if n <= 1 {
 		return 0
 	}
-	steps := sched.Build(g, opt.Pattern)
-	netCfg := h.Net
-	netCfg.Ports = n
-	net := netsim.New(netCfg)
-
 	total := h.NetBase
 	pairsTotal := 0
-	for _, st := range steps {
-		total += h.NetPerStep
-		// Message size along this step's axis: axial steps carry the
-		// 5-distribution border; diagonal steps (Direct pattern) carry
-		// only the thin edge column.
-		var msgBytes int64
-		if st.Diagonal() {
-			edge := sub[0]
-			for d := 0; d < 3; d++ {
-				if st.Axis[d] == 0 {
-					edge = sub[d]
-				}
-			}
-			msgBytes = int64(edge * 4)
-		} else {
-			dim := 0
-			for d := 0; d < 3; d++ {
-				if st.Axis[d] != 0 {
-					dim = d
-				}
-			}
-			msgBytes = int64(borderFloats(sub, dim) * 4)
+	for _, st := range sched.Specs(opt.Pattern) {
+		pairs := st.Pairs(g)
+		if pairs == 0 {
+			continue
 		}
-		exs := make([]netsim.Exchange, 0, len(st.Pairs))
-		for _, p := range st.Pairs {
-			exs = append(exs, netsim.Exchange{A: p.A, B: p.B, Bytes: msgBytes})
-		}
-		ready := make([]time.Duration, n)
-		done := net.StepTimes(exs, ready)
-		total += netsim.MaxTime(done)
-		pairsTotal += len(st.Pairs)
+		crossing := st.Straddling(g, h.Net.NonBlockingPorts)
+		total += h.NetPerStep + h.Net.ExchangeTime(stepBytes(st.Axis, sub), crossing)
+		pairsTotal += pairs
 	}
 	// Switch load: concurrent flows contend for shared forwarding
 	// resources, saturating once the backplane pipelines fill.

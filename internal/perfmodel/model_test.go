@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"gpucluster/internal/netsim"
 	"gpucluster/internal/sched"
 )
 
@@ -265,5 +266,134 @@ func TestOverlapWindowIs120ms(t *testing.T) {
 	w := h.overlapWindow(sched.NodeGrid{PX: 1, PY: 1, PZ: 1}, sub80)
 	if w < 115*time.Millisecond || w > 125*time.Millisecond {
 		t.Errorf("overlap window = %v, want ~120ms", w)
+	}
+}
+
+// netTimeWalk is the schedule walk netTime's closed form replaced, kept
+// as its oracle: build the Fig. 7 schedule, hand every step to a fresh
+// switch model with all nodes ready at once, and add up the steps.
+func (h Hardware) netTimeWalk(g sched.NodeGrid, sub [3]int, opt Options) time.Duration {
+	n := g.Size()
+	if n <= 1 {
+		return 0
+	}
+	netCfg := h.Net
+	netCfg.Ports = n
+	net := netsim.New(netCfg)
+
+	total := h.NetBase
+	pairsTotal := 0
+	for _, st := range sched.Build(g, opt.Pattern) {
+		total += h.NetPerStep
+		exs := make([]netsim.Exchange, 0, len(st.Pairs))
+		for _, p := range st.Pairs {
+			exs = append(exs, netsim.Exchange{A: p.A, B: p.B, Bytes: stepBytes(st.Axis, sub)})
+		}
+		total += netsim.MaxTime(net.StepTimes(exs, make([]time.Duration, n)))
+		pairsTotal += len(st.Pairs)
+	}
+	cong := pairsTotal
+	if cong > h.CongestionSaturation {
+		cong = h.CongestionSaturation
+	}
+	total += time.Duration(cong) * h.CongestionPerPair
+
+	barrier := time.Duration(n) * h.BarrierPerNode
+	drift := time.Duration(float64(h.DriftMax) * (1 - math.Exp(-float64(n)/h.DriftScale)))
+	switch opt.Sync {
+	case SyncBarrier:
+		total += barrier
+	case SyncNone:
+		total += drift
+	default:
+		if n <= h.SyncThreshold {
+			total += barrier
+		} else {
+			total += drift
+		}
+	}
+	return total
+}
+
+// checkNetTime compares the closed form with the walk for one grid under
+// every pattern and synchronization mode.
+func checkNetTime(t *testing.T, h Hardware, g sched.NodeGrid, sub [3]int) {
+	t.Helper()
+	for _, pat := range []sched.Pattern{sched.Indirect, sched.Direct} {
+		for _, sync := range []SyncMode{SyncAuto, SyncBarrier, SyncNone} {
+			opt := Options{Pattern: pat, Sync: sync}
+			if got, want := h.netTime(g, sub, opt), h.netTimeWalk(g, sub, opt); got != want {
+				t.Fatalf("grid %v sub %v %+v net %+v: closed form %d ns, schedule walk %d ns",
+					g, sub, opt, h.Net, got, want)
+			}
+		}
+	}
+}
+
+func TestNetTimeClosedFormMatchesScheduleWalk(t *testing.T) {
+	h := Paper()
+	var grids []sched.NodeGrid
+	for n := 1; n <= 400; n++ {
+		grids = append(grids, sched.Arrange2D(n), sched.Arrange3D(n))
+	}
+	for _, n := range []int{997, 1000, 2500, 4096, 7919, 10000} {
+		grids = append(grids, sched.Arrange2D(n), sched.Arrange3D(n))
+	}
+	for px := 1; px <= 7; px++ {
+		for py := 1; py <= 7; py++ {
+			for pz := 1; pz <= 7; pz++ {
+				grids = append(grids, sched.NodeGrid{PX: px, PY: py, PZ: pz})
+			}
+		}
+	}
+	for _, g := range grids {
+		checkNetTime(t, h, g, sub80)
+	}
+
+	// The trunk's corner cases: no stacked switch, a threshold at either
+	// end of the rank range and beyond it, and a trunk that is absent,
+	// slower or faster than a link; on grids small enough to cover every
+	// combination and a non-cubic sub-domain.
+	link := h.Net.LinkBandwidth
+	for _, g := range grids {
+		n := g.Size()
+		if n > 64 {
+			continue
+		}
+		for _, ports := range []int{0, 1, n / 2, n - 1, n, n + 5} {
+			for _, trunk := range []float64{0, 14e6, link, 4 * link} {
+				hv := h
+				hv.Net.NonBlockingPorts = ports
+				hv.Net.TrunkBandwidth = trunk
+				checkNetTime(t, hv, g, [3]int{96, 40, 24})
+			}
+		}
+	}
+}
+
+// FuzzNetTimeClosedForm drives the differential check from arbitrary
+// grids, sub-domains and switch configurations. The seed corpus under
+// testdata/fuzz holds the grids the closed form was first validated on.
+func FuzzNetTimeClosedForm(f *testing.F) {
+	f.Add(uint8(6), uint8(5), uint8(1), uint16(80), uint16(80), uint16(80), int16(24), uint32(14e6), uint8(85))
+	f.Fuzz(func(t *testing.T, px, py, pz uint8, sx, sy, sz uint16, ports int16, trunk uint32, effPct uint8) {
+		g := sched.NodeGrid{PX: int(px%32) + 1, PY: int(py%32) + 1, PZ: int(pz%32) + 1}
+		h := Paper()
+		h.Net.NonBlockingPorts = int(ports)
+		h.Net.TrunkBandwidth = float64(trunk)
+		h.Net.Efficiency = float64(effPct) / 100 // 0 and >1 take the "no derating" path
+		checkNetTime(t, h, g, [3]int{int(sx), int(sy), int(sz)})
+	})
+}
+
+func TestClusterStepZeroAlloc(t *testing.T) {
+	h := Paper()
+	for _, g := range []sched.NodeGrid{sched.Arrange2D(30), sched.Arrange3D(1000), sched.Arrange3D(10000)} {
+		for _, pat := range []sched.Pattern{sched.Indirect, sched.Direct} {
+			opt := Options{Pattern: pat}
+			if allocs := testing.AllocsPerRun(100, func() { h.ClusterStep(g, sub80, opt) }); allocs != 0 {
+				t.Errorf("ClusterStep(%v, pattern %d) allocates %.0f times per call, want 0", g, pat, allocs)
+			}
+		}
 	}
 }

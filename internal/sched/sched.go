@@ -137,99 +137,135 @@ func (s Step) Diagonal() bool {
 	return n > 1
 }
 
-// Build constructs the schedule for grid g under the given pattern. Steps
-// are ordered x, y, z (then diagonals for Direct); within each dimension
-// the "left"/"negative" step precedes the "right"/"positive" one, as in
-// Figure 7.
+// StepSpec names one step of the schedule without listing its pairs: every
+// position whose coordinate along the axis' first nonzero component has
+// the given parity exchanges with the position one Axis away, if that is
+// on the grid. Alternating parities make the pairs of a step disjoint.
+// The facts a cost model needs about a step (Pairs, Straddling) follow
+// from the spec in closed form; Build expands the same specs into pairs.
+type StepSpec struct {
+	Axis   [3]int
+	Parity int
+}
+
+// stepOrder is the schedule's step enumeration: x, y, z, the
+// "left"/odd-start step before the "right"/even-start one as in Figure 7,
+// then (Direct only) the six diagonal directions of D3Q19.
+var stepOrder = [18]StepSpec{
+	{[3]int{1, 0, 0}, 1}, {[3]int{1, 0, 0}, 0},
+	{[3]int{0, 1, 0}, 1}, {[3]int{0, 1, 0}, 0},
+	{[3]int{0, 0, 1}, 1}, {[3]int{0, 0, 1}, 0},
+	{[3]int{1, 1, 0}, 0}, {[3]int{1, 1, 0}, 1},
+	{[3]int{1, -1, 0}, 0}, {[3]int{1, -1, 0}, 1},
+	{[3]int{1, 0, 1}, 0}, {[3]int{1, 0, 1}, 1},
+	{[3]int{1, 0, -1}, 0}, {[3]int{1, 0, -1}, 1},
+	{[3]int{0, 1, 1}, 0}, {[3]int{0, 1, 1}, 1},
+	{[3]int{0, 1, -1}, 0}, {[3]int{0, 1, -1}, 1},
+}
+
+// Specs returns the steps of pattern p in schedule order, read-only. A
+// step with no pairs on a given grid (Pairs == 0) is not part of that
+// grid's schedule.
+func Specs(p Pattern) []StepSpec {
+	if p == Direct {
+		return stepOrder[:]
+	}
+	return stepOrder[:6]
+}
+
+// starts reports whether position (i, j, k) is the A side of a pair.
+func (s StepSpec) starts(g NodeGrid, i, j, k int) bool {
+	c := i
+	if s.Axis[0] == 0 {
+		c = j
+		if s.Axis[1] == 0 {
+			c = k
+		}
+	}
+	ni, nj, nk := i+s.Axis[0], j+s.Axis[1], k+s.Axis[2]
+	return c%2 == s.Parity &&
+		ni >= 0 && ni < g.PX && nj >= 0 && nj < g.PY && nk >= 0 && nk < g.PZ
+}
+
+// stride returns B-A, the same for every pair of the step.
+func (s StepSpec) stride(g NodeGrid) int { return g.Rank(s.Axis[0], s.Axis[1], s.Axis[2]) }
+
+// Pairs returns the number of pairs of the step on grid g: a product of
+// per-dimension counts of valid A coordinates. Along the first nonzero
+// axis component those are the coordinates of the step's parity below
+// extent-1, along the second every coordinate but one, elsewhere all.
+func (s StepSpec) Pairs(g NodeGrid) int {
+	n := 1
+	first := true
+	for d, extent := range [3]int{g.PX, g.PY, g.PZ} {
+		switch {
+		case s.Axis[d] == 0:
+			n *= extent
+		case first:
+			n *= (extent - s.Parity) / 2
+			first = false
+		default:
+			n *= extent - 1
+		}
+	}
+	return n
+}
+
+// Straddling returns the number of pairs of the step with exactly one
+// rank >= t (for t the size of the non-blocking switch: the exchanges
+// that cross the stacking trunk). Such a pair has its lower rank in the
+// window of |stride| ranks below t, so only that window is walked, with
+// the A side's coordinates carried along instead of divided out.
+func (s StepSpec) Straddling(g NodeGrid, t int) int {
+	// w is |stride|; a is the A side's offset from the pair's lower rank.
+	w, a := s.stride(g), 0
+	if w < 0 {
+		w, a = -w, -w
+	}
+	lo, n := max(t-w, 0), g.Size()
+	i, j, k := g.Coords(lo + a)
+	count := 0
+	for ; lo < t && lo+w < n; lo++ {
+		if s.starts(g, i, j, k) {
+			count++
+		}
+		if i++; i == g.PX {
+			i = 0
+			if j++; j == g.PY {
+				j, k = 0, k+1
+			}
+		}
+	}
+	return count
+}
+
+// Build constructs the schedule for grid g under the given pattern: the
+// non-empty steps of Specs(p), each expanded into its pairs in rank order
+// of A.
 func Build(g NodeGrid, p Pattern) []Step {
 	if !g.Valid() {
 		panic(fmt.Sprintf("sched: invalid grid %v", g))
 	}
-	var steps []Step
-	// Axial steps, dimension by dimension. For each dimension two steps:
-	// pairs (2i-1, 2i) then pairs (2i, 2i+1).
-	for dim := 0; dim < 3; dim++ {
-		extent := [3]int{g.PX, g.PY, g.PZ}[dim]
-		if extent <= 1 {
+	specs := Specs(p)
+	steps := make([]Step, 0, len(specs))
+	for _, s := range specs {
+		n := s.Pairs(g)
+		if n == 0 {
 			continue
 		}
-		for parity := 1; parity >= 0; parity-- {
-			// parity 1: pairs starting at odd coordinates (the (2i)th
-			// columns exchanging with their left neighbors); parity 0:
-			// pairs starting at even coordinates.
-			var axis [3]int
-			axis[dim] = 1
-			var pairs []Pair
-			forEachPosition(g, func(i, j, k int) {
-				c := [3]int{i, j, k}[dim]
-				if c%2 == parity && c+1 < extent {
-					a := g.Rank(i, j, k)
-					var di, dj, dk int
-					switch dim {
-					case 0:
-						di = 1
-					case 1:
-						dj = 1
-					default:
-						dk = 1
+		pairs := make([]Pair, 0, n)
+		stride := s.stride(g)
+		for k := 0; k < g.PZ; k++ {
+			for j := 0; j < g.PY; j++ {
+				for i := 0; i < g.PX; i++ {
+					if s.starts(g, i, j, k) {
+						a := g.Rank(i, j, k)
+						pairs = append(pairs, Pair{A: a, B: a + stride})
 					}
-					pairs = append(pairs, Pair{A: a, B: g.Rank(i+di, j+dj, k+dk)})
 				}
-			})
-			if len(pairs) > 0 {
-				steps = append(steps, Step{Axis: axis, Pairs: pairs})
 			}
 		}
-	}
-	if p == Direct {
-		steps = append(steps, diagonalSteps(g)...)
-	}
-	return steps
-}
-
-// diagonalSteps builds explicit second-nearest-neighbor exchange steps
-// for the Direct pattern: for each of the (up to 6) diagonal directions
-// of D3Q19 present in the grid, two parity steps of disjoint pairs.
-func diagonalSteps(g NodeGrid) []Step {
-	dirs := [][3]int{
-		{1, 1, 0}, {1, -1, 0},
-		{1, 0, 1}, {1, 0, -1},
-		{0, 1, 1}, {0, 1, -1},
-	}
-	var steps []Step
-	for _, d := range dirs {
-		if d[0] != 0 && g.PX <= 1 {
-			continue
-		}
-		if d[1] != 0 && g.PY <= 1 {
-			continue
-		}
-		if d[2] != 0 && g.PZ <= 1 {
-			continue
-		}
-		// Color by the coordinate along the first nonzero component of
-		// the direction: alternating parities give disjoint pairs.
-		primary := 0
-		if d[0] == 0 {
-			primary = 1
-		}
-		for parity := 0; parity < 2; parity++ {
-			var pairs []Pair
-			forEachPosition(g, func(i, j, k int) {
-				c := [3]int{i, j, k}
-				if c[primary]%2 != parity {
-					return
-				}
-				ni, nj, nk := i+d[0], j+d[1], k+d[2]
-				if ni < 0 || ni >= g.PX || nj < 0 || nj >= g.PY || nk < 0 || nk >= g.PZ {
-					return
-				}
-				pairs = append(pairs, Pair{A: g.Rank(i, j, k), B: g.Rank(ni, nj, nk)})
-			})
-			if len(pairs) > 0 {
-				steps = append(steps, Step{Axis: d, Pairs: pairs})
-			}
-		}
+		steps = append(steps, Step{Axis: s.Axis, Pairs: pairs})
 	}
 	return steps
 }
@@ -273,13 +309,13 @@ func Neighbors(g NodeGrid) []int {
 	return out
 }
 
-// MaxNeighbors returns the maximum axial neighbor count over all ranks.
+// MaxNeighbors returns the maximum axial neighbor count over all ranks:
+// per dimension an interior rank has two neighbors, a rank of a
+// two-wide dimension one.
 func MaxNeighbors(g NodeGrid) int {
 	m := 0
-	for _, n := range Neighbors(g) {
-		if n > m {
-			m = n
-		}
+	for _, extent := range [3]int{g.PX, g.PY, g.PZ} {
+		m += min(extent-1, 2)
 	}
 	return m
 }

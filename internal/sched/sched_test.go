@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -288,6 +289,144 @@ func TestArrangeRejectsNonPositive(t *testing.T) {
 				}()
 				fn(n)
 			}()
+		}
+	}
+}
+
+// buildReference is the schedule construction Build replaced: a walk
+// over every position per step, appending the pairs it finds. Build and
+// the closed-form step facts are checked against it.
+func buildReference(g NodeGrid, p Pattern) []Step {
+	steps := []Step{}
+	for dim := 0; dim < 3; dim++ {
+		extent := [3]int{g.PX, g.PY, g.PZ}[dim]
+		for parity := 1; parity >= 0; parity-- {
+			var axis [3]int
+			axis[dim] = 1
+			var pairs []Pair
+			forEachPosition(g, func(i, j, k int) {
+				c := [3]int{i, j, k}
+				if c[dim]%2 == parity && c[dim]+1 < extent {
+					c[dim]++
+					pairs = append(pairs, Pair{A: g.Rank(i, j, k), B: g.Rank(c[0], c[1], c[2])})
+				}
+			})
+			if len(pairs) > 0 {
+				steps = append(steps, Step{Axis: axis, Pairs: pairs})
+			}
+		}
+	}
+	if p != Direct {
+		return steps
+	}
+	for _, d := range [][3]int{{1, 1, 0}, {1, -1, 0}, {1, 0, 1}, {1, 0, -1}, {0, 1, 1}, {0, 1, -1}} {
+		primary := 0
+		if d[0] == 0 {
+			primary = 1
+		}
+		for parity := 0; parity < 2; parity++ {
+			var pairs []Pair
+			forEachPosition(g, func(i, j, k int) {
+				ni, nj, nk := i+d[0], j+d[1], k+d[2]
+				if [3]int{i, j, k}[primary]%2 != parity ||
+					ni < 0 || ni >= g.PX || nj < 0 || nj >= g.PY || nk < 0 || nk >= g.PZ {
+					return
+				}
+				pairs = append(pairs, Pair{A: g.Rank(i, j, k), B: g.Rank(ni, nj, nk)})
+			})
+			if len(pairs) > 0 {
+				steps = append(steps, Step{Axis: d, Pairs: pairs})
+			}
+		}
+	}
+	return steps
+}
+
+// testGrids are every box up to 5x5x5 plus the arrangements of some
+// larger and awkward (prime, square, cubic) node counts.
+func testGrids() []NodeGrid {
+	var gs []NodeGrid
+	for px := 1; px <= 5; px++ {
+		for py := 1; py <= 5; py++ {
+			for pz := 1; pz <= 5; pz++ {
+				gs = append(gs, NodeGrid{px, py, pz})
+			}
+		}
+	}
+	for _, n := range []int{28, 30, 32, 97, 100, 343, 1000} {
+		gs = append(gs, Arrange2D(n), Arrange3D(n))
+	}
+	return gs
+}
+
+func TestBuildMatchesReference(t *testing.T) {
+	for _, g := range testGrids() {
+		for _, p := range []Pattern{Indirect, Direct} {
+			if got, want := Build(g, p), buildReference(g, p); !reflect.DeepEqual(got, want) {
+				t.Fatalf("grid %v pattern %d: Build differs from the reference walk\n got %v\nwant %v", g, p, got, want)
+			}
+		}
+	}
+}
+
+// The closed-form step facts describe exactly the steps Build lists: same
+// order, same pair counts (so Build's slices never regrow), and the same
+// number of pairs on either side of any rank threshold.
+func TestSpecFactsMatchBuild(t *testing.T) {
+	for _, g := range testGrids() {
+		for _, p := range []Pattern{Indirect, Direct} {
+			steps := Build(g, p)
+			for _, spec := range Specs(p) {
+				if spec.Pairs(g) == 0 {
+					continue
+				}
+				if len(steps) == 0 {
+					t.Fatalf("grid %v: spec %+v has %d pairs, Build has no such step", g, spec, spec.Pairs(g))
+				}
+				st := steps[0]
+				steps = steps[1:]
+				if st.Axis != spec.Axis {
+					t.Fatalf("grid %v: spec %+v out of order with Build step %v", g, spec, st.Axis)
+				}
+				if len(st.Pairs) != spec.Pairs(g) || cap(st.Pairs) != len(st.Pairs) {
+					t.Fatalf("grid %v spec %+v: Pairs() = %d, Build listed %d (cap %d)",
+						g, spec, spec.Pairs(g), len(st.Pairs), cap(st.Pairs))
+				}
+				for _, th := range []int{-1, 0, 1, 2, 7, 24, g.Size() / 2, g.Size() - 1, g.Size(), g.Size() + 3} {
+					want := 0
+					for _, pr := range st.Pairs {
+						if (pr.A >= th) != (pr.B >= th) {
+							want++
+						}
+					}
+					if got := spec.Straddling(g, th); got != want {
+						t.Fatalf("grid %v spec %+v: Straddling(%d) = %d, want %d", g, spec, th, got, want)
+					}
+				}
+			}
+			if len(steps) != 0 {
+				t.Fatalf("grid %v: Build has %d steps no spec accounts for", g, len(steps))
+			}
+		}
+	}
+}
+
+func TestBuildAllocatesOncePerStep(t *testing.T) {
+	g := Arrange3D(1000)
+	steps := len(Build(g, Direct))
+	if allocs := testing.AllocsPerRun(10, func() { Build(g, Direct) }); allocs > float64(steps+1) {
+		t.Errorf("Build allocated %.0f times for %d steps, want at most %d", allocs, steps, steps+1)
+	}
+}
+
+func TestMaxNeighborsMatchesNeighbors(t *testing.T) {
+	for _, g := range testGrids() {
+		want := 0
+		for _, n := range Neighbors(g) {
+			want = max(want, n)
+		}
+		if got := MaxNeighbors(g); got != want {
+			t.Errorf("MaxNeighbors(%v) = %d, want %d", g, got, want)
 		}
 	}
 }
