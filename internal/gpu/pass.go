@@ -95,7 +95,9 @@ func (pb *PBuffer) At(x, y int) vecmath.Vec4 { return pb.data[y*pb.w+x] }
 // Pass describes one render pass: a fragment program drawn over a viewport
 // of a render target with a set of bound input textures.
 type Pass struct {
-	// Name labels the pass for debugging.
+	// Name labels the pass in the error a malformed pass returns and is
+	// read nowhere else: give it a constant, not a string formatted per
+	// pass.
 	Name string
 	// Target receives the shaded fragments.
 	Target *PBuffer
@@ -157,8 +159,17 @@ func (d *Device) Run(p Pass) error {
 		return nil
 	}
 
-	// Parallel: rows are claimed by an atomic cursor so uneven program
-	// costs (boundary rows vs. interior rows) balance across workers.
+	d.shadeParallel(p, vp)
+	return nil
+}
+
+// shadeParallel shades the viewport across the worker pool. Rows are
+// claimed by an atomic cursor so uneven program costs (boundary rows vs.
+// interior rows) balance across workers. It is its own function so that
+// what the worker closures capture is heap-allocated here only, and the
+// serial path of Run stays allocation-free.
+func (d *Device) shadeParallel(p Pass, vp Rect) {
+	target := p.Target
 	var next int64 = int64(vp.Y0)
 	var wg sync.WaitGroup
 	workers := d.workers
@@ -182,7 +193,6 @@ func (d *Device) Run(p Pass) error {
 		}()
 	}
 	wg.Wait()
-	return nil
 }
 
 // RunAndCopy executes the pass and copies the full target into dst, the

@@ -16,8 +16,9 @@
 //
 // The model enforces the programming-model constraints through the API:
 // programs receive read-only Samplers and return one Vec4. Fragments are
-// executed concurrently by a worker pool, which is both faithful (the
-// hardware ran 16 fragment pipes in parallel) and fast.
+// executed concurrently by a worker pool (Config.Workers), which is both
+// faithful (the FX 5800 Ultra ran 8 reduced-rate fragment pipes in
+// parallel, its successor 16) and fast.
 package gpu
 
 import (
@@ -86,11 +87,6 @@ func (t *Texture2D) FetchWrap(x, y int) vecmath.Vec4 {
 // bounds. It exists for host-side verification code, not for fragment
 // programs.
 func (t *Texture2D) At(x, y int) vecmath.Vec4 { return t.data[y*t.w+x] }
-
-// setRow overwrites one row; used by Device.Upload.
-func (t *Texture2D) setRow(y int, row []vecmath.Vec4) {
-	copy(t.data[y*t.w:(y+1)*t.w], row)
-}
 
 // TextureStack is a stack of same-sized 2D textures representing a volume,
 // the layout of Figure 5 in the paper: a W x H x D volume of Vec4 state is

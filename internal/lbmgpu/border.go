@@ -20,58 +20,64 @@ func (s *Simulator) planeDims(dim int) (w, h int) {
 	}
 }
 
+// sideOf maps a face direction (-1 low, +1 high) to its index in the
+// per-(dim, side) tables.
+func sideOf(dir int) int { return (dir + 1) / 2 }
+
+// gatherPass builds the render pass that gathers the five outgoing
+// distributions of the dim/dir face into the compact border texture:
+// four packed into the upper half, the fifth alone in the lower half.
+func (s *Simulator) gatherPass(dim, dir int) gpu.Pass {
+	_, ph := s.planeDims(dim)
+	plane := 1 // texture coordinate of the low border plane
+	if dir > 0 {
+		plane = [3]int{s.nx, s.ny, s.nz}[dim]
+	}
+	var src [5]struct {
+		stack  *gpu.TextureStack
+		ch, to int // source channel, output channel
+	}
+	for k, i := range lbm.DirsInto(dim, dir) {
+		src[k].stack, src[k].ch, src[k].to = s.stacks[distStack(i)], distChan(i), k%4
+	}
+	return gpu.Pass{
+		Name:   "border-gather",
+		Target: s.borderPB[dim],
+		Program: func(_ []gpu.Sampler, fx, fy int) vecmath.Vec4 {
+			group := src[:4]
+			if fy >= ph {
+				fy -= ph
+				group = src[4:]
+			}
+			// Texture location of plane cell (fx, fy): the containing
+			// layer and the in-layer coordinates.
+			var layer, tx, ty int
+			switch dim {
+			case 0:
+				layer, tx, ty = fy+1, plane, fx+1
+			case 1:
+				layer, tx, ty = fy+1, fx, plane
+			default:
+				layer, tx, ty = plane, fx, fy
+			}
+			var out vecmath.Vec4
+			for _, d := range group {
+				out[d.to] = d.stack.Layer(layer).Fetch(tx, ty)[d.ch]
+			}
+			return out
+		},
+	}
+}
+
 // PackBorder gathers the five outgoing distributions of the dim/dir face
 // into the compact border texture with a single render pass, reads the
 // texture back in one bus transfer (the paper's single glGetTexImage),
 // and reorders the payload to the canonical wire format shared with the
 // CPU backend.
 func (s *Simulator) PackBorder(dim, dir int) []float32 {
-	dists := lbm.DirsInto(dim, dir)
 	pw, ph := s.planeDims(dim)
-
-	// Lattice plane coordinate (texture space).
-	plane := 1 // low border
-	if dir > 0 {
-		plane = [3]int{s.nx, s.ny, s.nz}[dim]
-	}
-
-	// fetch returns the texture location of plane cell (a, b):
-	// the containing layer and in-layer coordinates.
-	var locate func(a, b int) (layer, tx, ty int)
-	switch dim {
-	case 0:
-		locate = func(a, b int) (int, int, int) { return b + 1, plane, a + 1 }
-	case 1:
-		locate = func(a, b int) (int, int, int) { return b + 1, a, plane }
-	default:
-		locate = func(a, b int) (int, int, int) { return plane, a, b }
-	}
-
 	bt := s.border[dim]
-	must(s.dev.Run(gpu.Pass{
-		Name:   "border-gather",
-		Target: s.borderPB[dim],
-		Program: func(_ []gpu.Sampler, fx, fy int) vecmath.Vec4 {
-			a, b := fx, fy
-			fifth := false
-			if fy >= ph {
-				b = fy - ph
-				fifth = true
-			}
-			layer, tx, ty := locate(a, b)
-			var out vecmath.Vec4
-			if fifth {
-				i := dists[4]
-				out[0] = s.stacks[distStack(i)].Layer(layer).Fetch(tx, ty)[distChan(i)]
-				return out
-			}
-			for k := 0; k < 4; k++ {
-				i := dists[k]
-				out[k] = s.stacks[distStack(i)].Layer(layer).Fetch(tx, ty)[distChan(i)]
-			}
-			return out
-		},
-	}))
+	must(s.dev.Run(s.packs[dim][sideOf(dir)]))
 	must(s.dev.CopyToTexture(s.borderPB[dim], bt))
 	raw, err := s.dev.Download(bt)
 	must(err)
@@ -90,68 +96,87 @@ func (s *Simulator) PackBorder(dim, dir int) []float32 {
 	return out
 }
 
+// unpackTable is the scatter layout of one ghost face: the rectangle
+// uploaded per layer and, per distribution stack that receives data,
+// which payload element lands in which channel.
+type unpackTable struct {
+	// For x and y faces one thin rectangle (one payload row) per
+	// interior slice, for z faces the whole ghost layer (every row).
+	rect        gpu.Rect
+	first, last int // target layers
+	cells       int // plane cells per layer
+	groups      []unpackGroup
+}
+
+// unpackGroup is one stack's share of a ghost texel.
+type unpackGroup struct {
+	stack *gpu.TextureStack
+	// from[ch] is the position among a cell's five payload floats of
+	// the value for channel ch, or -1 for a channel that receives none
+	// and is zeroed.
+	from [4]int
+}
+
+// unpackTable builds the scatter layout for the dim/dir face, groups in
+// stack order.
+func (s *Simulator) unpackTable(dim, dir int) unpackTable {
+	ghost := 0 // texture coordinate of the ghost plane along dim
+	if dir > 0 {
+		ghost = [3]int{s.nx, s.ny, s.nz}[dim] + 1
+	}
+	pw, ph := s.planeDims(dim)
+	t := unpackTable{first: 1, last: s.nz, cells: pw}
+	switch dim {
+	case 0:
+		t.rect = gpu.Rect{X0: ghost, Y0: 1, X1: ghost + 1, Y1: s.ny + 1}
+	case 1:
+		t.rect = gpu.Rect{X0: 0, Y0: ghost, X1: s.w, Y1: ghost + 1}
+	default:
+		t.rect = gpu.Rect{X0: 0, Y0: 0, X1: s.w, Y1: s.h}
+		t.first, t.last, t.cells = ghost, ghost, pw*ph
+	}
+	dists := lbm.DirsInto(dim, -dir)
+	for st, stack := range s.stacks {
+		g := unpackGroup{stack: stack, from: [4]int{-1, -1, -1, -1}}
+		used := false
+		for k, i := range dists {
+			if distStack(i) == st {
+				g.from[distChan(i)] = k
+				used = true
+			}
+		}
+		if used {
+			t.groups = append(t.groups, g)
+		}
+	}
+	return t
+}
+
 // UnpackGhost scatters a received payload into the ghost plane of the
 // dim/dir face using sub-image uploads over the fast downstream bus
 // direction, one rectangle per distribution stack and slice.
 func (s *Simulator) UnpackGhost(dim, dir int, data []float32) {
-	dists := lbm.DirsInto(dim, -dir)
 	pw, ph := s.planeDims(dim)
 	if len(data) != 5*pw*ph {
 		panic("lbmgpu: ghost payload length mismatch")
 	}
-	ghost := 0 // texture coordinate of the ghost plane
-	if dir > 0 {
-		ghost = [3]int{s.nx, s.ny, s.nz}[dim] + 1
-	}
-
-	// Group the five distributions by stack; each group becomes one
-	// sequence of rect uploads.
-	byStack := map[int][]int{}
-	for _, i := range dists {
-		byStack[distStack(i)] = append(byStack[distStack(i)], i)
-	}
-
-	// value returns payload element for plane cell (a, b), dist index k.
-	value := func(a, b, k int) float32 { return data[(b*pw+a)*5+k] }
-	distPos := map[int]int{}
-	for k, i := range dists {
-		distPos[i] = k
-	}
-
-	switch dim {
-	case 0, 1:
-		// One thin rectangle per interior slice.
-		for b := 0; b < ph; b++ {
-			layer := b + 1
-			for st, group := range byStack {
-				var rect gpu.Rect
-				if dim == 0 {
-					rect = gpu.Rect{X0: ghost, Y0: 1, X1: ghost + 1, Y1: s.ny + 1}
-				} else {
-					rect = gpu.Rect{X0: 0, Y0: ghost, X1: s.w, Y1: ghost + 1}
-				}
-				buf := make([]float32, rect.Fragments()*4)
-				for a := 0; a < pw; a++ {
-					for _, i := range group {
-						buf[a*4+distChan(i)] = value(a, b, distPos[i])
+	t := &s.unpacks[dim][sideOf(dir)]
+	buf := s.upload[:4*t.cells]
+	for layer := t.first; layer <= t.last; layer++ {
+		cells := data[:5*t.cells]
+		data = data[len(cells):]
+		for gi := range t.groups {
+			g := &t.groups[gi]
+			for c := 0; c < t.cells; c++ {
+				for ch, k := range g.from {
+					v := float32(0)
+					if k >= 0 {
+						v = cells[5*c+k]
 					}
-				}
-				must(s.dev.UploadRect(s.stacks[st].Layer(layer), rect, buf))
-			}
-		}
-	default:
-		// z: a whole ghost layer per stack.
-		rect := gpu.Rect{X0: 0, Y0: 0, X1: s.w, Y1: s.h}
-		for st, group := range byStack {
-			buf := make([]float32, rect.Fragments()*4)
-			for b := 0; b < ph; b++ {
-				for a := 0; a < pw; a++ {
-					for _, i := range group {
-						buf[(b*s.w+a)*4+distChan(i)] = value(a, b, distPos[i])
-					}
+					buf[4*c+ch] = v
 				}
 			}
-			must(s.dev.UploadRect(s.stacks[st].Layer(ghost), rect, buf))
+			must(s.dev.UploadRect(g.stack.Layer(layer), t.rect, buf))
 		}
 	}
 }

@@ -7,9 +7,15 @@
 //     (solid flags and wall velocities);
 //   - each computation step is a set of fragment programs executed as
 //     render passes: small viewport rectangles refresh the boundary
-//     ghost regions, then a fused stream-and-collide pass sweeps the
-//     volume slice by slice, rendering into pixel buffers whose results
-//     are copied back into the textures;
+//     ghost regions, then the volume is swept slice by slice. A slice
+//     takes six passes, each computing only what it outputs: the macro
+//     pass runs first (stream 19 links, reduce to density and velocity)
+//     and is copied into a one-layer staging texture; the five
+//     distribution passes then fetch (rho, u) from it, stream only their
+//     own four links and evaluate only those equilibrium entries. The
+//     pixel-buffer results are copied back into the textures, the
+//     density-and-velocity layer last: until then it holds the previous
+//     step's density, which the moving-wall bounce-back term reads;
 //   - the state held between steps is the post-collision distribution
 //     field, so the texture contents are exactly the payload of the
 //     cluster border exchange;
@@ -23,10 +29,14 @@
 // buffering the whole lattice, the sweep keeps a two-slice ring buffer of
 // pre-update layers, so the five distribution stacks exist only once.
 //
-// The arithmetic inside the fragment programs reuses the lbm package's
-// Feq/Moments functions with the same operation order as the CPU
-// reference, so a GPU-backed node produces bit-identical results — which
-// the tests assert.
+// The fragment programs reduce with lbm.Moments and evaluate equilibrium
+// entries with the expression shape and operation order of lbm.Feq, so a
+// GPU-backed node produces bit-identical results — which the tests
+// assert against the CPU lattice, the only oracle.
+//
+// Every pass descriptor (program, viewport, render target) and the
+// border pack/unpack tables are built once in New, so the render path of
+// a steady-state Step allocates nothing.
 package lbmgpu
 
 import (
@@ -42,9 +52,6 @@ import (
 // simulated GPU. It implements cluster.Node.
 type Simulator struct {
 	dev *gpu.Device
-	// cfg mirrors the host lattice's configuration; its F/Post arrays
-	// are not used after initialization.
-	cfg *lbm.Lattice
 
 	nx, ny, nz int // interior cells
 	w, h, d    int // texture dims including ghosts
@@ -53,18 +60,26 @@ type Simulator struct {
 	macro  *gpu.TextureStack    // rho, ux, uy, uz of the streamed state
 	solid  *gpu.TextureStack    // r: solid flag, gba: wall velocity
 	ring   [5][2]*gpu.Texture2D // pre-update slice stash
+	stage  *gpu.Texture2D       // rho, ux, uy, uz of the slice being swept
 	pbufs  [6]*gpu.PBuffer      // per-stack render targets + macro
 
 	border   [3]*gpu.Texture2D // per-dim compact border gather targets
 	borderPB [3]*gpu.PBuffer   // render targets matching the border textures
-	hasWall  bool
-	omega    float32
+
+	// Built once by New from the host lattice's faces, force and tau.
+	interior gpu.Rect          // the sweep viewport: every non-ghost texel
+	bc       [3][]bcPass       // boundary-condition ghost fills per dimension
+	slices   []slicePasses     // the six sweep passes of each interior slice
+	packs    [3][2]gpu.Pass    // border gather pass per (dim, dir)
+	unpacks  [3][2]unpackTable // ghost scatter layout per (dim, dir)
+	upload   []float32         // UnpackGhost's rect-upload scratch
 }
 
 // New builds a GPU simulator from a configured host lattice (size, tau,
-// faces, solids, wall velocities, and initial distributions are taken
-// from it). The lattice must use the BGK operator (Collision == nil) and
-// may not use a per-cell force field.
+// faces, force, solids, wall velocities, and initial distributions are
+// taken from it; the lattice is not referenced afterwards). The lattice
+// must use the BGK operator (Collision == nil) and may not use a per-cell
+// force field.
 func New(dev *gpu.Device, cfg *lbm.Lattice) (*Simulator, error) {
 	if cfg.Collision != nil {
 		return nil, errors.New("lbmgpu: only the BGK operator is supported on the GPU")
@@ -76,75 +91,79 @@ func New(dev *gpu.Device, cfg *lbm.Lattice) (*Simulator, error) {
 		return nil, errors.New("lbmgpu: interpolated (curved) boundary links are CPU-only")
 	}
 	s := &Simulator{
-		dev: dev, cfg: cfg,
-		nx: cfg.NX, ny: cfg.NY, nz: cfg.NZ,
+		dev: dev,
+		nx:  cfg.NX, ny: cfg.NY, nz: cfg.NZ,
 		w: cfg.NX + 2, h: cfg.NY + 2, d: cfg.NZ + 2,
-		omega: 1 / cfg.Tau,
 	}
-	var err error
-	alloc := func(name string) *gpu.TextureStack {
-		if err != nil {
-			return nil
-		}
-		var st *gpu.TextureStack
-		st, err = dev.NewStack(name, s.w, s.h, s.d)
-		return st
-	}
-	for i := range s.stacks {
-		s.stacks[i] = alloc(fmt.Sprintf("f%d", i))
-	}
-	s.macro = alloc("macro")
-	s.solid = alloc("solid")
-	if err != nil {
+	s.interior = gpu.Rect{X0: 1, Y0: 1, X1: s.nx + 1, Y1: s.ny + 1}
+	if err := s.allocate(); err != nil {
 		s.free()
 		return nil, err
 	}
-	for i := range s.ring {
-		for j := range s.ring[i] {
-			t, e := dev.NewTexture2D(fmt.Sprintf("ring%d_%d", i, j), s.w, s.h)
-			if e != nil {
-				s.free()
-				return nil, e
-			}
-			s.ring[i][j] = t
-		}
-	}
-	for i := range s.pbufs {
-		pb, e := dev.NewPBuffer(fmt.Sprintf("pb%d", i), s.w, s.h)
-		if e != nil {
-			s.free()
-			return nil, e
-		}
-		s.pbufs[i] = pb
-	}
-	// Compact border textures: height doubled to hold the fifth
-	// distribution below the packed four (one texture, one read-back).
-	borderDims := [3][2]int{
-		{s.ny, s.nz},
-		{s.nx + 2, s.nz},
-		{s.nx + 2, s.ny + 2},
-	}
-	for dim, bd := range borderDims {
-		t, e := dev.NewTexture2D(fmt.Sprintf("border%d", dim), bd[0], 2*bd[1])
-		if e != nil {
-			s.free()
-			return nil, e
-		}
-		s.border[dim] = t
-		pb, e := dev.NewPBuffer(fmt.Sprintf("borderpb%d", dim), bd[0], 2*bd[1])
-		if e != nil {
-			s.free()
-			return nil, e
-		}
-		s.borderPB[dim] = pb
-	}
-	if e := s.uploadInitialState(); e != nil {
+	if err := s.uploadInitialState(cfg); err != nil {
 		s.free()
-		return nil, e
+		return nil, err
 	}
+	for dim := 0; dim < 3; dim++ {
+		for _, dir := range []int{-1, +1} {
+			side := sideOf(dir)
+			s.bc[dim] = s.appendFacePasses(s.bc[dim], cfg.Faces[2*dim+side], dim, dir < 0)
+			s.packs[dim][side] = s.gatherPass(dim, dir)
+			s.unpacks[dim][side] = s.unpackTable(dim, dir)
+		}
+	}
+	s.slices = make([]slicePasses, s.nz)
+	for z := 1; z <= s.nz; z++ {
+		s.slices[z-1] = s.newSlicePasses(z, 1/cfg.Tau, cfg.Force)
+	}
+	s.upload = make([]float32, s.w*s.h*4)
 	return s, nil
 }
 
+// allocate reserves every texture and pixel buffer of the simulator.
+func (s *Simulator) allocate() error {
+	var err error
+	for i := range s.stacks {
+		if s.stacks[i], err = s.dev.NewStack(fmt.Sprintf("f%d", i), s.w, s.h, s.d); err != nil {
+			return err
+		}
+	}
+	if s.macro, err = s.dev.NewStack("macro", s.w, s.h, s.d); err != nil {
+		return err
+	}
+	if s.solid, err = s.dev.NewStack("solid", s.w, s.h, s.d); err != nil {
+		return err
+	}
+	for i := range s.ring {
+		for j := range s.ring[i] {
+			if s.ring[i][j], err = s.dev.NewTexture2D(fmt.Sprintf("ring%d_%d", i, j), s.w, s.h); err != nil {
+				return err
+			}
+		}
+	}
+	if s.stage, err = s.dev.NewTexture2D("stage", s.w, s.h); err != nil {
+		return err
+	}
+	for i := range s.pbufs {
+		if s.pbufs[i], err = s.dev.NewPBuffer(fmt.Sprintf("pb%d", i), s.w, s.h); err != nil {
+			return err
+		}
+	}
+	// Compact border textures: height doubled to hold the fifth
+	// distribution below the packed four (one texture, one read-back).
+	for dim := range s.border {
+		pw, ph := s.planeDims(dim)
+		if s.border[dim], err = s.dev.NewTexture2D(fmt.Sprintf("border%d", dim), pw, 2*ph); err != nil {
+			return err
+		}
+		if s.borderPB[dim], err = s.dev.NewPBuffer(fmt.Sprintf("borderpb%d", dim), pw, 2*ph); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// free releases whatever allocate got as far as reserving.
 func (s *Simulator) free() {
 	for _, st := range s.stacks {
 		if st != nil {
@@ -162,6 +181,7 @@ func (s *Simulator) free() {
 			t.Free()
 		}
 	}
+	s.stage.Free()
 	for _, pb := range s.pbufs {
 		pb.Free()
 	}
@@ -182,10 +202,7 @@ func distChan(i int) int  { return i % 4 }
 
 // uploadInitialState transfers the host lattice's post-collision state,
 // solid/wall data and initial macroscopic moments to the GPU.
-func (s *Simulator) uploadInitialState() error {
-	l := s.cfg
-	// The host lattice marks wall-face ghosts solid only at Init; make
-	// sure that has happened by requiring initialized distributions.
+func (s *Simulator) uploadInitialState(l *lbm.Lattice) error {
 	row := make([]float32, s.w*s.h*4)
 	for st := 0; st < 5; st++ {
 		for z := 0; z < s.d; z++ {
@@ -223,9 +240,6 @@ func (s *Simulator) uploadInitialState() error {
 				var uw vecmath.Vec3
 				if l.WallU != nil {
 					uw = l.WallU[c]
-					if uw != (vecmath.Vec3{}) {
-						s.hasWall = true
-					}
 				}
 				row[k+1], row[k+2], row[k+3] = uw[0], uw[1], uw[2]
 				k += 4
@@ -234,9 +248,6 @@ func (s *Simulator) uploadInitialState() error {
 		if err := s.dev.Upload(s.solid.Layer(z), row); err != nil {
 			return err
 		}
-	}
-	if l.WallU != nil {
-		s.hasWall = true
 	}
 	// Macroscopic moments of the initial state, computed with the same
 	// float path as the CPU reference.

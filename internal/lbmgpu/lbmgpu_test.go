@@ -1,6 +1,7 @@
 package lbmgpu
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -32,6 +33,26 @@ func buildPair(t *testing.T, nx, ny, nz int, tau float32, configure func(l *lbm.
 		t.Fatal(err)
 	}
 	return cpu, sim
+}
+
+// assertDistributionsEqual compares all 19 post-collision distributions
+// held in the GPU texture stacks against the CPU lattice's, bit for bit,
+// on every interior cell.
+func assertDistributionsEqual(t *testing.T, cpu *lbm.Lattice, sim *Simulator) {
+	t.Helper()
+	for z := 0; z < cpu.NZ; z++ {
+		for y := 0; y < cpu.NY; y++ {
+			for x := 0; x < cpu.NX; x++ {
+				c := cpu.Idx(x, y, z)
+				for i := 0; i < lbm.Q; i++ {
+					got := sim.stacks[distStack(i)].Layer(z+1).At(x+1, y+1)[distChan(i)]
+					if want := cpu.Post[i][c]; got != want {
+						t.Fatalf("f[%d] mismatch at (%d,%d,%d): gpu %v cpu %v", i, x, y, z, got, want)
+					}
+				}
+			}
+		}
+	}
 }
 
 // assertFieldsEqual compares the GPU macro fields against the CPU
@@ -71,11 +92,11 @@ func stepBoth(cpu *lbm.Lattice, sim *Simulator, steps int) {
 }
 
 func TestGPUMatchesCPUPeriodicShear(t *testing.T) {
-	cpu, sim := buildPair(t, 12, 10, 8, 0.8, func(l *lbm.Lattice) {})
 	// Both start at uniform equilibrium; add a body force to create
 	// dynamics.
-	cpu.Force = vecmath.Vec3{1e-4, 0, 0}
-	sim.cfg.Force = vecmath.Vec3{1e-4, 0, 0}
+	cpu, sim := buildPair(t, 12, 10, 8, 0.8, func(l *lbm.Lattice) {
+		l.Force = vecmath.Vec3{1e-4, 0, 0}
+	})
 	stepBoth(cpu, sim, 8)
 	assertFieldsEqual(t, cpu, sim)
 }
@@ -133,10 +154,9 @@ func TestGPUBorderPackMatchesCPU(t *testing.T) {
 		l.Faces[lbm.FaceXPos] = lbm.FaceSpec{Type: lbm.Ghost}
 		l.Faces[lbm.FaceYPos] = lbm.FaceSpec{Type: lbm.Ghost}
 		l.Faces[lbm.FaceZPos] = lbm.FaceSpec{Type: lbm.Ghost}
+		l.Force = vecmath.Vec3{1e-4, 2e-5, 0}
 	}
 	cpu, sim := buildPair(t, 8, 7, 6, 0.8, configure)
-	cpu.Force = vecmath.Vec3{1e-4, 2e-5, 0}
-	sim.cfg.Force = cpu.Force
 
 	// Advance a few steps (treating ghost faces as stale) to produce a
 	// non-trivial state on both sides.
@@ -260,5 +280,123 @@ func TestGPUOutOfMemory(t *testing.T) {
 	// Failed construction must not leak device memory.
 	if dev.UsedMemory() != 0 {
 		t.Errorf("leaked %d bytes after failed construction", dev.UsedMemory())
+	}
+}
+
+// flowCases are the boundary and forcing set-ups the GPU mapping must
+// reproduce, on non-cubic lattices. The inlet/outflow case is wide enough
+// in-plane for its passes to fan out over the device's fragment workers.
+var flowCases = []struct {
+	name       string
+	nx, ny, nz int
+	tau        float32
+	u0         vecmath.Vec3
+	configure  func(l *lbm.Lattice)
+}{
+	{"periodic", 11, 7, 5, 0.8, vecmath.Vec3{0.03, 0.01, -0.02}, func(l *lbm.Lattice) {
+		l.SetSolid(4, 3, 2, true)
+		l.SetSolid(5, 3, 2, true)
+	}},
+	{"inlet-outflow", 72, 60, 3, 0.7, vecmath.Vec3{}, func(l *lbm.Lattice) {
+		l.Faces[lbm.FaceXNeg] = lbm.FaceSpec{Type: lbm.Inlet, U: vecmath.Vec3{0.05, 0.01, 0}, Rho: 1.02}
+		l.Faces[lbm.FaceXPos] = lbm.FaceSpec{Type: lbm.Outflow}
+		l.Faces[lbm.FaceYNeg] = lbm.FaceSpec{Type: lbm.Outflow}
+		l.Faces[lbm.FaceYPos] = lbm.FaceSpec{Type: lbm.Outflow, Rho: 0.99}
+		l.Faces[lbm.FaceZNeg] = lbm.FaceSpec{Type: lbm.Wall}
+		l.Faces[lbm.FaceZPos] = lbm.FaceSpec{Type: lbm.Outflow}
+	}},
+	{"walls-obstacle", 13, 9, 6, 0.8, vecmath.Vec3{}, func(l *lbm.Lattice) {
+		for f := range l.Faces {
+			l.Faces[f] = lbm.FaceSpec{Type: lbm.Wall}
+		}
+		l.Faces[lbm.FaceXNeg] = lbm.FaceSpec{Type: lbm.Inlet, U: vecmath.Vec3{0.04, 0, 0}}
+		l.Faces[lbm.FaceXPos] = lbm.FaceSpec{Type: lbm.Outflow}
+		for z := 0; z < 4; z++ {
+			for y := 3; y < 6; y++ {
+				for x := 4; x < 7; x++ {
+					l.SetSolid(x, y, z, true)
+				}
+			}
+		}
+	}},
+	{"moving-wall-cavity", 9, 10, 6, 0.9, vecmath.Vec3{}, func(l *lbm.Lattice) {
+		for f := range l.Faces {
+			l.Faces[f] = lbm.FaceSpec{Type: lbm.Wall}
+		}
+		l.Faces[lbm.FaceYPos] = lbm.FaceSpec{Type: lbm.MovingWall, U: vecmath.Vec3{0.06, 0, 0.01}}
+	}},
+	{"body-force", 10, 6, 7, 0.8, vecmath.Vec3{}, func(l *lbm.Lattice) {
+		l.Faces[lbm.FaceYNeg] = lbm.FaceSpec{Type: lbm.Wall}
+		l.Faces[lbm.FaceYPos] = lbm.FaceSpec{Type: lbm.Wall}
+		l.Force = vecmath.Vec3{1e-4, -2e-5, 3e-5}
+	}},
+}
+
+func TestGPUMatchesCPUAllDistributions(t *testing.T) {
+	const steps = 12
+	for _, tc := range flowCases {
+		for _, workers := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%s/workers=%d", tc.name, workers), func(t *testing.T) {
+				cpu := lbm.New(tc.nx, tc.ny, tc.nz, tc.tau)
+				tc.configure(cpu)
+				cpu.Init(1, tc.u0)
+				dev := gpu.New(gpu.Config{TextureMemory: 256 << 20, Workers: workers})
+				sim, err := New(dev, cpu)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// The simulator keeps no reference to the lattice it
+				// was built from: stepping one leaves the other alone.
+				stepBoth(cpu, sim, steps)
+				assertDistributionsEqual(t, cpu, sim)
+				assertFieldsEqual(t, cpu, sim)
+			})
+		}
+	}
+}
+
+func TestStepSteadyStateZeroAlloc(t *testing.T) {
+	for _, tc := range flowCases {
+		if tc.nx*tc.ny >= 4096 {
+			continue // fans out over goroutines, which allocate
+		}
+		_, sim := buildPair(t, tc.nx, tc.ny, tc.nz, tc.tau, tc.configure)
+		sim.Step(noExchange)
+		if allocs := testing.AllocsPerRun(5, func() { sim.Step(noExchange) }); allocs != 0 {
+			t.Errorf("%s: Step allocates %v times, want 0", tc.name, allocs)
+		}
+	}
+}
+
+func TestGPUStatsPerStep(t *testing.T) {
+	// Inlet and outflow on x (thin rectangles per slice), walls on y,
+	// periodic z (whole ghost layers). Passes and fragments are those of
+	// the fused sweep this one replaced; its 178 copies gain one staging
+	// copy of the interior per slice.
+	const nx, ny, nz = 14, 10, 8
+	_, sim := buildPair(t, nx, ny, nz, 0.8, func(l *lbm.Lattice) {
+		l.Faces[lbm.FaceXNeg] = lbm.FaceSpec{Type: lbm.Inlet, U: vecmath.Vec3{0.04, 0, 0}}
+		l.Faces[lbm.FaceXPos] = lbm.FaceSpec{Type: lbm.Outflow}
+		l.Faces[lbm.FaceYNeg] = lbm.FaceSpec{Type: lbm.Wall}
+		l.Faces[lbm.FaceYPos] = lbm.FaceSpec{Type: lbm.Wall}
+	})
+	sim.Step(noExchange)
+	before := sim.Device().Stats
+	sim.Step(noExchange)
+	after := sim.Device().Stats
+	got := gpu.Stats{
+		Passes:        after.Passes - before.Passes,
+		Fragments:     after.Fragments - before.Fragments,
+		TextureCopies: after.TextureCopies - before.TextureCopies,
+		CopiedTexels:  after.CopiedTexels - before.CopiedTexels,
+	}
+	want := gpu.Stats{
+		Passes:        138,
+		Fragments:     9440,
+		TextureCopies: 178 + nz,
+		CopiedTexels:  17120 + nz*nx*ny,
+	}
+	if got != want {
+		t.Errorf("one step cost %+v, want %+v", got, want)
 	}
 }

@@ -10,8 +10,8 @@ import (
 
 // Step advances the block one time step on the GPU. For each dimension
 // the boundary-condition ghost rectangles are refreshed by small render
-// passes and the cluster exchange callback runs; then the fused
-// stream-and-collide sweep updates the volume slice by slice.
+// passes and the cluster exchange callback runs; then the sweep streams
+// and collides the volume slice by slice.
 func (s *Simulator) Step(exchange func(dim int)) {
 	for dim := 0; dim < 3; dim++ {
 		s.fillGhostDim(dim)
@@ -28,31 +28,116 @@ func must(err error) {
 	}
 }
 
+// link is one row of the streaming table: where distribution i of a cell
+// streams from, where its bounce-back partner lives in the packed layout,
+// and its lattice constants as floats.
+type link struct {
+	dx, dy     int     // source texel offset, -c_x and -c_y
+	slot       int     // source layer: 0 below, 1 same slice, 2 above (1 - c_z)
+	st, ch     int     // stack and channel of distribution i
+	ost, och   int     // stack and channel of Opp[i]
+	cx, cy, cz float32 // c_i
+	w          float32 // W[i]
+}
+
+// links is the D3Q19 streaming table in the Figure 5 packing; stack st
+// owns links[4*st : 4*st+4] (the fifth stack only three).
+var links = func() (t [lbm.Q]link) {
+	for i := range t {
+		c, o := lbm.C[i], lbm.Opp[i]
+		t[i] = link{
+			dx: -c[0], dy: -c[1], slot: 1 - c[2],
+			st: distStack(i), ch: distChan(i),
+			ost: distStack(o), och: distChan(o),
+			cx: float32(c[0]), cy: float32(c[1]), cz: float32(c[2]),
+			w: lbm.W[i],
+		}
+	}
+	return t
+}()
+
+// ownLinks returns the rows of the distributions packed into stack st.
+func ownLinks(st int) []link {
+	return links[4*st : min(4*st+4, lbm.Q)]
+}
+
+// equilibrium returns lbm.Feq's entry for lk, written with the same
+// expression shape so that it rounds identically; base is 1 - 1.5 u.u.
+func (lk *link) equilibrium(rho, ux, uy, uz, base float32) float32 {
+	cu := lk.cx*ux + lk.cy*uy + lk.cz*uz
+	return lk.w * rho * (base + 3*cu + 4.5*cu*cu)
+}
+
+// bcPass is one boundary-condition viewport rectangle: the pass and the
+// texture layer its rectangle is copied back into.
+type bcPass struct {
+	pass gpu.Pass
+	dst  *gpu.Texture2D
+}
+
 // fillGhostDim refreshes the two ghost planes of a dimension from the
 // face boundary conditions, as viewport-rectangle passes (the paper's
 // "multiple small rectangles" covering the boundary regions of each Z
 // slice).
 func (s *Simulator) fillGhostDim(dim int) {
-	s.fillFace(2*dim, dim)
-	s.fillFace(2*dim+1, dim)
+	for i := range s.bc[dim] {
+		p := &s.bc[dim][i]
+		must(s.dev.Run(p.pass))
+		must(s.dev.CopyRect(p.pass.Target, p.dst, p.pass.Viewport))
+	}
 }
 
-func (s *Simulator) fillFace(face, dim int) {
-	spec := s.cfg.Faces[face]
+// nearest returns the texel of r nearest to (x, y).
+func nearest(r gpu.Rect, x, y int) (int, int) {
+	return min(max(x, r.X0), r.X1-1), min(max(y, r.Y0), r.Y1-1)
+}
+
+// appendFacePasses appends the ghost-fill passes of one face of dimension
+// dim (neg: the low side): per target layer, one pass for each of the
+// five distribution stacks.
+func (s *Simulator) appendFacePasses(passes []bcPass, spec lbm.FaceSpec, dim int, neg bool) []bcPass {
 	switch spec.Type {
 	case lbm.Ghost, lbm.Wall, lbm.MovingWall:
-		return // exchanged externally / realized as solid ghosts
+		return passes // exchanged externally / realized as solid ghosts
 	}
-	neg := face%2 == 0
 
 	// Ghost texture coordinate along dim, plus the source coordinate:
 	// the periodic image or the adjacent interior cell.
 	extent := [3]int{s.nx, s.ny, s.nz}[dim]
-	gcoord := 0
-	wrapcoord, edgecoord := extent, 1
+	gcoord, wrapcoord, edgecoord := 0, extent, 1
 	if !neg {
-		gcoord = extent + 1
-		wrapcoord, edgecoord = 1, extent
+		gcoord, wrapcoord, edgecoord = extent+1, 1, extent
+	}
+	src := edgecoord
+	if spec.Type == lbm.Periodic {
+		src = wrapcoord
+	}
+
+	// A fragment reads the texel nearest to its own coordinates in the
+	// source rectangle: the source plane for x and y faces, and
+	// in-plane the whole layer, or for outflow faces the interior only,
+	// mirroring the CPU reference (ghost-column cells hold only
+	// entering distributions, which do not define moments).
+	from := gpu.Rect{X0: 0, Y0: 0, X1: s.w, Y1: s.h}
+	if spec.Type == lbm.Outflow {
+		from = s.interior
+	}
+
+	// The pass geometry per dim: for x and y faces one thin rectangle
+	// per interior slice; for z faces the whole ghost layer, read from
+	// the source layer.
+	first, last, srcShift := 1, s.nz, 0
+	var vp gpu.Rect
+	switch dim {
+	case 0:
+		from.X0, from.X1 = src, src+1
+		vp = gpu.Rect{X0: gcoord, Y0: 1, X1: gcoord + 1, Y1: s.ny + 1}
+	case 1:
+		from.Y0, from.Y1 = src, src+1
+		vp = gpu.Rect{X0: 0, Y0: gcoord, X1: s.w, Y1: gcoord + 1}
+	default:
+		first, last, srcShift = gcoord, gcoord, src-gcoord
+		vp = gpu.Rect{X0: 0, Y0: 0, X1: s.w, Y1: s.h}
 	}
 
 	rhoOut := spec.Rho
@@ -64,237 +149,185 @@ func (s *Simulator) fillFace(face, dim int) {
 		lbm.Feq(&feqIn, rhoOut, spec.U[0], spec.U[1], spec.U[2])
 	}
 
-	// The pass geometry per dim: for x and y faces one thin rectangle
-	// per interior slice; for z faces the whole ghost layer.
-	type planePass struct {
-		layer    int      // target z layer
-		srcLayer int      // source z layer (differs only for z faces)
-		vp       gpu.Rect // viewport on the target layer
-	}
-	var passes []planePass
-	switch dim {
-	case 0:
-		for z := 1; z <= s.nz; z++ {
-			passes = append(passes, planePass{z, z, gpu.Rect{X0: gcoord, Y0: 1, X1: gcoord + 1, Y1: s.ny + 1}})
+	for layer := first; layer <= last; layer++ {
+		var srcLayers [5]*gpu.Texture2D
+		for st := range srcLayers {
+			srcLayers[st] = s.stacks[st].Layer(layer + srcShift)
 		}
-	case 1:
-		for z := 1; z <= s.nz; z++ {
-			passes = append(passes, planePass{z, z, gpu.Rect{X0: 0, Y0: gcoord, X1: s.w, Y1: gcoord + 1}})
-		}
-	default:
-		src := wrapcoord
-		if spec.Type != lbm.Periodic {
-			src = edgecoord
-		}
-		passes = append(passes, planePass{gcoord, src, gpu.Rect{X0: 0, Y0: 0, X1: s.w, Y1: s.h}})
-	}
-
-	for _, pp := range passes {
 		for st := 0; st < 5; st++ {
-			var prog gpu.FragmentProgram
-			switch spec.Type {
-			case lbm.Periodic:
-				srcTex := s.stacks[st].Layer(pp.srcLayer)
-				switch dim {
-				case 0:
-					prog = func(_ []gpu.Sampler, x, y int) vecmath.Vec4 {
-						return srcTex.Fetch(wrapcoord, y)
-					}
-				case 1:
-					prog = func(_ []gpu.Sampler, x, y int) vecmath.Vec4 {
-						return srcTex.Fetch(x, wrapcoord)
-					}
-				default:
-					prog = func(_ []gpu.Sampler, x, y int) vecmath.Vec4 {
-						return srcTex.Fetch(x, y)
-					}
-				}
-			case lbm.Inlet:
-				out := vecmath.Vec4{}
-				for ch := 0; ch < 4; ch++ {
-					if i := st*4 + ch; i < lbm.Q {
-						out[ch] = feqIn[i]
-					}
-				}
-				prog = func(_ []gpu.Sampler, x, y int) vecmath.Vec4 { return out }
-			case lbm.Outflow:
-				// Gather all 19 distributions of the adjacent interior
-				// cell, re-anchor density at the outlet value (same
-				// float path as lbm.fillFace). In-plane coordinates are
-				// clamped to the interior, mirroring the CPU reference:
-				// ghost-column cells hold only entering distributions.
-				clampX := func(x int) int {
-					if x < 1 {
-						return 1
-					}
-					if x > s.nx {
-						return s.nx
-					}
-					return x
-				}
-				clampY := func(y int) int {
-					if y < 1 {
-						return 1
-					}
-					if y > s.ny {
-						return s.ny
-					}
-					return y
-				}
-				var srcAt func(x, y int) (int, int)
-				switch dim {
-				case 0:
-					srcAt = func(x, y int) (int, int) { return edgecoord, y }
-				case 1:
-					srcAt = func(x, y int) (int, int) { return clampX(x), edgecoord }
-				default:
-					srcAt = func(x, y int) (int, int) { return clampX(x), clampY(y) }
-				}
-				layers := [5]*gpu.Texture2D{}
-				for k := 0; k < 5; k++ {
-					layers[k] = s.stacks[k].Layer(pp.srcLayer)
-				}
-				stIdx := st
-				prog = func(_ []gpu.Sampler, x, y int) vecmath.Vec4 {
-					sx, sy := srcAt(x, y)
-					var fp [lbm.Q]float32
-					for i := 0; i < lbm.Q; i++ {
-						fp[i] = layers[distStack(i)].Fetch(sx, sy)[distChan(i)]
-					}
-					rhoSrc, ux, uy, uz := lbm.Moments(&fp)
-					var feqSrc, feqOut [lbm.Q]float32
-					lbm.Feq(&feqSrc, rhoSrc, ux, uy, uz)
-					lbm.Feq(&feqOut, rhoOut, ux, uy, uz)
-					var out vecmath.Vec4
-					for ch := 0; ch < 4; ch++ {
-						if i := stIdx*4 + ch; i < lbm.Q {
-							out[ch] = fp[i] - feqSrc[i] + feqOut[i]
-						}
-					}
-					return out
-				}
+			passes = append(passes, bcPass{
+				pass: gpu.Pass{
+					Name:     "lbm-ghost-fill",
+					Target:   s.pbufs[st],
+					Viewport: vp,
+					Program:  ghostProgram(spec.Type, st, srcLayers, from, feqIn, rhoOut),
+				},
+				dst: s.stacks[st].Layer(layer),
+			})
+		}
+	}
+	return passes
+}
+
+// ghostProgram returns the program that fills stack st's ghost texels of
+// a face of the given type from the source layers.
+func ghostProgram(face lbm.BC, st int, srcLayers [5]*gpu.Texture2D, from gpu.Rect, feqIn [lbm.Q]float32, rhoOut float32) gpu.FragmentProgram {
+	own := ownLinks(st)
+	switch face {
+	case lbm.Periodic:
+		srcTex := srcLayers[st]
+		return func(_ []gpu.Sampler, x, y int) vecmath.Vec4 {
+			return srcTex.Fetch(nearest(from, x, y))
+		}
+	case lbm.Inlet:
+		var out vecmath.Vec4
+		copy(out[:len(own)], feqIn[4*st:])
+		return func(_ []gpu.Sampler, x, y int) vecmath.Vec4 { return out }
+	default: // lbm.Outflow
+		// Read the adjacent interior cell's 19 distributions (five
+		// texels) for its moments, then re-anchor this stack's own
+		// channels at the outlet density (same float path as
+		// lbm.fillFace).
+		return func(_ []gpu.Sampler, x, y int) vecmath.Vec4 {
+			sx, sy := nearest(from, x, y)
+			var fp [lbm.Q]float32
+			for k, t := range srcLayers {
+				texel := t.Fetch(sx, sy)
+				copy(fp[4*k:], texel[:])
 			}
-			pb := s.pbufs[st]
-			must(s.dev.Run(gpu.Pass{
-				Name:     fmt.Sprintf("bc-face%d-stack%d-z%d", face, st, pp.layer),
-				Target:   pb,
-				Viewport: pp.vp,
-				Program:  prog,
-			}))
-			must(s.dev.CopyRect(pb, s.stacks[st].Layer(pp.layer), pp.vp))
+			rhoSrc, ux, uy, uz := lbm.Moments(&fp)
+			base := 1 - 1.5*(ux*ux+uy*uy+uz*uz)
+			var out vecmath.Vec4
+			for ch := range own {
+				lk := &own[ch]
+				feqSrc := lk.equilibrium(rhoSrc, ux, uy, uz, base)
+				feqOut := lk.equilibrium(rhoOut, ux, uy, uz, base)
+				out[ch] = fp[4*st+ch] - feqSrc + feqOut
+			}
+			return out
 		}
 	}
 }
 
-// sweep runs the fused stream-and-collide pass over every interior slice,
-// in increasing z, using the two-slice ring buffer to preserve pre-update
-// values of the slice below.
+// slicePasses are the six render passes of one interior slice.
+type slicePasses struct {
+	macro gpu.Pass    // 19 links -> rho, u
+	dist  [5]gpu.Pass // own links -> post-collision distributions
+}
+
+// sliceTextures are the texture layers the programs of one slice read,
+// with the collision parameters.
+type sliceTextures struct {
+	lay      [5][3]*gpu.Texture2D // distributions below (stashed), at, above
+	solid    [3]*gpu.Texture2D    // solid flags and wall velocities, likewise
+	oldMacro *gpu.Texture2D       // the previous step's rho, u of this slice
+	stage    *gpu.Texture2D       // this step's, once the macro pass ran
+
+	omega float32
+	force vecmath.Vec3
+}
+
+// newSlicePasses builds the passes of slice z. The slice below has been
+// overwritten by the time z is swept, so its stashed copy is bound.
+func (s *Simulator) newSlicePasses(z int, omega float32, force vecmath.Vec3) slicePasses {
+	b := &sliceTextures{oldMacro: s.macro.Layer(z), stage: s.stage, omega: omega, force: force}
+	for st := range b.lay {
+		b.lay[st][0] = s.stacks[st].Layer(0)
+		if z > 1 {
+			b.lay[st][0] = s.ring[st][(z-1)%2]
+		}
+		b.lay[st][1] = s.stacks[st].Layer(z)
+		b.lay[st][2] = s.stacks[st].Layer(z + 1)
+	}
+	for slot := range b.solid {
+		b.solid[slot] = s.solid.Layer(z - 1 + slot)
+	}
+	p := slicePasses{
+		macro: gpu.Pass{Name: "lbm-macro", Target: s.pbufs[5], Viewport: s.interior, Program: b.macroProgram},
+	}
+	for st := range p.dist {
+		p.dist[st] = gpu.Pass{Name: "lbm-collide", Target: s.pbufs[st], Viewport: s.interior, Program: b.distProgram(st)}
+	}
+	return p
+}
+
+// streamed reconstructs one streamed (pre-collision) distribution at
+// fragment (tx, ty) with bounce-back, matching lbm.Stream's float path
+// exactly.
+func (b *sliceTextures) streamed(lk *link, tx, ty int) float32 {
+	sx, sy := tx+lk.dx, ty+lk.dy
+	src := b.solid[lk.slot].Fetch(sx, sy)
+	if src[0] <= 0.5 {
+		return b.lay[lk.st][lk.slot].Fetch(sx, sy)[lk.ch]
+	}
+	v := b.lay[lk.ost][1].Fetch(tx, ty)[lk.och]
+	if uw := (vecmath.Vec3{src[1], src[2], src[3]}); uw != (vecmath.Vec3{}) {
+		cu := lk.cx*uw[0] + lk.cy*uw[1] + lk.cz*uw[2]
+		v += 6 * lk.w * b.oldMacro.Fetch(tx, ty)[0] * cu
+	}
+	return v
+}
+
+// macroProgram computes the moments of the streamed state (the CPU's
+// Rho/u cache): the collision input of this step's distribution passes,
+// the wall term's density next step, and the read-back fields.
+func (b *sliceTextures) macroProgram(_ []gpu.Sampler, tx, ty int) vecmath.Vec4 {
+	if b.solid[1].Fetch(tx, ty)[0] > 0.5 {
+		return b.oldMacro.Fetch(tx, ty) // solid cells keep state
+	}
+	var f [lbm.Q]float32
+	for i := range links {
+		f[i] = b.streamed(&links[i], tx, ty)
+	}
+	rho, ux, uy, uz := lbm.Moments(&f)
+	return vecmath.Vec4{rho, ux, uy, uz}
+}
+
+// distProgram returns the stream-and-collide program of stack st: it
+// streams the stack's own links and relaxes them towards their own
+// equilibrium entries at the staged rho, u.
+func (b *sliceTextures) distProgram(st int) gpu.FragmentProgram {
+	own := ownLinks(st)
+	hasForce := b.force != (vecmath.Vec3{})
+	return func(_ []gpu.Sampler, tx, ty int) vecmath.Vec4 {
+		if b.solid[1].Fetch(tx, ty)[0] > 0.5 {
+			return b.lay[st][1].Fetch(tx, ty) // solid cells keep state
+		}
+		m := b.stage.Fetch(tx, ty)
+		rho, ux, uy, uz := m[0], m[1], m[2], m[3]
+		base := 1 - 1.5*(ux*ux+uy*uy+uz*uz)
+		var out vecmath.Vec4
+		for ch := range own {
+			lk := &own[ch]
+			f := b.streamed(lk, tx, ty)
+			post := f - b.omega*(f-lk.equilibrium(rho, ux, uy, uz, base))
+			if hasForce {
+				ca := lk.cx*b.force[0] + lk.cy*b.force[1] + lk.cz*b.force[2]
+				post += 3 * lk.w * rho * ca
+			}
+			out[ch] = post
+		}
+		return out
+	}
+}
+
+// sweep streams and collides every interior slice, in increasing z, using
+// the two-slice ring buffer to preserve pre-update values of the slice
+// below.
 func (s *Simulator) sweep() {
-	force := s.cfg.Force
-	hasForce := force != (vecmath.Vec3{})
-
 	for z := 1; z <= s.nz; z++ {
-		// Layer bindings for dz = -1, 0, +1 per stack: the slice below
-		// was already overwritten, so read its stashed copy.
-		var lay [5][3]*gpu.Texture2D
-		for st := 0; st < 5; st++ {
-			if z-1 >= 1 {
-				lay[st][0] = s.ring[st][(z-1)%2]
-			} else {
-				lay[st][0] = s.stacks[st].Layer(0)
-			}
-			lay[st][1] = s.stacks[st].Layer(z)
-			lay[st][2] = s.stacks[st].Layer(z + 1)
+		b := &s.slices[z-1]
+		must(s.dev.Run(b.macro))
+		must(s.dev.CopyRect(s.pbufs[5], s.stage, s.interior))
+		for st := range b.dist {
+			must(s.dev.Run(b.dist[st]))
 		}
-		var solidLay [3]*gpu.Texture2D
-		for dz := -1; dz <= 1; dz++ {
-			solidLay[dz+1] = s.solid.Layer(z + dz)
-		}
-		macroLay := s.macro.Layer(z)
-
-		// gatherCell reconstructs the streamed (pre-collision)
-		// distributions at fragment (tx, ty) with bounce-back, matching
-		// lbm.Stream's float path exactly.
-		gatherCell := func(tx, ty int, f *[lbm.Q]float32) {
-			for i := 0; i < lbm.Q; i++ {
-				sx := tx - lbm.C[i][0]
-				sy := ty - lbm.C[i][1]
-				dz := lbm.C[i][2]
-				src := solidLay[1-dz].Fetch(sx, sy)
-				if src[0] > 0.5 {
-					o := lbm.Opp[i]
-					v := lay[distStack(o)][1].Fetch(tx, ty)[distChan(o)]
-					if s.hasWall {
-						uw := vecmath.Vec3{src[1], src[2], src[3]}
-						if uw != (vecmath.Vec3{}) {
-							cu := float32(lbm.C[i][0])*uw[0] + float32(lbm.C[i][1])*uw[1] + float32(lbm.C[i][2])*uw[2]
-							v += 6 * lbm.W[i] * macroLay.Fetch(tx, ty)[0] * cu
-						}
-					}
-					f[i] = v
-				} else {
-					f[i] = lay[distStack(i)][1-dz].Fetch(sx, sy)[distChan(i)]
-				}
-			}
-		}
-
-		interior := gpu.Rect{X0: 1, Y0: 1, X1: s.nx + 1, Y1: s.ny + 1}
-		// Five distribution passes.
-		for st := 0; st < 5; st++ {
-			stIdx := st
-			prog := func(_ []gpu.Sampler, tx, ty int) vecmath.Vec4 {
-				if solidLay[1].Fetch(tx, ty)[0] > 0.5 {
-					return lay[stIdx][1].Fetch(tx, ty) // solid cells keep state
-				}
-				var f [lbm.Q]float32
-				gatherCell(tx, ty, &f)
-				rho, ux, uy, uz := lbm.Moments(&f)
-				var feq [lbm.Q]float32
-				lbm.Feq(&feq, rho, ux, uy, uz)
-				var out vecmath.Vec4
-				for ch := 0; ch < 4; ch++ {
-					i := stIdx*4 + ch
-					if i >= lbm.Q {
-						break
-					}
-					post := f[i] - s.omega*(f[i]-feq[i])
-					if hasForce {
-						ca := float32(lbm.C[i][0])*force[0] + float32(lbm.C[i][1])*force[1] + float32(lbm.C[i][2])*force[2]
-						post += 3 * lbm.W[i] * rho * ca
-					}
-					out[ch] = post
-				}
-				return out
-			}
-			must(s.dev.Run(gpu.Pass{
-				Name:     fmt.Sprintf("fused-stack%d-z%d", st, z),
-				Target:   s.pbufs[st],
-				Viewport: interior,
-				Program:  prog,
-			}))
-		}
-		// Macro pass: moments of the streamed state (the CPU's Rho/u
-		// cache), used for next step's wall terms and for read-back.
-		must(s.dev.Run(gpu.Pass{
-			Name:     fmt.Sprintf("macro-z%d", z),
-			Target:   s.pbufs[5],
-			Viewport: interior,
-			Program: func(_ []gpu.Sampler, tx, ty int) vecmath.Vec4 {
-				if solidLay[1].Fetch(tx, ty)[0] > 0.5 {
-					return macroLay.Fetch(tx, ty)
-				}
-				var f [lbm.Q]float32
-				gatherCell(tx, ty, &f)
-				rho, ux, uy, uz := lbm.Moments(&f)
-				return vecmath.Vec4{rho, ux, uy, uz}
-			},
-		}))
 
 		// Stash the pre-update slice, then commit the pass results.
 		for st := 0; st < 5; st++ {
 			must(s.dev.CopyTexture(s.stacks[st].Layer(z), s.ring[st][z%2]))
-			must(s.dev.CopyRect(s.pbufs[st], s.stacks[st].Layer(z), interior))
+			must(s.dev.CopyRect(s.pbufs[st], s.stacks[st].Layer(z), s.interior))
 		}
-		must(s.dev.CopyRect(s.pbufs[5], s.macro.Layer(z), interior))
+		must(s.dev.CopyRect(s.pbufs[5], s.macro.Layer(z), s.interior))
 	}
 }
