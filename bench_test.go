@@ -1,8 +1,8 @@
 // Package gpucluster's top-level benchmarks regenerate each table and
 // figure of the paper (through the calibrated performance model) and
 // measure the functional simulators for real: one benchmark per
-// table/figure plus micro-benchmarks of the kernels the per-experiment
-// index in DESIGN.md references.
+// table/figure plus micro-benchmarks of the kernels under them, layer
+// by layer of the package map in docs/ARCHITECTURE.md.
 //
 // Run: go test -bench=. -benchmem
 package gpucluster

@@ -1,6 +1,7 @@
 // Command paperbench regenerates every table and figure of the paper's
-// evaluation (Section 4.4 and Section 5) plus the ablation experiments
-// of DESIGN.md, printing paper-reported values next to the model's and
+// evaluation (Section 4.4 and Section 5) plus the design-choice
+// ablations A1-A4 of the calibration layer (docs/ARCHITECTURE.md,
+// "Package map"), printing paper-reported values next to the model's and
 // the functional simulator's outputs.
 //
 // Usage:

@@ -95,6 +95,9 @@ type JobStatus struct {
 	// Detail and Failed carry the workload outcome for terminal jobs.
 	Detail string
 	Failed bool
+	// Blocked is the job's blocked-pass explanation so far. Only
+	// Engine.JobStatus fills it; Snapshot's listing leaves it zero.
+	Blocked Explanation
 }
 
 // QueueStatus summarizes the engine at an instant.
@@ -242,7 +245,8 @@ func jobStatus(j *Job) JobStatus {
 	return st
 }
 
-// JobStatus returns a point-in-time view of one job.
+// JobStatus returns a point-in-time view of one job, its blocked-pass
+// explanation included.
 func (e *Engine) JobStatus(id int) (JobStatus, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -251,23 +255,17 @@ func (e *Engine) JobStatus(id int) (JobStatus, error) {
 	if err != nil {
 		return JobStatus{}, err
 	}
-	return jobStatus(j), nil
+	st := jobStatus(j)
+	st.Blocked = explanationOf(e.s.blocked, id)
+	return st, nil
 }
 
-// Explain aggregates the recorded blocked-pass breakdown for one job —
-// empty unless the engine's Config carried an event-replaying Recorder
-// (the built-in MemRecorder).
+// Explain returns the blocked-pass breakdown for one job so far, read
+// from its counter row — empty unless the engine's Config carried a
+// Recorder.
 func (e *Engine) Explain(id int) (Explanation, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.catchUp()
-	if _, err := e.s.JobByID(id); err != nil {
-		return Explanation{}, err
-	}
-	if src, ok := e.s.cfg.Recorder.(interface{ Events() []Event }); ok {
-		return ExplainEvents(src.Events(), id), nil
-	}
-	return Explanation{JobID: id}, nil
+	st, err := e.JobStatus(id)
+	return st.Blocked, err
 }
 
 // Snapshot summarizes the live queue: every non-terminal job, queued

@@ -242,3 +242,35 @@ func TestEngineWallClockDrivesToTerminal(t *testing.T) {
 	}
 	checkNoOverlap(t, rep.Jobs, 8)
 }
+
+var explainSink Explanation
+
+// BenchmarkEngineExplain reads one blocked job's explanation from an
+// engine whose full-stream recorder already holds 1k and 100k events:
+// the counter row makes time and allocations the same at both.
+func BenchmarkEngineExplain(b *testing.B) {
+	for _, prior := range []int{1_000, 100_000} {
+		b.Run(fmt.Sprintf("events=%d", prior), func(b *testing.B) {
+			rec := &MemRecorder{}
+			e := NewEngine(Config{Cluster: newTestCluster(4), Policy: FIFO, Recorder: rec}, nil)
+			// A hog holds the machine; every further pass blocks the nine
+			// jobs behind it again, nine events a pass.
+			for i := 0; i < 10; i++ {
+				if _, err := e.Ingest(&Job{Name: "wide", Kind: KindPDE, Nodes: 4, Est: time.Hour}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			for len(rec.Events()) < prior {
+				e.RunUntil(0)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				explainSink, _ = e.Explain(2)
+			}
+			if explainSink.BlockedPasses == 0 {
+				b.Fatal("the queue head explains as never blocked")
+			}
+		})
+	}
+}

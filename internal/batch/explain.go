@@ -2,18 +2,21 @@ package batch
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 )
 
 // Decision explainability: with a Recorder attached, every scheduling
-// pass records one EvBlocked event per queued, arrived job it scanned
-// and skipped, classified by the obstacle that actually applied at
-// that instant. The classification runs only when a recorder is
-// attached — the hot path with observability off never pays for it —
-// and reads the same state the scheduling decision just read, so the
-// recorded reason is the decision's reason, not a reconstruction.
+// pass classifies each queued, arrived job it scanned and skipped by
+// the obstacle that actually applied at that instant, bumps that
+// reason's counter in the job's row (Scheduler.blocked) and records
+// one EvBlocked event. Explanations are read from the counter row in
+// O(1) whatever the run's length; the events are for recorders that
+// keep the full stream (MemRecorder). The classification runs only
+// when a recorder is attached — the hot path with observability off
+// never pays for it — and reads the same state the scheduling decision
+// just read, so the counted reason is the decision's reason, not a
+// reconstruction.
 
 // BlockReason classifies why a queued job did not start on a pass.
 type BlockReason int
@@ -105,14 +108,21 @@ func (s *Scheduler) beginPass() int {
 	return s.passes
 }
 
-// explain records one EvBlocked event; at carries the shadow or
-// reservation bound when one applies (zero otherwise). Callers on the
-// hot path guard with s.rec != nil before doing any classification
-// work; the guard here keeps misuse harmless.
+// blockRow counts one job's blocked passes by reason. Rows live beside
+// the scheduler, indexed by job ID, and exist only when a recorder is
+// attached: Job stays the size the nil-recorder drain pays for.
+type blockRow [numBlockReasons]uint32
+
+// explain counts one blocked pass against j and records its EvBlocked
+// event; at carries the shadow or reservation bound when one applies
+// (zero otherwise). Callers on the hot path guard with s.rec != nil
+// before doing any classification work; the guard here keeps misuse
+// harmless.
 func (s *Scheduler) explain(pass int, j *Job, reason BlockReason, at time.Duration) {
 	if s.rec == nil {
 		return
 	}
+	s.blocked[j.ID-1][reason]++
 	s.record(Event{Time: s.now, Kind: EvBlocked, Job: j.ID, Pass: pass, Reason: reason, From: at})
 }
 
@@ -222,8 +232,8 @@ type BlockCount struct {
 	Passes int
 }
 
-// Explanation aggregates a job's EvBlocked events: how many passes
-// scanned and skipped it, split by reason.
+// Explanation is a job's blocked-pass record: how many passes scanned
+// and skipped it, split by reason.
 type Explanation struct {
 	// JobID is the explained job.
 	JobID int
@@ -256,29 +266,36 @@ func (e Explanation) String() string {
 	return b.String()
 }
 
-// ExplainEvents aggregates the EvBlocked events concerning one job.
-func ExplainEvents(events []Event, jobID int) Explanation {
-	var counts [numBlockReasons]int
-	total := 0
-	for _, ev := range events {
-		if ev.Kind != EvBlocked || ev.Job != jobID {
+// explanationOf renders job jobID's counter row — empty (never blocked)
+// for an ID outside rows, which is every ID when no recorder was
+// attached.
+func explanationOf(rows []blockRow, jobID int) Explanation {
+	e := Explanation{JobID: jobID}
+	if jobID < 1 || jobID > len(rows) {
+		return e
+	}
+	for r, n := range &rows[jobID-1] {
+		if n == 0 {
 			continue
 		}
-		counts[ev.Reason]++
-		total++
-	}
-	e := Explanation{JobID: jobID, BlockedPasses: total}
-	for r, n := range counts {
-		if n > 0 {
-			e.Counts = append(e.Counts, BlockCount{Reason: BlockReason(r), Passes: n})
+		if e.Counts == nil {
+			e.Counts = make([]BlockCount, 0, numBlockReasons-1) // ReasonNone never counts
 		}
+		e.BlockedPasses += int(n)
+		// Insert behind every count at least as large: most frequent
+		// first, equal counts in reason order.
+		k := len(e.Counts)
+		e.Counts = append(e.Counts, BlockCount{})
+		for ; k > 0 && e.Counts[k-1].Passes < int(n); k-- {
+			e.Counts[k] = e.Counts[k-1]
+		}
+		e.Counts[k] = BlockCount{Reason: BlockReason(r), Passes: int(n)}
 	}
-	sort.SliceStable(e.Counts, func(i, k int) bool { return e.Counts[i].Passes > e.Counts[k].Passes })
 	return e
 }
 
-// Explain aggregates the report's blocked-pass record for one job —
-// empty (never blocked) when no recorder was attached to the run.
+// Explain returns the report's blocked-pass record for one job — empty
+// (never blocked) when no recorder was attached to the run.
 func (r Report) Explain(jobID int) Explanation {
-	return ExplainEvents(r.Events, jobID)
+	return explanationOf(r.blocked, jobID)
 }

@@ -21,10 +21,13 @@ import (
 // A nil Recorder costs nothing: every hook site is guarded by a single
 // nil check and the hot scheduling path allocates nothing extra (the
 // zero-alloc guard in obs_test.go pins that). With a recorder attached
-// the stream feeds three consumers: the Chrome trace-event exporter
-// below (Perfetto tracks for jobs, nodes, and both store-link
-// directions), the per-job blocker aggregation in explain.go, and
-// Report.Timeline.
+// the stream feeds the Chrome trace-event exporter below (Perfetto
+// tracks for jobs, nodes, and both store-link directions) and
+// Report.Timeline. Two recorders ship: MemRecorder keeps the whole
+// stream, for replay and traces of a bounded run; RingRecorder keeps a
+// fixed-size tail of the lifecycle events, for a daemon left running.
+// Explanations need neither's memory — the scheduler counts blocked
+// passes per job itself (explain.go).
 
 // EventKind identifies a lifecycle transition.
 type EventKind int
@@ -171,8 +174,11 @@ type Recorder interface {
 	Record(ev Event)
 }
 
-// MemRecorder is the standard in-memory Recorder: an append-only event
-// slice, cheap enough to leave attached across a whole run.
+// MemRecorder is the full-stream in-memory Recorder: an append-only
+// event slice that grows with the run — O(queued jobs) EvBlocked events
+// per scheduling pass on top of the lifecycle. Attach it to a run that
+// ends (a replay, a Perfetto trace); a long-lived engine wants the
+// RingRecorder.
 type MemRecorder struct {
 	events []Event
 }
@@ -186,6 +192,38 @@ func (r *MemRecorder) Events() []Event { return r.events }
 
 // Reset discards the recorded stream, keeping the capacity.
 func (r *MemRecorder) Reset() { r.events = r.events[:0] }
+
+// RingCapacity is how many events a RingRecorder retains.
+const RingCapacity = 4096
+
+// RingRecorder is the bounded Recorder: it keeps the most recent
+// RingCapacity lifecycle events and drops EvBlocked, whose content the
+// scheduler's per-job counters already hold (explain.go), so its memory
+// does not grow with uptime. The zero value is ready to use.
+type RingRecorder struct {
+	buf  []Event // grows to RingCapacity, then wraps
+	head int     // once full: index of the oldest event
+}
+
+// Record keeps the event, overwriting the oldest once full.
+func (r *RingRecorder) Record(ev Event) {
+	if ev.Kind == EvBlocked {
+		return
+	}
+	if len(r.buf) < RingCapacity {
+		r.buf = append(r.buf, ev)
+		return
+	}
+	r.buf[r.head] = ev
+	r.head = (r.head + 1) % RingCapacity
+}
+
+// Events returns a copy of the retained events in record order.
+func (r *RingRecorder) Events() []Event {
+	out := make([]Event, 0, len(r.buf))
+	out = append(out, r.buf[r.head:]...)
+	return append(out, r.buf[:r.head]...)
+}
 
 // record forwards to the attached recorder. Callers guard with
 // s.rec != nil so disabled instrumentation costs one predictable

@@ -403,3 +403,39 @@ func TestPassOnceZeroAllocNilRecorder(t *testing.T) {
 		t.Fatalf("passOnce with nil recorder allocates %v times per pass, want 0", allocs)
 	}
 }
+
+// TestRingRecorderKeepsTail feeds a RingRecorder and a MemRecorder the
+// same stream, several times the ring's capacity: the ring holds the
+// last RingCapacity lifecycle events of it, in record order, and none
+// of the EvBlocked ones.
+func TestRingRecorderKeepsTail(t *testing.T) {
+	ring, mem := &RingRecorder{}, &MemRecorder{}
+	check := func() {
+		t.Helper()
+		want := mem.Events()
+		if len(want) > RingCapacity {
+			want = want[len(want)-RingCapacity:]
+		}
+		got := ring.Events()
+		if len(got) != len(want) {
+			t.Fatalf("ring holds %d events, want %d", len(got), len(want))
+		}
+		for i := range want {
+			if got[i].Job != want[i].Job || got[i].Kind != want[i].Kind {
+				t.Fatalf("ring event %d is %+v, want %+v", i, got[i], want[i])
+			}
+		}
+	}
+	check()
+	for seq := 0; seq < 3*RingCapacity+7; seq++ {
+		ev := Event{Job: seq, Kind: EventKind(seq % int(EvTrunkUp+1))}
+		ring.Record(ev)
+		if ev.Kind != EvBlocked {
+			mem.Record(ev)
+		}
+		if seq == RingCapacity/2 || seq == RingCapacity+RingCapacity/16 {
+			check() // part full; around the first wrap
+		}
+	}
+	check()
+}

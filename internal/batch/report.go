@@ -115,10 +115,15 @@ type Report struct {
 	// allocation instants — the fragmentation the placements created.
 	AvgFreeFrags float64
 	// Events is the recorded lifecycle stream, copied from the attached
-	// Config.Recorder when it can replay one (the built-in MemRecorder);
-	// empty otherwise. It backs Timeline, Explain, and the report-level
-	// WriteChromeTrace (obs.go, explain.go).
+	// Config.Recorder when it can replay one: the whole run from a
+	// MemRecorder, the most recent RingCapacity lifecycle events from a
+	// RingRecorder; empty otherwise. It backs Timeline and the
+	// report-level WriteChromeTrace (obs.go).
 	Events []Event
+	// blocked is the per-job blocked-pass counter rows at report time,
+	// by ID-1 — what Explain reads (explain.go). Nil when no recorder
+	// was attached.
+	blocked []blockRow
 }
 
 // report assembles the Report from the scheduler's terminal state.
@@ -157,6 +162,7 @@ func (s *Scheduler) report() Report {
 	if src, ok := s.cfg.Recorder.(interface{ Events() []Event }); ok {
 		r.Events = append([]Event(nil), src.Events()...)
 	}
+	r.blocked = append([]blockRow(nil), s.blocked...)
 	var waitSum time.Duration
 	for _, j := range r.Jobs {
 		if j.End > r.Makespan {

@@ -189,9 +189,10 @@ type Config struct {
 	// nil for pure virtual-time scheduling studies.
 	Execute Executor
 	// Recorder receives one typed Event per lifecycle transition and
-	// one EvBlocked per queued job per scheduling pass (obs.go,
-	// explain.go). Nil disables recording at zero cost on the hot
-	// path — the zero-alloc guard in obs_test.go pins exactly that.
+	// one EvBlocked per queued job per scheduling pass (obs.go), and
+	// attaching one switches on the per-job blocked-pass counters that
+	// Explain reads (explain.go). Nil disables both at zero cost on the
+	// hot path — the zero-alloc guard in obs_test.go pins exactly that.
 	Recorder Recorder
 	// Metrics is the registry the scheduler publishes counters,
 	// gauges, and histograms into (metrics.go); series carry
@@ -237,6 +238,7 @@ type Scheduler struct {
 	rec           Recorder             // lifecycle event sink; nil = recording off (obs.go)
 	met           *schedMetrics        // typed metric handles; nil = metrics off (metrics.go)
 	passes        int                  // scheduling passes taken (EvBlocked pass numbers)
+	blocked       []blockRow           // per job, by ID-1: blocked passes by reason; nil with no recorder (explain.go)
 	faultEvs      []faultEvent         // compiled fault schedule, sorted (fault.go)
 	faultIdx      int                  // next fault event to apply
 	downSince     []time.Duration      // per node: instant it went down, -1 while up
@@ -379,6 +381,11 @@ func (s *Scheduler) Submit(j *Job) error {
 	j.faults, j.banks, j.lostWork = 0, 0, 0
 	j.ckptDue, j.banking, j.ckptSlice = false, false, 0
 	j.canceled = false
+	if s.rec != nil {
+		// A fresh, zeroed counter row under the new ID: a replayed spec
+		// starts its explanation over as it does its lifecycle.
+		s.blocked = append(s.blocked, blockRow{})
+	}
 	s.pending.push(j)
 	if j.arrive > s.now {
 		s.arrivals.add(j.arrive, j.ID)

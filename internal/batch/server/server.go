@@ -16,6 +16,15 @@
 // under token auth. Graceful drain: Shutdown stops the listener, stops
 // the engine pump, runs every event already due, and returns the final
 // report.
+//
+// The daemon is observable by default at a memory cost that does not
+// grow with uptime: explain is served from the scheduler's per-job
+// blocked-pass counters, and the default recorder is a
+// batch.RingRecorder holding the most recent batch.RingCapacity
+// lifecycle events. A full event stream (replay, Perfetto) is an
+// explicit choice: set Config.Batch.Recorder to a batch.MemRecorder.
+// The listener bounds what a client can hold open: header, request and
+// idle timeouts, and a 1 MiB cap on a submit body.
 package server
 
 import (
@@ -49,9 +58,12 @@ func (q Quota) unlimited() bool { return q.MaxQueued <= 0 && q.MaxNodeSeconds <=
 // Config assembles a server.
 type Config struct {
 	// Batch configures the scheduler core. Cluster is required. A nil
-	// Recorder gets a MemRecorder attached (the explain endpoint needs
-	// the event stream); a nil Metrics gets a fresh Registry (the
-	// /metrics endpoint serves it).
+	// Recorder gets a bounded batch.RingRecorder attached (any recorder
+	// switches on the counters the explain endpoint reads; this one
+	// keeps only a fixed tail of lifecycle events). A recorder set here,
+	// such as a batch.MemRecorder, receives the full stream, EvBlocked
+	// included, and grows with it. A nil Metrics gets a fresh Registry
+	// (the /metrics endpoint serves it).
 	Batch batch.Config
 	// Clock drives the engine; nil selects a wall clock at Compress.
 	Clock batch.Clock
@@ -78,6 +90,9 @@ type Server struct {
 	epoch time.Time
 	mux   *http.ServeMux
 	http  *http.Server
+	// readHeaderTimeout is the package constant; a field so that the
+	// slow-client test need not wait it out.
+	readHeaderTimeout time.Duration
 
 	admit sync.Mutex // serializes quota check + ingest (no overshoot)
 
@@ -97,14 +112,17 @@ func New(cfg Config) *Server {
 		epoch:    time.Now(),
 		submitW:  make(map[int]time.Time),
 		dispatch: make(map[int]time.Time),
+
+		readHeaderTimeout: readHeaderTimeout,
 	}
 	// The dispatch tap wraps whatever recorder the config carries (a
-	// MemRecorder by default, so the explain endpoint has a stream),
-	// stamping each job's first dispatch with wall time — the other
-	// half of the submit→dispatch latency the slam client reports.
+	// RingRecorder by default: explain counts need one attached, not
+	// its stream), stamping each job's first dispatch with wall time —
+	// the other half of the submit→dispatch latency the slam client
+	// reports.
 	var inner batch.Recorder = cfg.Batch.Recorder
 	if inner == nil {
-		inner = &batch.MemRecorder{}
+		inner = &batch.RingRecorder{}
 	}
 	s.cfg.Batch.Recorder = &dispatchTap{inner: inner, srv: s}
 	s.clock = cfg.Clock
@@ -140,7 +158,7 @@ func (t *dispatchTap) Record(ev batch.Event) {
 	t.inner.Record(ev)
 }
 
-// Events lets the engine's explain path see through the tap.
+// Events lets the engine's report see through the tap.
 func (t *dispatchTap) Events() []batch.Event {
 	if src, ok := t.inner.(interface{ Events() []batch.Event }); ok {
 		return src.Events()
@@ -154,10 +172,25 @@ func (s *Server) Engine() *batch.Engine { return s.eng }
 // Handler returns the HTTP handler (for tests and custom servers).
 func (s *Server) Handler() http.Handler { return s.mux }
 
+// Listener bounds: how long a client may take over its headers, over a
+// whole request, and between requests on a kept-alive connection, and
+// how large a submit body may be.
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 30 * time.Second
+	idleTimeout       = 2 * time.Minute
+	maxSubmitBytes    = 1 << 20
+)
+
 // Serve starts the engine pump and serves HTTP on l until Shutdown.
 func (s *Server) Serve(l net.Listener) error {
 	s.eng.Start()
-	s.http = &http.Server{Handler: s.mux}
+	s.http = &http.Server{
+		Handler:           s.mux,
+		ReadHeaderTimeout: s.readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	err := s.http.Serve(l)
 	if errors.Is(err, http.ErrServerClosed) {
 		return nil
@@ -337,8 +370,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var spec JobSpec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, "bad job spec: %v", err)
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBytes)).Decode(&spec); err != nil {
+		code := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, code, "bad job spec: %v", err)
 		return
 	}
 	if user == "" {
@@ -467,13 +505,11 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	v := s.jobView(st)
-	if ex, err := s.eng.Explain(id); err == nil {
-		ev := &ExplainView{BlockedPasses: ex.BlockedPasses}
-		for _, c := range ex.Counts {
-			ev.Blockers = append(ev.Blockers, BlockerView{Reason: c.Reason.String(), Passes: c.Passes})
-		}
-		v.Explain = ev
+	ev := &ExplainView{BlockedPasses: st.Blocked.BlockedPasses}
+	for _, c := range st.Blocked.Counts {
+		ev.Blockers = append(ev.Blockers, BlockerView{Reason: c.Reason.String(), Passes: c.Passes})
 	}
+	v.Explain = ev
 	writeJSON(w, http.StatusOK, v)
 }
 

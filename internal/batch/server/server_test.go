@@ -3,8 +3,11 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"fmt"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -29,6 +32,13 @@ func testCluster(n int) *batch.Cluster {
 func startServer(t *testing.T, cfg Config) (*Server, string) {
 	t.Helper()
 	s := New(cfg)
+	return s, serve(t, s)
+}
+
+// serve runs s on a loopback listener until the test ends and returns
+// its base URL.
+func serve(t *testing.T, s *Server) string {
+	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -45,7 +55,7 @@ func startServer(t *testing.T, cfg Config) (*Server, string) {
 			t.Errorf("shutdown: %v", err)
 		}
 	})
-	return s, "http://" + l.Addr().String()
+	return "http://" + l.Addr().String()
 }
 
 func wantStatus(t *testing.T, err error, code int) {
@@ -363,5 +373,144 @@ func TestServeSlamE2E(t *testing.T) {
 	}
 	if terminal != res.Accepted {
 		t.Fatalf("%d of %d accepted jobs terminal", terminal, res.Accepted)
+	}
+}
+
+// TestServerDefaultRecorderBounded runs ten times the ring's capacity
+// of jobs through a server with no recorder configured. What the daemon
+// keeps of its event stream stays within the ring — the most recent
+// lifecycle events, in order, no blocked-pass events — while explain,
+// served from the per-job counters, still accounts for every pass.
+func TestServerDefaultRecorderBounded(t *testing.T) {
+	const wave, jobs = 8, 10 * batch.RingCapacity
+	s := New(Config{
+		Batch: batch.Config{Cluster: testCluster(4), Policy: batch.Backfill},
+		Clock: batch.VirtualClock{},
+	})
+	h := s.Handler()
+	do := func(method, path string, body []byte, want int) JobView {
+		t.Helper()
+		req := httptest.NewRequest(method, path, bytes.NewReader(body))
+		req.Header.Set("X-User", "ana")
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, req)
+		if w.Code != want {
+			t.Fatalf("%s %s: HTTP %d, want %d: %s", method, path, w.Code, want, w.Body)
+		}
+		var v JobView
+		if err := json.Unmarshal(w.Body.Bytes(), &v); err != nil {
+			t.Fatalf("%s %s: %v", method, path, err)
+		}
+		return v
+	}
+	spec, err := json.Marshal(JobSpec{Kind: "pde", Nodes: 4, EstSeconds: 60})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var last JobView
+	for n := 0; n < jobs; n += wave {
+		// Each job fills the machine, so a wave runs one at a time and the
+		// last of it is passed over at least once per job ahead of it.
+		for i := 0; i < wave; i++ {
+			last = do(http.MethodPost, "/v1/jobs", spec, http.StatusCreated)
+		}
+		s.Engine().RunUntil(batch.Forever)
+		if n%(jobs/4) != 0 {
+			continue
+		}
+		v := do(http.MethodGet, fmt.Sprintf("/v1/jobs/%d", last.ID), nil, http.StatusOK)
+		if v.State != "done" || v.Explain == nil || v.Explain.BlockedPasses < wave-1 ||
+			len(v.Explain.Blockers) != 1 || v.Explain.Blockers[0].Reason != batch.ReasonNoPlacement.String() ||
+			v.Explain.Blockers[0].Passes != v.Explain.BlockedPasses {
+			t.Fatalf("job %d after %d jobs: state %s, explain %+v", last.ID, n+wave, v.State, v.Explain)
+		}
+	}
+
+	rep, err := s.Shutdown(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Jobs) != jobs {
+		t.Fatalf("report holds %d jobs, want %d", len(rep.Jobs), jobs)
+	}
+	if len(rep.Events) != batch.RingCapacity {
+		t.Fatalf("report holds %d events after %d jobs, want the ring's %d", len(rep.Events), jobs, batch.RingCapacity)
+	}
+	// Record order: the clock never runs backwards, and each job goes
+	// submit, dispatch, segment end, complete — ascending kinds.
+	lastKind := map[int]batch.EventKind{}
+	for i, ev := range rep.Events {
+		if ev.Kind == batch.EvBlocked {
+			t.Fatalf("event %d: the ring kept a blocked-pass event: %+v", i, ev)
+		}
+		if i > 0 && ev.Time < rep.Events[i-1].Time {
+			t.Fatalf("events %d and %d out of record order: %+v then %+v", i-1, i, rep.Events[i-1], ev)
+		}
+		if k, seen := lastKind[ev.Job]; seen && ev.Kind <= k {
+			t.Fatalf("event %d: job %d records %v after %v", i, ev.Job, ev.Kind, k)
+		}
+		lastKind[ev.Job] = ev.Kind
+	}
+	if ev := rep.Events[len(rep.Events)-1]; ev.Kind != batch.EvComplete || ev.Job != last.ID {
+		t.Fatalf("newest event is %+v, want the completion of job %d", ev, last.ID)
+	}
+	if e := rep.Explain(last.ID); e.BlockedPasses < wave-1 || e.Dominant() != batch.ReasonNoPlacement {
+		t.Fatalf("report explains job %d as %s", last.ID, e)
+	}
+}
+
+// TestServeSlowHeaderDropped: a client that opens a connection and
+// never finishes its request headers is cut off at the header timeout
+// instead of holding the connection for as long as it likes.
+func TestServeSlowHeaderDropped(t *testing.T) {
+	s := New(Config{Batch: batch.Config{Cluster: testCluster(4)}, Clock: stoppedClock{}})
+	s.readHeaderTimeout = 50 * time.Millisecond
+	base := serve(t, s)
+
+	conn, err := net.Dial("tcp", strings.TrimPrefix(base, "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write([]byte("GET /v1/queue HTTP/1.1\r\nHost: slow\r\n")); err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.SetReadDeadline(time.Now().Add(10 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	n, err := conn.Read(make([]byte, 512))
+	if err == nil {
+		t.Fatalf("server answered an unfinished request with %d bytes", n)
+	}
+	if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		t.Fatalf("connection still open %v after the %v header timeout", time.Since(start), s.readHeaderTimeout)
+	}
+	// The listener itself is unharmed.
+	if _, err := (&Client{Base: base}).Queue(); err != nil {
+		t.Fatalf("queue after a dropped slow client: %v", err)
+	}
+}
+
+// TestServeOversizeBodyRefused: a submit body over the limit is refused
+// with 413 after reading no more than the limit, and admits nothing.
+func TestServeOversizeBodyRefused(t *testing.T) {
+	_, base := startServer(t, Config{Batch: batch.Config{Cluster: testCluster(4)}, Clock: stoppedClock{}})
+	c := &Client{Base: base, User: "ana"}
+	// The name alone fills the limit; the rest of the spec overruns it.
+	_, err := c.Submit(JobSpec{Name: strings.Repeat("x", maxSubmitBytes), Nodes: 1})
+	if err == nil {
+		t.Fatal("oversize submit accepted")
+	}
+	wantStatus(t, err, http.StatusRequestEntityTooLarge)
+	q, err := c.Queue()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if q.Queued+q.Running+q.Finished != 0 {
+		t.Fatalf("oversize submit left a job behind: %+v", q)
+	}
+	if _, err := c.Submit(JobSpec{Name: strings.Repeat("x", 1024), Nodes: 1}); err != nil {
+		t.Fatalf("submit under the limit: %v", err)
 	}
 }

@@ -6,7 +6,8 @@ import (
 )
 
 // AblationRow pairs a baseline breakdown with a variant for one node
-// count, for the design-choice ablations of DESIGN.md (A1-A4).
+// count, for the design-choice ablations A1-A4 that paperbench prints
+// (this package is the calibration layer of docs/ARCHITECTURE.md).
 type AblationRow struct {
 	Nodes    int
 	Baseline StepBreakdown
