@@ -181,6 +181,7 @@ type Job struct {
 	lostWork    time.Duration // wall time faults destroyed since the last banked boundary
 	snapshot    *Snapshot     // saved workload image between dispatches
 	waveFor     *Job          // victim side: the blocked job this drain is for
+	acct        *usage        // the user's fair-share account, resolved at Submit (FairShare only)
 	segStart    time.Duration // current segment's dispatch instant
 	segRestore  time.Duration // restore prefix (link wait + transfer) inside the current segment
 	segFactor   float64       // trunk stretch factor of the current segment

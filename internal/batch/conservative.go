@@ -41,17 +41,17 @@ type profile struct {
 	busy  []int
 }
 
-// buildProfile snapshots the current machine state: busy nodes now,
-// dropping as each running job (or checkpoint drain) ends on schedule.
-// The completion events come from the end-time treap's in-order walk —
-// already (End, ID)-sorted — so a pass no longer collects and sorts the
-// running set; equal instants merge additively exactly as the sorted
-// event list did.
+// buildProfile snapshots the current machine state into the scheduler's
+// one profile (its arrays are reused): busy nodes now, dropping as each
+// running job (or checkpoint drain) ends on schedule. The completion
+// events come from the end-time treap's in-order walk — already
+// (End, ID)-sorted — so a pass no longer collects and sorts the running
+// set; equal instants merge additively exactly as the sorted event list
+// did.
 func (s *Scheduler) buildProfile() *profile {
-	p := &profile{
-		times: []time.Duration{s.now},
-		busy:  []int{s.cfg.Cluster.Size() - s.cfg.Cluster.FreeNodes()},
-	}
+	p := &s.prof
+	p.times = append(p.times[:0], s.now)
+	p.busy = append(p.busy[:0], s.cfg.Cluster.Size()-s.cfg.Cluster.FreeNodes())
 	s.ends.inorder(func(end time.Duration, count int) {
 		last := len(p.times) - 1
 		if end == p.times[last] {
@@ -124,15 +124,23 @@ func (p *profile) earliest(d time.Duration, limit int) time.Duration {
 	}
 }
 
-// conservativePass plans the whole queue against the capacity profile,
-// starting jobs whose reservation begins now; it reports whether any
-// job started (a start changes the machine, so the caller rescans).
+// conservativePass plans the whole queue against the capacity profile
+// in one sweep, starting jobs whose reservation begins now, and reports
+// whether the sweep must restart from the queue head. A start behind
+// the blocked head books the gang's real interval — what a rebuilt
+// profile would carry — and the sweep goes on: its admission at now
+// honored every reservation planned so far, so a re-plan would
+// reproduce them. That fails, and the sweep restarts, when a planned
+// job was capped below the machine size (eligible < size: a bound the
+// admission never checked), when the real interval outlasts the
+// reserved slot (an Actual overrun), or when the start booked
+// store-link time (planned restore prefixes were priced off the link).
 func (s *Scheduler) conservativePass() bool {
 	prof := s.buildProfile()
 	size := s.cfg.Cluster.Size()
 	pass := s.beginPass()
-	head := true
-	jumped := false // an earlier job is held to a future reservation
+	var head *Job // the blocked head: the first job held to a reservation
+	implied := true
 	for _, j := range s.pending.ordered(s.less) {
 		if j == nil || j.arrive > s.now {
 			continue
@@ -163,10 +171,28 @@ func (s *Scheduler) conservativePass() bool {
 		if t < j.demoteEnd {
 			t = j.demoteEnd // cannot start before its image finishes evicting
 		}
-		if t == s.now && s.tryStart(j, jumped, 0, false) {
-			return true
+		// A start behind the blocked head is a backfill.
+		if link := s.link; t == s.now && s.tryStart(j, head != nil, 0, false) {
+			if s.restartPerStart {
+				return true
+			}
+			if head != nil {
+				if !implied || j.End > s.now+d || s.link != link {
+					return true
+				}
+				// A restarted sweep would try the head's preemption and
+				// demotion again with the new gang running.
+				before := s.ckptInFlight
+				s.preemptFor(head)
+				if s.ckptInFlight > before {
+					return false // re-plan at the drain, as in the head branch below
+				}
+				s.demoteFor(head)
+			}
+			prof.add(s.now, j.End, j.Alloc.Count)
+			continue
 		}
-		if head {
+		if head == nil {
 			before := s.ckptInFlight
 			out := s.preemptFor(j)
 			if s.ckptInFlight > before {
@@ -186,15 +212,15 @@ func (s *Scheduler) conservativePass() bool {
 			if s.rec != nil {
 				s.explainConservative(pass, j, t, out, true)
 			}
+			head = j
 		} else if s.rec != nil {
 			s.explainConservative(pass, j, t, preemptOff, false)
 		}
-		head = false
 		if t > s.now && !j.promised {
 			j.promise, j.promised = t, true
 		}
+		implied = implied && eligible == size
 		prof.add(t, t+d, j.Nodes)
-		jumped = true
 	}
 	return false
 }

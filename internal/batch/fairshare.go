@@ -44,7 +44,7 @@ func (s *Scheduler) halfLife() time.Duration {
 // Relative order between users is invariant under pure clock advance
 // (every account decays by the same rate), so the queue order only
 // truly changes when usage is charged. The queue comparator reads the
-// precomputed keys (keyOf) instead; this live value is kept for
+// precomputed keys (Job.acct.key) instead; this live value is kept for
 // reports, metrics, and the key-order cross-check test.
 func (s *Scheduler) usageOf(u string) float64 {
 	a := s.usage[u]
@@ -54,14 +54,16 @@ func (s *Scheduler) usageOf(u string) float64 {
 	return a.val * math.Exp2(-float64(s.now-a.at)/float64(s.halfLife()))
 }
 
-// keyOf returns user u's epoch-normalized sort key: monotone in the
-// decayed usage, comparable without any per-comparison decay.
-func (s *Scheduler) keyOf(u string) float64 {
+// account returns user u's usage account, creating the zero account on
+// first sight. Submit resolves it once per job under FairShare (Job.acct),
+// so the queue comparator reads keys straight off the two jobs.
+func (s *Scheduler) account(u string) *usage {
 	a := s.usage[u]
 	if a == nil {
-		return 0
+		a = &usage{}
+		s.usage[u] = a
 	}
-	return a.key
+	return a
 }
 
 // fsRenormEpochs bounds how far the clock may drift from the key epoch
@@ -80,11 +82,7 @@ func (s *Scheduler) chargeUsage(u string, nodeTime time.Duration) {
 	if nodeTime <= 0 {
 		return
 	}
-	a := s.usage[u]
-	if a == nil {
-		a = &usage{}
-		s.usage[u] = a
-	}
+	a := s.account(u)
 	hl := float64(s.halfLife())
 	a.val = a.val*math.Exp2(-float64(s.now-a.at)/hl) + nodeTime.Seconds()
 	a.at = s.now
@@ -113,8 +111,8 @@ func (s *Scheduler) chargeUsage(u string, nodeTime time.Duration) {
 // to its current value can change any pairwise comparison: true when
 // some other user's key lies in the closed moved interval (passing a
 // key flips an order; landing exactly on one shifts the comparison to
-// the tie-break legs). A fresh account (oldKey 0) always dirties — users
-// with no account yet compare as 0, and those are not enumerable here.
+// the tie-break legs). A fresh account (oldKey 0) always dirties — every
+// user never charged compares as 0, with or without an account yet.
 func (s *Scheduler) fsOrderChanged(a *usage, oldKey float64) bool {
 	newKey := a.key
 	if oldKey == newKey {

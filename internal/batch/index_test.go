@@ -384,6 +384,15 @@ func TestBackfillDepth(t *testing.T) {
 	}
 }
 
+// keyOf returns user u's epoch-normalized sort key (0 for a user never
+// seen), the value the queue comparator reads off Job.acct.
+func (s *Scheduler) keyOf(u string) float64 {
+	if a := s.usage[u]; a != nil {
+		return a.key
+	}
+	return 0
+}
+
 // TestFairShareKeyOrder pins the epoch-normalized fair-share keys to
 // the live decayed-usage values they stand in for: after arbitrary
 // charge traffic — including clock jumps far past the renormalization

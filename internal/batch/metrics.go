@@ -392,7 +392,7 @@ func newSchedMetrics(reg *Registry, pol Policy, plc Placement) *schedMetrics {
 		completed:    reg.Counter("batch_jobs_completed_total", "Jobs reaching a terminal state.", base),
 		failed:       reg.Counter("batch_jobs_failed_total", "Jobs whose workload reported an error.", base),
 		canceled:     reg.Counter("batch_jobs_canceled_total", "Jobs withdrawn by Cancel before completing.", base),
-		passes:       reg.Counter("batch_scheduler_passes_total", "Scheduling passes over the queue.", base),
+		passes:       reg.Counter("batch_scheduler_passes_total", "Scheduling sweeps of the queue, restarted ones included.", base),
 		candidates:   reg.Counter("batch_placement_candidates_total", "Placement candidates enumerated across dispatch attempts.", base),
 		backfills:    reg.Counter("batch_backfills_total", "Dispatches that jumped a blocked reservation.", base),
 		preempts:     reg.Counter("batch_preemptions_total", "Priority checkpoint drains begun.", base),
@@ -410,7 +410,7 @@ func newSchedMetrics(reg *Registry, pol Policy, plc Placement) *schedMetrics {
 		wait:         reg.Histogram("batch_job_wait_seconds", "Queue wait (virtual seconds) of completed jobs.", nil, base),
 		drainWait:    reg.Histogram("batch_drain_wait_seconds", "Write-link queue wait (virtual seconds) per checkpoint drain.", nil, base),
 		restoreWait:  reg.Histogram("batch_restore_wait_seconds", "Read-link queue wait (virtual seconds) per store restore.", nil, base),
-		passWall:     reg.Histogram("batch_pass_wall_seconds", "Wall-clock latency per scheduling pass.", nil, base),
+		passWall:     reg.Histogram("batch_pass_wall_seconds", "Wall-clock latency per scheduling sweep.", nil, base),
 		userUsage:    make(map[string]*Gauge),
 	}
 	return m

@@ -13,10 +13,10 @@ import (
 // time, as the event loop takes it — submit, dispatch (with its restore
 // prefix and store transfers), checkpoint drains, slice yields,
 // suspend-to-host parking, demotions, segment ends, completion — plus
-// one EvBlocked per queued job per scheduling pass explaining why it
-// did not start (explain.go). The stream is strictly append-only and
-// deterministic: replaying the same mix under the same config produces
-// the same events, which the determinism tests pin.
+// one EvBlocked per queued job a scheduling sweep examines and skips,
+// explaining why it did not start (explain.go). The stream is strictly
+// append-only and deterministic: replaying the same mix under the same
+// config produces the same events, which the determinism tests pin.
 //
 // A nil Recorder costs nothing: every hook site is guarded by a single
 // nil check and the hot scheduling path allocates nothing extra (the
@@ -176,7 +176,7 @@ type Recorder interface {
 
 // MemRecorder is the full-stream in-memory Recorder: an append-only
 // event slice that grows with the run — O(queued jobs) EvBlocked events
-// per scheduling pass on top of the lifecycle. Attach it to a run that
+// per scheduling sweep on top of the lifecycle. Attach it to a run that
 // ends (a replay, a Perfetto trace); a long-lived engine wants the
 // RingRecorder.
 type MemRecorder struct {

@@ -129,7 +129,14 @@ func (c *Cluster) candidates(k int, need int64, pol Placement) []candidate {
 			cands = append(cands, cand)
 		}
 	}
-	sort.SliceStable(cands, func(i, j int) bool { return cands[i].score < cands[j].score })
+	// Nearly always under ten candidates (a hundred at the outside on a
+	// shattered 10,000-node machine): a stable insertion sort in place,
+	// where sort.SliceStable's reflect swapper allocates on every start.
+	for i := 1; i < len(cands); i++ {
+		for k := i; k > 0 && cands[k].score < cands[k-1].score; k-- {
+			cands[k], cands[k-1] = cands[k-1], cands[k]
+		}
+	}
 	c.candBuf = cands
 	return cands
 }

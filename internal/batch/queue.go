@@ -23,7 +23,9 @@ import (
 // scan plus an order-preserving copy. first tracks the live prefix
 // (dispatch order correlates with queue order, so tombstones cluster at
 // the front), and the slice compacts when tombstones pass a density
-// threshold. Consumers of ordered() and jobs must skip nil entries.
+// threshold — in ordered(), never in remove: a scheduling sweep goes on
+// ranging over ordered()'s slice across its own starts. Consumers of
+// ordered() and jobs must skip nil entries.
 type queue struct {
 	jobs  []*Job
 	first int // jobs[:first] is all tombstones (skipped without rescanning)
@@ -55,16 +57,21 @@ func (o queueOrder) Swap(i, k int) {
 }
 
 // ordered returns the pending jobs sorted by less; the slice is owned
-// by the queue and valid until the next push/remove, and may contain
-// nil tombstones the caller must skip. The cached order is reused until
-// the queue is marked dirty, so a caller whose comparator depends on
-// external state (fair-share usage) must set dirty when that state
-// changes.
+// by the queue and valid until the next ordered call — a remove in
+// between only nils a slot — and may contain nil tombstones the caller
+// must skip. The cached order is reused until the queue is marked
+// dirty, so a caller whose comparator depends on external state
+// (fair-share usage) must set dirty when that state changes.
+// Tombstones are squeezed out here once they dominate, so long-lived
+// queues do not accumulate an unbounded nil tail the passes keep
+// re-skipping.
 func (q *queue) ordered(less func(a, b *Job) bool) []*Job {
 	if q.dirty {
 		q.compact()
 		sort.Stable(queueOrder{jobs: q.jobs, less: less})
 		q.dirty = false
+	} else if q.tombs > 64 && q.tombs*2 >= len(q.jobs) {
+		q.compact()
 	}
 	for q.first < len(q.jobs) && q.jobs[q.first] == nil {
 		q.first++
@@ -92,11 +99,6 @@ func (q *queue) remove(j *Job) {
 	q.jobs[i] = nil
 	q.tombs++
 	j.qpos = -1
-	// Compact when tombstones dominate, so long-lived queues do not
-	// accumulate an unbounded nil tail the passes keep re-skipping.
-	if q.tombs > 64 && q.tombs*2 >= len(q.jobs) {
-		q.compact()
-	}
 }
 
 // compact squeezes tombstones out in place, preserving order and

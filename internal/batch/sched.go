@@ -189,7 +189,7 @@ type Config struct {
 	// nil for pure virtual-time scheduling studies.
 	Execute Executor
 	// Recorder receives one typed Event per lifecycle transition and
-	// one EvBlocked per queued job per scheduling pass (obs.go), and
+	// one EvBlocked per queued job a scheduling sweep skips (obs.go), and
 	// attaching one switches on the per-job blocked-pass counters that
 	// Explain reads (explain.go). Nil disables both at zero cost on the
 	// hot path — the zero-alloc guard in obs_test.go pins exactly that.
@@ -237,7 +237,8 @@ type Scheduler struct {
 	less          func(a, b *Job) bool // jobLess, bound once (no per-pass closure)
 	rec           Recorder             // lifecycle event sink; nil = recording off (obs.go)
 	met           *schedMetrics        // typed metric handles; nil = metrics off (metrics.go)
-	passes        int                  // scheduling passes taken (EvBlocked pass numbers)
+	passes        int                  // scheduling sweeps taken, restarted ones included (EvBlocked pass numbers)
+	prof          profile              // the conservative pass's capacity profile, rebuilt in place per sweep
 	blocked       []blockRow           // per job, by ID-1: blocked passes by reason; nil with no recorder (explain.go)
 	faultEvs      []faultEvent         // compiled fault schedule, sorted (fault.go)
 	faultIdx      int                  // next fault event to apply
@@ -250,6 +251,10 @@ type Scheduler struct {
 	banks         int                  // proactive checkpoints settled
 	lostWork      time.Duration        // wall time faults destroyed (Report.LostWork)
 	downTime      time.Duration        // total node-down time accrued so far
+	// restartPerStart is set by tests only: every start then takes the
+	// sweep's restart branch, as the pass did before it learnt to go on
+	// past one — the oracle of TestSingleSweepMatchesRestartPerStart.
+	restartPerStart bool
 }
 
 // New validates cfg and returns an empty scheduler.
@@ -300,7 +305,7 @@ func New(cfg Config) *Scheduler {
 // equal-priority ordering deterministic across replays.
 func (s *Scheduler) jobLess(a, b *Job) bool {
 	if s.cfg.Policy == FairShare {
-		if ka, kb := s.keyOf(a.User), s.keyOf(b.User); ka != kb {
+		if ka, kb := a.acct.key, b.acct.key; ka != kb {
 			return ka < kb
 		}
 	}
@@ -330,31 +335,40 @@ func (s *Scheduler) Submit(j *Job) error {
 		return fmt.Errorf("batch: %s requests %d nodes, cluster has %d",
 			j, j.Nodes, s.cfg.Cluster.Size())
 	}
-	r := *j // resolved view; the caller's spec stays pristine
-	if r.Steps <= 0 {
-		r.Steps = 1
+	steps, problem, arrive := j.Steps, j.Problem, j.Submit
+	if steps <= 0 {
+		steps = 1
 	}
-	if r.Problem == ([3]int{}) {
-		r.Problem = defaultProblem(r.Kind)
+	if problem == ([3]int{}) {
+		problem = defaultProblem(j.Kind)
 	}
-	if r.Submit < s.now {
-		r.Submit = s.now
+	if arrive < s.now {
+		arrive = s.now
 	}
-	need := memoryNeed(r.Kind, r.Problem, r.Nodes)
+	need := memoryNeed(j.Kind, problem, j.Nodes)
 	if s.cfg.Cluster.NodesWithMem(need) < j.Nodes {
 		return fmt.Errorf("batch: %s needs %d MB per node on %d nodes, cluster cannot grant that",
 			j, need>>20, j.Nodes)
 	}
+	est := j.Est
+	if est <= 0 {
+		// The estimator gets a resolved view; the caller's spec stays
+		// pristine. The copy escapes through the hook, so only this
+		// branch builds (and heap-allocates) it.
+		r := *j
+		r.Steps, r.Problem, r.Submit = steps, problem, arrive
+		est = s.cfg.Estimate(&r)
+	}
+	if est < time.Millisecond {
+		est = time.Millisecond
+	}
 	j.ID = s.nextID
 	s.nextID++
 	s.byID[j.ID] = j
-	j.steps, j.problem, j.arrive, j.memNeed = r.Steps, r.Problem, r.Submit, need
-	j.est = j.Est
-	if j.est <= 0 {
-		j.est = s.cfg.Estimate(&r)
-	}
-	if j.est < time.Millisecond {
-		j.est = time.Millisecond
+	j.steps, j.problem, j.arrive, j.memNeed, j.est = steps, problem, arrive, need, est
+	j.acct = nil
+	if s.cfg.Policy == FairShare {
+		j.acct = s.account(j.User) // resolved once: jobLess compares keys without a map lookup
 	}
 	// Reset every scheduler-owned lifecycle field: a replayed job must
 	// not carry a previous schedule's outcome (a stale Err would mark
@@ -541,7 +555,10 @@ func (s *Scheduler) outstandingWork() bool {
 }
 
 // schedulePass starts every job the policy allows at the current
-// instant.
+// instant. One sweep of the queue normally does it: a sweep goes on past
+// its own starts and asks for a restart from the queue head only when a
+// start changed something an earlier decision of the same sweep rested
+// on (passOnce and conservativePass name the cases).
 func (s *Scheduler) schedulePass() {
 	// Under FairShare the cached queue order stays valid across pure
 	// clock advance (every account decays by the same factor, see
@@ -556,11 +573,11 @@ func (s *Scheduler) schedulePass() {
 			// and stay bit-for-bit deterministic.
 			t0 = time.Now() //batchlint:allow determinism -- wall sampling is gated on an attached metrics registry and observes, never decides
 		}
-		var started bool
+		var restart bool
 		if s.cfg.Policy == Conservative {
-			started = s.conservativePass()
+			restart = s.conservativePass()
 		} else {
-			started = s.passOnce()
+			restart = s.passOnce()
 		}
 		if s.met != nil {
 			s.met.passWall.Observe(time.Since(t0).Seconds()) //batchlint:allow determinism -- closes the registry-gated wall sample above; same guard, no decision taken on it
@@ -569,23 +586,26 @@ func (s *Scheduler) schedulePass() {
 			s.met.writeBacklog.Set(wb.Seconds())
 			s.met.readBacklog.Set(rb.Seconds())
 		}
-		if !started {
+		if !restart {
 			return
 		}
 	}
 }
 
-// passOnce scans the queue once under FIFO, EASY, or fair-share; it
-// reports whether any job started (a start changes the free map, so the
-// caller rescans). With a recorder attached, every arrived job scanned
-// and skipped gets one EvBlocked event classifying the obstacle; a
-// pass ends at the first start, so jobs behind it are simply not
-// scanned that pass.
+// passOnce sweeps the queue once under FIFO, EASY, or fair-share,
+// starting every job that may start, and reports whether the sweep must
+// restart from the queue head. A head that starts changes nothing the
+// sweep has decided: the next arrived job is the head. A backfill start
+// leaves every candidate already refused refused — a start only shrinks
+// the free set and only delays the store link — so the sweep goes on
+// behind it unless the blocked head's own standing changed (headMoved).
+// With a recorder attached, every arrived job a sweep examines and
+// skips gets one EvBlocked event classifying the obstacle.
 func (s *Scheduler) passOnce() bool {
 	pass := s.beginPass()
 	var blocked *Job // first eligible job that did not fit
 	var shadow time.Duration
-	scanned := 0 // backfill candidates examined behind the blocked head
+	scanned := 0 // backfill candidates examined behind the blocked head, this sweep's starts aside
 	jobs := s.pending.ordered(s.less)
 	for i, j := range jobs {
 		if j == nil || j.arrive > s.now {
@@ -624,7 +644,10 @@ func (s *Scheduler) passOnce() bool {
 		}
 		if blocked == nil {
 			if s.tryStart(j, false, 0, false) {
-				return true
+				if s.restartPerStart {
+					return true
+				}
+				continue
 			}
 			// The head is blocked: preemption (if enabled) begins
 			// checkpointing lower-priority gangs, and memory pressure
@@ -649,6 +672,12 @@ func (s *Scheduler) passOnce() bool {
 			}
 			continue
 		}
+		// Most of a deep scan is gangs wider than the free set: refuse
+		// them before touching the estimate fields. With a recorder the
+		// checks below run in their own order, which names the reason.
+		if s.rec == nil && j.Nodes > s.cfg.Cluster.FreeNodes() {
+			continue
+		}
 		// Backfill: only jobs whose remaining estimate (plus a pending
 		// restore charge, including the read-link queue wait) drains
 		// before the head's reservation may jump it (tryStart
@@ -656,7 +685,11 @@ func (s *Scheduler) passOnce() bool {
 		// applied).
 		if s.now+s.restorePrefix(j)+j.estLeft() <= shadow {
 			if s.tryStart(j, true, shadow, true) {
-				return true
+				if s.headMoved(blocked, shadow) {
+					return true
+				}
+				scanned-- // a restarted sweep would not have counted the job it no longer holds
+				continue
 			}
 			s.explainBackfillFail(pass, j, shadow)
 		} else if s.rec != nil {
@@ -664,6 +697,29 @@ func (s *Scheduler) passOnce() bool {
 		}
 	}
 	return false
+}
+
+// headMoved re-evaluates the blocked head hd after a backfill start the
+// way a sweep restarted from the head would — a fresh preemption and
+// demotion attempt (neither for a head mid-eviction), then the shadow —
+// and reports whether a checkpoint wave or a demotion began or the
+// reservation moved (an Actual overrun past it, a migration pin that
+// now settles). One combination always restarts: first-fit offers a
+// single window, and under a trunk stretch consuming it can reveal a
+// non-crossing one to a candidate refused earlier.
+func (s *Scheduler) headMoved(hd *Job, shadow time.Duration) bool {
+	if s.restartPerStart || s.cfg.Placement == PlaceFirstFit && s.cfg.TrunkSlowdown > 1 {
+		return true
+	}
+	if hd.demoteEnd <= s.now {
+		draining, demotions := s.ckptInFlight, s.demotions
+		s.preemptFor(hd)
+		s.demoteFor(hd)
+		if s.ckptInFlight != draining || s.demotions != demotions {
+			return true
+		}
+	}
+	return s.shadowStart(hd) != shadow
 }
 
 // restorePrefix estimates the non-work prefix a dispatch of j right now
@@ -1025,7 +1081,7 @@ func (s *Scheduler) yieldAdmits(j, p *Job, usedFreed []bool) bool {
 // now — without mutating j.
 func (s *Scheduler) outranksAtBoundary(p, j *Job) bool {
 	if s.cfg.Policy == FairShare {
-		if kp, kj := s.keyOf(p.User), s.keyOf(j.User); kp != kj {
+		if kp, kj := p.acct.key, j.acct.key; kp != kj {
 			return kp < kj
 		}
 	}
