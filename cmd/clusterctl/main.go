@@ -20,8 +20,6 @@
 //	clusterctl -faults storm.txt -ckpt-interval 5m  # replay a fault trace, bank proactively
 //	clusterctl -placement both                 # compare placement engines too
 //	clusterctl -execute -jobs 8                # actually run the workloads
-//	clusterctl -bench-json BENCH_batch.json    # emit the CI perf snapshot
-//	clusterctl -bench-json B.json -bench-scale # + the 1M-job/10k-node drain
 //	clusterctl -trace-out run.json             # Perfetto trace of the first run
 //	clusterctl -explain 7                      # why job 7 waited, pass by pass
 //	clusterctl -metrics-out -                  # Prometheus metrics to stdout
@@ -42,7 +40,6 @@
 package main
 
 import (
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -82,24 +79,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	fs := flag.NewFlagSet("clusterctl", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	nodes := fs.Int("nodes", 32, "cluster size (the paper's machine had 32 compute nodes)")
+	sf := addSchedFlags(fs)
 	jobs := fs.Int("jobs", 200, "number of jobs in the synthetic mixed batch")
 	policy := fs.String("policy", "both", "queue policy: fifo, easy, conservative, fairshare, both (fifo+easy), or all")
-	placement := fs.String("placement", "topo", "gang placement: first-fit, topo, or both (compare)")
 	seed := fs.Int64("seed", 42, "workload generator seed")
-	trunk := fs.Float64("trunk-slowdown", 1.1, "runtime multiplier for gangs spanning the stacking trunk")
-	preempt := fs.Bool("preempt", false, "enable priority preemption with checkpoint/restart")
-	quantum := fs.Duration("quantum", 0, "time-slice quantum for gang scheduling (0 disables; e.g. 300s)")
-	suspendToHost := fs.Bool("suspend-to-host", false, "suspend checkpoint images into node RAM when they fit (requires -preempt or -quantum)")
-	storeDuplex := fs.String("store-duplex", "full", "checkpoint-store link mode: full (independent read/write timelines) or half (one shared)")
-	storeBW := fs.Float64("store-bandwidth", 0, "checkpoint-store link bandwidth in MB/s (0 uses the paper's Gigabit model)")
 	tracePath := fs.String("trace", "", "replay an SWF-style workload trace instead of the synthetic mix")
 	faultsPath := fs.String("faults", "", "inject failures from this fault trace file (crash/flap/trunk lines, seconds)")
 	mtbf := fs.Duration("mtbf", 0, "generate a seeded failure storm with this per-machine MTBF (exclusive with -faults)")
 	ckptInterval := fs.Duration("ckpt-interval", 0, "proactive checkpoint interval under failures (requires -faults or -mtbf)")
 	execute := fs.Bool("execute", false, "actually run each job's workload on the functional simulators (use few jobs)")
-	benchJSON := fs.String("bench-json", "", "write a scheduler throughput/makespan snapshot to this file and exit")
-	benchScale := fs.Bool("bench-scale", false, "with -bench-json: also drain the pinned 1M-job queue on a 10k-node machine and record its jobs/s (takes minutes)")
 	traceOut := fs.String("trace-out", "", "write a Chrome trace-event JSON (ui.perfetto.dev) of the first run to this file")
 	explainID := fs.Int("explain", 0, "print the per-pass blocker breakdown for this job ID after the first run (0 disables)")
 	metricsOut := fs.String("metrics-out", "", "write Prometheus text-format metrics of the first run to this file (- for stdout)")
@@ -112,32 +100,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 
-	if *nodes <= 0 {
-		return fail("-nodes %d: cluster size must be positive", *nodes)
+	newConfig, err := sf.builder()
+	if err != nil {
+		return fail("%v", err)
 	}
 	if *jobs < 0 {
 		return fail("-jobs %d: job count must be non-negative", *jobs)
 	}
-	duplex, err := validateCheckpointFlags(*suspendToHost, *preempt, *quantum, *storeDuplex, *storeBW)
-	if err != nil {
-		return fail("%v", err)
-	}
 	if *explainID < 0 {
 		return fail("-explain %d: job IDs are positive", *explainID)
 	}
-	faults, err := resolveFaultFlags(*faultsPath, *mtbf, *ckptInterval, *nodes, *seed)
+	faults, err := resolveFaultFlags(*faultsPath, *mtbf, *ckptInterval, sf.nodes, *seed)
 	if err != nil {
 		return fail("%v", err)
-	}
-
-	if *benchJSON != "" {
-		if err := writeBenchJSON(stdout, *benchJSON, *nodes, *seed, *benchScale); err != nil {
-			return fail("%v", err)
-		}
-		return 0
-	}
-	if *benchScale {
-		return fail("-bench-scale only applies together with -bench-json")
 	}
 
 	var policies []batch.Policy
@@ -154,8 +129,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		policies = []batch.Policy{p}
 	}
 	placements := []batch.Placement{batch.PlaceFirstFit, batch.PlaceTopo}
-	if *placement != "both" {
-		p, err := batch.ParsePlacement(*placement)
+	if sf.placement != "both" {
+		p, err := batch.ParsePlacement(sf.placement)
 		if err != nil {
 			return fail("%v", err)
 		}
@@ -175,18 +150,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}
 			return fail("%v", err)
 		}
-		mix, actual = batch.TraceJobs(recs, *nodes)
-		fmt.Fprintf(stdout, "clusterctl: replaying %d trace jobs from %s on %d nodes\n\n", len(mix), *tracePath, *nodes)
+		mix, actual = batch.TraceJobs(recs, sf.nodes)
+		fmt.Fprintf(stdout, "clusterctl: replaying %d trace jobs from %s on %d nodes\n\n", len(mix), *tracePath, sf.nodes)
 	} else {
-		mix = batch.SyntheticMix(*seed, *jobs, *nodes)
-		fmt.Fprintf(stdout, "clusterctl: %d jobs on %d nodes (seed %d)\n\n", *jobs, *nodes, *seed)
+		mix = batch.SyntheticMix(*seed, *jobs, sf.nodes)
+		fmt.Fprintf(stdout, "clusterctl: %d jobs on %d nodes (seed %d)\n\n", *jobs, sf.nodes, *seed)
 	}
 	if *execute {
-		shrink(mix, *nodes)
-	}
-	var ckptCost, restCost func(*batch.Job) time.Duration
-	if *storeBW > 0 {
-		ckptCost, restCost = batch.ScaledStoreCosts(*storeBW)
+		shrink(mix, sf.nodes)
 	}
 	// Observability attaches to the first run of the grid (with one
 	// policy and one placement — the recommended way to use these
@@ -203,21 +174,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// One config builder serves every run, so a future knob cannot be
 	// wired into the policy grid but silently left off the baseline.
 	makeConfig := func(pol batch.Policy, plc batch.Placement, quantum time.Duration) batch.Config {
-		return batch.Config{
-			Cluster:            batch.NewCluster(*nodes, netsim.GigabitSwitch(*nodes)),
-			Policy:             pol,
-			Placement:          plc,
-			Actual:             actual,
-			TrunkSlowdown:      *trunk,
-			Preempt:            *preempt,
-			Quantum:            quantum,
-			SuspendToHost:      *suspendToHost,
-			StoreDuplex:        duplex,
-			CheckpointCost:     ckptCost,
-			RestoreCost:        restCost,
-			Faults:             faults,
-			CheckpointInterval: *ckptInterval,
-		}
+		cfg := newConfig(pol, plc)
+		cfg.Quantum = quantum
+		cfg.Actual = actual
+		cfg.Faults = faults
+		cfg.CheckpointInterval = *ckptInterval
+		return cfg
 	}
 	runMix := func(cfg batch.Config) (batch.Report, error) {
 		s := batch.New(cfg)
@@ -233,7 +195,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	rtcEasy := make(map[batch.Placement]batch.Report) // run-to-completion baseline under -quantum
 	for _, plc := range placements {
 		for _, pol := range policies {
-			cfg := makeConfig(pol, plc, *quantum)
+			cfg := makeConfig(pol, plc, sf.quantum)
 			if *execute {
 				cfg.Execute = batch.SimExecutor{TracerParticles: 1000}
 			}
@@ -260,7 +222,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}
 			results = append(results, result{placement: plc, policy: pol, rep: rep})
 		}
-		if *quantum > 0 {
+		if sf.quantum > 0 {
 			rep, err := runMix(makeConfig(batch.Backfill, plc, 0))
 			if err != nil {
 				return fail("%v", err)
@@ -269,7 +231,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	if len(policies) > 1 || *quantum > 0 {
+	if len(policies) > 1 || sf.quantum > 0 {
 		row := func(label string, f, r batch.Report) {
 			fmt.Fprintf(stdout, "  %-13s makespan %8v (%s), utilization %5.1f%%, avg wait %8v, short wait %8v, ckpt wait %-11s %d backfilled, %d preempted, %d sliced\n",
 				label, batch.RoundDuration(r.Makespan), gain(f.Makespan, r.Makespan),
@@ -284,7 +246,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			for _, pol := range policies {
 				row(pol.String(), f, find(results, plc, pol))
 			}
-			if *quantum > 0 {
+			if sf.quantum > 0 {
 				base := rtcEasy[plc]
 				row("easy/rtc", f, base)
 				for _, pol := range policies {
@@ -293,7 +255,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 					}
 					r := find(results, plc, pol)
 					fmt.Fprintf(stdout, "  timeslice quantum %v vs run-to-completion easy: short-job avg wait %v -> %v (%s)\n",
-						*quantum, batch.RoundDuration(base.ShortWait),
+						sf.quantum, batch.RoundDuration(base.ShortWait),
 						batch.RoundDuration(r.ShortWait),
 						gain(base.ShortWait, r.ShortWait))
 				}
@@ -376,238 +338,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// benchSnapshot is the BENCH_batch.json schema: scheduler throughput on
-// a large queue, the default-mix makespan under every policy, and —
-// since schema 2 — the checkpoint cost model's trajectory: store-link
-// queue waits (drain + restore) and total checkpoint overhead from a
-// contended preempt+quantum run per policy, with and without the
-// suspend-to-host tier. Schema 3 adds the observability tax: the same
-// throughput queue drained with a MemRecorder attached, so a recorder
-// regression shows up next to the baseline it is promised to track
-// within a few percent. Schema 4 adds the serving front door: submit-
-// to-dispatch latency percentiles and accepted-job throughput from a
-// pinned slam run against an in-process clusterctl-serve daemon.
-// Schema 5 adds the datacenter-scale row: the pinned 1M-job/10k-node
-// drain (indexed placement, incremental shadows, calendar event queue)
-// and its jobs/s — zero in snapshots written without -bench-scale, so
-// the quick bench job and the scale job share one schema.
-// Schema 6 adds the failure-storm row: goodput, lost work, and
-// availability from a pinned seeded storm (GenFaultPlan over the
-// contended stream mix with proactive checkpointing on), so a recovery
-// regression — more work lost, less goodput through the same storm —
-// shows up in CI next to the fault-free baselines.
-type benchSnapshot struct {
-	Schema        int                `json:"schema"`
-	Nodes         int                `json:"nodes"`
-	Seed          int64              `json:"seed"`
-	BenchJobs     int                `json:"bench_jobs"`
-	WallMS        float64            `json:"wall_ms"`
-	JobsPerSec    float64            `json:"jobs_per_sec"`
-	RecWallMS     float64            `json:"recorder_wall_ms"`
-	RecJobsPerSec float64            `json:"recorder_jobs_per_sec"`
-	RecEvents     int                `json:"recorder_events"`
-	MixJobs       int                `json:"mix_jobs"`
-	MakespanMS    map[string]float64 `json:"makespan_ms"`
-	AvgWaitMS     map[string]float64 `json:"avg_wait_ms"`
-	Utilization   map[string]float64 `json:"utilization"`
-	DrainWaitMS   map[string]float64 `json:"drain_wait_ms"`
-	RestoreWaitMS map[string]float64 `json:"restore_wait_ms"`
-	CkptOverhead  map[string]float64 `json:"ckpt_overhead_ms"`
-	HostCkptOver  map[string]float64 `json:"ckpt_overhead_suspend_to_host_ms"`
-	ServeP50MS    float64            `json:"serve_submit_p50_ms"`
-	ServeP99MS    float64            `json:"serve_submit_p99_ms"`
-	ServeJobsSec  float64            `json:"serve_jobs_per_sec"`
-	// The schema-6 failure-storm row: a pinned seeded storm replay with
-	// proactive checkpointing (virtual-time quality metrics, not wall
-	// clock — deterministic for a given seed).
-	GoodputJobsSec float64 `json:"goodput_jobs_per_sec"`
-	LostWorkMS     float64 `json:"lost_work_ms"`
-	Availability   float64 `json:"availability"`
-	// Scale* record the -bench-scale drain (schema 5); all zero when the
-	// snapshot was written without it.
-	ScaleNodes         int     `json:"scale_nodes"`
-	ScaleJobs          int     `json:"scale_jobs"`
-	ScaleBackfillDepth int     `json:"scale_backfill_depth"`
-	ScaleWallMS        float64 `json:"scale_wall_ms"`
-	ScaleJobsPerSec    float64 `json:"scale_jobs_per_sec"`
-}
-
-// writeBenchJSON measures scheduling throughput (jobs/s through a
-// 1000-job EASY queue, wall clock, with and without a recorder
-// attached), the default-mix schedule quality under each policy, and
-// the contended checkpoint cost model (preempt + 300s quantum, default
-// perfmodel prices), then writes the snapshot for the CI artifact. With
-// scale set it also drains the pinned datacenter-scale queue — the same
-// configuration BenchmarkBatchThroughputScale pins — and records its
-// jobs/s for the bench-scale regression gate.
-func writeBenchJSON(stdout io.Writer, path string, nodes int, seed int64, scale bool) error {
-	run := func(pol batch.Policy, count int, preempt bool, quantum time.Duration, suspend bool, rec batch.Recorder) (batch.Report, time.Duration, error) {
-		s := batch.New(batch.Config{
-			Cluster:       batch.NewCluster(nodes, netsim.GigabitSwitch(nodes)),
-			Policy:        pol,
-			TrunkSlowdown: 1.1,
-			Preempt:       preempt,
-			Quantum:       quantum,
-			SuspendToHost: suspend,
-			Recorder:      rec,
-		})
-		// The throughput/makespan rows replay the classic all-at-once
-		// mix; the contended checkpoint rows need staggered arrivals,
-		// or only fair-share's reordering ever drives a suspension.
-		jobs := batch.SyntheticMix(seed, count, nodes)
-		if preempt || quantum > 0 {
-			jobs = batch.SyntheticStream(seed, count, nodes, 5*time.Second)
-		}
-		for _, j := range jobs {
-			if err := s.Submit(j); err != nil {
-				return batch.Report{}, 0, err
-			}
-		}
-		t0 := time.Now()
-		rep := s.Run()
-		return rep, time.Since(t0), nil
-	}
-	const benchJobs = 1000
-	_, wall, err := run(batch.Backfill, benchJobs, false, 0, false, nil)
-	if err != nil {
-		return err
-	}
-	recSink := &batch.MemRecorder{}
-	recRep, recWall, err := run(batch.Backfill, benchJobs, false, 0, false, recSink)
-	if err != nil {
-		return err
-	}
-	snap := benchSnapshot{
-		Schema:        6,
-		Nodes:         nodes,
-		Seed:          seed,
-		BenchJobs:     benchJobs,
-		WallMS:        float64(wall.Microseconds()) / 1e3,
-		JobsPerSec:    benchJobs / wall.Seconds(),
-		RecWallMS:     float64(recWall.Microseconds()) / 1e3,
-		RecJobsPerSec: benchJobs / recWall.Seconds(),
-		RecEvents:     len(recRep.Events),
-		MixJobs:       200,
-		MakespanMS:    map[string]float64{},
-		AvgWaitMS:     map[string]float64{},
-		Utilization:   map[string]float64{},
-		DrainWaitMS:   map[string]float64{},
-		RestoreWaitMS: map[string]float64{},
-		CkptOverhead:  map[string]float64{},
-		HostCkptOver:  map[string]float64{},
-	}
-	ms := func(d time.Duration) float64 { return float64(d.Microseconds()) / 1e3 }
-	for _, pol := range batch.Policies() {
-		rep, _, err := run(pol, snap.MixJobs, false, 0, false, nil)
-		if err != nil {
-			return err
-		}
-		snap.MakespanMS[pol.String()] = ms(rep.Makespan)
-		snap.AvgWaitMS[pol.String()] = ms(rep.AvgWait)
-		snap.Utilization[pol.String()] = rep.Utilization
-		// The contended run drives both store-link directions; the
-		// suspend-to-host rerun records what the RAM tier saves.
-		ckpt, _, err := run(pol, snap.MixJobs, true, 300*time.Second, false, nil)
-		if err != nil {
-			return err
-		}
-		snap.DrainWaitMS[pol.String()] = ms(ckpt.DrainWait)
-		snap.RestoreWaitMS[pol.String()] = ms(ckpt.RestoreWait)
-		snap.CkptOverhead[pol.String()] = ms(ckpt.CheckpointOverhead + ckpt.DemotionTime)
-		host, _, err := run(pol, snap.MixJobs, true, 300*time.Second, true, nil)
-		if err != nil {
-			return err
-		}
-		snap.HostCkptOver[pol.String()] = ms(host.CheckpointOverhead + host.DemotionTime)
-	}
-	serve, err := benchServe(nodes, seed)
-	if err != nil {
-		return err
-	}
-	snap.ServeP50MS = ms(serve.P50)
-	snap.ServeP99MS = ms(serve.P99)
-	snap.ServeJobsSec = serve.JobsPerSec
-	// The schema-6 storm row: the contended stream mix through a pinned
-	// seeded storm with proactive checkpointing. These are virtual-time
-	// schedule-quality metrics, fully deterministic for the seed — any
-	// drift is a recovery behavior change, not measurement noise. The
-	// interval sits well under the quantum so proactive banks actually
-	// arm before the slice boundary.
-	storm := batch.New(batch.Config{
-		Cluster:            batch.NewCluster(nodes, netsim.GigabitSwitch(nodes)),
-		Policy:             batch.Backfill,
-		Preempt:            true,
-		Quantum:            300 * time.Second,
-		Faults:             batch.GenFaultPlan(seed, nodes, 24*time.Hour, 10*time.Minute),
-		CheckpointInterval: time.Minute,
-	})
-	for _, j := range batch.SyntheticStream(seed, snap.MixJobs, nodes, 5*time.Second) {
-		if err := storm.Submit(j); err != nil {
-			return err
-		}
-	}
-	stormRep := storm.Run()
-	snap.GoodputJobsSec = stormRep.Goodput
-	snap.LostWorkMS = ms(stormRep.LostWork)
-	snap.Availability = stormRep.Availability
-	if scale {
-		wall, err := runScaleBench(&snap)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "clusterctl: scale drain: %d jobs on %d nodes in %v (%.0f jobs/s)\n",
-			snap.ScaleJobs, snap.ScaleNodes, wall.Round(time.Second), snap.ScaleJobsPerSec)
-	}
-	data, err := json.MarshalIndent(snap, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(stdout, "clusterctl: wrote %s (%.0f jobs/s scheduling throughput, %.0f with recorder, easy makespan %.0f ms, serve p99 %.1f ms)\n",
-		path, snap.JobsPerSec, snap.RecJobsPerSec, snap.MakespanMS["easy"], snap.ServeP99MS)
-	return nil
-}
-
-// runScaleBench drains the pinned datacenter-scale queue — 1M jobs on
-// 10k nodes under EASY backfill with the scan depth capped at 512, the
-// exact configuration BenchmarkBatchThroughputScale pins — and fills
-// the snapshot's Scale* fields. The depth cap bounds per-pass scan work
-// (an unbounded backfill scan over a million-job queue is quadratic);
-// it prunes effort only, never reorders the examined prefix
-// (TestBackfillDepth). RunUntil is used instead of Run so the wall
-// clock measures scheduling, not the copy of a million-entry report.
-func runScaleBench(snap *benchSnapshot) (time.Duration, error) {
-	const scaleNodes, scaleJobs, scaleDepth = 10_000, 1_000_000, 512
-	s := batch.New(batch.Config{
-		Cluster:       batch.NewCluster(scaleNodes, netsim.GigabitSwitch(scaleNodes)),
-		Policy:        batch.Backfill,
-		BackfillDepth: scaleDepth,
-	})
-	mix := batch.SyntheticMix(1, scaleJobs, scaleNodes)
-	t0 := time.Now()
-	for _, j := range mix {
-		if err := s.Submit(j); err != nil {
-			return 0, fmt.Errorf("scale bench submit: %w", err)
-		}
-	}
-	s.RunUntil(batch.Forever)
-	wall := time.Since(t0)
-	for _, j := range mix {
-		if j.State != batch.Done {
-			return 0, fmt.Errorf("scale bench: %s ended %v, want done", j, j.State)
-		}
-	}
-	snap.ScaleNodes = scaleNodes
-	snap.ScaleJobs = scaleJobs
-	snap.ScaleBackfillDepth = scaleDepth
-	snap.ScaleWallMS = float64(wall.Microseconds()) / 1e3
-	snap.ScaleJobsPerSec = scaleJobs / wall.Seconds()
-	return wall, nil
-}
-
 // find returns the report for one (placement, policy) run.
 func find(results []result, plc batch.Placement, pol batch.Policy) batch.Report {
 	for _, r := range results {
@@ -669,6 +399,64 @@ func resolveFaultFlags(faultsPath string, mtbf, ckptInterval time.Duration, node
 		return batch.GenFaultPlan(seed, nodes, 24*time.Hour, mtbf), nil
 	}
 	return nil, nil
+}
+
+// schedFlags are the scheduler knobs the one-shot study and serve
+// share: registered once on either FlagSet, validated and assembled
+// into a batch.Config in one place, so the two front doors cannot
+// drift apart on a name, a default or an error sentence.
+type schedFlags struct {
+	nodes                  int
+	placement, storeDuplex string
+	trunk, storeBW         float64
+	preempt, suspendToHost bool
+	quantum                time.Duration
+}
+
+func addSchedFlags(fs *flag.FlagSet) *schedFlags {
+	f := &schedFlags{}
+	fs.IntVar(&f.nodes, "nodes", 32, "cluster size (the paper's machine had 32 compute nodes)")
+	fs.StringVar(&f.placement, "placement", "topo", "gang placement: first-fit or topo (without a subcommand also both, to compare them)")
+	fs.Float64Var(&f.trunk, "trunk-slowdown", 1.1, "runtime multiplier for gangs spanning the stacking trunk")
+	fs.BoolVar(&f.preempt, "preempt", false, "enable priority preemption with checkpoint/restart")
+	fs.DurationVar(&f.quantum, "quantum", 0, "time-slice quantum for gang scheduling (0 disables; e.g. 300s)")
+	fs.BoolVar(&f.suspendToHost, "suspend-to-host", false, "suspend checkpoint images into node RAM when they fit (requires -preempt or -quantum)")
+	fs.StringVar(&f.storeDuplex, "store-duplex", "full", "checkpoint-store link mode: full (independent read/write timelines) or half (one shared)")
+	fs.Float64Var(&f.storeBW, "store-bandwidth", 0, "checkpoint-store link bandwidth in MB/s (0 uses the paper's Gigabit model)")
+	return f
+}
+
+// builder validates the parsed flags and returns the function that
+// assembles a batch.Config from them under one policy and placement
+// (-placement is the caller's to parse: only the one-shot study takes
+// "both"). Every call builds a fresh Cluster, which carries a run's
+// state, so each run of a comparison grid gets its own.
+func (f *schedFlags) builder() (func(batch.Policy, batch.Placement) batch.Config, error) {
+	if f.nodes <= 0 {
+		return nil, fmt.Errorf("-nodes %d: cluster size must be positive", f.nodes)
+	}
+	duplex, err := validateCheckpointFlags(f.suspendToHost, f.preempt, f.quantum, f.storeDuplex, f.storeBW)
+	if err != nil {
+		return nil, err
+	}
+	var ckptCost, restCost func(*batch.Job) time.Duration
+	if f.storeBW > 0 {
+		ckptCost, restCost = batch.ScaledStoreCosts(f.storeBW)
+	}
+	return func(pol batch.Policy, plc batch.Placement) batch.Config {
+		return batch.Config{
+			Cluster:        batch.NewCluster(f.nodes, netsim.GigabitSwitch(f.nodes)),
+			Policy:         pol,
+			Placement:      plc,
+			TrunkSlowdown:  f.trunk,
+			Preempt:        f.preempt,
+			Quantum:        f.quantum,
+			SuspendToHost:  f.suspendToHost,
+			StoreDuplex:    duplex,
+			CheckpointCost: ckptCost,
+			RestoreCost:    restCost,
+		}
+	}, nil
 }
 
 // validateCheckpointFlags cross-checks the checkpoint-model knobs:

@@ -83,11 +83,51 @@ func TestRunPlainTraceReplay(t *testing.T) {
 
 func TestRunBadFlagExitCode(t *testing.T) {
 	var out, errw strings.Builder
-	if code := run([]string{"-no-such-flag"}, &out, &errw); code != 2 {
-		t.Fatalf("exit code %d, want 2 for a flag parse error", code)
+	// bench/run.sh is the only benchmark harness: a script that still
+	// passes the old snapshot flags must fail as loudly as a typo does.
+	for _, args := range [][]string{{"-no-such-flag"}, {"-bench-json", "x"}, {"-bench-scale"}} {
+		if code := run(args, &out, &errw); code != 2 {
+			t.Fatalf("%v: exit code %d, want 2 for a flag parse error", args, code)
+		}
 	}
 	if code := run([]string{"-explain", "-3"}, &out, &errw); code != 1 {
 		t.Fatalf("exit code %d, want 1 for a negative -explain", code)
+	}
+}
+
+// TestSchedulerFlagsRejectedByBothFrontDoors: the one-shot study and
+// serve share one scheduler flag set, so each invalid combination must
+// be refused by both with the same sentence. serve is given an address
+// it cannot listen on: a refusal that quotes the flag instead of the
+// address proves it validated before it listened.
+func TestSchedulerFlagsRejectedByBothFrontDoors(t *testing.T) {
+	cases := []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-suspend-to-host"}, "-suspend-to-host needs a suspension mechanism: enable -preempt and/or -quantum"},
+		{[]string{"-nodes", "0"}, "-nodes 0: cluster size must be positive"},
+		{[]string{"-store-duplex", "sideways"}, `-store-duplex "sideways": batch: unknown duplex mode "sideways" (want full or half)`},
+		{[]string{"-store-bandwidth", "-1"}, "-store-bandwidth -1: bandwidth must be non-negative MB/s (0 selects the paper's Gigabit model)"},
+	}
+	doors := []struct {
+		prefix string
+		args   []string
+	}{
+		{"clusterctl: ", nil},
+		{"clusterctl serve: ", []string{"serve", "-addr", "no such address"}},
+	}
+	for _, tc := range cases {
+		for _, door := range doors {
+			var out, errw strings.Builder
+			args := append(append([]string{}, door.args...), tc.args...)
+			if code := run(args, &out, &errw); code != 1 {
+				t.Errorf("%v: exit code %d, want 1", args, code)
+			}
+			if got, want := errw.String(), door.prefix+tc.want+"\n"; got != want {
+				t.Errorf("%v: stderr %q, want %q", args, got, want)
+			}
+		}
 	}
 }
 

@@ -20,7 +20,6 @@ import (
 
 	"gpucluster/internal/batch"
 	"gpucluster/internal/batch/server"
-	"gpucluster/internal/netsim"
 )
 
 // subcommands dispatches the daemon-and-client verbs; anything else
@@ -60,15 +59,8 @@ func runServe(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("clusterctl serve", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	addr := fs.String("addr", defaultAddr, "listen address (host:port, :0 picks a free port)")
-	nodes := fs.Int("nodes", 32, "cluster size")
+	sf := addSchedFlags(fs)
 	policy := fs.String("policy", "easy", "queue policy: fifo, easy, conservative, or fairshare")
-	placement := fs.String("placement", "topo", "gang placement: first-fit or topo")
-	trunk := fs.Float64("trunk-slowdown", 1.1, "runtime multiplier for gangs spanning the stacking trunk")
-	preempt := fs.Bool("preempt", false, "enable priority preemption with checkpoint/restart")
-	quantum := fs.Duration("quantum", 0, "time-slice quantum for gang scheduling (0 disables)")
-	suspendToHost := fs.Bool("suspend-to-host", false, "suspend checkpoint images into node RAM when they fit")
-	storeDuplex := fs.String("store-duplex", "full", "checkpoint-store link mode: full or half")
-	storeBW := fs.Float64("store-bandwidth", 0, "checkpoint-store link bandwidth in MB/s (0 uses the paper's Gigabit model)")
 	compress := fs.Float64("compress", 1, "virtual-per-wall time compression factor (1 = real time)")
 	maxQueued := fs.Int("max-queued", 0, "per-user cap on queued-or-running jobs (0 = unlimited)")
 	maxNodeSec := fs.Float64("max-node-seconds", 0, "per-user cap on committed node-seconds (0 = unlimited)")
@@ -87,37 +79,19 @@ func runServe(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return subFail(stderr, "serve", "%v", err)
 	}
-	plc, err := batch.ParsePlacement(*placement)
+	plc, err := batch.ParsePlacement(sf.placement)
 	if err != nil {
 		return subFail(stderr, "serve", "%v", err)
 	}
-	duplex, err := validateCheckpointFlags(*suspendToHost, *preempt, *quantum, *storeDuplex, *storeBW)
+	newConfig, err := sf.builder()
 	if err != nil {
 		return subFail(stderr, "serve", "%v", err)
-	}
-	if *nodes <= 0 {
-		return subFail(stderr, "serve", "-nodes %d: cluster size must be positive", *nodes)
 	}
 	if *compress <= 0 {
 		return subFail(stderr, "serve", "-compress %g: compression must be positive", *compress)
 	}
-	var ckptCost, restCost func(*batch.Job) time.Duration
-	if *storeBW > 0 {
-		ckptCost, restCost = batch.ScaledStoreCosts(*storeBW)
-	}
 	cfg := server.Config{
-		Batch: batch.Config{
-			Cluster:        batch.NewCluster(*nodes, netsim.GigabitSwitch(*nodes)),
-			Policy:         pol,
-			Placement:      plc,
-			TrunkSlowdown:  *trunk,
-			Preempt:        *preempt,
-			Quantum:        *quantum,
-			SuspendToHost:  *suspendToHost,
-			StoreDuplex:    duplex,
-			CheckpointCost: ckptCost,
-			RestoreCost:    restCost,
-		},
+		Batch:    newConfig(pol, plc),
 		Compress: *compress,
 		Quota:    server.Quota{MaxQueued: *maxQueued, MaxNodeSeconds: *maxNodeSec},
 	}
@@ -138,7 +112,7 @@ func runServe(args []string, stdout, stderr io.Writer) int {
 		auth = fmt.Sprintf("bearer-token (%d users)", len(cfg.Tokens))
 	}
 	fmt.Fprintf(stdout, "clusterctl: serving %d-node %s cluster on http://%s (compress %gx, auth %s)\n",
-		*nodes, pol, l.Addr(), *compress, auth)
+		sf.nodes, pol, l.Addr(), *compress, auth)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -331,46 +305,4 @@ func runSlam(args []string, stdout, stderr io.Writer) int {
 	}
 	fmt.Fprintln(stdout, res)
 	return 0
-}
-
-// benchServe runs the pinned front-door load for the bench snapshot: a
-// synthetic SWF replayed by 8 submitters at 20000x against an
-// in-process daemon, measuring submit-to-dispatch latency through the
-// full HTTP stack.
-func benchServe(nodes int, seed int64) (server.SlamResult, error) {
-	const compress = 20000
-	var buf bytes.Buffer
-	if err := batch.WriteSyntheticSWF(&buf, seed, 120, 6, nodes, 5); err != nil {
-		return server.SlamResult{}, err
-	}
-	recs, err := batch.ParseTrace(&buf)
-	if err != nil {
-		return server.SlamResult{}, err
-	}
-	srv := server.New(server.Config{
-		Batch: batch.Config{
-			Cluster: batch.NewCluster(nodes, netsim.GigabitSwitch(nodes)),
-			Policy:  batch.Backfill,
-		},
-		Compress: compress,
-	})
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return server.SlamResult{}, err
-	}
-	errCh := make(chan error, 1)
-	go func() { errCh <- srv.Serve(l) }()
-	res, err := server.Slam(server.SlamConfig{
-		Base: "http://" + l.Addr().String(), Trace: recs, Submitters: 8,
-		Compress: compress, MaxNodes: nodes, Timeout: 2 * time.Minute,
-	})
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if _, serr := srv.Shutdown(ctx); err == nil {
-		err = serr
-	}
-	if serr := <-errCh; err == nil {
-		err = serr
-	}
-	return res, err
 }
