@@ -132,16 +132,40 @@ func BenchmarkAblations(b *testing.B) {
 }
 
 // BenchmarkSingleNodeCPUStep measures the real CPU reference step (the
-// functional analog of Table 1's CPU column, scaled to 32^3).
+// functional analog of Table 1's CPU column, scaled to 32^3): on the
+// periodic empty box, which never takes a bounce-back branch, and on a
+// wind tunnel (inlet, outflow, four walls and a block on the floor).
 func BenchmarkSingleNodeCPUStep(b *testing.B) {
-	l := lbm.New(32, 32, 32, 0.8)
-	l.Init(1, vecmath.Vec3{0.02, 0, 0})
-	b.SetBytes(int64(l.Cells()) * lbm.Q * 4)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		l.Step()
+	periodic := lbm.New(32, 32, 32, 0.8)
+	tunnel := lbm.New(32, 32, 32, 0.8)
+	tunnel.Faces[lbm.FaceXNeg] = lbm.FaceSpec{Type: lbm.Inlet, U: vecmath.Vec3{0.04, 0, 0}}
+	tunnel.Faces[lbm.FaceXPos] = lbm.FaceSpec{Type: lbm.Outflow}
+	for _, f := range []int{lbm.FaceYNeg, lbm.FaceYPos, lbm.FaceZNeg, lbm.FaceZPos} {
+		tunnel.Faces[f] = lbm.FaceSpec{Type: lbm.Wall}
 	}
-	b.ReportMetric(float64(l.Cells())*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mcells/s")
+	for z := 0; z < 20; z++ {
+		for y := 12; y < 20; y++ {
+			for x := 12; x < 20; x++ {
+				tunnel.SetSolid(x, y, z, true)
+			}
+		}
+	}
+	for _, c := range []struct {
+		name string
+		l    *lbm.Lattice
+	}{{"periodic", periodic}, {"tunnel", tunnel}} {
+		b.Run(c.name, func(b *testing.B) {
+			l := c.l
+			l.Init(1, vecmath.Vec3{0.02, 0, 0})
+			b.SetBytes(int64(l.Cells()) * lbm.Q * 4)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				l.Step()
+			}
+			b.ReportMetric(float64(l.Cells())*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mcells/s")
+		})
+	}
 }
 
 // BenchmarkSingleNodeGPUStep measures the simulated-GPU step (the
@@ -180,6 +204,7 @@ func BenchmarkClusterStep(b *testing.B) {
 				b.Fatal(err)
 			}
 			cells := float64(cfg.Global[0] * cfg.Global[1] * cfg.Global[2])
+			b.ReportAllocs()
 			b.ResetTimer()
 			sim.Run(b.N)
 			b.ReportMetric(cells*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mcells/s")
@@ -217,9 +242,11 @@ func BenchmarkCollisionKernel(b *testing.B) {
 func BenchmarkBorderExchange(b *testing.B) {
 	l := lbm.New(32, 32, 32, 0.8)
 	l.Init(1, vecmath.Vec3{})
+	data := make([]float32, l.BorderLen(0))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		data := l.PackBorder(0, +1)
+		l.PackBorderInto(data, 0, +1)
 		l.UnpackGhost(0, -1, data)
 	}
 }

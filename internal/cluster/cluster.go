@@ -9,6 +9,13 @@
 // through package mpi; each node may compute its block on the CPU
 // reference implementation or on a simulated GPU (package lbmgpu via the
 // Node interface).
+//
+// An exchanged payload has exactly one owner at a time and is never
+// copied on its way: the slice a Node's PackBorder returns belongs to the
+// caller, Run hands it to the neighbor rank (mpi.SendOwned), and the
+// Node whose UnpackGhost receives it keeps it, as the buffer its next
+// PackBorder of that face fills — the two directions of a face carry
+// equally long payloads. A steady-state step therefore allocates nothing.
 package cluster
 
 import (
@@ -275,10 +282,10 @@ func (s *Sim) Run(steps int) {
 			tagPos := 2 * dim // payload traveling in +dim direction
 			tagNeg := 2*dim + 1
 			if posN[dim] >= 0 {
-				c.Send(posN[dim], tagPos, node.PackBorder(dim, +1))
+				c.SendOwned(posN[dim], tagPos, node.PackBorder(dim, +1))
 			}
 			if negN[dim] >= 0 {
-				c.Send(negN[dim], tagNeg, node.PackBorder(dim, -1))
+				c.SendOwned(negN[dim], tagNeg, node.PackBorder(dim, -1))
 			}
 			if negN[dim] >= 0 {
 				node.UnpackGhost(dim, -1, c.Recv(negN[dim], tagPos))
@@ -353,23 +360,31 @@ func (s *Sim) MPIStats() []mpi.RankStats { return s.world.Stats() }
 // serial CPU implementation of package lbm.
 type CPUNode struct {
 	L *lbm.Lattice
+	// spare holds, per face, the payload last unpacked there: the buffer
+	// the next PackBorder of that face fills and gives away.
+	spare [lbm.NumFaces][]float32
 }
 
 // Step implements Node.
-func (n *CPUNode) Step(exchange func(dim int)) {
-	for dim := 0; dim < 3; dim++ {
-		n.L.FillGhostDim(dim)
-		exchange(dim)
+func (n *CPUNode) Step(exchange func(dim int)) { n.L.StepWithExchange(exchange) }
+
+// PackBorder implements Node. The payload is the caller's.
+func (n *CPUNode) PackBorder(dim, dir int) []float32 {
+	face := 2*dim + (dir+1)/2
+	out := n.spare[face]
+	n.spare[face] = nil
+	if len(out) != n.L.BorderLen(dim) {
+		out = make([]float32, n.L.BorderLen(dim))
 	}
-	n.L.Stream()
-	n.L.Collide()
+	n.L.PackBorderInto(out, dim, dir)
+	return out
 }
 
-// PackBorder implements Node.
-func (n *CPUNode) PackBorder(dim, dir int) []float32 { return n.L.PackBorder(dim, dir) }
-
-// UnpackGhost implements Node.
-func (n *CPUNode) UnpackGhost(dim, dir int, data []float32) { n.L.UnpackGhost(dim, dir, data) }
+// UnpackGhost implements Node. It takes data over from the caller.
+func (n *CPUNode) UnpackGhost(dim, dir int, data []float32) {
+	n.L.UnpackGhost(dim, dir, data)
+	n.spare[2*dim+(dir+1)/2] = data
+}
 
 // DensityField implements Node.
 func (n *CPUNode) DensityField() []float32 {

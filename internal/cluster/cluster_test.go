@@ -342,3 +342,76 @@ func TestBlocksTileGlobalDomain(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// tunnel8 is a wind tunnel with a block across every rank border, on
+// 2x2x2 CPU ranks: every face type of the decomposition and exchanges on
+// all three axes.
+func tunnel8(t *testing.T) *Sim {
+	t.Helper()
+	cfg := Config{
+		Global: [3]int{12, 10, 8},
+		Grid:   sched.NodeGrid{PX: 2, PY: 2, PZ: 2},
+		Tau:    0.8,
+		Geometry: func(x, y, z int) bool {
+			return x >= 4 && x < 8 && y >= 3 && y < 7 && z < 5
+		},
+	}
+	cfg.Faces[lbm.FaceXNeg] = lbm.FaceSpec{Type: lbm.Inlet, U: vecmath.Vec3{0.04, 0, 0}}
+	cfg.Faces[lbm.FaceXPos] = lbm.FaceSpec{Type: lbm.Outflow}
+	for _, f := range []int{lbm.FaceYNeg, lbm.FaceYPos, lbm.FaceZNeg, lbm.FaceZPos} {
+		cfg.Faces[f] = lbm.FaceSpec{Type: lbm.Wall}
+	}
+	sim, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sim
+}
+
+func TestStepCountAdvancesOnEveryRank(t *testing.T) {
+	sim := tunnel8(t)
+	sim.Run(3)
+	for r := range sim.Blocks() {
+		if got := sim.NodeBackend(r).(*CPUNode).L.StepCount(); got != 3 {
+			t.Errorf("rank %d: StepCount() = %d after Run(3), want 3", r, got)
+		}
+	}
+}
+
+// TestClusterRunSteadyStateAllocs: a Run costs what its goroutines, its
+// communicators and its closures cost, whatever the number of steps; a
+// step itself — ghost fill, pack, send, receive, unpack, stream,
+// collide — allocates nothing once every face holds its spare buffer.
+func TestClusterRunSteadyStateAllocs(t *testing.T) {
+	sim := tunnel8(t)
+	sim.Run(2) // the first exchange makes the buffers
+	perRun := func(steps int) float64 {
+		return testing.AllocsPerRun(10, func() { sim.Run(steps) })
+	}
+	one := perRun(1)
+	for _, steps := range []int{21, 41} {
+		if got := perRun(steps); got != one {
+			t.Errorf("Run(%d) allocates %.0f times, Run(1) %.0f: %.1f allocations a step",
+				steps, got, one, (got-one)/float64(steps-1))
+		}
+	}
+}
+
+// TestPayloadHasOneOwner: what PackBorder returns is not kept by the
+// node, and what UnpackGhost receives is what the next PackBorder of that
+// face fills.
+func TestPayloadHasOneOwner(t *testing.T) {
+	n := &CPUNode{L: lbm.New(4, 3, 2, 0.8)}
+	n.L.Init(1, vecmath.Vec3{})
+	first, second := n.PackBorder(1, +1), n.PackBorder(1, +1)
+	if &first[0] == &second[0] {
+		t.Fatal("two packs of one face share a buffer: the first payload still has an owner")
+	}
+	n.UnpackGhost(1, +1, first)
+	if third := n.PackBorder(1, +1); &third[0] != &first[0] {
+		t.Error("the unpacked payload was not reused for the next pack of its face")
+	}
+	if fourth := n.PackBorder(1, +1); &fourth[0] == &first[0] {
+		t.Error("a payload was handed out twice")
+	}
+}

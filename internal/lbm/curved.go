@@ -53,9 +53,9 @@ func (l *Lattice) HasCurvedBoundaries() bool { return len(l.LinkQ) > 0 }
 // crossed the surface at fraction q). Implements the two branches of the
 // Bouzidi linear scheme; the upstream fluid neighbor is required for
 // q < 1/2 and plain bounce-back is used when it is unavailable (solid).
-func (l *Lattice) curvedBounce(i, o, c, x, y, z int, q float32) float32 {
+func (l *Lattice) curvedBounce(i, o, c int, q float32) float32 {
 	if q < 0.5 {
-		up := l.Idx(x+C[i][0], y+C[i][1], z+C[i][2]) // one cell away from the wall
+		up := c + l.linkOffset(i) // one cell away from the wall
 		if !l.Solid[up] {
 			return 2*q*l.Post[o][c] + (1-2*q)*l.Post[o][up]
 		}

@@ -86,6 +86,11 @@ type Lattice struct {
 
 	sx, sy, sz int // padded dimensions NX+2 etc.
 	step       int
+
+	// Scratch of the kernels, overwritten by every call: Stream's
+	// per-row summary of Solid and Collide's current cell.
+	rowSolid       []bool
+	cell, cellPost [Q]float32
 }
 
 // CollisionOp relaxes one cell's distributions toward equilibrium given
@@ -111,12 +116,20 @@ func New(nx, ny, nz int, tau float32) *Lattice {
 		sx: nx + 2, sy: ny + 2, sz: nz + 2,
 	}
 	n := l.sx * l.sy * l.sz
+	// The 2Q arrays are cut from one slab at a stride of an odd number of
+	// cache lines. Allocated one by one they would each start on a page
+	// boundary, the same cell of all of them would fall in the same L1
+	// set, and a cell's 38 loads and stores would evict one another.
+	const line = 16 // floats
+	stride := (n+line-1)/line*line | line
+	slab := make([]float32, 2*Q*stride)
 	for i := 0; i < Q; i++ {
-		l.F[i] = make([]float32, n)
-		l.Post[i] = make([]float32, n)
+		l.F[i], slab = slab[:n:n], slab[stride:]
+		l.Post[i], slab = slab[:n:n], slab[stride:]
 	}
 	l.Solid = make([]bool, n)
 	l.Rho = make([]float32, n)
+	l.rowSolid = make([]bool, l.sy*l.sz)
 	return l
 }
 
@@ -129,7 +142,7 @@ func (l *Lattice) Idx(x, y, z int) int {
 // Cells returns the number of interior (fluid-domain) cells.
 func (l *Lattice) Cells() int { return l.NX * l.NY * l.NZ }
 
-// Step returns the number of completed time steps.
+// StepCount returns the number of completed time steps.
 func (l *Lattice) StepCount() int { return l.step }
 
 // SetSolid marks the interior cell (x, y, z) as an obstacle.

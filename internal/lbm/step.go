@@ -1,5 +1,7 @@
 package lbm
 
+import "slices"
+
 // This file implements the two-phase update of the lattice Boltzmann
 // method as described in Section 4.1 of the paper: synchronous streaming
 // along the lattice links followed by a local collision (BGK or MRT),
@@ -15,8 +17,23 @@ package lbm
 
 // Step advances the lattice by one time step: fill ghosts from the face
 // boundary conditions, stream, collide.
-func (l *Lattice) Step() {
-	l.FillGhosts()
+func (l *Lattice) Step() { l.StepWithExchange(nil) }
+
+// StepWithExchange is the one step skeleton, serial and parallel. The
+// ghost shell is filled dimension by dimension (x, then y including the
+// x ghosts, then z including both) so that edge and corner ghosts are
+// consistent; after each dimension's boundary-condition planes, a
+// non-nil exchange(dim) lets the caller fill that dimension's Ghost
+// faces (package cluster's border exchange), which realizes the paper's
+// indirect routing of diagonal (second-nearest-neighbor) data through
+// axial transfers. Then the lattice streams and collides.
+func (l *Lattice) StepWithExchange(exchange func(dim int)) {
+	for dim := 0; dim < 3; dim++ {
+		l.FillGhostDim(dim)
+		if exchange != nil {
+			exchange(dim)
+		}
+	}
 	l.Stream()
 	l.Collide()
 	l.step++
@@ -28,25 +45,22 @@ func (l *Lattice) Step() {
 // uses the fluid cell's own post-collision values).
 func (l *Lattice) Collide() {
 	omega := 1 / l.Tau
-	var f, post, feq [Q]float32
 	hasForce := l.Force != [3]float32{} || l.ForceField != nil
+	// The cell's distributions live in the lattice, not on the stack: a
+	// CollisionOp call would move stack arrays to the heap on every call.
+	f, post := &l.cell, &l.cellPost
 	for z := 0; z < l.NZ; z++ {
 		for y := 0; y < l.NY; y++ {
 			base := l.Idx(0, y, z)
-			for x := 0; x < l.NX; x++ {
-				c := base + x
-				if l.Solid[c] {
+			for x, solid := range l.Solid[base : base+l.NX] {
+				if solid {
 					continue
 				}
-				var rho, ux, uy, uz float32
-				for i := 0; i < Q; i++ {
-					v := l.F[i][c]
-					f[i] = v
-					rho += v
-					ux += v * float32(C[i][0])
-					uy += v * float32(C[i][1])
-					uz += v * float32(C[i][2])
+				c := base + x
+				for i := range f {
+					f[i] = l.F[i][c]
 				}
+				rho, ux, uy, uz := momentSums(f)
 				inv := float32(1) / rho
 				ux *= inv
 				uy *= inv
@@ -54,11 +68,11 @@ func (l *Lattice) Collide() {
 				l.Rho[c] = rho
 
 				if l.Collision != nil {
-					l.Collision.Collide(&f, &post, rho, ux, uy, uz)
+					l.Collision.Collide(f, post, rho, ux, uy, uz)
 				} else {
-					Feq(&feq, rho, ux, uy, uz)
-					for i := 0; i < Q; i++ {
-						post[i] = f[i] - omega*(f[i]-feq[i])
+					Feq(post, rho, ux, uy, uz)
+					for i := range post {
+						post[i] = f[i] - omega*(f[i]-post[i])
 					}
 				}
 				if hasForce {
@@ -67,30 +81,18 @@ func (l *Lattice) Collide() {
 						a = a.Add(l.ForceField[c])
 					}
 					if a != [3]float32{} {
-						for i := 0; i < Q; i++ {
-							ca := float32(C[i][0])*a[0] + float32(C[i][1])*a[1] + float32(C[i][2])*a[2]
+						for i := range post {
+							ca := cf[i][0]*a[0] + cf[i][1]*a[1] + cf[i][2]*a[2]
 							post[i] += 3 * W[i] * rho * ca
 						}
 					}
 				}
-				for i := 0; i < Q; i++ {
+				for i := range post {
 					l.Post[i][c] = post[i]
 				}
 			}
 		}
 	}
-}
-
-// FillGhosts populates the ghost shell's post-collision values from the
-// face boundary conditions, dimension by dimension (x, then y including
-// the x ghosts, then z including both) so that edge and corner ghosts are
-// consistent — the same ordering the cluster layer uses for its border
-// exchange, which realizes the paper's indirect routing of diagonal
-// (second-nearest-neighbor) data through axial transfers.
-func (l *Lattice) FillGhosts() {
-	l.FillGhostDim(0)
-	l.FillGhostDim(1)
-	l.FillGhostDim(2)
 }
 
 // FillGhostDim fills the two ghost planes of one dimension (0=x, 1=y,
@@ -114,191 +116,132 @@ func (l *Lattice) fillFace(face int, dim int) {
 		// are realized as solid ghosts during streaming.
 		return
 	}
-	neg := face%2 == 0
-	// Ghost coordinate and its periodic image / interior neighbor.
-	var gcoord, wrapcoord, edgecoord int
-	switch dim {
-	case 0:
-		gcoord, wrapcoord, edgecoord = -1, l.NX-1, 0
-		if !neg {
-			gcoord, wrapcoord, edgecoord = l.NX, 0, l.NX-1
-		}
-	case 1:
-		gcoord, wrapcoord, edgecoord = -1, l.NY-1, 0
-		if !neg {
-			gcoord, wrapcoord, edgecoord = l.NY, 0, l.NY-1
-		}
-	case 2:
-		gcoord, wrapcoord, edgecoord = -1, l.NZ-1, 0
-		if !neg {
-			gcoord, wrapcoord, edgecoord = l.NZ, 0, l.NZ-1
-		}
+	// The ghost plane, its periodic image and its interior neighbor.
+	p := l.plane(dim)
+	gcoord, wrapcoord, edgecoord := -1, p.n-1, 0
+	if face%2 == 1 {
+		gcoord, wrapcoord, edgecoord = p.n, 0, p.n-1
 	}
+	ghost, wrap, edge := p.at(gcoord), p.at(wrapcoord), p.at(edgecoord)
 
 	rho := spec.Rho
 	if rho == 0 {
 		rho = 1
 	}
-	var feq [Q]float32
+	var feq, fp, feqSrc, feqOut [Q]float32
 	if spec.Type == Inlet {
 		Feq(&feq, rho, spec.U[0], spec.U[1], spec.U[2])
 	}
 
-	// lo/hi sweep bounds per dimension: lower dims include ghosts.
-	sweep := func(visit func(a, b int)) {
-		switch dim {
-		case 0: // sweep y,z interior only
-			for z := 0; z < l.NZ; z++ {
-				for y := 0; y < l.NY; y++ {
-					visit(y, z)
+	for b := 0; b < p.nb; b++ {
+		for a := 0; a < p.na; a++ {
+			at := b*p.sb + a*p.sa
+			g := ghost + at
+			switch spec.Type {
+			case Periodic:
+				for i := range l.Post {
+					l.Post[i][g] = l.Post[i][wrap+at]
 				}
-			}
-		case 1: // sweep x incl ghosts, z interior
-			for z := 0; z < l.NZ; z++ {
-				for x := -1; x <= l.NX; x++ {
-					visit(x, z)
+				// Periodic geometry: the ghost mirrors the far side's
+				// solidity so obstacles wrap correctly.
+				l.Solid[g] = l.Solid[wrap+at]
+			case Inlet:
+				for i := range l.Post {
+					l.Post[i][g] = feq[i]
 				}
-			}
-		case 2: // sweep x,y incl ghosts
-			for y := -1; y <= l.NY; y++ {
-				for x := -1; x <= l.NX; x++ {
-					visit(x, y)
+			case Outflow:
+				// Pressure outlet: copy the adjacent cell's distributions
+				// but re-anchor their density at the outlet value, so mass
+				// cannot accumulate against the outflow face. The source
+				// in-plane coordinates are clamped to the interior: the
+				// y/z sweeps cover ghost columns whose cells hold only the
+				// distributions entering the domain (exchange ghosts),
+				// which do not define moments.
+				src := edge + min(max(b, p.ghostB), p.nb-1-p.ghostB)*p.sb +
+					min(max(a, p.ghostA), p.na-1-p.ghostA)*p.sa
+				for i := range fp {
+					fp[i] = l.Post[i][src]
+				}
+				rhoSrc, ux, uy, uz := Moments(&fp)
+				Feq(&feqSrc, rhoSrc, ux, uy, uz)
+				Feq(&feqOut, rho, ux, uy, uz)
+				for i := range fp {
+					l.Post[i][g] = fp[i] - feqSrc[i] + feqOut[i]
 				}
 			}
 		}
 	}
-
-	idxFor := func(a, b int) (ghost, src int) {
-		switch dim {
-		case 0:
-			ghost = l.Idx(gcoord, a, b)
-			if spec.Type == Periodic {
-				src = l.Idx(wrapcoord, a, b)
-			} else {
-				src = l.Idx(edgecoord, a, b)
-			}
-		case 1:
-			ghost = l.Idx(a, gcoord, b)
-			if spec.Type == Periodic {
-				src = l.Idx(a, wrapcoord, b)
-			} else {
-				src = l.Idx(a, edgecoord, b)
-			}
-		default:
-			ghost = l.Idx(a, b, gcoord)
-			if spec.Type == Periodic {
-				src = l.Idx(a, b, wrapcoord)
-			} else {
-				src = l.Idx(a, b, edgecoord)
-			}
-		}
-		return
-	}
-
-	switch spec.Type {
-	case Periodic:
-		sweep(func(a, b int) {
-			ghost, src := idxFor(a, b)
-			for i := 0; i < Q; i++ {
-				l.Post[i][ghost] = l.Post[i][src]
-			}
-			// Periodic geometry: the ghost mirrors the far side's
-			// solidity so obstacles wrap correctly.
-			l.Solid[ghost] = l.Solid[src]
-		})
-	case Inlet:
-		sweep(func(a, b int) {
-			ghost, _ := idxFor(a, b)
-			for i := 0; i < Q; i++ {
-				l.Post[i][ghost] = feq[i]
-			}
-		})
-	case Outflow:
-		// Pressure outlet: copy the adjacent cell's distributions but
-		// re-anchor their density at the outlet value, so mass cannot
-		// accumulate against the outflow face. The source in-plane
-		// coordinates are clamped to the interior: the y/z sweeps cover
-		// ghost columns whose cells hold only the distributions entering
-		// the domain (exchange ghosts), which do not define moments.
-		clampA := func(a int) int { return a }
-		clampB := func(b int) int { return b }
-		switch dim {
-		case 1:
-			clampA = func(a int) int { return clampInt(a, 0, l.NX-1) }
-		case 2:
-			clampA = func(a int) int { return clampInt(a, 0, l.NX-1) }
-			clampB = func(b int) int { return clampInt(b, 0, l.NY-1) }
-		}
-		sweep(func(a, b int) {
-			ghost, _ := idxFor(a, b)
-			_, src := idxFor(clampA(a), clampB(b))
-			var fp [Q]float32
-			for i := 0; i < Q; i++ {
-				fp[i] = l.Post[i][src]
-			}
-			rhoSrc, ux, uy, uz := Moments(&fp)
-			var feqSrc, feqOut [Q]float32
-			Feq(&feqSrc, rhoSrc, ux, uy, uz)
-			Feq(&feqOut, rho, ux, uy, uz)
-			for i := 0; i < Q; i++ {
-				l.Post[i][ghost] = fp[i] - feqSrc[i] + feqOut[i]
-			}
-		})
-	}
-}
-
-func clampInt(v, lo, hi int) int {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
 }
 
 // Stream propagates post-collision distributions along the lattice links
 // into the current distributions, applying half-way bounce-back at solid
 // cells (with the moving-wall momentum correction where a wall velocity
-// is present).
+// is present). It goes link by link over x-rows: a row streams from the
+// row one link back, by a plain copy when neither holds a solid cell and
+// cell by cell otherwise.
 func (l *Lattice) Stream() {
-	for z := 0; z < l.NZ; z++ {
-		for y := 0; y < l.NY; y++ {
-			base := l.Idx(0, y, z)
-			for x := 0; x < l.NX; x++ {
-				c := base + x
-				if l.Solid[c] {
+	// Summarized afresh on every call: Solid, like Faces, WallU and
+	// LinkQ, is the caller's to edit between steps, and nothing derived
+	// from them is kept.
+	rows := l.solidRows()
+	for i := 0; i < Q; i++ {
+		dst, src := l.F[i], l.Post[i]
+		off := l.linkOffset(i)
+		rowOff := C[i][2]*l.sy + C[i][1]
+		for z := 0; z < l.NZ; z++ {
+			for y := 0; y < l.NY; y++ {
+				row := (z+1)*l.sy + y + 1
+				lo := row*l.sx + 1
+				hi := lo + l.NX
+				if !rows[row] && !rows[row-rowOff] {
+					copy(dst[lo:hi], src[lo-off:hi-off])
 					continue
 				}
-				var lq *linkQ
-				if l.LinkQ != nil {
-					lq = l.LinkQ[c]
-				}
-				for i := 0; i < Q; i++ {
-					src := l.Idx(x-C[i][0], y-C[i][1], z-C[i][2])
-					if l.Solid[src] {
-						o := Opp[i]
-						// Interpolated bounce-back when the link's wall
-						// intersection is resolved (curved boundaries);
-						// half-way bounce-back otherwise.
-						if lq != nil && lq[o] != 0 {
-							l.F[i][c] = l.curvedBounce(i, o, c, x, y, z, lq[o])
-							continue
-						}
-						v := l.Post[o][c]
-						if l.WallU != nil {
-							uw := l.WallU[src]
-							if uw != [3]float32{} {
-								cu := float32(C[i][0])*uw[0] + float32(C[i][1])*uw[1] + float32(C[i][2])*uw[2]
-								v += 6 * W[i] * l.Rho[c] * cu
-							}
-						}
-						l.F[i][c] = v
-					} else {
-						l.F[i][c] = l.Post[i][src]
+				for c := lo; c < hi; c++ {
+					switch {
+					case l.Solid[c]:
+					case l.Solid[c-off]:
+						dst[c] = l.bounce(i, c, c-off)
+					default:
+						dst[c] = src[c-off]
 					}
 				}
 			}
 		}
 	}
+}
+
+// solidRows reports, for every padded x-row (z+1)*sy + y+1, ghost rows
+// and ghost end cells included, whether it holds a solid cell.
+func (l *Lattice) solidRows() []bool {
+	for r := range l.rowSolid {
+		l.rowSolid[r] = slices.Contains(l.Solid[r*l.sx:(r+1)*l.sx], true)
+	}
+	return l.rowSolid
+}
+
+// linkOffset returns the index distance from a cell to its neighbor
+// along link i.
+func (l *Lattice) linkOffset(i int) int {
+	return (C[i][2]*l.sy+C[i][1])*l.sx + C[i][0]
+}
+
+// bounce returns what streams into fluid cell c along link i when the
+// cell one link back, wall, is solid: the cell's own post-collision value
+// of the opposite link, reflected half-way, corrected for the wall's
+// velocity, or interpolated where the link's wall intersection is
+// resolved (curved boundaries).
+func (l *Lattice) bounce(i, c, wall int) float32 {
+	o := Opp[i]
+	if lq := l.LinkQ[c]; lq != nil && lq[o] != 0 {
+		return l.curvedBounce(i, o, c, lq[o])
+	}
+	v := l.Post[o][c]
+	if l.WallU != nil {
+		if uw := l.WallU[wall]; uw != [3]float32{} {
+			cu := cf[i][0]*uw[0] + cf[i][1]*uw[1] + cf[i][2]*uw[2]
+			v += 6 * W[i] * l.Rho[c] * cu
+		}
+	}
+	return v
 }

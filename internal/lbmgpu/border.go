@@ -7,7 +7,7 @@ import (
 )
 
 // planeDims returns the border plane extents (a, b) for a dimension,
-// matching lbm.Lattice.borderPlane: x planes span the interior, y planes
+// matching lbm.Lattice.plane: x planes span the interior, y planes
 // include the x ghosts, z planes include x and y ghosts.
 func (s *Simulator) planeDims(dim int) (w, h int) {
 	switch dim {
@@ -73,24 +73,29 @@ func (s *Simulator) gatherPass(dim, dir int) gpu.Pass {
 // into the compact border texture with a single render pass, reads the
 // texture back in one bus transfer (the paper's single glGetTexImage),
 // and reorders the payload to the canonical wire format shared with the
-// CPU backend.
+// CPU backend. The payload is the caller's.
 func (s *Simulator) PackBorder(dim, dir int) []float32 {
 	pw, ph := s.planeDims(dim)
 	bt := s.border[dim]
-	must(s.dev.Run(s.packs[dim][sideOf(dir)]))
+	side := sideOf(dir)
+	must(s.dev.Run(s.packs[dim][side]))
 	must(s.dev.CopyToTexture(s.borderPB[dim], bt))
 	raw, err := s.dev.Download(bt)
 	must(err)
 
+	out := s.spare[dim][side]
+	s.spare[dim][side] = nil
+	if len(out) != 5*pw*ph {
+		out = make([]float32, 5*pw*ph)
+	}
 	// Reorder into the canonical payload: plane cells (b outer, a inner)
 	// with the 5 distributions consecutive.
-	out := make([]float32, 0, 5*pw*ph)
 	btw := bt.Width()
 	for b := 0; b < ph; b++ {
 		for a := 0; a < pw; a++ {
-			base := 4 * (b*btw + a)
-			out = append(out, raw[base], raw[base+1], raw[base+2], raw[base+3])
-			out = append(out, raw[4*((b+ph)*btw+a)])
+			cell := out[5*(b*pw+a):][:5]
+			copy(cell, raw[4*(b*btw+a):][:4])
+			cell[4] = raw[4*((b+ph)*btw+a)]
 		}
 	}
 	return out
@@ -154,13 +159,16 @@ func (s *Simulator) unpackTable(dim, dir int) unpackTable {
 
 // UnpackGhost scatters a received payload into the ghost plane of the
 // dim/dir face using sub-image uploads over the fast downstream bus
-// direction, one rectangle per distribution stack and slice.
+// direction, one rectangle per distribution stack and slice. It takes
+// data over from the caller.
 func (s *Simulator) UnpackGhost(dim, dir int, data []float32) {
 	pw, ph := s.planeDims(dim)
 	if len(data) != 5*pw*ph {
 		panic("lbmgpu: ghost payload length mismatch")
 	}
-	t := &s.unpacks[dim][sideOf(dir)]
+	side := sideOf(dir)
+	s.spare[dim][side] = data
+	t := &s.unpacks[dim][side]
 	buf := s.upload[:4*t.cells]
 	for layer := t.first; layer <= t.last; layer++ {
 		cells := data[:5*t.cells]

@@ -73,6 +73,10 @@ type Simulator struct {
 	packs    [3][2]gpu.Pass    // border gather pass per (dim, dir)
 	unpacks  [3][2]unpackTable // ghost scatter layout per (dim, dir)
 	upload   []float32         // UnpackGhost's rect-upload scratch
+	// Per (dim, dir), the payload last unpacked there: the buffer the next
+	// PackBorder of that face fills and gives away (the one-owner rule of
+	// package cluster).
+	spare [3][2][]float32
 }
 
 // New builds a GPU simulator from a configured host lattice (size, tau,

@@ -400,3 +400,25 @@ func TestGPUStatsPerStep(t *testing.T) {
 		t.Errorf("one step cost %+v, want %+v", got, want)
 	}
 }
+
+// TestGPUUnpackChecksLengthFirst: like the CPU backend, a payload of the
+// wrong length, short or long, is refused before anything crosses the bus.
+func TestGPUUnpackChecksLengthFirst(t *testing.T) {
+	_, sim := buildPair(t, 8, 6, 4, 0.8, func(l *lbm.Lattice) {
+		l.Faces[lbm.FaceYPos] = lbm.FaceSpec{Type: lbm.Ghost}
+	})
+	down0 := sim.Device().Bus().Down.Ops
+	for _, n := range []int{5*10*4 - 1, 5*10*4 + 1, 0} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("a y payload of %d floats was accepted, want exactly %d", n, 5*10*4)
+				}
+			}()
+			sim.UnpackGhost(1, +1, make([]float32, n))
+		}()
+	}
+	if got := sim.Device().Bus().Down.Ops - down0; got != 0 {
+		t.Errorf("refused payloads cost %d downstream transfers", got)
+	}
+}

@@ -7,10 +7,13 @@
 // costs to the same traffic.
 //
 // Semantics: Send copies the payload and is asynchronous up to a bounded
-// buffer (like MPI's eager protocol for small messages); Recv matches by
-// (source, tag) and blocks. A watchdog fails Recv after a configurable
-// timeout so that an incorrect communication schedule deadlocks loudly in
-// tests instead of hanging forever.
+// buffer (like MPI's eager protocol for small messages); SendOwned hands
+// the payload over instead, so that a payload always has exactly one
+// owner: the sender until the call, the receiver from Recv on. Recv
+// matches by (source, tag) and blocks. A watchdog fails a Send or Recv
+// blocked longer than a configurable timeout so that an incorrect
+// communication schedule deadlocks loudly in tests instead of hanging
+// forever.
 package mpi
 
 import (
@@ -113,7 +116,9 @@ func (w *World) Run(body func(c *Comm)) {
 					w.barrier.abort()
 				}
 			}()
-			body(&Comm{world: w, rank: rank})
+			watchdog := time.NewTimer(w.timeout)
+			watchdog.Stop()
+			body(&Comm{world: w, rank: rank, watchdog: watchdog})
 		}(r)
 	}
 	wg.Wait()
@@ -128,6 +133,10 @@ func (w *World) Run(body func(c *Comm)) {
 type Comm struct {
 	world *World
 	rank  int
+	// watchdog runs only while this rank is blocked in a Send or Recv. It
+	// is made with the Comm, not on first use, so that what a rank
+	// allocates does not depend on whether it ever had to wait.
+	watchdog *time.Timer
 }
 
 // Rank returns this rank's id in [0, Size).
@@ -139,44 +148,67 @@ func (c *Comm) Size() int { return c.world.size }
 // Send delivers a copy of data to rank dst with the given tag. It blocks
 // only if the destination's mailbox for this source is full.
 func (c *Comm) Send(dst, tag int, data []float32) {
+	buf := make([]float32, len(data))
+	copy(buf, data)
+	c.SendOwned(dst, tag, buf)
+}
+
+// SendOwned is Send without the copy: data itself is delivered, and
+// belongs to the receiver from this call on. The caller must neither
+// read nor write it afterwards.
+func (c *Comm) SendOwned(dst, tag int, data []float32) {
 	if dst < 0 || dst >= c.world.size {
 		panic(fmt.Sprintf("mpi: send to invalid rank %d (size %d)", dst, c.world.size))
 	}
 	if dst == c.rank {
 		panic("mpi: send to self is not supported; use local state")
 	}
-	buf := make([]float32, len(data))
-	copy(buf, data)
 	atomic.AddInt64(&c.world.stats[c.rank].MessagesSent, 1)
 	atomic.AddInt64(&c.world.stats[c.rank].FloatsSent, int64(len(data)))
+	mailbox, m := c.world.queues[dst][c.rank], message{tag: tag, data: data}
 	select {
-	case c.world.queues[dst][c.rank] <- message{tag: tag, data: buf}:
-	case <-time.After(c.world.timeout):
+	case mailbox <- m:
+		return
+	default:
+	}
+	c.watchdog.Reset(c.world.timeout)
+	select {
+	case mailbox <- m:
+		c.watchdog.Stop()
+	case <-c.watchdog.C:
 		panic(fmt.Sprintf("mpi: rank %d send to %d tag %d timed out (mailbox full — deadlock?)",
 			c.rank, dst, tag))
 	}
 }
 
 // Recv blocks until a message from rank src with the given tag (or any
-// tag if tag == AnyTag) arrives, and returns its payload. Messages from
-// the same source are matched in arrival order; receiving a mismatched
-// tag is an error because the deterministic schedules in this codebase
-// never reorder tags within a pair.
+// tag if tag == AnyTag) arrives, and returns its payload, which the
+// caller owns. Messages from the same source are matched in arrival
+// order; receiving a mismatched tag is an error because the deterministic
+// schedules in this codebase never reorder tags within a pair.
 func (c *Comm) Recv(src, tag int) []float32 {
 	if src < 0 || src >= c.world.size {
 		panic(fmt.Sprintf("mpi: recv from invalid rank %d (size %d)", src, c.world.size))
 	}
+	mailbox := c.world.queues[c.rank][src]
+	var m message
 	select {
-	case m := <-c.world.queues[c.rank][src]:
-		if tag != AnyTag && m.tag != tag {
-			panic(fmt.Sprintf("mpi: rank %d expected tag %d from %d, got %d",
-				c.rank, tag, src, m.tag))
+	case m = <-mailbox:
+	default:
+		c.watchdog.Reset(c.world.timeout)
+		select {
+		case m = <-mailbox:
+			c.watchdog.Stop()
+		case <-c.watchdog.C:
+			panic(fmt.Sprintf("mpi: rank %d recv from %d tag %d timed out (deadlock?)",
+				c.rank, src, tag))
 		}
-		return m.data
-	case <-time.After(c.world.timeout):
-		panic(fmt.Sprintf("mpi: rank %d recv from %d tag %d timed out (deadlock?)",
-			c.rank, src, tag))
 	}
+	if tag != AnyTag && m.tag != tag {
+		panic(fmt.Sprintf("mpi: rank %d expected tag %d from %d, got %d",
+			c.rank, tag, src, m.tag))
+	}
+	return m.data
 }
 
 // SendRecv exchanges payloads with a peer: sends sendData with tag and

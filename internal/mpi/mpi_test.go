@@ -272,3 +272,93 @@ func TestManyRanksAllToAllNeighbors(t *testing.T) {
 		}
 	})
 }
+
+func TestSendOwnedDeliversTheSameArray(t *testing.T) {
+	// No copy on the way: the receiver gets the very slice the sender
+	// gave up.
+	buf := []float32{1, 2, 3}
+	w := NewWorld(2)
+	w.Run(func(c *Comm) {
+		if c.Rank() == 0 {
+			c.SendOwned(1, 4, buf)
+		} else if got := c.Recv(0, 4); len(got) != len(buf) || &got[0] != &buf[0] {
+			t.Errorf("recv = %v at %p, want the sender's slice at %p", got, &got[0], &buf[0])
+		}
+	})
+}
+
+func TestBothSendsCountTheSame(t *testing.T) {
+	w := NewWorld(3)
+	w.Run(func(c *Comm) {
+		switch c.Rank() {
+		case 0:
+			c.Send(2, 0, make([]float32, 100))
+			c.Send(2, 1, make([]float32, 50))
+		case 1:
+			c.SendOwned(2, 0, make([]float32, 100))
+			c.SendOwned(2, 1, make([]float32, 50))
+		default:
+			for src := 0; src < 2; src++ {
+				c.Recv(src, 0)
+				c.Recv(src, 1)
+			}
+		}
+	})
+	s := w.Stats()
+	if s[0] != s[1] || s[0].MessagesSent != 2 || s[0].FloatsSent != 150 {
+		t.Errorf("Send counted %+v, SendOwned %+v, want 2 messages of 150 floats each", s[0], s[1])
+	}
+}
+
+func TestSendTimeoutDetectsFullMailbox(t *testing.T) {
+	// The watchdog is armed on the blocking path of a send too: a
+	// receiver that never drains its mailbox fails the sender loudly.
+	w := NewWorld(2, WithTimeout(50*time.Millisecond))
+	defer func() {
+		p := recover()
+		if p == nil {
+			t.Fatal("expected mailbox-full panic")
+		}
+		if !strings.Contains(p.(string), "timed out") {
+			t.Fatalf("unexpected panic: %v", p)
+		}
+	}()
+	w.Run(func(c *Comm) {
+		if c.Rank() == 0 {
+			for i := 0; i < 1000; i++ {
+				c.SendOwned(1, i, nil)
+			}
+		}
+	})
+}
+
+func TestWatchdogRearmsAfterAWait(t *testing.T) {
+	// A wait that ended in time leaves nothing behind: the next blocked
+	// call gets the full timeout again, however long the rank has waited
+	// in all, and a call that does deadlock still fails.
+	const waits = 10
+	var received atomic.Int32
+	w := NewWorld(2, WithTimeout(250*time.Millisecond))
+	defer func() {
+		if p := recover(); p == nil || !strings.Contains(p.(string), "timed out") {
+			t.Fatalf("expected the deadlock panic, got %v", p)
+		}
+		if got := received.Load(); got != waits {
+			t.Errorf("the watchdog fired after %d of %d waits that each ended in time", got, waits)
+		}
+	}()
+	w.Run(func(c *Comm) {
+		if c.Rank() == 0 {
+			for i := 0; i < waits; i++ {
+				c.Recv(1, i) // blocks each time: rank 1 is the slower
+				received.Add(1)
+			}
+			c.Recv(1, 99) // never sent
+		} else {
+			for i := 0; i < waits; i++ {
+				time.Sleep(30 * time.Millisecond) // 300ms in all: beyond one timeout
+				c.SendOwned(0, i, nil)
+			}
+		}
+	})
+}
