@@ -4,8 +4,7 @@
 // recorded workload replayed from a Standard-Workload-Format trace —
 // drains the queue on the virtual clock, and prints the operator
 // report (makespan, per-node utilization bars, queue waits, placement
-// and preemption stats) under any of the four queue policies and the
-// two placement engines.
+// and preemption stats) under any of the four queue policies.
 //
 // Usage:
 //
@@ -18,7 +17,6 @@
 //	clusterctl -preempt -store-bandwidth 30    # slower checkpoint store (MB/s)
 //	clusterctl -mtbf 2h                        # seeded failure storm (node crashes, trunk outages)
 //	clusterctl -faults storm.txt -ckpt-interval 5m  # replay a fault trace, bank proactively
-//	clusterctl -placement both                 # compare placement engines too
 //	clusterctl -execute -jobs 8                # actually run the workloads
 //	clusterctl -trace-out run.json             # Perfetto trace of the first run
 //	clusterctl -explain 7                      # why job 7 waited, pass by pass
@@ -51,12 +49,6 @@ import (
 	"gpucluster/internal/batch"
 	"gpucluster/internal/netsim"
 )
-
-type result struct {
-	placement batch.Placement
-	policy    batch.Policy
-	rep       batch.Report
-}
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
@@ -128,14 +120,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		policies = []batch.Policy{p}
 	}
-	placements := []batch.Placement{batch.PlaceFirstFit, batch.PlaceTopo}
-	if sf.placement != "both" {
-		p, err := batch.ParsePlacement(sf.placement)
-		if err != nil {
-			return fail("%v", err)
-		}
-		placements = []batch.Placement{p}
-	}
 
 	// One job-spec slice serves every scheduler run: Submit resolves
 	// defaults into scheduler-owned fields, so the specs stay pristine
@@ -160,9 +144,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		shrink(mix, sf.nodes)
 	}
 	// Observability attaches to the first run of the grid (with one
-	// policy and one placement — the recommended way to use these
-	// flags — that IS the run): the recorder feeds -trace-out and
-	// -explain, the registry feeds -metrics-out.
+	// policy — the recommended way to use these flags — that IS the
+	// run): the recorder feeds -trace-out and -explain, the registry
+	// feeds -metrics-out.
 	var rec *batch.MemRecorder
 	if *traceOut != "" || *explainID > 0 {
 		rec = &batch.MemRecorder{}
@@ -173,8 +157,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	// One config builder serves every run, so a future knob cannot be
 	// wired into the policy grid but silently left off the baseline.
-	makeConfig := func(pol batch.Policy, plc batch.Placement, quantum time.Duration) batch.Config {
-		cfg := newConfig(pol, plc)
+	makeConfig := func(pol batch.Policy, quantum time.Duration) batch.Config {
+		cfg := newConfig(pol)
 		cfg.Quantum = quantum
 		cfg.Actual = actual
 		cfg.Faults = faults
@@ -190,46 +174,33 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return s.Run(), nil
 	}
-	var results []result
-	var firstRep batch.Report                         // the instrumented run's report
-	rtcEasy := make(map[batch.Placement]batch.Report) // run-to-completion baseline under -quantum
-	for _, plc := range placements {
-		for _, pol := range policies {
-			cfg := makeConfig(pol, plc, sf.quantum)
-			if *execute {
-				cfg.Execute = batch.SimExecutor{TracerParticles: 1000}
-			}
-			if len(results) == 0 {
-				// Assign through the nil checks: a typed-nil
-				// *MemRecorder stored in the interface field would
-				// defeat the scheduler's rec != nil fast path.
-				if rec != nil {
-					cfg.Recorder = rec
-				}
-				cfg.Metrics = reg
-			}
-			rep, err := runMix(cfg)
-			if err != nil {
-				return fail("%v", err)
-			}
-			fmt.Fprint(stdout, rep)
-			if *verbose {
-				printJobs(stdout, rep)
-			}
-			fmt.Fprintln(stdout)
-			if len(results) == 0 {
-				firstRep = rep
-			}
-			results = append(results, result{placement: plc, policy: pol, rep: rep})
+	var results []batch.Report // one per policy, in -policy order
+	for _, pol := range policies {
+		cfg := makeConfig(pol, sf.quantum)
+		if *execute {
+			cfg.Execute = batch.SimExecutor{TracerParticles: 1000}
 		}
-		if sf.quantum > 0 {
-			rep, err := runMix(makeConfig(batch.Backfill, plc, 0))
-			if err != nil {
-				return fail("%v", err)
+		if len(results) == 0 {
+			// Assign through the nil checks: a typed-nil
+			// *MemRecorder stored in the interface field would
+			// defeat the scheduler's rec != nil fast path.
+			if rec != nil {
+				cfg.Recorder = rec
 			}
-			rtcEasy[plc] = rep
+			cfg.Metrics = reg
 		}
+		rep, err := runMix(cfg)
+		if err != nil {
+			return fail("%v", err)
+		}
+		fmt.Fprint(stdout, rep)
+		if *verbose {
+			printJobs(stdout, rep)
+		}
+		fmt.Fprintln(stdout)
+		results = append(results, rep)
 	}
+	firstRep := results[0] // the instrumented run's report, and the comparison's baseline
 
 	if len(policies) > 1 || sf.quantum > 0 {
 		row := func(label string, f, r batch.Report) {
@@ -239,38 +210,27 @@ func run(args []string, stdout, stderr io.Writer) int {
 				batch.RoundDuration(r.ShortWait), ckptWaitCol(r)+",",
 				r.Backfilled, r.Preempted, r.Sliced)
 		}
-		for _, plc := range placements {
-			f := find(results, plc, policies[0])
-			fmt.Fprintf(stdout, "policy comparison (placement %s, baseline %s; short = est <= %v):\n",
-				plc, policies[0], batch.RoundDuration(f.ShortCut))
-			for _, pol := range policies {
-				row(pol.String(), f, find(results, plc, pol))
-			}
-			if sf.quantum > 0 {
-				base := rtcEasy[plc]
-				row("easy/rtc", f, base)
-				for _, pol := range policies {
-					if pol != batch.Backfill {
-						continue
-					}
-					r := find(results, plc, pol)
-					fmt.Fprintf(stdout, "  timeslice quantum %v vs run-to-completion easy: short-job avg wait %v -> %v (%s)\n",
-						sf.quantum, batch.RoundDuration(base.ShortWait),
-						batch.RoundDuration(r.ShortWait),
-						gain(base.ShortWait, r.ShortWait))
-				}
-			}
+		fmt.Fprintf(stdout, "policy comparison (baseline %s; short = est <= %v):\n",
+			firstRep.Policy, batch.RoundDuration(firstRep.ShortCut))
+		for _, r := range results {
+			row(r.Policy.String(), firstRep, r)
 		}
-	}
-	if len(placements) == 2 {
-		for _, pol := range policies {
-			ff := find(results, batch.PlaceFirstFit, pol)
-			tp := find(results, batch.PlaceTopo, pol)
-			fmt.Fprintf(stdout, "policy %s, topo vs first-fit: makespan %v -> %v (%s), utilization %.1f%% -> %.1f%%, trunk-crossing gangs %d -> %d, split gangs %d\n",
-				pol, batch.RoundDuration(ff.Makespan), batch.RoundDuration(tp.Makespan),
-				gain(ff.Makespan, tp.Makespan),
-				100*ff.Utilization, 100*tp.Utilization,
-				ff.TrunkCrossed, tp.TrunkCrossed, tp.SplitGangs)
+		if sf.quantum > 0 {
+			// The run-to-completion EASY baseline.
+			base, err := runMix(makeConfig(batch.Backfill, 0))
+			if err != nil {
+				return fail("%v", err)
+			}
+			row("easy/rtc", firstRep, base)
+			for _, r := range results {
+				if r.Policy != batch.Backfill {
+					continue
+				}
+				fmt.Fprintf(stdout, "  timeslice quantum %v vs run-to-completion easy: short-job avg wait %v -> %v (%s)\n",
+					sf.quantum, batch.RoundDuration(base.ShortWait),
+					batch.RoundDuration(r.ShortWait),
+					gain(base.ShortWait, r.ShortWait))
+			}
 		}
 	}
 
@@ -331,21 +291,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	for _, r := range results {
-		if r.rep.Failed > 0 {
+		if r.Failed > 0 {
 			return 1
 		}
 	}
 	return 0
-}
-
-// find returns the report for one (placement, policy) run.
-func find(results []result, plc batch.Placement, pol batch.Policy) batch.Report {
-	for _, r := range results {
-		if r.placement == plc && r.policy == pol {
-			return r.rep
-		}
-	}
-	panic("clusterctl: missing run")
 }
 
 // gain renders the relative makespan improvement from base to improved,
@@ -407,7 +357,7 @@ func resolveFaultFlags(faultsPath string, mtbf, ckptInterval time.Duration, node
 // drift apart on a name, a default or an error sentence.
 type schedFlags struct {
 	nodes                  int
-	placement, storeDuplex string
+	storeDuplex            string
 	trunk, storeBW         float64
 	preempt, suspendToHost bool
 	quantum                time.Duration
@@ -416,7 +366,6 @@ type schedFlags struct {
 func addSchedFlags(fs *flag.FlagSet) *schedFlags {
 	f := &schedFlags{}
 	fs.IntVar(&f.nodes, "nodes", 32, "cluster size (the paper's machine had 32 compute nodes)")
-	fs.StringVar(&f.placement, "placement", "topo", "gang placement: first-fit or topo (without a subcommand also both, to compare them)")
 	fs.Float64Var(&f.trunk, "trunk-slowdown", 1.1, "runtime multiplier for gangs spanning the stacking trunk")
 	fs.BoolVar(&f.preempt, "preempt", false, "enable priority preemption with checkpoint/restart")
 	fs.DurationVar(&f.quantum, "quantum", 0, "time-slice quantum for gang scheduling (0 disables; e.g. 300s)")
@@ -427,11 +376,10 @@ func addSchedFlags(fs *flag.FlagSet) *schedFlags {
 }
 
 // builder validates the parsed flags and returns the function that
-// assembles a batch.Config from them under one policy and placement
-// (-placement is the caller's to parse: only the one-shot study takes
-// "both"). Every call builds a fresh Cluster, which carries a run's
-// state, so each run of a comparison grid gets its own.
-func (f *schedFlags) builder() (func(batch.Policy, batch.Placement) batch.Config, error) {
+// assembles a batch.Config from them under one policy. Every call
+// builds a fresh Cluster, which carries a run's state, so each run of a
+// comparison grid gets its own.
+func (f *schedFlags) builder() (func(batch.Policy) batch.Config, error) {
 	if f.nodes <= 0 {
 		return nil, fmt.Errorf("-nodes %d: cluster size must be positive", f.nodes)
 	}
@@ -443,11 +391,10 @@ func (f *schedFlags) builder() (func(batch.Policy, batch.Placement) batch.Config
 	if f.storeBW > 0 {
 		ckptCost, restCost = batch.ScaledStoreCosts(f.storeBW)
 	}
-	return func(pol batch.Policy, plc batch.Placement) batch.Config {
+	return func(pol batch.Policy) batch.Config {
 		return batch.Config{
 			Cluster:        batch.NewCluster(f.nodes, netsim.GigabitSwitch(f.nodes)),
 			Policy:         pol,
-			Placement:      plc,
 			TrunkSlowdown:  f.trunk,
 			Preempt:        f.preempt,
 			Quantum:        f.quantum,

@@ -83,9 +83,11 @@ func TestRunPlainTraceReplay(t *testing.T) {
 
 func TestRunBadFlagExitCode(t *testing.T) {
 	var out, errw strings.Builder
-	// bench/run.sh is the only benchmark harness: a script that still
-	// passes the old snapshot flags must fail as loudly as a typo does.
-	for _, args := range [][]string{{"-no-such-flag"}, {"-bench-json", "x"}, {"-bench-scale"}} {
+	// bench/run.sh is the only benchmark harness, and there is one
+	// placement engine: a script that still passes the old snapshot
+	// flags or -placement must fail as loudly as a typo does.
+	for _, args := range [][]string{{"-no-such-flag"}, {"-bench-json", "x"}, {"-bench-scale"},
+		{"-placement", "topo"}, {"serve", "-placement", "topo"}} {
 		if code := run(args, &out, &errw); code != 2 {
 			t.Fatalf("%v: exit code %d, want 2 for a flag parse error", args, code)
 		}
@@ -203,11 +205,11 @@ func TestCkptWaitColGuardsZeroRestoreRuns(t *testing.T) {
 	if got := ckptWaitCol(batch.Report{}); got != "n/a" {
 		t.Errorf("zero-restore run rendered %q, want n/a", got)
 	}
-	r := batch.Report{
+	r := batch.Report{Counters: batch.Counters{
 		PreemptEvents: 3,
 		DrainWait:     4 * time.Second,
 		RestoreWait:   6 * time.Second,
-	}
+	}}
 	if got := ckptWaitCol(r); got != "4s+6s" {
 		t.Errorf("contended run rendered %q, want 4s+6s", got)
 	}

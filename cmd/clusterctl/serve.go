@@ -79,10 +79,6 @@ func runServe(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return subFail(stderr, "serve", "%v", err)
 	}
-	plc, err := batch.ParsePlacement(sf.placement)
-	if err != nil {
-		return subFail(stderr, "serve", "%v", err)
-	}
 	newConfig, err := sf.builder()
 	if err != nil {
 		return subFail(stderr, "serve", "%v", err)
@@ -91,7 +87,7 @@ func runServe(args []string, stdout, stderr io.Writer) int {
 		return subFail(stderr, "serve", "-compress %g: compression must be positive", *compress)
 	}
 	cfg := server.Config{
-		Batch:    newConfig(pol, plc),
+		Batch:    newConfig(pol),
 		Compress: *compress,
 		Quota:    server.Quota{MaxQueued: *maxQueued, MaxNodeSeconds: *maxNodeSec},
 	}

@@ -25,9 +25,10 @@
 // attached — does real work.
 //
 // The hot paths are indexed rather than scanned (index.go): placement
-// enumerates an incrementally maintained free-range set, the backfill
-// shadow descends an order-statistic treap over running completion
-// events, future arrivals sit in a calendar queue, and the pending
+// enumerates an incrementally maintained free-range set, the running
+// set is one order-statistic treap keyed by completion event — the
+// loop's event queue, which the backfill shadow descends — future
+// arrivals sit in a calendar queue, and the pending
 // queue removes in O(1) via tombstones — so the same event loop that
 // schedules the paper's 32 nodes drains a million-job queue on ten
 // thousand (see docs/PERFORMANCE.md). DebugVerifyShadows cross-checks
@@ -162,9 +163,20 @@ type Job struct {
 	// Err records the workload failure for Failed jobs.
 	Err error
 
-	// Fields below are resolved by Submit from the spec — the spec
-	// itself stays caller-owned and pristine, so the same specs can be
-	// replayed against another scheduler.
+	// jobState is everything else the scheduler keeps about the job,
+	// reset as one value at Submit.
+	jobState
+}
+
+// jobState holds the scheduler-owned, unexported part of a Job. Submit
+// assigns a fresh value — the resolved spec and segFactor 1, every other
+// field zero — so a replayed job cannot carry a previous schedule's
+// outcome, and a field added here is reset without anyone remembering
+// to (TestReplayResetsLifecycle walks the struct by reflection).
+type jobState struct {
+	// Resolved by Submit from the spec — the spec itself stays
+	// caller-owned and pristine, so the same specs can be replayed
+	// against another scheduler.
 	est     time.Duration // resolved estimate
 	steps   int           // resolved Steps (>= 1)
 	problem [3]int        // resolved Problem (per-kind default applied)
@@ -172,7 +184,7 @@ type Job struct {
 	memNeed int64         // per-node memory footprint
 	shadow  time.Duration // head reservation at backfill time (invariant checks)
 
-	// Preemption / checkpoint-restart accounting (scheduler-owned).
+	// Preemption / checkpoint-restart accounting.
 	workTotal   time.Duration // true total work, fixed at first dispatch (Actual hook)
 	workLeft    time.Duration // unstretched work remaining
 	doneWork    time.Duration // scheduler-known completed work (estimate basis)
@@ -192,11 +204,11 @@ type Job struct {
 	hostAlloc   Allocation    // nodes whose RAM pins the suspended image (suspend-to-host)
 	demoteEnd   time.Duration // instant an in-flight demotion write settles; 0 when none
 
-	// Time-slicing (scheduler-owned, see Config.Quantum). A resident
-	// gang whose remaining segment outlives the quantum carries a
-	// slice-boundary event instead of its completion event: sliceFull
-	// remembers where the segment would really end, and the event loop
-	// either extends the slice or suspends the gang at the boundary.
+	// Time-slicing (see Config.Quantum). A resident gang whose remaining
+	// segment outlives the quantum carries a slice-boundary event instead
+	// of its completion event: sliceFull remembers where the segment
+	// would really end, and the event loop either extends the slice or
+	// suspends the gang at the boundary.
 	sliceFull time.Duration // true end of the current segment if never sliced
 	rrStamp   time.Duration // last slice-suspension instant (round-robin key)
 	qpos      int           // index in the pending queue's slice (-1 when absent)

@@ -19,6 +19,12 @@ func newTestCluster(n int) *Cluster {
 // checkNoOverlap reconstructs per-node occupancy from completed jobs'
 // run segments (preempted jobs hold several gangs over disjoint
 // intervals) and fails on any instant where two gangs share a node.
+// occupy commits the named window [first, first+k) on c: how a test
+// lays out an occupancy without going through the placement ranking.
+func occupy(c *Cluster, first, k int) Allocation {
+	return c.commit(candidate{single: NodeRange{First: first, Count: k}, crosses: c.windowCrossesTrunk(first, k)})
+}
+
 func checkNoOverlap(t *testing.T, jobs []*Job, nodes int) {
 	t.Helper()
 	type span struct{ start, end time.Duration }
@@ -211,9 +217,9 @@ func TestContiguousAllocationAndTrunk(t *testing.T) {
 		t.Fatalf("interconnect groups %d/%d, want 0/1 around the 24-port boundary",
 			c.Spec(0).Group, c.Spec(31).Group)
 	}
-	a, ok := c.Alloc(20)
-	if !ok || !a.Contiguous() || a.Ranges[0] != (NodeRange{First: 0, Count: 20}) || a.Count != 20 {
-		t.Fatalf("first allocation %+v, ok=%v", a, ok)
+	a := occupy(c, 0, 20)
+	if !a.Contiguous() || a.Ranges[0] != (NodeRange{First: 0, Count: 20}) || a.Count != 20 {
+		t.Fatalf("first allocation %+v", a)
 	}
 	if a.Grid != sched.Arrange3D(20) || a.Grid.Size() != 20 {
 		t.Fatalf("gang grid %v does not map 20 nodes", a.Grid)
@@ -221,19 +227,15 @@ func TestContiguousAllocationAndTrunk(t *testing.T) {
 	if a.CrossesTrunk {
 		t.Error("nodes [0,20) flagged as crossing the 24-port trunk")
 	}
-	b, ok := c.Alloc(10)
-	if !ok || b.Ranges[0].First != 20 {
-		t.Fatalf("second allocation %+v, ok=%v", b, ok)
-	}
-	if !b.CrossesTrunk {
+	if b := occupy(c, 20, 10); !b.CrossesTrunk {
 		t.Error("nodes [20,30) not flagged as crossing the trunk")
 	}
-	if _, ok := c.Alloc(4); ok {
-		t.Error("allocated 4 contiguous nodes with only 2 free")
+	if cands := c.candidates(4, 0); len(cands) != 0 {
+		t.Errorf("offered %v for 4 nodes with only 2 free", cands)
 	}
 	c.Release(a, time.Second)
-	if got, ok := c.Alloc(4); !ok || got.Ranges[0].First != 0 {
-		t.Fatalf("after release, allocation %+v, ok=%v", got, ok)
+	if cands := c.candidates(4, 0); len(cands) == 0 || cands[0].single.First != 0 {
+		t.Fatalf("after release, candidates %+v, want the window at 0 first", cands)
 	}
 }
 

@@ -1,7 +1,6 @@
 package batch
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"time"
@@ -69,13 +68,7 @@ func (s *Scheduler) Cancel(id int) error {
 // work is banked, an interrupted restore prefix is refunded exactly as
 // a preemption would (bankProgress), and the nodes free immediately.
 func (s *Scheduler) cancelRunning(j *Job) {
-	for i, r := range s.running {
-		if r == j {
-			heap.Remove(&s.running, i)
-			s.ends.del(j.End, j.ID)
-			break
-		}
-	}
+	s.running.del(j.End, j.ID)
 	s.bankProgress(j)
 	held := s.now - j.segStart
 	j.History = append(j.History, Segment{Alloc: j.Alloc, Start: j.segStart, End: s.now, Preempted: true})
@@ -120,13 +113,12 @@ func (s *Scheduler) finishCanceled(j *Job) {
 	}
 	j.End = s.now
 	j.State = Canceled
-	s.canceled++
 	if s.rec != nil {
 		s.record(Event{Time: s.now, Kind: EvComplete, Job: j.ID, From: j.arrive, To: s.now, Detail: "canceled"})
 	}
 	if s.met != nil {
 		s.met.canceled.Inc()
-		s.met.queueDepth.Set(float64(s.pending.len()))
+		s.met.publish(s)
 	}
 	s.finished = append(s.finished, j)
 }

@@ -254,21 +254,21 @@ func TestCancelPropertySweep(t *testing.T) {
 				}
 				return nil
 			}
-			firstRunning := func() *Job {
-				for _, j := range s.running {
-					if !j.preempting {
-						return j
+			firstRunning := func() (first *Job) {
+				s.running.each(func(j *Job) {
+					if first == nil && !j.preempting {
+						first = j
 					}
-				}
-				return nil
+				})
+				return first
 			}
-			firstDraining := func() *Job {
-				for _, j := range s.running {
-					if j.preempting && !j.canceled {
-						return j
+			firstDraining := func() (first *Job) {
+				s.running.each(func(j *Job) {
+					if first == nil && j.preempting && !j.canceled {
+						first = j
 					}
-				}
-				return nil
+				})
+				return first
 			}
 			for n := 0; s.Step(); n++ {
 				switch n {

@@ -303,18 +303,6 @@ func (c *Cluster) rangesCrossTrunk(rs []NodeRange) bool {
 	return rs[0].First < nb && last.First+last.Count > nb
 }
 
-// Alloc gang-allocates the first contiguous free range of k nodes,
-// mapped through sched.Arrange3D — the legacy first-fit path. It
-// reports false when no such range exists. The scheduler goes through
-// the placement engine (candidates/commit) instead.
-func (c *Cluster) Alloc(k int) (Allocation, bool) {
-	cands := c.candidates(k, 0, PlaceFirstFit)
-	if len(cands) == 0 {
-		return Allocation{}, false
-	}
-	return c.commit(cands[0]), true
-}
-
 // commit marks a candidate's nodes used and builds its Allocation. The
 // candidate's ranges (or its inline single window) are copied into the
 // Allocation, never aliased — candidates reuse the cluster's scratch

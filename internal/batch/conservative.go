@@ -12,12 +12,9 @@ import (
 // out of order only when its reserved slot begins now, so no earlier
 // job's reservation is ever pushed back by a backfill.
 //
-// The profile tracks node *counts*, not identities. Under the
-// topology-aware placement engine that is exact — any k free eligible
-// nodes can be assembled into a gang — so reservations are honored by
-// construction. Under first-fit, contiguity can delay a count-feasible
-// start; the job is then re-planned at the next event (a best-effort
-// reservation, which the README documents).
+// The profile tracks node *counts*, not identities. That is exact: the
+// placement engine assembles any k free eligible nodes into a gang, so
+// reservations are honored by construction.
 //
 // Reservations are re-planned on every scheduling event. When reserved
 // durations equal realized ones (runtimes match estimates, no
@@ -30,9 +27,9 @@ import (
 //
 // Under time-slicing (Config.Quantum) the profile sees a running gang's
 // next yield point — its quantum boundary or drain end — rather than
-// its completion, so reservations are best-effort in the same sense as
-// under first-fit: a suspended gang re-enters the queue with its full
-// remaining estimate and is re-planned like any other pending job.
+// its completion, so reservations are best-effort: a suspended gang
+// re-enters the queue with its full remaining estimate and is
+// re-planned like any other pending job.
 
 // profile is a step function of planned busy-node counts: busy[i] holds
 // over [times[i], times[i+1]), and the last entry extends to infinity.
@@ -44,7 +41,7 @@ type profile struct {
 // buildProfile snapshots the current machine state into the scheduler's
 // one profile (its arrays are reused): busy nodes now, dropping as each
 // running job (or checkpoint drain) ends on schedule. The completion
-// events come from the end-time treap's in-order walk — already
+// events come from the running set's in-order walk — already
 // (End, ID)-sorted — so a pass no longer collects and sorts the running
 // set; equal instants merge additively exactly as the sorted event list
 // did.
@@ -52,14 +49,14 @@ func (s *Scheduler) buildProfile() *profile {
 	p := &s.prof
 	p.times = append(p.times[:0], s.now)
 	p.busy = append(p.busy[:0], s.cfg.Cluster.Size()-s.cfg.Cluster.FreeNodes())
-	s.ends.inorder(func(end time.Duration, count int) {
+	s.running.each(func(r *Job) {
 		last := len(p.times) - 1
-		if end == p.times[last] {
-			p.busy[last] -= count
+		if r.End == p.times[last] {
+			p.busy[last] -= r.Alloc.Count
 			return
 		}
-		p.times = append(p.times, end)
-		p.busy = append(p.busy, p.busy[last]-count)
+		p.times = append(p.times, r.End)
+		p.busy = append(p.busy, p.busy[last]-r.Alloc.Count)
 	})
 	return p
 }
@@ -155,7 +152,7 @@ func (s *Scheduler) conservativePass() bool {
 		}
 		// Eligible-node lower bound: free eligible >= eligible - busy,
 		// so capping busy at eligible-k guarantees a feasible gang
-		// under the topology engine even on heterogeneous memory. The
+		// even on heterogeneous memory. The
 		// count uses *available* memory (resident images pin their
 		// footprint; j's own image is its to spend), so a promised
 		// slot is not booked on RAM a suspended image occupies.

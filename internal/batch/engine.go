@@ -278,7 +278,7 @@ func (e *Engine) Snapshot() QueueStatus {
 	qs := QueueStatus{
 		Now:      s.now,
 		Queued:   s.pending.len(),
-		Running:  s.running.Len(),
+		Running:  s.running.len(),
 		Finished: len(s.finished),
 	}
 	for _, j := range s.pending.ordered(s.less) {
@@ -287,22 +287,14 @@ func (e *Engine) Snapshot() QueueStatus {
 		}
 		qs.Jobs = append(qs.Jobs, jobStatus(j))
 	}
-	running := make([]*Job, len(s.running))
-	copy(running, s.running)
-	for i := 1; i < len(running); i++ {
-		for k := i; k > 0 && (running[k].End < running[k-1].End ||
-			(running[k].End == running[k-1].End && running[k].ID < running[k-1].ID)); k-- {
-			running[k], running[k-1] = running[k-1], running[k]
-		}
-	}
-	for _, j := range running {
-		qs.Jobs = append(qs.Jobs, jobStatus(j))
-	}
+	s.running.each(func(j *Job) { qs.Jobs = append(qs.Jobs, jobStatus(j)) })
 	return qs
 }
 
 // Load returns one user's live footprint — queued-or-running job count
-// and committed node-seconds — for quota admission at ingest.
+// and committed node-seconds — for quota admission at ingest. The sum
+// runs over the pending slice, then the running set in completion
+// order: a float sum's order is part of the quota decision.
 func (e *Engine) Load(user string) UserLoad {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -320,9 +312,7 @@ func (e *Engine) Load(user string) UserLoad {
 			add(j)
 		}
 	}
-	for _, j := range e.s.running {
-		add(j)
-	}
+	e.s.running.each(add)
 	return l
 }
 

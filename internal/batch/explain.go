@@ -28,8 +28,7 @@ const (
 	// the head is blocked ahead of this job.
 	ReasonHeadOfLine
 	// ReasonNoPlacement: no candidate node set seats the gang — not
-	// enough free nodes, or free nodes the engine cannot assemble
-	// (first-fit contiguity).
+	// enough free nodes.
 	ReasonNoPlacement
 	// ReasonMemoryPinned: free nodes exist for the gang, but
 	// suspended-to-host images pin their memory below the job's
@@ -200,9 +199,9 @@ func (s *Scheduler) classifyStart(j *Job) BlockReason {
 	s.withOwnImageLifted(j, func() {
 		used := c.usedCopy()
 		switch {
-		case c.canPlace(used, j.Nodes, j.memNeed, s.cfg.Placement):
+		case c.canPlace(used, j.Nodes, j.memNeed):
 			reason = ReasonShadow
-		case c.placeableIgnoringMemory(used, j.Nodes, s.cfg.Placement):
+		case c.placeableIgnoringMemory(used, j.Nodes):
 			reason = ReasonMemoryPinned
 		case c.downCount > 0 || c.trunkDown:
 			// Would the gang seat if the faults lifted? Probe with downed
@@ -217,8 +216,8 @@ func (s *Scheduler) classifyStart(j *Job) BlockReason {
 					used[i] = false
 				}
 			}
-			if c.canPlace(used, j.Nodes, j.memNeed, s.cfg.Placement) ||
-				c.placeableIgnoringMemory(used, j.Nodes, s.cfg.Placement) {
+			if c.canPlace(used, j.Nodes, j.memNeed) ||
+				c.placeableIgnoringMemory(used, j.Nodes) {
 				reason = ReasonFault
 			}
 		}

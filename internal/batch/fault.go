@@ -2,7 +2,6 @@ package batch
 
 import (
 	"bufio"
-	"container/heap"
 	"fmt"
 	"io"
 	"math/rand"
@@ -313,11 +312,14 @@ func (s *Scheduler) applyNodeDown(ev faultEvent) {
 	// Kill the resident gang first: its release frees every node it
 	// holds, including this one, so the down marking below finds the
 	// node unallocated.
-	for _, r := range s.running {
+	var resident *Job
+	s.running.each(func(r *Job) {
 		if allocCovers(r.Alloc, node) {
-			s.failGang(r)
-			break
+			resident = r
 		}
+	})
+	if resident != nil {
+		s.failGang(resident)
 	}
 	// Host images on the dead node: the RAM copy is gone. The owner
 	// keeps its banked progress (durable boundary) but its next
@@ -351,14 +353,10 @@ func (s *Scheduler) applyNodeDown(ev faultEvent) {
 	c.nodeDown(node)
 	s.downSince[node] = s.now
 	s.downUntil[node] = ev.until
-	s.nodeFaults++
+	s.ctr.NodeFaults++
 	// Capacity shrank: EASY/conservative promises computed against the
 	// pre-fault machine are no longer bounds anyone can honor.
 	s.voidPromises()
-	if s.met != nil {
-		s.met.nodeFaults.Inc()
-		s.met.nodesDown.Set(float64(c.downCount))
-	}
 }
 
 // applyNodeUp returns a repaired node to service.
@@ -374,9 +372,6 @@ func (s *Scheduler) applyNodeUp(ev faultEvent) {
 	s.downUntil[node] = 0
 	if s.rec != nil {
 		s.record(Event{Time: s.now, Kind: EvNodeUp, Alloc: faultAlloc(node)})
-	}
-	if s.met != nil {
-		s.met.nodesDown.Set(float64(c.downCount))
 	}
 }
 
@@ -394,22 +389,19 @@ func (s *Scheduler) applyTrunkDown(ev faultEvent) {
 		s.record(Event{Time: s.now, Kind: EvTrunkDown, From: s.now, To: ev.until, Alloc: faultAlloc(-1)})
 	}
 	var victims []*Job
-	for _, r := range s.running {
+	s.running.each(func(r *Job) {
 		if r.Alloc.CrossesTrunk {
 			victims = append(victims, r)
 		}
-	}
+	})
 	sort.Slice(victims, func(i, j int) bool { return victims[i].ID < victims[j].ID })
 	for _, v := range victims {
 		s.failGang(v)
 	}
 	c.trunkDown = true
 	s.trunkBack = ev.until
-	s.trunkFaults++
+	s.ctr.TrunkOutages++
 	s.voidPromises()
-	if s.met != nil {
-		s.met.trunkOutages.Inc()
-	}
 }
 
 // applyTrunkUp ends the active trunk outage.
@@ -433,13 +425,7 @@ func (s *Scheduler) applyTrunkUp(ev faultEvent) {
 // unelapsed drain charge is refunded instead, so busy time stays
 // exactly work + overhead + lost work either way.
 func (s *Scheduler) failGang(j *Job) {
-	for i, r := range s.running {
-		if r == j {
-			heap.Remove(&s.running, i)
-			s.ends.del(j.End, j.ID)
-			break
-		}
-	}
+	s.running.del(j.End, j.ID)
 	if j.preempting || j.banking {
 		// Mid-drain: progress is already banked and the image write is
 		// durable; refund the part of the drain charge that never
@@ -473,12 +459,9 @@ func (s *Scheduler) failGang(j *Job) {
 		s.record(Event{Time: s.now, Kind: EvSegmentEnd, Job: j.ID, From: j.segStart, To: s.now, Alloc: j.Alloc, Detail: "fault"})
 	}
 	j.faults++
-	s.faultKills++
+	s.ctr.FaultKills++
 	j.sliceEnd, j.sliceFull, j.slicing = false, 0, false
 	j.ckptDue, j.forceStore, j.ckptSlice = false, false, 0
-	if s.met != nil {
-		s.met.faultKills.Inc()
-	}
 	if j.canceled {
 		// A deferred Cancel was waiting on the drain the fault ended.
 		j.restoreCost = 0
@@ -496,9 +479,6 @@ func (s *Scheduler) failGang(j *Job) {
 	s.pending.push(j)
 	if s.rec != nil {
 		s.record(Event{Time: s.now, Kind: EvRequeue, Job: j.ID, Detail: "fault"})
-	}
-	if s.met != nil {
-		s.met.queueDepth.Set(float64(s.pending.len()))
 	}
 }
 
@@ -559,7 +539,7 @@ func (s *Scheduler) armProactive(j *Job) {
 // RAM dies with the node — while holding its seat. The drain charge
 // (write-link queue wait plus transfer) is checkpoint overhead exactly
 // like a preemption drain's. advance has already popped j off the
-// running structures.
+// running set.
 func (s *Scheduler) ckptBoundary(j *Job) {
 	j.ckptDue = false
 	s.bankProgress(j)
@@ -568,7 +548,7 @@ func (s *Scheduler) ckptBoundary(j *Job) {
 		cost = 0
 	}
 	start := s.link.reserveWrite(s.now, cost)
-	s.drainWait += start - s.now
+	s.ctr.DrainWait += start - s.now
 	if s.met != nil {
 		s.met.drainWait.Observe((start - s.now).Seconds())
 	}
@@ -579,7 +559,7 @@ func (s *Scheduler) ckptBoundary(j *Job) {
 		s.record(Event{Time: s.now, Kind: EvDrainBegin, Job: j.ID, From: s.now, To: j.End, Alloc: j.Alloc, Detail: "bank"})
 		s.record(Event{Time: s.now, Kind: EvStoreWrite, Job: j.ID, From: start, To: j.End, Detail: "bank"})
 	}
-	s.runningPush(j)
+	s.running.add(j)
 }
 
 // bankSettle lands a proactive checkpoint: the segment closes at the
@@ -587,7 +567,7 @@ func (s *Scheduler) ckptBoundary(j *Job) {
 // restarts from), busy time is credited without freeing the gang, and
 // the next segment opens in place at the current instant with no
 // restore prefix — the state never left the device. advance has already
-// popped j off the running structures.
+// popped j off the running set.
 func (s *Scheduler) bankSettle(j *Job) {
 	j.banking = false
 	held := s.now - j.segStart
@@ -606,10 +586,7 @@ func (s *Scheduler) bankSettle(j *Job) {
 	}
 	s.cfg.Cluster.creditBusy(j.Alloc, held)
 	j.banks++
-	s.banks++
-	if s.met != nil {
-		s.met.banks.Inc()
-	}
+	s.ctr.Banks++
 	if ck, ok := s.cfg.Execute.(Checkpointer); ok {
 		frac := 1 - float64(j.workLeft)/float64(j.workTotal)
 		done := int(frac * float64(j.steps))
@@ -652,5 +629,5 @@ func (s *Scheduler) bankSettle(j *Job) {
 		j.sliceEnd = true
 	}
 	s.armProactive(j)
-	s.runningPush(j)
+	s.running.add(j)
 }

@@ -288,11 +288,10 @@ func TestTrunkOutageKillsCrossingGangs(t *testing.T) {
 	plan := &FaultPlan{Trunks: []TrunkFault{{At: 30 * time.Second, Duration: 10 * time.Second}}}
 	rec := &MemRecorder{}
 	s := New(Config{
-		Cluster:   newTestCluster(32),
-		Policy:    FIFO,
-		Placement: PlaceFirstFit,
-		Faults:    plan,
-		Recorder:  rec,
+		Cluster:  newTestCluster(32),
+		Policy:   FIFO,
+		Faults:   plan,
+		Recorder: rec,
 	})
 	local := &Job{Name: "local", Kind: KindCG, Nodes: 16, Est: 100 * time.Second}
 	cross := &Job{Name: "cross", Kind: KindCG, Nodes: 16, Est: 100 * time.Second}

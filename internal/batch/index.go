@@ -11,17 +11,17 @@ import (
 // scans over the whole machine or the whole queue, and all three fall
 // over at 10k nodes / 1M jobs:
 //
-//   - free-node enumeration: candidates()/firstFit walked every node
-//     per placement probe — freeIndex keeps the maximal free runs
+//   - free-node enumeration: candidates() walked every node per
+//     placement probe — freeIndex keeps the maximal free runs
 //     incrementally (split on commit, merge on release) plus a
 //     constrained-node set, so enumeration is O(free runs), the
 //     fragment count is O(1), and the memory-admission count is a
 //     binary search;
 //   - the EASY/conservative shadow: shadowStart replayed every running
 //     job against a bitmap copy per blocked pass — endTreap keeps the
-//     running completion events in an order-statistic tree, so the
-//     count-based shadow is one O(log running) prefix-sum descent and
-//     the conservative profile is one in-order walk instead of a
+//     running set in an order-statistic tree keyed by completion event,
+//     so the count-based shadow is one O(log running) prefix-sum descent
+//     and the conservative profile is one in-order walk instead of a
 //     per-pass sort;
 //   - the next-arrival search: nextEvent scanned every pending job —
 //     calendarQueue radix-buckets future arrivals by coarse virtual
@@ -251,40 +251,37 @@ func (x *freeIndex) verify(used []bool) {
 	}
 }
 
-// endTreap is an order-statistic treap over running-job completion
-// events, keyed by (End, ID) with per-subtree node-count sums: the
-// persistent event-sorted capacity profile. coverTime answers the
+// endTreap is the running set: an order-statistic treap over the
+// running jobs, keyed by completion event (End, ID) with per-subtree
+// node-count sums — the loop's event queue (min, popMin) and the
+// event-sorted capacity profile in one structure. coverTime answers the
 // incremental EASY shadow ("earliest completion instant by which at
-// least deficit nodes have freed") in O(log running); inorder walks
-// the events ascending for the conservative profile without the
-// per-pass sort buildProfile used to pay. Entries are added at
-// dispatch, removed at completion/drain pop, and re-keyed when a
-// checkpoint drain rewrites a victim's completion event.
+// least deficit nodes have freed") in O(log running); each walks the
+// jobs ascending for the conservative profile, the shadow replay and
+// every listing. Entries are added at dispatch, removed when their
+// event fires or a cancel or fault cuts the gang off, and re-keyed (del,
+// then add) when a checkpoint drain rewrites a completion event.
 type endTreap struct {
 	nodes []endNode
 	free  []int32
 	root  int32
 }
 
+// endNode keeps its own copy of the key: a re-key deletes under the End
+// the entry was added with, whatever job.End has become since.
 type endNode struct {
 	end   time.Duration
 	id    int
 	count int
 	sum   int // subtree total of count
 	prio  uint64
+	job   *Job
 	l, r  int32
 }
 
 func (t *endTreap) init() { t.root = -1 }
 
-func (t *endTreap) len() int {
-	if t.root < 0 {
-		return 0
-	}
-	// Number of events is not tracked separately; callers only need the
-	// sum and capacity hints, both O(1) from the root.
-	return len(t.nodes) - len(t.free)
-}
+func (t *endTreap) len() int { return len(t.nodes) - len(t.free) }
 
 // treapPrio derives a deterministic heap priority from the entry key —
 // replays insert the same keys in the same order, so the tree shape
@@ -336,8 +333,9 @@ func (t *endTreap) rotLeft(h int32) int32 {
 	return r
 }
 
-// add inserts one completion event freeing count nodes at end.
-func (t *endTreap) add(end time.Duration, id, count int) {
+// add inserts running job j under its current completion event
+// (j.End, j.ID), freeing j.Alloc.Count nodes when it fires.
+func (t *endTreap) add(j *Job) {
 	var idx int32
 	if n := len(t.free); n > 0 {
 		idx = t.free[n-1]
@@ -346,7 +344,8 @@ func (t *endTreap) add(end time.Duration, id, count int) {
 		t.nodes = append(t.nodes, endNode{})
 		idx = int32(len(t.nodes) - 1)
 	}
-	t.nodes[idx] = endNode{end: end, id: id, count: count, sum: count, prio: treapPrio(end, id), l: -1, r: -1}
+	n := j.Alloc.Count
+	t.nodes[idx] = endNode{end: j.End, id: j.ID, count: n, sum: n, prio: treapPrio(j.End, j.ID), job: j, l: -1, r: -1}
 	t.root = t.insert(t.root, idx)
 }
 
@@ -405,6 +404,7 @@ func (t *endTreap) sink(h int32) int32 {
 	n := &t.nodes[h]
 	switch {
 	case n.l < 0 && n.r < 0:
+		n.job = nil // a free slot must not keep a finished job alive
 		t.free = append(t.free, h)
 		return -1
 	case n.l < 0 || (n.r >= 0 && t.nodes[n.r].prio < t.nodes[n.l].prio):
@@ -440,19 +440,39 @@ func (t *endTreap) coverTime(deficit int) (time.Duration, bool) {
 	return 0, false
 }
 
-// inorder visits every event ascending by (end, id).
-func (t *endTreap) inorder(fn func(end time.Duration, count int)) {
-	var walk func(h int32)
-	walk = func(h int32) {
-		if h < 0 {
-			return
-		}
-		n := t.nodes[h]
-		walk(n.l)
-		fn(n.end, n.count)
-		walk(n.r)
+// min returns the job whose completion event is earliest, nil when
+// nothing runs.
+func (t *endTreap) min() *Job {
+	h := t.root
+	if h < 0 {
+		return nil
 	}
-	walk(t.root)
+	for t.nodes[h].l >= 0 {
+		h = t.nodes[h].l
+	}
+	return t.nodes[h].job
+}
+
+// popMin removes and returns the job whose completion event is
+// earliest, nil when nothing runs.
+func (t *endTreap) popMin() *Job {
+	j := t.min()
+	if j != nil {
+		t.del(j.End, j.ID)
+	}
+	return j
+}
+
+// each visits every running job ascending by (End, ID). fn must not
+// add to or delete from the treap.
+func (t *endTreap) each(fn func(j *Job)) { t.walk(t.root, fn) }
+
+func (t *endTreap) walk(h int32, fn func(j *Job)) {
+	for h >= 0 {
+		t.walk(t.nodes[h].l, fn)
+		fn(t.nodes[h].job)
+		h = t.nodes[h].r
+	}
 }
 
 // calendarQueue is a radix-bucketed event queue over future virtual

@@ -72,12 +72,6 @@ func checkIndexAgainstScan(t *testing.T, c *Cluster, needs []int64) {
 		if got, want := c.NodesWithAvail(need), refNodesWithAvail(c, need); got != want {
 			t.Fatalf("need %d: NodesWithAvail %d, brute force %d", need, got, want)
 		}
-		for _, k := range []int{1, 2, 3, 7, 16, 40} {
-			runs := c.eligibleRuns(need)
-			if got, want := firstFitRuns(runs, k), c.firstFit(c.used, k, need); got != want {
-				t.Fatalf("need %d k %d: firstFitRuns %d, legacy firstFit %d (runs %v)", need, k, got, want, runs)
-			}
-		}
 	}
 }
 
@@ -85,8 +79,7 @@ func checkIndexAgainstScan(t *testing.T, c *Cluster, needs []int64) {
 // allocate/release/respec/reserve traffic and asserts after every
 // mutation that the incrementally maintained free-range index agrees
 // exactly with a fresh bitmap scan — run count, run boundaries,
-// eligible-run refinement, memory-admission counts, and first-fit
-// window choice.
+// eligible-run refinement, and memory-admission counts.
 func TestFreeIndexMatchesScan(t *testing.T) {
 	debugCheckIndex = true
 	defer func() { debugCheckIndex = false }()
@@ -114,11 +107,7 @@ func TestFreeIndexMatchesScan(t *testing.T) {
 		case r < 4: // allocate
 			k := 1 + rng.Intn(24)
 			need := needs[rng.Intn(len(needs))]
-			pol := PlaceFirstFit
-			if rng.Intn(2) == 0 {
-				pol = PlaceTopo
-			}
-			cands := c.candidates(k, need, pol)
+			cands := c.candidates(k, need)
 			if len(cands) > 0 {
 				live = append(live, c.commit(cands[rng.Intn(len(cands))]))
 			}
@@ -209,8 +198,8 @@ func TestIndexPropertyAcrossPolicies(t *testing.T) {
 					t.Fatalf("%s ended %v", j, j.State)
 				}
 			}
-			if n := s.ends.len(); n != 0 {
-				t.Fatalf("end-event treap holds %d events after drain; every dispatch must be popped", n)
+			if n := s.running.len(); n != 0 {
+				t.Fatalf("running set holds %d jobs after drain; every dispatch must be popped", n)
 			}
 		})
 	}
@@ -263,48 +252,52 @@ func TestCalendarMatchesLinearScan(t *testing.T) {
 	}
 }
 
-// TestEndTreapOrderStatistics drives the order-statistic treap through
-// random insert/delete traffic and checks coverTime and inorder against
-// a sorted-slice reference after every operation.
+// TestEndTreapOrderStatistics drives the running-set treap through
+// random add / keyed del / re-key / popMin traffic and checks min, each,
+// len and coverTime against a sorted-slice model after every operation.
+// Ends are drawn from 50 instants, so equal End broken by ID is the
+// common case, not the corner.
 func TestEndTreapOrderStatistics(t *testing.T) {
-	type ev struct {
-		end   time.Duration
-		id    int
-		count int
-	}
 	var tr endTreap
 	tr.init()
-	var ref []ev
+	var ref []*Job // the model: the same jobs, order irrelevant
 	rng := rand.New(rand.NewSource(7))
+	drop := func(i int) {
+		ref[i] = ref[len(ref)-1]
+		ref = ref[:len(ref)-1]
+	}
 
 	check := func() {
 		t.Helper()
-		sorted := append([]ev(nil), ref...)
+		sorted := append([]*Job(nil), ref...)
 		sort.Slice(sorted, func(i, k int) bool {
-			if sorted[i].end != sorted[k].end {
-				return sorted[i].end < sorted[k].end
+			if sorted[i].End != sorted[k].End {
+				return sorted[i].End < sorted[k].End
 			}
-			return sorted[i].id < sorted[k].id
+			return sorted[i].ID < sorted[k].ID
 		})
-		// inorder must visit exactly the reference ascending by (end, id).
+		// each must visit exactly the model's jobs ascending by (End, ID).
 		i := 0
-		tr.inorder(func(end time.Duration, count int) {
-			if i >= len(sorted) || end != sorted[i].end || count != sorted[i].count {
-				t.Fatalf("inorder entry %d: got (%v,%d), reference %+v", i, end, count, sorted)
+		tr.each(func(j *Job) {
+			if i >= len(sorted) || j != sorted[i] {
+				t.Fatalf("each entry %d: got job %d ending %v, model has %d jobs", i, j.ID, j.End, len(sorted))
 			}
 			i++
 		})
-		if i != len(sorted) {
-			t.Fatalf("inorder visited %d events, reference holds %d", i, len(sorted))
+		if i != len(sorted) || tr.len() != len(sorted) {
+			t.Fatalf("each visited %d jobs, len() %d, model holds %d", i, tr.len(), len(sorted))
 		}
-		if tr.len() != len(sorted) {
-			t.Fatalf("treap len %d, reference %d", tr.len(), len(sorted))
+		switch m := tr.min(); {
+		case len(sorted) == 0 && m != nil:
+			t.Fatalf("min of an empty treap = job %d", m.ID)
+		case len(sorted) > 0 && m != sorted[0]:
+			t.Fatalf("min = %v, model's earliest is job %d ending %v", m, sorted[0].ID, sorted[0].End)
 		}
-		// coverTime(d) must be the earliest instant where the running
-		// prefix sum of freed nodes reaches d.
+		// coverTime(d) must be the earliest instant where the prefix sum
+		// of the node counts each() yields, in its order, reaches d.
 		total := 0
-		for _, e := range sorted {
-			total += e.count
+		for _, j := range sorted {
+			total += j.Alloc.Count
 		}
 		for _, d := range []int{1, 2, 5, total, total + 1} {
 			if d <= 0 {
@@ -312,10 +305,10 @@ func TestEndTreapOrderStatistics(t *testing.T) {
 			}
 			wantAt, wantOK := time.Duration(0), false
 			sum := 0
-			for _, e := range sorted {
-				sum += e.count
+			for _, j := range sorted {
+				sum += j.Alloc.Count
 				if sum >= d {
-					wantAt, wantOK = e.end, true
+					wantAt, wantOK = j.End, true
 					break
 				}
 			}
@@ -327,23 +320,52 @@ func TestEndTreapOrderStatistics(t *testing.T) {
 	}
 
 	nextID := 0
-	for op := 0; op < 1500; op++ {
-		if len(ref) == 0 || rng.Intn(3) > 0 {
-			e := ev{end: time.Duration(rng.Intn(50)) * time.Second, id: nextID, count: 1 + rng.Intn(64)}
+	for op := 0; op < 3000; op++ {
+		switch r := rng.Intn(8); {
+		case len(ref) == 0 || r < 4: // dispatch
+			j := &Job{ID: nextID, End: time.Duration(rng.Intn(50)) * time.Second}
+			j.Alloc.Count = 1 + rng.Intn(64)
 			nextID++
-			tr.add(e.end, e.id, e.count)
-			ref = append(ref, e)
-		} else {
+			tr.add(j)
+			ref = append(ref, j)
+		case r < 5: // cancel or fault: keyed delete of any entry
 			i := rng.Intn(len(ref))
-			tr.del(ref[i].end, ref[i].id)
-			ref[i] = ref[len(ref)-1]
-			ref = ref[:len(ref)-1]
+			tr.del(ref[i].End, ref[i].ID)
+			drop(i)
+		case r < 6: // checkpoint drain: del under the old End, add under the new
+			j := ref[rng.Intn(len(ref))]
+			tr.del(j.End, j.ID)
+			j.End = time.Duration(rng.Intn(50)) * time.Second
+			tr.add(j)
+		default: // the event loop: pop the earliest
+			want := tr.min()
+			if got := tr.popMin(); got != want {
+				t.Fatalf("popMin returned %v, min was %v", got, want)
+			}
+			for i, j := range ref {
+				if j == want {
+					drop(i)
+					break
+				}
+			}
 		}
 		if op%10 == 0 {
 			check()
 		}
 	}
 	check()
+	for tr.popMin() != nil {
+	}
+	if tr.len() != 0 || tr.min() != nil {
+		t.Fatalf("drained treap: len %d, min %v", tr.len(), tr.min())
+	}
+	// A miss is a scheduler bug and must not pass silently.
+	defer func() {
+		if recover() == nil {
+			t.Fatal("del of an absent key did not panic")
+		}
+	}()
+	tr.del(time.Second, 1)
 }
 
 // TestBackfillDepth pins the depth limit's contract: a depth at least
@@ -447,7 +469,7 @@ func TestFairShareKeyOrder(t *testing.T) {
 // stable order and reindexes qpos.
 func TestQueueTombstones(t *testing.T) {
 	var q queue
-	mk := func(id int) *Job { return &Job{ID: id, qpos: -1} }
+	mk := func(id int) *Job { return &Job{ID: id, jobState: jobState{qpos: -1}} }
 	less := func(a, b *Job) bool { return a.ID < b.ID }
 	var ref []*Job
 	rng := rand.New(rand.NewSource(3))

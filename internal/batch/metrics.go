@@ -41,8 +41,8 @@ func (k MetricKind) String() string {
 	return fmt.Sprintf("kind(%d)", int(k))
 }
 
-// Labels attach dimensions to a metric series (policy, placement,
-// user). Series identity is the metric name plus the sorted label set.
+// Labels attach dimensions to a metric series (policy, user). Series
+// identity is the metric name plus the sorted label set.
 type Labels map[string]string
 
 // labelString renders labels as the canonical `k="v",...` signature,
@@ -85,9 +85,10 @@ type Counter struct {
 	bits atomic.Uint64
 }
 
-// Add increases the counter; negative deltas are ignored.
+// Add increases the counter; negative deltas are ignored (and a zero
+// one, the common case in schedMetrics.publish, costs no atomic).
 func (c *Counter) Add(v float64) {
-	if v < 0 {
+	if v <= 0 {
 		return
 	}
 	for {
@@ -347,11 +348,12 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 
 // schedMetrics caches the scheduler's typed metric handles, resolved
 // once at New so the event loop publishes through direct pointers, not
-// registry lookups. All series carry policy/placement labels; the
-// fair-share usage gauges add the user.
+// registry lookups. All series carry the policy label; the fair-share
+// usage gauges add the user.
 type schedMetrics struct {
 	reg  *Registry
 	base Labels
+	pub  Counters // the totals as last published (publish)
 
 	submitted  *Counter // batch_jobs_submitted_total
 	completed  *Counter // batch_jobs_completed_total
@@ -383,8 +385,8 @@ type schedMetrics struct {
 	userUsage map[string]*Gauge // batch_fairshare_usage_node_seconds
 }
 
-func newSchedMetrics(reg *Registry, pol Policy, plc Placement) *schedMetrics {
-	base := Labels{"policy": pol.String(), "placement": plc.String()}
+func newSchedMetrics(reg *Registry, pol Policy) *schedMetrics {
+	base := Labels{"policy": pol.String()}
 	m := &schedMetrics{
 		reg:          reg,
 		base:         base,
@@ -414,6 +416,28 @@ func newSchedMetrics(reg *Registry, pol Policy, plc Placement) *schedMetrics {
 		userUsage:    make(map[string]*Gauge),
 	}
 	return m
+}
+
+// publish refreshes the queue-depth and nodes-down gauges and raises
+// each series that mirrors a scheduler total — Counters is the one copy
+// — by what the total has grown since the last call (so a registry
+// shared by several schedulers sums them, as it does the counters
+// incremented in place). Called after every sweep, which follows every
+// fault and every event the loop handles, and at a cancellation.
+func (m *schedMetrics) publish(s *Scheduler) {
+	m.queueDepth.Set(float64(s.pending.len()))
+	m.nodesDown.Set(float64(s.cfg.Cluster.downCount))
+	c, p := s.ctr, m.pub
+	m.backfills.Add(float64(c.Backfilled - p.Backfilled))
+	m.preempts.Add(float64(c.PreemptEvents - p.PreemptEvents))
+	m.slices.Add(float64(c.SliceEvents - p.SliceEvents))
+	m.demotions.Add(float64(c.Demotions - p.Demotions))
+	m.faultKills.Add(float64(c.FaultKills - p.FaultKills))
+	m.nodeFaults.Add(float64(c.NodeFaults - p.NodeFaults))
+	m.trunkOutages.Add(float64(c.TrunkOutages - p.TrunkOutages))
+	m.lostWork.Add((c.LostWork - p.LostWork).Seconds())
+	m.banks.Add(float64(c.Banks - p.Banks))
+	m.pub = c
 }
 
 // usageGauge returns the per-user fair-share usage gauge, registering

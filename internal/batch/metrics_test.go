@@ -174,10 +174,9 @@ func TestSchedulerMetricsIntegration(t *testing.T) {
 	if v := get("batch_queue_depth").Value; v != 0 {
 		t.Fatalf("final queue depth gauge = %v, want 0", v)
 	}
-	// Every series carries the run's identity labels.
-	lbl := get("batch_jobs_submitted_total").Labels
-	if !strings.Contains(lbl, `policy="easy"`) || !strings.Contains(lbl, "placement=") {
-		t.Fatalf("identity labels missing: %s", lbl)
+	// Every series carries the run's identity label, and only that.
+	if lbl := get("batch_jobs_submitted_total").Labels; lbl != `policy="easy"` {
+		t.Fatalf("identity label = %s, want policy=\"easy\" alone", lbl)
 	}
 	// The usage gauges track granted node-time for every user regardless
 	// of policy; this run completes jobs, so some account must be set.

@@ -1,54 +1,22 @@
 package batch
 
 import (
-	"fmt"
 	"sort"
 
 	"gpucluster/internal/sched"
 )
 
-// Placement selects the gang-placement engine: how the scheduler picks
-// which nodes a job's gang lands on. The paper's Section 4.3 shows the
-// choice is not cosmetic — a gang whose ports straddle the stacking
-// trunk pays the trunk's bandwidth on every border exchange.
-type Placement int
-
-const (
-	// PlaceTopo is the topology-aware engine (the default): enumerate
-	// every candidate node set — all distinct contiguous windows, and
-	// non-contiguous assemblies from free fragments when no window is
-	// wide enough — score each by trunk crossing, fragmentation left
-	// behind, and alignment with the Arrange3D grid, and take the best
-	// admissible one.
-	PlaceTopo Placement = iota
-	// PlaceFirstFit is the legacy engine: the first contiguous free
-	// window, take it or leave it. Kept as a policy option so the
-	// trunk-rejection regression (a backfill candidate denied even
-	// though another window would have been admissible) stays
-	// demonstrable.
-	PlaceFirstFit
-)
-
-func (p Placement) String() string {
-	switch p {
-	case PlaceTopo:
-		return "topo"
-	case PlaceFirstFit:
-		return "first-fit"
-	}
-	return fmt.Sprintf("placement(%d)", int(p))
-}
-
-// ParsePlacement maps a CLI string to a Placement.
-func ParsePlacement(s string) (Placement, error) {
-	switch s {
-	case "topo":
-		return PlaceTopo, nil
-	case "first-fit":
-		return PlaceFirstFit, nil
-	}
-	return 0, fmt.Errorf("batch: unknown placement %q (want topo or first-fit)", s)
-}
+// Gang placement: how the scheduler picks which nodes a job's gang lands
+// on. The paper's Section 4.3 shows the choice is not cosmetic — a gang
+// whose ports straddle the stacking trunk pays the trunk's bandwidth on
+// every border exchange. The engine is topology-aware: enumerate every
+// candidate node set — all distinct contiguous windows, and
+// non-contiguous assemblies from free fragments when no window is wide
+// enough — score each by trunk crossing, fragmentation left behind, and
+// alignment with the Arrange3D grid, and take the best admissible one.
+// (It replaced a take-it-or-leave-it first contiguous window, which
+// denied a backfill candidate whose only offered window crossed the
+// trunk even though another would have been admissible.)
 
 // candidate is one potential gang placement, scored but not committed.
 // Contiguous windows — the overwhelmingly common case — are carried in
@@ -76,33 +44,17 @@ const (
 )
 
 // candidates returns placement candidates for a k-node gang whose every
-// node offers at least need bytes of memory, best score first. Under
-// PlaceFirstFit it returns at most one candidate — the first contiguous
-// eligible window — reproducing the legacy behavior exactly. Under
-// PlaceTopo it returns every distinct contiguous window worth
-// considering and, when no free run is wide enough, non-contiguous
-// assemblies built from the free fragments, so a caller with extra
-// constraints (the backfill shadow) can fall through to the next-best
-// placement instead of failing outright.
-func (c *Cluster) candidates(k int, need int64, pol Placement) []candidate {
+// node offers at least need bytes of memory, best score first: every
+// distinct contiguous window worth considering and, when no free run is
+// wide enough, non-contiguous assemblies built from the free fragments,
+// so a caller with extra constraints (the backfill shadow) can fall
+// through to the next-best placement instead of failing outright.
+func (c *Cluster) candidates(k int, need int64) []candidate {
 	if k <= 0 || k > len(c.nodes) {
 		return nil
 	}
 	runs := c.eligibleRuns(need)
 	cands := c.candBuf[:0]
-	if pol == PlaceFirstFit {
-		first := firstFitRuns(runs, k)
-		if first < 0 {
-			c.candBuf = cands
-			return nil
-		}
-		cands = append(cands, candidate{
-			single:  NodeRange{First: first, Count: k},
-			crosses: c.windowCrossesTrunk(first, k),
-		})
-		c.candBuf = cands
-		return cands
-	}
 	allCross := true
 	for _, r := range runs {
 		if r.Count < k {
@@ -141,30 +93,6 @@ func (c *Cluster) candidates(k int, need int64, pol Placement) []candidate {
 	return cands
 }
 
-// firstFit returns the start of the first eligible contiguous run of k
-// nodes in the given bitmap, or -1 — the legacy scan, now skipping
-// nodes short on memory (spec minus suspended-image reservations).
-// Shared by live allocation (the cluster's own bitmap) and the backfill
-// shadow simulation (a hypothetical one).
-func (c *Cluster) firstFit(used []bool, k int, need int64) int {
-	run := 0
-	bound := c.trunkBound()
-	for i := range c.nodes {
-		if i == bound {
-			run = 0 // severed trunk: a window may not span the boundary
-		}
-		if used[i] || c.avail(i) < need {
-			run = 0
-			continue
-		}
-		run++
-		if run == k {
-			return i - k + 1
-		}
-	}
-	return -1
-}
-
 // trunkBound returns the node index placements may not span while a
 // trunk outage holds, or len(nodes) (spanned by nothing) otherwise.
 func (c *Cluster) trunkBound() int {
@@ -174,20 +102,6 @@ func (c *Cluster) trunkBound() int {
 		}
 	}
 	return len(c.nodes)
-}
-
-// firstFitRuns returns the start of the first k-wide window over the
-// eligible runs, or -1 — the index-backed equivalent of the legacy
-// firstFit bitmap scan (a maximal eligible run holds a k-window exactly
-// when its length reaches k, and the leftmost such window starts at the
-// run's first node).
-func firstFitRuns(runs []NodeRange, k int) int {
-	for _, r := range runs {
-		if r.Count >= k {
-			return r.First
-		}
-	}
-	return -1
 }
 
 // eligibleRuns returns the maximal runs of free nodes with at least
@@ -479,15 +393,11 @@ func brokenRows(rs []NodeRange, px int) int {
 }
 
 // canPlace reports whether a k-node gang with the given memory need
-// could be placed on the free nodes of the used bitmap under the
-// placement policy — the feasibility test the backfill shadow
-// simulation runs against hypothetical future states. First-fit needs a
-// contiguous eligible window; the topology engine only needs enough
-// eligible nodes (pack-left assembly always succeeds).
-func (c *Cluster) canPlace(used []bool, k int, need int64, pol Placement) bool {
-	if pol == PlaceFirstFit {
-		return c.firstFit(used, k, need) >= 0
-	}
+// could be placed on the free nodes of the used bitmap — the
+// feasibility test the backfill shadow simulation runs against
+// hypothetical future states. Enough eligible nodes is enough
+// (pack-left assembly always succeeds).
+func (c *Cluster) canPlace(used []bool, k int, need int64) bool {
 	free := 0
 	bound := c.trunkBound()
 	for i := range c.nodes {
@@ -509,6 +419,6 @@ func (c *Cluster) canPlace(used []bool, k int, need int64, pol Placement) bool {
 // exist, but suspended images pin their memory" — the distinction the
 // decision-explanation layer records (ReasonNoPlacement vs
 // ReasonMemoryPinned in explain.go).
-func (c *Cluster) placeableIgnoringMemory(used []bool, k int, pol Placement) bool {
-	return c.canPlace(used, k, 0, pol)
+func (c *Cluster) placeableIgnoringMemory(used []bool, k int) bool {
+	return c.canPlace(used, k, 0)
 }

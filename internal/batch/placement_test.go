@@ -2,8 +2,10 @@ package batch
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 	"time"
+	"unsafe"
 
 	"gpucluster/internal/netsim"
 )
@@ -15,21 +17,17 @@ type execFunc func(*Job, Allocation) (string, error)
 
 func (f execFunc) Execute(j *Job, a Allocation) (string, error) { return f(j, a) }
 
-// trunkRejectionJobs builds the layout that exposes the first-fit
-// backfill bug on the 32-node, 24-port machine. At t=50s the free
-// windows are [21,25) — straddling the trunk — and [26,30), clean. The
-// head H (10 nodes, shadow 120s from A's completion) blocks; candidate
-// X (4 nodes, 60s estimate, stretched to 120s by TrunkSlowdown 2 on a
-// crossing window) is denied by first-fit, which only ever offers the
-// crossing window, but admitted by the topology engine on [26,30).
+// trunkRejectionJobs builds the mix, for the 32-node, 24-port machine,
+// that a first-window engine got wrong (PR 2): it laid B on [21,25),
+// across the trunk, so the window that freed for the backfill candidate
+// (4 nodes, 60s, doubled to 120s by TrunkSlowdown 2 on a crossing
+// window) overran the head's shadow and the candidate was refused
+// although [26,30) stood free. The head (10 nodes) waits for A, to 120s.
 func trunkRejectionJobs() (jobs []*Job, head, cand *Job) {
 	head = &Job{Name: "head", Kind: KindLBM, Nodes: 10, Est: 100 * time.Second, Priority: 4}
 	cand = &Job{Name: "cand", Kind: KindCG, Nodes: 4, Est: 60 * time.Second, Priority: 1}
 	jobs = []*Job{
 		{Name: "A", Kind: KindLBM, Nodes: 21, Est: 120 * time.Second, Priority: 9},
-		// B's estimate is short enough that even trunk-stretched (x2 on
-		// the crossing window first-fit hands it) it frees [21,25) by
-		// t=50s, aligned with D.
 		{Name: "B", Kind: KindLBM, Nodes: 4, Est: 25 * time.Second, Priority: 8},
 		{Name: "C", Kind: KindLBM, Nodes: 1, Est: 300 * time.Second, Priority: 7},
 		{Name: "D", Kind: KindLBM, Nodes: 4, Est: 50 * time.Second, Priority: 6},
@@ -39,130 +37,95 @@ func trunkRejectionJobs() (jobs []*Job, head, cand *Job) {
 	return jobs, head, cand
 }
 
-// TestFirstFitTrunkRejectionRegression reproduces the bug this PR
-// fixes: under first-fit the backfill candidate is rejected outright
-// because the single offered window crosses the trunk and its stretched
-// runtime breaches the EASY shadow — even though another free window
-// would have started it. The topology engine admits it on the clean
-// window, without delaying the reserved head.
-func TestFirstFitTrunkRejectionRegression(t *testing.T) {
-	run := func(pl Placement) (Report, *Job, *Job) {
+// TestBackfillTakesNonCrossingWindow pins what the topology engine was
+// written for: the backfill candidate is admitted on a window that does
+// not cross the trunk, before the head's 120 s reservation, and the
+// reserved head still starts exactly at its shadow.
+func TestBackfillTakesNonCrossingWindow(t *testing.T) {
+	s := New(Config{Cluster: newTestCluster(32), Policy: Backfill, TrunkSlowdown: 2})
+	jobs, head, cand := trunkRejectionJobs()
+	submitAll(t, s, jobs)
+	rep := s.Run()
+	if !cand.Backfilled() {
+		t.Fatal("the candidate was not backfilled")
+	}
+	if cand.Start >= 120*time.Second {
+		t.Fatalf("candidate started at %v, want before the 120s reservation", cand.Start)
+	}
+	if cand.Alloc.CrossesTrunk {
+		t.Fatalf("candidate placed on the trunk-crossing window %v over a clean one", cand.Alloc)
+	}
+	if head.Start != 120*time.Second {
+		t.Fatalf("reserved head started at %v, want its 120s shadow", head.Start)
+	}
+	checkNoOverlap(t, rep.Jobs, 32)
+}
+
+// TestEASYInvariantProperty asserts, over random mixes, that no
+// backfilled gang's scheduler-known (trunk-stretched) end ever exceeds
+// the blocked head's shadow reservation recorded when the backfill was
+// granted.
+func TestEASYInvariantProperty(t *testing.T) {
+	for seed := int64(1); seed <= 6; seed++ {
 		s := New(Config{
 			Cluster:       newTestCluster(32),
 			Policy:        Backfill,
-			Placement:     pl,
-			TrunkSlowdown: 2,
+			TrunkSlowdown: 1.5,
 		})
-		jobs, head, cand := trunkRejectionJobs()
-		submitAll(t, s, jobs)
-		return s.Run(), head, cand
-	}
-
-	ffRep, ffHead, ffCand := run(PlaceFirstFit)
-	if ffCand.Backfilled() {
-		t.Fatalf("first-fit backfilled the candidate at %v; the regression setup is wrong", ffCand.Start)
-	}
-	if ffCand.Start != 120*time.Second {
-		t.Fatalf("first-fit candidate started at %v, want 120s (after the head's reservation)", ffCand.Start)
-	}
-
-	topoRep, topoHead, topoCand := run(PlaceTopo)
-	if !topoCand.Backfilled() {
-		t.Fatal("topology-aware placement did not backfill the candidate")
-	}
-	if topoCand.Start >= 120*time.Second {
-		t.Fatalf("topo candidate started at %v, want before the 120s reservation", topoCand.Start)
-	}
-	if topoCand.Alloc.CrossesTrunk {
-		t.Fatalf("topo picked a trunk-crossing window %v over the clean one", topoCand.Alloc)
-	}
-	// The EASY guarantee holds under both engines: the reserved head
-	// starts exactly at its shadow.
-	for _, h := range []*Job{ffHead, topoHead} {
-		if h.Start != 120*time.Second {
-			t.Fatalf("reserved head started at %v, want its 120s shadow", h.Start)
+		submitAll(t, s, SyntheticMix(seed, 300, 32))
+		rep := s.Run()
+		if len(rep.Jobs) != 300 {
+			t.Fatalf("seed %d: finished %d of 300", seed, len(rep.Jobs))
 		}
-	}
-	if topoRep.Makespan > ffRep.Makespan {
-		t.Errorf("topo makespan %v worse than first-fit %v", topoRep.Makespan, ffRep.Makespan)
-	}
-	checkNoOverlap(t, ffRep.Jobs, 32)
-	checkNoOverlap(t, topoRep.Jobs, 32)
-}
-
-// TestEASYInvariantProperty asserts, over random mixes under both
-// placement engines, that no backfilled gang's scheduler-known
-// (trunk-stretched) end ever exceeds the blocked head's shadow
-// reservation recorded when the backfill was granted.
-func TestEASYInvariantProperty(t *testing.T) {
-	for _, pl := range []Placement{PlaceFirstFit, PlaceTopo} {
-		for seed := int64(1); seed <= 6; seed++ {
-			s := New(Config{
-				Cluster:       newTestCluster(32),
-				Policy:        Backfill,
-				Placement:     pl,
-				TrunkSlowdown: 1.5,
-			})
-			submitAll(t, s, SyntheticMix(seed, 300, 32))
-			rep := s.Run()
-			if len(rep.Jobs) != 300 {
-				t.Fatalf("%v seed %d: finished %d of 300", pl, seed, len(rep.Jobs))
+		for _, j := range rep.Jobs {
+			if !j.Backfilled() {
+				continue
 			}
-			for _, j := range rep.Jobs {
-				if !j.Backfilled() {
-					continue
-				}
-				// With no Actual hook, End is the scheduler-known
-				// stretched completion fixed at start.
-				if j.End > j.shadow {
-					t.Fatalf("%v seed %d: backfilled %s ends %v past its shadow %v",
-						pl, seed, j, j.End, j.shadow)
-				}
+			// With no Actual hook, End is the scheduler-known
+			// stretched completion fixed at start.
+			if j.End > j.shadow {
+				t.Fatalf("seed %d: backfilled %s ends %v past its shadow %v",
+					seed, j, j.End, j.shadow)
 			}
-			checkNoOverlap(t, rep.Jobs, 32)
 		}
+		checkNoOverlap(t, rep.Jobs, 32)
 	}
 }
 
-// TestTopoPlacementNoWorseOnDefaultMix pins the acceptance bar on the
+// TestTopoPlacementOnDefaultMix pins the engine's figures on the
 // clusterctl default mix (32 nodes, 200 jobs, seed 42, trunk-slowdown
-// 1.1): the topology engine must not lose makespan or utilization to
-// first-fit under either policy.
-func TestTopoPlacementNoWorseOnDefaultMix(t *testing.T) {
-	for _, pol := range []Policy{FIFO, Backfill} {
-		run := func(pl Placement) Report {
-			s := New(Config{
-				Cluster:       newTestCluster(32),
-				Policy:        pol,
-				Placement:     pl,
-				TrunkSlowdown: 1.1,
-			})
-			submitAll(t, s, SyntheticMix(42, 200, 32))
-			return s.Run()
-		}
-		ff, topo := run(PlaceFirstFit), run(PlaceTopo)
-		if topo.Makespan > ff.Makespan {
-			t.Errorf("%v: topo makespan %v worse than first-fit %v", pol, topo.Makespan, ff.Makespan)
-		}
-		if topo.Utilization < ff.Utilization {
-			t.Errorf("%v: topo utilization %.3f below first-fit %.3f", pol, topo.Utilization, ff.Utilization)
+// 1.1) under both of the one-shot study's default policies. They were
+// the acceptance bar the engine had to meet against first-window
+// placement; now they are what a change to scoring or enumeration must
+// explain.
+func TestTopoPlacementOnDefaultMix(t *testing.T) {
+	for _, want := range []struct {
+		pol         Policy
+		makespan    time.Duration
+		utilization float64
+	}{
+		{FIFO, 479540835501, 0.8287652710143572},
+		{Backfill, 432915090057, 0.9100366357193806},
+	} {
+		s := New(Config{Cluster: newTestCluster(32), Policy: want.pol, TrunkSlowdown: 1.1})
+		submitAll(t, s, SyntheticMix(42, 200, 32))
+		rep := s.Run()
+		if rep.Makespan != want.makespan || rep.Utilization != want.utilization {
+			t.Errorf("%v: makespan %d ns, utilization %v; pinned %d ns, %v",
+				want.pol, rep.Makespan, rep.Utilization, want.makespan, want.utilization)
 		}
 	}
 }
 
 // TestNonContiguousAssembly exercises the fragment-assembly path: when
-// no contiguous window exists, the topology engine splits the gang over
-// free fragments while first-fit keeps the job waiting.
+// no contiguous window exists, the engine splits the gang over free
+// fragments instead of keeping the job waiting for one.
 func TestNonContiguousAssembly(t *testing.T) {
 	// Cluster-level: fragment an 8-node machine into free [0,3) and
 	// [6,8) around a busy middle.
 	c := NewCluster(8, netsim.GigabitSwitch(8))
-	a, _ := c.Alloc(3) // [0,3)
-	if _, ok := c.Alloc(3); !ok {
-		t.Fatal("could not occupy the middle") // [3,6)
-	}
-	c.Release(a, 0)
-	cands := c.candidates(5, 0, PlaceTopo)
+	occupy(c, 3, 3)
+	cands := c.candidates(5, 0)
 	if len(cands) == 0 {
 		t.Fatal("no candidates for a split 5-node gang over fragments [3,6)+... ")
 	}
@@ -182,58 +145,50 @@ func TestNonContiguousAssembly(t *testing.T) {
 	c.Release(got, time.Second)
 
 	// Scheduler-level: the split gang starts as soon as enough
-	// fragments free up; first-fit waits for a contiguous window.
-	start := func(pl Placement) time.Duration {
-		s := New(Config{Cluster: NewCluster(8, netsim.GigabitSwitch(8)), Policy: FIFO, Placement: pl})
-		short := &Job{Name: "short", Kind: KindPDE, Nodes: 3, Est: 10 * time.Second, Priority: 9}
-		long := &Job{Name: "long", Kind: KindPDE, Nodes: 3, Est: 100 * time.Second, Priority: 8}
-		tail := &Job{Name: "tail", Kind: KindPDE, Nodes: 2, Est: 10 * time.Second, Priority: 7}
-		wide := &Job{Name: "wide", Kind: KindPDE, Nodes: 5, Est: 20 * time.Second, Priority: 0}
-		submitAll(t, s, []*Job{short, long, tail, wide})
-		rep := s.Run()
-		checkNoOverlap(t, rep.Jobs, 8)
-		return wide.Start
-	}
-	if got := start(PlaceTopo); got != 10*time.Second {
-		t.Fatalf("topo started the wide job at %v, want 10s on fragments", got)
-	}
-	if got := start(PlaceFirstFit); got != 100*time.Second {
-		t.Fatalf("first-fit started the wide job at %v, want 100s (contiguous window)", got)
+	// fragments free up (10s), not when a contiguous window does (100s).
+	s := New(Config{Cluster: NewCluster(8, netsim.GigabitSwitch(8)), Policy: FIFO})
+	short := &Job{Name: "short", Kind: KindPDE, Nodes: 3, Est: 10 * time.Second, Priority: 9}
+	long := &Job{Name: "long", Kind: KindPDE, Nodes: 3, Est: 100 * time.Second, Priority: 8}
+	tail := &Job{Name: "tail", Kind: KindPDE, Nodes: 2, Est: 10 * time.Second, Priority: 7}
+	wide := &Job{Name: "wide", Kind: KindPDE, Nodes: 5, Est: 20 * time.Second, Priority: 0}
+	submitAll(t, s, []*Job{short, long, tail, wide})
+	rep := s.Run()
+	checkNoOverlap(t, rep.Jobs, 8)
+	if wide.Start != 10*time.Second {
+		t.Fatalf("the wide job started at %v, want 10s on fragments", wide.Start)
 	}
 }
 
 // TestHeterogeneousMemoryPlacement pins the granted-nodes memory check:
-// a node with too little memory is skipped by placement (both engines)
-// instead of being blindly granted per the old Spec(0) shortcut.
+// a node with too little memory is skipped by placement instead of
+// being blindly granted per the old Spec(0) shortcut.
 func TestHeterogeneousMemoryPlacement(t *testing.T) {
-	for _, pl := range []Placement{PlaceTopo, PlaceFirstFit} {
-		c := NewCluster(4, netsim.GigabitSwitch(4))
-		small := c.Spec(1)
-		small.MemBytes = 512 << 10
-		c.SetSpec(1, small)
-		s := New(Config{Cluster: c, Policy: FIFO, Placement: pl})
-		// KindPDE needs cells*8 bytes: 64*64*32*8 = 1 MiB per node.
-		j := &Job{Name: "mem", Kind: KindPDE, Nodes: 2, Problem: [3]int{64, 64, 32}, Est: time.Second}
-		submitAll(t, s, []*Job{j})
-		rep := s.Run()
-		if len(rep.Jobs) != 1 || j.State != Done {
-			t.Fatalf("%v: job did not finish: %v", pl, j.State)
-		}
-		for _, n := range j.Alloc.Nodes() {
-			if n == 1 {
-				t.Fatalf("%v: placement granted node 1 (512 KiB) to a 1 MiB/node job: %v", pl, j.Alloc)
-			}
+	c := NewCluster(4, netsim.GigabitSwitch(4))
+	small := c.Spec(1)
+	small.MemBytes = 512 << 10
+	c.SetSpec(1, small)
+	s := New(Config{Cluster: c, Policy: FIFO})
+	// KindPDE needs cells*8 bytes: 64*64*32*8 = 1 MiB per node.
+	j := &Job{Name: "mem", Kind: KindPDE, Nodes: 2, Problem: [3]int{64, 64, 32}, Est: time.Second}
+	submitAll(t, s, []*Job{j})
+	rep := s.Run()
+	if len(rep.Jobs) != 1 || j.State != Done {
+		t.Fatalf("job did not finish: %v", j.State)
+	}
+	for _, n := range j.Alloc.Nodes() {
+		if n == 1 {
+			t.Fatalf("placement granted node 1 (512 KiB) to a 1 MiB/node job: %v", j.Alloc)
 		}
 	}
 	// Admission: a job needing more big-memory nodes than exist is
 	// rejected at submit.
-	c := NewCluster(4, netsim.GigabitSwitch(4))
+	c = NewCluster(4, netsim.GigabitSwitch(4))
 	for i := 1; i < 4; i++ {
 		small := c.Spec(i)
 		small.MemBytes = 512 << 10
 		c.SetSpec(i, small)
 	}
-	s := New(Config{Cluster: c, Policy: FIFO})
+	s = New(Config{Cluster: c, Policy: FIFO})
 	err := s.Submit(&Job{Name: "toobig", Kind: KindPDE, Nodes: 2, Problem: [3]int{64, 64, 32}})
 	if err == nil {
 		t.Fatal("submit accepted a 2-node job with only one sufficient node")
@@ -286,18 +241,6 @@ func TestMemoryNeedCeiling(t *testing.T) {
 	}
 }
 
-func TestParsePlacement(t *testing.T) {
-	for _, pl := range []Placement{PlaceTopo, PlaceFirstFit} {
-		got, err := ParsePlacement(pl.String())
-		if err != nil || got != pl {
-			t.Fatalf("round trip %v: got %v, err %v", pl, got, err)
-		}
-	}
-	if _, err := ParsePlacement("mystery"); err == nil {
-		t.Fatal("unknown placement accepted")
-	}
-}
-
 // TestAssemblyBeatsCrossingWindow pins the case where a contiguous
 // window exists but every one straddles the trunk: a non-crossing
 // assembly from small fragments must still be enumerated and win.
@@ -305,24 +248,11 @@ func TestAssemblyBeatsCrossingWindow(t *testing.T) {
 	// Free runs [0,3), [4,6), [22,27) on the 24-port machine: the only
 	// 5-wide window crosses the trunk; [0,3)+[4,6) does not.
 	c := NewCluster(32, netsim.GigabitSwitch(32))
-	occupy := func(k int) Allocation {
-		a, ok := c.Alloc(k)
-		if !ok {
-			t.Fatalf("setup alloc of %d failed", k)
-		}
-		return a
-	}
-	a0 := occupy(3) // [0,3)
-	occupy(1)       // [3,4)
-	a1 := occupy(2) // [4,6)
-	occupy(16)      // [6,22)
-	a2 := occupy(5) // [22,27)
-	occupy(5)       // [27,32)
-	c.Release(a0, 0)
-	c.Release(a1, 0)
-	c.Release(a2, 0)
+	occupy(c, 3, 1)
+	occupy(c, 6, 16)
+	occupy(c, 27, 5)
 
-	cands := c.candidates(5, 0, PlaceTopo)
+	cands := c.candidates(5, 0)
 	if len(cands) == 0 {
 		t.Fatal("no candidates")
 	}
@@ -354,6 +284,73 @@ func TestReplayResetsLifecycle(t *testing.T) {
 		t.Fatalf("replay inherited stale lifecycle: failed=%d state=%v err=%v detail=%q",
 			rep.Failed, j.State, j.Err, j.Detail)
 	}
+
+	// Every field, by reflection, so that one added later cannot be
+	// forgotten: a run that preempts, slices, suspends to host, loses
+	// gangs to faults and banks proactively leaves its jobs as dirty as
+	// jobs get; submitted to a fresh scheduler they must equal,
+	// field for field, never-run copies of the same specs submitted to
+	// another. The fresh schedulers run EASY where the first ran
+	// fair-share, so a surviving acct pointer shows too.
+	ck, rs := fixedCosts(200*time.Millisecond, 100*time.Millisecond)
+	hs, hr := fixedHostCosts(50*time.Millisecond, 25*time.Millisecond)
+	used := SyntheticStream(5, 120, 32, 5*time.Second)
+	fresh := SyntheticStream(5, 120, 32, 5*time.Second)
+	dirty := New(Config{
+		Cluster: newTestCluster(32), Policy: FairShare, TrunkSlowdown: 1.3,
+		Preempt: true, Quantum: 20 * time.Second, SuspendToHost: true,
+		CheckpointCost: ck, RestoreCost: rs, HostSuspendCost: hs, HostResumeCost: hr,
+		Faults:             GenFaultPlan(5, 32, 4*time.Hour, 10*time.Minute),
+		CheckpointInterval: 5 * time.Second,
+	})
+	submitAll(t, dirty, used)
+	if r := dirty.Run(); r.PreemptEvents == 0 || r.SliceEvents == 0 || r.HostSuspends == 0 ||
+		r.FaultKills == 0 || r.Banks == 0 || r.Backfilled == 0 {
+		t.Fatalf("the dirtying run left a mechanism unused: %+v", r.Counters)
+	}
+	submitAll(t, New(Config{Cluster: newTestCluster(32), Policy: Backfill}), used)
+	submitAll(t, New(Config{Cluster: newTestCluster(32), Policy: Backfill}), fresh)
+	for i := range used {
+		if diff := differingFields(reflect.ValueOf(used[i]).Elem(), reflect.ValueOf(fresh[i]).Elem()); len(diff) > 0 {
+			t.Fatalf("%s resubmitted after a run differs from a never-run copy in %v", used[i], diff)
+		}
+	}
+	if n := reflect.TypeOf(jobState{}).NumField(); n < 40 {
+		t.Fatalf("jobState has %d fields: the scheduler-owned state has moved out of the struct Submit resets", n)
+	}
+}
+
+// differingFields names the fields of two addressable struct values of
+// one type, embedded structs walked field by field, that are not deeply
+// equal.
+func differingFields(a, b reflect.Value) []string {
+	var out []string
+	for i := 0; i < a.NumField(); i++ {
+		fa, fb := a.Field(i), b.Field(i)
+		if f := a.Type().Field(i); f.Anonymous {
+			out = append(out, differingFields(fa, fb)...)
+		} else if !reflect.DeepEqual(exposed(fa), exposed(fb)) {
+			out = append(out, f.Name)
+		}
+	}
+	return out
+}
+
+// exposed reads an addressable field's value whether or not the field
+// is exported.
+func exposed(v reflect.Value) any {
+	return reflect.NewAt(v.Type(), unsafe.Pointer(v.UnsafeAddr())).Elem().Interface()
+}
+
+// TestJobSizePinned keeps Job at the size queue scans and the drain's
+// live heap were measured with: a scheduling sweep walks thousands of
+// pending jobs and is cache-bound on this struct, and batch-drain's
+// live_heap_mb has a 5% bound. Growing it is a decision to re-measure,
+// not a side effect.
+func TestJobSizePinned(t *testing.T) {
+	if size := unsafe.Sizeof(Job{}); size > 592 {
+		t.Fatalf("Job is %d bytes, pinned at <= 592", size)
+	}
 }
 
 // TestTopoAvoidsTrunkWindow checks the core scoring preference directly:
@@ -361,10 +358,8 @@ func TestReplayResetsLifecycle(t *testing.T) {
 // clean one even when the crossing one is leftmost.
 func TestTopoAvoidsTrunkWindow(t *testing.T) {
 	c := NewCluster(32, netsim.GigabitSwitch(32))
-	if _, ok := c.Alloc(22); !ok { // [0,22): leaves [22,32) free
-		t.Fatal("setup alloc failed")
-	}
-	cands := c.candidates(4, 0, PlaceTopo)
+	occupy(c, 0, 22) // leaves [22,32) free
+	cands := c.candidates(4, 0)
 	if len(cands) == 0 {
 		t.Fatal("no candidates")
 	}

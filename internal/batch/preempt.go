@@ -169,20 +169,17 @@ func (s *Scheduler) preemptFor(j *Job) preemptOutcome {
 	// drain skips the link entirely, so only its bus readback counts.
 	var cands []*Job
 	thrash, futile := 0, 0
-	for _, r := range s.running {
-		if r.preempting || r.banking || r.Priority >= j.Priority {
-			continue
-		}
-		if !s.less(j, r) {
+	s.running.each(func(r *Job) {
+		switch {
+		case r.preempting || r.banking || r.Priority >= j.Priority:
+		case !s.less(j, r):
 			thrash++
-			continue
-		}
-		if r.End-s.now <= s.drainEstimate(r) {
+		case r.End-s.now <= s.drainEstimate(r):
 			futile++
-			continue
+		default:
+			cands = append(cands, r)
 		}
-		cands = append(cands, r)
-	}
+	})
 	if len(cands) == 0 {
 		switch {
 		case futile > 0:
@@ -228,7 +225,7 @@ func (s *Scheduler) preemptFor(j *Job) preemptOutcome {
 				c.reserve(v.Alloc, v.memNeed)
 				trial = append(trial, v)
 			}
-			if c.canPlace(used, j.Nodes, j.memNeed, s.cfg.Placement) {
+			if c.canPlace(used, j.Nodes, j.memNeed) {
 				admitted = true
 				break
 			}
@@ -248,7 +245,7 @@ func (s *Scheduler) preemptFor(j *Job) preemptOutcome {
 				}
 				c.unreserve(v.Alloc, v.memNeed)
 				v.forceStore = true
-				if c.canPlace(used, j.Nodes, j.memNeed, s.cfg.Placement) {
+				if c.canPlace(used, j.Nodes, j.memNeed) {
 					admitted = true
 					break
 				}
@@ -263,7 +260,7 @@ func (s *Scheduler) preemptFor(j *Job) preemptOutcome {
 						continue
 					}
 					c.reserve(v.Alloc, v.memNeed)
-					if c.canPlace(used, j.Nodes, j.memNeed, s.cfg.Placement) {
+					if c.canPlace(used, j.Nodes, j.memNeed) {
 						v.forceStore = false
 					} else {
 						c.unreserve(v.Alloc, v.memNeed)
@@ -288,18 +285,16 @@ func (s *Scheduler) preemptFor(j *Job) preemptOutcome {
 	for _, v := range victims {
 		v.waveFor = j
 		s.beginCheckpoint(v)
-		s.fixRunning(v)
 	}
 	return preemptWave
 }
 
 // beginCheckpoint banks the victim's progress, schedules its drain —
 // on the write direction of the shared store link, or bus-only into
-// host RAM when the suspend-to-host tier applies — rewrites its
-// completion event to the drain end, and marks it preempting;
-// complete() re-enqueues it when the drain event fires. The caller
-// re-establishes heap order (fixRunning for a job still in the heap,
-// Push for one just popped).
+// host RAM when the suspend-to-host tier applies — re-keys its
+// completion event in the running set to the drain end, and marks it
+// preempting; complete() re-enqueues it when the drain event fires. v
+// must be in the running set (a job just popped is added back first).
 //
 // Store-drain pricing is bandwidth-contended: every checkpoint writes
 // its image over the same Gigabit link to the checkpoint store, so
@@ -327,43 +322,35 @@ func (s *Scheduler) beginCheckpoint(v *Job) {
 		}
 		start = s.now
 		v.hostDrain = true
-		s.hostSuspends++
+		s.ctr.HostSuspends++
 	} else {
 		cost = s.cfg.CheckpointCost(v)
 		if cost < 0 {
 			cost = 0
 		}
 		start = s.link.reserveWrite(s.now, cost)
-		s.drainWait += start - s.now
+		s.ctr.DrainWait += start - s.now
 		if s.met != nil {
 			s.met.drainWait.Observe((start - s.now).Seconds())
 		}
 	}
 	v.overhead += (start - s.now) + cost
 	v.preempting = true
-	// The drain rewrites the completion event: re-key the end-time
-	// treap in step (the caller re-establishes heap order).
-	s.ends.del(v.End, v.ID)
+	// The drain rewrites the completion event: re-key the running set.
+	s.running.del(v.End, v.ID)
 	v.End = start + cost
-	s.ends.add(v.End, v.ID, v.Alloc.Count)
+	s.running.add(v)
 	s.ckptInFlight++
 	if v.slicing {
-		s.sliceEvents++
+		s.ctr.SliceEvents++
 	} else {
-		s.preemptEvents++
+		s.ctr.PreemptEvents++
 	}
 	if s.rec != nil {
 		s.record(Event{Time: s.now, Kind: EvDrainBegin, Job: v.ID, From: s.now, To: start + cost,
 			Alloc: v.Alloc, Detail: drainDetail(hostTier, v.slicing)})
 		if !hostTier {
 			s.record(Event{Time: s.now, Kind: EvStoreWrite, Job: v.ID, From: start, To: start + cost, Detail: "drain"})
-		}
-	}
-	if s.met != nil {
-		if v.slicing {
-			s.met.slices.Inc()
-		} else {
-			s.met.preempts.Inc()
 		}
 	}
 }
@@ -391,7 +378,7 @@ func (s *Scheduler) bankProgress(v *Job) {
 				if refund > v.readWait {
 					refund = v.readWait
 				}
-				s.restoreWait -= refund
+				s.ctr.RestoreWait -= refund
 			}
 			s.link.releaseRead(v.readStart, v.readEnd, s.now)
 			if s.rec != nil {
@@ -426,7 +413,7 @@ func (s *Scheduler) loseProgress(v *Job) {
 				if refund > v.readWait {
 					refund = v.readWait
 				}
-				s.restoreWait -= refund
+				s.ctr.RestoreWait -= refund
 			}
 			s.link.releaseRead(v.readStart, v.readEnd, s.now)
 			if s.rec != nil {
@@ -437,10 +424,7 @@ func (s *Scheduler) loseProgress(v *Job) {
 	}
 	v.readStart, v.readEnd, v.readWait = 0, 0, 0
 	v.lostWork += elapsed
-	s.lostWork += elapsed
-	if s.met != nil {
-		s.met.lostWork.Add(elapsed.Seconds())
-	}
+	s.ctr.LostWork += elapsed
 }
 
 // drainDetail names a drain's tier and cause with constant strings

@@ -264,7 +264,7 @@ func TestFairSharePreemptionRespectsDisciplineOrder(t *testing.T) {
 // fast bus direction, and both are strictly positive.
 func TestDefaultCheckpointCostScalesWithFootprint(t *testing.T) {
 	mk := func(p [3]int) *Job {
-		j := &Job{Kind: KindLBM, Nodes: 2, problem: p}
+		j := &Job{Kind: KindLBM, Nodes: 2, jobState: jobState{problem: p}}
 		j.memNeed = memoryNeed(j.Kind, p, j.Nodes)
 		return j
 	}

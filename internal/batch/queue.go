@@ -1,7 +1,6 @@
 package batch
 
 import (
-	"container/heap"
 	"sort"
 	"time"
 )
@@ -141,28 +140,3 @@ func (q *queue) nextArrival(now time.Duration) (time.Duration, bool) {
 	}
 	return best, found
 }
-
-// eventHeap orders running jobs by completion time (ties by ID for
-// determinism); it doubles as the running set for shadow-time
-// simulation.
-type eventHeap []*Job
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, k int) bool {
-	if h[i].End != h[k].End {
-		return h[i].End < h[k].End
-	}
-	return h[i].ID < h[k].ID
-}
-func (h eventHeap) Swap(i, k int)       { h[i], h[k] = h[k], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(*Job)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	j := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return j
-}
-
-var _ heap.Interface = (*eventHeap)(nil)

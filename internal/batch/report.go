@@ -7,51 +7,18 @@ import (
 	"time"
 )
 
-// Report summarizes a drained queue: the cluster-operator view
-// (makespan, utilization) and the user view (waits) of one scheduling
-// run.
-type Report struct {
-	// Policy is the discipline that produced this schedule.
-	Policy Policy
-	// Placement is the gang-placement engine that produced it.
-	Placement Placement
-	// Jobs lists every finished job in completion order. The entries
-	// are insulated copies taken at report time: replaying the same
-	// specs against another scheduler (the clusterctl comparison
-	// pattern) resets the originals' lifecycle fields, but an earlier
-	// report keeps the schedule it measured, so per-job statistics
-	// (AvgWaitUnder, MedianEstimate) stay recomputable after any
-	// number of replays.
-	Jobs []*Job
-	// Makespan is the virtual time from scheduler start to the last
-	// completion.
-	Makespan time.Duration
-	// NodeBusy is each node's accumulated allocated time.
-	NodeBusy []time.Duration
-	// Utilization is total busy node-time over Makespan * nodes.
-	Utilization float64
-	// AvgWait and MaxWait aggregate queue waits (Start - Submit).
-	AvgWait, MaxWait time.Duration
-	// ShortCut is the median resolved runtime estimate of the run's
-	// jobs, and ShortWait the mean wait of the jobs at or below it —
-	// the short-job population time-slicing exists to help. They are
-	// plain conveniences over Jobs: since Jobs holds insulated copies,
-	// MedianEstimate and AvgWaitUnder recompute them identically even
-	// after the specs have been replayed against other schedulers.
-	ShortCut, ShortWait time.Duration
+// Counters are the run totals the scheduler keeps as it goes — the one
+// copy of each: Scheduler increments them where the event happens,
+// Report embeds them as they stand, and the registry series that mirror
+// them are set from them (schedMetrics.publish).
+type Counters struct {
 	// Backfilled counts jobs that jumped a blocked reservation.
 	Backfilled int
-	// Preempted counts jobs checkpointed off their gang at least once
-	// on priority; PreemptEvents counts every such checkpoint drain.
-	Preempted, PreemptEvents int
-	// Sliced counts jobs suspended at a quantum boundary at least once
-	// under time-slicing (Config.Quantum); SliceEvents counts every
-	// slice suspension.
-	Sliced, SliceEvents int
-	// CheckpointOverhead is the total checkpoint and restore time
-	// charged to allocations across all jobs, including time spent
-	// queued for the shared checkpoint-store link.
-	CheckpointOverhead time.Duration
+	// PreemptEvents counts every checkpoint drain begun on priority.
+	PreemptEvents int
+	// SliceEvents counts every suspension at a quantum boundary
+	// (Config.Quantum).
+	SliceEvents int
 	// DrainWait is the total time checkpoint drains spent queued for
 	// the write direction of the shared store link behind other
 	// in-flight transfers — the bandwidth-contention cost of
@@ -80,21 +47,68 @@ type Report struct {
 	// busy ≡ work + overhead + lost work).
 	LostWork time.Duration
 	// FaultKills counts gang kills caused by injected faults (a job may
-	// be killed several times); Faulted counts jobs killed at least
-	// once.
-	FaultKills, Faulted int
+	// be killed several times).
+	FaultKills int
 	// NodeFaults and TrunkOutages count the injected down events
-	// applied; NodeDownTime is total node-unavailable time (still-down
-	// nodes clamped to the makespan).
+	// applied.
 	NodeFaults, TrunkOutages int
-	NodeDownTime             time.Duration
+	// Banks counts proactive checkpoints settled under
+	// Config.CheckpointInterval.
+	Banks int
+}
+
+// Report summarizes a drained queue: the cluster-operator view
+// (makespan, utilization) and the user view (waits) of one scheduling
+// run.
+type Report struct {
+	// Policy is the discipline that produced this schedule.
+	Policy Policy
+	// Counters are the scheduler's running totals at report time.
+	Counters
+	// Jobs lists every finished job in completion order. The entries
+	// are insulated copies taken at report time: replaying the same
+	// specs against another scheduler (the clusterctl comparison
+	// pattern) resets the originals' lifecycle fields, but an earlier
+	// report keeps the schedule it measured, so per-job statistics
+	// (AvgWaitUnder, MedianEstimate) stay recomputable after any
+	// number of replays.
+	Jobs []*Job
+	// Makespan is the virtual time from scheduler start to the last
+	// completion.
+	Makespan time.Duration
+	// NodeBusy is each node's accumulated allocated time.
+	NodeBusy []time.Duration
+	// Utilization is total busy node-time over Makespan * nodes.
+	Utilization float64
+	// AvgWait and MaxWait aggregate queue waits (Start - Submit).
+	AvgWait, MaxWait time.Duration
+	// ShortCut is the median resolved runtime estimate of the run's
+	// jobs, and ShortWait the mean wait of the jobs at or below it —
+	// the short-job population time-slicing exists to help. They are
+	// plain conveniences over Jobs: since Jobs holds insulated copies,
+	// MedianEstimate and AvgWaitUnder recompute them identically even
+	// after the specs have been replayed against other schedulers.
+	ShortCut, ShortWait time.Duration
+	// Preempted counts jobs checkpointed off their gang at least once
+	// on priority (Counters.PreemptEvents counts the drains).
+	Preempted int
+	// Sliced counts jobs suspended at a quantum boundary at least once
+	// under time-slicing (Counters.SliceEvents counts the suspensions).
+	Sliced int
+	// CheckpointOverhead is the total checkpoint and restore time
+	// charged to allocations across all jobs, including time spent
+	// queued for the shared checkpoint-store link.
+	CheckpointOverhead time.Duration
+	// Faulted counts jobs an injected fault killed at least once
+	// (Counters.FaultKills counts the kills).
+	Faulted int
+	// NodeDownTime is total node-unavailable time (still-down nodes
+	// clamped to the makespan).
+	NodeDownTime time.Duration
 	// Availability is 1 − NodeDownTime/(Makespan × nodes): the machine-
 	// time fraction the storm left standing. 1 when no faults were
 	// injected.
 	Availability float64
-	// Banks counts proactive checkpoints settled under
-	// Config.CheckpointInterval.
-	Banks int
 	// Goodput is completed (Done) jobs per virtual second of makespan —
 	// the figure proactive checkpointing defends under a failure storm.
 	Goodput float64
@@ -138,26 +152,13 @@ func (s *Scheduler) report() Report {
 		jobs[i] = &cp
 	}
 	r := Report{
-		Policy:        s.cfg.Policy,
-		Placement:     s.cfg.Placement,
-		Jobs:          jobs,
-		NodeBusy:      s.cfg.Cluster.BusyTimes(),
-		Backfilled:    s.backfills,
-		PreemptEvents: s.preemptEvents,
-		SliceEvents:   s.sliceEvents,
-		DrainWait:     s.drainWait,
-		RestoreWait:   s.restoreWait,
-		HostSuspends:  s.hostSuspends,
-		Demotions:     s.demotions,
-		DemotionTime:  s.demoteTime,
-		LostWork:      s.lostWork,
-		FaultKills:    s.faultKills,
-		NodeFaults:    s.nodeFaults,
-		TrunkOutages:  s.trunkFaults,
-		Banks:         s.banks,
-		Availability:  1,
-		UserNodeTime:  make(map[string]time.Duration),
-		AvgFreeFrags:  s.cfg.Cluster.AvgFreeFrags(),
+		Policy:       s.cfg.Policy,
+		Counters:     s.ctr,
+		Jobs:         jobs,
+		NodeBusy:     s.cfg.Cluster.BusyTimes(),
+		Availability: 1,
+		UserNodeTime: make(map[string]time.Duration),
+		AvgFreeFrags: s.cfg.Cluster.AvgFreeFrags(),
 	}
 	if src, ok := s.cfg.Recorder.(interface{ Events() []Event }); ok {
 		r.Events = append([]Event(nil), src.Events()...)
@@ -293,8 +294,8 @@ func RoundDuration(d time.Duration) time.Duration {
 // per-node utilization bar chart.
 func (r Report) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "policy %-8s placement %-9s %d jobs, makespan %v, utilization %.1f%%, avg wait %v, max wait %v, %d backfilled, %d failed\n",
-		r.Policy, r.Placement, len(r.Jobs), RoundDuration(r.Makespan),
+	fmt.Fprintf(&b, "policy %-8s %d jobs, makespan %v, utilization %.1f%%, avg wait %v, max wait %v, %d backfilled, %d failed\n",
+		r.Policy, len(r.Jobs), RoundDuration(r.Makespan),
 		100*r.Utilization, RoundDuration(r.AvgWait), RoundDuration(r.MaxWait),
 		r.Backfilled, r.Failed)
 	fmt.Fprintf(&b, "  placement: %d trunk-crossing gangs, %d split gangs, %.1f avg free fragments at allocation\n",

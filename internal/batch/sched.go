@@ -1,7 +1,6 @@
 package batch
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"sort"
@@ -93,10 +92,6 @@ type Config struct {
 	// Policy selects the queue discipline: FIFO, Backfill (EASY),
 	// Conservative, or FairShare.
 	Policy Policy
-	// Placement selects the gang-placement engine; the zero value is
-	// the topology-aware engine (PlaceTopo), PlaceFirstFit restores the
-	// legacy first-contiguous-window behavior.
-	Placement Placement
 	// BackfillDepth bounds how many queued candidates one backfill pass
 	// examines behind the blocked head (the EASY and fair-share
 	// disciplines): once that many arrived jobs have been considered,
@@ -195,8 +190,8 @@ type Config struct {
 	// hot path — the zero-alloc guard in obs_test.go pins exactly that.
 	Recorder Recorder
 	// Metrics is the registry the scheduler publishes counters,
-	// gauges, and histograms into (metrics.go); series carry
-	// policy/placement labels. Nil disables publication.
+	// gauges, and histograms into (metrics.go); series carry the
+	// policy label. Nil disables publication.
 	Metrics *Registry
 }
 
@@ -204,53 +199,39 @@ type Config struct {
 // arrivals, Run (or the incremental Step/RunUntil that Engine wraps)
 // drains the queue event by event — job completions, checkpoint
 // settlements, and future arrivals — placing jobs per the configured
-// policy. Alongside the authoritative state (bitmap, pending slice,
-// running heap) it maintains the index structures of index.go: a
-// completion-event treap for shadow and profile queries and a calendar
-// queue for arrivals, kept in lockstep by the dispatch/complete/drain
-// paths.
+// policy. Its state is the cluster bitmap with its free-range index,
+// the pending slice, the running set — one treap keyed by completion
+// event, which is both the loop's event queue and the capacity profile
+// behind shadow and reservation queries — and a calendar queue for
+// arrivals (index.go).
 type Scheduler struct {
-	cfg           Config
-	now           time.Duration
-	pending       queue
-	running       eventHeap
-	finished      []*Job
-	nextID        int
-	backfills     int
-	preemptEvents int
-	sliceEvents   int
-	ckptInFlight  int                  // gangs currently draining checkpoints
-	link          storeLink            // shared checkpoint-store link (read+write timelines)
-	drainWait     time.Duration        // total time drains queued for the write direction
-	restoreWait   time.Duration        // total time restores queued for the read direction
-	hostSuspends  int                  // drains that stayed in host RAM (suspend-to-host)
-	demotions     int                  // host images evicted to the store on memory pressure
-	demoteTime    time.Duration        // store-write time those evictions occupied the link
-	demoting      []*Job               // host images mid-eviction (reservation held to demoteEnd)
-	pinned        []pin                // migration pins: home RAM held until the outbound write settles
-	usage         map[string]*usage    // per-user decayed accounting (fairshare.go)
-	fsEpoch       time.Duration        // reference instant for fair-share sort keys (fairshare.go)
-	ends          endTreap             // running completion events, the incremental capacity profile (index.go)
-	arrivals      calendarQueue        // future arrivals bucketed by instant (index.go)
-	byID          map[int]*Job         // every job ever submitted, by assigned ID (Cancel, JobByID)
-	canceled      int                  // jobs withdrawn by Cancel
-	less          func(a, b *Job) bool // jobLess, bound once (no per-pass closure)
-	rec           Recorder             // lifecycle event sink; nil = recording off (obs.go)
-	met           *schedMetrics        // typed metric handles; nil = metrics off (metrics.go)
-	passes        int                  // scheduling sweeps taken, restarted ones included (EvBlocked pass numbers)
-	prof          profile              // the conservative pass's capacity profile, rebuilt in place per sweep
-	blocked       []blockRow           // per job, by ID-1: blocked passes by reason; nil with no recorder (explain.go)
-	faultEvs      []faultEvent         // compiled fault schedule, sorted (fault.go)
-	faultIdx      int                  // next fault event to apply
-	downSince     []time.Duration      // per node: instant it went down, -1 while up
-	downUntil     []time.Duration      // per node: scheduled repair instant while down
-	trunkBack     time.Duration        // scheduled end of the active trunk outage
-	nodeFaults    int                  // node-down events applied
-	trunkFaults   int                  // trunk outages applied
-	faultKills    int                  // gang kills caused by faults
-	banks         int                  // proactive checkpoints settled
-	lostWork      time.Duration        // wall time faults destroyed (Report.LostWork)
-	downTime      time.Duration        // total node-down time accrued so far
+	cfg          Config
+	now          time.Duration
+	pending      queue
+	running      endTreap // the running set, keyed by completion event (index.go)
+	finished     []*Job
+	nextID       int
+	ctr          Counters             // the run's totals, as Report publishes them (report.go)
+	ckptInFlight int                  // gangs currently draining checkpoints
+	link         storeLink            // shared checkpoint-store link (read+write timelines)
+	demoting     []*Job               // host images mid-eviction (reservation held to demoteEnd)
+	pinned       []pin                // migration pins: home RAM held until the outbound write settles
+	usage        map[string]*usage    // per-user decayed accounting (fairshare.go)
+	fsEpoch      time.Duration        // reference instant for fair-share sort keys (fairshare.go)
+	arrivals     calendarQueue        // future arrivals bucketed by instant (index.go)
+	byID         map[int]*Job         // every job ever submitted, by assigned ID (Cancel, JobByID)
+	less         func(a, b *Job) bool // jobLess, bound once (no per-pass closure)
+	rec          Recorder             // lifecycle event sink; nil = recording off (obs.go)
+	met          *schedMetrics        // typed metric handles; nil = metrics off (metrics.go)
+	passes       int                  // scheduling sweeps taken, restarted ones included (EvBlocked pass numbers)
+	prof         profile              // the conservative pass's capacity profile, rebuilt in place per sweep
+	blocked      []blockRow           // per job, by ID-1: blocked passes by reason; nil with no recorder (explain.go)
+	faultEvs     []faultEvent         // compiled fault schedule, sorted (fault.go)
+	faultIdx     int                  // next fault event to apply
+	downSince    []time.Duration      // per node: instant it went down, -1 while up
+	downUntil    []time.Duration      // per node: scheduled repair instant while down
+	trunkBack    time.Duration        // scheduled end of the active trunk outage
+	downTime     time.Duration        // total node-down time accrued so far
 	// restartPerStart is set by tests only: every start then takes the
 	// sweep's restart branch, as the pass did before it learnt to go on
 	// past one — the oracle of TestSingleSweepMatchesRestartPerStart.
@@ -279,13 +260,13 @@ func New(cfg Config) *Scheduler {
 		cfg.HostResumeCost = DefaultHostResumeCost
 	}
 	s := &Scheduler{cfg: cfg, nextID: 1, usage: make(map[string]*usage), byID: make(map[int]*Job)}
-	s.ends.init()
+	s.running.init()
 	s.arrivals.init()
 	s.link.duplex = cfg.StoreDuplex
 	s.less = s.jobLess
 	s.rec = cfg.Recorder
 	if cfg.Metrics != nil {
-		s.met = newSchedMetrics(cfg.Metrics, cfg.Policy, cfg.Placement)
+		s.met = newSchedMetrics(cfg.Metrics, cfg.Policy)
 	}
 	if evs := cfg.Faults.compile(cfg.Cluster.Size()); len(evs) > 0 {
 		s.faultEvs = evs
@@ -365,11 +346,6 @@ func (s *Scheduler) Submit(j *Job) error {
 	j.ID = s.nextID
 	s.nextID++
 	s.byID[j.ID] = j
-	j.steps, j.problem, j.arrive, j.memNeed, j.est = steps, problem, arrive, need, est
-	j.acct = nil
-	if s.cfg.Policy == FairShare {
-		j.acct = s.account(j.User) // resolved once: jobLess compares keys without a map lookup
-	}
 	// Reset every scheduler-owned lifecycle field: a replayed job must
 	// not carry a previous schedule's outcome (a stale Err would mark
 	// it Failed again without running).
@@ -378,23 +354,10 @@ func (s *Scheduler) Submit(j *Job) error {
 	j.Alloc = Allocation{}
 	j.History = nil
 	j.Detail, j.Err = "", nil
-	j.shadow, j.backfilled = 0, false
-	j.workTotal, j.workLeft, j.doneWork = 0, 0, 0
-	j.restoreCost, j.overhead = 0, 0
-	j.preempts, j.preempting = 0, false
-	j.snapshot = nil
-	j.segStart, j.segRestore, j.segFactor = 0, 0, 1
-	j.readStart, j.readEnd, j.readWait = 0, 0, 0
-	j.hostImage, j.hostDrain, j.forceStore = false, false, false
-	j.hostAlloc = Allocation{}
-	j.demoteEnd = 0
-	j.promise, j.promised = 0, false
-	j.wavePending, j.waveLeft, j.waveFor = false, 0, nil
-	j.sliceEnd, j.sliceFull, j.slicing = false, 0, false
-	j.slices, j.rrStamp = 0, 0
-	j.faults, j.banks, j.lostWork = 0, 0, 0
-	j.ckptDue, j.banking, j.ckptSlice = false, false, 0
-	j.canceled = false
+	j.jobState = jobState{steps: steps, problem: problem, arrive: arrive, memNeed: need, est: est, segFactor: 1}
+	if s.cfg.Policy == FairShare {
+		j.acct = s.account(j.User) // resolved once: jobLess compares keys without a map lookup
+	}
 	if s.rec != nil {
 		// A fresh, zeroed counter row under the new ID: a replayed spec
 		// starts its explanation over as it does its lifecycle.
@@ -481,8 +444,8 @@ func (s *Scheduler) RunUntil(t time.Duration) {
 // (queue_test.go cross-checks the two against each other).
 func (s *Scheduler) nextEvent() (time.Duration, bool) {
 	tComplete := time.Duration(-1)
-	if s.running.Len() > 0 {
-		tComplete = s.running[0].End
+	if j := s.running.min(); j != nil {
+		tComplete = j.End
 	}
 	tNext, hasNext := s.arrivals.next(s.now, s.queuedLive)
 	if tDemote, ok := s.nextDemotion(); ok && (!hasNext || tDemote < tNext) {
@@ -513,27 +476,13 @@ func (s *Scheduler) queuedLive(id int) bool {
 	return j != nil && j.State == Queued
 }
 
-// runningPush adds j to the running set: the completion-event heap and
-// the end-time treap move together, always keyed by the current j.End.
-func (s *Scheduler) runningPush(j *Job) {
-	heap.Push(&s.running, j)
-	s.ends.add(j.End, j.ID, j.Alloc.Count)
-}
-
-// runningPop removes the earliest completion event from both structures.
-func (s *Scheduler) runningPop() *Job {
-	j := heap.Pop(&s.running).(*Job)
-	s.ends.del(j.End, j.ID)
-	return j
-}
-
 // advance moves the clock to t and pops every completion event due at
 // that instant (arrivals and settlements need no handling beyond the
 // clock move — the next scheduling pass sees them).
 func (s *Scheduler) advance(t time.Duration) {
 	s.now = t
-	for s.running.Len() > 0 && s.running[0].End == s.now {
-		j := s.runningPop()
+	for j := s.running.min(); j != nil && j.End == s.now; j = s.running.min() {
+		s.running.popMin()
 		switch {
 		case j.ckptDue && !j.preempting:
 			s.ckptBoundary(j)
@@ -550,7 +499,7 @@ func (s *Scheduler) advance(t time.Duration) {
 // outstandingWork reports whether any job still needs the clock: fault
 // events only advance time while this holds (nextEvent).
 func (s *Scheduler) outstandingWork() bool {
-	return s.pending.len() > 0 || s.running.Len() > 0 ||
+	return s.pending.len() > 0 || s.running.len() > 0 ||
 		len(s.demoting) > 0 || len(s.pinned) > 0
 }
 
@@ -581,10 +530,10 @@ func (s *Scheduler) schedulePass() {
 		}
 		if s.met != nil {
 			s.met.passWall.Observe(time.Since(t0).Seconds()) //batchlint:allow determinism -- closes the registry-gated wall sample above; same guard, no decision taken on it
-			s.met.queueDepth.Set(float64(s.pending.len()))
 			wb, rb := s.link.backlog(s.now)
 			s.met.writeBacklog.Set(wb.Seconds())
 			s.met.readBacklog.Set(rb.Seconds())
+			s.met.publish(s)
 		}
 		if !restart {
 			return
@@ -704,18 +653,16 @@ func (s *Scheduler) passOnce() bool {
 // demotion attempt (neither for a head mid-eviction), then the shadow —
 // and reports whether a checkpoint wave or a demotion began or the
 // reservation moved (an Actual overrun past it, a migration pin that
-// now settles). One combination always restarts: first-fit offers a
-// single window, and under a trunk stretch consuming it can reveal a
-// non-crossing one to a candidate refused earlier.
+// now settles).
 func (s *Scheduler) headMoved(hd *Job, shadow time.Duration) bool {
-	if s.restartPerStart || s.cfg.Placement == PlaceFirstFit && s.cfg.TrunkSlowdown > 1 {
+	if s.restartPerStart {
 		return true
 	}
 	if hd.demoteEnd <= s.now {
-		draining, demotions := s.ckptInFlight, s.demotions
+		draining, demotions := s.ckptInFlight, s.ctr.Demotions
 		s.preemptFor(hd)
 		s.demoteFor(hd)
-		if s.ckptInFlight != draining || s.demotions != demotions {
+		if s.ckptInFlight != draining || s.ctr.Demotions != demotions {
 			return true
 		}
 	}
@@ -775,9 +722,7 @@ func (s *Scheduler) restorePrefixWorst(j *Job) time.Duration {
 // stretch of the candidate (plus any pending restore charge) must still
 // drain before it, else the *next* candidate is tried — a start only
 // fails when no placement works (only unknowable overruns, the Actual
-// hook, may breach the EASY guarantee). Under PlaceFirstFit a single
-// candidate is offered, reproducing the legacy take-it-or-leave-it
-// behavior.
+// hook, may breach the EASY guarantee).
 //
 // A pending restore is priced against the store link's read timeline:
 // the transfer queues behind earlier in-flight restores, the queue
@@ -839,7 +784,7 @@ func (s *Scheduler) tryStart(j *Job, backfilled bool, limit time.Duration, limit
 			}
 			wait = rStart - s.now // everything ahead of the read transfer
 		}
-		cands := c.candidates(j.Nodes, j.memNeed, s.cfg.Placement)
+		cands := c.candidates(j.Nodes, j.memNeed)
 		if s.met != nil {
 			s.met.candidates.Add(float64(len(cands)))
 		}
@@ -865,7 +810,7 @@ func (s *Scheduler) tryStart(j *Job, backfilled bool, limit time.Duration, limit
 	if migrate {
 		// The home RAM stays pinned until the outbound write settles.
 		migStart = s.link.reserveWrite(s.now, writeLeg)
-		s.drainWait += migStart - s.now
+		s.ctr.DrainWait += migStart - s.now
 		c.reserve(j.hostAlloc, j.memNeed)
 		s.pinUntil(j.hostAlloc, j.memNeed, migStart+writeLeg)
 		readAvail = migStart + writeLeg
@@ -875,7 +820,7 @@ func (s *Scheduler) tryStart(j *Job, backfilled bool, limit time.Duration, limit
 	if readCost > 0 {
 		start := s.link.reserveRead(readAvail, readCost)
 		j.readWait = start - readAvail
-		s.restoreWait += j.readWait
+		s.ctr.RestoreWait += j.readWait
 		j.readStart, j.readEnd = start, start+readCost
 		if s.met != nil {
 			s.met.restoreWait.Observe(j.readWait.Seconds())
@@ -889,10 +834,7 @@ func (s *Scheduler) tryStart(j *Job, backfilled bool, limit time.Duration, limit
 	j.State = Running
 	j.backfilled = backfilled
 	if backfilled {
-		s.backfills++
-		if s.met != nil {
-			s.met.backfills.Inc()
-		}
+		s.ctr.Backfilled++
 	}
 	if len(j.History) == 0 {
 		// First dispatch: fix the true total work. The Actual hook maps
@@ -942,12 +884,12 @@ func (s *Scheduler) tryStart(j *Job, backfilled bool, limit time.Duration, limit
 			s.record(Event{Time: s.now, Kind: EvStoreRead, Job: j.ID, From: j.readStart, To: j.readEnd})
 		}
 	}
-	s.runningPush(j)
+	s.running.add(j)
 	return true
 }
 
 // sliceBoundary handles a quantum-boundary event popped off the running
-// heap: if an arrived waiter that outranks the gang round-robin could
+// set: if an arrived waiter that outranks the gang round-robin could
 // be placed on its nodes, the gang suspends through the checkpoint
 // protocol (stamped so it resumes after the waiters have had a turn);
 // otherwise the slice is extended in place, free of charge.
@@ -974,9 +916,8 @@ func (s *Scheduler) sliceBoundary(j *Job) {
 			if s.rec != nil {
 				s.record(Event{Time: s.now, Kind: EvSliceYield, Job: j.ID, Alloc: j.Alloc})
 			}
-			s.runningPush(j)
+			s.running.add(j)
 			s.beginCheckpoint(j)
-			s.fixRunning(j)
 			return
 		}
 	}
@@ -986,7 +927,7 @@ func (s *Scheduler) sliceBoundary(j *Job) {
 	} else {
 		j.sliceEnd, j.sliceFull = false, 0
 	}
-	s.runningPush(j)
+	s.running.add(j)
 }
 
 // sliceYields reports whether gang j must give up its nodes at the
@@ -1039,7 +980,7 @@ func (s *Scheduler) sliceYields(j *Job) bool {
 		// yield for one that could have started without j's nodes.
 		yield := false
 		s.withOwnImageLifted(p, func() {
-			yield = !s.cfg.Cluster.canPlace(usedNow, p.Nodes, p.memNeed, s.cfg.Placement) &&
+			yield = !s.cfg.Cluster.canPlace(usedNow, p.Nodes, p.memNeed) &&
 				s.yieldAdmits(j, p, usedFreed)
 		})
 		if yield {
@@ -1061,15 +1002,15 @@ func (s *Scheduler) sliceYields(j *Job) bool {
 func (s *Scheduler) yieldAdmits(j, p *Job, usedFreed []bool) bool {
 	c := s.cfg.Cluster
 	if !s.hostEligible(j) {
-		return c.canPlace(usedFreed, p.Nodes, p.memNeed, s.cfg.Placement)
+		return c.canPlace(usedFreed, p.Nodes, p.memNeed)
 	}
 	c.reserve(j.Alloc, j.memNeed)
-	ok := c.canPlace(usedFreed, p.Nodes, p.memNeed, s.cfg.Placement)
+	ok := c.canPlace(usedFreed, p.Nodes, p.memNeed)
 	c.unreserve(j.Alloc, j.memNeed)
 	if ok {
 		return true
 	}
-	if c.canPlace(usedFreed, p.Nodes, p.memNeed, s.cfg.Placement) {
+	if c.canPlace(usedFreed, p.Nodes, p.memNeed) {
 		j.forceStore = true
 		return true
 	}
@@ -1092,16 +1033,6 @@ func (s *Scheduler) outranksAtBoundary(p, j *Job) bool {
 		return k < s.now
 	}
 	return p.ID < j.ID
-}
-
-// fixRunning re-establishes heap order after j's End was rewritten.
-func (s *Scheduler) fixRunning(j *Job) {
-	for i, r := range s.running {
-		if r == j {
-			heap.Fix(&s.running, i)
-			return
-		}
-	}
 }
 
 // complete handles a job whose end event fired: frees its gang, credits
@@ -1166,33 +1097,31 @@ func (s *Scheduler) stretched(d time.Duration, crosses bool) time.Duration {
 }
 
 // shadowStart returns the earliest virtual time the blocked head job
-// could be placed under the active placement engine, assuming running
-// jobs end on schedule and nothing else starts first — the backfill
-// reservation. Two event kinds free capacity: a running gang's end
+// could be placed, assuming running jobs end on schedule and nothing
+// else starts first — the backfill reservation. Two event kinds free capacity: a running gang's end
 // frees its nodes, and an in-flight demotion's settlement unpins the
 // host memory its image holds; both are replayed in time order, and
 // the head's own resident image is lifted throughout (its dispatch
-// spends it). First-fit demands a contiguous window; the topology
-// engine places as soon as enough eligible nodes are free, so its
-// reservations bind sooner.
+// spends it). The engine places as soon as enough eligible nodes are
+// free, contiguous or not.
 func (s *Scheduler) shadowStart(hd *Job) (shadow time.Duration) {
 	s.withOwnImageLifted(hd, func() { shadow = s.shadowStartLifted(hd) })
 	return shadow
 }
 
 // shadowStartLifted is shadowStart's body, run with the head's own
-// image lifted. In the uniform fast path — topology placement, no
-// constrained nodes (no divergent specs, no resident images), no
-// in-flight demotions or migration pins, and a head whose per-node need
-// fits the default spec — any k free nodes admit the head, so the
-// shadow is a pure counting question and the end-time treap answers it
-// in O(log running) (countShadow). Everything else falls back to the
+// image lifted. In the uniform fast path — no constrained nodes (no
+// divergent specs, no resident images), no in-flight demotions or
+// migration pins, and a head whose per-node need fits the default
+// spec — any k free nodes admit the head, so the shadow is a pure
+// counting question and the running set's treap answers it in
+// O(log running) (countShadow). Everything else falls back to the
 // full replay. DebugVerifyShadows runs both and panics on disagreement;
 // the property suite keeps it on (index_test.go).
 func (s *Scheduler) shadowStartLifted(hd *Job) time.Duration {
 	c := s.cfg.Cluster
-	if s.cfg.Placement == PlaceTopo && c.nConstrained == 0 && c.downCount == 0 &&
-		!c.trunkDown && len(s.demoting) == 0 && len(s.pinned) == 0 && hd.memNeed <= c.baseMem {
+	if c.nConstrained == 0 && c.downCount == 0 && !c.trunkDown &&
+		len(s.demoting) == 0 && len(s.pinned) == 0 && hd.memNeed <= c.baseMem {
 		t := s.countShadow(hd)
 		if DebugVerifyShadows {
 			if r := s.replayShadow(hd); r != t {
@@ -1216,7 +1145,7 @@ func (s *Scheduler) countShadow(hd *Job) time.Duration {
 	if free >= hd.Nodes {
 		return s.now
 	}
-	if t, ok := s.ends.coverTime(hd.Nodes - free); ok {
+	if t, ok := s.running.coverTime(hd.Nodes - free); ok {
 		return t
 	}
 	// Unreachable while every used node belongs to a tracked running
@@ -1231,7 +1160,7 @@ func (s *Scheduler) replayShadow(hd *Job) time.Duration {
 	k, memNeed := hd.Nodes, hd.memNeed
 	c := s.cfg.Cluster
 	used := c.usedCopy()
-	if c.canPlace(used, k, memNeed, s.cfg.Placement) {
+	if c.canPlace(used, k, memNeed) {
 		return s.now
 	}
 	type shadowEv struct {
@@ -1242,10 +1171,8 @@ func (s *Scheduler) replayShadow(hd *Job) time.Duration {
 		up      int        // ...a downed node repairing (node index + 1), or...
 		trunkUp bool       // ...the active trunk outage ending
 	}
-	evs := make([]shadowEv, 0, len(s.running)+len(s.demoting)+len(s.pinned)+c.downCount)
-	for _, r := range s.running {
-		evs = append(evs, shadowEv{t: r.End, r: r})
-	}
+	evs := make([]shadowEv, 0, s.running.len()+len(s.demoting)+len(s.pinned)+c.downCount)
+	s.running.each(func(r *Job) { evs = append(evs, shadowEv{t: r.End, r: r}) })
 	for _, d := range s.demoting {
 		evs = append(evs, shadowEv{t: d.demoteEnd, alloc: d.hostAlloc, bytes: d.memNeed})
 	}
@@ -1302,7 +1229,7 @@ func (s *Scheduler) replayShadow(hd *Job) time.Duration {
 			c.unreserve(e.alloc, e.bytes)
 			lifted = append(lifted, e)
 		}
-		if c.canPlace(used, k, memNeed, s.cfg.Placement) {
+		if c.canPlace(used, k, memNeed) {
 			restore()
 			return e.t
 		}

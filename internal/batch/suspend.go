@@ -73,7 +73,7 @@ func (s *Scheduler) demoteFor(j *Job) {
 func (s *Scheduler) evictFor(j *Job) {
 	c := s.cfg.Cluster
 	used := c.usedCopy()
-	if c.canPlace(used, j.Nodes, j.memNeed, s.cfg.Placement) {
+	if c.canPlace(used, j.Nodes, j.memNeed) {
 		return // placeable already: blocked by policy, not memory
 	}
 	// Memory already on its way out — in-flight demotion writes and
@@ -99,7 +99,7 @@ func (s *Scheduler) evictFor(j *Job) {
 			c.reserve(p.alloc, p.bytes)
 		}
 	}()
-	if c.canPlace(used, j.Nodes, j.memNeed, s.cfg.Placement) {
+	if c.canPlace(used, j.Nodes, j.memNeed) {
 		return // the settlements already in flight will admit j
 	}
 	var images []*Job
@@ -117,7 +117,7 @@ func (s *Scheduler) evictFor(j *Job) {
 	for _, d := range images {
 		c.unreserve(d.hostAlloc, d.memNeed)
 		picked = append(picked, d)
-		if c.canPlace(used, j.Nodes, j.memNeed, s.cfg.Placement) {
+		if c.canPlace(used, j.Nodes, j.memNeed) {
 			admitted = true
 			break
 		}
@@ -137,7 +137,7 @@ func (s *Scheduler) evictFor(j *Job) {
 	kept := picked[:0]
 	for _, d := range picked {
 		c.reserve(d.hostAlloc, d.memNeed)
-		if c.canPlace(used, j.Nodes, j.memNeed, s.cfg.Placement) {
+		if c.canPlace(used, j.Nodes, j.memNeed) {
 			continue // stays in RAM
 		}
 		c.unreserve(d.hostAlloc, d.memNeed)
@@ -160,14 +160,11 @@ func (s *Scheduler) demote(d *Job) {
 	start := s.link.reserveWrite(s.now, cost)
 	d.demoteEnd = start + cost
 	s.demoting = append(s.demoting, d)
-	s.demotions++
-	s.demoteTime += cost
+	s.ctr.Demotions++
+	s.ctr.DemotionTime += cost
 	if s.rec != nil {
 		s.record(Event{Time: s.now, Kind: EvDemoteBegin, Job: d.ID, From: start, To: d.demoteEnd, Alloc: d.hostAlloc})
 		s.record(Event{Time: s.now, Kind: EvStoreWrite, Job: d.ID, From: start, To: d.demoteEnd, Detail: "demote"})
-	}
-	if s.met != nil {
-		s.met.demotions.Inc()
 	}
 }
 

@@ -101,9 +101,13 @@ func (a sweepOutcome) diff(b sweepOutcome) string {
 }
 
 // randomSweepCase draws one configuration from the matrix policy ×
-// placement × depth × preempt × quantum × suspend-to-host × trunk
-// stretch × duplex × Actual jitter × memory layout × fault plan ×
-// mix/stream, one in eight with a recorder attached.
+// depth × preempt × quantum × suspend-to-host × trunk stretch × duplex ×
+// Actual jitter × memory layout × fault plan × mix/stream, one in eight
+// with a recorder attached. The second draw chose between two placement
+// engines while there were two; it is still taken, and discarded, so
+// that a seed generates the case it always has — seeds 3781 and 9154
+// remain the conservative + Preempt checkpoint thrash on heterogeneous
+// memory that ROADMAP item 2 (b) records.
 func randomSweepCase(seed int64) sweepCase {
 	rng := rand.New(rand.NewSource(seed))
 	pick := func(n int) int { return rng.Intn(n) }
@@ -111,9 +115,10 @@ func randomSweepCase(seed int64) sweepCase {
 	count := 40 + pick(60)
 	ck, rs := fixedCosts(200*time.Millisecond, 100*time.Millisecond)
 	hs, hr := fixedHostCosts(50*time.Millisecond, 25*time.Millisecond)
+	policy := Policies()[pick(4)]
+	pick(2) // the placement draw, kept so every later draw is the one it was
 	cfg := Config{
-		Policy:          Policies()[pick(4)],
-		Placement:       []Placement{PlaceTopo, PlaceFirstFit}[pick(2)],
+		Policy:          policy,
 		BackfillDepth:   []int{0, 0, 2, 4, 16}[pick(5)],
 		Preempt:         pick(2) == 0,
 		Quantum:         []time.Duration{0, 0, 5 * time.Second, 20 * time.Second}[pick(4)],
@@ -146,8 +151,8 @@ func randomSweepCase(seed int64) sweepCase {
 	stream := pick(2) == 0
 	gap := time.Duration(1+pick(5)) * time.Second
 	c := sweepCase{cfg: cfg, record: pick(8) == 0}
-	c.name = fmt.Sprintf("seed=%d %v/%v nodes=%d jobs=%d depth=%d preempt=%v quantum=%v host=%v trunk=%g %v actual=%v faults=%v memory=%d stream=%v record=%v",
-		seed, cfg.Policy, cfg.Placement, nodes, count, cfg.BackfillDepth, cfg.Preempt, cfg.Quantum,
+	c.name = fmt.Sprintf("seed=%d %v nodes=%d jobs=%d depth=%d preempt=%v quantum=%v host=%v trunk=%g %v actual=%v faults=%v memory=%d stream=%v record=%v",
+		seed, cfg.Policy, nodes, count, cfg.BackfillDepth, cfg.Preempt, cfg.Quantum,
 		cfg.SuspendToHost, cfg.TrunkSlowdown, cfg.StoreDuplex, cfg.Actual != nil, cfg.Faults != nil, memory, stream, c.record)
 	c.cluster = func() *Cluster {
 		net := netsim.GigabitSwitch(nodes)
@@ -257,16 +262,6 @@ func TestSweepRestartRules(t *testing.T) {
 		start     time.Duration
 		restarted bool
 	}{
-		// First-fit offers one window. A's is [5,7), across the trunk at
-		// 6, and its doubled runtime overruns the shadow; B then takes
-		// node 5, which leaves A the window [6,8) on one side of it.
-		{sweepCase{name: "first-fit + trunk stretch",
-			cfg:     Config{Policy: Backfill, Placement: PlaceFirstFit, TrunkSlowdown: 2},
-			cluster: ruleCluster(8, 6, 0),
-			jobs: func() []*Job {
-				return []*Job{ruleJob("R", 5, 3, 100*sec, 0), ruleJob("H", 8, 2, 10*sec, 0),
-					ruleJob("A", 2, 1, 60*sec, 0), ruleJob("B", 1, 0, 10*sec, 0)}
-			}}, "A", 0, true},
 		// A is admitted into [0,50) and really runs to 150, through H's
 		// slot at [100,110): a re-plan moves H to 150 and C fits now.
 		{sweepCase{name: "Actual overrun under conservative",

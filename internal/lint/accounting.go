@@ -13,7 +13,8 @@ import (
 //
 //   - writes to Job.History (the banked-progress segments the balance
 //     is reconstructed from),
-//   - writes to the overhead/lostWork charge fields,
+//   - writes to the overhead/lostWork charge fields and the run's
+//     Counters.LostWork total,
 //   - reservations and releases on the duplex store-link timelines
 //     (reserveWrite/reserveRead/releaseRead).
 //
@@ -48,8 +49,9 @@ var auditedAccounting = map[string]bool{
 }
 
 // accountingFields are the Job/Scheduler fields whose writes are
-// monitored.
-var accountingFields = map[string]bool{"History": true, "overhead": true, "lostWork": true}
+// monitored: lostWork is the job's share, LostWork the run's total in
+// the scheduler's Counters.
+var accountingFields = map[string]bool{"History": true, "overhead": true, "lostWork": true, "LostWork": true}
 
 // linkMutators are the storeLink methods that move a timeline.
 var linkMutators = map[string]bool{"reserveWrite": true, "reserveRead": true, "releaseRead": true}

@@ -22,8 +22,15 @@ func (l *storeLink) releaseRead(d int)      { l.t -= d }
 // mutators without an audit entry.
 func (l *storeLink) rebalance(d int) { l.reserveRead(d) }
 
+// Counters mirrors batch.Counters: the run's lost-work total lives
+// behind an exported name.
+type Counters struct {
+	LostWork int
+}
+
 type Scheduler struct {
 	link *storeLink
+	ctr  Counters
 }
 
 // bankProgress is on the audited allowlist: all three mutation kinds
@@ -31,12 +38,14 @@ type Scheduler struct {
 func (s *Scheduler) bankProgress(j *Job, g *gang, seg int) {
 	j.History = append(j.History, seg)
 	g.overhead += seg
+	s.ctr.LostWork += seg
 	s.link.reserveWrite(seg)
 }
 
 func (s *Scheduler) sneakyCharge(g *gang, d int) {
-	g.overhead += d // want `sneakyCharge mutates the accounting ledger \(\.overhead\)`
-	g.lostWork++    // want `sneakyCharge mutates the accounting ledger \(\.lostWork\)`
+	g.overhead += d     // want `sneakyCharge mutates the accounting ledger \(\.overhead\)`
+	g.lostWork++        // want `sneakyCharge mutates the accounting ledger \(\.lostWork\)`
+	s.ctr.LostWork += d // want `sneakyCharge mutates the accounting ledger \(\.LostWork\)`
 }
 
 func (s *Scheduler) sideChannel(d int) {

@@ -9,7 +9,7 @@
 // The absolute constants are calibrated once against Table 1; everything
 // else — the strong-scaling sweep, the ablations, the PCI-Express
 // projection — is a prediction of the composed model, not a table lookup.
-// EXPERIMENTS.md records modeled-vs-paper values for every row.
+// cmd/paperbench prints modeled-vs-paper values for every row.
 package perfmodel
 
 import (

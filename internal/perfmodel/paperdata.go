@@ -2,7 +2,7 @@ package perfmodel
 
 // Reference measurements transcribed from the paper, used to validate
 // the calibrated model's shape and to print paper-vs-model comparisons
-// in EXPERIMENTS.md. Times in milliseconds.
+// (cmd/paperbench). Times in milliseconds.
 
 // PaperNodeCounts is the node-count column of Tables 1 and 2.
 var PaperNodeCounts = []int{1, 2, 4, 8, 12, 16, 20, 24, 28, 30, 32}
