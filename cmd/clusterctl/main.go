@@ -32,6 +32,12 @@
 //	clusterctl cancel 7                        # withdraw it, wherever it is
 //	clusterctl slam -jobs 200 -compress 5000   # SWF load generator, latency percentiles
 //
+// The daemon answers info for a finished job for as long as its ledger
+// keeps the record (the most recent batch.LedgerCapacity finishers);
+// after that info and cancel print the daemon's own words — the job
+// finished and its record has aged out, as distinct from no such job —
+// and exit 1, as for any API error.
+//
 // With -quantum the comparison table gains a run-to-completion EASY
 // baseline row and a short-job wait column (jobs with estimates at or
 // below the mix median), the population time-slicing exists to help.

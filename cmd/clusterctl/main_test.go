@@ -302,6 +302,57 @@ func TestRunClientVerbs(t *testing.T) {
 	}
 }
 
+// TestRunClientVerbsOnForgottenJobs: info and cancel print what the
+// daemon says of an ID it no longer answers for — aged out of the ledger,
+// never assigned, terminal and still on record — and exit 1 on each.
+func TestRunClientVerbsOnForgottenJobs(t *testing.T) {
+	srv := server.New(server.Config{
+		Batch: batch.Config{Cluster: batch.NewCluster(4, netsim.GigabitSwitch(4))},
+		Clock: batch.VirtualClock{}, // the pump runs every job the moment it is submitted
+	})
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(l)
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		srv.Shutdown(ctx)
+	}()
+	const jobs = batch.LedgerCapacity + 1 // job 1's record is overwritten
+	for i := 0; i < jobs; i++ {
+		if _, err := srv.Engine().Ingest(&batch.Job{Kind: batch.KindPDE, Nodes: 1, User: "ana", Est: time.Minute}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for deadline := time.Now().Add(20 * time.Second); srv.Engine().Snapshot().Finished != jobs; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("the pump left jobs unfinished: %+v", srv.Engine().Snapshot())
+		}
+	}
+	addr := l.Addr().String()
+	for _, tc := range []struct{ verb, id, want string }{
+		{"info", "1", "job 1 finished, and its record has aged out of the daemon's ledger (HTTP 404)"},
+		{"cancel", "1", "job 1 finished, and its record has aged out of the daemon's ledger (HTTP 404)"},
+		{"info", "8194", "no such job: 8194 (HTTP 404)"},
+		{"cancel", "8194", "no such job: 8194 (HTTP 404)"},
+		{"cancel", "8193", "job already terminal: job 8193 is done (HTTP 409)"},
+	} {
+		var out, errw strings.Builder
+		if code := run([]string{tc.verb, "-addr", addr, tc.id}, &out, &errw); code != 1 {
+			t.Errorf("%s %s: exit %d, want 1 (stdout %q)", tc.verb, tc.id, code, out.String())
+		}
+		if msg := errw.String(); !strings.HasPrefix(msg, "clusterctl "+tc.verb+": server: ") || !strings.Contains(msg, tc.want) {
+			t.Errorf("%s %s: stderr %q, want the daemon's message %q", tc.verb, tc.id, msg, tc.want)
+		}
+	}
+	var out, errw strings.Builder
+	if code := run([]string{"info", "-addr", addr, "8193"}, &out, &errw); code != 0 || !strings.Contains(out.String(), "job 8193 : done") {
+		t.Errorf("info on a retired job still on record: exit %d, stdout %q, stderr %q", code, out.String(), errw.String())
+	}
+}
+
 // TestRunSlamVerb replays a tiny synthetic trace through the slam
 // subcommand against a high-compression daemon.
 func TestRunSlamVerb(t *testing.T) {

@@ -224,17 +224,23 @@ type jobState struct {
 	backfilled  bool
 	preempting  bool // currently draining its checkpoint
 	promised    bool
-	wavePending bool          // a preemption wave is draining on this job's behalf
-	sliceEnd    bool          // the pending End event is a quantum boundary
-	slicing     bool          // current checkpoint drain is a slice suspension
-	ckptDue     bool          // the pending End event is a proactive-checkpoint boundary
-	banking     bool          // currently draining a proactive bank (gang stays seated)
-	ckptSlice   time.Duration // quantum boundary displaced by an armed bank, restored at settle
-	hostDrain   bool          // current drain stays in host RAM (suspend-to-host)
-	hostImage   bool          // suspended image resident in host RAM, memory pinned
-	canceled    bool          // Cancel hit the job mid-drain: discard at requeue
-	forceStore  bool          // pending suspension must take the store tier: its
+	wavePending bool // a preemption wave is draining on this job's behalf
+	sliceEnd    bool // the pending End event is a quantum boundary
+	slicing     bool // current checkpoint drain is a slice suspension
+	ckptDue     bool // the pending End event is a proactive-checkpoint boundary
+	banking     bool // currently draining a proactive bank (gang stays seated)
+	hostDrain   bool // current drain stays in host RAM (suspend-to-host)
+	hostImage   bool // suspended image resident in host RAM, memory pinned
+	canceled    bool // Cancel hit the job mid-drain: discard at requeue
+	forceStore  bool // pending suspension must take the store tier: its
 	// in-RAM image would pin the very memory the beneficiary needs
+	ckptSlice time.Duration // quantum boundary displaced by an armed bank, restored at settle
+	// blocked counts the passes that skipped this job, by reason
+	// (explain.go). The row is allocated at Submit only when a recorder
+	// is attached, and leaves the scheduler with the job. The flags above
+	// share one word so that this pointer fits inside Job's pinned size
+	// (TestJobSizePinned).
+	blocked *blockRow
 }
 
 // Segment is one dispatch of a job: the gang it ran on and the interval

@@ -17,8 +17,9 @@ import (
 // segment's node-holding time is exactly the work it completed plus the
 // overhead charged to it.
 
-// ErrNoSuchJob reports a Cancel or lookup against an ID no Submit ever
-// assigned.
+// ErrNoSuchJob reports a Cancel or lookup against an ID the scheduler
+// does not hold: one no Submit ever assigned, or a job already handed to
+// the Retirer (retire.go), which is then the one to ask.
 var ErrNoSuchJob = errors.New("no such job")
 
 // ErrJobTerminal reports a Cancel against a job already done, failed,
@@ -120,5 +121,5 @@ func (s *Scheduler) finishCanceled(j *Job) {
 		s.met.canceled.Inc()
 		s.met.publish(s)
 	}
-	s.finished = append(s.finished, j)
+	s.finish(j)
 }

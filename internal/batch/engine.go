@@ -104,7 +104,9 @@ type JobStatus struct {
 type QueueStatus struct {
 	// Now is the engine's virtual clock position.
 	Now time.Duration
-	// Queued, Running, and Finished count jobs by lifecycle stage.
+	// Queued, Running, and Finished count jobs by lifecycle stage;
+	// Finished is every job that ever reached a terminal state, retired
+	// ones included.
 	Queued, Running, Finished int
 	// Jobs lists every non-terminal job, queued first (discipline
 	// order), then running (completion order).
@@ -245,8 +247,17 @@ func jobStatus(j *Job) JobStatus {
 	return st
 }
 
+// fullStatus is jobStatus with the blocked-pass explanation filled in:
+// what Engine.JobStatus answers for a job the scheduler holds and what a
+// Retirer is handed when it stops holding it, so the two cannot differ.
+func fullStatus(j *Job) JobStatus {
+	st := jobStatus(j)
+	st.Blocked = explanationOf(j.blocked, j.ID)
+	return st
+}
+
 // JobStatus returns a point-in-time view of one job, its blocked-pass
-// explanation included.
+// explanation included. A job handed to a Retirer is ErrNoSuchJob here.
 func (e *Engine) JobStatus(id int) (JobStatus, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -255,9 +266,7 @@ func (e *Engine) JobStatus(id int) (JobStatus, error) {
 	if err != nil {
 		return JobStatus{}, err
 	}
-	st := jobStatus(j)
-	st.Blocked = explanationOf(e.s.blocked, id)
-	return st, nil
+	return fullStatus(j), nil
 }
 
 // Explain returns the blocked-pass breakdown for one job so far, read
@@ -279,7 +288,7 @@ func (e *Engine) Snapshot() QueueStatus {
 		Now:      s.now,
 		Queued:   s.pending.len(),
 		Running:  s.running.len(),
-		Finished: len(s.finished),
+		Finished: s.tot.Finished + len(s.finished),
 	}
 	for _, j := range s.pending.ordered(s.less) {
 		if j == nil {

@@ -9,9 +9,9 @@ import (
 // Decision explainability: with a Recorder attached, every scheduling
 // pass classifies each queued, arrived job it scanned and skipped by
 // the obstacle that actually applied at that instant, bumps that
-// reason's counter in the job's row (Scheduler.blocked) and records
-// one EvBlocked event. Explanations are read from the counter row in
-// O(1) whatever the run's length; the events are for recorders that
+// reason's counter in the job's own row and records one EvBlocked
+// event. Explanations are read from the counter row in O(1) whatever
+// the run's length; the events are for recorders that
 // keep the full stream (MemRecorder). The classification runs only
 // when a recorder is attached — the hot path with observability off
 // never pays for it — and reads the same state the scheduling decision
@@ -107,9 +107,10 @@ func (s *Scheduler) beginPass() int {
 	return s.passes
 }
 
-// blockRow counts one job's blocked passes by reason. Rows live beside
-// the scheduler, indexed by job ID, and exist only when a recorder is
-// attached: Job stays the size the nil-recorder drain pays for.
+// blockRow counts one job's blocked passes by reason. A job points at
+// its row, which exists only when a recorder is attached — the
+// nil-recorder drain pays for the pointer alone — and goes where the job
+// goes: a scheduler that forgets a job (retire.go) keeps no row for it.
 type blockRow [numBlockReasons]uint32
 
 // explain counts one blocked pass against j and records its EvBlocked
@@ -121,7 +122,7 @@ func (s *Scheduler) explain(pass int, j *Job, reason BlockReason, at time.Durati
 	if s.rec == nil {
 		return
 	}
-	s.blocked[j.ID-1][reason]++
+	j.blocked[reason]++
 	s.record(Event{Time: s.now, Kind: EvBlocked, Job: j.ID, Pass: pass, Reason: reason, From: at})
 }
 
@@ -266,19 +267,27 @@ func (e Explanation) String() string {
 }
 
 // explanationOf renders job jobID's counter row — empty (never blocked)
-// for an ID outside rows, which is every ID when no recorder was
-// attached.
-func explanationOf(rows []blockRow, jobID int) Explanation {
+// for a nil row, which is every job's when no recorder was attached.
+func explanationOf(row *blockRow, jobID int) Explanation {
 	e := Explanation{JobID: jobID}
-	if jobID < 1 || jobID > len(rows) {
+	if row == nil {
 		return e
 	}
-	for r, n := range &rows[jobID-1] {
+	reasons := 0
+	for _, n := range row {
+		if n != 0 {
+			reasons++
+		}
+	}
+	if reasons == 0 {
+		return e
+	}
+	// Sized to the reasons that occur: a retired job's explanation is
+	// kept for as long as its record is (server's ledger).
+	e.Counts = make([]BlockCount, 0, reasons)
+	for r, n := range row {
 		if n == 0 {
 			continue
-		}
-		if e.Counts == nil {
-			e.Counts = make([]BlockCount, 0, numBlockReasons-1) // ReasonNone never counts
 		}
 		e.BlockedPasses += int(n)
 		// Insert behind every count at least as large: most frequent
@@ -294,7 +303,11 @@ func explanationOf(rows []blockRow, jobID int) Explanation {
 }
 
 // Explain returns the report's blocked-pass record for one job — empty
-// (never blocked) when no recorder was attached to the run.
+// (never blocked) when no recorder was attached to the run, and for a
+// job the report no longer lists (Report.Jobs).
 func (r Report) Explain(jobID int) Explanation {
-	return explanationOf(r.blocked, jobID)
+	if e, ok := r.blocked[jobID]; ok {
+		return e
+	}
+	return Explanation{JobID: jobID}
 }

@@ -131,18 +131,18 @@ func TestExplainCountersMatchEventLog(t *testing.T) {
 // TestExplanationTieBreak pins what the differential test only meets by
 // chance: equal counts come out in reason order, behind larger ones.
 func TestExplanationTieBreak(t *testing.T) {
-	rows := make([]blockRow, 3)
-	rows[2][ReasonShadow] = 2
-	rows[2][ReasonHeadOfLine] = 2
-	rows[2][ReasonFault] = 5
-	rows[2][ReasonLinkBusy] = 1
+	var row blockRow
+	row[ReasonShadow] = 2
+	row[ReasonHeadOfLine] = 2
+	row[ReasonFault] = 5
+	row[ReasonLinkBusy] = 1
 	var events []Event
-	for r, n := range rows[2] {
+	for r, n := range row {
 		for ; n > 0; n-- {
 			events = append(events, Event{Kind: EvBlocked, Job: 3, Reason: BlockReason(r)})
 		}
 	}
-	got, want := explanationOf(rows, 3), ExplainEvents(events, 3)
+	got, want := explanationOf(&row, 3), ExplainEvents(events, 3)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("explanationOf = %+v, event log says %+v", got, want)
 	}
@@ -152,9 +152,11 @@ func TestExplanationTieBreak(t *testing.T) {
 			t.Fatalf("counts ordered %+v, want reasons %v", got.Counts, order)
 		}
 	}
-	for _, id := range []int{-1, 0, 1, 4} {
-		if e := explanationOf(rows, id); e.BlockedPasses != 0 || e.Counts != nil || e.JobID != id {
-			t.Fatalf("explanationOf(%d) = %+v, want never blocked", id, e)
+	// A job with no row (no recorder) and one never passed over both
+	// explain as never blocked.
+	for _, r := range []*blockRow{nil, new(blockRow)} {
+		if e := explanationOf(r, 4); e.BlockedPasses != 0 || e.Counts != nil || e.JobID != 4 {
+			t.Fatalf("explanationOf(%v) = %+v, want never blocked", r, e)
 		}
 	}
 }

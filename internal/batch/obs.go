@@ -196,6 +196,13 @@ func (r *MemRecorder) Reset() { r.events = r.events[:0] }
 // RingCapacity is how many events a RingRecorder retains.
 const RingCapacity = 4096
 
+// LedgerCapacity is how many retired jobs a front door's ledger keeps
+// answering for (retire.go, package server): the ledger grows on demand
+// to this many final records and then overwrites the oldest. It is
+// RingCapacity's counterpart for jobs — between the two, what a daemon
+// remembers of its past is bounded however long it stays up.
+const LedgerCapacity = 8192
+
 // RingRecorder is the bounded Recorder: it keeps the most recent
 // RingCapacity lifecycle events and drops EvBlocked, whose content the
 // scheduler's per-job counters already hold (explain.go), so its memory

@@ -2,6 +2,7 @@ package batch
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"strings"
 	"time"
@@ -57,38 +58,21 @@ type Counters struct {
 	Banks int
 }
 
-// Report summarizes a drained queue: the cluster-operator view
-// (makespan, utilization) and the user view (waits) of one scheduling
-// run.
-type Report struct {
-	// Policy is the discipline that produced this schedule.
-	Policy Policy
-	// Counters are the scheduler's running totals at report time.
-	Counters
-	// Jobs lists every finished job in completion order. The entries
-	// are insulated copies taken at report time: replaying the same
-	// specs against another scheduler (the clusterctl comparison
-	// pattern) resets the originals' lifecycle fields, but an earlier
-	// report keeps the schedule it measured, so per-job statistics
-	// (AvgWaitUnder, MedianEstimate) stay recomputable after any
-	// number of replays.
-	Jobs []*Job
+// JobTotals are the report's sums over the jobs that reached a terminal
+// state — the one copy of each. A scheduler that keeps its terminal
+// jobs computes them when a report is asked for; one that forgets them
+// (retire.go) folds each job in as it leaves and carries the block
+// along, and a report is then that block plus whatever jobs the
+// scheduler still holds. Either way one function, fold, adds a job.
+type JobTotals struct {
+	// Finished counts the jobs that reached a terminal state, whether or
+	// not Report.Jobs still lists them.
+	Finished int
 	// Makespan is the virtual time from scheduler start to the last
 	// completion.
 	Makespan time.Duration
-	// NodeBusy is each node's accumulated allocated time.
-	NodeBusy []time.Duration
-	// Utilization is total busy node-time over Makespan * nodes.
-	Utilization float64
-	// AvgWait and MaxWait aggregate queue waits (Start - Submit).
-	AvgWait, MaxWait time.Duration
-	// ShortCut is the median resolved runtime estimate of the run's
-	// jobs, and ShortWait the mean wait of the jobs at or below it —
-	// the short-job population time-slicing exists to help. They are
-	// plain conveniences over Jobs: since Jobs holds insulated copies,
-	// MedianEstimate and AvgWaitUnder recompute them identically even
-	// after the specs have been replayed against other schedulers.
-	ShortCut, ShortWait time.Duration
+	// MaxWait is the longest queue wait (Start - Submit).
+	MaxWait time.Duration
 	// Preempted counts jobs checkpointed off their gang at least once
 	// on priority (Counters.PreemptEvents counts the drains).
 	Preempted int
@@ -102,16 +86,6 @@ type Report struct {
 	// Faulted counts jobs an injected fault killed at least once
 	// (Counters.FaultKills counts the kills).
 	Faulted int
-	// NodeDownTime is total node-unavailable time (still-down nodes
-	// clamped to the makespan).
-	NodeDownTime time.Duration
-	// Availability is 1 − NodeDownTime/(Makespan × nodes): the machine-
-	// time fraction the storm left standing. 1 when no faults were
-	// injected.
-	Availability float64
-	// Goodput is completed (Done) jobs per virtual second of makespan —
-	// the figure proactive checkpointing defends under a failure storm.
-	Goodput float64
 	// UserNodeTime aggregates granted node-time per Job.User — the raw
 	// (undecayed) fair-share accounting view.
 	UserNodeTime map[string]time.Duration
@@ -125,6 +99,102 @@ type Report struct {
 	// SplitGangs counts jobs placed on a non-contiguous node set
 	// assembled from free fragments.
 	SplitGangs int
+
+	waitSum time.Duration // AvgWait's numerator: an integer sum, so folding early changes no digit
+	done    int           // Goodput's numerator: jobs that ended Done
+}
+
+// fold adds one terminal job to the totals.
+func (t *JobTotals) fold(j *Job) {
+	t.Finished++
+	if j.End > t.Makespan {
+		t.Makespan = j.End
+	}
+	w := j.Wait()
+	t.waitSum += w
+	if w > t.MaxWait {
+		t.MaxWait = w
+	}
+	switch j.State {
+	case Done:
+		t.done++
+	case Failed:
+		t.Failed++
+	case Canceled:
+		t.Canceled++
+	}
+	if j.Alloc.CrossesTrunk {
+		t.TrunkCrossed++
+	}
+	if len(j.Alloc.Ranges) > 1 {
+		t.SplitGangs++
+	}
+	if j.preempts > 0 {
+		t.Preempted++
+	}
+	if j.slices > 0 {
+		t.Sliced++
+	}
+	if j.faults > 0 {
+		t.Faulted++
+	}
+	t.CheckpointOverhead += j.overhead
+	if t.UserNodeTime == nil {
+		t.UserNodeTime = make(map[string]time.Duration)
+	}
+	for _, seg := range j.History {
+		t.UserNodeTime[j.User] += time.Duration(seg.Alloc.Count) * (seg.End - seg.Start)
+	}
+}
+
+// Report summarizes a drained queue: the cluster-operator view
+// (makespan, utilization) and the user view (waits) of one scheduling
+// run.
+type Report struct {
+	// Policy is the discipline that produced this schedule.
+	Policy Policy
+	// Counters are the scheduler's running totals at report time.
+	Counters
+	// JobTotals are the sums over every job that has finished, listed
+	// in Jobs or not.
+	JobTotals
+	// Jobs lists the finished jobs in completion order. The entries
+	// are insulated copies taken at report time: replaying the same
+	// specs against another scheduler (the clusterctl comparison
+	// pattern) resets the originals' lifecycle fields, but an earlier
+	// report keeps the schedule it measured, so per-job statistics
+	// (AvgWaitUnder, MedianEstimate) stay recomputable after any
+	// number of replays. Under a scheduler that forgets its terminal
+	// jobs (Engine.RetireTo) the list is what the Retirer still holds —
+	// the most recent finishers, rebuilt from their final status:
+	// identity, spec, state, times, estimate and suspension counts, no
+	// History or Alloc — while JobTotals covers them all.
+	Jobs []*Job
+	// NodeBusy is each node's accumulated allocated time.
+	NodeBusy []time.Duration
+	// Utilization is total busy node-time over Makespan * nodes.
+	Utilization float64
+	// AvgWait is the mean queue wait (Start - Submit) over every
+	// finished job.
+	AvgWait time.Duration
+	// ShortCut is the median resolved runtime estimate of the jobs the
+	// report lists, and ShortWait the mean wait of those at or below it
+	// — the short-job population time-slicing exists to help. They are
+	// plain conveniences over Jobs (a median does not fold, so they are
+	// not totals): since Jobs holds insulated copies, MedianEstimate
+	// and AvgWaitUnder recompute them identically even after the specs
+	// have been replayed against other schedulers.
+	ShortCut, ShortWait time.Duration
+	// NodeDownTime is total node-unavailable time (still-down nodes
+	// clamped to the makespan).
+	NodeDownTime time.Duration
+	// Availability is 1 − NodeDownTime/(Makespan × nodes): the machine-
+	// time fraction the storm left standing. 1 when no faults were
+	// injected.
+	Availability float64
+	// Goodput is completed (Done) jobs per virtual second of makespan —
+	// the figure proactive checkpointing defends under a failure storm.
+	Goodput float64
 	// AvgFreeFrags is the mean number of free fragments seen at
 	// allocation instants — the fragmentation the placements created.
 	AvgFreeFrags float64
@@ -134,74 +204,59 @@ type Report struct {
 	// RingRecorder; empty otherwise. It backs Timeline and the
 	// report-level WriteChromeTrace (obs.go).
 	Events []Event
-	// blocked is the per-job blocked-pass counter rows at report time,
-	// by ID-1 — what Explain reads (explain.go). Nil when no recorder
-	// was attached.
-	blocked []blockRow
+	// blocked is the blocked-pass explanation, at report time, of every
+	// job the scheduler or its Retirer still holds that was ever passed
+	// over — what Explain reads (explain.go). Nil when there is none, as
+	// with no recorder attached.
+	blocked map[int]Explanation
 }
 
-// report assembles the Report from the scheduler's terminal state.
-// Finished jobs are copied into the report: the scheduler-owned
-// lifecycle fields of the caller's *Job specs are reset at the next
-// Submit (the replay pattern), and an already-issued report must not
-// see its schedule rewritten under it.
+// report assembles the Report: the totals carried for jobs already
+// forgotten, plus the jobs still held. Finished jobs are copied into
+// the report: the scheduler-owned lifecycle fields of the caller's *Job
+// specs are reset at the next Submit (the replay pattern), and an
+// already-issued report must not see its schedule rewritten under it.
 func (s *Scheduler) report() Report {
-	jobs := make([]*Job, len(s.finished))
-	for i, j := range s.finished {
-		cp := *j
-		jobs[i] = &cp
-	}
 	r := Report{
 		Policy:       s.cfg.Policy,
 		Counters:     s.ctr,
-		Jobs:         jobs,
+		JobTotals:    s.tot,
+		Jobs:         make([]*Job, 0, len(s.finished)),
 		NodeBusy:     s.cfg.Cluster.BusyTimes(),
 		Availability: 1,
-		UserNodeTime: make(map[string]time.Duration),
 		AvgFreeFrags: s.cfg.Cluster.AvgFreeFrags(),
+	}
+	// The report's map is its own: the scheduler's keeps growing.
+	if r.UserNodeTime = maps.Clone(s.tot.UserNodeTime); r.UserNodeTime == nil {
+		r.UserNodeTime = make(map[string]time.Duration)
 	}
 	if src, ok := s.cfg.Recorder.(interface{ Events() []Event }); ok {
 		r.Events = append([]Event(nil), src.Events()...)
 	}
-	r.blocked = append([]blockRow(nil), s.blocked...)
-	var waitSum time.Duration
-	for _, j := range r.Jobs {
-		if j.End > r.Makespan {
-			r.Makespan = j.End
-		}
-		w := j.Wait()
-		waitSum += w
-		if w > r.MaxWait {
-			r.MaxWait = w
-		}
-		if j.State == Failed {
-			r.Failed++
-		}
-		if j.State == Canceled {
-			r.Canceled++
-		}
-		if j.Alloc.CrossesTrunk {
-			r.TrunkCrossed++
-		}
-		if len(j.Alloc.Ranges) > 1 {
-			r.SplitGangs++
-		}
-		if j.preempts > 0 {
-			r.Preempted++
-		}
-		if j.slices > 0 {
-			r.Sliced++
-		}
-		if j.faults > 0 {
-			r.Faulted++
-		}
-		r.CheckpointOverhead += j.overhead
-		for _, seg := range j.History {
-			r.UserNodeTime[j.User] += time.Duration(seg.Alloc.Count) * (seg.End - seg.Start)
-		}
+	if s.retirer != nil {
+		s.retirer.Retained(func(st JobStatus) {
+			r.Jobs = append(r.Jobs, st.job())
+			r.noteBlocked(st.Blocked)
+		})
 	}
-	if n := len(s.finished); n > 0 {
-		r.AvgWait = waitSum / time.Duration(n)
+	for _, j := range s.finished {
+		cp := *j
+		r.Jobs = append(r.Jobs, &cp)
+		r.JobTotals.fold(&cp)
+	}
+	if s.rec != nil {
+		for _, j := range s.finished {
+			r.noteBlocked(explanationOf(j.blocked, j.ID))
+		}
+		for _, j := range s.pending.jobs {
+			if j != nil {
+				r.noteBlocked(explanationOf(j.blocked, j.ID))
+			}
+		}
+		s.running.each(func(j *Job) { r.noteBlocked(explanationOf(j.blocked, j.ID)) })
+	}
+	if r.Finished > 0 {
+		r.AvgWait = r.waitSum / time.Duration(r.Finished)
 	}
 	r.ShortCut = r.MedianEstimate()
 	r.ShortWait = r.AvgWaitUnder(r.ShortCut)
@@ -224,15 +279,21 @@ func (s *Scheduler) report() Report {
 		if n := len(r.NodeBusy); n > 0 {
 			r.Availability = 1 - float64(r.NodeDownTime)/(float64(r.Makespan)*float64(n))
 		}
-		done := 0
-		for _, j := range r.Jobs {
-			if j.State == Done {
-				done++
-			}
-		}
-		r.Goodput = float64(done) / r.Makespan.Seconds()
+		r.Goodput = float64(r.done) / r.Makespan.Seconds()
 	}
 	return r
+}
+
+// noteBlocked files one job's explanation under its ID, if the job was
+// ever passed over.
+func (r *Report) noteBlocked(e Explanation) {
+	if e.BlockedPasses == 0 {
+		return
+	}
+	if r.blocked == nil {
+		r.blocked = make(map[int]Explanation)
+	}
+	r.blocked[e.JobID] = e
 }
 
 // AvgWaitUnder returns the mean queue wait over finished jobs whose
@@ -295,7 +356,7 @@ func RoundDuration(d time.Duration) time.Duration {
 func (r Report) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "policy %-8s %d jobs, makespan %v, utilization %.1f%%, avg wait %v, max wait %v, %d backfilled, %d failed\n",
-		r.Policy, len(r.Jobs), RoundDuration(r.Makespan),
+		r.Policy, r.Finished, RoundDuration(r.Makespan),
 		100*r.Utilization, RoundDuration(r.AvgWait), RoundDuration(r.MaxWait),
 		r.Backfilled, r.Failed)
 	fmt.Fprintf(&b, "  placement: %d trunk-crossing gangs, %d split gangs, %.1f avg free fragments at allocation\n",

@@ -208,8 +208,10 @@ type Scheduler struct {
 	cfg          Config
 	now          time.Duration
 	pending      queue
-	running      endTreap // the running set, keyed by completion event (index.go)
-	finished     []*Job
+	running      endTreap  // the running set, keyed by completion event (index.go)
+	finished     []*Job    // terminal jobs still held: all of them, or none once a Retirer takes them (retire.go)
+	tot          JobTotals // what the jobs already retired add to a report (report.go); zero with no Retirer
+	retirer      Retirer   // where terminal jobs go instead of finished; nil = keep them (retire.go)
 	nextID       int
 	ctr          Counters             // the run's totals, as Report publishes them (report.go)
 	ckptInFlight int                  // gangs currently draining checkpoints
@@ -219,13 +221,12 @@ type Scheduler struct {
 	usage        map[string]*usage    // per-user decayed accounting (fairshare.go)
 	fsEpoch      time.Duration        // reference instant for fair-share sort keys (fairshare.go)
 	arrivals     calendarQueue        // future arrivals bucketed by instant (index.go)
-	byID         map[int]*Job         // every job ever submitted, by assigned ID (Cancel, JobByID)
+	byID         map[int]*Job         // every job submitted and not retired, by assigned ID (Cancel, JobByID)
 	less         func(a, b *Job) bool // jobLess, bound once (no per-pass closure)
 	rec          Recorder             // lifecycle event sink; nil = recording off (obs.go)
 	met          *schedMetrics        // typed metric handles; nil = metrics off (metrics.go)
 	passes       int                  // scheduling sweeps taken, restarted ones included (EvBlocked pass numbers)
 	prof         profile              // the conservative pass's capacity profile, rebuilt in place per sweep
-	blocked      []blockRow           // per job, by ID-1: blocked passes by reason; nil with no recorder (explain.go)
 	faultEvs     []faultEvent         // compiled fault schedule, sorted (fault.go)
 	faultIdx     int                  // next fault event to apply
 	downSince    []time.Duration      // per node: instant it went down, -1 while up
@@ -359,9 +360,9 @@ func (s *Scheduler) Submit(j *Job) error {
 		j.acct = s.account(j.User) // resolved once: jobLess compares keys without a map lookup
 	}
 	if s.rec != nil {
-		// A fresh, zeroed counter row under the new ID: a replayed spec
-		// starts its explanation over as it does its lifecycle.
-		s.blocked = append(s.blocked, blockRow{})
+		// A fresh, zeroed counter row: a replayed spec starts its
+		// explanation over as it does its lifecycle.
+		j.blocked = new(blockRow)
 	}
 	s.pending.push(j)
 	if j.arrive > s.now {
@@ -1084,7 +1085,28 @@ func (s *Scheduler) complete(j *Job) {
 		}
 		s.met.wait.Observe(j.Wait().Seconds())
 	}
-	s.finished = append(s.finished, j)
+	s.finish(j)
+}
+
+// finish files a job that has just reached a terminal state: kept for
+// the report, or retired.
+func (s *Scheduler) finish(j *Job) {
+	if s.retirer == nil {
+		s.finished = append(s.finished, j)
+		return
+	}
+	s.retire(j)
+}
+
+// retire is the one place a job leaves byID: its figures go into the
+// running totals, its final status to the Retirer, and nothing of it
+// stays behind. Structures that hold the *Job for a reason of their own
+// (an eviction write still settling, a victim's waveFor) keep it until
+// that reason ends; none of them outlives the work in flight.
+func (s *Scheduler) retire(j *Job) {
+	s.tot.fold(j)
+	delete(s.byID, j.ID)
+	s.retirer.Retire(fullStatus(j))
 }
 
 // stretched applies the scheduler-known trunk slowdown to a duration

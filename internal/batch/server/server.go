@@ -8,6 +8,12 @@
 //	GET    /v1/queue     live queue snapshot      -> 200 + queue view
 //	GET    /metrics      Prometheus registry      -> 200 text/plain
 //
+// A job answers on /v1/jobs/{id} while it is live and, once terminal,
+// for as long as the ledger below keeps its record; after that GET and
+// DELETE answer 404 with a message saying the job finished and has aged
+// out, distinct from the 404 of an ID never assigned. DELETE on a
+// terminal job whose record is still kept is 409, as it always was.
+//
 // Authentication is bearer-token per user (Config.Tokens); with no
 // tokens configured the server runs open and attributes jobs to the
 // X-User header. Admission control enforces per-user quotas — max
@@ -18,11 +24,19 @@
 // report.
 //
 // The daemon is observable by default at a memory cost that does not
-// grow with uptime: explain is served from the scheduler's per-job
-// blocked-pass counters, and the default recorder is a
-// batch.RingRecorder holding the most recent batch.RingCapacity
-// lifecycle events. A full event stream (replay, Perfetto) is an
-// explicit choice: set Config.Batch.Recorder to a batch.MemRecorder.
+// grow with uptime, for events and for jobs. Events: explain is served
+// from the scheduler's per-job blocked-pass counters, and the default
+// recorder is a batch.RingRecorder holding the most recent
+// batch.RingCapacity lifecycle events. A full event stream (replay,
+// Perfetto) is an explicit choice: set Config.Batch.Recorder to a
+// batch.MemRecorder. Jobs: New asks the engine to retire terminal jobs
+// (batch.Engine.RetireTo), so the scheduler holds the live ones only; a
+// job that ends leaves its final status — everything a job view renders
+// — as one compact record in a ledger of at most batch.LedgerCapacity
+// records, overwritten oldest first, and the final report's totals
+// still count every job (batch.JobTotals) while it lists those the
+// ledger holds. Per-job state is therefore at most live jobs +
+// batch.LedgerCapacity entries in every container the daemon owns.
 // The listener bounds what a client can hold open: header, request and
 // idle timeouts, and a 1 MiB cap on a submit body.
 package server
@@ -96,9 +110,7 @@ type Server struct {
 
 	admit sync.Mutex // serializes quota check + ingest (no overshoot)
 
-	mu       sync.Mutex
-	submitW  map[int]time.Time // job -> wall instant the submit was accepted
-	dispatch map[int]time.Time // job -> wall instant of first dispatch
+	book jobBook // the server's own per-job state
 }
 
 // New validates cfg and returns an unstarted server.
@@ -107,29 +119,30 @@ func New(cfg Config) *Server {
 		cfg.Batch.Metrics = batch.NewRegistry()
 	}
 	s := &Server{
-		cfg:      cfg,
-		reg:      cfg.Batch.Metrics,
-		epoch:    time.Now(),
-		submitW:  make(map[int]time.Time),
-		dispatch: make(map[int]time.Time),
+		cfg:   cfg,
+		reg:   cfg.Batch.Metrics,
+		epoch: time.Now(),
+		book:  jobBook{live: make(map[int]wallStamps), slot: make(map[int]int)},
 
 		readHeaderTimeout: readHeaderTimeout,
 	}
-	// The dispatch tap wraps whatever recorder the config carries (a
+	// The stamp tap wraps whatever recorder the config carries (a
 	// RingRecorder by default: explain counts need one attached, not
-	// its stream), stamping each job's first dispatch with wall time —
-	// the other half of the submit→dispatch latency the slam client
-	// reports.
+	// its stream), stamping each job's submit and first dispatch with
+	// wall time — the two ends of the submit→dispatch latency the slam
+	// client reports.
 	var inner batch.Recorder = cfg.Batch.Recorder
 	if inner == nil {
 		inner = &batch.RingRecorder{}
 	}
-	s.cfg.Batch.Recorder = &dispatchTap{inner: inner, srv: s}
+	s.cfg.Batch.Recorder = &stampTap{inner: inner, book: &s.book, epoch: s.epoch}
 	s.clock = cfg.Clock
 	if s.clock == nil {
 		s.clock = batch.NewWallClock(cfg.Compress)
 	}
 	s.eng = batch.NewEngine(s.cfg.Batch, s.clock)
+	// A daemon stays up: terminal jobs leave the scheduler for the ledger.
+	s.eng.RetireTo(&s.book)
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
 	s.mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleCancel)
@@ -139,27 +152,138 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// dispatchTap forwards every event to the inner recorder and stamps
-// first dispatches with wall time. Record runs under the engine lock,
-// so the map mutex only guards against concurrent HTTP readers.
-type dispatchTap struct {
-	inner batch.Recorder
-	srv   *Server
+// wallStamps are the two wall instants a job view carries beside the
+// engine's virtual ones, as time since the server's epoch; zero means
+// not yet.
+type wallStamps struct {
+	submit   time.Duration // the submit was accepted
+	dispatch time.Duration // first dispatch
 }
 
-func (t *dispatchTap) Record(ev batch.Event) {
-	if ev.Kind == batch.EvDispatch {
-		t.srv.mu.Lock()
-		if _, seen := t.srv.dispatch[ev.Job]; !seen {
-			t.srv.dispatch[ev.Job] = time.Now()
+// jobRecord is everything a job view renders: the engine's status and
+// the server's stamps. One is assembled per answer while the job is
+// live; one is kept, in the ledger, once it has retired.
+type jobRecord struct {
+	batch.JobStatus
+	wallStamps
+}
+
+// jobBook is the server's own per-job state: the stamps of the jobs the
+// scheduler still holds, and the ledger — the final record of each job
+// it has retired, the most recent batch.LedgerCapacity of them, grown on
+// demand to that many and then overwritten oldest first. The book is the
+// engine's batch.Retirer, so a job moves from the one to the other in
+// the same engine-locked step that makes the scheduler forget it, and
+// every container here holds at most live jobs + batch.LedgerCapacity
+// entries however long the daemon runs.
+//
+// The engine calls in with its own lock held (the recorder tap, Retire,
+// Retained), so nothing here may call the engine. New makes the maps.
+type jobBook struct {
+	mu     sync.Mutex
+	live   map[int]wallStamps // jobs the scheduler holds
+	recs   []jobRecord        // the ledger, in retirement order from head, wrapping once full
+	head   int                // once full: index of the oldest record
+	slot   map[int]int        // retired job ID -> index in recs
+	newest int                // the highest job ID assigned so far
+}
+
+// errAgedOut is the 404 of an ID that was a job: it finished, and the
+// ledger has since given its record's place to a later one.
+var errAgedOut = errors.New("finished, and its record has aged out of the daemon's ledger")
+
+// find answers for one job ID given what the engine said of it: st when
+// the scheduler holds the job, the ledger's record once it has retired,
+// errAgedOut once the ledger has let go of it too, and the engine's own
+// err (batch.ErrNoSuchJob) for an ID never assigned.
+func (b *jobBook) find(id int, st batch.JobStatus, err error) (jobRecord, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if err == nil {
+		if w, ok := b.live[id]; ok {
+			return jobRecord{st, w}, nil
 		}
-		t.srv.mu.Unlock()
+		// Retired between the engine's answer and this lock: the ledger's
+		// record is the later word, and it has the stamps.
+	}
+	if i, ok := b.slot[id]; ok {
+		return b.recs[i], nil
+	}
+	if id >= 1 && id <= b.newest {
+		return jobRecord{}, fmt.Errorf("job %d %w", id, errAgedOut)
+	}
+	return jobRecord{}, err
+}
+
+// stamps returns a live job's wall stamps, zero for any other ID.
+func (b *jobBook) stamps(id int) wallStamps {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.live[id]
+}
+
+// Retire moves a job from the live map into the ledger, its stamps with
+// it (batch.Retirer).
+func (b *jobBook) Retire(final batch.JobStatus) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	rec := jobRecord{final, b.live[final.ID]}
+	delete(b.live, final.ID)
+	if len(b.recs) < batch.LedgerCapacity {
+		b.slot[rec.ID] = len(b.recs)
+		b.recs = append(b.recs, rec)
+		return
+	}
+	delete(b.slot, b.recs[b.head].ID)
+	b.slot[rec.ID] = b.head
+	b.recs[b.head] = rec
+	b.head = (b.head + 1) % batch.LedgerCapacity
+}
+
+// Retained lists the ledger, oldest record first (batch.Retirer).
+func (b *jobBook) Retained(yield func(batch.JobStatus)) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	for _, rec := range b.recs[b.head:] {
+		yield(rec.JobStatus)
+	}
+	for _, rec := range b.recs[:b.head] {
+		yield(rec.JobStatus)
+	}
+}
+
+// stampTap forwards every event to the inner recorder and stamps
+// submits and first dispatches with wall time. Record runs under the
+// engine lock, inside the Submit or the pass that caused the event, so a
+// job's stamps are in the book before anything can retire it.
+type stampTap struct {
+	inner batch.Recorder
+	book  *jobBook
+	epoch time.Time
+}
+
+func (t *stampTap) Record(ev batch.Event) {
+	switch b := t.book; ev.Kind {
+	case batch.EvSubmit:
+		b.mu.Lock()
+		b.live[ev.Job] = wallStamps{submit: time.Since(t.epoch)}
+		if ev.Job > b.newest {
+			b.newest = ev.Job
+		}
+		b.mu.Unlock()
+	case batch.EvDispatch:
+		b.mu.Lock()
+		if w := b.live[ev.Job]; w.dispatch == 0 { // the first dispatch wins
+			w.dispatch = time.Since(t.epoch)
+			b.live[ev.Job] = w
+		}
+		b.mu.Unlock()
 	}
 	t.inner.Record(ev)
 }
 
 // Events lets the engine's report see through the tap.
-func (t *dispatchTap) Events() []batch.Event {
+func (t *stampTap) Events() []batch.Event {
 	if src, ok := t.inner.(interface{ Events() []batch.Event }); ok {
 		return src.Events()
 	}
@@ -330,36 +454,53 @@ func parseKind(k string) (batch.JobKind, error) {
 	return 0, fmt.Errorf("unknown kind %q (want lbm, cg, or pde)", k)
 }
 
-func (s *Server) jobView(st batch.JobStatus) JobView {
+// record answers for one job ID: from the engine while the scheduler
+// holds the job, from the ledger once it has retired (jobBook.find). An
+// error is a 404, and says which: an ID never assigned, or a job whose
+// record has aged out.
+func (s *Server) record(id int) (jobRecord, error) {
+	st, err := s.eng.JobStatus(id)
+	return s.book.find(id, st, err)
+}
+
+// view renders a record; a job's view is the same bytes from the
+// instant it turns terminal for as long as the ledger keeps it.
+func (rec jobRecord) view() JobView {
+	const ms = float64(time.Millisecond)
 	v := JobView{
-		ID:          st.ID,
-		Name:        st.Name,
-		User:        st.User,
-		Kind:        st.Kind.String(),
-		Nodes:       st.Nodes,
-		Priority:    st.Priority,
-		State:       st.State.String(),
-		SubmitMS:    float64(st.Submit) / float64(time.Millisecond),
-		EstMS:       float64(st.Estimate) / float64(time.Millisecond),
-		Preemptions: st.Preemptions,
-		TimeSlices:  st.TimeSlices,
-		Detail:      st.Detail,
+		ID:             rec.ID,
+		Name:           rec.Name,
+		User:           rec.User,
+		Kind:           rec.Kind.String(),
+		Nodes:          rec.Nodes,
+		Priority:       rec.Priority,
+		State:          rec.State.String(),
+		SubmitMS:       float64(rec.Submit) / ms,
+		EstMS:          float64(rec.Estimate) / ms,
+		Preemptions:    rec.Preemptions,
+		TimeSlices:     rec.TimeSlices,
+		Detail:         rec.Detail,
+		SubmitWallMS:   float64(rec.submit) / ms,
+		DispatchWallMS: float64(rec.dispatch) / ms,
 	}
-	if st.State != batch.Queued {
-		v.StartMS = float64(st.Start) / float64(time.Millisecond)
-		v.WaitMS = float64(st.Wait) / float64(time.Millisecond)
+	if rec.State != batch.Queued {
+		v.StartMS = float64(rec.Start) / ms
+		v.WaitMS = float64(rec.Wait) / ms
 	}
-	if st.End > 0 {
-		v.EndMS = float64(st.End) / float64(time.Millisecond)
+	if rec.End > 0 {
+		v.EndMS = float64(rec.End) / ms
 	}
-	s.mu.Lock()
-	if t, ok := s.submitW[st.ID]; ok {
-		v.SubmitWallMS = float64(t.Sub(s.epoch)) / float64(time.Millisecond)
+	return v
+}
+
+// viewWithExplain is view plus the blocked-pass breakdown, present even
+// when empty: what GET /v1/jobs/{id} answers.
+func (rec jobRecord) viewWithExplain() JobView {
+	v := rec.view()
+	v.Explain = &ExplainView{BlockedPasses: rec.Blocked.BlockedPasses}
+	for _, c := range rec.Blocked.Counts {
+		v.Explain.Blockers = append(v.Explain.Blockers, BlockerView{Reason: c.Reason.String(), Passes: c.Passes})
 	}
-	if t, ok := s.dispatch[st.ID]; ok {
-		v.DispatchWallMS = float64(t.Sub(s.epoch)) / float64(time.Millisecond)
-	}
-	s.mu.Unlock()
 	return v
 }
 
@@ -423,15 +564,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	s.mu.Lock()
-	s.submitW[id] = time.Now()
-	s.mu.Unlock()
-	st, err := s.eng.JobStatus(id)
+	rec, err := s.record(id)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusCreated, s.jobView(st))
+	writeJSON(w, http.StatusCreated, rec.view())
 }
 
 // nodeSeconds is the admission price of a spec: requested nodes times
@@ -446,10 +584,13 @@ func nodeSeconds(j *batch.Job) float64 {
 	return float64(j.Nodes) * est
 }
 
+// pathID parses the {id} path segment. An ID has one spelling, the one
+// the daemon printed: "007" and "+7" are 400s, not job 7.
 func (s *Server) pathID(w http.ResponseWriter, r *http.Request) (int, bool) {
-	id, err := strconv.Atoi(r.PathValue("id"))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad job id %q", r.PathValue("id"))
+	raw := r.PathValue("id")
+	id, err := strconv.Atoi(raw)
+	if err != nil || strconv.Itoa(id) != raw {
+		writeError(w, http.StatusBadRequest, "bad job id %q", raw)
 		return 0, false
 	}
 	return id, true
@@ -465,29 +606,36 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	st, err := s.eng.JobStatus(id)
+	rec, err := s.record(id)
 	if err != nil {
 		writeError(w, http.StatusNotFound, "%v", err)
 		return
 	}
-	if len(s.cfg.Tokens) > 0 && st.User != user {
-		writeError(w, http.StatusForbidden, "job %d belongs to %q", id, st.User)
+	if len(s.cfg.Tokens) > 0 && rec.User != user {
+		writeError(w, http.StatusForbidden, "job %d belongs to %q", id, rec.User)
 		return
 	}
-	if err := s.eng.Cancel(id); err != nil {
-		code := http.StatusConflict
-		if errors.Is(err, batch.ErrNoSuchJob) {
-			code = http.StatusNotFound
+	switch err := s.eng.Cancel(id); {
+	case err == nil:
+	case errors.Is(err, batch.ErrNoSuchJob):
+		// The scheduler has retired the job the lookup found: it is
+		// terminal, the conflict it always was — unless its record has
+		// left the ledger too in the meantime.
+		if rec, err = s.record(id); err != nil {
+			writeError(w, http.StatusNotFound, "%v", err)
+			return
 		}
-		writeError(w, code, "%v", err)
+		writeError(w, http.StatusConflict, "batch: %v: job %d is %s", batch.ErrJobTerminal, id, rec.State)
+		return
+	default:
+		writeError(w, http.StatusConflict, "%v", err)
 		return
 	}
-	st, err = s.eng.JobStatus(id)
-	if err != nil {
+	if rec, err = s.record(id); err != nil {
 		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, s.jobView(st))
+	writeJSON(w, http.StatusOK, rec.view())
 }
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
@@ -499,18 +647,12 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	st, err := s.eng.JobStatus(id)
+	rec, err := s.record(id)
 	if err != nil {
 		writeError(w, http.StatusNotFound, "%v", err)
 		return
 	}
-	v := s.jobView(st)
-	ev := &ExplainView{BlockedPasses: st.Blocked.BlockedPasses}
-	for _, c := range st.Blocked.Counts {
-		ev.Blockers = append(ev.Blockers, BlockerView{Reason: c.Reason.String(), Passes: c.Passes})
-	}
-	v.Explain = ev
-	writeJSON(w, http.StatusOK, v)
+	writeJSON(w, http.StatusOK, rec.viewWithExplain())
 }
 
 func (s *Server) handleQueue(w http.ResponseWriter, r *http.Request) {
@@ -526,7 +668,7 @@ func (s *Server) handleQueue(w http.ResponseWriter, r *http.Request) {
 		Finished: qs.Finished,
 	}
 	for _, st := range qs.Jobs {
-		qv.Jobs = append(qv.Jobs, s.jobView(st))
+		qv.Jobs = append(qv.Jobs, jobRecord{st, s.book.stamps(st.ID)}.view())
 	}
 	writeJSON(w, http.StatusOK, qv)
 }

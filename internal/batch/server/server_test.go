@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -380,7 +379,9 @@ func TestServeSlamE2E(t *testing.T) {
 // of jobs through a server with no recorder configured. What the daemon
 // keeps of its event stream stays within the ring — the most recent
 // lifecycle events, in order, no blocked-pass events — while explain,
-// served from the per-job counters, still accounts for every pass.
+// served from the per-job counters, still accounts for every pass. The
+// jobs themselves are bounded too (TestServerPerJobStateBounded): the
+// final report counts them all and lists the ledger's worth.
 func TestServerDefaultRecorderBounded(t *testing.T) {
 	const wave, jobs = 8, 10 * batch.RingCapacity
 	s := New(Config{
@@ -390,15 +391,8 @@ func TestServerDefaultRecorderBounded(t *testing.T) {
 	h := s.Handler()
 	do := func(method, path string, body []byte, want int) JobView {
 		t.Helper()
-		req := httptest.NewRequest(method, path, bytes.NewReader(body))
-		req.Header.Set("X-User", "ana")
-		w := httptest.NewRecorder()
-		h.ServeHTTP(w, req)
-		if w.Code != want {
-			t.Fatalf("%s %s: HTTP %d, want %d: %s", method, path, w.Code, want, w.Body)
-		}
 		var v JobView
-		if err := json.Unmarshal(w.Body.Bytes(), &v); err != nil {
+		if err := json.Unmarshal(mustCall(t, h, method, path, body, want), &v); err != nil {
 			t.Fatalf("%s %s: %v", method, path, err)
 		}
 		return v
@@ -430,8 +424,12 @@ func TestServerDefaultRecorderBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Jobs) != jobs {
-		t.Fatalf("report holds %d jobs, want %d", len(rep.Jobs), jobs)
+	// Re-pinned on purpose when terminal jobs began to leave the daemon
+	// (it read len(rep.Jobs) == jobs): the report counts every job and
+	// lists the ones the ledger still holds.
+	if rep.Finished != jobs || len(rep.Jobs) != batch.LedgerCapacity || rep.Jobs[len(rep.Jobs)-1].ID != last.ID {
+		t.Fatalf("report counts %d jobs and lists %d, the newest job %d; want %d counted, the ledger's %d listed, newest %d",
+			rep.Finished, len(rep.Jobs), rep.Jobs[len(rep.Jobs)-1].ID, jobs, batch.LedgerCapacity, last.ID)
 	}
 	if len(rep.Events) != batch.RingCapacity {
 		t.Fatalf("report holds %d events after %d jobs, want the ring's %d", len(rep.Events), jobs, batch.RingCapacity)

@@ -13,8 +13,10 @@ import (
 //
 //   - writes to Job.History (the banked-progress segments the balance
 //     is reconstructed from),
-//   - writes to the overhead/lostWork charge fields and the run's
-//     Counters.LostWork total,
+//   - writes to the overhead/lostWork charge fields, the run's
+//     Counters.LostWork total and the JobTotals.CheckpointOverhead sum
+//     that terminal jobs' charges are folded into (the one copy left of
+//     a job's overhead once the scheduler has retired it),
 //   - reservations and releases on the duplex store-link timelines
 //     (reserveWrite/reserveRead/releaseRead).
 //
@@ -46,12 +48,14 @@ var auditedAccounting = map[string]bool{
 	"Scheduler.bankSettle":      true, // proactive bank settlement segment
 	"Scheduler.failGang":        true, // fault kill: lost tail, drain refund
 	"Scheduler.demote":          true, // eviction write-link reservation
+	"JobTotals.fold":            true, // a terminal job's overhead joins the report sum, at report time or at retirement
 }
 
 // accountingFields are the Job/Scheduler fields whose writes are
 // monitored: lostWork is the job's share, LostWork the run's total in
-// the scheduler's Counters.
-var accountingFields = map[string]bool{"History": true, "overhead": true, "lostWork": true, "LostWork": true}
+// the scheduler's Counters, CheckpointOverhead the sum of terminal
+// jobs' overhead in its JobTotals.
+var accountingFields = map[string]bool{"History": true, "overhead": true, "lostWork": true, "LostWork": true, "CheckpointOverhead": true}
 
 // linkMutators are the storeLink methods that move a timeline.
 var linkMutators = map[string]bool{"reserveWrite": true, "reserveRead": true, "releaseRead": true}

@@ -28,9 +28,21 @@ type Counters struct {
 	LostWork int
 }
 
+// JobTotals mirrors batch.JobTotals: the overhead of terminal jobs,
+// folded in when the scheduler retires them.
+type JobTotals struct {
+	CheckpointOverhead int
+}
+
+// fold is on the audited allowlist: the one writer of the folded sum.
+func (t *JobTotals) fold(g *gang) {
+	t.CheckpointOverhead += g.overhead
+}
+
 type Scheduler struct {
 	link *storeLink
 	ctr  Counters
+	tot  JobTotals
 }
 
 // bankProgress is on the audited allowlist: all three mutation kinds
@@ -46,6 +58,13 @@ func (s *Scheduler) sneakyCharge(g *gang, d int) {
 	g.overhead += d     // want `sneakyCharge mutates the accounting ledger \(\.overhead\)`
 	g.lostWork++        // want `sneakyCharge mutates the accounting ledger \(\.lostWork\)`
 	s.ctr.LostWork += d // want `sneakyCharge mutates the accounting ledger \(\.LostWork\)`
+}
+
+// retire folds through the audited function and passes; topping the sum
+// up beside it does not.
+func (s *Scheduler) retire(g *gang) {
+	s.tot.fold(g)
+	s.tot.CheckpointOverhead += g.overhead // want `retire mutates the accounting ledger \(\.CheckpointOverhead\)`
 }
 
 func (s *Scheduler) sideChannel(d int) {

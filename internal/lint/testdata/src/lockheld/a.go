@@ -34,6 +34,18 @@ func (e *Engine) Len() int {
 	return n
 }
 
+// Installing something on the scheduler is a touch like any read: the
+// shape of Engine.RetireTo.
+func (e *Engine) Install(q []int) {
+	e.s.queue = q // want `exported Engine method Install touches scheduler state`
+}
+
+func (e *Engine) InstallLocked(q []int) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.s.queue = q
+}
+
 func (e *Engine) pump(v int) {
 	e.s.push(v) // unexported: callers hold e.mu
 }
