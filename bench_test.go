@@ -452,6 +452,63 @@ func BenchmarkBatchThroughputRecorder(b *testing.B) {
 	b.ReportMetric(jobs*float64(b.N)/b.Elapsed().Seconds(), "jobs/s")
 }
 
+// BenchmarkConservativeDrain drains one SyntheticMix queue on 256 nodes
+// under conservative backfilling: batch-drain's conservative leg at its
+// own depth (400) and at five times it. Estimates are resolved once per
+// job shape before the clock starts, as bench/batch.go does, so jobs/s
+// times submit and the event loop alone. A pass that re-planned every
+// reservation at every event would grow with the cube of the queue.
+func BenchmarkConservativeDrain(b *testing.B) {
+	const nodes = 256
+	for _, jobs := range []int{400, 2000} {
+		b.Run(fmt.Sprintf("jobs=%d", jobs), func(b *testing.B) {
+			mix := batch.SyntheticMix(1, jobs, nodes)
+			resolveEstimates(mix)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s := batch.New(batch.Config{
+					Cluster: batch.NewCluster(nodes, netsim.GigabitSwitch(nodes)),
+					Policy:  batch.Conservative,
+				})
+				for _, j := range mix {
+					if err := s.Submit(j); err != nil {
+						b.Fatal(err)
+					}
+				}
+				s.RunUntil(batch.Forever)
+				for _, j := range mix {
+					if j.State != batch.Done {
+						b.Fatalf("job %d ended %v, want done", j.ID, j.State)
+					}
+				}
+			}
+			b.ReportMetric(float64(jobs*b.N)/b.Elapsed().Seconds(), "jobs/s")
+		})
+	}
+}
+
+// resolveEstimates sets every job's Est from one single-step estimate
+// per (kind, gang, problem): the estimator is linear in Steps, so this
+// prices each job exactly as Submit would, without calling it per job.
+func resolveEstimates(jobs []*batch.Job) {
+	type shape struct {
+		kind    batch.JobKind
+		nodes   int
+		problem [3]int
+	}
+	est := batch.NewPerfEstimator()
+	perStep := map[shape]time.Duration{}
+	for _, j := range jobs {
+		sh := shape{j.Kind, j.Nodes, j.Problem}
+		d, ok := perStep[sh]
+		if !ok {
+			d = est.Estimate(&batch.Job{Kind: j.Kind, Nodes: j.Nodes, Problem: j.Problem, Steps: 1})
+			perStep[sh] = d
+		}
+		j.Est = time.Duration(j.Steps) * d
+	}
+}
+
 // BenchmarkGPUMatVec measures the indirection-texture sparse matvec.
 func BenchmarkGPUMatVec(b *testing.B) {
 	dev := gpu.New(gpu.Config{TextureMemory: 128 << 20})

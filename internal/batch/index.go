@@ -454,13 +454,36 @@ func (t *endTreap) min() *Job {
 }
 
 // popMin removes and returns the job whose completion event is
-// earliest, nil when nothing runs.
-func (t *endTreap) popMin() *Job {
-	j := t.min()
-	if j != nil {
-		t.del(j.End, j.ID)
+// earliest if that event is due by at, in one walk down the left spine;
+// nil when nothing runs or the earliest event is later.
+func (t *endTreap) popMin(at time.Duration) *Job {
+	var j *Job
+	if t.root >= 0 {
+		t.root = t.popLeftmost(t.root, at, &j)
 	}
 	return j
+}
+
+// popLeftmost removes the leftmost entry of subtree h when it is due by
+// at, storing its job in *out, and returns the subtree's new root. The
+// leftmost entry has no left child, so its right subtree takes its place
+// and the heap order holds without rotations.
+func (t *endTreap) popLeftmost(h int32, at time.Duration, out **Job) int32 {
+	n := &t.nodes[h]
+	if n.l >= 0 {
+		n.l = t.popLeftmost(n.l, at, out)
+		if *out != nil {
+			t.update(h)
+		}
+		return h
+	}
+	if n.end > at {
+		return h
+	}
+	*out = n.job
+	n.job = nil // a free slot must not keep a finished job alive
+	t.free = append(t.free, h)
+	return n.r
 }
 
 // each visits every running job ascending by (End, ID). fn must not

@@ -253,8 +253,10 @@ func TestCalendarMatchesLinearScan(t *testing.T) {
 }
 
 // TestEndTreapOrderStatistics drives the running-set treap through
-// random add / keyed del / re-key / popMin traffic and checks min, each,
-// len and coverTime against a sorted-slice model after every operation.
+// random add / keyed del / re-key / popMin traffic (popMin first asked
+// an instant before the earliest event, which must pop nothing) and
+// checks min, each, len and coverTime against a sorted-slice model after
+// every operation.
 // Ends are drawn from 50 instants, so equal End broken by ID is the
 // common case, not the corner.
 func TestEndTreapOrderStatistics(t *testing.T) {
@@ -337,9 +339,12 @@ func TestEndTreapOrderStatistics(t *testing.T) {
 			tr.del(j.End, j.ID)
 			j.End = time.Duration(rng.Intn(50)) * time.Second
 			tr.add(j)
-		default: // the event loop: pop the earliest
+		default: // the event loop: pop the earliest once it is due
 			want := tr.min()
-			if got := tr.popMin(); got != want {
+			if got := tr.popMin(want.End - 1); got != nil {
+				t.Fatalf("popMin before %v returned job %d", want.End, got.ID)
+			}
+			if got := tr.popMin(want.End); got != want {
 				t.Fatalf("popMin returned %v, min was %v", got, want)
 			}
 			for i, j := range ref {
@@ -354,7 +359,7 @@ func TestEndTreapOrderStatistics(t *testing.T) {
 		}
 	}
 	check()
-	for tr.popMin() != nil {
+	for tr.popMin(Forever) != nil {
 	}
 	if tr.len() != 0 || tr.min() != nil {
 		t.Fatalf("drained treap: len %d, min %v", tr.len(), tr.min())

@@ -31,9 +31,10 @@ const (
 	// reservation against a capacity profile of running jobs and
 	// earlier reservations, not just the blocked head. A job may start
 	// out of order only if its reserved slot begins now, so no earlier
-	// job's reservation is ever pushed back by a backfill. Reservations
-	// are re-planned on every scheduling event (see conservative.go for
-	// exactly when the first promise is a hard start-time bound).
+	// job's reservation is ever pushed back by a backfill. A scheduling
+	// event re-plans the reservations from the first job whose inputs
+	// changed (see conservative.go for the rule, and for exactly when
+	// the first promise is a hard start-time bound).
 	Conservative
 	// FairShare is EASY backfilling over a fair-share queue order: each
 	// user's historical usage (node-seconds, exponentially decayed with
@@ -226,7 +227,9 @@ type Scheduler struct {
 	rec          Recorder             // lifecycle event sink; nil = recording off (obs.go)
 	met          *schedMetrics        // typed metric handles; nil = metrics off (metrics.go)
 	passes       int                  // scheduling sweeps taken, restarted ones included (EvBlocked pass numbers)
+	searches     int                  // conservative profile searches: reservations not reused from the last sweep
 	prof         profile              // the conservative pass's capacity profile, rebuilt in place per sweep
+	plan         plan                 // the last conservative sweep's reservations, reused while valid (conservative.go)
 	faultEvs     []faultEvent         // compiled fault schedule, sorted (fault.go)
 	faultIdx     int                  // next fault event to apply
 	downSince    []time.Duration      // per node: instant it went down, -1 while up
@@ -237,6 +240,11 @@ type Scheduler struct {
 	// sweep's restart branch, as the pass did before it learnt to go on
 	// past one — the oracle of TestSingleSweepMatchesRestartPerStart.
 	restartPerStart bool
+	// replanAll is set by tests only: every conservative sweep then
+	// searches the profile for every job, as the pass did before it
+	// learnt to reuse the last sweep's plan — the oracle of
+	// TestConservativeReuseMatchesReplan.
+	replanAll bool
 }
 
 // New validates cfg and returns an empty scheduler.
@@ -479,11 +487,11 @@ func (s *Scheduler) queuedLive(id int) bool {
 
 // advance moves the clock to t and pops every completion event due at
 // that instant (arrivals and settlements need no handling beyond the
-// clock move — the next scheduling pass sees them).
+// clock move — the next scheduling pass sees them). No event is earlier
+// than t, so popMin's "due by now" is "due at now".
 func (s *Scheduler) advance(t time.Duration) {
 	s.now = t
-	for j := s.running.min(); j != nil && j.End == s.now; j = s.running.min() {
-		s.running.popMin()
+	for j := s.running.popMin(s.now); j != nil; j = s.running.popMin(s.now) {
 		switch {
 		case j.ckptDue && !j.preempting:
 			s.ckptBoundary(j)

@@ -21,11 +21,13 @@ import (
 // cluster to build for it and the jobs to submit, each rebuilt per run
 // so the two sides share nothing.
 type sweepCase struct {
-	name    string
-	cfg     Config // Cluster is set per run, Recorder when record is
-	record  bool   // attach a MemRecorder: the pass then classifies every job it skips
-	cluster func() *Cluster
-	jobs    func() []*Job
+	name     string
+	cfg      Config // Cluster is set per run, Recorder when record is
+	record   bool   // attach a MemRecorder: the pass then classifies every job it skips
+	replan   bool   // search every conservative reservation (Scheduler.replanAll)
+	roundCap int    // scheduling rounds before giving up; 0 means sweepRoundCap
+	cluster  func() *Cluster
+	jobs     func() []*Job
 }
 
 // sweepRoundCap stops a configuration that does not drain (checkpoint
@@ -35,10 +37,12 @@ const sweepRoundCap = 500000
 
 // sweepOutcome is what the two sides must agree on.
 type sweepOutcome struct {
-	rep    Report
-	jobs   []*Job
-	rounds int // scheduling rounds: Step calls
-	passes int // sweeps: one per round plus one per restart
+	rep      Report
+	jobs     []*Job
+	rounds   int  // scheduling rounds: Step calls
+	capped   bool // stopped at the round cap, not drained
+	passes   int  // sweeps: one per round plus one per restart
+	searches int  // conservative profile searches
 }
 
 // restarts is how many sweeps ended in a restart from the queue head.
@@ -54,23 +58,29 @@ func (c sweepCase) run(oracle bool) sweepOutcome {
 	}
 	s := New(cfg)
 	s.restartPerStart = oracle
+	s.replanAll = c.replan
 	var out sweepOutcome
 	for _, j := range c.jobs() {
 		if s.Submit(j) == nil {
 			out.jobs = append(out.jobs, j)
 		}
 	}
+	limit := c.roundCap
+	if limit == 0 {
+		limit = sweepRoundCap
+	}
 	out.rounds = 1
-	for out.rounds < sweepRoundCap && s.Step() {
+	for out.rounds < limit && s.Step() {
 		out.rounds++
 	}
-	out.rep, out.passes = s.report(), s.passes
+	out.capped = out.rounds == limit
+	out.rep, out.passes, out.searches = s.report(), s.passes, s.searches
 	return out
 }
 
 // diff names the first disagreement between two outcomes, or "".
 func (a sweepOutcome) diff(b sweepOutcome) string {
-	if a.rounds == sweepRoundCap || b.rounds == sweepRoundCap {
+	if a.capped || b.capped {
 		return fmt.Sprintf("not drained after %d and %d rounds", a.rounds, b.rounds)
 	}
 	if a.rep.Makespan != b.rep.Makespan || a.rep.Backfilled != b.rep.Backfilled ||

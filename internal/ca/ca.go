@@ -131,7 +131,7 @@ func (g *GPUGrid) Upload(src *Grid) error {
 
 // Download reads the device board back into a CPU grid.
 func (g *GPUGrid) Download() (*Grid, error) {
-	data, err := g.dev.Download(g.tex)
+	data, err := g.dev.Download(g.tex, nil)
 	if err != nil {
 		return nil, err
 	}

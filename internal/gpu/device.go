@@ -188,12 +188,19 @@ func (d *Device) Upload(t *Texture2D, data []float32) error {
 // upstream (GPU -> host) direction of the bus — the paper's glGetTexImage
 // path. This is deliberately a single bulk read: Section 4.3 explains that
 // border data are first gathered into one texture precisely so that the
-// read-back is one operation.
-func (d *Device) Download(t *Texture2D) ([]float32, error) {
+// read-back is one operation. The texels land in dst, resliced to
+// w*h*4 floats, when its capacity suffices, and in a new slice
+// otherwise (dst may be nil); the filled slice is returned.
+func (d *Device) Download(t *Texture2D, dst []float32) ([]float32, error) {
 	if t.freed {
 		return nil, ErrFreed
 	}
-	out := make([]float32, t.w*t.h*4)
+	n := t.w * t.h * 4
+	out := dst[:0]
+	if cap(out) < n {
+		out = make([]float32, n)
+	}
+	out = out[:n]
 	for i, v := range t.data {
 		out[4*i], out[4*i+1], out[4*i+2], out[4*i+3] = v[0], v[1], v[2], v[3]
 	}

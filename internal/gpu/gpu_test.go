@@ -68,7 +68,7 @@ func TestUploadDownloadRoundTrip(t *testing.T) {
 	if err := d.Upload(tex, up); err != nil {
 		t.Fatal(err)
 	}
-	down, err := d.Download(tex)
+	down, err := d.Download(tex, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,6 +80,41 @@ func TestUploadDownloadRoundTrip(t *testing.T) {
 	// The transfers must have crossed the bus model.
 	if d.Bus().Down.Bytes == 0 || d.Bus().Up.Bytes == 0 {
 		t.Errorf("bus not charged: %+v %+v", d.Bus().Down, d.Bus().Up)
+	}
+}
+
+// TestDownloadFillsCallerBuffer: a destination with room is filled in
+// place, a short one is replaced, and the bus is charged the texture's
+// bytes either way.
+func TestDownloadFillsCallerBuffer(t *testing.T) {
+	d := testDevice()
+	tex, _ := d.NewTexture2D("t", 4, 2)
+	up := make([]float32, 4*2*4)
+	for i := range up {
+		up[i] = float32(i)
+	}
+	if err := d.Upload(tex, up); err != nil {
+		t.Fatal(err)
+	}
+	roomy := make([]float32, 3, 64)
+	got, err := d.Download(tex, roomy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(up) || &got[0] != &roomy[:1][0] {
+		t.Fatalf("download into a 64-float buffer returned %d floats in another array", len(got))
+	}
+	short, err := d.Download(tex, make([]float32, 8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range up {
+		if got[i] != up[i] || short[i] != up[i] {
+			t.Fatalf("float %d: %v and %v, want %v", i, got[i], short[i], up[i])
+		}
+	}
+	if b := d.Bus().Up.Bytes; b != 2*int64(len(up))*4 {
+		t.Fatalf("bus carried %d bytes upstream, want %d", b, 2*len(up)*4)
 	}
 }
 
@@ -367,7 +402,7 @@ func TestUploadDownloadProperty(t *testing.T) {
 		if err := d.Upload(tex, up); err != nil {
 			return false
 		}
-		down, err := d.Download(tex)
+		down, err := d.Download(tex, nil)
 		if err != nil {
 			return false
 		}
@@ -390,7 +425,7 @@ func TestFreedTextureOperations(t *testing.T) {
 	if err := d.Upload(tex, make([]float32, 64)); !errors.Is(err, ErrFreed) {
 		t.Errorf("upload to freed texture: %v", err)
 	}
-	if _, err := d.Download(tex); !errors.Is(err, ErrFreed) {
+	if _, err := d.Download(tex, nil); !errors.Is(err, ErrFreed) {
 		t.Errorf("download of freed texture: %v", err)
 	}
 	tex.Free() // double free is a no-op

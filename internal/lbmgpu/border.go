@@ -71,16 +71,17 @@ func (s *Simulator) gatherPass(dim, dir int) gpu.Pass {
 
 // PackBorder gathers the five outgoing distributions of the dim/dir face
 // into the compact border texture with a single render pass, reads the
-// texture back in one bus transfer (the paper's single glGetTexImage),
-// and reorders the payload to the canonical wire format shared with the
-// CPU backend. The payload is the caller's.
+// texture back in one bus transfer (the paper's single glGetTexImage)
+// into the simulator's transfer scratch, and reorders the payload to the
+// canonical wire format shared with the CPU backend. The payload is the
+// caller's.
 func (s *Simulator) PackBorder(dim, dir int) []float32 {
 	pw, ph := s.planeDims(dim)
 	bt := s.border[dim]
 	side := sideOf(dir)
 	must(s.dev.Run(s.packs[dim][side]))
 	must(s.dev.CopyToTexture(s.borderPB[dim], bt))
-	raw, err := s.dev.Download(bt)
+	raw, err := s.dev.Download(bt, s.scratch)
 	must(err)
 
 	out := s.spare[dim][side]
@@ -169,7 +170,7 @@ func (s *Simulator) UnpackGhost(dim, dir int, data []float32) {
 	side := sideOf(dir)
 	s.spare[dim][side] = data
 	t := &s.unpacks[dim][side]
-	buf := s.upload[:4*t.cells]
+	buf := s.scratch[:4*t.cells]
 	for layer := t.first; layer <= t.last; layer++ {
 		cells := data[:5*t.cells]
 		data = data[len(cells):]
@@ -194,7 +195,7 @@ func (s *Simulator) DensityField() []float32 {
 	out := make([]float32, s.nx*s.ny*s.nz)
 	i := 0
 	for z := 1; z <= s.nz; z++ {
-		raw, err := s.dev.Download(s.macro.Layer(z))
+		raw, err := s.dev.Download(s.macro.Layer(z), nil)
 		must(err)
 		for y := 1; y <= s.ny; y++ {
 			for x := 1; x <= s.nx; x++ {
@@ -211,7 +212,7 @@ func (s *Simulator) VelocityField() []vecmath.Vec3 {
 	out := make([]vecmath.Vec3, s.nx*s.ny*s.nz)
 	i := 0
 	for z := 1; z <= s.nz; z++ {
-		raw, err := s.dev.Download(s.macro.Layer(z))
+		raw, err := s.dev.Download(s.macro.Layer(z), nil)
 		must(err)
 		for y := 1; y <= s.ny; y++ {
 			for x := 1; x <= s.nx; x++ {
@@ -228,9 +229,9 @@ func (s *Simulator) VelocityField() []vecmath.Vec3 {
 func (s *Simulator) TotalMass() float64 {
 	var sum float64
 	for z := 1; z <= s.nz; z++ {
-		raw, err := s.dev.Download(s.macro.Layer(z))
+		raw, err := s.dev.Download(s.macro.Layer(z), nil)
 		must(err)
-		solidRaw, err := s.dev.Download(s.solid.Layer(z))
+		solidRaw, err := s.dev.Download(s.solid.Layer(z), nil)
 		must(err)
 		for y := 1; y <= s.ny; y++ {
 			for x := 1; x <= s.nx; x++ {

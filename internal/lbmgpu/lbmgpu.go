@@ -72,7 +72,9 @@ type Simulator struct {
 	slices   []slicePasses     // the six sweep passes of each interior slice
 	packs    [3][2]gpu.Pass    // border gather pass per (dim, dir)
 	unpacks  [3][2]unpackTable // ghost scatter layout per (dim, dir)
-	upload   []float32         // UnpackGhost's rect-upload scratch
+	// The host side of every border transfer: PackBorder's read-back
+	// and UnpackGhost's rect uploads, which never overlap.
+	scratch []float32
 	// Per (dim, dir), the payload last unpacked there: the buffer the next
 	// PackBorder of that face fills and gives away (the one-owner rule of
 	// package cluster).
@@ -120,7 +122,11 @@ func New(dev *gpu.Device, cfg *lbm.Lattice) (*Simulator, error) {
 	for z := 1; z <= s.nz; z++ {
 		s.slices[z-1] = s.newSlicePasses(z, 1/cfg.Tau, cfg.Force)
 	}
-	s.upload = make([]float32, s.w*s.h*4)
+	n := s.w * s.h * 4 // a whole layer, the largest rect UnpackGhost uploads
+	for _, bt := range s.border {
+		n = max(n, bt.Width()*bt.Height()*4)
+	}
+	s.scratch = make([]float32, n)
 	return s, nil
 }
 

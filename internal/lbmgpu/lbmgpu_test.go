@@ -368,6 +368,24 @@ func TestStepSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestBorderRoundTripZeroAlloc pins the exchange path's buffers: a face
+// packed and its payload handed to the unpack of the same face, as a
+// cluster step does, allocates nothing once it has gone round once. The
+// three faces differ in size, and the read-back of each lands in the
+// simulator's one scratch.
+func TestBorderRoundTripZeroAlloc(t *testing.T) {
+	_, sim := buildPair(t, 8, 6, 5, 0.8, func(l *lbm.Lattice) {})
+	for dim := 0; dim < 3; dim++ {
+		for _, dir := range []int{-1, +1} {
+			round := func() { sim.UnpackGhost(dim, dir, sim.PackBorder(dim, dir)) }
+			round()
+			if allocs := testing.AllocsPerRun(5, round); allocs != 0 {
+				t.Errorf("dim %d dir %+d: pack + unpack allocates %v times, want 0", dim, dir, allocs)
+			}
+		}
+	}
+}
+
 func TestGPUStatsPerStep(t *testing.T) {
 	// Inlet and outflow on x (thin rectangles per slice), walls on y,
 	// periodic z (whole ghost layers). Passes and fragments are those of

@@ -230,7 +230,7 @@ func (g *GPUHeat2D) Upload(u []float32) error {
 
 // Download reads the field back.
 func (g *GPUHeat2D) Download() ([]float32, error) {
-	data, err := g.dev.Download(g.tex)
+	data, err := g.dev.Download(g.tex, nil)
 	if err != nil {
 		return nil, err
 	}
