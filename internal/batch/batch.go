@@ -169,10 +169,10 @@ type Job struct {
 }
 
 // jobState holds the scheduler-owned, unexported part of a Job. Submit
-// assigns a fresh value — the resolved spec and segFactor 1, every other
-// field zero — so a replayed job cannot carry a previous schedule's
-// outcome, and a field added here is reset without anyone remembering
-// to (TestReplayResetsLifecycle walks the struct by reflection).
+// assigns a fresh value — the resolved spec, every other field zero —
+// so a replayed job cannot carry a previous schedule's outcome, and a
+// field added here is reset without anyone remembering to
+// (TestReplayResetsLifecycle walks the struct by reflection).
 type jobState struct {
 	// Resolved by Submit from the spec — the spec itself stays
 	// caller-owned and pristine, so the same specs can be replayed
@@ -196,12 +196,10 @@ type jobState struct {
 	acct        *usage        // the user's fair-share account, resolved at Submit (FairShare only)
 	segStart    time.Duration // current segment's dispatch instant
 	segRestore  time.Duration // restore prefix (link wait + transfer) inside the current segment
-	segFactor   float64       // trunk stretch factor of the current segment
 	promise     time.Duration // reserved start recorded when first bypassed
 	readStart   time.Duration // current segment's store-read transfer start (mid-restore refunds)
 	readEnd     time.Duration // ...and its end; zero when the segment carries no store read
 	readWait    time.Duration // read-queue wait charged to RestoreWait for this segment
-	hostAlloc   Allocation    // nodes whose RAM pins the suspended image (suspend-to-host)
 	demoteEnd   time.Duration // instant an in-flight demotion write settles; 0 when none
 
 	// Time-slicing (see Config.Quantum). A resident gang whose remaining
@@ -230,7 +228,7 @@ type jobState struct {
 	ckptDue     bool // the pending End event is a proactive-checkpoint boundary
 	banking     bool // currently draining a proactive bank (gang stays seated)
 	hostDrain   bool // current drain stays in host RAM (suspend-to-host)
-	hostImage   bool // suspended image resident in host RAM, memory pinned
+	hostImage   bool // suspended image resident in host RAM, memory pinned on Alloc
 	canceled    bool // Cancel hit the job mid-drain: discard at requeue
 	forceStore  bool // pending suspension must take the store tier: its
 	// in-RAM image would pin the very memory the beneficiary needs

@@ -221,8 +221,11 @@ func TestContiguousAllocationAndTrunk(t *testing.T) {
 	if !a.Contiguous() || a.Ranges[0] != (NodeRange{First: 0, Count: 20}) || a.Count != 20 {
 		t.Fatalf("first allocation %+v", a)
 	}
-	if a.Grid != sched.Arrange3D(20) || a.Grid.Size() != 20 {
-		t.Fatalf("gang grid %v does not map 20 nodes", a.Grid)
+	if a.Grid() != sched.Arrange3D(20) || a.Grid().Size() != 20 {
+		t.Fatalf("gang grid %v does not map 20 nodes", a.Grid())
+	}
+	if got, none := a.String(), (Allocation{}).String(); got != "nodes [0,20) as 5x2x2" || none != "nodes  as 0x0x0" {
+		t.Fatalf("allocations render as %q and %q", got, none)
 	}
 	if a.CrossesTrunk {
 		t.Error("nodes [0,20) flagged as crossing the 24-port trunk")

@@ -90,9 +90,8 @@ func (s *Scheduler) cancelRunning(j *Job) {
 func (s *Scheduler) cancelQueued(j *Job) {
 	s.pending.remove(j)
 	if j.hostImage && j.demoteEnd == 0 {
-		s.cfg.Cluster.unreserve(j.hostAlloc, j.memNeed)
+		s.cfg.Cluster.unreserve(j.Alloc, j.memNeed)
 		j.hostImage = false
-		j.hostAlloc = Allocation{}
 	}
 	j.restoreCost = 0
 	s.finishCanceled(j)

@@ -40,13 +40,19 @@ type Allocation struct {
 	Ranges []NodeRange
 	// Count is the total node count across Ranges.
 	Count int
-	// Grid maps the gang onto the most cubic 3D arrangement for the
-	// workload's domain decomposition (sched.Arrange3D).
-	Grid sched.NodeGrid
 	// CrossesTrunk reports whether the node set spans both interconnect
 	// groups, so the job's border exchanges pay the stacking-trunk
 	// bandwidth of Section 4.3.
 	CrossesTrunk bool
+}
+
+// Grid is the gang's most cubic 3D arrangement for the workload's
+// domain decomposition (sched.Arrange3D), zero for an empty allocation.
+func (a Allocation) Grid() sched.NodeGrid {
+	if a.Count == 0 {
+		return sched.NodeGrid{}
+	}
+	return sched.Arrange3D(a.Count)
 }
 
 // Contiguous reports whether the gang occupies a single node range.
@@ -84,7 +90,7 @@ func (a Allocation) String() string {
 		}
 		fmt.Fprintf(&b, "[%d,%d)", r.First, r.First+r.Count)
 	}
-	return fmt.Sprintf("nodes %s as %v", b.String(), a.Grid)
+	return fmt.Sprintf("nodes %s as %v", b.String(), a.Grid())
 }
 
 // Cluster is the resource manager's machine state: nodes on the
@@ -331,12 +337,7 @@ func (c *Cluster) commit(cand candidate) Allocation {
 	if debugCheckIndex {
 		c.idx.verify(c.used)
 	}
-	return Allocation{
-		Ranges:       rs,
-		Count:        total,
-		Grid:         sched.Arrange3D(total),
-		CrossesTrunk: cand.crosses,
-	}
+	return Allocation{Ranges: rs, Count: total, CrossesTrunk: cand.crosses}
 }
 
 // Release frees an allocation and credits each node's busy accounting

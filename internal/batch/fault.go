@@ -85,6 +85,8 @@ func GenFaultPlan(seed int64, nodes int, horizon, mtbf time.Duration) *FaultPlan
 //	crash <node> <at_s> <repair_s>   node down at at_s, back repair_s later
 //	flap  <node> <at_s> <dur_s>     link flap: the node drops off the fabric
 //	trunk <at_s> <dur_s>            whole-trunk outage
+//
+// Times must pass parseField; a fault has node >= 0, at >= 0, dur > 0.
 func ParseFaultPlan(r io.Reader) (*FaultPlan, error) {
 	p := &FaultPlan{}
 	sc := bufio.NewScanner(r)
@@ -103,7 +105,7 @@ func ParseFaultPlan(r io.Reader) (*FaultPlan, error) {
 			continue
 		}
 		secs := func(idx int) (time.Duration, error) {
-			f, err := strconv.ParseFloat(fields[idx], 64)
+			f, err := parseField(fields[idx])
 			if err != nil {
 				return 0, fmt.Errorf("batch: fault plan line %d field %d: %v", line, idx+1, err)
 			}
@@ -327,12 +329,11 @@ func (s *Scheduler) applyNodeDown(ev faultEvent) {
 	// settled the same way, immediately — its write slot on the link is
 	// not compacted (the link model has no write-side release).
 	for _, p := range s.pending.jobs {
-		if p == nil || !p.hostImage || !allocCovers(p.hostAlloc, node) {
+		if p == nil || !p.hostImage || !allocCovers(p.Alloc, node) {
 			continue
 		}
-		c.unreserve(p.hostAlloc, p.memNeed)
+		c.unreserve(p.Alloc, p.memNeed)
 		p.hostImage = false
-		p.hostAlloc = Allocation{}
 		if p.demoteEnd != 0 {
 			p.demoteEnd = 0
 			for i, d := range s.demoting {
@@ -603,7 +604,7 @@ func (s *Scheduler) bankSettle(j *Job) {
 		j.snapshot = snap
 	}
 	j.segStart, j.segRestore = s.now, 0
-	dur := time.Duration(float64(j.workLeft) * j.segFactor)
+	dur := time.Duration(float64(j.workLeft) * s.trunkFactor(j.Alloc.CrossesTrunk))
 	if dur < time.Millisecond {
 		dur = time.Millisecond
 	}

@@ -465,6 +465,8 @@ crash 0 42 1
 		"flap 3 120 -5",      // negative duration
 		"explode 3 120 60",   // unknown verb
 		"trunk 900 30 extra", // trailing token
+		"crash 3 9e9 9e9",    // an end no time.Duration holds
+		"trunk NaN 30",       // not a number
 	} {
 		if _, err := ParseFaultPlan(strings.NewReader(bad)); err == nil {
 			t.Fatalf("ParseFaultPlan accepted %q", bad)
@@ -495,4 +497,39 @@ func TestGenFaultPlan(t *testing.T) {
 	if c := GenFaultPlan(10, nodes, 4*time.Hour, time.Hour); reflect.DeepEqual(a, c) {
 		t.Fatal("different seeds generated identical plans")
 	}
+}
+
+// FuzzParseFaultPlan feeds ParseFaultPlan arbitrary text. It must never
+// panic, and a successful parse must hold what the parser documents:
+// every node index non-negative, every fault starting at or after zero
+// and lasting a positive time, and its end an instant a time.Duration
+// can hold. The compiled plan must then be sorted, with every down
+// interval ending after it begins. The seed corpus (testdata/fuzz) holds
+// TestFaultPlanParse's accepted and rejected lines.
+func FuzzParseFaultPlan(f *testing.F) {
+	f.Fuzz(func(t *testing.T, text string) {
+		p, err := ParseFaultPlan(strings.NewReader(text))
+		if err != nil {
+			return
+		}
+		for _, c := range p.Crashes {
+			if c.Node < 0 || c.At < 0 || c.Repair <= 0 || c.At+c.Repair <= c.At {
+				t.Fatalf("crash out of range: %+v", c)
+			}
+		}
+		for _, tr := range p.Trunks {
+			if tr.At < 0 || tr.Duration <= 0 || tr.At+tr.Duration <= tr.At {
+				t.Fatalf("trunk outage out of range: %+v", tr)
+			}
+		}
+		evs := p.compile(64)
+		for i, ev := range evs {
+			if i > 0 && ev.at < evs[i-1].at {
+				t.Fatalf("compiled event %d at %v precedes event %d at %v", i, ev.at, i-1, evs[i-1].at)
+			}
+			if (ev.kind == faultNodeDown || ev.kind == faultTrunkDown) && ev.until <= ev.at {
+				t.Fatalf("down interval [%v, %v) ends before it begins", ev.at, ev.until)
+			}
+		}
+	})
 }

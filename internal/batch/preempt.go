@@ -355,17 +355,17 @@ func (s *Scheduler) beginCheckpoint(v *Job) {
 	}
 }
 
-// bankProgress settles a running segment interrupted at the current
-// instant — a checkpoint drain beginning, or a mid-run Cancel: it
-// credits the work the segment completed against workLeft/doneWork and
-// refunds an interrupted restore prefix. A gang cut off mid-restore
-// never ran the reload, so the part of the prefix that never elapsed
-// comes off the overhead charge — the gang stops holding nodes at this
-// instant, keeping busy time exactly true work plus charged overhead.
-// A store restore also gives its link slot back: the untransferred
-// tail frees for the next restore, and queue wait that was charged but
-// never served comes off the contention statistic.
-func (s *Scheduler) bankProgress(v *Job) {
+// refundRestore settles the restore prefix of a running segment
+// interrupted at the current instant — a checkpoint drain beginning, a
+// mid-run Cancel, or a fault — and returns the execution time the
+// segment held. A gang cut off mid-restore never ran the reload, so the
+// part of the prefix that never elapsed comes off the overhead charge —
+// the gang stops holding nodes at this instant, keeping busy time
+// exactly true work plus charged overhead plus lost work. A store
+// restore also gives its link slot back: the untransferred tail frees
+// for the next restore, and queue wait that was charged but never
+// served comes off the contention statistic.
+func (s *Scheduler) refundRestore(v *Job) time.Duration {
 	elapsed := s.now - v.segStart - v.segRestore
 	if elapsed < 0 {
 		v.overhead += elapsed
@@ -388,7 +388,14 @@ func (s *Scheduler) bankProgress(v *Job) {
 		elapsed = 0
 	}
 	v.readStart, v.readEnd, v.readWait = 0, 0, 0
-	done := time.Duration(float64(elapsed) / v.segFactor)
+	return elapsed
+}
+
+// bankProgress settles a running segment a checkpoint drain or a
+// mid-run Cancel interrupted: the restore refund, then the work the
+// segment completed credited against workLeft/doneWork.
+func (s *Scheduler) bankProgress(v *Job) {
+	done := time.Duration(float64(s.refundRestore(v)) / s.trunkFactor(v.Alloc.CrossesTrunk))
 	if done > v.workLeft {
 		done = v.workLeft
 	}
@@ -396,33 +403,13 @@ func (s *Scheduler) bankProgress(v *Job) {
 	v.doneWork += done
 }
 
-// loseProgress settles a running segment a fault cut off. The
-// interrupted-restore refund mirrors bankProgress exactly — a gang
-// killed mid-restore never ran the reload, so the unelapsed prefix
-// comes off the overhead charge and the read slot frees — but the work
-// elapsed since the last banked boundary is *lost*, not banked: the job
-// redoes it from its checkpoint, and the wall time its gang already
-// held lands in Report.LostWork, keeping busy time exactly work +
-// overhead + lost work.
+// loseProgress settles a running segment a fault cut off: the same
+// restore refund, but the work elapsed since the last banked boundary
+// is *lost*, not banked — the job redoes it from its checkpoint, and the
+// wall time its gang already held lands in Report.LostWork, keeping busy
+// time exactly work + overhead + lost work.
 func (s *Scheduler) loseProgress(v *Job) {
-	elapsed := s.now - v.segStart - v.segRestore
-	if elapsed < 0 {
-		v.overhead += elapsed
-		if v.readEnd > 0 {
-			if refund := v.readStart - s.now; refund > 0 {
-				if refund > v.readWait {
-					refund = v.readWait
-				}
-				s.ctr.RestoreWait -= refund
-			}
-			s.link.releaseRead(v.readStart, v.readEnd, s.now)
-			if s.rec != nil {
-				s.record(Event{Time: s.now, Kind: EvStoreRead, Job: v.ID, From: v.readStart, To: s.now, Detail: "cancel"})
-			}
-		}
-		elapsed = 0
-	}
-	v.readStart, v.readEnd, v.readWait = 0, 0, 0
+	elapsed := s.refundRestore(v)
 	v.lostWork += elapsed
 	s.ctr.LostWork += elapsed
 }
@@ -496,11 +483,10 @@ func (s *Scheduler) requeuePreempted(j *Job) {
 		// memory-squeezed waiter forces a demotion to the store.
 		j.hostDrain = false
 		j.hostImage = true
-		j.hostAlloc = j.Alloc
-		s.cfg.Cluster.reserve(j.hostAlloc, j.memNeed)
+		s.cfg.Cluster.reserve(j.Alloc, j.memNeed)
 		j.restoreCost = s.cfg.HostResumeCost(j)
 		if s.rec != nil {
-			s.record(Event{Time: s.now, Kind: EvHostSuspend, Job: j.ID, Alloc: j.hostAlloc})
+			s.record(Event{Time: s.now, Kind: EvHostSuspend, Job: j.ID, Alloc: j.Alloc})
 			s.record(Event{Time: s.now, Kind: EvRequeue, Job: j.ID, Detail: "host"})
 		}
 	} else {

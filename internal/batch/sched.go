@@ -363,7 +363,7 @@ func (s *Scheduler) Submit(j *Job) error {
 	j.Alloc = Allocation{}
 	j.History = nil
 	j.Detail, j.Err = "", nil
-	j.jobState = jobState{steps: steps, problem: problem, arrive: arrive, memNeed: need, est: est, segFactor: 1}
+	j.jobState = jobState{steps: steps, problem: problem, arrive: arrive, memNeed: need, est: est}
 	if s.cfg.Policy == FairShare {
 		j.acct = s.account(j.User) // resolved once: jobLess compares keys without a map lookup
 	}
@@ -749,16 +749,16 @@ func (s *Scheduler) tryStart(j *Job, backfilled bool, limit time.Duration, limit
 		// The image's memory is j's own to spend: lift the reservation
 		// for the trial so candidates overlapping the home nodes price
 		// the RAM it would vacate.
-		c.unreserve(j.hostAlloc, j.memNeed)
+		c.unreserve(j.Alloc, j.memNeed)
 	}
 	var alloc Allocation
 	var prefix time.Duration   // restore wait + transfer ahead of the work
 	var readCost time.Duration // store-read transfer to book on the link
 	placed := false
-	if j.hostImage && c.freeAndFits(j.hostAlloc, j.memNeed) {
+	if j.hostImage && c.freeAndFits(j.Alloc, j.memNeed) {
 		// Home resume: bus-only, no link traffic.
-		if !limited || s.now+j.restoreCost+s.stretched(j.estLeft(), j.hostAlloc.CrossesTrunk) <= limit {
-			home := candidate{ranges: j.hostAlloc.Ranges, crosses: j.hostAlloc.CrossesTrunk}
+		if !limited || s.now+j.restoreCost+s.stretched(j.estLeft(), j.Alloc.CrossesTrunk) <= limit {
+			home := candidate{ranges: j.Alloc.Ranges, crosses: j.Alloc.CrossesTrunk}
 			alloc = c.commit(home)
 			prefix, placed = j.restoreCost, true
 		}
@@ -809,7 +809,7 @@ func (s *Scheduler) tryStart(j *Job, backfilled bool, limit time.Duration, limit
 	}
 	if !placed {
 		if j.hostImage {
-			c.reserve(j.hostAlloc, j.memNeed)
+			c.reserve(j.Alloc, j.memNeed)
 		}
 		return false
 	}
@@ -820,12 +820,11 @@ func (s *Scheduler) tryStart(j *Job, backfilled bool, limit time.Duration, limit
 		// The home RAM stays pinned until the outbound write settles.
 		migStart = s.link.reserveWrite(s.now, writeLeg)
 		s.ctr.DrainWait += migStart - s.now
-		c.reserve(j.hostAlloc, j.memNeed)
-		s.pinUntil(j.hostAlloc, j.memNeed, migStart+writeLeg)
+		c.reserve(j.Alloc, j.memNeed)
+		s.pinUntil(j.Alloc, j.memNeed, migStart+writeLeg)
 		readAvail = migStart + writeLeg
 	}
 	j.hostImage = false
-	j.hostAlloc = Allocation{}
 	if readCost > 0 {
 		start := s.link.reserveRead(readAvail, readCost)
 		j.readWait = start - readAvail
@@ -860,15 +859,11 @@ func (s *Scheduler) tryStart(j *Job, backfilled bool, limit time.Duration, limit
 		}
 		j.workTotal, j.workLeft = total, total
 	}
-	factor := 1.0
-	if alloc.CrossesTrunk && s.cfg.TrunkSlowdown > 1 {
-		factor = s.cfg.TrunkSlowdown
-	}
-	dur := prefix + time.Duration(float64(j.workLeft)*factor)
+	dur := prefix + time.Duration(float64(j.workLeft)*s.trunkFactor(j.Alloc.CrossesTrunk))
 	if dur < time.Millisecond {
 		dur = time.Millisecond
 	}
-	j.segStart, j.segRestore, j.segFactor = s.now, prefix, factor
+	j.segStart, j.segRestore = s.now, prefix
 	j.overhead += prefix
 	j.restoreCost = 0
 	j.wavePending = false
@@ -1117,11 +1112,20 @@ func (s *Scheduler) retire(j *Job) {
 	s.retirer.Retire(fullStatus(j))
 }
 
+// trunkFactor is the runtime stretch of a gang that crosses the
+// stacking trunk, TrunkSlowdown when above 1, or does not, 1.
+func (s *Scheduler) trunkFactor(crosses bool) float64 {
+	if crosses && s.cfg.TrunkSlowdown > 1 {
+		return s.cfg.TrunkSlowdown
+	}
+	return 1
+}
+
 // stretched applies the scheduler-known trunk slowdown to a duration
 // when the placement crosses the stacking trunk.
 func (s *Scheduler) stretched(d time.Duration, crosses bool) time.Duration {
-	if crosses && s.cfg.TrunkSlowdown > 1 {
-		return time.Duration(float64(d) * s.cfg.TrunkSlowdown)
+	if f := s.trunkFactor(crosses); f != 1 {
+		return time.Duration(float64(d) * f)
 	}
 	return d
 }
@@ -1204,7 +1208,7 @@ func (s *Scheduler) replayShadow(hd *Job) time.Duration {
 	evs := make([]shadowEv, 0, s.running.len()+len(s.demoting)+len(s.pinned)+c.downCount)
 	s.running.each(func(r *Job) { evs = append(evs, shadowEv{t: r.End, r: r}) })
 	for _, d := range s.demoting {
-		evs = append(evs, shadowEv{t: d.demoteEnd, alloc: d.hostAlloc, bytes: d.memNeed})
+		evs = append(evs, shadowEv{t: d.demoteEnd, alloc: d.Alloc, bytes: d.memNeed})
 	}
 	for _, p := range s.pinned {
 		evs = append(evs, shadowEv{t: p.at, alloc: p.alloc, bytes: p.bytes})

@@ -44,9 +44,9 @@ func (s *Scheduler) withOwnImageLifted(j *Job, body func()) {
 		return
 	}
 	c := s.cfg.Cluster
-	c.unreserve(j.hostAlloc, j.memNeed)
+	c.unreserve(j.Alloc, j.memNeed)
 	body()
-	c.reserve(j.hostAlloc, j.memNeed)
+	c.reserve(j.Alloc, j.memNeed)
 }
 
 // demoteFor begins evicting suspended-to-host images when the blocked
@@ -86,14 +86,14 @@ func (s *Scheduler) evictFor(j *Job) {
 	inflight := append([]*Job(nil), s.demoting...)
 	pins := append([]pin(nil), s.pinned...)
 	for _, d := range inflight {
-		c.unreserve(d.hostAlloc, d.memNeed)
+		c.unreserve(d.Alloc, d.memNeed)
 	}
 	for _, p := range pins {
 		c.unreserve(p.alloc, p.bytes)
 	}
 	defer func() {
 		for _, d := range inflight {
-			c.reserve(d.hostAlloc, d.memNeed)
+			c.reserve(d.Alloc, d.memNeed)
 		}
 		for _, p := range pins {
 			c.reserve(p.alloc, p.bytes)
@@ -115,7 +115,7 @@ func (s *Scheduler) evictFor(j *Job) {
 	var picked []*Job
 	admitted := false
 	for _, d := range images {
-		c.unreserve(d.hostAlloc, d.memNeed)
+		c.unreserve(d.Alloc, d.memNeed)
 		picked = append(picked, d)
 		if c.canPlace(used, j.Nodes, j.memNeed) {
 			admitted = true
@@ -126,7 +126,7 @@ func (s *Scheduler) evictFor(j *Job) {
 		// Even a fully drained RAM tier would not admit j: put every
 		// trial release back and leave the images resident.
 		for _, d := range picked {
-			c.reserve(d.hostAlloc, d.memNeed)
+			c.reserve(d.Alloc, d.memNeed)
 		}
 		return
 	}
@@ -136,17 +136,17 @@ func (s *Scheduler) evictFor(j *Job) {
 	// placeable; demoting it would pay a store write for no one.
 	kept := picked[:0]
 	for _, d := range picked {
-		c.reserve(d.hostAlloc, d.memNeed)
+		c.reserve(d.Alloc, d.memNeed)
 		if c.canPlace(used, j.Nodes, j.memNeed) {
 			continue // stays in RAM
 		}
-		c.unreserve(d.hostAlloc, d.memNeed)
+		c.unreserve(d.Alloc, d.memNeed)
 		kept = append(kept, d)
 	}
 	// The evicted images' memory stays pinned until each write
 	// settles: re-pin now, release at settleDemotions.
 	for _, d := range kept {
-		c.reserve(d.hostAlloc, d.memNeed)
+		c.reserve(d.Alloc, d.memNeed)
 		s.demote(d)
 	}
 }
@@ -163,7 +163,7 @@ func (s *Scheduler) demote(d *Job) {
 	s.ctr.Demotions++
 	s.ctr.DemotionTime += cost
 	if s.rec != nil {
-		s.record(Event{Time: s.now, Kind: EvDemoteBegin, Job: d.ID, From: start, To: d.demoteEnd, Alloc: d.hostAlloc})
+		s.record(Event{Time: s.now, Kind: EvDemoteBegin, Job: d.ID, From: start, To: d.demoteEnd, Alloc: d.Alloc})
 		s.record(Event{Time: s.now, Kind: EvStoreWrite, Job: d.ID, From: start, To: d.demoteEnd, Detail: "demote"})
 	}
 }
@@ -194,11 +194,10 @@ func (s *Scheduler) settleDemotions() {
 			continue
 		}
 		if s.rec != nil {
-			s.record(Event{Time: s.now, Kind: EvDemoteEnd, Job: d.ID, Alloc: d.hostAlloc})
+			s.record(Event{Time: s.now, Kind: EvDemoteEnd, Job: d.ID, Alloc: d.Alloc})
 		}
-		s.cfg.Cluster.unreserve(d.hostAlloc, d.memNeed)
+		s.cfg.Cluster.unreserve(d.Alloc, d.memNeed)
 		d.hostImage = false
-		d.hostAlloc = Allocation{}
 		d.demoteEnd = 0
 		d.restoreCost = s.cfg.RestoreCost(d)
 		if d.restoreCost < 0 {

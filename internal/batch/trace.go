@@ -58,10 +58,11 @@ type TraceJob struct {
 // ParseTrace reads an SWF-style trace. Records missing both a positive
 // requested time and a positive run time, or without a positive
 // processor count, are skipped (cancelled-before-start entries). Any
-// unparsable field is an error carrying the line number, as is any
-// negative value other than SWF's -1 "unknown" marker — a -3 runtime
-// or a negative gang width is a corrupt record, and clamping it to
-// zero would silently reshape the replayed workload.
+// field parseField refuses is an error carrying the line number, as is
+// any negative value other than SWF's -1 "unknown" marker: a -3 runtime
+// or a negative gang width is a corrupt record, and clamping it to zero
+// would silently reshape the replayed workload. A record returned has
+// Procs > 0, no negative time, and ID and user id >= -1.
 func ParseTrace(r io.Reader) ([]TraceJob, error) {
 	sc := bufio.NewScanner(r)
 	var out []TraceJob
@@ -77,7 +78,7 @@ func ParseTrace(r io.Reader) ([]TraceJob, error) {
 			return nil, fmt.Errorf("batch: trace line %d: %d fields, want >= 15 (SWF has 18)", lineNo, len(f))
 		}
 		num := func(i int) (float64, error) {
-			v, err := strconv.ParseFloat(f[i-1], 64)
+			v, err := parseField(f[i-1])
 			if err != nil {
 				return 0, fmt.Errorf("batch: trace line %d field %d: %v", lineNo, i, err)
 			}
@@ -135,6 +136,16 @@ func ParseTrace(r io.Reader) ([]TraceJob, error) {
 		return nil, fmt.Errorf("batch: reading trace: %w", err)
 	}
 	return out, nil
+}
+
+// parseField parses a trace or fault-plan number: finite and below 2^31
+// in magnitude, SWF's 32-bit width, so that no conversion can overflow.
+func parseField(s string) (float64, error) {
+	v, err := strconv.ParseFloat(s, 64)
+	if err == nil && !(v > -1<<31 && v < 1<<31) {
+		err = fmt.Errorf("%q is not a number below 2^31 in magnitude", s)
+	}
+	return v, err
 }
 
 // LoadTrace reads an SWF-style trace file.

@@ -1,6 +1,7 @@
 package batch
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -169,6 +170,10 @@ func TestParseTraceMalformed(t *testing.T) {
 		{"unknown run marker", mutate(4, "-1"), ""},
 		{"unknown user marker", mutate(12, "-1"), ""},
 		{"fractional seconds", mutate(2, "0.5"), ""},
+		{"NaN submit", mutate(2, "NaN"), "field 2"},
+		{"overflowing run time", mutate(4, "1e300"), "field 4"},
+		{"infinite queue", mutate(15, "inf"), "field 15"},
+		{"largest 32-bit job number", mutate(1, "2147483647"), ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -189,4 +194,29 @@ func TestParseTraceMalformed(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzParseTrace feeds ParseTrace arbitrary text. It must never panic,
+// and every record of a successful parse must lie in the ranges the
+// parser documents: a positive gang width, non-negative times of which
+// the requested or the run time is positive, a job number and user id
+// no lower than SWF's -1 unknown marker, and the queue and status inside
+// SWF's 32-bit integer range. The seed corpus (testdata/fuzz) holds the
+// sample trace's records and TestParseTraceMalformed's table.
+func FuzzParseTrace(f *testing.F) {
+	f.Fuzz(func(t *testing.T, text string) {
+		recs, err := ParseTrace(strings.NewReader(text))
+		if err != nil {
+			return
+		}
+		for _, r := range recs {
+			if r.Procs <= 0 || r.Submit < 0 || r.Run < 0 || r.Req < 0 || (r.Run == 0 && r.Req == 0) ||
+				r.ID < -1 || r.Queue <= -1<<31 || r.Queue >= 1<<31 || r.Status <= -1<<31 || r.Status >= 1<<31 {
+				t.Fatalf("record out of range: %+v", r)
+			}
+			if id, err := strconv.Atoi(strings.TrimPrefix(r.User, "u")); err != nil || id < -1 || r.User != "u"+strconv.Itoa(id) {
+				t.Fatalf("record %d has user %q, want u<id> with id >= -1", r.ID, r.User)
+			}
+		}
+	})
 }

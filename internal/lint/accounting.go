@@ -42,8 +42,8 @@ var auditedAccounting = map[string]bool{
 	"Scheduler.complete":        true, // closes the run segment
 	"Scheduler.cancelRunning":   true, // closes the segment of a canceled gang
 	"Scheduler.beginCheckpoint": true, // drain charge + write-link reservation
-	"Scheduler.bankProgress":    true, // banks the drained segment; mid-restore read refund
-	"Scheduler.loseProgress":    true, // canceled drain: charge becomes lost work
+	"Scheduler.refundRestore":   true, // interrupted segment: mid-restore overhead and read-slot refund
+	"Scheduler.loseProgress":    true, // fault-killed segment: elapsed work becomes lost work
 	"Scheduler.ckptBoundary":    true, // proactive bank: write-link reservation + charge
 	"Scheduler.bankSettle":      true, // proactive bank settlement segment
 	"Scheduler.failGang":        true, // fault kill: lost tail, drain refund

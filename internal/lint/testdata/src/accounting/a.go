@@ -45,9 +45,9 @@ type Scheduler struct {
 	tot  JobTotals
 }
 
-// bankProgress is on the audited allowlist: all three mutation kinds
+// refundRestore is on the audited allowlist: all three mutation kinds
 // pass here.
-func (s *Scheduler) bankProgress(j *Job, g *gang, seg int) {
+func (s *Scheduler) refundRestore(j *Job, g *gang, seg int) {
 	j.History = append(j.History, seg)
 	g.overhead += seg
 	s.ctr.LostWork += seg
