@@ -26,6 +26,7 @@ import (
 	"gpucluster/internal/city"
 	"gpucluster/internal/cluster"
 	"gpucluster/internal/lbm"
+	"gpucluster/internal/lbmgpu"
 	"gpucluster/internal/perfmodel"
 	"gpucluster/internal/sched"
 	"gpucluster/internal/tracer"
@@ -92,22 +93,46 @@ func header(title string) {
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
 func table1() {
-	header("Table 1: per-step execution time (ms), 80^3 per node (model / paper)")
+	header("Table 1: per-step execution time (ms), 80^3 per node (model / paper; GPU<->CPU also measured)")
 	h := perfmodel.Paper()
 	rows := h.FixedSubDomainSweep(perfmodel.PaperNodeCounts, sub80)
-	fmt.Printf("%5s | %11s | %11s %11s %13s %11s | %11s\n",
+	measured := measuredGPUCPU()
+	fmt.Printf("%5s | %11s | %11s %19s %13s %11s | %11s\n",
 		"nodes", "CPU total", "GPU comp", "GPU<->CPU", "net nonovl", "GPU total", "speedup")
 	for i, r := range rows {
 		p := perfmodel.PaperTable1[i]
-		fmt.Printf("%5d | %4.0f / %4.0f | %4.0f / %4.0f %4.0f / %4.0f %5.0f / %5.0f %4.0f / %4.0f | %4.2f / %4.2f\n",
+		m, ok := measured[r.Nodes]
+		cell := "-"
+		if ok {
+			cell = fmt.Sprintf("%.0f", ms(m))
+		}
+		fmt.Printf("%5d | %4.0f / %4.0f | %4.0f / %4.0f %4.0f / %4.0f / %4s %5.0f / %5.0f %4.0f / %4.0f | %4.2f / %4.2f\n",
 			r.Nodes,
 			ms(r.CPUTotal), p.CPUTotalMS,
 			ms(r.GPUCompute), p.GPUComputeMS,
-			ms(r.GPUCPUComm), p.GPUCPUCommMS,
+			ms(r.GPUCPUComm), p.GPUCPUCommMS, cell,
 			ms(r.NetNonOverlap), p.NetNonOverMS,
 			ms(r.GPUTotal), p.GPUTotalMS,
 			r.Speedup, p.SpeedupFactor)
 	}
+	fmt.Println("GPU<->CPU measured: rank 0's simulated AGP time for one step of the functional simulator")
+	fmt.Println("(lbmgpu.MeasureTransfer: 80^3 simulated-GPU ranks on 2x1x1, 2x2x1 and 2x2x2; - where not run)")
+}
+
+// measuredGPUCPU runs the functional simulator at the paper's size on
+// the node counts the host can afford and returns rank 0's simulated
+// GPU<->CPU time for one step, by node count.
+func measuredGPUCPU() map[int]time.Duration {
+	out := map[int]time.Duration{}
+	for _, g := range []sched.NodeGrid{{PX: 2, PY: 1, PZ: 1}, {PX: 2, PY: 2, PZ: 1}, {PX: 2, PY: 2, PZ: 2}} {
+		steps, err := lbmgpu.MeasureTransfer(g, sub80, 1)
+		if err != nil {
+			fmt.Printf("measuring %v: %v\n", g, err)
+			continue
+		}
+		out[g.Size()] = steps[0].Time()
+	}
+	return out
 }
 
 func table2() {

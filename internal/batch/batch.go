@@ -42,7 +42,7 @@ import (
 
 // JobKind identifies the workload class a job runs, one per
 // computational kernel family the paper's cluster serves.
-type JobKind int
+type JobKind uint8
 
 const (
 	// KindLBM is a parallel lattice-Boltzmann flow simulation (package
@@ -72,7 +72,7 @@ func (k JobKind) String() string {
 
 // JobState is a job's lifecycle position: Queued -> Running -> Done or
 // Failed.
-type JobState int
+type JobState uint8
 
 const (
 	// Queued means submitted and waiting for an allocation.

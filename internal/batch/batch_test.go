@@ -34,7 +34,7 @@ func checkNoOverlap(t *testing.T, jobs []*Job, nodes int) {
 			t.Fatalf("%s finished with no run segments", j)
 		}
 		for _, seg := range j.History {
-			for _, i := range seg.Alloc.Nodes() {
+			for _, i := range seg.Alloc.Ranges.Nodes() {
 				perNode[i] = append(perNode[i], span{seg.Start, seg.End})
 			}
 		}
@@ -290,6 +290,26 @@ func TestEstimatorShapes(t *testing.T) {
 			if d2 := e.Estimate(&j2); d2 <= d {
 				t.Fatalf("estimate not monotonic in steps: %v vs %v", d, d2)
 			}
+		}
+	}
+}
+
+// TestSubmitRefusesOverflowingSteps: a step count whose model estimate
+// does not fit a Duration is refused at Submit, for every kind, rather
+// than wrapped and clamped to a millisecond; the largest count that fits
+// is accepted at exactly steps × the one-step estimate.
+func TestSubmitRefusesOverflowingSteps(t *testing.T) {
+	e := NewPerfEstimator()
+	for kind := JobKind(0); kind < numKinds; kind++ {
+		per := e.Estimate(&Job{Kind: kind, Nodes: 2, Problem: defaultProblem(kind), Steps: 1})
+		fits := int(Forever / per)
+		s := New(Config{Cluster: newTestCluster(4)})
+		if err := s.Submit(&Job{Kind: kind, Nodes: 2, Steps: fits + 1}); err == nil {
+			t.Fatalf("%v: %d steps of %v accepted", kind, fits+1, per)
+		}
+		j := &Job{Kind: kind, Nodes: 2, Steps: fits}
+		if err := s.Submit(j); err != nil || j.Estimate() != time.Duration(fits)*per {
+			t.Fatalf("%v: %d steps of %v: %v, estimate %v", kind, fits, per, err, j.Estimate())
 		}
 	}
 }

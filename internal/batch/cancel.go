@@ -76,7 +76,7 @@ func (s *Scheduler) cancelRunning(j *Job) {
 	s.cfg.Cluster.Release(j.Alloc, held)
 	s.chargeUsage(j.User, time.Duration(j.Alloc.Count)*held)
 	if s.rec != nil {
-		s.record(Event{Time: s.now, Kind: EvSegmentEnd, Job: j.ID, From: j.segStart, To: s.now, Alloc: j.Alloc, Detail: "cancel"})
+		s.record(Event{Time: s.now, Kind: EvSegmentEnd, Job: j.ID, From: j.segStart, To: s.now, Alloc: j.Alloc.Ranges, Detail: "cancel"})
 	}
 	j.sliceEnd, j.sliceFull, j.slicing = false, 0, false
 	s.finishCanceled(j)

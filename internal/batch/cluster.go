@@ -29,6 +29,21 @@ type NodeRange struct {
 	First, Count int
 }
 
+// NodeRanges is a node set as its runs, disjoint and ascending: a gang
+// (Allocation.Ranges) or the nodes an event concerns (Event.Alloc).
+type NodeRanges []NodeRange
+
+// Nodes returns the node indices in rank order.
+func (rs NodeRanges) Nodes() []int {
+	var out []int
+	for _, r := range rs {
+		for i := 0; i < r.Count; i++ {
+			out = append(out, r.First+i)
+		}
+	}
+	return out
+}
+
 // Allocation is a gang of nodes granted to one job: one contiguous
 // range in the common case — contiguity keeps a job's ranks on
 // neighboring switch ports, the placement the paper's pairwise schedule
@@ -37,7 +52,7 @@ type NodeRange struct {
 type Allocation struct {
 	// Ranges are the granted node runs, disjoint and ascending. Rank r
 	// runs on the r-th node of the concatenation (see Port).
-	Ranges []NodeRange
+	Ranges NodeRanges
 	// Count is the total node count across Ranges.
 	Count int
 	// CrossesTrunk reports whether the node set spans both interconnect
@@ -57,17 +72,6 @@ func (a Allocation) Grid() sched.NodeGrid {
 
 // Contiguous reports whether the gang occupies a single node range.
 func (a Allocation) Contiguous() bool { return len(a.Ranges) == 1 }
-
-// Nodes returns the allocated node indices in rank order.
-func (a Allocation) Nodes() []int {
-	out := make([]int, 0, a.Count)
-	for _, r := range a.Ranges {
-		for i := 0; i < r.Count; i++ {
-			out = append(out, r.First+i)
-		}
-	}
-	return out
-}
 
 // Port returns the switch port (node index) rank r is placed on: ranks
 // walk the ranges in ascending node order, so for a contiguous gang

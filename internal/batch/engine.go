@@ -73,32 +73,45 @@ func (c *WallClock) Until(v time.Duration) time.Duration {
 	return time.Duration(float64(d) / f)
 }
 
-// JobStatus is a point-in-time view of one job, safe to hand across
-// the engine lock.
-type JobStatus struct {
-	ID       int
-	Name     string
-	User     string
-	Kind     JobKind
-	Nodes    int
+// Record is one job's status at an instant, compact enough to keep: what
+// Engine.JobStatus and Engine.Snapshot answer, what a Retirer receives
+// as a job leaves the scheduler, and what a daemon's ledger holds per
+// retired job. It stores no fact another field derives: failure is
+// State == Failed, the wait is Wait, and the blocked-pass explanation
+// is built from the job's counter row on demand (Explain).
+type Record struct {
+	ID   int
+	Name string
+	User string
+	// Detail carries the workload outcome of a terminal job.
+	Detail   string
 	Priority int
-	State    JobState
-	// Submit, Start, and End are virtual instants; End is zero until
-	// terminal, Start until first dispatch.
+	// Submit, Start, and End are virtual instants; Start is zero until
+	// the first dispatch, End until the job is terminal.
 	Submit, Start, End time.Duration
-	// Wait is Start - Submit for dispatched jobs.
-	Wait time.Duration
 	// Estimate is the resolved runtime estimate.
 	Estimate time.Duration
+	// blocked is a copy of the job's blocked-pass row, nil when the job
+	// was never blocked.
+	blocked *blockRow
+	Nodes   int32
 	// Preemptions and TimeSlices count suspensions so far.
-	Preemptions, TimeSlices int
-	// Detail and Failed carry the workload outcome for terminal jobs.
-	Detail string
-	Failed bool
-	// Blocked is the job's blocked-pass explanation so far. Only
-	// Engine.JobStatus fills it; Snapshot's listing leaves it zero.
-	Blocked Explanation
+	Preemptions, TimeSlices int32
+	Kind                    JobKind
+	State                   JobState
 }
+
+// Wait is the queue wait, Start − Submit, once the job has started (or
+// was canceled before it could); zero before.
+func (r Record) Wait() time.Duration {
+	if r.Start < r.Submit {
+		return 0
+	}
+	return r.Start - r.Submit
+}
+
+// Explain builds the job's blocked-pass explanation from its row.
+func (r Record) Explain() Explanation { return explanationOf(r.blocked, r.ID) }
 
 // QueueStatus summarizes the engine at an instant.
 type QueueStatus struct {
@@ -110,7 +123,7 @@ type QueueStatus struct {
 	Queued, Running, Finished int
 	// Jobs lists every non-terminal job, queued first (discipline
 	// order), then running (completion order).
-	Jobs []JobStatus
+	Jobs []Record
 }
 
 // UserLoad is one user's live footprint, the admission-control input.
@@ -220,61 +233,56 @@ func (e *Engine) Now() time.Duration {
 	return e.s.Now()
 }
 
-func jobStatus(j *Job) JobStatus {
-	st := JobStatus{
+// recordOf is the one constructor of a Record: what Engine.JobStatus
+// answers for a job the scheduler holds and what a Retirer is handed
+// when it stops holding it, so the two cannot differ. The row is copied:
+// the scheduler goes on counting into the job's own while it is queued.
+func recordOf(j *Job) Record {
+	r := Record{
 		ID:          j.ID,
 		Name:        j.Name,
 		User:        j.User,
-		Kind:        j.Kind,
-		Nodes:       j.Nodes,
-		Priority:    j.Priority,
-		State:       j.State,
-		Submit:      j.arrive,
-		Estimate:    j.est,
-		Preemptions: j.Preemptions(),
-		TimeSlices:  j.TimeSlices(),
 		Detail:      j.Detail,
-		Failed:      j.State == Failed,
-	}
-	if len(j.History) > 0 || j.State != Queued {
-		st.Start = j.Start
-		st.Wait = j.Wait()
+		Priority:    j.Priority,
+		Submit:      j.arrive,
+		Start:       j.Start,
+		Estimate:    j.est,
+		Nodes:       int32(j.Nodes),
+		Preemptions: j.preempts,
+		TimeSlices:  j.slices,
+		Kind:        j.Kind,
+		State:       j.State,
 	}
 	switch j.State {
 	case Done, Failed, Canceled:
-		st.End = j.End
+		r.End = j.End
 	}
-	return st
-}
-
-// fullStatus is jobStatus with the blocked-pass explanation filled in:
-// what Engine.JobStatus answers for a job the scheduler holds and what a
-// Retirer is handed when it stops holding it, so the two cannot differ.
-func fullStatus(j *Job) JobStatus {
-	st := jobStatus(j)
-	st.Blocked = explanationOf(j.blocked, j.ID)
-	return st
+	if j.blocked != nil && *j.blocked != (blockRow{}) {
+		row := *j.blocked
+		r.blocked = &row
+	}
+	return r
 }
 
 // JobStatus returns a point-in-time view of one job, its blocked-pass
-// explanation included. A job handed to a Retirer is ErrNoSuchJob here.
-func (e *Engine) JobStatus(id int) (JobStatus, error) {
+// row included. A job handed to a Retirer is ErrNoSuchJob here.
+func (e *Engine) JobStatus(id int) (Record, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.catchUp()
 	j, err := e.s.JobByID(id)
 	if err != nil {
-		return JobStatus{}, err
+		return Record{}, err
 	}
-	return fullStatus(j), nil
+	return recordOf(j), nil
 }
 
 // Explain returns the blocked-pass breakdown for one job so far, read
 // from its counter row — empty unless the engine's Config carried a
 // Recorder.
 func (e *Engine) Explain(id int) (Explanation, error) {
-	st, err := e.JobStatus(id)
-	return st.Blocked, err
+	r, err := e.JobStatus(id)
+	return r.Explain(), err
 }
 
 // Snapshot summarizes the live queue: every non-terminal job, queued
@@ -290,13 +298,13 @@ func (e *Engine) Snapshot() QueueStatus {
 		Running:  s.running.len(),
 		Finished: s.tot.Finished + len(s.finished),
 	}
+	list := func(j *Job) { qs.Jobs = append(qs.Jobs, recordOf(j)) }
 	for _, j := range s.pending.ordered(s.less) {
-		if j == nil {
-			continue
+		if j != nil {
+			list(j)
 		}
-		qs.Jobs = append(qs.Jobs, jobStatus(j))
 	}
-	s.running.each(func(j *Job) { qs.Jobs = append(qs.Jobs, jobStatus(j)) })
+	s.running.each(list)
 	return qs
 }
 

@@ -19,7 +19,7 @@ import (
 // reconstruction.
 
 // BlockReason classifies why a queued job did not start on a pass.
-type BlockReason int
+type BlockReason uint8
 
 const (
 	// ReasonNone is the zero value; it never appears in the stream.
@@ -66,32 +66,25 @@ const (
 	numBlockReasons
 )
 
+// blockReasonNames is indexed by BlockReason.
+var blockReasonNames = [...]string{
+	ReasonNone:             "none",
+	ReasonHeadOfLine:       "head-of-line",
+	ReasonNoPlacement:      "no-placement",
+	ReasonMemoryPinned:     "memory-pinned",
+	ReasonShadow:           "shadow",
+	ReasonLinkBusy:         "link-busy",
+	ReasonFutileCheckpoint: "futile-checkpoint",
+	ReasonAntiThrash:       "anti-thrash",
+	ReasonWaveDraining:     "wave-draining",
+	ReasonEvicting:         "evicting",
+	ReasonReservation:      "reserved",
+	ReasonFault:            "fault",
+}
+
 func (r BlockReason) String() string {
-	switch r {
-	case ReasonNone:
-		return "none"
-	case ReasonHeadOfLine:
-		return "head-of-line"
-	case ReasonNoPlacement:
-		return "no-placement"
-	case ReasonMemoryPinned:
-		return "memory-pinned"
-	case ReasonShadow:
-		return "shadow"
-	case ReasonLinkBusy:
-		return "link-busy"
-	case ReasonFutileCheckpoint:
-		return "futile-checkpoint"
-	case ReasonAntiThrash:
-		return "anti-thrash"
-	case ReasonWaveDraining:
-		return "wave-draining"
-	case ReasonEvicting:
-		return "evicting"
-	case ReasonReservation:
-		return "reserved"
-	case ReasonFault:
-		return "fault"
+	if int(r) < len(blockReasonNames) {
+		return blockReasonNames[r]
 	}
 	return fmt.Sprintf("reason(%d)", int(r))
 }
@@ -273,18 +266,6 @@ func explanationOf(row *blockRow, jobID int) Explanation {
 	if row == nil {
 		return e
 	}
-	reasons := 0
-	for _, n := range row {
-		if n != 0 {
-			reasons++
-		}
-	}
-	if reasons == 0 {
-		return e
-	}
-	// Sized to the reasons that occur: a retired job's explanation is
-	// kept for as long as its record is (server's ledger).
-	e.Counts = make([]BlockCount, 0, reasons)
 	for r, n := range row {
 		if n == 0 {
 			continue
@@ -305,9 +286,4 @@ func explanationOf(row *blockRow, jobID int) Explanation {
 // Explain returns the report's blocked-pass record for one job — empty
 // (never blocked) when no recorder was attached to the run, and for a
 // job the report no longer lists (Report.Jobs).
-func (r Report) Explain(jobID int) Explanation {
-	if e, ok := r.blocked[jobID]; ok {
-		return e
-	}
-	return Explanation{JobID: jobID}
-}
+func (r Report) Explain(jobID int) Explanation { return explanationOf(r.blocked[jobID], jobID) }

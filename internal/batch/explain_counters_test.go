@@ -103,7 +103,7 @@ func TestExplainCountersMatchEventLog(t *testing.T) {
 						if err := e.Cancel(st.ID); err != nil {
 							t.Fatalf("cancel %d: %v", st.ID, err)
 						}
-						id, err := e.Ingest(&Job{Name: st.Name, Kind: st.Kind, Nodes: st.Nodes,
+						id, err := e.Ingest(&Job{Name: st.Name, Kind: st.Kind, Nodes: int(st.Nodes),
 							Priority: st.Priority, User: st.User, Est: st.Estimate})
 						if err != nil {
 							t.Fatalf("submit %s again: %v", st.Name, err)

@@ -291,8 +291,8 @@ func allocCovers(a Allocation, node int) bool {
 
 // faultAlloc encodes the node a fault event concerns in the Event's
 // Alloc field — the recorder schema's existing node carrier.
-func faultAlloc(node int) Allocation {
-	return Allocation{Ranges: []NodeRange{{First: node, Count: 1}}, Count: 1}
+func faultAlloc(node int) NodeRanges {
+	return NodeRanges{{First: node, Count: 1}}
 }
 
 // applyNodeDown takes a node out of service: the resident gang (at most
@@ -457,7 +457,7 @@ func (s *Scheduler) failGang(j *Job) {
 	s.cfg.Cluster.Release(j.Alloc, held)
 	s.chargeUsage(j.User, time.Duration(j.Alloc.Count)*held)
 	if s.rec != nil {
-		s.record(Event{Time: s.now, Kind: EvSegmentEnd, Job: j.ID, From: j.segStart, To: s.now, Alloc: j.Alloc, Detail: "fault"})
+		s.record(Event{Time: s.now, Kind: EvSegmentEnd, Job: j.ID, From: j.segStart, To: s.now, Alloc: j.Alloc.Ranges, Detail: "fault"})
 	}
 	j.faults++
 	s.ctr.FaultKills++
@@ -557,7 +557,7 @@ func (s *Scheduler) ckptBoundary(j *Job) {
 	j.banking = true
 	j.End = start + cost
 	if s.rec != nil {
-		s.record(Event{Time: s.now, Kind: EvDrainBegin, Job: j.ID, From: s.now, To: j.End, Alloc: j.Alloc, Detail: "bank"})
+		s.record(Event{Time: s.now, Kind: EvDrainBegin, Job: j.ID, From: s.now, To: j.End, Alloc: j.Alloc.Ranges, Detail: "bank"})
 		s.record(Event{Time: s.now, Kind: EvStoreWrite, Job: j.ID, From: start, To: j.End, Detail: "bank"})
 	}
 	s.running.add(j)
@@ -574,7 +574,7 @@ func (s *Scheduler) bankSettle(j *Job) {
 	held := s.now - j.segStart
 	j.History = append(j.History, Segment{Alloc: j.Alloc, Start: j.segStart, End: s.now, Preempted: true})
 	if s.rec != nil {
-		s.record(Event{Time: s.now, Kind: EvSegmentEnd, Job: j.ID, From: j.segStart, To: s.now, Alloc: j.Alloc, Detail: "bank"})
+		s.record(Event{Time: s.now, Kind: EvSegmentEnd, Job: j.ID, From: j.segStart, To: s.now, Alloc: j.Alloc.Ranges, Detail: "bank"})
 	}
 	s.chargeUsage(j.User, time.Duration(j.Alloc.Count)*held)
 	if j.canceled {

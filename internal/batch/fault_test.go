@@ -85,7 +85,7 @@ func checkNoRunDuringDown(t *testing.T, jobs []*Job, wins map[int][]Segment) {
 	t.Helper()
 	for _, j := range jobs {
 		for _, seg := range j.History {
-			for _, n := range seg.Alloc.Nodes() {
+			for _, n := range seg.Alloc.Ranges.Nodes() {
 				for _, w := range wins[n] {
 					if seg.Start < w.End && seg.End > w.Start {
 						t.Fatalf("%s ran [%v,%v) on node %d inside down window [%v,%v)",

@@ -30,7 +30,7 @@ import (
 // passes per job itself (explain.go).
 
 // EventKind identifies a lifecycle transition.
-type EventKind int
+type EventKind uint8
 
 const (
 	// EvSubmit is a job accepted into the queue. From is the resolved
@@ -103,42 +103,30 @@ const (
 	EvTrunkUp
 )
 
+// eventKindNames is indexed by EventKind.
+var eventKindNames = [...]string{
+	EvSubmit:      "submit",
+	EvDispatch:    "dispatch",
+	EvBlocked:     "blocked",
+	EvDrainBegin:  "drain-begin",
+	EvRequeue:     "requeue",
+	EvHostSuspend: "host-suspend",
+	EvDemoteBegin: "demote-begin",
+	EvDemoteEnd:   "demote-end",
+	EvSliceYield:  "slice-yield",
+	EvStoreWrite:  "store-write",
+	EvStoreRead:   "store-read",
+	EvSegmentEnd:  "segment-end",
+	EvComplete:    "complete",
+	EvNodeDown:    "node-down",
+	EvNodeUp:      "node-up",
+	EvTrunkDown:   "trunk-down",
+	EvTrunkUp:     "trunk-up",
+}
+
 func (k EventKind) String() string {
-	switch k {
-	case EvSubmit:
-		return "submit"
-	case EvDispatch:
-		return "dispatch"
-	case EvBlocked:
-		return "blocked"
-	case EvDrainBegin:
-		return "drain-begin"
-	case EvRequeue:
-		return "requeue"
-	case EvHostSuspend:
-		return "host-suspend"
-	case EvDemoteBegin:
-		return "demote-begin"
-	case EvDemoteEnd:
-		return "demote-end"
-	case EvSliceYield:
-		return "slice-yield"
-	case EvStoreWrite:
-		return "store-write"
-	case EvStoreRead:
-		return "store-read"
-	case EvSegmentEnd:
-		return "segment-end"
-	case EvComplete:
-		return "complete"
-	case EvNodeDown:
-		return "node-down"
-	case EvNodeUp:
-		return "node-up"
-	case EvTrunkDown:
-		return "trunk-down"
-	case EvTrunkUp:
-		return "trunk-up"
+	if int(k) < len(eventKindNames) {
+		return eventKindNames[k]
 	}
 	return fmt.Sprintf("event(%d)", int(k))
 }
@@ -150,18 +138,18 @@ type Event struct {
 	Time time.Duration
 	// Kind is the transition type.
 	Kind EventKind
+	// Reason classifies EvBlocked events (explain.go).
+	Reason BlockReason
 	// Job is the subject's scheduler-assigned ID.
 	Job int
 	// Pass numbers the scheduling pass for EvBlocked events.
 	Pass int
-	// Reason classifies EvBlocked events (explain.go).
-	Reason BlockReason
 	// From and To span the interval the event describes: a transfer, a
 	// segment, a drain; for EvSubmit, From is the arrival and for
 	// EvBlocked it is the shadow/reservation bound when one applies.
 	From, To time.Duration
-	// Alloc is the gang involved, for occupancy-bearing events.
-	Alloc Allocation
+	// Alloc is the gang's nodes, for occupancy-bearing events.
+	Alloc NodeRanges
 	// Detail refines the kind (tier, cause, dispatch flavor).
 	Detail string
 }
@@ -206,10 +194,11 @@ const LedgerCapacity = 8192
 // RingRecorder is the bounded Recorder: it keeps the most recent
 // RingCapacity lifecycle events and drops EvBlocked, whose content the
 // scheduler's per-job counters already hold (explain.go), so its memory
-// does not grow with uptime. The zero value is ready to use.
+// does not grow with uptime. The zero value is ready to use: its buffer
+// is allocated with it, once, and never grows.
 type RingRecorder struct {
-	buf  []Event // grows to RingCapacity, then wraps
-	head int     // once full: index of the oldest event
+	buf [RingCapacity]Event
+	n   int // events kept so far; the next goes to buf[n%RingCapacity]
 }
 
 // Record keeps the event, overwriting the oldest once full.
@@ -217,19 +206,19 @@ func (r *RingRecorder) Record(ev Event) {
 	if ev.Kind == EvBlocked {
 		return
 	}
-	if len(r.buf) < RingCapacity {
-		r.buf = append(r.buf, ev)
-		return
-	}
-	r.buf[r.head] = ev
-	r.head = (r.head + 1) % RingCapacity
+	r.buf[r.n%RingCapacity] = ev
+	r.n++
 }
 
 // Events returns a copy of the retained events in record order.
 func (r *RingRecorder) Events() []Event {
-	out := make([]Event, 0, len(r.buf))
-	out = append(out, r.buf[r.head:]...)
-	return append(out, r.buf[:r.head]...)
+	kept, head := min(r.n, RingCapacity), 0
+	if r.n > RingCapacity {
+		head = r.n % RingCapacity
+	}
+	out := make([]Event, 0, kept)
+	out = append(out, r.buf[head:kept]...)
+	return append(out, r.buf[:head]...)
 }
 
 // record forwards to the attached recorder. Callers guard with

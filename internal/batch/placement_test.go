@@ -134,7 +134,7 @@ func TestNonContiguousAssembly(t *testing.T) {
 	if got.Contiguous() || got.Count != 5 {
 		t.Fatalf("split allocation %v, want 5 nodes over >1 range", got)
 	}
-	nodes := got.Nodes()
+	nodes := got.Ranges.Nodes()
 	if len(nodes) != 5 || got.Grid().Size() != 5 {
 		t.Fatalf("rank map %v / grid %v does not cover 5 ranks", nodes, got.Grid())
 	}
@@ -176,7 +176,7 @@ func TestHeterogeneousMemoryPlacement(t *testing.T) {
 	if len(rep.Jobs) != 1 || j.State != Done {
 		t.Fatalf("job did not finish: %v", j.State)
 	}
-	for _, n := range j.Alloc.Nodes() {
+	for _, n := range j.Alloc.Ranges.Nodes() {
 		if n == 1 {
 			t.Fatalf("placement granted node 1 (512 KiB) to a 1 MiB/node job: %v", j.Alloc)
 		}
@@ -350,8 +350,8 @@ func exposed(v reflect.Value) any {
 // classes, not round numbers: the heap rounds a 592-byte Job up to its
 // 640-byte class and an 88-byte Segment up to 96, so 512 and 64 are
 // where a byte saved is a byte retained less per job. Event rides in the
-// daemon's ring by value. Growing any of them is a decision to
-// re-measure, not a side effect.
+// daemon's ring by value, and Record in its ledger, one per retired job.
+// Growing any of them is a decision to re-measure, not a side effect.
 func TestJobSizePinned(t *testing.T) {
 	for _, c := range []struct {
 		name      string
@@ -361,7 +361,8 @@ func TestJobSizePinned(t *testing.T) {
 		{"Job", unsafe.Sizeof(Job{}), 512, false},
 		{"Allocation", unsafe.Sizeof(Allocation{}), 40, true},
 		{"Segment", unsafe.Sizeof(Segment{}), 64, true},
-		{"Event", unsafe.Sizeof(Event{}), 112, false},
+		{"Event", unsafe.Sizeof(Event{}), 88, false},
+		{"Record", unsafe.Sizeof(Record{}), 120, false},
 	} {
 		if c.size > c.max || (c.exact && c.size != c.max) {
 			t.Errorf("%s is %d bytes, pinned at %d (exact %v)", c.name, c.size, c.max, c.exact)

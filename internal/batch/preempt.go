@@ -348,7 +348,7 @@ func (s *Scheduler) beginCheckpoint(v *Job) {
 	}
 	if s.rec != nil {
 		s.record(Event{Time: s.now, Kind: EvDrainBegin, Job: v.ID, From: s.now, To: start + cost,
-			Alloc: v.Alloc, Detail: drainDetail(hostTier, v.slicing)})
+			Alloc: v.Alloc.Ranges, Detail: drainDetail(hostTier, v.slicing)})
 		if !hostTier {
 			s.record(Event{Time: s.now, Kind: EvStoreWrite, Job: v.ID, From: start, To: start + cost, Detail: "drain"})
 		}
@@ -486,7 +486,7 @@ func (s *Scheduler) requeuePreempted(j *Job) {
 		s.cfg.Cluster.reserve(j.Alloc, j.memNeed)
 		j.restoreCost = s.cfg.HostResumeCost(j)
 		if s.rec != nil {
-			s.record(Event{Time: s.now, Kind: EvHostSuspend, Job: j.ID, Alloc: j.Alloc})
+			s.record(Event{Time: s.now, Kind: EvHostSuspend, Job: j.ID, Alloc: j.Alloc.Ranges})
 			s.record(Event{Time: s.now, Kind: EvRequeue, Job: j.ID, Detail: "host"})
 		}
 	} else {

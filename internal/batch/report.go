@@ -166,7 +166,7 @@ type Report struct {
 	// (AvgWaitUnder, MedianEstimate) stay recomputable after any
 	// number of replays. Under a scheduler that forgets its terminal
 	// jobs (Engine.RetireTo) the list is what the Retirer still holds —
-	// the most recent finishers, rebuilt from their final status:
+	// the most recent finishers, rebuilt from their final Record:
 	// identity, spec, state, times, estimate and suspension counts, no
 	// History or Alloc — while JobTotals covers them all.
 	Jobs []*Job
@@ -204,11 +204,11 @@ type Report struct {
 	// RingRecorder; empty otherwise. It backs Timeline and the
 	// report-level WriteChromeTrace (obs.go).
 	Events []Event
-	// blocked is the blocked-pass explanation, at report time, of every
-	// job the scheduler or its Retirer still holds that was ever passed
-	// over — what Explain reads (explain.go). Nil when there is none, as
-	// with no recorder attached.
-	blocked map[int]Explanation
+	// blocked is the blocked-pass row, at report time, of every job the
+	// scheduler or its Retirer still holds that was ever passed over —
+	// what Explain reads (explain.go). Nil when there is none, as with no
+	// recorder attached.
+	blocked map[int]*blockRow
 }
 
 // report assembles the Report: the totals carried for jobs already
@@ -234,26 +234,24 @@ func (s *Scheduler) report() Report {
 		r.Events = append([]Event(nil), src.Events()...)
 	}
 	if s.retirer != nil {
-		s.retirer.Retained(func(st JobStatus) {
-			r.Jobs = append(r.Jobs, st.job())
-			r.noteBlocked(st.Blocked)
+		s.retirer.Retained(func(rec Record) {
+			r.Jobs = append(r.Jobs, rec.job())
+			r.noteBlocked(rec.ID, rec.blocked)
 		})
 	}
 	for _, j := range s.finished {
 		cp := *j
 		r.Jobs = append(r.Jobs, &cp)
 		r.JobTotals.fold(&cp)
+		r.noteBlocked(j.ID, j.blocked)
 	}
 	if s.rec != nil {
-		for _, j := range s.finished {
-			r.noteBlocked(explanationOf(j.blocked, j.ID))
-		}
 		for _, j := range s.pending.jobs {
 			if j != nil {
-				r.noteBlocked(explanationOf(j.blocked, j.ID))
+				r.noteBlocked(j.ID, j.blocked)
 			}
 		}
-		s.running.each(func(j *Job) { r.noteBlocked(explanationOf(j.blocked, j.ID)) })
+		s.running.each(func(j *Job) { r.noteBlocked(j.ID, j.blocked) })
 	}
 	if r.Finished > 0 {
 		r.AvgWait = r.waitSum / time.Duration(r.Finished)
@@ -284,16 +282,17 @@ func (s *Scheduler) report() Report {
 	return r
 }
 
-// noteBlocked files one job's explanation under its ID, if the job was
-// ever passed over.
-func (r *Report) noteBlocked(e Explanation) {
-	if e.BlockedPasses == 0 {
+// noteBlocked files a copy of job id's counter row, if the job was ever
+// passed over: a live job's row goes on counting after the report.
+func (r *Report) noteBlocked(id int, row *blockRow) {
+	if row == nil || *row == (blockRow{}) {
 		return
 	}
 	if r.blocked == nil {
-		r.blocked = make(map[int]Explanation)
+		r.blocked = make(map[int]*blockRow)
 	}
-	r.blocked[e.JobID] = e
+	cp := *row
+	r.blocked[id] = &cp
 }
 
 // AvgWaitUnder returns the mean queue wait over finished jobs whose

@@ -6,7 +6,7 @@ package batch
 // ever is a leak with a long fuse — so a front door that means to stay
 // up hands the engine a Retirer (Engine.RetireTo). From then on a job
 // that reaches Done, Failed or Canceled is folded into the scheduler's
-// running JobTotals, its final status is handed over, and the scheduler
+// running JobTotals, its final Record is handed over, and the scheduler
 // forgets it: no byID entry, no place in finished, no counter row. What
 // the scheduler holds is then the live jobs alone, and what a report
 // says of the forgotten ones comes from the totals, which never forget.
@@ -20,18 +20,18 @@ package batch
 // them. Both methods are called with the engine's lock held and must
 // not call back into the engine.
 type Retirer interface {
-	// Retire receives the final status — explanation included, exactly
-	// as Engine.JobStatus would have answered at that instant — of a job
-	// that has just reached a terminal state and that the scheduler will
-	// not know again.
-	Retire(final JobStatus)
-	// Retained calls yield with each final status still held, oldest
+	// Retire receives the final record — blocked-pass row included,
+	// exactly as Engine.JobStatus would have answered at that instant — of
+	// a job that has just reached a terminal state and that the scheduler
+	// will not know again.
+	Retire(final Record)
+	// Retained calls yield with each final record still held, oldest
 	// retirement first: the jobs a report lists (Report.Jobs).
-	Retained(yield func(JobStatus))
+	Retained(yield func(Record))
 }
 
 // RetireTo makes the engine forget each job as it reaches a terminal
-// state, handing its final status to r; jobs already terminal are
+// state, handing its final Record to r; jobs already terminal are
 // retired on the spot, in completion order, so with a Retirer set the
 // scheduler holds live jobs only. A nil r stops retiring.
 func (e *Engine) RetireTo(r Retirer) {
@@ -47,26 +47,26 @@ func (e *Engine) RetireTo(r Retirer) {
 	s.finished = nil
 }
 
-// job rebuilds a finished job from its final status, for the report of
-// a scheduler that no longer holds the job itself: what the status
+// job rebuilds a finished job from its final record, for the report of
+// a scheduler that no longer holds the job itself: what the record
 // carries, nothing else.
-func (st JobStatus) job() *Job {
+func (r Record) job() *Job {
 	return &Job{
-		ID:       st.ID,
-		Name:     st.Name,
-		Kind:     st.Kind,
-		Nodes:    st.Nodes,
-		Priority: st.Priority,
-		User:     st.User,
-		State:    st.State,
-		Start:    st.Start,
-		End:      st.End,
-		Detail:   st.Detail,
+		ID:       r.ID,
+		Name:     r.Name,
+		Kind:     r.Kind,
+		Nodes:    int(r.Nodes),
+		Priority: r.Priority,
+		User:     r.User,
+		State:    r.State,
+		Start:    r.Start,
+		End:      r.End,
+		Detail:   r.Detail,
 		jobState: jobState{
-			est:      st.Estimate,
-			arrive:   st.Submit,
-			preempts: int32(st.Preemptions),
-			slices:   int32(st.TimeSlices),
+			est:      r.Estimate,
+			arrive:   r.Submit,
+			preempts: r.Preemptions,
+			slices:   r.TimeSlices,
 		},
 	}
 }

@@ -105,7 +105,8 @@ type Config struct {
 	BackfillDepth int
 	// Estimate supplies a runtime estimate for jobs submitted with
 	// Est == 0; nil defaults to a PerfEstimator over the paper's
-	// hardware model.
+	// hardware model. Submit refuses a job estimated at Forever, what
+	// PerfEstimator answers when the steps overflow a Duration.
 	Estimate func(*Job) time.Duration
 	// Actual maps a job's estimate to its true runtime (e.g. a
 	// deterministic jitter so estimates are imperfect, as in real
@@ -347,7 +348,9 @@ func (s *Scheduler) Submit(j *Job) error {
 		// branch builds (and heap-allocates) it.
 		r := *j
 		r.Steps, r.Problem, r.Submit = steps, problem, arrive
-		est = s.cfg.Estimate(&r)
+		if est = s.cfg.Estimate(&r); est == Forever {
+			return fmt.Errorf("batch: %s: a runtime estimate of %d steps overflows", j, steps)
+		}
 	}
 	if est < time.Millisecond {
 		est = time.Millisecond
@@ -879,7 +882,7 @@ func (s *Scheduler) tryStart(j *Job, backfilled bool, limit time.Duration, limit
 	}
 	s.armProactive(j)
 	if s.rec != nil {
-		s.record(Event{Time: s.now, Kind: EvDispatch, Job: j.ID, From: s.now + prefix, Alloc: alloc,
+		s.record(Event{Time: s.now, Kind: EvDispatch, Job: j.ID, From: s.now + prefix, Alloc: alloc.Ranges,
 			Detail: dispatchDetail(backfilled, migrate, readCost > 0, prefix)})
 		if migrate {
 			s.record(Event{Time: s.now, Kind: EvStoreWrite, Job: j.ID, From: migStart, To: migStart + writeLeg, Detail: "migrate"})
@@ -918,7 +921,7 @@ func (s *Scheduler) sliceBoundary(j *Job) {
 			j.sliceEnd, j.slicing = false, true
 			j.rrStamp = s.now // resume after the waiters that outranked us here
 			if s.rec != nil {
-				s.record(Event{Time: s.now, Kind: EvSliceYield, Job: j.ID, Alloc: j.Alloc})
+				s.record(Event{Time: s.now, Kind: EvSliceYield, Job: j.ID, Alloc: j.Alloc.Ranges})
 			}
 			s.running.add(j)
 			s.beginCheckpoint(j)
@@ -1053,7 +1056,7 @@ func (s *Scheduler) complete(j *Job) {
 		if j.preempting {
 			detail = "drain"
 		}
-		s.record(Event{Time: s.now, Kind: EvSegmentEnd, Job: j.ID, From: j.segStart, To: s.now, Alloc: j.Alloc, Detail: detail})
+		s.record(Event{Time: s.now, Kind: EvSegmentEnd, Job: j.ID, From: j.segStart, To: s.now, Alloc: j.Alloc.Ranges, Detail: detail})
 	}
 	if j.preempting {
 		s.requeuePreempted(j)
@@ -1102,14 +1105,14 @@ func (s *Scheduler) finish(j *Job) {
 }
 
 // retire is the one place a job leaves byID: its figures go into the
-// running totals, its final status to the Retirer, and nothing of it
+// running totals, its final Record to the Retirer, and nothing of it
 // stays behind. Structures that hold the *Job for a reason of their own
 // (an eviction write still settling, a victim's waveFor) keep it until
 // that reason ends; none of them outlives the work in flight.
 func (s *Scheduler) retire(j *Job) {
 	s.tot.fold(j)
 	delete(s.byID, j.ID)
-	s.retirer.Retire(fullStatus(j))
+	s.retirer.Retire(recordOf(j))
 }
 
 // trunkFactor is the runtime stretch of a gang that crosses the

@@ -16,6 +16,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"gpucluster/internal/batch"
 )
@@ -122,6 +123,47 @@ func TestServerPerJobStateBounded(t *testing.T) {
 	}
 	if lo, hi := float64(heap[2])*0.95, float64(heap[2])*1.05; float64(heap[3]) < lo || float64(heap[3]) > hi {
 		t.Fatalf("live heap %d B after 3x the ledger's capacity of jobs, %d B after 2x: not flat within 5%%", heap[3], heap[2])
+	}
+}
+
+// TestLedgerBytesPerSlot measures what the daemon keeps per retired job
+// once it is at its bound: a server retires the ledger's capacity of
+// one-node jobs, which fills the ledger and, four lifecycle events a
+// job, the event ring, and the live heap above the same server empty is
+// divided by the ledger's slots. Per slot that is the ledger entry (the
+// batch.Record and the wall stamps, pinned below), the job's name, its
+// place in the ID index, and its share of the ring's events and their
+// submit labels. The figure is deterministic to a tenth of a byte.
+func TestLedgerBytesPerSlot(t *testing.T) {
+	if size := unsafe.Sizeof(jobRecord{}); size > 136 {
+		t.Errorf("a ledger entry is %d bytes, pinned at 136", size)
+	}
+	const wave = 64
+	s := New(Config{
+		Batch: batch.Config{Cluster: testCluster(4), Policy: batch.Backfill},
+		Clock: batch.VirtualClock{},
+	})
+	h := s.Handler()
+	var empty, full runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&empty)
+	for n := 0; n < batch.LedgerCapacity; n += wave {
+		for i := 0; i < wave; i++ {
+			submit(t, h, JobSpec{Name: "slot", Kind: "pde", Nodes: 1, EstSeconds: 60})
+		}
+		s.Engine().RunUntil(batch.Forever)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&full)
+	runtime.KeepAlive(s)
+	if len(s.book.recs) != batch.LedgerCapacity || len(s.book.live) != 0 || len(s.Engine().Report().Events) != batch.RingCapacity {
+		t.Fatalf("ledger %d records, live map %d, ring %d events; want both bounds reached and nothing live",
+			len(s.book.recs), len(s.book.live), len(s.Engine().Report().Events))
+	}
+	perSlot := (float64(full.HeapAlloc) - float64(empty.HeapAlloc)) / batch.LedgerCapacity
+	t.Logf("%.1f B per ledger slot (%d B empty, %d B full)", perSlot, empty.HeapAlloc, full.HeapAlloc)
+	if perSlot > 310 {
+		t.Fatalf("%.1f B per ledger slot, want <= 310", perSlot)
 	}
 }
 

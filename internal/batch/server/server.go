@@ -31,11 +31,11 @@
 // Perfetto) is an explicit choice: set Config.Batch.Recorder to a
 // batch.MemRecorder. Jobs: New asks the engine to retire terminal jobs
 // (batch.Engine.RetireTo), so the scheduler holds the live ones only; a
-// job that ends leaves its final status — everything a job view renders
-// — as one compact record in a ledger of at most batch.LedgerCapacity
-// records, overwritten oldest first, and the final report's totals
-// still count every job (batch.JobTotals) while it lists those the
-// ledger holds. Per-job state is therefore at most live jobs +
+// job that ends leaves its final batch.Record and wall stamps —
+// everything a job view renders — in a ledger of at most
+// batch.LedgerCapacity entries, overwritten oldest first, and the final
+// report's totals still count every job (batch.JobTotals) while it
+// lists those the ledger holds. Per-job state is therefore at most live jobs +
 // batch.LedgerCapacity entries in every container the daemon owns.
 // The listener bounds what a client can hold open: header, request and
 // idle timeouts, and a 1 MiB cap on a submit body.
@@ -160,11 +160,11 @@ type wallStamps struct {
 	dispatch time.Duration // first dispatch
 }
 
-// jobRecord is everything a job view renders: the engine's status and
+// jobRecord is everything a job view renders: the engine's record and
 // the server's stamps. One is assembled per answer while the job is
 // live; one is kept, in the ledger, once it has retired.
 type jobRecord struct {
-	batch.JobStatus
+	batch.Record
 	wallStamps
 }
 
@@ -196,7 +196,7 @@ var errAgedOut = errors.New("finished, and its record has aged out of the daemon
 // the scheduler holds the job, the ledger's record once it has retired,
 // errAgedOut once the ledger has let go of it too, and the engine's own
 // err (batch.ErrNoSuchJob) for an ID never assigned.
-func (b *jobBook) find(id int, st batch.JobStatus, err error) (jobRecord, error) {
+func (b *jobBook) find(id int, st batch.Record, err error) (jobRecord, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if err == nil {
@@ -224,7 +224,7 @@ func (b *jobBook) stamps(id int) wallStamps {
 
 // Retire moves a job from the live map into the ledger, its stamps with
 // it (batch.Retirer).
-func (b *jobBook) Retire(final batch.JobStatus) {
+func (b *jobBook) Retire(final batch.Record) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	rec := jobRecord{final, b.live[final.ID]}
@@ -241,14 +241,14 @@ func (b *jobBook) Retire(final batch.JobStatus) {
 }
 
 // Retained lists the ledger, oldest record first (batch.Retirer).
-func (b *jobBook) Retained(yield func(batch.JobStatus)) {
+func (b *jobBook) Retained(yield func(batch.Record)) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	for _, rec := range b.recs[b.head:] {
-		yield(rec.JobStatus)
+		yield(rec.Record)
 	}
 	for _, rec := range b.recs[:b.head] {
-		yield(rec.JobStatus)
+		yield(rec.Record)
 	}
 }
 
@@ -472,20 +472,20 @@ func (rec jobRecord) view() JobView {
 		Name:           rec.Name,
 		User:           rec.User,
 		Kind:           rec.Kind.String(),
-		Nodes:          rec.Nodes,
+		Nodes:          int(rec.Nodes),
 		Priority:       rec.Priority,
 		State:          rec.State.String(),
 		SubmitMS:       float64(rec.Submit) / ms,
 		EstMS:          float64(rec.Estimate) / ms,
-		Preemptions:    rec.Preemptions,
-		TimeSlices:     rec.TimeSlices,
+		Preemptions:    int(rec.Preemptions),
+		TimeSlices:     int(rec.TimeSlices),
 		Detail:         rec.Detail,
 		SubmitWallMS:   float64(rec.submit) / ms,
 		DispatchWallMS: float64(rec.dispatch) / ms,
 	}
 	if rec.State != batch.Queued {
 		v.StartMS = float64(rec.Start) / ms
-		v.WaitMS = float64(rec.Wait) / ms
+		v.WaitMS = float64(rec.Wait()) / ms
 	}
 	if rec.End > 0 {
 		v.EndMS = float64(rec.End) / ms
@@ -496,9 +496,9 @@ func (rec jobRecord) view() JobView {
 // viewWithExplain is view plus the blocked-pass breakdown, present even
 // when empty: what GET /v1/jobs/{id} answers.
 func (rec jobRecord) viewWithExplain() JobView {
-	v := rec.view()
-	v.Explain = &ExplainView{BlockedPasses: rec.Blocked.BlockedPasses}
-	for _, c := range rec.Blocked.Counts {
+	v, e := rec.view(), rec.Explain()
+	v.Explain = &ExplainView{BlockedPasses: e.BlockedPasses}
+	for _, c := range e.Counts {
 		v.Explain.Blockers = append(v.Explain.Blockers, BlockerView{Reason: c.Reason.String(), Passes: c.Passes})
 	}
 	return v
@@ -532,6 +532,15 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "job requests %d nodes", spec.Nodes)
 		return
 	}
+	// An estimate the conversion would change is refused: a negative one,
+	// one past the longest Duration (it would wrap negative and leave the
+	// job to the estimator), and one below the scheduler's 1 ms floor.
+	est := spec.EstSeconds * float64(time.Second)
+	if est != 0 && !(est >= float64(time.Millisecond) && est < float64(batch.Forever)) {
+		writeError(w, http.StatusBadRequest, "est_seconds %g: want 0 (the scheduler estimates) or 0.001 to %.4g",
+			spec.EstSeconds, batch.Forever.Seconds())
+		return
+	}
 	j := &batch.Job{
 		Name:     spec.Name,
 		Kind:     kind,
@@ -539,7 +548,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		Priority: spec.Priority,
 		User:     user,
 		Steps:    spec.Steps,
-		Est:      time.Duration(spec.EstSeconds * float64(time.Second)),
+		Est:      time.Duration(est),
 	}
 	// Quota check and ingest are one critical section: two concurrent
 	// submits must not both pass a nearly-full quota.

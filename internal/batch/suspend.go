@@ -163,7 +163,7 @@ func (s *Scheduler) demote(d *Job) {
 	s.ctr.Demotions++
 	s.ctr.DemotionTime += cost
 	if s.rec != nil {
-		s.record(Event{Time: s.now, Kind: EvDemoteBegin, Job: d.ID, From: start, To: d.demoteEnd, Alloc: d.Alloc})
+		s.record(Event{Time: s.now, Kind: EvDemoteBegin, Job: d.ID, From: start, To: d.demoteEnd, Alloc: d.Alloc.Ranges})
 		s.record(Event{Time: s.now, Kind: EvStoreWrite, Job: d.ID, From: start, To: d.demoteEnd, Detail: "demote"})
 	}
 }
@@ -194,7 +194,7 @@ func (s *Scheduler) settleDemotions() {
 			continue
 		}
 		if s.rec != nil {
-			s.record(Event{Time: s.now, Kind: EvDemoteEnd, Job: d.ID, Alloc: d.Alloc})
+			s.record(Event{Time: s.now, Kind: EvDemoteEnd, Job: d.ID, Alloc: d.Alloc.Ranges})
 		}
 		s.cfg.Cluster.unreserve(d.Alloc, d.memNeed)
 		d.hostImage = false

@@ -64,9 +64,12 @@ func NewPerfEstimator() *PerfEstimator {
 }
 
 // Estimate returns the modeled runtime of j on its gang's Arrange3D
-// grid.
+// grid: Steps times the modeled step, or Forever where that product
+// would overflow a Duration, which Submit refuses instead of a wrapped
+// estimate.
 func (e *PerfEstimator) Estimate(j *Job) time.Duration {
 	g := sched.Arrange3D(j.Nodes)
+	var per time.Duration
 	switch j.Kind {
 	case KindCG:
 		unknowns := float64(j.Problem[0] * j.Problem[1])
@@ -80,17 +83,19 @@ func (e *PerfEstimator) Estimate(j *Job) time.Duration {
 			msgs := 2*math.Ceil(math.Log2(float64(j.Nodes))) + 2
 			comm = time.Duration(msgs) * e.H.Net.MsgLatency
 		}
-		return time.Duration(j.Steps) * (compute + comm)
+		per = compute + comm
 	case KindPDE:
 		br := e.H.ClusterStep(g, j.Problem, perfmodel.Options{})
 		// One scalar per cell against 19 distributions: ~1/5 the
 		// compute and border traffic of the LBM step.
-		per := br.GPUCompute/5 + br.GPUCPUComm/5 + br.NetNonOverlap
-		return time.Duration(j.Steps) * per
+		per = br.GPUCompute/5 + br.GPUCPUComm/5 + br.NetNonOverlap
 	default:
-		br := e.H.ClusterStep(g, j.Problem, perfmodel.Options{})
-		return time.Duration(j.Steps) * br.GPUTotal
+		per = e.H.ClusterStep(g, j.Problem, perfmodel.Options{}).GPUTotal
 	}
+	if per > 0 && time.Duration(j.Steps) > Forever/per {
+		return Forever
+	}
+	return time.Duration(j.Steps) * per
 }
 
 // SimExecutor runs each job's workload for real on the functional

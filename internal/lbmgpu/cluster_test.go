@@ -153,13 +153,14 @@ func TestMixedCPUGPUCluster(t *testing.T) {
 }
 
 // TestGPUCPUTransferAtPaperSize measures Table 1's GPU↔CPU column on
-// the functional simulator at the paper's own size: 80³ sub-domains on
-// the paper's card (gpu.GeForceFX5800Ultra, 86 MB usable) over AGP 8x,
-// walls on every side, so a rank exchanges only across its interior
-// faces. After one warm-up step, each of two steps must move exactly the
-// pinned operations and bytes across rank 0's bus in each direction, in
-// the pinned simulated time to 1%. The log sets the measured column
-// beside perfmodel's and the paper's (13 ms at 2 nodes, 42 at 4).
+// the functional simulator at the paper's own size (MeasureTransfer):
+// 80³ sub-domains on the paper's card (gpu.GeForceFX5800Ultra, 86 MB
+// usable) over AGP 8x, walls on every side, so a rank exchanges only
+// across its interior faces. After one warm-up step, each of two steps
+// must move exactly the pinned operations and bytes across rank 0's bus
+// in each direction, in the pinned simulated time to 1%. The log sets the
+// measured column beside perfmodel's and the paper's (13 ms at 2 nodes,
+// 42 at 4); paperbench's Table 1 prints the same cells.
 //
 // Upstream is the paper's design: one gather pass and one read-back per
 // face. Downstream is not: UnpackGhost uploads one rect per distribution
@@ -184,26 +185,7 @@ func TestGPUCPUTransferAtPaperSize(t *testing.T) {
 			bus.Stats{Ops: 2, Bytes: 414720, Time: 4297744 * time.Nanosecond},
 			bus.Stats{Ops: 480, Bytes: 622080, Time: 96369840 * time.Nanosecond}},
 	} {
-		cfg := cluster.Config{
-			Global:  [3]int{sub[0] * tc.grid.PX, sub[1] * tc.grid.PY, sub[2] * tc.grid.PZ},
-			Grid:    tc.grid,
-			Tau:     0.8,
-			Timeout: 5 * time.Minute,
-		}
-		for f := range cfg.Faces {
-			cfg.Faces[f] = lbm.FaceSpec{Type: lbm.Wall}
-		}
-		var rank0 *bus.Bus
-		cfg.NewNode = func(rank int, l *lbm.Lattice) (cluster.Node, error) {
-			hw := gpu.GeForceFX5800Ultra()
-			hw.Workers = 1 // the ranks already occupy the cores
-			dev := gpu.New(hw)
-			if rank == 0 {
-				rank0 = dev.Bus()
-			}
-			return New(dev, l)
-		}
-		sim, err := cluster.New(cfg)
+		steps, err := MeasureTransfer(tc.grid, sub, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -214,17 +196,14 @@ func TestGPUCPUTransferAtPaperSize(t *testing.T) {
 			}
 		}
 		model := paper.ClusterStep(tc.grid, sub, perfmodel.Options{}).GPUCPUComm
-		sim.Run(1) // warm-up
-		for step := 1; step <= 2; step++ {
-			up0, down0 := rank0.Up, rank0.Down
-			sim.Run(1)
-			up, down := delta(rank0.Up, up0), delta(rank0.Down, down0)
+		for i, tr := range steps {
+			step := i + 1
 			t.Logf("%v step %d, rank 0: up %d ops / %d B, down %d ops / %d B; GPU↔CPU measured %.1f ms, model %.1f ms, paper %.0f ms",
-				tc.grid, step, up.Ops, up.Bytes, down.Ops, down.Bytes, ms(up.Time+down.Time), ms(model), paperMS)
+				tc.grid, step, tr.Up.Ops, tr.Up.Bytes, tr.Down.Ops, tr.Down.Bytes, ms(tr.Time()), ms(model), paperMS)
 			for _, d := range []struct {
 				name      string
 				got, want bus.Stats
-			}{{"up", up, tc.up}, {"down", down, tc.down}} {
+			}{{"up", tr.Up, tc.up}, {"down", tr.Down, tc.down}} {
 				if d.got.Ops != d.want.Ops || d.got.Bytes != d.want.Bytes ||
 					math.Abs(ms(d.got.Time)/ms(d.want.Time)-1) > 0.01 {
 					t.Errorf("%v step %d %s: %d ops / %d B in %v, pinned %d ops / %d B in %v (1%%)",
@@ -233,11 +212,6 @@ func TestGPUCPUTransferAtPaperSize(t *testing.T) {
 			}
 		}
 	}
-}
-
-// delta is what a bus direction moved between two readings.
-func delta(after, before bus.Stats) bus.Stats {
-	return bus.Stats{Ops: after.Ops - before.Ops, Bytes: after.Bytes - before.Bytes, Time: after.Time - before.Time}
 }
 
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
