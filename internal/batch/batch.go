@@ -117,6 +117,8 @@ type Job struct {
 	Name string
 	// Kind selects the workload adapter.
 	Kind JobKind
+	// State is scheduler-owned; beside Kind, the two bytes share a word.
+	State JobState
 	// Nodes is the gang size: the job needs this many nodes, allocated
 	// as one contiguous range, for its whole runtime.
 	Nodes int
@@ -146,16 +148,17 @@ type Job struct {
 	// mutated by the scheduler: the resolved arrival is Arrival().
 	Submit time.Duration
 
-	// State, Start and End are scheduler-owned lifecycle fields. Start
-	// is the first dispatch; a preempted job keeps it across restarts.
-	State      JobState
+	// Start and End are scheduler-owned lifecycle fields. Start is the
+	// first dispatch; a preempted job keeps it across restarts.
 	Start, End time.Duration
 	// Alloc is the gang allocation while Running and, after completion,
 	// the final segment's allocation (earlier ones are in History).
 	Alloc Allocation
-	// History records every run segment in dispatch order. A
-	// run-to-completion job has one entry; a preempted job has one per
-	// dispatch, the earlier ones flagged Preempted.
+	// History records, in dispatch order, the run segments that ended
+	// early — in a checkpoint drain, a fault kill, a cancel or a
+	// proactive bank — each flagged Preempted. A run-to-completion job
+	// has no entry: a Done or Failed job's final segment is its Alloc
+	// from its last dispatch to End, and Segments lists both.
 	History []Segment
 	// Detail is the workload adapter's result summary (mass balance,
 	// solver residual, tracer centroid, ...).
@@ -176,13 +179,11 @@ type Job struct {
 type jobState struct {
 	// Resolved by Submit from the spec — the spec itself stays
 	// caller-owned and pristine, so the same specs can be replayed
-	// against another scheduler.
+	// against another scheduler. Steps and Problem need no copy
+	// (ResolvedSteps, ResolvedProblem).
 	est     time.Duration // resolved estimate
-	steps   int           // resolved Steps (>= 1)
-	problem [3]int        // resolved Problem (per-kind default applied)
 	arrive  time.Duration // resolved arrival (Submit clamped to the clock)
 	memNeed int64         // per-node memory footprint
-	shadow  time.Duration // head reservation at backfill time (invariant checks)
 
 	// Preemption / checkpoint-restart accounting.
 	workTotal   time.Duration // true total work, fixed at first dispatch (Actual hook)
@@ -255,13 +256,23 @@ type Segment struct {
 // submit time (Est, or the Estimator's answer).
 func (j *Job) Estimate() time.Duration { return j.est }
 
-// ResolvedSteps returns the step count the scheduler resolved at submit
-// (Steps, or the per-kind default of 1).
-func (j *Job) ResolvedSteps() int { return j.steps }
+// ResolvedSteps returns the step count the job runs: Steps, or 1 when
+// Steps is not positive.
+func (j *Job) ResolvedSteps() int {
+	if j.Steps <= 0 {
+		return 1
+	}
+	return j.Steps
+}
 
-// ResolvedProblem returns the problem extents the scheduler resolved at
-// submit (Problem, or the per-kind default).
-func (j *Job) ResolvedProblem() [3]int { return j.problem }
+// ResolvedProblem returns the problem extents the job runs: Problem, or
+// the per-kind default when Problem is zero.
+func (j *Job) ResolvedProblem() [3]int {
+	if j.Problem == ([3]int{}) {
+		return defaultProblem(j.Kind)
+	}
+	return j.Problem
+}
 
 // Arrival returns the resolved arrival time: Submit, clamped up to the
 // virtual clock at submission.
@@ -307,12 +318,28 @@ func (j *Job) CheckpointOverhead() time.Duration { return j.overhead }
 // reservation), and whether one was ever recorded.
 func (j *Job) Promise() (time.Duration, bool) { return j.promise, j.promised }
 
+// Segments returns the job's run segments in dispatch order: History
+// and, for a Done or Failed job holding a gang, the final one, Alloc
+// from the last dispatch to End (a job rebuilt from its Record has no
+// Alloc, so none). Without a final segment the slice is History itself.
+func (j *Job) Segments() []Segment {
+	if (j.State != Done && j.State != Failed) || j.Alloc.Count == 0 {
+		return j.History
+	}
+	last := Segment{Alloc: j.Alloc, Start: j.segStart, End: j.End}
+	if len(j.History) == 0 {
+		return []Segment{last} // inlined, a caller's loop keeps it on the stack
+	}
+	n := len(j.History)
+	return append(j.History[:n:n], last)
+}
+
 // BusyTime returns the node-holding time summed over run segments —
 // End-Start for a run-to-completion job, and the sum excluding queued
 // gaps for a preempted one.
 func (j *Job) BusyTime() time.Duration {
 	var d time.Duration
-	for _, seg := range j.History {
+	for _, seg := range j.Segments() {
 		d += seg.End - seg.Start
 	}
 	return d
@@ -335,11 +362,7 @@ func (j *Job) rrKey() time.Duration {
 // declared estimate minus observed progress, floored at a millisecond.
 // Restore charges are accounted separately.
 func (j *Job) estLeft() time.Duration {
-	d := j.est - j.doneWork
-	if d < time.Millisecond {
-		d = time.Millisecond
-	}
-	return d
+	return max(j.est-j.doneWork, time.Millisecond)
 }
 
 func (j *Job) String() string {

@@ -30,10 +30,11 @@ func checkNoOverlap(t *testing.T, jobs []*Job, nodes int) {
 	type span struct{ start, end time.Duration }
 	perNode := make([][]span, nodes)
 	for _, j := range jobs {
-		if len(j.History) == 0 {
+		segments := j.Segments()
+		if len(segments) == 0 {
 			t.Fatalf("%s finished with no run segments", j)
 		}
-		for _, seg := range j.History {
+		for _, seg := range segments {
 			for _, i := range seg.Alloc.Ranges.Nodes() {
 				perNode[i] = append(perNode[i], span{seg.Start, seg.End})
 			}

@@ -29,11 +29,12 @@ func checkCanceledAccounting(t *testing.T, j *Job) {
 		t.Fatalf("%s busy %v != banked %v + overhead %v (diff %v)",
 			j, j.BusyTime(), j.doneWork, j.CheckpointOverhead(), diff)
 	}
-	for i, seg := range j.History {
+	segments := j.Segments()
+	for i, seg := range segments {
 		if seg.End < seg.Start {
 			t.Fatalf("%s segment %d runs backwards: %+v", j, i, seg)
 		}
-		if i > 0 && seg.Start < j.History[i-1].End {
+		if i > 0 && seg.Start < segments[i-1].End {
 			t.Fatalf("%s resident twice across cancel: segments %d/%d", j, i-1, i)
 		}
 	}
@@ -54,8 +55,8 @@ func TestCancelQueuedJob(t *testing.T) {
 	if err := s.Cancel(waiting.ID); err != nil {
 		t.Fatalf("cancel queued: %v", err)
 	}
-	if waiting.State != Canceled || len(waiting.History) != 0 {
-		t.Fatalf("queued cancel left %v with %d segments", waiting.State, len(waiting.History))
+	if waiting.State != Canceled || len(waiting.Segments()) != 0 {
+		t.Fatalf("queued cancel left %v with %d segments", waiting.State, len(waiting.Segments()))
 	}
 	rep := s.Run()
 	if rep.Canceled != 1 || len(rep.Jobs) != 2 {
@@ -291,7 +292,7 @@ func TestCancelPropertySweep(t *testing.T) {
 			// segments; the occupancy reconstruction covers the rest.
 			ran := make([]*Job, 0, len(rep.Jobs))
 			for _, j := range rep.Jobs {
-				if len(j.History) > 0 {
+				if len(j.Segments()) > 0 {
 					ran = append(ran, j)
 				} else if j.State != Canceled {
 					t.Fatalf("%s finished with no run segments", j)
@@ -306,8 +307,8 @@ func TestCancelPropertySweep(t *testing.T) {
 				if j.State != Done {
 					t.Fatalf("%s ended %v", j, j.State)
 				}
-				if want := j.TimeSlices() + j.Preemptions() + 1; len(j.History) != want {
-					t.Fatalf("%s has %d segments, want %d", j, len(j.History), want)
+				if want := j.TimeSlices() + j.Preemptions() + 1; len(j.Segments()) != want {
+					t.Fatalf("%s has %d segments, want %d", j, len(j.Segments()), want)
 				}
 				diff := j.BusyTime() - j.Estimate() - j.CheckpointOverhead()
 				if diff < 0 {

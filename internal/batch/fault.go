@@ -588,26 +588,9 @@ func (s *Scheduler) bankSettle(j *Job) {
 	s.cfg.Cluster.creditBusy(j.Alloc, held)
 	j.banks++
 	s.ctr.Banks++
-	if ck, ok := s.cfg.Execute.(Checkpointer); ok {
-		frac := 1 - float64(j.workLeft)/float64(j.workTotal)
-		done := int(frac * float64(j.steps))
-		if prev := j.snapshot; prev != nil && done < prev.Steps {
-			done = prev.Steps // never rewind a captured image
-		}
-		if done > j.steps {
-			done = j.steps
-		}
-		snap, err := ck.Checkpoint(j, j.snapshot, done)
-		if err != nil {
-			snap = nil // image lost: resume restarts from scratch
-		}
-		j.snapshot = snap
-	}
+	s.captureImage(j)
 	j.segStart, j.segRestore = s.now, 0
-	dur := time.Duration(float64(j.workLeft) * s.trunkFactor(j.Alloc.CrossesTrunk))
-	if dur < time.Millisecond {
-		dur = time.Millisecond
-	}
+	dur := max(time.Duration(float64(j.workLeft)*s.trunkFactor(j.Alloc.CrossesTrunk)), time.Millisecond)
 	j.End = s.now + dur
 	j.sliceEnd, j.sliceFull, j.slicing = false, 0, false
 	if d := j.ckptSlice; d > 0 {

@@ -84,7 +84,7 @@ func planWindows(plan *FaultPlan, nodes int) map[int][]Segment {
 func checkNoRunDuringDown(t *testing.T, jobs []*Job, wins map[int][]Segment) {
 	t.Helper()
 	for _, j := range jobs {
-		for _, seg := range j.History {
+		for _, seg := range j.Segments() {
 			for _, n := range seg.Alloc.Ranges.Nodes() {
 				for _, w := range wins[n] {
 					if seg.Start < w.End && seg.End > w.Start {
@@ -113,9 +113,9 @@ func checkFaultBalance(t *testing.T, rep Report, count int, events []Event, wins
 		if j.State != Done {
 			t.Fatalf("%s ended %v", j, j.State)
 		}
-		if want := j.TimeSlices() + j.Preemptions() + j.Faults() + j.Banks() + 1; len(j.History) != want {
+		if want := j.TimeSlices() + j.Preemptions() + j.Faults() + j.Banks() + 1; len(j.Segments()) != want {
 			t.Fatalf("%s has %d segments, want %d (%d slices + %d preempts + %d faults + %d banks + final)",
-				j, len(j.History), want, j.TimeSlices(), j.Preemptions(), j.Faults(), j.Banks())
+				j, len(j.Segments()), want, j.TimeSlices(), j.Preemptions(), j.Faults(), j.Banks())
 		}
 		// Exact loss accounting: node-holding time is true work plus
 		// charged overhead plus exactly the work the storm destroyed.

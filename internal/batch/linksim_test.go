@@ -40,8 +40,8 @@ func TestMassRedispatchSerializesOnReadLink(t *testing.T) {
 	// restores queue on the read link. Work left is 490s each (10s ran
 	// before the wave), so the ends stagger by one transfer each.
 	for i, v := range victims {
-		if len(v.History) != 2 || v.History[1].Start != 72*time.Second {
-			t.Fatalf("victim %d history %+v, want re-dispatch at 72s", i, v.History)
+		if segs := v.Segments(); len(segs) != 2 || segs[1].Start != 72*time.Second {
+			t.Fatalf("victim %d segments %+v, want re-dispatch at 72s", i, segs)
 		}
 	}
 	ends := []time.Duration{568 * time.Second, 574 * time.Second, 580 * time.Second}

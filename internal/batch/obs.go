@@ -39,9 +39,11 @@ const (
 	EvSubmit EventKind = iota
 	// EvDispatch is a gang placement: a segment begins. Alloc is the
 	// granted gang, From the instant work starts after the restore
-	// prefix (equal to Time for a fresh start), Detail the dispatch
-	// flavor ("start", "backfill", "host-resume", "store-restore",
-	// "migrate-restore", or a backfill-prefixed combination).
+	// prefix (equal to Time for a fresh start), To the blocked head's
+	// reservation a bounded backfill was admitted under (zero for any
+	// other start), Detail the dispatch flavor ("start", "backfill",
+	// "host-resume", "store-restore", "migrate-restore", or a
+	// backfill-prefixed combination).
 	EvDispatch
 	// EvBlocked records that a queued, arrived job was scanned on a
 	// scheduling pass and did not start. Pass numbers the pass, Reason
@@ -82,7 +84,7 @@ const (
 	// the reservation (To is then the cancellation instant).
 	EvStoreRead
 	// EvSegmentEnd is a gang release: From/To span the segment exactly
-	// as History records it, Alloc is the released gang, Detail "run"
+	// as Job.Segments reports it, Alloc is the released gang, Detail "run"
 	// for a completion, "drain" for a checkpoint end, "cancel" for a
 	// mid-run cancellation, "fault" for a fault kill, and "bank" for a
 	// settled proactive checkpoint (the gang keeps its seat).
@@ -145,8 +147,9 @@ type Event struct {
 	// Pass numbers the scheduling pass for EvBlocked events.
 	Pass int
 	// From and To span the interval the event describes: a transfer, a
-	// segment, a drain; for EvSubmit, From is the arrival and for
-	// EvBlocked it is the shadow/reservation bound when one applies.
+	// segment, a drain; for EvSubmit, From is the arrival, for EvBlocked
+	// it is the shadow/reservation bound when one applies, and for a
+	// bounded backfill's EvDispatch, To is the bound it was admitted under.
 	From, To time.Duration
 	// Alloc is the gang's nodes, for occupancy-bearing events.
 	Alloc NodeRanges

@@ -225,7 +225,7 @@ func TestEventStreamDeterminism(t *testing.T) {
 // time-slicing, suspend-to-host, staggered arrivals) and checks the
 // recorded stream is a complete, consistent account of the schedule:
 // every job submits and completes exactly once, dispatches pair with
-// segment ends that reproduce History, drains match the report's
+// segment ends that reproduce Segments, drains match the report's
 // suspension counts, and the store link's directions never double-book.
 func TestRecorderLifecycleCoverage(t *testing.T) {
 	const nodes = 32
@@ -292,13 +292,14 @@ func TestRecorderLifecycleCoverage(t *testing.T) {
 		if c[EvSubmit] != 1 || c[EvComplete] != 1 {
 			t.Fatalf("job %d: %d submits, %d completes (want exactly 1 each)", j.ID, c[EvSubmit], c[EvComplete])
 		}
-		if c[EvDispatch] != len(j.History) || c[EvSegmentEnd] != len(j.History) {
-			t.Fatalf("job %d: %d dispatches, %d segment ends, %d History segments",
-				j.ID, c[EvDispatch], c[EvSegmentEnd], len(j.History))
+		segments := j.Segments()
+		if c[EvDispatch] != len(segments) || c[EvSegmentEnd] != len(segments) {
+			t.Fatalf("job %d: %d dispatches, %d segment ends, %d segments",
+				j.ID, c[EvDispatch], c[EvSegmentEnd], len(segments))
 		}
-		for i, seg := range j.History {
+		for i, seg := range segments {
 			if got := segs[j.ID][i]; got.from != seg.Start || got.to != seg.End {
-				t.Fatalf("job %d segment %d: events say [%v,%v), History says [%v,%v)",
+				t.Fatalf("job %d segment %d: events say [%v,%v), Segments says [%v,%v)",
 					j.ID, i, got.from, got.to, seg.Start, seg.End)
 			}
 		}
@@ -345,6 +346,83 @@ func TestRecorderLifecycleCoverage(t *testing.T) {
 		}
 	}
 	checkSerial("read", kept)
+}
+
+// TestSegmentsMatchEventLog is the differential test of the derived final
+// segment. Over randomSweepCase configurations (policy × preempt ×
+// quantum × suspend-to-host × fault plan × ...), half of them canceling
+// a job every few rounds and a third failing every fifth job at
+// completion, each job's Segments — the stored History plus, for a Done
+// or Failed job, the segment read off Alloc, segStart and End — must
+// equal the segments rebuilt from its recorded EvSegmentEnd events:
+// every site that ends a segment records one, and only a "run" end is
+// not stored.
+func TestSegmentsMatchEventLog(t *testing.T) {
+	configs := 1200
+	if testing.Short() {
+		configs = 300
+	}
+	ends := map[string]int{}
+	failed, canceled := 0, 0
+	for seed := int64(1); seed <= int64(configs); seed++ {
+		c := randomSweepCase(seed)
+		rec := &MemRecorder{}
+		cfg := c.cfg
+		cfg.Cluster, cfg.Recorder = c.cluster(), rec
+		if seed%3 == 0 {
+			cfg.Execute = execFunc(func(j *Job, _ Allocation) (string, error) {
+				if j.ID%5 == 0 {
+					return "", errTestBoom
+				}
+				return "ok", nil
+			})
+		}
+		s := New(cfg)
+		var jobs []*Job
+		for _, j := range c.jobs() {
+			if s.Submit(j) == nil {
+				jobs = append(jobs, j)
+			}
+		}
+		for round := 1; round < sweepRoundCap && s.Step(); round++ {
+			if seed%2 == 0 && round%13 == 0 {
+				s.Cancel(jobs[round*7%len(jobs)].ID) // a terminal job refuses; that is fine
+			}
+		}
+		rebuilt := map[int][]Segment{}
+		for _, ev := range rec.Events() {
+			if ev.Kind != EvSegmentEnd {
+				continue
+			}
+			count := 0
+			for _, r := range ev.Alloc {
+				count += r.Count
+			}
+			alloc := Allocation{Ranges: ev.Alloc, Count: count, CrossesTrunk: cfg.Cluster.rangesCrossTrunk(ev.Alloc)}
+			rebuilt[ev.Job] = append(rebuilt[ev.Job], Segment{Alloc: alloc, Start: ev.From, End: ev.To, Preempted: ev.Detail != "run"})
+			ends[ev.Detail]++
+		}
+		for _, j := range jobs {
+			if got, want := j.Segments(), rebuilt[j.ID]; !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: %s (%v) has segments\n  %+v\nthe event log says\n  %+v", c.name, j, j.State, got, want)
+			}
+			switch j.State {
+			case Failed:
+				failed++
+			case Canceled:
+				canceled++
+			}
+		}
+	}
+	for _, d := range []string{"run", "drain", "fault", "cancel", "bank"} {
+		if ends[d] == 0 {
+			t.Errorf("no segment ended in %q: the comparison is vacuous there", d)
+		}
+	}
+	if failed == 0 || canceled == 0 {
+		t.Errorf("%d failed and %d canceled jobs: a terminal state went unexercised", failed, canceled)
+	}
+	t.Logf("%d configurations: segment ends %v, %d failed, %d canceled jobs", configs, ends, failed, canceled)
 }
 
 // TestReportTimeline covers the Report.Timeline accessor: the per-job

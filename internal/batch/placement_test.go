@@ -4,6 +4,8 @@ import (
 	"errors"
 	"reflect"
 	"runtime"
+	"runtime/debug"
+	"slices"
 	"testing"
 	"time"
 	"unsafe"
@@ -68,25 +70,28 @@ func TestBackfillTakesNonCrossingWindow(t *testing.T) {
 // granted.
 func TestEASYInvariantProperty(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
+		rec := &MemRecorder{}
 		s := New(Config{
 			Cluster:       newTestCluster(32),
 			Policy:        Backfill,
 			TrunkSlowdown: 1.5,
+			Recorder:      rec,
 		})
 		submitAll(t, s, SyntheticMix(seed, 300, 32))
 		rep := s.Run()
 		if len(rep.Jobs) != 300 {
 			t.Fatalf("seed %d: finished %d of 300", seed, len(rep.Jobs))
 		}
+		bound := backfillBounds(rec.Events())
 		for _, j := range rep.Jobs {
 			if !j.Backfilled() {
 				continue
 			}
 			// With no Actual hook, End is the scheduler-known
 			// stretched completion fixed at start.
-			if j.End > j.shadow {
-				t.Fatalf("seed %d: backfilled %s ends %v past its shadow %v",
-					seed, j, j.End, j.shadow)
+			if b, ok := bound[j.ID]; !ok || j.End > b {
+				t.Fatalf("seed %d: backfilled %s ends %v past its shadow %v (recorded %v)",
+					seed, j, j.End, b, ok)
 			}
 		}
 		checkNoOverlap(t, rep.Jobs, 32)
@@ -347,18 +352,20 @@ func exposed(v reflect.Value) any {
 // and the drain's live heap were measured with: a scheduling sweep walks
 // thousands of pending jobs and is cache-bound on Job, and batch-drain's
 // live_heap_mb has a 5% bound. The bounds are the allocator's size
-// classes, not round numbers: the heap rounds a 592-byte Job up to its
-// 640-byte class and an 88-byte Segment up to 96, so 512 and 64 are
-// where a byte saved is a byte retained less per job. Event rides in the
-// daemon's ring by value, and Record in its ledger, one per retired job.
-// Growing any of them is a decision to re-measure, not a side effect.
+// classes, not round numbers: the heap rounds a 496-byte Job up to its
+// 512-byte class and an 88-byte Segment up to 96, so 448 — a class of
+// its own — and 64 are where a byte saved is a byte retained less per
+// job; Job is pinned exact, so a slip back into the 480- or 512-byte
+// class fails here. Event rides in the daemon's ring by value, and
+// Record in its ledger, one per retired job. Growing any of them is a
+// decision to re-measure, not a side effect.
 func TestJobSizePinned(t *testing.T) {
 	for _, c := range []struct {
 		name      string
 		size, max uintptr
 		exact     bool
 	}{
-		{"Job", unsafe.Sizeof(Job{}), 512, false},
+		{"Job", unsafe.Sizeof(Job{}), 448, true},
 		{"Allocation", unsafe.Sizeof(Allocation{}), 40, true},
 		{"Segment", unsafe.Sizeof(Segment{}), 64, true},
 		{"Event", unsafe.Sizeof(Event{}), 88, false},
@@ -375,8 +382,9 @@ func TestJobSizePinned(t *testing.T) {
 // live_heap_mb does: an EASY drain of a 4,000-job mix on 1,024 nodes,
 // estimates set so that no estimator runs, then the live heap with the
 // jobs and the scheduler kept alive. Per job that is the Job in its size
-// class, one History segment, its Ranges, its name and the scheduler's
-// index entry. The figure is deterministic to a tenth of a byte.
+// class, its Ranges, its name and the scheduler's index entry — no
+// History segment: a run-to-completion job's one segment is derived
+// (Segments). The figure is deterministic to a tenth of a byte.
 func TestDrainRetainedBytesPerJob(t *testing.T) {
 	const n = 4000
 	s := New(Config{Cluster: newTestCluster(1024), Policy: Backfill, BackfillDepth: 512})
@@ -395,14 +403,27 @@ func TestDrainRetainedBytesPerJob(t *testing.T) {
 	runtime.KeepAlive(s)
 	runtime.KeepAlive(jobs)
 	for _, j := range jobs {
-		if j.State != Done || len(j.History) != 1 {
-			t.Fatalf("%s ended %v with %d segments; want done in one", j, j.State, len(j.History))
+		if j.State != Done || len(j.History) != 0 || len(j.Segments()) != 1 {
+			t.Fatalf("%s ended %v with %d stored and %d segments; want done in one, none stored",
+				j, j.State, len(j.History), len(j.Segments()))
 		}
 	}
-	t.Logf("%.1f B retained per drained job", perJob)
-	if perJob > 700 {
-		t.Fatalf("%.1f B retained per drained job, want <= 700", perJob)
+	limit := 560.0
+	if raceBuild() {
+		// The race detector turns the tiny allocator off: a job's name and
+		// user then take a 16-byte block each instead of sharing one.
+		limit += 16
 	}
+	t.Logf("%.1f B retained per drained job", perJob)
+	if perJob > limit {
+		t.Fatalf("%.1f B retained per drained job, want <= %.0f", perJob, limit)
+	}
+}
+
+// raceBuild reports whether the test binary was built with -race.
+func raceBuild() bool {
+	info, ok := debug.ReadBuildInfo()
+	return ok && slices.Contains(info.Settings, debug.BuildSetting{Key: "-race", Value: "true"})
 }
 
 // TestTopoAvoidsTrunkWindow checks the core scoring preference directly:

@@ -56,16 +56,17 @@ func TestQueueOrderDeterministicTieBreak(t *testing.T) {
 // report.
 func runMix(t *testing.T, pol Policy, seed int64, n int, preempt bool) Report {
 	t.Helper()
-	return runMixSlowdown(t, pol, seed, n, preempt, 1.5)
+	return runMixSlowdown(t, pol, seed, n, preempt, 1.5, nil)
 }
 
-func runMixSlowdown(t *testing.T, pol Policy, seed int64, n int, preempt bool, slowdown float64) Report {
+func runMixSlowdown(t *testing.T, pol Policy, seed int64, n int, preempt bool, slowdown float64, rec Recorder) Report {
 	t.Helper()
 	s := New(Config{
 		Cluster:       newTestCluster(32),
 		Policy:        pol,
 		TrunkSlowdown: slowdown,
 		Preempt:       preempt,
+		Recorder:      rec,
 	})
 	submitAll(t, s, SyntheticMix(seed, n, 32))
 	rep := s.Run()
@@ -73,6 +74,18 @@ func runMixSlowdown(t *testing.T, pol Policy, seed int64, n int, preempt bool, s
 		t.Fatalf("%v seed %d: finished %d of %d", pol, seed, len(rep.Jobs), n)
 	}
 	return rep
+}
+
+// backfillBounds reads from a recorded stream the reservation each job's
+// last bounded backfill was admitted under: the To of its EvDispatch.
+func backfillBounds(events []Event) map[int]time.Duration {
+	bound := make(map[int]time.Duration)
+	for _, ev := range events {
+		if ev.Kind == EvDispatch && ev.To > 0 {
+			bound[ev.Job] = ev.To
+		}
+	}
+	return bound
 }
 
 // TestEventLoopDeterminism guards the preemption refactor: the same mix
@@ -122,7 +135,9 @@ func TestEventLoopDeterminism(t *testing.T) {
 func TestShadowInvariantAllPolicies(t *testing.T) {
 	for _, pol := range Policies() {
 		for seed := int64(1); seed <= 5; seed++ {
-			rep := runMix(t, pol, seed, 250, false)
+			rec := &MemRecorder{}
+			rep := runMixSlowdown(t, pol, seed, 250, false, 1.5, rec)
+			bound := backfillBounds(rec.Events())
 			for _, j := range rep.Jobs {
 				switch pol {
 				case FIFO:
@@ -130,9 +145,9 @@ func TestShadowInvariantAllPolicies(t *testing.T) {
 						t.Fatalf("fifo seed %d: %s backfilled", seed, j)
 					}
 				case Backfill, FairShare:
-					if j.Backfilled() && j.End > j.shadow {
-						t.Fatalf("%v seed %d: backfilled %s ends %v past its shadow %v",
-							pol, seed, j, j.End, j.shadow)
+					if b, ok := bound[j.ID]; j.Backfilled() && (!ok || j.End > b) {
+						t.Fatalf("%v seed %d: backfilled %s ends %v past its shadow %v (recorded %v)",
+							pol, seed, j, j.End, b, ok)
 					}
 				}
 			}
@@ -142,7 +157,7 @@ func TestShadowInvariantAllPolicies(t *testing.T) {
 	// Conservative promises, in the exact regime (reserved durations
 	// equal realized ones).
 	for seed := int64(1); seed <= 5; seed++ {
-		rep := runMixSlowdown(t, Conservative, seed, 250, false, 1)
+		rep := runMixSlowdown(t, Conservative, seed, 250, false, 1, nil)
 		for _, j := range rep.Jobs {
 			if p, ok := j.Promise(); ok && j.Start > p {
 				t.Fatalf("conservative seed %d: %s started %v past its promised %v",

@@ -461,21 +461,7 @@ func (s *Scheduler) requeuePreempted(j *Job) {
 		s.finishCanceled(j)
 		return
 	}
-	if ck, ok := s.cfg.Execute.(Checkpointer); ok {
-		frac := 1 - float64(j.workLeft)/float64(j.workTotal)
-		done := int(frac * float64(j.steps))
-		if prev := j.snapshot; prev != nil && done < prev.Steps {
-			done = prev.Steps // never rewind a captured image
-		}
-		if done > j.steps {
-			done = j.steps
-		}
-		snap, err := ck.Checkpoint(j, j.snapshot, done)
-		if err != nil {
-			snap = nil // image lost: resume restarts from scratch
-		}
-		j.snapshot = snap
-	}
+	s.captureImage(j)
 	if j.hostDrain {
 		// Suspend-to-host: the image stays resident in the gang's node
 		// RAM. The nodes are free for other gangs, but the image pins
@@ -500,6 +486,26 @@ func (s *Scheduler) requeuePreempted(j *Job) {
 	}
 	j.State = Queued
 	s.pending.push(j)
+}
+
+// captureImage has an attached Checkpointer advance j's workload to the
+// share of its steps the banked work covers — never behind an image
+// already captured — and keeps the image a drain or a bank just wrote.
+func (s *Scheduler) captureImage(j *Job) {
+	ck, ok := s.cfg.Execute.(Checkpointer)
+	if !ok {
+		return
+	}
+	steps := j.ResolvedSteps()
+	done := int((1 - float64(j.workLeft)/float64(j.workTotal)) * float64(steps))
+	if prev := j.snapshot; prev != nil && done < prev.Steps {
+		done = prev.Steps // never rewind a captured image
+	}
+	snap, err := ck.Checkpoint(j, j.snapshot, min(done, steps))
+	if err != nil {
+		snap = nil // image lost: resume restarts from scratch
+	}
+	j.snapshot = snap
 }
 
 // drainEstimate prices the drain a checkpoint of r started now would

@@ -59,12 +59,13 @@ func TestPreemptionReducesHighPriorityWait(t *testing.T) {
 	if low.CheckpointOverhead() != ckpt+restore {
 		t.Fatalf("checkpoint overhead %v, want %v", low.CheckpointOverhead(), ckpt+restore)
 	}
-	if len(low.History) != 2 || !low.History[0].Preempted || low.History[0].End != 15*time.Second {
-		t.Fatalf("hog history %+v, want a preempted first segment ending at the 15s drain", low.History)
+	segs := low.Segments()
+	if len(segs) != 2 || !segs[0].Preempted || segs[0].End != 15*time.Second {
+		t.Fatalf("hog segments %+v, want a preempted first segment ending at the 15s drain", segs)
 	}
 	// The hog lost no virtual progress: 10s ran before the checkpoint,
 	// so the second segment carries 590s of work plus the 3s restore.
-	if got := low.History[1].End - low.History[1].Start; got != 593*time.Second {
+	if got := segs[1].End - segs[1].Start; got != 593*time.Second {
 		t.Fatalf("hog resume segment %v, want 593s (590s left + 3s restore)", got)
 	}
 	if low.State != Done || rep.PreemptEvents != 1 || rep.Preempted != 1 {
@@ -264,7 +265,7 @@ func TestFairSharePreemptionRespectsDisciplineOrder(t *testing.T) {
 // fast bus direction, and both are strictly positive.
 func TestDefaultCheckpointCostScalesWithFootprint(t *testing.T) {
 	mk := func(p [3]int) *Job {
-		j := &Job{Kind: KindLBM, Nodes: 2, jobState: jobState{problem: p}}
+		j := &Job{Kind: KindLBM, Nodes: 2, Problem: p}
 		j.memNeed = memoryNeed(j.Kind, p, j.Nodes)
 		return j
 	}

@@ -78,18 +78,19 @@ func TestPropertyResidencyCapacityProgress(t *testing.T) {
 					// Single residency: run segments are disjoint and
 					// ordered; segment count matches the suspension
 					// history exactly.
-					for i, seg := range j.History {
+					segments := j.Segments()
+					for i, seg := range segments {
 						if seg.End < seg.Start {
 							t.Fatalf("seed %d: %s segment %d runs backwards: %+v", seed, j, i, seg)
 						}
-						if i > 0 && seg.Start < j.History[i-1].End {
+						if i > 0 && seg.Start < segments[i-1].End {
 							t.Fatalf("seed %d: %s resident twice: segment %d starts %v before segment %d ends %v",
-								seed, j, i, seg.Start, i-1, j.History[i-1].End)
+								seed, j, i, seg.Start, i-1, segments[i-1].End)
 						}
 					}
-					if want := j.TimeSlices() + j.Preemptions() + j.Faults() + j.Banks() + 1; len(j.History) != want {
+					if want := j.TimeSlices() + j.Preemptions() + j.Faults() + j.Banks() + 1; len(segments) != want {
 						t.Fatalf("seed %d: %s has %d segments, want %d (%d slices + %d preemptions + %d faults + %d banks + final)",
-							seed, j, len(j.History), want, j.TimeSlices(), j.Preemptions(), j.Faults(), j.Banks())
+							seed, j, len(segments), want, j.TimeSlices(), j.Preemptions(), j.Faults(), j.Banks())
 					}
 					// Banked progress: busy time == true runtime +
 					// charged overhead (+ work faults destroyed, zero

@@ -142,7 +142,7 @@ func (t *JobTotals) fold(j *Job) {
 	if t.UserNodeTime == nil {
 		t.UserNodeTime = make(map[string]time.Duration)
 	}
-	for _, seg := range j.History {
+	for _, seg := range j.Segments() {
 		t.UserNodeTime[j.User] += time.Duration(seg.Alloc.Count) * (seg.End - seg.Start)
 	}
 }

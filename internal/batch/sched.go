@@ -326,16 +326,7 @@ func (s *Scheduler) Submit(j *Job) error {
 		return fmt.Errorf("batch: %s requests %d nodes, cluster has %d",
 			j, j.Nodes, s.cfg.Cluster.Size())
 	}
-	steps, problem, arrive := j.Steps, j.Problem, j.Submit
-	if steps <= 0 {
-		steps = 1
-	}
-	if problem == ([3]int{}) {
-		problem = defaultProblem(j.Kind)
-	}
-	if arrive < s.now {
-		arrive = s.now
-	}
+	steps, problem, arrive := j.ResolvedSteps(), j.ResolvedProblem(), max(j.Submit, s.now)
 	need := memoryNeed(j.Kind, problem, j.Nodes)
 	if s.cfg.Cluster.NodesWithMem(need) < j.Nodes {
 		return fmt.Errorf("batch: %s needs %d MB per node on %d nodes, cluster cannot grant that",
@@ -352,9 +343,7 @@ func (s *Scheduler) Submit(j *Job) error {
 			return fmt.Errorf("batch: %s: a runtime estimate of %d steps overflows", j, steps)
 		}
 	}
-	if est < time.Millisecond {
-		est = time.Millisecond
-	}
+	est = max(est, time.Millisecond)
 	j.ID = s.nextID
 	s.nextID++
 	s.byID[j.ID] = j
@@ -366,7 +355,7 @@ func (s *Scheduler) Submit(j *Job) error {
 	j.Alloc = Allocation{}
 	j.History = nil
 	j.Detail, j.Err = "", nil
-	j.jobState = jobState{steps: steps, problem: problem, arrive: arrive, memNeed: need, est: est}
+	j.jobState = jobState{arrive: arrive, memNeed: need, est: est}
 	if s.cfg.Policy == FairShare {
 		j.acct = s.account(j.User) // resolved once: jobLess compares keys without a map lookup
 	}
@@ -837,9 +826,6 @@ func (s *Scheduler) tryStart(j *Job, backfilled bool, limit time.Duration, limit
 			s.met.restoreWait.Observe(j.readWait.Seconds())
 		}
 	}
-	if backfilled && limited {
-		j.shadow = limit
-	}
 	s.pending.remove(j)
 	j.Alloc = alloc
 	j.State = Running
@@ -857,15 +843,10 @@ func (s *Scheduler) tryStart(j *Job, backfilled bool, limit time.Duration, limit
 		if s.cfg.Actual != nil {
 			total = s.cfg.Actual(j, j.est)
 		}
-		if total < time.Millisecond {
-			total = time.Millisecond
-		}
+		total = max(total, time.Millisecond)
 		j.workTotal, j.workLeft = total, total
 	}
-	dur := prefix + time.Duration(float64(j.workLeft)*s.trunkFactor(j.Alloc.CrossesTrunk))
-	if dur < time.Millisecond {
-		dur = time.Millisecond
-	}
+	dur := max(prefix+time.Duration(float64(j.workLeft)*s.trunkFactor(j.Alloc.CrossesTrunk)), time.Millisecond)
 	j.segStart, j.segRestore = s.now, prefix
 	j.overhead += prefix
 	j.restoreCost = 0
@@ -882,8 +863,12 @@ func (s *Scheduler) tryStart(j *Job, backfilled bool, limit time.Duration, limit
 	}
 	s.armProactive(j)
 	if s.rec != nil {
-		s.record(Event{Time: s.now, Kind: EvDispatch, Job: j.ID, From: s.now + prefix, Alloc: alloc.Ranges,
-			Detail: dispatchDetail(backfilled, migrate, readCost > 0, prefix)})
+		ev := Event{Time: s.now, Kind: EvDispatch, Job: j.ID, From: s.now + prefix, Alloc: alloc.Ranges,
+			Detail: dispatchDetail(backfilled, migrate, readCost > 0, prefix)}
+		if backfilled && limited {
+			ev.To = limit
+		}
+		s.record(ev)
 		if migrate {
 			s.record(Event{Time: s.now, Kind: EvStoreWrite, Job: j.ID, From: migStart, To: migStart + writeLeg, Detail: "migrate"})
 		}
@@ -1045,10 +1030,13 @@ func (s *Scheduler) outranksAtBoundary(p, j *Job) bool {
 // complete handles a job whose end event fired: frees its gang, credits
 // busy and fair-share accounting, and either records the terminal state
 // or — when the event was a checkpoint drain — re-enqueues the job with
-// its saved progress.
+// its saved progress. Only a drain's segment joins History: a completed
+// one stays {Alloc, segStart, End}, which Segments reads.
 func (s *Scheduler) complete(j *Job) {
 	held := s.now - j.segStart
-	j.History = append(j.History, Segment{Alloc: j.Alloc, Start: j.segStart, End: s.now, Preempted: j.preempting})
+	if j.preempting {
+		j.History = append(j.History, Segment{Alloc: j.Alloc, Start: j.segStart, End: s.now, Preempted: true})
+	}
 	s.cfg.Cluster.Release(j.Alloc, held)
 	s.chargeUsage(j.User, time.Duration(j.Alloc.Count)*held)
 	if s.rec != nil {

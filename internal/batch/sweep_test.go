@@ -95,7 +95,7 @@ func (a sweepOutcome) diff(b sweepOutcome) string {
 	for i, j := range a.jobs {
 		k := b.jobs[i]
 		same := j.State == k.State && j.Start == k.Start && j.End == k.End &&
-			j.Backfilled() == k.Backfilled() && len(j.History) == len(k.History) &&
+			j.Backfilled() == k.Backfilled() && len(j.Segments()) == len(k.Segments()) &&
 			j.promise == k.promise && j.promised == k.promised &&
 			len(j.Alloc.Ranges) == len(k.Alloc.Ranges)
 		for r := 0; same && r < len(j.Alloc.Ranges); r++ {
@@ -103,8 +103,8 @@ func (a sweepOutcome) diff(b sweepOutcome) string {
 		}
 		if !same {
 			return fmt.Sprintf("%s: %v [%v,%v) on %v backfilled=%v segments=%d promise=%v vs %v [%v,%v) on %v backfilled=%v segments=%d promise=%v",
-				j, j.State, j.Start, j.End, j.Alloc.Ranges, j.Backfilled(), len(j.History), j.promise,
-				k.State, k.Start, k.End, k.Alloc.Ranges, k.Backfilled(), len(k.History), k.promise)
+				j, j.State, j.Start, j.End, j.Alloc.Ranges, j.Backfilled(), len(j.Segments()), j.promise,
+				k.State, k.Start, k.End, k.Alloc.Ranges, k.Backfilled(), len(k.Segments()), k.promise)
 		}
 	}
 	return ""

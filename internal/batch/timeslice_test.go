@@ -37,18 +37,19 @@ func TestTimeSliceSharesMachineRoundRobin(t *testing.T) {
 	if a.Preemptions() != 0 || b.Preemptions() != 0 {
 		t.Fatal("quantum suspensions were counted as priority preemptions")
 	}
-	if len(a.History) != 4 || len(b.History) != 4 {
-		t.Fatalf("segment counts %d/%d, want 4 each", len(a.History), len(b.History))
+	as, bs := a.Segments(), b.Segments()
+	if len(as) != 4 || len(bs) != 4 {
+		t.Fatalf("segment counts %d/%d, want 4 each", len(as), len(bs))
 	}
 	if a.End != 207*time.Second || b.End != 218*time.Second {
 		t.Fatalf("ends %v/%v, want 207s and 218s", a.End, b.End)
 	}
 	// Round-robin interleaving: the two jobs' segments alternate.
 	for i := 0; i < 3; i++ {
-		if a.History[i].End > b.History[i].Start || b.History[i].End > a.History[i+1].Start {
-			t.Fatalf("segments do not alternate:\n  a %+v\n  b %+v", a.History, b.History)
+		if as[i].End > bs[i].Start || bs[i].End > as[i+1].Start {
+			t.Fatalf("segments do not alternate:\n  a %+v\n  b %+v", as, bs)
 		}
-		if !a.History[i].Preempted || !b.History[i].Preempted {
+		if !as[i].Preempted || !bs[i].Preempted {
 			t.Fatalf("slice segments not flagged as suspended")
 		}
 	}

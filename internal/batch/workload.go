@@ -120,16 +120,16 @@ func (x SimExecutor) Execute(j *Job, a Allocation) (string, error) {
 		if err != nil {
 			return "", err
 		}
-		sim.Run(j.steps)
+		sim.Run(j.ResolvedSteps())
 		return x.lbmFinish(j, sim)
 	case KindCG:
-		got, stats, err := cgAdvance(j, nil, j.steps)
+		got, stats, err := cgAdvance(j, nil, j.ResolvedSteps())
 		if err != nil {
 			return "", err
 		}
-		return cgFinish(j, got, stats, j.steps)
+		return cgFinish(j, got, stats, j.ResolvedSteps())
 	case KindPDE:
-		return pdeFinish(j, pdeAdvance(j, nil, j.steps))
+		return pdeFinish(j, pdeAdvance(j, nil, j.ResolvedSteps()))
 	}
 	return "", fmt.Errorf("batch: no workload adapter for %v", j.Kind)
 }
@@ -147,7 +147,7 @@ func (x SimExecutor) Checkpoint(j *Job, prev *Snapshot, done int) (*Snapshot, er
 		delta = 0
 		done = prevSteps
 	}
-	snap := &Snapshot{Steps: done, Bytes: memoryNeed(j.Kind, j.problem, j.Nodes)}
+	snap := &Snapshot{Steps: done, Bytes: memoryNeed(j.Kind, j.ResolvedProblem(), j.Nodes)}
 	switch j.Kind {
 	case KindLBM:
 		var sim *cluster.Sim
@@ -186,10 +186,7 @@ func (x SimExecutor) Checkpoint(j *Job, prev *Snapshot, done int) (*Snapshot, er
 // Resume implements Checkpointer: it runs the remaining steps from the
 // snapshot and produces the job's result summary.
 func (x SimExecutor) Resume(j *Job, snap *Snapshot) (string, error) {
-	left := j.steps - snap.Steps
-	if left < 0 {
-		left = 0
-	}
+	left := max(j.ResolvedSteps()-snap.Steps, 0)
 	switch j.Kind {
 	case KindLBM:
 		sim := snap.state.(*cluster.Sim)
@@ -212,7 +209,7 @@ func (x SimExecutor) Resume(j *Job, snap *Snapshot) (string, error) {
 // preempted job's dispatches).
 func lbmGlobal(j *Job) (sched.NodeGrid, [3]int) {
 	g := sched.Arrange3D(j.Nodes)
-	prob := j.problem
+	prob := j.ResolvedProblem()
 	return g, [3]int{prob[0] * g.PX, prob[1] * g.PY, prob[2] * g.PZ}
 }
 
@@ -237,13 +234,13 @@ func (x SimExecutor) lbmFinish(j *Job, sim *cluster.Sim) (string, error) {
 		return "", fmt.Errorf("batch: LBM diverged, total mass %v", mass)
 	}
 	detail := fmt.Sprintf("lbm %dx%dx%d on %v: %d steps, mass %.1f",
-		global[0], global[1], global[2], g, j.steps, mass)
+		global[0], global[1], global[2], g, j.ResolvedSteps(), mass)
 	if x.TracerParticles > 0 {
 		field := tracer.FromMacro(global[0], global[1], global[2],
 			sim.GatherDensity(), sim.GatherVelocity(), nil)
 		cloud := tracer.NewCloud(int64(j.ID))
 		cloud.Release(1, global[1]/2, global[2]/2, x.TracerParticles)
-		for i := 0; i < j.steps; i++ {
+		for i := 0; i < j.ResolvedSteps(); i++ {
 			cloud.Step(field)
 		}
 		c := cloud.Centroid()
@@ -267,7 +264,7 @@ func cgTarget(rows int) []float32 {
 // x0 + e: mathematically a true warm restart, though the Krylov space
 // built before the checkpoint is gone.
 func cgAdvance(j *Job, x0 []float32, iters int) ([]float32, sparse.SolveStats, error) {
-	n := j.problem[0]
+	n := j.ResolvedProblem()[0]
 	A := sparse.Poisson2D(n)
 	ranks := j.Nodes
 	if A.Rows < ranks {
@@ -335,8 +332,8 @@ func pdeHot(nx, ny, nz int) func(x, y, z int) float32 {
 // Problem[2] planes per gang node, starting from the gathered field
 // (nil = the hot-block initial condition) and returning the new field.
 func pdeAdvance(j *Job, field []float32, steps int) []float32 {
-	nx, ny := j.problem[0], j.problem[1]
-	nz := j.problem[2] * j.Nodes
+	p := j.ResolvedProblem()
+	nx, ny, nz := p[0], p[1], p[2]*j.Nodes
 	init := pdeHot(nx, ny, nz)
 	if field != nil {
 		init = func(x, y, z int) float32 { return field[(z*ny+y)*nx+x] }
@@ -346,8 +343,8 @@ func pdeAdvance(j *Job, field []float32, steps int) []float32 {
 
 // pdeFinish checks that the periodic domain conserved total heat.
 func pdeFinish(j *Job, field []float32) (string, error) {
-	nx, ny := j.problem[0], j.problem[1]
-	nz := j.problem[2] * j.Nodes
+	p := j.ResolvedProblem()
+	nx, ny, nz := p[0], p[1], p[2]*j.Nodes
 	hot := pdeHot(nx, ny, nz)
 	var want float64
 	for z := 0; z < nz; z++ {
@@ -365,7 +362,7 @@ func pdeFinish(j *Job, field []float32) (string, error) {
 		return "", fmt.Errorf("batch: heat not conserved: %.4f -> %.4f", want, got)
 	}
 	return fmt.Sprintf("pde heat %dx%dx%d on %d slabs: %d steps, heat drift %.1e",
-		nx, ny, nz, j.Nodes, j.steps, math.Abs(got-want)), nil
+		nx, ny, nz, j.Nodes, j.ResolvedSteps(), math.Abs(got-want)), nil
 }
 
 // SyntheticStream is SyntheticMix with deterministic staggered
