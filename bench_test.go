@@ -382,7 +382,7 @@ func (p *submitDrain) report(b *testing.B, jobs int) {
 // (Config.BackfillDepth; unbounded scans are quadratic in queue depth
 // and would take hours here). It exercises the free-range index, the
 // incremental count-based shadow, the tombstoned queue, and the
-// calendar event queue at the ROADMAP's target scale. This is the only
+// arrival heap at the ROADMAP's target scale. This is the only
 // place the 1M-job/10k-node configuration is written down: the CI bench
 // job runs it on base and head on one runner and fails when head's
 // jobs/s is more than 25% below base's (.github/bench.sh). RunUntil is

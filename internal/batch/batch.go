@@ -28,7 +28,7 @@
 // enumerates an incrementally maintained free-range set, the running
 // set is one order-statistic treap keyed by completion event — the
 // loop's event queue, which the backfill shadow descends — future
-// arrivals sit in a calendar queue, and the pending
+// arrivals sit in a binary heap, and the pending
 // queue removes in O(1) via tombstones — so the same event loop that
 // schedules the paper's 32 nodes drains a million-job queue on ten
 // thousand (see docs/PERFORMANCE.md). DebugVerifyShadows cross-checks

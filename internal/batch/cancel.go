@@ -3,7 +3,6 @@ package batch
 import (
 	"errors"
 	"fmt"
-	"time"
 )
 
 // Mid-run cancellation. Cancel withdraws a job at any point of its
@@ -71,13 +70,7 @@ func (s *Scheduler) Cancel(id int) error {
 func (s *Scheduler) cancelRunning(j *Job) {
 	s.running.del(j.End, j.ID)
 	s.bankProgress(j)
-	held := s.now - j.segStart
-	j.History = append(j.History, Segment{Alloc: j.Alloc, Start: j.segStart, End: s.now, Preempted: true})
-	s.cfg.Cluster.Release(j.Alloc, held)
-	s.chargeUsage(j.User, time.Duration(j.Alloc.Count)*held)
-	if s.rec != nil {
-		s.record(Event{Time: s.now, Kind: EvSegmentEnd, Job: j.ID, From: j.segStart, To: s.now, Alloc: j.Alloc.Ranges, Detail: "cancel"})
-	}
+	s.endSegment(j, "cancel", true)
 	j.sliceEnd, j.sliceFull, j.slicing = false, 0, false
 	s.finishCanceled(j)
 }
@@ -93,17 +86,16 @@ func (s *Scheduler) cancelQueued(j *Job) {
 		s.cfg.Cluster.unreserve(j.Alloc, j.memNeed)
 		j.hostImage = false
 	}
-	j.restoreCost = 0
 	s.finishCanceled(j)
 }
 
 // finishCanceled records the terminal state shared by every cancel
-// path. A job canceled before its first dispatch gets Start stamped at
-// the cancel instant, so Wait() reads as the time it sat queued; a
-// future arrival is clamped to now so no finished job postdates the
-// clock.
+// path, discarding the image and any restore or host drain it priced. A
+// job canceled before its first dispatch gets Start stamped at the
+// cancel instant, so Wait() reads as the time it sat queued; a future
+// arrival is clamped to now so no finished job postdates the clock.
 func (s *Scheduler) finishCanceled(j *Job) {
-	j.snapshot = nil
+	j.snapshot, j.restoreCost, j.hostDrain = nil, 0, false
 	j.canceled = false
 	if j.arrive > s.now {
 		j.arrive = s.now

@@ -257,10 +257,6 @@ func (c *Cluster) NodesWithAvail(need int64) int {
 	return n
 }
 
-// ReservedBytes returns the host memory node i has pinned under
-// suspended-to-host checkpoint images.
-func (c *Cluster) ReservedBytes(i int) int64 { return c.reserved[i] }
-
 // reserve pins bytes of host memory on every node of a — a suspended
 // job's checkpoint image staying resident in RAM.
 func (c *Cluster) reserve(a Allocation, bytes int64) {
@@ -402,9 +398,6 @@ func (c *Cluster) nodeUp(i int) {
 		c.idx.verify(c.used)
 	}
 }
-
-// DownNodes returns how many nodes are currently failed.
-func (c *Cluster) DownNodes() int { return c.downCount }
 
 // creditBusy credits each node of a with ran of busy time without
 // freeing anything — a proactive checkpoint closes an accounting

@@ -343,13 +343,7 @@ func (s *Scheduler) applyNodeDown(ev faultEvent) {
 				}
 			}
 		}
-		p.restoreCost = 0
-		if p.doneWork > 0 {
-			p.restoreCost = s.cfg.RestoreCost(p)
-			if p.restoreCost < 0 {
-				p.restoreCost = 0
-			}
-		}
+		s.priceStoreRestore(p)
 	}
 	c.nodeDown(node)
 	s.downSince[node] = s.now
@@ -440,47 +434,22 @@ func (s *Scheduler) failGang(j *Job) {
 		}
 		j.banking = false
 		j.hostDrain = false
-		if b := j.waveFor; b != nil {
-			j.waveFor = nil
-			if b.waveLeft > 0 {
-				b.waveLeft--
-			}
-			if b.waveLeft == 0 {
-				b.wavePending = false
-			}
-		}
+		j.leaveWave()
 	} else {
 		s.loseProgress(j)
 	}
-	held := s.now - j.segStart
-	j.History = append(j.History, Segment{Alloc: j.Alloc, Start: j.segStart, End: s.now, Preempted: true})
-	s.cfg.Cluster.Release(j.Alloc, held)
-	s.chargeUsage(j.User, time.Duration(j.Alloc.Count)*held)
-	if s.rec != nil {
-		s.record(Event{Time: s.now, Kind: EvSegmentEnd, Job: j.ID, From: j.segStart, To: s.now, Alloc: j.Alloc.Ranges, Detail: "fault"})
-	}
+	s.endSegment(j, "fault", true)
 	j.faults++
 	s.ctr.FaultKills++
 	j.sliceEnd, j.sliceFull, j.slicing = false, 0, false
 	j.ckptDue, j.forceStore, j.ckptSlice = false, false, 0
 	if j.canceled {
 		// A deferred Cancel was waiting on the drain the fault ended.
-		j.restoreCost = 0
 		s.finishCanceled(j)
 		return
 	}
-	j.restoreCost = 0
-	if j.doneWork > 0 {
-		j.restoreCost = s.cfg.RestoreCost(j)
-		if j.restoreCost < 0 {
-			j.restoreCost = 0
-		}
-	}
-	j.State = Queued
-	s.pending.push(j)
-	if s.rec != nil {
-		s.record(Event{Time: s.now, Kind: EvRequeue, Job: j.ID, Detail: "fault"})
-	}
+	s.priceStoreRestore(j)
+	s.requeue(j, "fault")
 }
 
 // voidPromises clears every pending job's recorded start-time promise:
@@ -545,15 +514,7 @@ func (s *Scheduler) ckptBoundary(j *Job) {
 	j.ckptDue = false
 	s.bankProgress(j)
 	cost := s.cfg.CheckpointCost(j)
-	if cost < 0 {
-		cost = 0
-	}
-	start := s.link.reserveWrite(s.now, cost)
-	s.ctr.DrainWait += start - s.now
-	if s.met != nil {
-		s.met.drainWait.Observe((start - s.now).Seconds())
-	}
-	j.overhead += (start - s.now) + cost
+	start := s.bookDrain(j, cost)
 	j.banking = true
 	j.End = start + cost
 	if s.rec != nil {
@@ -565,53 +526,23 @@ func (s *Scheduler) ckptBoundary(j *Job) {
 
 // bankSettle lands a proactive checkpoint: the segment closes at the
 // drain end (a durable History boundary — exactly what failGang
-// restarts from), busy time is credited without freeing the gang, and
-// the next segment opens in place at the current instant with no
-// restore prefix — the state never left the device. advance has already
-// popped j off the running set.
+// restarts from) with the gang kept seated, and the next segment opens
+// in place at the current instant with no restore prefix — the state
+// never left the device. A deferred Cancel waiting on the drain frees
+// the gang and discards the job instead. advance has already popped j
+// off the running set.
 func (s *Scheduler) bankSettle(j *Job) {
 	j.banking = false
-	held := s.now - j.segStart
-	j.History = append(j.History, Segment{Alloc: j.Alloc, Start: j.segStart, End: s.now, Preempted: true})
-	if s.rec != nil {
-		s.record(Event{Time: s.now, Kind: EvSegmentEnd, Job: j.ID, From: j.segStart, To: s.now, Alloc: j.Alloc.Ranges, Detail: "bank"})
-	}
-	s.chargeUsage(j.User, time.Duration(j.Alloc.Count)*held)
+	s.endSegment(j, "bank", j.canceled)
 	if j.canceled {
-		// A deferred Cancel was waiting on this drain: the bank landed,
-		// the job is discarded instead of continuing.
-		s.cfg.Cluster.Release(j.Alloc, held)
-		j.restoreCost = 0
 		s.finishCanceled(j)
 		return
 	}
-	s.cfg.Cluster.creditBusy(j.Alloc, held)
 	j.banks++
 	s.ctr.Banks++
 	s.captureImage(j)
 	j.segStart, j.segRestore = s.now, 0
-	dur := max(time.Duration(float64(j.workLeft)*s.trunkFactor(j.Alloc.CrossesTrunk)), time.Millisecond)
-	j.End = s.now + dur
-	j.sliceEnd, j.sliceFull, j.slicing = false, 0, false
-	if d := j.ckptSlice; d > 0 {
-		// Restore the quantum boundary the bank displaced — the slice
-		// clock keeps running through a bank, so proactive checkpointing
-		// never starves the round-robin rotation. A drain that overshot
-		// the deadline yields immediately.
-		j.ckptSlice = 0
-		if d < s.now {
-			d = s.now
-		}
-		if d < j.End {
-			j.sliceFull = j.End
-			j.End = d
-			j.sliceEnd = true
-		}
-	} else if q := s.cfg.Quantum; q > 0 && dur > q {
-		j.sliceFull = j.End
-		j.End = s.now + q
-		j.sliceEnd = true
-	}
-	s.armProactive(j)
+	j.End = s.now + max(time.Duration(float64(j.workLeft)*s.trunkFactor(j.Alloc.CrossesTrunk)), time.Millisecond)
+	s.armSlice(j)
 	s.running.add(j)
 }

@@ -433,6 +433,98 @@ func TestCheckpointIntervalFaultFreeIdentity(t *testing.T) {
 	}
 }
 
+// TestNegativeCostHooksPriceZero pins the one clamp New puts on the
+// cost hooks. With every hook answering a different negative duration,
+// every drain (preemption, slice, host suspend, bank), restore, host
+// resume, migration and demotion write is priced at zero — nothing is
+// charged, nothing waits on the store link, every booked transfer is
+// empty — and busy ≡ work + overhead + lost work holds, across preempt
+// × quantum × suspend-to-host × fault plan. Node memory is tight, so
+// resident images get demoted.
+func TestNegativeCostHooksPriceZero(t *testing.T) {
+	neg := func(d time.Duration) func(*Job) time.Duration {
+		return func(*Job) time.Duration { return -d }
+	}
+	const nodes, count = 32, 150
+	tight := func() *Cluster {
+		c := newTestCluster(nodes)
+		for i := 0; i < nodes; i++ {
+			spec := c.Spec(i)
+			spec.MemBytes = 160 << 20
+			if i%4 == 3 {
+				spec.MemBytes = 96 << 20
+			}
+			c.SetSpec(i, spec)
+		}
+		return c
+	}
+	var drains, hostSuspends, demotions, banks int
+	for _, preempt := range []bool{false, true} {
+		for _, quantum := range []time.Duration{0, 5 * time.Second} {
+			for _, suspend := range []bool{false, true} {
+				for _, plan := range []*FaultPlan{nil, stormPlan(77)} {
+					if !preempt && quantum == 0 && plan == nil {
+						continue // nothing is ever drained or restored
+					}
+					name := fmt.Sprintf("preempt=%v/quantum=%v/host=%v/faults=%v", preempt, quantum, suspend, plan != nil)
+					t.Run(name, func(t *testing.T) {
+						rec := &MemRecorder{}
+						s := New(Config{
+							Cluster:            tight(),
+							Policy:             Backfill,
+							Preempt:            preempt,
+							Quantum:            quantum,
+							SuspendToHost:      suspend,
+							Faults:             plan,
+							CheckpointInterval: 15 * time.Second,
+							CheckpointCost:     neg(100 * time.Millisecond),
+							RestoreCost:        neg(50 * time.Millisecond),
+							HostSuspendCost:    neg(300 * time.Millisecond),
+							HostResumeCost:     neg(25 * time.Millisecond),
+							Recorder:           rec,
+						})
+						submitAll(t, s, SyntheticStream(3, count, nodes, time.Second))
+						rep := s.Run()
+						checkFaultBalance(t, rep, count, rec.Events(), downWindows(rec.Events()))
+						for _, j := range rep.Jobs {
+							if j.CheckpointOverhead() != 0 {
+								t.Fatalf("%s charged %v of overhead", j, j.CheckpointOverhead())
+							}
+						}
+						if rep.DrainWait != 0 || rep.RestoreWait != 0 || rep.DemotionTime != 0 {
+							t.Fatalf("drain wait %v, restore wait %v, demotion time %v; want all zero",
+								rep.DrainWait, rep.RestoreWait, rep.DemotionTime)
+						}
+						for _, ev := range rec.Events() {
+							switch ev.Kind {
+							case EvDispatch:
+								if ev.From != ev.Time {
+									t.Fatalf("job %d dispatched at %v with work from %v: a restore was charged", ev.Job, ev.Time, ev.From)
+								}
+							case EvDrainBegin, EvStoreWrite, EvStoreRead, EvDemoteBegin:
+								if ev.To != ev.From || ev.From != ev.Time {
+									t.Fatalf("%v of job %d at %v spans [%v,%v), want empty and immediate", ev.Kind, ev.Job, ev.Time, ev.From, ev.To)
+								}
+								if ev.Kind == EvDrainBegin {
+									drains++
+								}
+							}
+						}
+						hostSuspends += rep.HostSuspends
+						demotions += rep.Demotions
+						banks += rep.Banks
+					})
+				}
+			}
+		}
+	}
+	if drains == 0 || hostSuspends == 0 || demotions == 0 || banks == 0 {
+		t.Fatalf("vacuity: %d drains, %d host suspends, %d demotions, %d banks across the matrix; want each > 0",
+			drains, hostSuspends, demotions, banks)
+	}
+	t.Logf("%d drains, %d host suspends, %d demotions, %d banks priced at zero", drains, hostSuspends, demotions, banks)
+}
+
 // TestFaultPlanParse pins the fault trace format: crash/flap/trunk
 // lines with second-denominated times, comments, and blank lines.
 func TestFaultPlanParse(t *testing.T) {

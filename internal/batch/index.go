@@ -24,8 +24,8 @@ import (
 //     and the conservative profile is one in-order walk instead of a
 //     per-pass sort;
 //   - the next-arrival search: nextEvent scanned every pending job —
-//     calendarQueue radix-buckets future arrivals by coarse virtual
-//     instant, so the next event peek touches one bucket.
+//     arrivalHeap keeps the future arrivals in a binary heap, so the
+//     next event peek reads its top, popping stale entries on the way.
 //
 // DebugVerifyShadows cross-checks the incremental shadow against the
 // full replay, and debugCheckIndex re-derives the free-range index from
@@ -498,82 +498,52 @@ func (t *endTreap) walk(h int32, fn func(j *Job)) {
 	}
 }
 
-// calendarQueue is a radix-bucketed event queue over future virtual
-// instants: entries hash into buckets by t >> calShift (~1s of virtual
-// time per bucket), a min-heap orders the occupied bucket keys, and
-// stale entries — jobs that arrived, were canceled, or were dispatched
-// — are discarded lazily on peek. It replaces nextEvent's linear
-// next-arrival scan over the whole pending queue: a peek touches the
-// earliest occupied bucket only.
-type calendarQueue struct {
-	buckets map[int64][]calEntry
-	keys    calKeyHeap
+// arrivalHeap is a container/heap of the jobs Submit queued with a
+// future arrival, ordered by (arrival, ID). Each entry keeps the
+// arrival it was pushed with: a cancel clamps a future arrival to the
+// clock, and a key moved under a heap would break its order. An entry
+// goes stale when its job arrives or stops being queued; next pops
+// stale entries as it meets them, and a live one stays until the clock
+// passes it.
+type arrivalHeap []arrival
+
+type arrival struct {
+	at  time.Duration
+	job *Job
 }
 
-type calEntry struct {
-	at time.Duration
-	id int
-}
-
-// calShift is the bucket radix: 2^30 ns ≈ 1.07 s of virtual time.
-const calShift = 30
-
-func (c *calendarQueue) init() { c.buckets = make(map[int64][]calEntry) }
-
-// add registers a future arrival. Each job is added at most once (at
-// Submit, when its resolved arrival lies in the future).
-func (c *calendarQueue) add(at time.Duration, id int) {
-	k := int64(at) >> calShift
-	b, ok := c.buckets[k]
-	if !ok {
-		heap.Push(&c.keys, k)
+func (h arrivalHeap) Len() int { return len(h) }
+func (h arrivalHeap) Less(i, k int) bool {
+	if h[i].at != h[k].at {
+		return h[i].at < h[k].at
 	}
-	c.buckets[k] = append(b, calEntry{at: at, id: id})
+	return h[i].job.ID < h[k].job.ID
+}
+func (h arrivalHeap) Swap(i, k int) { h[i], h[k] = h[k], h[i] }
+func (h *arrivalHeap) Push(x any)   { *h = append(*h, x.(arrival)) }
+func (h *arrivalHeap) Pop() any {
+	old := *h
+	old[len(old)-1] = arrival{} // a popped slot must not keep a finished job alive
+	*h = old[:len(old)-1]
+	return nil // next discards what it pops; boxing the entry would allocate
 }
 
-// next returns the earliest entry strictly after now whose job still
-// qualifies per live; entries at or before now, and entries whose job
-// no longer qualifies, are discarded as they are encountered. Valid
-// entries are peeked, not consumed — the clock passing them is what
-// retires them.
-func (c *calendarQueue) next(now time.Duration, live func(id int) bool) (time.Duration, bool) {
-	for len(c.keys) > 0 {
-		k := c.keys[0]
-		b := c.buckets[k]
-		kept := b[:0]
-		best := time.Duration(-1)
-		for _, e := range b {
-			if e.at <= now || !live(e.id) {
-				continue
-			}
-			kept = append(kept, e)
-			if best < 0 || e.at < best {
-				best = e.at
-			}
+// push adds j's future arrival. heap.Push would box the entry into its
+// any argument, one allocation per submitted job; appending it and
+// sifting it up with heap.Fix is the same operation without one.
+func (h *arrivalHeap) push(j *Job) {
+	*h = append(*h, arrival{at: j.arrive, job: j})
+	heap.Fix(h, len(*h)-1)
+}
+
+// next returns the earliest arrival strictly after now of a job still
+// queued for it.
+func (h *arrivalHeap) next(now time.Duration) (time.Duration, bool) {
+	for len(*h) > 0 {
+		if e := (*h)[0]; e.at > now && e.job.State == Queued && e.job.arrive == e.at {
+			return e.at, true
 		}
-		if len(kept) == 0 {
-			delete(c.buckets, k)
-			heap.Pop(&c.keys)
-			continue
-		}
-		c.buckets[k] = kept
-		// Keys ascend with time, so the earliest entry of the first
-		// surviving bucket is the global minimum.
-		return best, true
+		heap.Pop(h)
 	}
 	return 0, false
-}
-
-type calKeyHeap []int64
-
-func (h calKeyHeap) Len() int            { return len(h) }
-func (h calKeyHeap) Less(i, k int) bool  { return h[i] < h[k] }
-func (h calKeyHeap) Swap(i, k int)       { h[i], h[k] = h[k], h[i] }
-func (h *calKeyHeap) Push(x interface{}) { *h = append(*h, x.(int64)) }
-func (h *calKeyHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	v := old[n-1]
-	*h = old[:n-1]
-	return v
 }

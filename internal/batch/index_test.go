@@ -9,8 +9,8 @@ import (
 )
 
 // Property tests for the datacenter-scale index structures (index.go):
-// the free-range index, the end-event treap, and the calendar arrival
-// queue each shadow a state the scheduler also tracks directly, so
+// the free-range index, the end-event treap, and the arrival heap each
+// shadow a state the scheduler also tracks directly, so
 // every test here cross-checks the index against the brute-force
 // linear-scan reference it replaced. debugCheckIndex additionally makes
 // the cluster itself re-derive the free-range set from the bitmap after
@@ -205,12 +205,12 @@ func TestIndexPropertyAcrossPolicies(t *testing.T) {
 	}
 }
 
-// TestCalendarMatchesLinearScan pins the calendar queue to the linear
+// TestArrivalHeapMatchesLinearScan pins the arrival heap to the linear
 // next-arrival scan it replaced: before every event step the two must
 // agree on the next future arrival, including after cancellations leave
-// stale entries in the calendar buckets (discarded lazily via the
-// liveness probe).
-func TestCalendarMatchesLinearScan(t *testing.T) {
+// stale entries in the heap (popped lazily) and after arrivals pushed
+// behind those cancellations.
+func TestArrivalHeapMatchesLinearScan(t *testing.T) {
 	const nodes, count = 32, 250
 	cfg := Config{Cluster: newTestCluster(nodes), Policy: Backfill}
 	s := New(cfg)
@@ -218,27 +218,35 @@ func TestCalendarMatchesLinearScan(t *testing.T) {
 	submitAll(t, s, jobs)
 
 	// The latest arrivals make the best cancellation targets: they stay
-	// queued (and calendar-registered) longest.
+	// queued (and in the heap) longest.
 	byArrive := append([]*Job(nil), jobs...)
 	sort.Slice(byArrive, func(i, k int) bool { return byArrive[i].arrive > byArrive[k].arrive })
 	toCancel := byArrive[:10]
 
 	steps := 0
 	for {
-		at, ok := s.arrivals.next(s.now, s.queuedLive)
+		at, ok := s.arrivals.next(s.now)
 		refAt, refOK := s.pending.nextArrival(s.now)
 		if ok != refOK || (ok && at != refAt) {
-			t.Fatalf("step %d (t=%v): calendar says (%v,%v), linear scan says (%v,%v)",
+			t.Fatalf("step %d (t=%v): arrival heap says (%v,%v), linear scan says (%v,%v)",
 				steps, s.now, at, ok, refAt, refOK)
 		}
 		if steps == 5 {
-			// Cancel still-queued future arrivals mid-run: their calendar
+			// Cancel still-queued future arrivals mid-run: their heap
 			// entries go stale and must be filtered, not returned.
 			for _, j := range toCancel {
 				if j.State == Queued {
 					if err := s.Cancel(j.ID); err != nil {
 						t.Fatalf("cancel %s: %v", j, err)
 					}
+				}
+			}
+			// Then push arrivals earlier than every one still waiting:
+			// they sift up past the canceled entries.
+			for i := 1; i <= 20; i++ {
+				soon := &Job{Name: "soon", Kind: KindCG, Nodes: 1, Est: time.Second, Submit: s.now + time.Duration(i)*time.Millisecond}
+				if err := s.Submit(soon); err != nil {
+					t.Fatalf("submit %s: %v", soon, err)
 				}
 			}
 		}
@@ -249,6 +257,43 @@ func TestCalendarMatchesLinearScan(t *testing.T) {
 	}
 	if steps < 100 {
 		t.Fatalf("only %d event steps — the comparison barely ran", steps)
+	}
+}
+
+// BenchmarkSubmitFutureArrivals submits a million arrival-ordered
+// SyntheticStream jobs to a 10,000-node scheduler — every one but the
+// first a future arrival — and walks nextEvent through every arrival
+// instant with nothing dispatched: the arrival index's push at submit
+// and its peek per event step.
+func BenchmarkSubmitFutureArrivals(b *testing.B) {
+	const count, nodes = 1_000_000, 10_000
+	jobs := SyntheticStream(1, count, nodes, time.Second)
+	instants := 0
+	for i, j := range jobs {
+		j.Est = time.Minute // resolved up front: the estimator is not measured here
+		if i > 0 && j.Submit > jobs[i-1].Submit {
+			instants++
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		s := New(Config{Cluster: newTestCluster(nodes), Policy: Backfill})
+		b.StartTimer()
+		for _, j := range jobs {
+			if err := s.Submit(j); err != nil {
+				b.Fatal(err)
+			}
+		}
+		steps := 0
+		for t, ok := s.nextEvent(); ok; t, ok = s.nextEvent() {
+			s.now = t
+			steps++
+		}
+		if steps != instants {
+			b.Fatalf("walked %d arrival instants, the stream has %d", steps, instants)
+		}
 	}
 }
 

@@ -312,29 +312,19 @@ func (s *Scheduler) beginCheckpoint(v *Job) {
 	// before the refund logic clears them.
 	hostTier := s.hostEligible(v) && !v.forceStore
 	v.forceStore = false
-	v.ckptDue = false // the drain supersedes any armed proactive bank
+	v.ckptDue, v.ckptSlice = false, 0 // the drain supersedes any armed proactive bank
 	s.bankProgress(v)
 	var start, cost time.Duration
 	if hostTier {
 		cost = s.cfg.HostSuspendCost(v)
-		if cost < 0 {
-			cost = 0
-		}
 		start = s.now
+		v.overhead += cost
 		v.hostDrain = true
 		s.ctr.HostSuspends++
 	} else {
 		cost = s.cfg.CheckpointCost(v)
-		if cost < 0 {
-			cost = 0
-		}
-		start = s.link.reserveWrite(s.now, cost)
-		s.ctr.DrainWait += start - s.now
-		if s.met != nil {
-			s.met.drainWait.Observe((start - s.now).Seconds())
-		}
+		start = s.bookDrain(v, cost)
 	}
-	v.overhead += (start - s.now) + cost
 	v.preempting = true
 	// The drain rewrites the completion event: re-key the running set.
 	s.running.del(v.End, v.ID)
@@ -353,6 +343,20 @@ func (s *Scheduler) beginCheckpoint(v *Job) {
 			s.record(Event{Time: s.now, Kind: EvStoreWrite, Job: v.ID, From: start, To: start + cost, Detail: "drain"})
 		}
 	}
+}
+
+// bookDrain books a store drain of cost for j, a gang that holds its
+// nodes until the image is written: the transfer queues behind earlier
+// writes on the link, and both the wait and the transfer are charged as
+// checkpoint overhead. It returns the instant the transfer starts.
+func (s *Scheduler) bookDrain(j *Job, cost time.Duration) time.Duration {
+	start := s.link.reserveWrite(s.now, cost)
+	s.ctr.DrainWait += start - s.now
+	if s.met != nil {
+		s.met.drainWait.Observe((start - s.now).Seconds())
+	}
+	j.overhead += (start - s.now) + cost
+	return start
 }
 
 // refundRestore settles the restore prefix of a running segment
@@ -440,52 +444,69 @@ func (s *Scheduler) requeuePreempted(j *Job) {
 	} else {
 		j.preempts++
 	}
-	// Settle the wave this drain belonged to: when the beneficiary's
-	// last victim finishes draining, it may trigger a fresh wave if it
-	// is still blocked (e.g. a backfill took the freed nodes).
-	if b := j.waveFor; b != nil {
-		j.waveFor = nil
-		if b.waveLeft > 0 {
-			b.waveLeft--
-		}
-		if b.waveLeft == 0 {
-			b.wavePending = false
-		}
-	}
+	j.leaveWave()
 	if j.canceled {
 		// Cancel hit the job while its checkpoint was draining: the
 		// drain had to land (the nodes and the link slot were already
 		// committed), but the image is discarded instead of requeued.
-		j.hostDrain = false
-		j.restoreCost = 0
 		s.finishCanceled(j)
 		return
 	}
 	s.captureImage(j)
-	if j.hostDrain {
-		// Suspend-to-host: the image stays resident in the gang's node
-		// RAM. The nodes are free for other gangs, but the image pins
-		// its footprint until the job resumes (cheap, bus-only) or a
-		// memory-squeezed waiter forces a demotion to the store.
-		j.hostDrain = false
-		j.hostImage = true
-		s.cfg.Cluster.reserve(j.Alloc, j.memNeed)
-		j.restoreCost = s.cfg.HostResumeCost(j)
-		if s.rec != nil {
-			s.record(Event{Time: s.now, Kind: EvHostSuspend, Job: j.ID, Alloc: j.Alloc.Ranges})
-			s.record(Event{Time: s.now, Kind: EvRequeue, Job: j.ID, Detail: "host"})
-		}
-	} else {
+	if !j.hostDrain {
 		j.restoreCost = s.cfg.RestoreCost(j)
-		if s.rec != nil {
-			s.record(Event{Time: s.now, Kind: EvRequeue, Job: j.ID, Detail: "store"})
-		}
+		s.requeue(j, "store")
+		return
 	}
-	if j.restoreCost < 0 {
-		j.restoreCost = 0
+	// Suspend-to-host: the image stays resident in the gang's node RAM.
+	// The nodes are free for other gangs, but the image pins its
+	// footprint until the job resumes (cheap, bus-only) or a
+	// memory-squeezed waiter forces a demotion to the store.
+	j.hostDrain = false
+	j.hostImage = true
+	s.cfg.Cluster.reserve(j.Alloc, j.memNeed)
+	j.restoreCost = s.cfg.HostResumeCost(j)
+	if s.rec != nil {
+		s.record(Event{Time: s.now, Kind: EvHostSuspend, Job: j.ID, Alloc: j.Alloc.Ranges})
 	}
+	s.requeue(j, "host")
+}
+
+// requeue puts j back in the queue after its segment ended early, detail
+// naming where its image waits ("store", "host") or why it has none
+// ("fault").
+func (s *Scheduler) requeue(j *Job, detail string) {
 	j.State = Queued
 	s.pending.push(j)
+	if s.rec != nil {
+		s.record(Event{Time: s.now, Kind: EvRequeue, Job: j.ID, Detail: detail})
+	}
+}
+
+// leaveWave settles the preemption wave j's drain belonged to: when the
+// beneficiary's last victim finishes draining, it may trigger a fresh
+// wave if it is still blocked (e.g. a backfill took the freed nodes).
+func (j *Job) leaveWave() {
+	b := j.waveFor
+	if b == nil {
+		return
+	}
+	j.waveFor = nil
+	if b.waveLeft > 0 {
+		b.waveLeft--
+	}
+	if b.waveLeft == 0 {
+		b.wavePending = false
+	}
+}
+
+// priceStoreRestore prices j's next dispatch as a full store restore,
+// or as none when it has banked no work to reload.
+func (s *Scheduler) priceStoreRestore(j *Job) {
+	j.restoreCost = 0
+	if j.doneWork > 0 {
+		j.restoreCost = s.cfg.RestoreCost(j)
+	}
 }
 
 // captureImage has an attached Checkpointer advance j's workload to the
@@ -533,11 +554,7 @@ func (s *Scheduler) storeDrainEstimate(r *Job) time.Duration {
 // outbound leg of a migration so the same physical write can never be
 // priced two ways.
 func (s *Scheduler) storeWriteLeg(r *Job) time.Duration {
-	cost := s.cfg.CheckpointCost(r) - s.cfg.HostSuspendCost(r)
-	if cost < 0 {
-		cost = 0
-	}
-	return cost
+	return max(s.cfg.CheckpointCost(r)-s.cfg.HostSuspendCost(r), 0)
 }
 
 // hostEligible reports whether a checkpoint of r can stay in host RAM:

@@ -126,9 +126,9 @@ func (q *queue) compact() {
 func (q *queue) len() int { return len(q.jobs) - q.tombs }
 
 // nextArrival returns the earliest resolved arrival strictly after now
-// among pending jobs. The live event loop reads the calendar queue
+// among pending jobs. The live event loop reads the arrival heap
 // instead (Scheduler.arrivals); this linear scan is kept as the
-// brute-force reference the index property suite cross-checks.
+// brute-force reference TestArrivalHeapMatchesLinearScan cross-checks.
 func (q *queue) nextArrival(now time.Duration) (time.Duration, bool) {
 	var best time.Duration
 	found := false

@@ -204,8 +204,8 @@ type Config struct {
 // policy. Its state is the cluster bitmap with its free-range index,
 // the pending slice, the running set — one treap keyed by completion
 // event, which is both the loop's event queue and the capacity profile
-// behind shadow and reservation queries — and a calendar queue for
-// arrivals (index.go).
+// behind shadow and reservation queries — and a heap of future arrivals
+// (index.go).
 type Scheduler struct {
 	cfg          Config
 	now          time.Duration
@@ -222,7 +222,7 @@ type Scheduler struct {
 	pinned       []pin                // migration pins: home RAM held until the outbound write settles
 	usage        map[string]*usage    // per-user decayed accounting (fairshare.go)
 	fsEpoch      time.Duration        // reference instant for fair-share sort keys (fairshare.go)
-	arrivals     calendarQueue        // future arrivals bucketed by instant (index.go)
+	arrivals     arrivalHeap          // future arrivals, earliest first (index.go)
 	byID         map[int]*Job         // every job submitted and not retired, by assigned ID (Cancel, JobByID)
 	less         func(a, b *Job) bool // jobLess, bound once (no per-pass closure)
 	rec          Recorder             // lifecycle event sink; nil = recording off (obs.go)
@@ -257,21 +257,21 @@ func New(cfg Config) *Scheduler {
 		est := NewPerfEstimator()
 		cfg.Estimate = est.Estimate
 	}
-	if cfg.CheckpointCost == nil {
-		cfg.CheckpointCost = DefaultCheckpointCost
+	// A cost hook's answer is a duration some transfer takes: clamped at
+	// zero once here, so no charge, drain end or futility guard reads a
+	// negative one. The defaults are never negative.
+	costHook := func(f, def func(*Job) time.Duration) func(*Job) time.Duration {
+		if f == nil {
+			return def
+		}
+		return func(j *Job) time.Duration { return max(f(j), 0) }
 	}
-	if cfg.RestoreCost == nil {
-		cfg.RestoreCost = DefaultRestoreCost
-	}
-	if cfg.HostSuspendCost == nil {
-		cfg.HostSuspendCost = DefaultHostSuspendCost
-	}
-	if cfg.HostResumeCost == nil {
-		cfg.HostResumeCost = DefaultHostResumeCost
-	}
+	cfg.CheckpointCost = costHook(cfg.CheckpointCost, DefaultCheckpointCost)
+	cfg.RestoreCost = costHook(cfg.RestoreCost, DefaultRestoreCost)
+	cfg.HostSuspendCost = costHook(cfg.HostSuspendCost, DefaultHostSuspendCost)
+	cfg.HostResumeCost = costHook(cfg.HostResumeCost, DefaultHostResumeCost)
 	s := &Scheduler{cfg: cfg, nextID: 1, usage: make(map[string]*usage), byID: make(map[int]*Job)}
 	s.running.init()
-	s.arrivals.init()
 	s.link.duplex = cfg.StoreDuplex
 	s.less = s.jobLess
 	s.rec = cfg.Recorder
@@ -366,7 +366,7 @@ func (s *Scheduler) Submit(j *Job) error {
 	}
 	s.pending.push(j)
 	if j.arrive > s.now {
-		s.arrivals.add(j.arrive, j.ID)
+		s.arrivals.push(j)
 	}
 	if s.rec != nil {
 		// The display label is assembled before the hook call: hook
@@ -439,16 +439,16 @@ func (s *Scheduler) RunUntil(t time.Duration) {
 // nextEvent returns the earliest pending event instant: the soonest
 // completion (which wins ties, exactly as the monolithic loop ordered
 // its switch), future arrival, or demotion settlement. Future arrivals
-// come from the calendar queue — one bucket peek — rather than a scan
-// of the whole pending slice; the liveness probe discards entries for
-// jobs canceled while waiting, reproducing the scan's semantics
-// (queue_test.go cross-checks the two against each other).
+// come from the arrival heap's top rather than a scan of the whole
+// pending slice; entries of jobs that arrived or were canceled while
+// waiting are popped on the way, reproducing the scan's semantics
+// (TestArrivalHeapMatchesLinearScan cross-checks the two).
 func (s *Scheduler) nextEvent() (time.Duration, bool) {
 	tComplete := time.Duration(-1)
 	if j := s.running.min(); j != nil {
 		tComplete = j.End
 	}
-	tNext, hasNext := s.arrivals.next(s.now, s.queuedLive)
+	tNext, hasNext := s.arrivals.next(s.now)
 	if tDemote, ok := s.nextDemotion(); ok && (!hasNext || tDemote < tNext) {
 		tNext, hasNext = tDemote, true
 	}
@@ -467,14 +467,6 @@ func (s *Scheduler) nextEvent() (time.Duration, bool) {
 		return tNext, true
 	}
 	return 0, false
-}
-
-// queuedLive reports whether a calendar entry's job is still a pending
-// submission — the validity probe that lazily retires entries for jobs
-// canceled while their arrival was still in the future.
-func (s *Scheduler) queuedLive(id int) bool {
-	j := s.byID[id]
-	return j != nil && j.State == Queued
 }
 
 // advance moves the clock to t and pops every completion event due at
@@ -704,11 +696,7 @@ func (s *Scheduler) restorePrefixWorst(j *Job) time.Duration {
 	if s.link.readFree > rStart {
 		rStart = s.link.readFree
 	}
-	rc := s.cfg.RestoreCost(j)
-	if rc < 0 {
-		rc = 0
-	}
-	prefix := rStart + rc - s.now
+	prefix := rStart + s.cfg.RestoreCost(j) - s.now
 	if j.restoreCost > prefix {
 		prefix = j.restoreCost
 	}
@@ -768,9 +756,6 @@ func (s *Scheduler) tryStart(j *Job, backfilled bool, limit time.Duration, limit
 			// waiting gang.
 			migrate = true
 			cost = s.cfg.RestoreCost(j)
-			if cost < 0 {
-				cost = 0
-			}
 			writeLeg = s.storeWriteLeg(j)
 		}
 		readAvail := s.now // instant the image is in the store, ready to read
@@ -852,16 +837,7 @@ func (s *Scheduler) tryStart(j *Job, backfilled bool, limit time.Duration, limit
 	j.restoreCost = 0
 	j.wavePending = false
 	j.End = s.now + dur
-	// Time-slicing: a segment outliving the quantum carries a
-	// slice-boundary event instead; the restore charge rides ahead of
-	// the quantum so every slice banks a full quantum of execution.
-	j.sliceEnd, j.sliceFull, j.slicing = false, 0, false
-	if q := s.cfg.Quantum; q > 0 && dur > j.segRestore+q {
-		j.sliceFull = j.End
-		j.End = s.now + j.segRestore + q
-		j.sliceEnd = true
-	}
-	s.armProactive(j)
+	s.armSlice(j)
 	if s.rec != nil {
 		ev := Event{Time: s.now, Kind: EvDispatch, Job: j.ID, From: s.now + prefix, Alloc: alloc.Ranges,
 			Detail: dispatchDetail(backfilled, migrate, readCost > 0, prefix)}
@@ -878,6 +854,28 @@ func (s *Scheduler) tryStart(j *Job, backfilled bool, limit time.Duration, limit
 	}
 	s.running.add(j)
 	return true
+}
+
+// armSlice fixes the event that ends j's freshly opened segment, whose
+// completion j.End holds. Time-slicing: a segment outliving the quantum
+// carries a slice-boundary event instead, with the restore charge riding
+// ahead of the quantum so every slice banks a full quantum of execution.
+// A segment reopened by a bank instead takes back the quantum boundary
+// the bank displaced (ckptSlice): the slice clock keeps running through
+// a bank, so proactive checkpointing never starves the round-robin
+// rotation, and a drain that overshot the deadline yields at once. The
+// next proactive bank is armed last.
+func (s *Scheduler) armSlice(j *Job) {
+	j.sliceEnd, j.sliceFull, j.slicing = false, 0, false
+	if d := j.ckptSlice; d > 0 {
+		j.ckptSlice = 0
+		if d = max(d, s.now); d < j.End {
+			j.sliceFull, j.End, j.sliceEnd = j.End, d, true
+		}
+	} else if q := s.cfg.Quantum; q > 0 && j.End-s.now > j.segRestore+q {
+		j.sliceFull, j.End, j.sliceEnd = j.End, s.now+j.segRestore+q, true
+	}
+	s.armProactive(j)
 }
 
 // sliceBoundary handles a quantum-boundary event popped off the running
@@ -1027,29 +1025,16 @@ func (s *Scheduler) outranksAtBoundary(p, j *Job) bool {
 	return p.ID < j.ID
 }
 
-// complete handles a job whose end event fired: frees its gang, credits
-// busy and fair-share accounting, and either records the terminal state
-// or — when the event was a checkpoint drain — re-enqueues the job with
-// its saved progress. Only a drain's segment joins History: a completed
-// one stays {Alloc, segStart, End}, which Segments reads.
+// complete handles a job whose end event fired: frees its gang and
+// either records the terminal state or — when the event was a
+// checkpoint drain — re-enqueues the job with its saved progress.
 func (s *Scheduler) complete(j *Job) {
-	held := s.now - j.segStart
 	if j.preempting {
-		j.History = append(j.History, Segment{Alloc: j.Alloc, Start: j.segStart, End: s.now, Preempted: true})
-	}
-	s.cfg.Cluster.Release(j.Alloc, held)
-	s.chargeUsage(j.User, time.Duration(j.Alloc.Count)*held)
-	if s.rec != nil {
-		detail := "run"
-		if j.preempting {
-			detail = "drain"
-		}
-		s.record(Event{Time: s.now, Kind: EvSegmentEnd, Job: j.ID, From: j.segStart, To: s.now, Alloc: j.Alloc.Ranges, Detail: detail})
-	}
-	if j.preempting {
+		s.endSegment(j, "drain", true)
 		s.requeuePreempted(j)
 		return
 	}
+	s.endSegment(j, "run", true)
 	j.workLeft, j.doneWork = 0, j.est
 	if s.cfg.Execute != nil {
 		if ck, ok := s.cfg.Execute.(Checkpointer); ok && j.snapshot != nil {
@@ -1080,6 +1065,27 @@ func (s *Scheduler) complete(j *Job) {
 		s.met.wait.Observe(j.Wait().Seconds())
 	}
 	s.finish(j)
+}
+
+// endSegment closes j's current run segment at the current instant: a
+// segment that ended early (every detail but "run") joins History — a
+// completed one stays {Alloc, segStart, End}, which Segments reads — the
+// gang's nodes are credited the time they were held, and freed unless
+// release is false (a bank keeps its seat), and the user is charged.
+func (s *Scheduler) endSegment(j *Job, detail string, release bool) {
+	held := s.now - j.segStart
+	if detail != "run" {
+		j.History = append(j.History, Segment{Alloc: j.Alloc, Start: j.segStart, End: s.now, Preempted: true})
+	}
+	if release {
+		s.cfg.Cluster.Release(j.Alloc, held)
+	} else {
+		s.cfg.Cluster.creditBusy(j.Alloc, held)
+	}
+	s.chargeUsage(j.User, time.Duration(j.Alloc.Count)*held)
+	if s.rec != nil {
+		s.record(Event{Time: s.now, Kind: EvSegmentEnd, Job: j.ID, From: j.segStart, To: s.now, Alloc: j.Alloc.Ranges, Detail: detail})
+	}
 }
 
 // finish files a job that has just reached a terminal state: kept for

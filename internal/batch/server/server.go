@@ -95,7 +95,7 @@ type Config struct {
 }
 
 // Server owns an engine and serves the HTTP front door. Create with
-// New, then Serve/ListenAndServe; Shutdown drains gracefully.
+// New, then Serve; Shutdown drains gracefully.
 type Server struct {
 	cfg   Config
 	eng   *batch.Engine
@@ -320,15 +320,6 @@ func (s *Server) Serve(l net.Listener) error {
 		return nil
 	}
 	return err
-}
-
-// ListenAndServe binds addr and calls Serve.
-func (s *Server) ListenAndServe(addr string) error {
-	l, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(l)
 }
 
 // Shutdown gracefully drains: the listener stops accepting, in-flight

@@ -200,9 +200,6 @@ func (s *Scheduler) settleDemotions() {
 		d.hostImage = false
 		d.demoteEnd = 0
 		d.restoreCost = s.cfg.RestoreCost(d)
-		if d.restoreCost < 0 {
-			d.restoreCost = 0
-		}
 	}
 	s.demoting = kept
 	keptPins := s.pinned[:0]

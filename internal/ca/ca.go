@@ -21,7 +21,6 @@ type Grid struct {
 	W, H  int
 	cells []uint8
 	next  []uint8
-	gen   int
 }
 
 // NewGrid creates an empty board.
@@ -46,9 +45,6 @@ func (g *Grid) Population() int {
 	}
 	return n
 }
-
-// Generation returns the number of completed steps.
-func (g *Grid) Generation() int { return g.gen }
 
 // at reads with toroidal wrap.
 func (g *Grid) at(x, y int) uint8 {
@@ -88,7 +84,6 @@ func (g *Grid) Step() {
 		}
 	}
 	g.cells, g.next = g.next, g.cells
-	g.gen++
 }
 
 // GPUGrid runs the same automaton as a fragment program on a simulated
@@ -100,7 +95,6 @@ type GPUGrid struct {
 	dev  *gpu.Device
 	tex  *gpu.Texture2D
 	pb   *gpu.PBuffer
-	gen  int
 }
 
 // NewGPUGrid allocates the board on the device.
@@ -141,7 +135,6 @@ func (g *GPUGrid) Download() (*Grid, error) {
 			out.cells[i] = 1
 		}
 	}
-	out.gen = g.gen
 	return out, nil
 }
 
@@ -171,11 +164,7 @@ func (g *GPUGrid) Step() error {
 			return vecmath.Vec4{float32(liveRule(alive, n)), 0, 0, 1}
 		},
 	}
-	if err := g.dev.RunAndCopy(pass, g.tex); err != nil {
-		return err
-	}
-	g.gen++
-	return nil
+	return g.dev.RunAndCopy(pass, g.tex)
 }
 
 // ParallelSteps runs a board for the given generations decomposed into
@@ -255,6 +244,5 @@ func ParallelSteps(start *Grid, ranks, generations int) *Grid {
 	for r, s := range strips {
 		copy(out.cells[r*rows*w:], s)
 	}
-	out.gen = generations
 	return out
 }

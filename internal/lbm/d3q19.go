@@ -57,14 +57,6 @@ func Viscosity(tau float32) float32 { return (tau - 0.5) * CsSq }
 // TauForViscosity returns the relaxation time that yields viscosity nu.
 func TauForViscosity(nu float32) float32 { return nu/CsSq + 0.5 }
 
-// FeqI returns the i-th equilibrium distribution for density rho and
-// velocity u: w_i rho (1 + 3 c.u + 4.5 (c.u)^2 - 1.5 u.u).
-func FeqI(i int, rho, ux, uy, uz float32) float32 {
-	cu := float32(C[i][0])*ux + float32(C[i][1])*uy + float32(C[i][2])*uz
-	usq := ux*ux + uy*uy + uz*uz
-	return W[i] * rho * (1 + 3*cu + 4.5*cu*cu - 1.5*usq)
-}
-
 // Feq fills out[0:Q] with the full equilibrium distribution. Every
 // entry rounds as w_i rho ((base + 3 c.u) + 4.5 (c.u)^2) with
 // base = 1 - 1.5 u.u does, c.u summed over x, y, z in that order — the

@@ -221,10 +221,6 @@ func (l *Lattice) applyFaceSolids() {
 	}
 }
 
-// Density returns the cached density of interior cell (x, y, z) as of the
-// last collision.
-func (l *Lattice) Density(x, y, z int) float32 { return l.Rho[l.Idx(x, y, z)] }
-
 // Velocity computes the velocity of interior cell (x, y, z) from the
 // current distributions.
 func (l *Lattice) Velocity(x, y, z int) vecmath.Vec3 {

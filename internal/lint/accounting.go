@@ -39,13 +39,11 @@ var Accounting = &analysis.Analyzer{
 var auditedAccounting = map[string]bool{
 	"Scheduler.Submit":          true, // resets History/charges for a fresh (or replayed) job
 	"Scheduler.tryStart":        true, // restore prefix charge + read-link reservation + migration write leg
-	"Scheduler.complete":        true, // closes the run segment
-	"Scheduler.cancelRunning":   true, // closes the segment of a canceled gang
-	"Scheduler.beginCheckpoint": true, // drain charge + write-link reservation
+	"Scheduler.endSegment":      true, // closes a run segment: completion, drain, fault, cancel or bank
+	"Scheduler.beginCheckpoint": true, // host drain charge
+	"Scheduler.bookDrain":       true, // store drain charge + write-link reservation (preemption, slice, bank)
 	"Scheduler.refundRestore":   true, // interrupted segment: mid-restore overhead and read-slot refund
 	"Scheduler.loseProgress":    true, // fault-killed segment: elapsed work becomes lost work
-	"Scheduler.ckptBoundary":    true, // proactive bank: write-link reservation + charge
-	"Scheduler.bankSettle":      true, // proactive bank settlement segment
 	"Scheduler.failGang":        true, // fault kill: lost tail, drain refund
 	"Scheduler.demote":          true, // eviction write-link reservation
 	"JobTotals.fold":            true, // a terminal job's overhead joins the report sum, at report time or at retirement
