@@ -28,8 +28,8 @@
 // enumerates an incrementally maintained free-range set, the running
 // set is one order-statistic treap keyed by completion event — the
 // loop's event queue, which the backfill shadow descends — future
-// arrivals sit in a binary heap, and the pending
-// queue removes in O(1) via tombstones — so the same event loop that
+// arrivals sit in a binary heap until they arrive, and the queue of
+// arrived jobs removes in O(1) via tombstones — so the same event loop that
 // schedules the paper's 32 nodes drains a million-job queue on ten
 // thousand (see docs/PERFORMANCE.md). DebugVerifyShadows cross-checks
 // the incremental shadow against the full replay it replaced.
@@ -210,7 +210,10 @@ type jobState struct {
 	// suspends the gang at the boundary.
 	sliceFull time.Duration // true end of the current segment if never sliced
 	rrStamp   time.Duration // last slice-suspension instant (round-robin key)
-	qpos      int           // index in the pending queue's slice (-1 when absent)
+	// qpos is where a queued job waits: at this slot of the queue or
+	// behind it (queue.go), at index heapIndex(qpos) of the arrival heap
+	// (index.go), or, at -1, in neither.
+	qpos int
 
 	// Counters and flags, grouped at the tail so they pack — queue
 	// scans walk thousands of pending jobs per pass and are

@@ -75,13 +75,18 @@ func (s *Scheduler) cancelRunning(j *Job) {
 	s.finishCanceled(j)
 }
 
-// cancelQueued withdraws a pending job. A suspended-to-host image is
-// discarded and its pinned memory released — unless the image is
-// mid-eviction, in which case the in-flight store write keeps the
-// reservation until it settles (settleDemotions releases it; the
-// harmless restore re-pricing there is moot for a terminal job).
+// cancelQueued withdraws a pending job, from the queue or, not yet
+// arrived, from the arrival heap. A suspended-to-host image is discarded
+// and its pinned memory released — unless the image is mid-eviction, in
+// which case the in-flight store write keeps the reservation until it
+// settles (settleDemotions releases it; the harmless restore re-pricing
+// there is moot for a terminal job).
 func (s *Scheduler) cancelQueued(j *Job) {
-	s.pending.remove(j)
+	if j.qpos >= 0 {
+		s.pending.remove(j)
+	} else {
+		s.arrivals.remove(j)
+	}
 	if j.hostImage && j.demoteEnd == 0 {
 		s.cfg.Cluster.unreserve(j.Alloc, j.memNeed)
 		j.hostImage = false

@@ -300,7 +300,7 @@ func (s *Scheduler) conservativePass() bool {
 	var head *Job // the blocked head: the first job held to a reservation
 	implied := true
 	for _, j := range s.pending.ordered(s.less) {
-		if j == nil || j.arrive > s.now {
+		if j == nil {
 			continue
 		}
 		// Reservations use the worst-case trunk stretch and the

@@ -1,6 +1,7 @@
 package batch
 
 import (
+	"sort"
 	"sync"
 	"time"
 )
@@ -294,15 +295,28 @@ func (e *Engine) Snapshot() QueueStatus {
 	s := e.s
 	qs := QueueStatus{
 		Now:      s.now,
-		Queued:   s.pending.len(),
+		Queued:   s.queued(),
 		Running:  s.running.len(),
 		Finished: s.tot.Finished + len(s.finished),
 	}
 	list := func(j *Job) { qs.Jobs = append(qs.Jobs, recordOf(j)) }
+	// The future arrivals, sorted as the queue is, merge into its order.
+	future := make([]*Job, len(s.arrivals))
+	for i, a := range s.arrivals {
+		future[i] = a.job
+	}
+	sort.Slice(future, func(i, k int) bool { return s.less(future[i], future[k]) })
 	for _, j := range s.pending.ordered(s.less) {
-		if j != nil {
-			list(j)
+		if j == nil {
+			continue
 		}
+		for ; len(future) > 0 && s.less(future[0], j); future = future[1:] {
+			list(future[0])
+		}
+		list(j)
+	}
+	for _, j := range future {
+		list(j)
 	}
 	s.running.each(list)
 	return qs
@@ -310,8 +324,9 @@ func (e *Engine) Snapshot() QueueStatus {
 
 // Load returns one user's live footprint — queued-or-running job count
 // and committed node-seconds — for quota admission at ingest. The sum
-// runs over the pending slice, then the running set in completion
-// order: a float sum's order is part of the quota decision.
+// runs over the queue's slots, then the future arrivals in heap order,
+// then the running set in completion order: a float sum's order is part
+// of the quota decision.
 func (e *Engine) Load(user string) UserLoad {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -324,11 +339,7 @@ func (e *Engine) Load(user string) UserLoad {
 		l.Queued++
 		l.NodeSeconds += float64(j.Nodes) * j.estLeft().Seconds()
 	}
-	for _, j := range e.s.pending.jobs {
-		if j != nil {
-			add(j)
-		}
-	}
+	e.s.eachQueued(add)
 	e.s.running.each(add)
 	return l
 }

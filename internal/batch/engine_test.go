@@ -2,6 +2,8 @@ package batch
 
 import (
 	"fmt"
+	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -171,6 +173,75 @@ func TestEngineSnapshotAndLoad(t *testing.T) {
 	if l := e.Load("ana"); l.Queued != 0 {
 		t.Fatalf("ana load after drain: %+v", l)
 	}
+}
+
+// TestSnapshotCountsFutureArrivals pins the readers that mean every
+// queued job to what they read when future arrivals shared the queue
+// with arrived jobs: an engine whose clock runs ahead of the scheduler's
+// last event stamps its ingests as future arrivals, and
+// QueueStatus.Queued, the Jobs order, Load, the batch_queue_depth gauge
+// and the report's blocked-pass rows must all count them.
+func TestSnapshotCountsFutureArrivals(t *testing.T) {
+	clock := &manualClock{}
+	e := NewEngine(Config{Cluster: newTestCluster(4), Policy: Backfill,
+		Recorder: &MemRecorder{}, Metrics: NewRegistry()}, clock)
+	ingest := func(name, user string, nodes, prio int, est, at time.Duration) {
+		t.Helper()
+		if _, err := e.Ingest(&Job{Name: name, Kind: KindCG, Nodes: nodes, Priority: prio, User: user, Est: est, Submit: at}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(now time.Duration, queued int, ids string, ana, bo UserLoad, rows string) {
+		t.Helper()
+		qs := e.Snapshot()
+		var got []int
+		for _, r := range qs.Jobs {
+			got = append(got, r.ID)
+		}
+		if qs.Now != now || qs.Queued != queued || fmt.Sprint(got) != ids {
+			t.Fatalf("snapshot at %v: %d queued, jobs %v; want %v, %d, %s", qs.Now, qs.Queued, got, now, queued, ids)
+		}
+		if l := e.Load("ana"); l != ana {
+			t.Fatalf("ana load %+v, want %+v", l, ana)
+		}
+		if l := e.Load("bo"); l != bo {
+			t.Fatalf("bo load %+v, want %+v", l, bo)
+		}
+		if g := e.s.met.queueDepth.Value(); g != float64(queued) {
+			t.Fatalf("batch_queue_depth reads %v, want %d", g, queued)
+		}
+		rep := e.Report()
+		var ids2 []int
+		for id := range rep.blocked {
+			ids2 = append(ids2, id)
+		}
+		sort.Ints(ids2)
+		var b strings.Builder
+		for _, id := range ids2 {
+			fmt.Fprintf(&b, "%d:%v ", id, *rep.blocked[id])
+		}
+		if b.String() != rows {
+			t.Fatalf("report's blocked rows %q, want %q", b.String(), rows)
+		}
+	}
+	// At 0 the hog takes the machine and a and b wait behind it.
+	ingest("hog", "hog", 4, 2, 100*time.Second, 0)
+	ingest("a", "ana", 2, 1, 20*time.Second, 0)
+	ingest("b", "bo", 1, 0, 10*time.Second, 0)
+	check(0, 2, "[2 3 1]", UserLoad{1, 40}, UserLoad{1, 10}, "2:[0 0 4 0 0 0 0 0 0 0 0 0] 3:[0 0 3 0 0 0 0 0 0 0 0 0] ")
+	// At 30 s the scheduler's clock is still at 0, its next event the
+	// hog's end at 100 s: c, d and e, stamped 40, 45 and 50 s, are all in
+	// its future, and e ranks between a and b.
+	clock.t = 30 * time.Second
+	ingest("c", "ana", 1, 2, 5*time.Second, 40*time.Second)
+	ingest("d", "bo", 1, 0, 7*time.Second, 45*time.Second)
+	ingest("e", "ana", 2, 1, 9*time.Second, 50*time.Second)
+	check(0, 5, "[4 2 6 3 5 1]", UserLoad{3, 63}, UserLoad{2, 17}, "2:[0 0 10 0 0 0 0 0 0 0 0 0] 3:[0 0 9 0 0 0 0 0 0 0 0 0] ")
+	// At 60 s the three have arrived, and f, stamped 70 s, ranks first.
+	clock.t = 60 * time.Second
+	ingest("f", "bo", 1, 3, 4*time.Second, 70*time.Second)
+	check(50*time.Second, 6, "[7 4 2 6 3 5 1]", UserLoad{3, 63}, UserLoad{3, 21},
+		"2:[0 0 17 0 0 0 0 0 0 0 0 0] 3:[0 0 16 0 0 0 0 0 0 0 0 0] 4:[0 0 6 0 0 0 0 0 0 0 0 0] 5:[0 0 5 0 0 0 0 0 0 0 0 0] 6:[0 0 4 0 0 0 0 0 0 0 0 0] ")
 }
 
 // TestWallClockMapsTime pins the wall clock's compression arithmetic.

@@ -119,17 +119,16 @@ func (s *Scheduler) explain(pass int, j *Job, reason BlockReason, at time.Durati
 	s.record(Event{Time: s.now, Kind: EvBlocked, Job: j.ID, Pass: pass, Reason: reason, From: at})
 }
 
-// explainRest records ReasonHeadOfLine for every arrived job in rest —
-// the FIFO tail behind a blocked head.
+// explainRest records ReasonHeadOfLine for every job in rest — the FIFO
+// tail behind a blocked head.
 func (s *Scheduler) explainRest(pass int, rest []*Job) {
 	if s.rec == nil {
 		return
 	}
 	for _, j := range rest {
-		if j == nil || j.arrive > s.now {
-			continue
+		if j != nil {
+			s.explain(pass, j, ReasonHeadOfLine, 0)
 		}
-		s.explain(pass, j, ReasonHeadOfLine, 0)
 	}
 }
 

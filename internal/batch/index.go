@@ -24,8 +24,9 @@ import (
 //     and the conservative profile is one in-order walk instead of a
 //     per-pass sort;
 //   - the next-arrival search: nextEvent scanned every pending job —
-//     arrivalHeap keeps the future arrivals in a binary heap, so the
-//     next event peek reads its top, popping stale entries on the way.
+//     arrivalHeap keeps the future arrivals in a binary heap, out of
+//     the queue until the clock reaches them, so the next event peek
+//     reads its top.
 //
 // DebugVerifyShadows cross-checks the incremental shadow against the
 // full replay, and debugCheckIndex re-derives the free-range index from
@@ -498,19 +499,22 @@ func (t *endTreap) walk(h int32, fn func(j *Job)) {
 	}
 }
 
-// arrivalHeap is a container/heap of the jobs Submit queued with a
-// future arrival, ordered by (arrival, ID). Each entry keeps the
-// arrival it was pushed with: a cancel clamps a future arrival to the
-// clock, and a key moved under a heap would break its order. An entry
-// goes stale when its job arrives or stops being queued; next pops
-// stale entries as it meets them, and a live one stays until the clock
-// passes it.
+// arrivalHeap is a container/heap of the jobs Submit holds for a future
+// arrival, ordered by (arrival, ID): exactly the queued jobs that have
+// not arrived. The clock move that reaches an arrival pops it into the
+// queue; a cancel removes it by the index its qpos records (heapIndex).
+// An entry copies its job's arrival, fixed while the job is here, so a
+// comparison reads the job only on a tie.
 type arrivalHeap []arrival
 
 type arrival struct {
 	at  time.Duration
 	job *Job
 }
+
+// heapIndex maps an arrival-heap index to the qpos recording it, and
+// back: -2 - i is negative, as no queue slot is, and never -1.
+func heapIndex(i int) int { return -2 - i }
 
 func (h arrivalHeap) Len() int { return len(h) }
 func (h arrivalHeap) Less(i, k int) bool {
@@ -519,31 +523,44 @@ func (h arrivalHeap) Less(i, k int) bool {
 	}
 	return h[i].job.ID < h[k].job.ID
 }
-func (h arrivalHeap) Swap(i, k int) { h[i], h[k] = h[k], h[i] }
-func (h *arrivalHeap) Push(x any)   { *h = append(*h, x.(arrival)) }
+func (h arrivalHeap) Swap(i, k int) {
+	h[i], h[k] = h[k], h[i]
+	h[i].job.qpos, h[k].job.qpos = heapIndex(i), heapIndex(k)
+}
+
+func (h *arrivalHeap) Push(x any) {
+	j := x.(*Job)
+	j.qpos = heapIndex(len(*h))
+	*h = append(*h, arrival{at: j.arrive, job: j})
+}
 func (h *arrivalHeap) Pop() any {
 	old := *h
+	j := old[len(old)-1].job
 	old[len(old)-1] = arrival{} // a popped slot must not keep a finished job alive
 	*h = old[:len(old)-1]
-	return nil // next discards what it pops; boxing the entry would allocate
+	j.qpos = -1
+	return j
 }
 
-// push adds j's future arrival. heap.Push would box the entry into its
-// any argument, one allocation per submitted job; appending it and
-// sifting it up with heap.Fix is the same operation without one.
-func (h *arrivalHeap) push(j *Job) {
-	*h = append(*h, arrival{at: j.arrive, job: j})
-	heap.Fix(h, len(*h)-1)
-}
+// push adds j's future arrival; a *Job passes through any unboxed.
+func (h *arrivalHeap) push(j *Job) { heap.Push(h, j) }
 
-// next returns the earliest arrival strictly after now of a job still
-// queued for it.
-func (h *arrivalHeap) next(now time.Duration) (time.Duration, bool) {
-	for len(*h) > 0 {
-		if e := (*h)[0]; e.at > now && e.job.State == Queued && e.job.arrive == e.at {
-			return e.at, true
-		}
-		heap.Pop(h)
+// remove takes a canceled future arrival out of the heap.
+func (h *arrivalHeap) remove(j *Job) { heap.Remove(h, heapIndex(j.qpos)) }
+
+// next returns the earliest arrival.
+func (h arrivalHeap) next() (time.Duration, bool) {
+	if len(h) == 0 {
+		return 0, false
 	}
-	return 0, false
+	return h[0].at, true
+}
+
+// popDue pops and returns the earliest arrival if it is due by now, nil
+// if none is.
+func (h *arrivalHeap) popDue(now time.Duration) *Job {
+	if len(*h) == 0 || (*h)[0].at > now {
+		return nil
+	}
+	return heap.Pop(h).(*Job)
 }

@@ -205,10 +205,24 @@ func TestIndexPropertyAcrossPolicies(t *testing.T) {
 	}
 }
 
+// nextArrival is the brute-force next arrival: the earliest arrival
+// after now of any job still queued, scanned over every job the
+// scheduler holds.
+func nextArrival(s *Scheduler) (time.Duration, bool) {
+	var best time.Duration
+	found := false
+	for _, j := range s.byID {
+		if j.State == Queued && j.arrive > s.now && (!found || j.arrive < best) {
+			best, found = j.arrive, true
+		}
+	}
+	return best, found
+}
+
 // TestArrivalHeapMatchesLinearScan pins the arrival heap to the linear
 // next-arrival scan it replaced: before every event step the two must
-// agree on the next future arrival, including after cancellations leave
-// stale entries in the heap (popped lazily) and after arrivals pushed
+// agree on the next future arrival, including after cancellations take
+// entries out of the middle of the heap and after arrivals pushed
 // behind those cancellations.
 func TestArrivalHeapMatchesLinearScan(t *testing.T) {
 	const nodes, count = 32, 250
@@ -225,15 +239,15 @@ func TestArrivalHeapMatchesLinearScan(t *testing.T) {
 
 	steps := 0
 	for {
-		at, ok := s.arrivals.next(s.now)
-		refAt, refOK := s.pending.nextArrival(s.now)
+		at, ok := s.arrivals.next()
+		refAt, refOK := nextArrival(s)
 		if ok != refOK || (ok && at != refAt) {
 			t.Fatalf("step %d (t=%v): arrival heap says (%v,%v), linear scan says (%v,%v)",
 				steps, s.now, at, ok, refAt, refOK)
 		}
 		if steps == 5 {
 			// Cancel still-queued future arrivals mid-run: their heap
-			// entries go stale and must be filtered, not returned.
+			// entries leave from wherever they sit.
 			for _, j := range toCancel {
 				if j.State == Queued {
 					if err := s.Cancel(j.ID); err != nil {
@@ -242,7 +256,7 @@ func TestArrivalHeapMatchesLinearScan(t *testing.T) {
 				}
 			}
 			// Then push arrivals earlier than every one still waiting:
-			// they sift up past the canceled entries.
+			// they sift up through the heap the removals reshaped.
 			for i := 1; i <= 20; i++ {
 				soon := &Job{Name: "soon", Kind: KindCG, Nodes: 1, Est: time.Second, Submit: s.now + time.Duration(i)*time.Millisecond}
 				if err := s.Submit(soon); err != nil {
@@ -260,11 +274,158 @@ func TestArrivalHeapMatchesLinearScan(t *testing.T) {
 	}
 }
 
+// TestQueuedJobHasOneHome runs random operation sequences over every
+// crossed configuration, with and without a fault plan — submits, half
+// of them future-stamped; cancels of an arrived, a future and a running
+// job; RunUntil to random instants; and resubmission of a canceled
+// future job's spec with its Submit unchanged — and after every
+// operation checks that each queued job lives in exactly one place
+// (checkOneHome).
+func TestQueuedJobHasOneHome(t *testing.T) {
+	debugCheckIndex = true
+	DebugVerifyShadows = true
+	defer func() { debugCheckIndex = false; DebugVerifyShadows = false }()
+
+	const nodes, ops = 16, 300
+	var tally [5]int // future submits; cancels of arrived, future, running jobs; resubmits
+	for _, base := range propertyConfigs() {
+		for _, faults := range []bool{false, true} {
+			cfg := base
+			if faults {
+				cfg.Faults = GenFaultPlan(3, nodes, 4*time.Hour, 10*time.Minute)
+				cfg.CheckpointInterval = 15 * time.Second
+			}
+			name := fmt.Sprintf("%v/preempt=%v/quantum=%v/host=%v/faults=%v", cfg.Policy, cfg.Preempt, cfg.Quantum, cfg.SuspendToHost, faults)
+			t.Run(name, func(t *testing.T) {
+				for seed := int64(1); seed <= 2; seed++ {
+					rng := rand.New(rand.NewSource(seed))
+					cfg.Cluster = newTestCluster(nodes)
+					s := New(cfg)
+					specs := SyntheticMix(seed, ops, nodes)
+					var canceled []*Job // canceled while future arrivals, to resubmit
+					for op := 0; op < ops; op++ {
+						switch r := rng.Intn(10); {
+						case r < 4 && len(specs) > 0:
+							j := specs[0]
+							specs = specs[1:]
+							if rng.Intn(2) == 0 {
+								j.Submit = s.now + time.Duration(1+rng.Intn(120))*time.Second
+								tally[0]++
+							}
+							if err := s.Submit(j); err != nil {
+								t.Fatalf("submit %s: %v", j, err)
+							}
+						case r < 7:
+							kind := rng.Intn(3) // arrived, future, running
+							var pool []*Job
+							for _, j := range s.byID {
+								arrived := j.State == Queued && j.qpos >= 0
+								future := j.State == Queued && j.qpos < 0
+								if []bool{arrived, future, j.State == Running}[kind] {
+									pool = append(pool, j)
+								}
+							}
+							if len(pool) == 0 {
+								continue
+							}
+							sort.Slice(pool, func(i, k int) bool { return pool[i].ID < pool[k].ID })
+							j := pool[rng.Intn(len(pool))]
+							if err := s.Cancel(j.ID); err != nil {
+								t.Fatalf("cancel %s: %v", j, err)
+							}
+							tally[1+kind]++
+							if kind == 1 {
+								canceled = append(canceled, j)
+							}
+						case r < 8 && len(canceled) > 0:
+							j := canceled[len(canceled)-1]
+							canceled = canceled[:len(canceled)-1]
+							if err := s.Submit(j); err != nil {
+								t.Fatalf("resubmit %s: %v", j, err)
+							}
+							tally[4]++
+						default:
+							s.RunUntil(s.now + time.Duration(rng.Intn(60))*time.Second)
+						}
+						checkOneHome(t, s)
+					}
+					s.RunUntil(Forever)
+					checkOneHome(t, s)
+					if n := s.queued(); n != 0 {
+						t.Fatalf("seed %d: %d jobs still queued after the drain", seed, n)
+					}
+				}
+			})
+		}
+	}
+	for i, n := range tally {
+		if n == 0 {
+			t.Fatalf("operation %d of (future submit, cancel arrived, cancel future, cancel running, resubmit) never ran: %v", i, tally)
+		}
+	}
+	t.Logf("future submits, cancels of arrived / future / running jobs, resubmits: %v", tally)
+}
+
+// checkOneHome checks where the scheduler keeps its queued jobs: each
+// one is either in the queue, having arrived, or in exactly one
+// arrival-heap entry, not yet arrived, whose index its qpos records; no
+// job holds two queue slots; every qpos in the queue is at or before its
+// job's slot; the heap holds nothing else, so its length counts the
+// future arrivals; and a queue that owes no sort is in discipline order.
+func checkOneHome(t *testing.T, s *Scheduler) {
+	t.Helper()
+	slot := make(map[*Job]int)
+	var prev *Job
+	for i, j := range s.pending.jobs {
+		if j == nil {
+			continue
+		}
+		if k, dup := slot[j]; dup {
+			t.Fatalf("t=%v: job %d queued at slots %d and %d", s.now, j.ID, k, i)
+		}
+		slot[j] = i
+		if j.qpos < 0 || j.qpos > i {
+			t.Fatalf("t=%v: job %d at slot %d has qpos %d", s.now, j.ID, i, j.qpos)
+		}
+		if j.State != Queued || j.arrive > s.now {
+			t.Fatalf("t=%v: job %d in the queue is %v, arriving at %v", s.now, j.ID, j.State, j.arrive)
+		}
+		if !s.pending.dirty && prev != nil && !s.less(prev, j) {
+			t.Fatalf("t=%v: sorted queue holds job %d ahead of job %d", s.now, prev.ID, j.ID)
+		}
+		prev = j
+	}
+	entries := make(map[*Job]int)
+	for i, a := range s.arrivals {
+		j := a.job
+		entries[j]++
+		if j.State != Queued || j.arrive <= s.now || heapIndex(j.qpos) != i {
+			t.Fatalf("t=%v: arrival-heap entry %d is job %d, %v, arriving at %v, qpos %d",
+				s.now, i, j.ID, j.State, j.arrive, j.qpos)
+		}
+	}
+	queued := 0
+	for id, j := range s.byID {
+		if j.ID != id || j.State != Queued {
+			continue // terminal, running, or resubmitted under a new ID
+		}
+		queued++
+		_, inQueue := slot[j]
+		if n := entries[j]; inQueue == (n > 0) || n > 1 {
+			t.Fatalf("t=%v: job %d in the queue %v and in %d arrival-heap entries", s.now, j.ID, inQueue, n)
+		}
+	}
+	if n := len(slot) + len(s.arrivals); n != queued || n != s.queued() {
+		t.Fatalf("t=%v: %d queued jobs, %d homes, queued() says %d", s.now, queued, n, s.queued())
+	}
+}
+
 // BenchmarkSubmitFutureArrivals submits a million arrival-ordered
 // SyntheticStream jobs to a 10,000-node scheduler — every one but the
-// first a future arrival — and walks nextEvent through every arrival
-// instant with nothing dispatched: the arrival index's push at submit
-// and its peek per event step.
+// first a future arrival — and steps the clock (nextEvent, advance)
+// through every arrival instant with nothing dispatched: the arrival
+// index's push at submit, its peek per event step, and each arrival's
+// admission into the queue.
 func BenchmarkSubmitFutureArrivals(b *testing.B) {
 	const count, nodes = 1_000_000, 10_000
 	jobs := SyntheticStream(1, count, nodes, time.Second)
@@ -288,12 +449,59 @@ func BenchmarkSubmitFutureArrivals(b *testing.B) {
 		}
 		steps := 0
 		for t, ok := s.nextEvent(); ok; t, ok = s.nextEvent() {
-			s.now = t
+			s.advance(t)
 			steps++
 		}
 		if steps != instants {
 			b.Fatalf("walked %d arrival instants, the stream has %d", steps, instants)
 		}
+	}
+}
+
+// BenchmarkDenseStream drains arrival streams much denser than their
+// jobs' runtimes on a 64-node machine (SyntheticStream, 100 ms mean
+// gap), so the queue is deep and most events are arrivals that enter it
+// at their rank: 20,000 jobs under EASY at depth 512, 5,000 under
+// fair-share, and 2,000 under conservative backfill, which also reports
+// its profile searches. Estimates are resolved before the timer starts.
+func BenchmarkDenseStream(b *testing.B) {
+	const nodes, gap = 64, 100 * time.Millisecond
+	for _, c := range []struct {
+		cfg  Config
+		jobs int
+	}{
+		{Config{Policy: Backfill, BackfillDepth: 512}, 20_000},
+		{Config{Policy: FairShare, BackfillDepth: 512}, 5_000},
+		{Config{Policy: Conservative}, 2_000},
+	} {
+		b.Run(fmt.Sprintf("%v/jobs=%d", c.cfg.Policy, c.jobs), func(b *testing.B) {
+			jobs := SyntheticStream(1, c.jobs, nodes, gap)
+			resolve := New(Config{Cluster: newTestCluster(nodes)})
+			for _, j := range jobs {
+				if err := resolve.Submit(j); err != nil {
+					b.Fatal(err)
+				}
+				j.Est = j.Estimate()
+			}
+			searches := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				cfg := c.cfg
+				cfg.Cluster = newTestCluster(nodes)
+				s := New(cfg)
+				for _, j := range jobs {
+					if err := s.Submit(j); err != nil {
+						b.Fatal(err)
+					}
+				}
+				s.RunUntil(Forever)
+				searches = s.searches
+			}
+			if c.cfg.Policy == Conservative {
+				b.ReportMetric(float64(searches), "searches")
+			}
+		})
 	}
 }
 
@@ -515,8 +723,9 @@ func TestFairShareKeyOrder(t *testing.T) {
 }
 
 // TestQueueTombstones exercises the tombstoned pending queue directly:
-// removal is by slot, ordering skips nils, and compaction preserves the
-// stable order and reindexes qpos.
+// removal is by slot, ordering skips nils, compaction preserves the
+// stable order and reindexes qpos, and insertion keeps a sorted queue
+// sorted.
 func TestQueueTombstones(t *testing.T) {
 	var q queue
 	mk := func(id int) *Job { return &Job{ID: id, jobState: jobState{qpos: -1}} }
@@ -524,7 +733,7 @@ func TestQueueTombstones(t *testing.T) {
 	var ref []*Job
 	rng := rand.New(rand.NewSource(3))
 	for id := 0; id < 500; id++ {
-		j := mk(id)
+		j := mk(id * 1000)
 		q.push(j)
 		ref = append(ref, j)
 		if rng.Intn(3) == 0 && len(ref) > 0 {
@@ -554,6 +763,42 @@ func TestQueueTombstones(t *testing.T) {
 		if got[i].qpos < 0 || q.jobs[got[i].qpos] != got[i] {
 			t.Fatalf("job %d qpos %d does not point back at its slot", got[i].ID, got[i].qpos)
 		}
+	}
+	// Insertion into the sorted queue, between removals: the live slots
+	// stay in order, every qpos stays at or before its job's slot, and a
+	// removal still finds its job.
+	ref = want
+	seen := make(map[int]bool)
+	for n := 0; n < 400; n++ {
+		id := rng.Intn(500_000) // ranks anywhere among the IDs 0, 1000, 2000, ... pushed above
+		if id%1000 == 0 || seen[id] {
+			continue
+		}
+		seen[id] = true
+		j := mk(id)
+		q.insert(j, less)
+		ref = append(ref, j)
+		if rng.Intn(2) == 0 {
+			i := rng.Intn(len(ref))
+			q.remove(ref[i])
+			ref = append(ref[:i], ref[i+1:]...)
+		}
+		var prev *Job
+		for slot, p := range q.jobs {
+			if p == nil {
+				continue
+			}
+			if prev != nil && !less(prev, p) {
+				t.Fatalf("after insert %d: job %d ahead of job %d", n, prev.ID, p.ID)
+			}
+			if p.qpos > slot {
+				t.Fatalf("after insert %d: job %d qpos %d past its slot %d", n, p.ID, p.qpos, slot)
+			}
+			prev = p
+		}
+	}
+	if q.len() != len(ref) {
+		t.Fatalf("queue len %d after insertions, reference %d", q.len(), len(ref))
 	}
 	// Remove-by-stale-pointer must be a no-op, not a wrong eviction.
 	gone := mk(9999)

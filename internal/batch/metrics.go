@@ -425,7 +425,7 @@ func newSchedMetrics(reg *Registry, pol Policy) *schedMetrics {
 // incremented in place). Called after every sweep, which follows every
 // fault and every event the loop handles, and at a cancellation.
 func (m *schedMetrics) publish(s *Scheduler) {
-	m.queueDepth.Set(float64(s.pending.len()))
+	m.queueDepth.Set(float64(s.queued()))
 	m.nodesDown.Set(float64(s.cfg.Cluster.downCount))
 	c, p := s.ctr, m.pub
 	m.backfills.Add(float64(c.Backfilled - p.Backfilled))

@@ -1,20 +1,23 @@
 package batch
 
 import (
+	"fmt"
 	"sort"
-	"time"
 )
 
-// queue holds pending jobs. It is a lazily sorted slice rather than a
-// heap because every scheduling pass scans the whole eligible prefix in
-// order (FIFO head-of-line, backfill candidates), not just the top. The
-// discipline comparator is supplied by the scheduler (fair-share
-// reorders by decayed usage); every comparator must end on the
-// round-robin-key-then-job-ID tie-break (Job.rrKey: submit time, or the
-// last slice-suspension instant for a gang suspended at a quantum
+// queue holds the jobs that have arrived and wait to start; a future
+// arrival waits in the arrival heap instead and enters here when the
+// clock reaches it (Scheduler.advance). It is a lazily sorted slice rather
+// than a heap because every scheduling pass scans the whole eligible
+// prefix in order (FIFO head-of-line, backfill candidates), not just the
+// top. The discipline comparator is supplied by the scheduler
+// (fair-share reorders by decayed usage); every comparator must end on
+// the round-robin-key-then-job-ID tie-break (Job.rrKey: submit time, or
+// the last slice-suspension instant for a gang suspended at a quantum
 // boundary) so equal-priority jobs keep a stable, replay-deterministic
 // order and time-sliced gangs resume behind the waiters they yielded
-// to.
+// to. The order is then strict and total, so a job's rank in it is
+// unique.
 //
 // Removal is O(1) via tombstones: every job carries its slice index
 // (Job.qpos), remove nils the slot, and iteration skips nils — so a
@@ -25,6 +28,11 @@ import (
 // threshold — in ordered(), never in remove: a scheduling sweep goes on
 // ranging over ordered()'s slice across its own starts. Consumers of
 // ordered() and jobs must skip nil entries.
+//
+// qpos is exact after a sort or a compaction and a lower bound in
+// between: insert shifts the jobs behind the new one right without
+// rewriting theirs, and remove scans forward from it. A job not in the
+// queue has a negative qpos.
 type queue struct {
 	jobs  []*Job
 	first int // jobs[:first] is all tombstones (skipped without rescanning)
@@ -36,6 +44,29 @@ func (q *queue) push(j *Job) {
 	j.qpos = len(q.jobs)
 	q.jobs = append(q.jobs, j)
 	q.dirty = true
+}
+
+// insert places j at its rank in a sorted queue: a binary search over
+// the live slots (a tombstone answers for the next live job), then one
+// shift of the tail. A queue that owes a sort just takes j at the end.
+func (q *queue) insert(j *Job, less func(a, b *Job) bool) {
+	if q.dirty {
+		q.push(j)
+		return
+	}
+	jobs := q.jobs
+	i := q.first + sort.Search(len(jobs)-q.first, func(k int) bool {
+		for k += q.first; k < len(jobs); k++ {
+			if p := jobs[k]; p != nil {
+				return less(j, p)
+			}
+		}
+		return true
+	})
+	q.jobs = append(q.jobs, nil)
+	copy(q.jobs[i+1:], q.jobs[i:])
+	q.jobs[i] = j
+	j.qpos = i
 }
 
 // queueOrder adapts the job slice to sort.Stable while keeping each
@@ -78,22 +109,19 @@ func (q *queue) ordered(less func(a, b *Job) bool) []*Job {
 	return q.jobs[q.first:]
 }
 
-// remove deletes a job in O(1) by tombstoning its slot; qpos names the
-// slot directly, with an identity check (and a defensive scan fallback)
-// so a stale index can never evict the wrong job.
+// remove deletes a queued job by tombstoning its slot, found by a scan
+// forward from qpos; a job with qpos < 0 is not in the queue, and one
+// missing from it is a bug.
 func (q *queue) remove(j *Job) {
+	if j.qpos < 0 {
+		return
+	}
 	i := j.qpos
-	if i < 0 || i >= len(q.jobs) || q.jobs[i] != j {
-		i = -1
-		for k, other := range q.jobs {
-			if other == j {
-				i = k
-				break
-			}
-		}
-		if i < 0 {
-			return
-		}
+	for i < len(q.jobs) && q.jobs[i] != j {
+		i++
+	}
+	if i == len(q.jobs) {
+		panic(fmt.Sprintf("batch: queue: job %d not at or after slot %d", j.ID, j.qpos))
 	}
 	q.jobs[i] = nil
 	q.tombs++
@@ -101,12 +129,8 @@ func (q *queue) remove(j *Job) {
 }
 
 // compact squeezes tombstones out in place, preserving order and
-// reindexing qpos.
+// reindexing every qpos.
 func (q *queue) compact() {
-	if q.tombs == 0 {
-		q.first = 0
-		return
-	}
 	w := 0
 	for _, j := range q.jobs {
 		if j == nil {
@@ -124,19 +148,3 @@ func (q *queue) compact() {
 }
 
 func (q *queue) len() int { return len(q.jobs) - q.tombs }
-
-// nextArrival returns the earliest resolved arrival strictly after now
-// among pending jobs. The live event loop reads the arrival heap
-// instead (Scheduler.arrivals); this linear scan is kept as the
-// brute-force reference TestArrivalHeapMatchesLinearScan cross-checks.
-func (q *queue) nextArrival(now time.Duration) (time.Duration, bool) {
-	var best time.Duration
-	found := false
-	for _, j := range q.jobs {
-		if j != nil && j.arrive > now && (!found || j.arrive < best) {
-			best = j.arrive
-			found = true
-		}
-	}
-	return best, found
-}

@@ -246,12 +246,9 @@ func (s *Scheduler) report() Report {
 		r.noteBlocked(j.ID, j.blocked)
 	}
 	if s.rec != nil {
-		for _, j := range s.pending.jobs {
-			if j != nil {
-				r.noteBlocked(j.ID, j.blocked)
-			}
-		}
-		s.running.each(func(j *Job) { r.noteBlocked(j.ID, j.blocked) })
+		note := func(j *Job) { r.noteBlocked(j.ID, j.blocked) }
+		s.eachQueued(note)
+		s.running.each(note)
 	}
 	if r.Finished > 0 {
 		r.AvgWait = r.waitSum / time.Duration(r.Finished)

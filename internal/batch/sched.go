@@ -202,14 +202,16 @@ type Config struct {
 // drains the queue event by event — job completions, checkpoint
 // settlements, and future arrivals — placing jobs per the configured
 // policy. Its state is the cluster bitmap with its free-range index,
-// the pending slice, the running set — one treap keyed by completion
-// event, which is both the loop's event queue and the capacity profile
-// behind shadow and reservation queries — and a heap of future arrivals
-// (index.go).
+// the queue of arrived jobs, the running set — one treap keyed by
+// completion event, which is both the loop's event queue and the
+// capacity profile behind shadow and reservation queries — and a heap
+// of future arrivals (index.go). A queued job is in exactly one of the
+// queue and the heap: the clock move that reaches its arrival moves it
+// from the heap into the queue (advance).
 type Scheduler struct {
 	cfg          Config
 	now          time.Duration
-	pending      queue
+	pending      queue     // arrived jobs waiting to start
 	running      endTreap  // the running set, keyed by completion event (index.go)
 	finished     []*Job    // terminal jobs still held: all of them, or none once a Retirer takes them (retire.go)
 	tot          JobTotals // what the jobs already retired add to a report (report.go); zero with no Retirer
@@ -364,9 +366,10 @@ func (s *Scheduler) Submit(j *Job) error {
 		// explanation over as it does its lifecycle.
 		j.blocked = new(blockRow)
 	}
-	s.pending.push(j)
 	if j.arrive > s.now {
 		s.arrivals.push(j)
+	} else {
+		s.pending.push(j)
 	}
 	if s.rec != nil {
 		// The display label is assembled before the hook call: hook
@@ -378,9 +381,25 @@ func (s *Scheduler) Submit(j *Job) error {
 	}
 	if s.met != nil {
 		s.met.submitted.Inc()
-		s.met.queueDepth.Set(float64(s.pending.len()))
+		s.met.queueDepth.Set(float64(s.queued()))
 	}
 	return nil
+}
+
+// queued counts every queued job, future arrivals included.
+func (s *Scheduler) queued() int { return s.pending.len() + len(s.arrivals) }
+
+// eachQueued visits every queued job: the queue's slots in slice order,
+// then the future arrivals in heap order.
+func (s *Scheduler) eachQueued(fn func(j *Job)) {
+	for _, j := range s.pending.jobs {
+		if j != nil {
+			fn(j)
+		}
+	}
+	for _, a := range s.arrivals {
+		fn(a.job)
+	}
 }
 
 // Run drains the queue to completion and returns the report. It may be
@@ -438,17 +457,15 @@ func (s *Scheduler) RunUntil(t time.Duration) {
 
 // nextEvent returns the earliest pending event instant: the soonest
 // completion (which wins ties, exactly as the monolithic loop ordered
-// its switch), future arrival, or demotion settlement. Future arrivals
-// come from the arrival heap's top rather than a scan of the whole
-// pending slice; entries of jobs that arrived or were canceled while
-// waiting are popped on the way, reproducing the scan's semantics
-// (TestArrivalHeapMatchesLinearScan cross-checks the two).
+// its switch), future arrival, or demotion settlement. The next arrival
+// is the arrival heap's top (TestArrivalHeapMatchesLinearScan
+// cross-checks it against a scan of every queued job).
 func (s *Scheduler) nextEvent() (time.Duration, bool) {
 	tComplete := time.Duration(-1)
 	if j := s.running.min(); j != nil {
 		tComplete = j.End
 	}
-	tNext, hasNext := s.arrivals.next(s.now)
+	tNext, hasNext := s.arrivals.next()
 	if tDemote, ok := s.nextDemotion(); ok && (!hasNext || tDemote < tNext) {
 		tNext, hasNext = tDemote, true
 	}
@@ -469,12 +486,17 @@ func (s *Scheduler) nextEvent() (time.Duration, bool) {
 	return 0, false
 }
 
-// advance moves the clock to t and pops every completion event due at
-// that instant (arrivals and settlements need no handling beyond the
+// advance moves the clock to t, admits the arrivals due at t into the
+// queue — before any completion is handled, so a quantum boundary at t
+// sees the waiters that arrived with it — and pops every completion
+// event due at that instant (settlements need no handling beyond the
 // clock move — the next scheduling pass sees them). No event is earlier
 // than t, so popMin's "due by now" is "due at now".
 func (s *Scheduler) advance(t time.Duration) {
 	s.now = t
+	for j := s.arrivals.popDue(s.now); j != nil; j = s.arrivals.popDue(s.now) {
+		s.pending.insert(j, s.less)
+	}
 	for j := s.running.popMin(s.now); j != nil; j = s.running.popMin(s.now) {
 		switch {
 		case j.ckptDue && !j.preempting:
@@ -492,7 +514,7 @@ func (s *Scheduler) advance(t time.Duration) {
 // outstandingWork reports whether any job still needs the clock: fault
 // events only advance time while this holds (nextEvent).
 func (s *Scheduler) outstandingWork() bool {
-	return s.pending.len() > 0 || s.running.len() > 0 ||
+	return s.queued() > 0 || s.running.len() > 0 ||
 		len(s.demoting) > 0 || len(s.pinned) > 0
 }
 
@@ -550,8 +572,8 @@ func (s *Scheduler) passOnce() bool {
 	scanned := 0 // backfill candidates examined behind the blocked head, this sweep's starts aside
 	jobs := s.pending.ordered(s.less)
 	for i, j := range jobs {
-		if j == nil || j.arrive > s.now {
-			continue // tombstone, or not yet arrived
+		if j == nil {
+			continue // tombstone
 		}
 		if blocked != nil {
 			scanned++
@@ -936,7 +958,7 @@ func (s *Scheduler) sliceBoundary(j *Job) {
 func (s *Scheduler) sliceYields(j *Job) bool {
 	var usedNow, usedFreed []bool // lazy bitmaps: as-is, and with j's nodes freed
 	for _, p := range s.pending.ordered(s.less) {
-		if p == nil || p.arrive > s.now {
+		if p == nil {
 			continue
 		}
 		if p.demoteEnd > s.now {

@@ -56,9 +56,9 @@ func (s *Scheduler) withOwnImageLifted(j *Job, body func()) {
 // are deterministic) starts its store write on the link's write
 // timeline; each reservation holds until its write settles, when the
 // scheduler re-runs placement. A no-op when j is blocked by node
-// occupancy — demotion cannot manufacture free nodes.
+// occupancy — fewer free nodes than its gang, which no eviction changes.
 func (s *Scheduler) demoteFor(j *Job) {
-	if !s.cfg.SuspendToHost || j.wavePending {
+	if !s.cfg.SuspendToHost || j.wavePending || s.cfg.Cluster.FreeNodes() < j.Nodes {
 		// A preemption wave draining on j's behalf already accounts
 		// for the capacity j needs (including the victims' own future
 		// images); demoting more images on top would pay both prices
@@ -72,7 +72,7 @@ func (s *Scheduler) demoteFor(j *Job) {
 // evictFor is demoteFor's body, run with j's own image lifted.
 func (s *Scheduler) evictFor(j *Job) {
 	c := s.cfg.Cluster
-	used := c.usedCopy()
+	used := c.used // read only: the trial releases below are of memory, not nodes
 	if c.canPlace(used, j.Nodes, j.memNeed) {
 		return // placeable already: blocked by policy, not memory
 	}

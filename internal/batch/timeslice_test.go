@@ -124,6 +124,24 @@ func TestTimeSliceShortJobJumpsLongGang(t *testing.T) {
 	}
 }
 
+// TestTimeSliceYieldsToArrivalAtBoundary pins the order of one clock
+// move: a waiter arriving at the very instant of a gang's quantum
+// boundary enters the queue before the boundary is handled, so the gang
+// yields to it there and not one quantum later.
+func TestTimeSliceYieldsToArrivalAtBoundary(t *testing.T) {
+	ck, rs := fixedCosts(2*time.Second, time.Second)
+	s := New(Config{Cluster: newTestCluster(8), Policy: Backfill,
+		Quantum: 30 * time.Second, CheckpointCost: ck, RestoreCost: rs})
+	gang := &Job{Name: "gang", Nodes: 8, Est: 100 * time.Second}
+	waiter := &Job{Name: "waiter", Nodes: 8, Priority: 1, Est: 10 * time.Second, Submit: 30 * time.Second}
+	submitAll(t, s, []*Job{gang, waiter})
+	s.Run()
+	// The gang drains [30, 32) and the waiter starts as the drain ends.
+	if waiter.Start != 32*time.Second || gang.TimeSlices() != 1 {
+		t.Fatalf("waiter starts at %v after %d gang slices, want 32s after 1", waiter.Start, gang.TimeSlices())
+	}
+}
+
 // TestTimeSliceNeverYieldsToLowerRank pins the anti-thrash guard: a
 // gang is not suspended at a quantum boundary for a waiter it would
 // immediately outrank again (lower priority), nor for one that cannot
