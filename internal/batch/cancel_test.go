@@ -226,9 +226,8 @@ func TestCancelErrors(t *testing.T) {
 // overhead, surviving jobs keep the full Done invariant, and no node is
 // ever double-booked across the cancels.
 func TestCancelPropertySweep(t *testing.T) {
-	debugCheckIndex = true
 	DebugVerifyShadows = true
-	defer func() { debugCheckIndex = false; DebugVerifyShadows = false }()
+	defer func() { DebugVerifyShadows = false }()
 
 	const nodes, count = 32, 150
 	for _, cfg := range propertyConfigs() {

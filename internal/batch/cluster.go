@@ -98,18 +98,15 @@ func (a Allocation) String() string {
 }
 
 // Cluster is the resource manager's machine state: nodes on the
-// simulated switch, a free/used bitmap for gang allocation, and
-// per-node busy accounting for the utilization report. The bitmap
-// stays authoritative for hypothetical-state probes (canPlace over a
-// copy), but live enumeration goes through the incrementally
-// maintained free-range index (index.go), so placement probes cost
-// O(free runs) instead of O(nodes).
+// simulated switch, the free-range index (index.go) as the one record
+// of which nodes are allocated, and per-node busy accounting for the
+// utilization report. Placement probes enumerate the index's free runs,
+// so they cost O(free runs) instead of O(nodes); a what-if probe frees
+// nodes in the live index and undoes it (probeFree, probeUndo).
 type Cluster struct {
 	nodes []NodeSpec
 	net   netsim.Config
-	used  []bool
 	busy  []time.Duration
-	free  int // count of false entries in used
 	// reserved holds per-node host memory pinned by suspended-to-host
 	// checkpoint images (see suspend.go): the node may be free for
 	// placement, but only jobs fitting the remaining memory land on it.
@@ -118,8 +115,8 @@ type Cluster struct {
 	// allocation instant, the report's fragmentation statistic.
 	fragSamples, fragSum int
 	// down flags nodes taken out by an injected fault (fault.go). A
-	// down node is also marked used — so placement, shadows, and the
-	// free-range index exclude it exactly like an allocation — and
+	// down node is also allocated in the free-range index — so
+	// placement and shadows exclude it exactly like a gang's node — and
 	// flagged here so a crashed node is distinguishable from a busy one.
 	down      []bool
 	downCount int
@@ -129,8 +126,12 @@ type Cluster struct {
 	trunkDown bool
 
 	// idx is the ordered free-range set, split on commit and merged on
-	// Release — live candidate enumeration and the O(1) fragment count.
+	// Release — candidate enumeration, the free count and the O(1)
+	// fragment count.
 	idx freeIndex
+	// probeLog holds the ranges a what-if probe has freed, for
+	// probeUndo to re-allocate; reused, so probes allocate nothing.
+	probeLog []NodeRange
 	// constrained flags nodes the uniform fast paths must inspect
 	// individually: a spec diverging from the construction default, or
 	// a suspend-to-host reservation pinning memory. When the set is
@@ -158,9 +159,7 @@ func NewCluster(n int, net netsim.Config) *Cluster {
 	c := &Cluster{
 		nodes:    make([]NodeSpec, n),
 		net:      net,
-		used:     make([]bool, n),
 		busy:     make([]time.Duration, n),
-		free:     n,
 		down:     make([]bool, n),
 		reserved: make([]int64, n),
 		baseMem:  2560 << 20,
@@ -213,7 +212,7 @@ func (c *Cluster) SetSpec(i int, s NodeSpec) {
 func (c *Cluster) Net() netsim.Config { return c.net }
 
 // FreeNodes returns how many nodes are currently unallocated.
-func (c *Cluster) FreeNodes() int { return c.free }
+func (c *Cluster) FreeNodes() int { return c.idx.free }
 
 // NodesWithMem counts nodes (busy or not) offering at least need bytes,
 // the admission-feasibility bound checked at submit. Deliberately
@@ -266,9 +265,6 @@ func (c *Cluster) reserve(a Allocation, bytes int64) {
 			c.refreshConstrained(i)
 		}
 	}
-	if debugCheckIndex {
-		c.idx.verify(c.used)
-	}
 }
 
 // unreserve releases a reservation made with reserve.
@@ -289,8 +285,11 @@ func (c *Cluster) unreserve(a Allocation, bytes int64) {
 // a suspended-to-host job returning to the nodes holding its image.
 func (c *Cluster) freeAndFits(a Allocation, need int64) bool {
 	for _, r := range a.Ranges {
+		if !c.idx.isFree(r.First, r.Count) {
+			return false
+		}
 		for i := r.First; i < r.First+r.Count; i++ {
-			if c.used[i] || c.avail(i) < need {
+			if c.avail(i) < need {
 				return false
 			}
 		}
@@ -309,10 +308,11 @@ func (c *Cluster) rangesCrossTrunk(rs []NodeRange) bool {
 	return rs[0].First < nb && last.First+last.Count > nb
 }
 
-// commit marks a candidate's nodes used and builds its Allocation. The
-// candidate's ranges (or its inline single window) are copied into the
-// Allocation, never aliased — candidates reuse the cluster's scratch
-// buffers and the home-resume path passes a live Allocation's slice.
+// commit allocates a candidate's nodes and builds its Allocation; an
+// already allocated node panics (freeIndex.alloc). The candidate's
+// ranges (or its inline single window) are copied into the Allocation,
+// never aliased — candidates reuse the cluster's scratch buffers and
+// the home-resume path passes a live Allocation's slice.
 func (c *Cluster) commit(cand candidate) Allocation {
 	var rs []NodeRange
 	if cand.single.Count > 0 {
@@ -322,65 +322,41 @@ func (c *Cluster) commit(cand candidate) Allocation {
 	}
 	total := 0
 	for _, r := range rs {
-		for i := r.First; i < r.First+r.Count; i++ {
-			if c.used[i] {
-				panic(fmt.Sprintf("batch: double allocation of node %d", i))
-			}
-			c.used[i] = true
-		}
 		c.idx.alloc(r.First, r.Count)
 		total += r.Count
 	}
-	c.free -= total
 	c.fragSamples++
 	c.fragSum += c.idx.runs
-	if debugCheckIndex {
-		c.idx.verify(c.used)
-	}
 	return Allocation{Ranges: rs, Count: total, CrossesTrunk: cand.crosses}
 }
 
 // Release frees an allocation and credits each node's busy accounting
-// with the job's runtime.
+// with the job's runtime; a node already free panics
+// (freeIndex.release).
 func (c *Cluster) Release(a Allocation, ran time.Duration) {
 	for _, r := range a.Ranges {
-		for i := r.First; i < r.First+r.Count; i++ {
-			if !c.used[i] {
-				panic(fmt.Sprintf("batch: double release of node %d", i))
-			}
-			c.used[i] = false
-			c.busy[i] += ran
-		}
 		c.idx.release(r.First, r.Count)
-		c.free += r.Count
 	}
-	if debugCheckIndex {
-		c.idx.verify(c.used)
-	}
+	c.creditBusy(a, ran)
 }
 
 // nodeDown takes node i out of service for an injected fault. The node
 // must be unallocated — the fault layer kills resident gangs first —
-// and is then marked used, so every consumer (placement candidates,
-// canPlace probes, shadows, the free-range index, debugCheckIndex's
-// verify) excludes it exactly as if a one-node gang were committed:
-// down/up split and merge free runs like alloc/release. Busy accounting
-// is not credited for down time — a dead node is not doing work.
+// and is then allocated in the free-range index, so every consumer
+// (placement candidates, canPlace probes, shadows) excludes it exactly
+// as if a one-node gang were committed: down/up split and merge free
+// runs like alloc/release. Busy accounting is not credited for down
+// time — a dead node is not doing work.
 func (c *Cluster) nodeDown(i int) {
-	if c.used[i] {
-		panic(fmt.Sprintf("batch: node %d still allocated at nodeDown", i))
-	}
 	if c.down[i] {
 		panic(fmt.Sprintf("batch: node %d already down", i))
 	}
-	c.used[i] = true
+	if !c.idx.isFree(i, 1) {
+		panic(fmt.Sprintf("batch: node %d still allocated at nodeDown", i))
+	}
 	c.down[i] = true
 	c.downCount++
 	c.idx.alloc(i, 1)
-	c.free--
-	if debugCheckIndex {
-		c.idx.verify(c.used)
-	}
 }
 
 // nodeUp returns a repaired node to service, merging it back into the
@@ -391,12 +367,7 @@ func (c *Cluster) nodeUp(i int) {
 	}
 	c.down[i] = false
 	c.downCount--
-	c.used[i] = false
 	c.idx.release(i, 1)
-	c.free++
-	if debugCheckIndex {
-		c.idx.verify(c.used)
-	}
 }
 
 // creditBusy credits each node of a with ran of busy time without
@@ -410,19 +381,25 @@ func (c *Cluster) creditBusy(a Allocation, ran time.Duration) {
 	}
 }
 
-// freeFragCount counts the maximal free runs by scanning the bitmap —
-// the brute-force reference the index property suite checks c.idx.runs
-// against; live accounting reads the index instead.
-func (c *Cluster) freeFragCount() int {
-	frags := 0
-	inRun := false
-	for _, u := range c.used {
-		if !u && !inRun {
-			frags++
-		}
-		inRun = !u
+// probeFree frees rs in the live index for a what-if probe and logs
+// them; probeUndo(mark) re-allocates every range logged since mark, the
+// log length the probe began at. The index is canonical, so the undo
+// restores it exactly. Nothing between a probeFree and its probeUndo
+// may commit or release: a gang placed on a probe-freed node would be
+// double-booked, and the undo would panic re-allocating it.
+func (c *Cluster) probeFree(rs ...NodeRange) {
+	for _, r := range rs {
+		c.idx.release(r.First, r.Count)
+		c.probeLog = append(c.probeLog, r)
 	}
-	return frags
+}
+
+// probeUndo re-allocates the ranges probeFree logged since mark.
+func (c *Cluster) probeUndo(mark int) {
+	for _, r := range c.probeLog[mark:] {
+		c.idx.alloc(r.First, r.Count)
+	}
+	c.probeLog = c.probeLog[:mark]
 }
 
 // BusyTimes returns a copy of per-node accumulated busy time.
@@ -440,11 +417,4 @@ func (c *Cluster) AvgFreeFrags() float64 {
 		return 0
 	}
 	return float64(c.fragSum) / float64(c.fragSamples)
-}
-
-// usedCopy snapshots the allocation bitmap for shadow-time simulation.
-func (c *Cluster) usedCopy() []bool {
-	out := make([]bool, len(c.used))
-	copy(out, c.used)
-	return out
 }

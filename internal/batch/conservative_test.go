@@ -96,9 +96,8 @@ func reuseMatchesReplan(c sweepCase) (reused, replanned sweepOutcome, diff strin
 // each cause of a new search — estimate jitter, faults, preemption,
 // arrivals — produces some.
 func TestConservativeReuseMatchesReplan(t *testing.T) {
-	debugCheckIndex = true
 	DebugVerifyShadows = true
-	defer func() { debugCheckIndex = false; DebugVerifyShadows = false }()
+	defer func() { DebugVerifyShadows = false }()
 
 	seeds := 2400
 	if testing.Short() {

@@ -48,9 +48,8 @@ func reportsEqual(t *testing.T, a, b Report) {
 // direct Scheduler.Run schedule exactly, across every crossed
 // configuration.
 func TestEngineVirtualMatchesRun(t *testing.T) {
-	debugCheckIndex = true
 	DebugVerifyShadows = true
-	defer func() { debugCheckIndex = false; DebugVerifyShadows = false }()
+	defer func() { DebugVerifyShadows = false }()
 
 	const nodes, count = 32, 150
 	for _, cfg := range propertyConfigs() {

@@ -190,27 +190,27 @@ func (s *Scheduler) classifyStart(j *Job) BlockReason {
 	c := s.cfg.Cluster
 	reason := ReasonNoPlacement
 	s.withOwnImageLifted(j, func() {
-		used := c.usedCopy()
 		switch {
-		case c.canPlace(used, j.Nodes, j.memNeed):
+		case c.canPlace(j.Nodes, j.memNeed):
 			reason = ReasonShadow
-		case c.placeableIgnoringMemory(used, j.Nodes):
+		case c.placeableIgnoringMemory(j.Nodes):
 			reason = ReasonMemoryPinned
 		case c.downCount > 0 || c.trunkDown:
 			// Would the gang seat if the faults lifted? Probe with downed
-			// nodes marked free and the trunk restored: if yes, the
-			// injected faults are the binding constraint.
+			// nodes freed and the trunk restored: if yes, the injected
+			// faults are the binding constraint.
 			if c.trunkDown {
 				c.trunkDown = false
 				defer func() { c.trunkDown = true }()
 			}
-			for i := range used {
-				if c.down[i] {
-					used[i] = false
+			mark := len(c.probeLog)
+			defer c.probeUndo(mark)
+			for i, d := range c.down {
+				if d {
+					c.probeFree(NodeRange{First: i, Count: 1})
 				}
 			}
-			if c.canPlace(used, j.Nodes, j.memNeed) ||
-				c.placeableIgnoringMemory(used, j.Nodes) {
+			if c.canPlace(j.Nodes, j.memNeed) || c.placeableIgnoringMemory(j.Nodes) {
 				reason = ReasonFault
 			}
 		}

@@ -29,21 +29,17 @@ import (
 //     reads its top.
 //
 // DebugVerifyShadows cross-checks the incremental shadow against the
-// full replay, and debugCheckIndex re-derives the free-range index from
-// the bitmap after every mutation; the index property suite
-// (index_test.go) runs both across all four policies with preemption,
-// time-slicing, and suspend-to-host in play.
+// full replay; the index property suite (index_test.go) runs it across
+// all four policies with preemption, time-slicing, and suspend-to-host
+// in play, and checks after every event step that the free-range index
+// is exactly the complement of the running gangs and the down nodes.
 
 // DebugVerifyShadows, when set, makes every incremental (count-based)
-// EASY shadow computation also run the full bitmap replay it replaced
-// and panic on any disagreement. It exists for tests — the property
-// suite enables it — and costs the old O(running x nodes) replay per
-// blocked pass, so leave it off in production runs.
+// EASY shadow computation also run the full replay it replaced and
+// panic on any disagreement. It exists for tests — the property suite
+// enables it — and costs the old O(running x nodes) replay per blocked
+// pass, so leave it off in production runs.
 var DebugVerifyShadows bool
-
-// debugCheckIndex re-derives the free-range index from the used bitmap
-// after every cluster mutation and panics on drift (tests only).
-var debugCheckIndex bool
 
 // bitset is a two-level bitmap over node indices: words holds the bits,
 // summary marks the non-zero words, so next/prev-set-bit queries skip
@@ -135,36 +131,45 @@ func (b *bitset) prevSet(i int) int {
 	return -1
 }
 
-// freeIndex is the ordered free-range set: every maximal run of
-// unallocated nodes, keyed by start (the starts bitset, which gives
-// ascending enumeration) and by length (runLen at the start index,
-// startAt at the exclusive end index for O(1) merge on release). It is
-// maintained incrementally — commit splits a run in O(1) plus a
-// predecessor query, release merges with both neighbors in O(1) — so
-// the fragment count (runs) that the report samples at every
-// allocation no longer costs a bitmap scan.
+// freeIndex is the ordered free-range set, and the cluster's only
+// record of which nodes are allocated: every maximal run of unallocated
+// nodes, keyed by start (the starts bitset, which gives ascending
+// enumeration and the predecessor query) with its length (runLen at
+// the start index), plus the free count. It is maintained
+// incrementally — alloc splits a run and release merges with both
+// neighbors, each for one predecessor query — so the fragment count
+// (runs) that the report samples at every allocation costs no scan.
+// The runs are maximal, so the index is canonical: a free set has
+// exactly one index, whatever sequence of allocs and releases built it.
 type freeIndex struct {
-	n       int
-	runLen  []int32 // valid at indices flagged in starts
-	startAt []int32 // by exclusive run end: start of the run ending there
-	starts  bitset
-	runs    int
+	n      int
+	runLen []int32 // valid at indices flagged in starts
+	starts bitset
+	runs   int
+	free   int // nodes across all runs
 }
 
 func (x *freeIndex) init(n int) {
 	x.n = n
 	x.runLen = make([]int32, n)
-	x.startAt = make([]int32, n+1)
 	x.starts.init(n)
 	// One run covering the whole machine.
 	x.starts.set(0)
 	x.runLen[0] = int32(n)
-	x.startAt[n] = 0
 	x.runs = 1
+	x.free = n
+}
+
+// isFree reports whether every node of [f, f+c) is unallocated, that
+// is, whether one free run holds the whole range.
+func (x *freeIndex) isFree(f, c int) bool {
+	s := x.starts.prevSet(f)
+	return s >= 0 && f+c <= s+int(x.runLen[s])
 }
 
 // alloc removes [f, f+c) — which must lie inside one free run — from
-// the index, splitting the run into up to two remainders.
+// the index, splitting the run into up to two remainders. An allocated
+// node in the range panics: a double allocation.
 func (x *freeIndex) alloc(f, c int) {
 	s := x.starts.prevSet(f)
 	if s < 0 || f+c > s+int(x.runLen[s]) {
@@ -173,29 +178,35 @@ func (x *freeIndex) alloc(f, c int) {
 	e := s + int(x.runLen[s])
 	x.starts.clear(s)
 	x.runs--
+	x.free -= c
 	if f > s { // left remainder [s, f)
 		x.starts.set(s)
 		x.runLen[s] = int32(f - s)
-		x.startAt[f] = int32(s)
 		x.runs++
 	}
 	if f+c < e { // right remainder [f+c, e)
 		x.starts.set(f + c)
 		x.runLen[f+c] = int32(e - f - c)
-		x.startAt[e] = int32(f + c)
 		x.runs++
 	}
 }
 
 // release returns [f, f+c) to the index, merging with the adjacent free
-// runs on either side.
+// runs on either side. A free node in the range panics: a double
+// release, which would otherwise merge runs silently.
 func (x *freeIndex) release(f, c int) {
 	start, end := f, f+c
-	// Left neighbor: a valid run ending exactly at f.
-	if s := int(x.startAt[f]); f > 0 && s >= 0 && s < f && x.starts.has(s) && s+int(x.runLen[s]) == f {
-		x.starts.clear(s)
-		x.runs--
-		start = s
+	// The last run starting before end is the only one that can overlap
+	// the range, and the left neighbor when it ends exactly at f.
+	if s := x.starts.prevSet(end - 1); s >= 0 {
+		switch e := s + int(x.runLen[s]); {
+		case e > f:
+			panic(fmt.Sprintf("batch: free index: release [%d,%d) overlaps free run [%d,%d)", f, end, s, e))
+		case e == f:
+			x.starts.clear(s)
+			x.runs--
+			start = s
+		}
 	}
 	// Right neighbor: a run starting exactly at end.
 	if end < x.n && x.starts.has(end) {
@@ -206,8 +217,8 @@ func (x *freeIndex) release(f, c int) {
 	}
 	x.starts.set(start)
 	x.runLen[start] = int32(end - start)
-	x.startAt[end] = int32(start)
 	x.runs++
+	x.free += c
 }
 
 // appendRuns appends every free run in ascending start order.
@@ -216,40 +227,6 @@ func (x *freeIndex) appendRuns(out []NodeRange) []NodeRange {
 		out = append(out, NodeRange{First: s, Count: int(x.runLen[s])})
 	}
 	return out
-}
-
-// verify re-derives the run set from the bitmap and panics on drift —
-// the debugCheckIndex hook the index property suite drives.
-func (x *freeIndex) verify(used []bool) {
-	want := make([]NodeRange, 0, x.runs)
-	start := -1
-	for i, u := range used {
-		switch {
-		case !u && start < 0:
-			start = i
-		case u && start >= 0:
-			want = append(want, NodeRange{First: start, Count: i - start})
-			start = -1
-		}
-	}
-	if start >= 0 {
-		want = append(want, NodeRange{First: start, Count: len(used) - start})
-	}
-	got := x.appendRuns(make([]NodeRange, 0, x.runs))
-	if len(got) != len(want) || x.runs != len(want) {
-		panic(fmt.Sprintf("batch: free index drift: %d runs indexed (%v), bitmap has %d (%v)", len(got), got, len(want), want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			panic(fmt.Sprintf("batch: free index drift at run %d: indexed %v, bitmap %v", i, got[i], want[i]))
-		}
-	}
-	for _, r := range want {
-		e := r.First + r.Count
-		if int(x.startAt[e]) != r.First {
-			panic(fmt.Sprintf("batch: free index drift: startAt[%d] = %d, want %d", e, x.startAt[e], r.First))
-		}
-	}
 }
 
 // endTreap is the running set: an order-statistic treap over the

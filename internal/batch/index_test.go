@@ -3,6 +3,7 @@ package batch
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -10,33 +11,66 @@ import (
 
 // Property tests for the datacenter-scale index structures (index.go):
 // the free-range index, the end-event treap, and the arrival heap each
-// shadow a state the scheduler also tracks directly, so
-// every test here cross-checks the index against the brute-force
-// linear-scan reference it replaced. debugCheckIndex additionally makes
-// the cluster itself re-derive the free-range set from the bitmap after
-// every mutation, and DebugVerifyShadows makes every incremental EASY
-// shadow re-run the full bitmap replay — both are switched on across
-// the whole crossed policy/preemption/quantum/suspend matrix.
+// answer a question the scheduler could also answer by brute force, so
+// every test here cross-checks the index against a linear-scan
+// reference. The free-range index is the cluster's only record of
+// which nodes are allocated, so its reference is built from outside
+// it: the test's own gangs and down nodes (TestFreeIndexMatchesScan),
+// or the scheduler's running set and down flags (checkOccupancy, after
+// every event step across the crossed policy/preemption/quantum/suspend
+// matrix, with and without a fault storm). DebugVerifyShadows makes
+// every incremental EASY shadow re-run the full replay across the same
+// matrix.
 
-// refEligibleRuns is the linear-scan reference for eligibleRuns: the
-// maximal runs of free nodes whose available memory covers need.
-func refEligibleRuns(c *Cluster, need int64) []NodeRange {
+// refRuns returns the maximal runs of the nodes [0, n) for which ok
+// holds, ascending, each also cut at node cut (n for no cut).
+func refRuns(n, cut int, ok func(i int) bool) []NodeRange {
 	var out []NodeRange
 	start := -1
-	for i := range c.nodes {
-		ok := !c.used[i] && c.avail(i) >= need
-		switch {
-		case ok && start < 0:
-			start = i
-		case !ok && start >= 0:
+	for i := 0; i <= n; i++ {
+		in := i < n && ok(i)
+		if start >= 0 && (!in || i == cut) {
 			out = append(out, NodeRange{First: start, Count: i - start})
 			start = -1
 		}
-	}
-	if start >= 0 {
-		out = append(out, NodeRange{First: start, Count: len(c.nodes) - start})
+		if in && start < 0 {
+			start = i
+		}
 	}
 	return out
+}
+
+// refUsed is the reference occupancy of an n-node cluster: the nodes of
+// the live gangs and the down nodes.
+func refUsed(n int, live []Allocation, down []int) []bool {
+	used := make([]bool, n)
+	for _, a := range live {
+		for _, i := range a.Ranges.Nodes() {
+			used[i] = true
+		}
+	}
+	for _, i := range down {
+		used[i] = true
+	}
+	return used
+}
+
+// refCanPlace is canPlace node by node over a reference occupancy: k
+// eligible nodes, the count starting afresh at a severed trunk.
+func refCanPlace(c *Cluster, used []bool, k int, need int64) bool {
+	free := 0
+	for i := range c.nodes {
+		if i == c.trunkBound() {
+			free = 0
+		}
+		if !used[i] && c.avail(i) >= need {
+			free++
+			if free == k {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // refNodesWithAvail is the brute-force reference for NodesWithAvail.
@@ -50,40 +84,56 @@ func refNodesWithAvail(c *Cluster, need int64) int {
 	return n
 }
 
-// checkIndexAgainstScan cross-checks every index-backed cluster query
-// against its linear reference at the current state.
-func checkIndexAgainstScan(t *testing.T, c *Cluster, needs []int64) {
+// checkFreeRuns requires the index's free runs, run count and free
+// count to be exactly the complement of the reference occupancy used.
+func checkFreeRuns(t *testing.T, c *Cluster, used []bool) {
 	t.Helper()
-	c.idx.verify(c.used)
-	if got, want := c.idx.runs, c.freeFragCount(); got != want {
-		t.Fatalf("index counts %d free runs, bitmap scan counts %d", got, want)
+	want := refRuns(len(used), len(used), func(i int) bool { return !used[i] })
+	if got := c.idx.appendRuns(nil); !slices.Equal(got, want) || c.idx.runs != len(want) {
+		t.Fatalf("index holds %d free runs %v, reference %v", c.idx.runs, got, want)
 	}
-	for _, need := range needs {
-		got := append([]NodeRange(nil), c.eligibleRuns(need)...)
-		want := refEligibleRuns(c, need)
-		if len(got) != len(want) {
-			t.Fatalf("need %d: eligibleRuns %v, reference %v", need, got, want)
+	free := 0
+	for _, u := range used {
+		if !u {
+			free++
 		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("need %d: eligibleRuns[%d] = %v, reference %v", need, i, got[i], want[i])
-			}
+	}
+	if got := c.FreeNodes(); got != free {
+		t.Fatalf("FreeNodes() = %d, reference %d", got, free)
+	}
+}
+
+// checkIndexAgainstScan cross-checks every index-backed cluster query
+// against its linear reference over used, the occupancy the test
+// tracked itself.
+func checkIndexAgainstScan(t *testing.T, c *Cluster, used []bool, needs []int64) {
+	t.Helper()
+	checkFreeRuns(t, c, used)
+	for _, need := range needs {
+		got := c.eligibleRuns(need)
+		want := refRuns(len(used), c.trunkBound(), func(i int) bool { return !used[i] && c.avail(i) >= need })
+		if !slices.Equal(got, want) {
+			t.Fatalf("need %d: eligibleRuns %v, reference %v", need, got, want)
 		}
 		if got, want := c.NodesWithAvail(need), refNodesWithAvail(c, need); got != want {
 			t.Fatalf("need %d: NodesWithAvail %d, brute force %d", need, got, want)
+		}
+		for _, k := range []int{1, 3, 16, 24, 25, 40, 120} {
+			if got, want := c.canPlace(k, need), refCanPlace(c, used, k, need); got != want {
+				t.Fatalf("need %d, trunk down %v: canPlace(%d) = %v, reference %v", need, c.trunkDown, k, got, want)
+			}
 		}
 	}
 }
 
 // TestFreeIndexMatchesScan drives the cluster through randomized
-// allocate/release/respec/reserve traffic and asserts after every
-// mutation that the incrementally maintained free-range index agrees
-// exactly with a fresh bitmap scan — run count, run boundaries,
-// eligible-run refinement, and memory-admission counts.
+// allocate/release/respec/reserve/fault/trunk traffic and what-if
+// probes, and asserts after every operation that the free-range index
+// agrees exactly with a scan of the occupancy the test tracked itself —
+// run boundaries, run and free counts, eligible-run refinement,
+// canPlace, and memory-admission counts — and that a probe's undo
+// restores the index exactly.
 func TestFreeIndexMatchesScan(t *testing.T) {
-	debugCheckIndex = true
-	defer func() { debugCheckIndex = false }()
-
 	const nodes = 257 // deliberately not a multiple of 64: exercises bitset tails
 	c := newTestCluster(nodes)
 	rng := rand.New(rand.NewSource(42))
@@ -102,8 +152,9 @@ func TestFreeIndexMatchesScan(t *testing.T) {
 	var live []Allocation
 	var pinned []Allocation // reservations to undo
 	var down []int          // injected node faults to repair
+	probes := 0
 	for op := 0; op < 2000; op++ {
-		switch r := rng.Intn(12); {
+		switch r := rng.Intn(14); {
 		case r < 4: // allocate
 			k := 1 + rng.Intn(24)
 			need := needs[rng.Intn(len(needs))]
@@ -136,15 +187,13 @@ func TestFreeIndexMatchesScan(t *testing.T) {
 			if len(pinned) > 0 {
 				i := rng.Intn(len(pinned))
 				c.unreserve(pinned[i], base/4)
-				// unreserve has no debug hook of its own; verify here.
-				c.idx.verify(c.used)
 				pinned[i] = pinned[len(pinned)-1]
 				pinned = pinned[:len(pinned)-1]
 			}
 		case r < 11: // node down: a fault takes a free node out of service
 			var free []int
-			for i := range c.used {
-				if !c.used[i] {
+			for i, u := range refUsed(nodes, live, down) {
+				if !u {
 					free = append(free, i)
 				}
 			}
@@ -153,54 +202,164 @@ func TestFreeIndexMatchesScan(t *testing.T) {
 				c.nodeDown(n)
 				down = append(down, n)
 			}
-		default: // node up: repair returns a downed node to the free pool
+		case r < 12: // node up: repair returns a downed node to the free pool
 			if len(down) > 0 {
 				i := rng.Intn(len(down))
 				c.nodeUp(down[i])
 				down[i] = down[len(down)-1]
 				down = down[:len(down)-1]
 			}
-		}
-		if op%20 == 0 || op > 1900 {
-			checkIndexAgainstScan(t, c, needs)
-		}
-	}
-	checkIndexAgainstScan(t, c, needs)
-}
-
-// TestIndexPropertyAcrossPolicies reruns the crossed property matrix
-// with both debug cross-checks armed: debugCheckIndex re-derives the
-// free-range index from the bitmap after every cluster mutation, and
-// DebugVerifyShadows re-runs the full bitmap replay against every
-// incremental count-based EASY shadow. Any drift panics inside the run.
-// After each drain the end-event treap must be empty — every dispatch
-// pushed exactly one completion event and every completion, drain, and
-// cancellation popped it.
-func TestIndexPropertyAcrossPolicies(t *testing.T) {
-	debugCheckIndex = true
-	DebugVerifyShadows = true
-	defer func() { debugCheckIndex = false; DebugVerifyShadows = false }()
-
-	const nodes, count = 32, 120
-	for _, cfg := range propertyConfigs() {
-		cfg := cfg
-		name := fmt.Sprintf("%v/preempt=%v/quantum=%v/host=%v", cfg.Policy, cfg.Preempt, cfg.Quantum, cfg.SuspendToHost)
-		t.Run(name, func(t *testing.T) {
-			cfg.Cluster = newTestCluster(nodes)
-			s := New(cfg)
-			submitAll(t, s, SyntheticStream(5, count, nodes, 5*time.Second))
-			rep := s.Run()
-			if len(rep.Jobs) != count || rep.Failed != 0 {
-				t.Fatalf("finished %d of %d jobs, %d failed", len(rep.Jobs), count, rep.Failed)
-			}
-			for _, j := range rep.Jobs {
-				if j.State != Done {
-					t.Fatalf("%s ended %v", j, j.State)
+		case r < 13: // trunk outage starts or ends
+			c.trunkDown = !c.trunkDown
+		default: // what-if probe: free some gangs and down nodes, then undo
+			mark := len(c.probeLog)
+			var keep []Allocation
+			for _, a := range live {
+				if rng.Intn(3) == 0 {
+					c.probeFree(a.Ranges...)
+				} else {
+					keep = append(keep, a)
 				}
 			}
-			if n := s.running.len(); n != 0 {
-				t.Fatalf("running set holds %d jobs after drain; every dispatch must be popped", n)
+			var stillDown []int
+			for _, i := range down {
+				if rng.Intn(2) == 0 {
+					c.probeFree(NodeRange{First: i, Count: 1})
+				} else {
+					stillDown = append(stillDown, i)
+				}
 			}
+			checkIndexAgainstScan(t, c, refUsed(nodes, keep, stillDown), needs)
+			if len(c.probeLog) > mark {
+				probes++
+			}
+			c.probeUndo(mark)
+			if len(c.probeLog) != mark {
+				t.Fatalf("probe log holds %d ranges after undo to %d", len(c.probeLog), mark)
+			}
+		}
+		checkIndexAgainstScan(t, c, refUsed(nodes, live, down), needs)
+	}
+	if probes == 0 {
+		t.Fatal("vacuity: no what-if probe freed anything")
+	}
+}
+
+// checkOccupancy is the occupancy oracle: it rebuilds the allocated
+// nodes from the running set's gangs and the down flags alone, sharing
+// no code with the free-range index, fails on a node held by two gangs
+// or held while down, and requires the index's free runs to be the
+// exact complement and FreeNodes() their count.
+func checkOccupancy(t *testing.T, s *Scheduler) {
+	t.Helper()
+	c := s.cfg.Cluster
+	holder := make([]*Job, c.Size())
+	s.running.each(func(j *Job) {
+		for _, i := range j.Alloc.Ranges.Nodes() {
+			if h := holder[i]; h != nil {
+				t.Fatalf("t=%v: node %d held by jobs %d and %d", s.now, i, h.ID, j.ID)
+			}
+			if c.down[i] {
+				t.Fatalf("t=%v: node %d held by job %d while down", s.now, i, j.ID)
+			}
+			holder[i] = j
+		}
+	})
+	used := make([]bool, c.Size())
+	for i := range used {
+		used[i] = holder[i] != nil || c.down[i]
+	}
+	checkFreeRuns(t, c, used)
+}
+
+// TestIndexPropertyAcrossPolicies steps the crossed property matrix,
+// with and without a fault storm, and checks the occupancy oracle after
+// every event step. A recorder is attached, so every blocked job's
+// explanation probe (classifyStart) runs too, and DebugVerifyShadows
+// re-runs the full replay
+// against every incremental count-based EASY shadow (any drift panics
+// inside the run). After each drain the end-event treap must be empty —
+// every dispatch pushed exactly one completion event and every
+// completion, drain, and cancellation popped it.
+func TestIndexPropertyAcrossPolicies(t *testing.T) {
+	DebugVerifyShadows = true
+	defer func() { DebugVerifyShadows = false }()
+
+	const nodes, count = 32, 120
+	for _, base := range propertyConfigs() {
+		for _, faults := range []bool{false, true} {
+			cfg := base
+			if faults {
+				cfg.Faults = stormPlan(77)
+			}
+			name := fmt.Sprintf("%v/preempt=%v/quantum=%v/host=%v/faults=%v", cfg.Policy, cfg.Preempt, cfg.Quantum, cfg.SuspendToHost, faults)
+			t.Run(name, func(t *testing.T) {
+				cfg.Cluster = newTestCluster(nodes)
+				cfg.Recorder = &MemRecorder{}
+				s := New(cfg)
+				submitAll(t, s, SyntheticStream(5, count, nodes, 5*time.Second))
+				checkOccupancy(t, s)
+				for s.Step() {
+					checkOccupancy(t, s)
+				}
+				rep := s.report()
+				if len(rep.Jobs) != count {
+					t.Fatalf("finished %d of %d jobs", len(rep.Jobs), count)
+				}
+				for _, j := range rep.Jobs {
+					if j.State != Done && !(faults && j.State == Failed) {
+						t.Fatalf("%s ended %v", j, j.State)
+					}
+				}
+				if !faults && rep.Failed != 0 {
+					t.Fatalf("%d jobs failed without faults", rep.Failed)
+				}
+				if n := s.running.len(); n != 0 {
+					t.Fatalf("running set holds %d jobs after drain; every dispatch must be popped", n)
+				}
+			})
+		}
+	}
+}
+
+// TestOccupancyMisusePanics pins the panics that guard the free-range
+// index against misuse — each would otherwise corrupt the only record
+// of which nodes are allocated: a commit over an allocated node, a
+// release of a wholly or partly free range, a fault on an allocated
+// node, and a repair of a node that is up.
+func TestOccupancyMisusePanics(t *testing.T) {
+	gang := func(f, k int) Allocation {
+		return Allocation{Ranges: NodeRanges{{First: f, Count: k}}, Count: k}
+	}
+	for _, tc := range []struct {
+		name   string
+		misuse func(c *Cluster)
+	}{
+		{"commit over an allocated node", func(c *Cluster) { occupy(c, 6, 4) }},
+		{"release of a free range", func(c *Cluster) { c.Release(gang(10, 2), time.Second) }},
+		{"release of a range free on its left", func(c *Cluster) { c.Release(gang(2, 4), time.Second) }},
+		{"release of a range free on its right", func(c *Cluster) { c.Release(gang(6, 4), time.Second) }},
+		{"release of a range free in its middle", func(c *Cluster) {
+			occupy(c, 10, 2)
+			c.Release(gang(4, 8), time.Second)
+		}},
+		{"release twice", func(c *Cluster) {
+			a := occupy(c, 12, 2)
+			c.Release(a, time.Second)
+			c.Release(a, time.Second)
+		}},
+		{"nodeDown of an allocated node", func(c *Cluster) { c.nodeDown(5) }},
+		{"nodeUp of a node that is up", func(c *Cluster) { c.nodeUp(0) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := newTestCluster(16)
+			occupy(c, 4, 4) // [4,8) allocated
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s did not panic", tc.name)
+				}
+			}()
+			tc.misuse(c)
 		})
 	}
 }
@@ -282,9 +441,8 @@ func TestArrivalHeapMatchesLinearScan(t *testing.T) {
 // operation checks that each queued job lives in exactly one place
 // (checkOneHome).
 func TestQueuedJobHasOneHome(t *testing.T) {
-	debugCheckIndex = true
 	DebugVerifyShadows = true
-	defer func() { debugCheckIndex = false; DebugVerifyShadows = false }()
+	defer func() { DebugVerifyShadows = false }()
 
 	const nodes, ops = 16, 300
 	var tally [5]int // future submits; cancels of arrived, future, running jobs; resubmits

@@ -393,22 +393,25 @@ func brokenRows(rs []NodeRange, px int) int {
 }
 
 // canPlace reports whether a k-node gang with the given memory need
-// could be placed on the free nodes of the used bitmap — the
-// feasibility test the backfill shadow simulation runs against
-// hypothetical future states. Enough eligible nodes is enough
-// (pack-left assembly always succeeds).
-func (c *Cluster) canPlace(used []bool, k int, need int64) bool {
+// could be placed on the free nodes of the index now — the feasibility
+// test the backfill shadow simulation runs against hypothetical future
+// states, which the what-if probes build in the live index (probeFree).
+// Enough eligible nodes is enough (pack-left assembly always succeeds).
+// The eligible runs come from the index, so the cost is O(free runs +
+// constrained nodes).
+func (c *Cluster) canPlace(k int, need int64) bool {
+	if c.idx.free < k {
+		return false
+	}
 	free := 0
 	bound := c.trunkBound()
-	for i := range c.nodes {
-		if i == bound {
-			free = 0 // severed trunk: the gang must seat on one side
+	for _, r := range c.eligibleRuns(need) {
+		if r.First >= bound { // eligibleRuns splits the run straddling it
+			free, bound = 0, len(c.nodes) // severed trunk: the gang must seat on one side
 		}
-		if !used[i] && c.avail(i) >= need {
-			free++
-			if free == k {
-				return true
-			}
+		free += r.Count
+		if free >= k {
+			return true
 		}
 	}
 	return false
@@ -419,6 +422,6 @@ func (c *Cluster) canPlace(used []bool, k int, need int64) bool {
 // exist, but suspended images pin their memory" — the distinction the
 // decision-explanation layer records (ReasonNoPlacement vs
 // ReasonMemoryPinned in explain.go).
-func (c *Cluster) placeableIgnoringMemory(used []bool, k int) bool {
-	return c.canPlace(used, k, 0)
+func (c *Cluster) placeableIgnoringMemory(k int) bool {
+	return c.canPlace(k, 0)
 }

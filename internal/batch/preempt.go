@@ -207,14 +207,11 @@ func (s *Scheduler) preemptFor(j *Job) preemptOutcome {
 	// own image could otherwise never get a wave admitted onto its
 	// home nodes.
 	s.withOwnImageLifted(j, func() {
-		used := c.usedCopy()
+		mark := len(c.probeLog)
+		defer c.probeUndo(mark)
 		var trial []*Job // host-eligible victims, image reservation held for the trial
 		for _, v := range cands {
-			for _, nr := range v.Alloc.Ranges {
-				for i := nr.First; i < nr.First+nr.Count; i++ {
-					used[i] = false
-				}
-			}
+			c.probeFree(v.Alloc.Ranges...)
 			victims = append(victims, v)
 			// A host-eligible victim's image will pin its footprint on
 			// the freed nodes: the admission check must see that
@@ -225,7 +222,7 @@ func (s *Scheduler) preemptFor(j *Job) preemptOutcome {
 				c.reserve(v.Alloc, v.memNeed)
 				trial = append(trial, v)
 			}
-			if c.canPlace(used, j.Nodes, j.memNeed) {
+			if c.canPlace(j.Nodes, j.memNeed) {
 				admitted = true
 				break
 			}
@@ -245,7 +242,7 @@ func (s *Scheduler) preemptFor(j *Job) preemptOutcome {
 				}
 				c.unreserve(v.Alloc, v.memNeed)
 				v.forceStore = true
-				if c.canPlace(used, j.Nodes, j.memNeed) {
+				if c.canPlace(j.Nodes, j.memNeed) {
 					admitted = true
 					break
 				}
@@ -260,7 +257,7 @@ func (s *Scheduler) preemptFor(j *Job) preemptOutcome {
 						continue
 					}
 					c.reserve(v.Alloc, v.memNeed)
-					if c.canPlace(used, j.Nodes, j.memNeed) {
+					if c.canPlace(j.Nodes, j.memNeed) {
 						v.forceStore = false
 					} else {
 						c.unreserve(v.Alloc, v.memNeed)

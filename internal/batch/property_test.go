@@ -53,9 +53,8 @@ func propertyConfigs() []Config {
 }
 
 func TestPropertyResidencyCapacityProgress(t *testing.T) {
-	debugCheckIndex = true
 	DebugVerifyShadows = true
-	defer func() { debugCheckIndex = false; DebugVerifyShadows = false }()
+	defer func() { DebugVerifyShadows = false }()
 
 	const nodes, count = 32, 200
 	for _, cfg := range propertyConfigs() {
@@ -131,9 +130,8 @@ func TestPropertyResidencyCapacityProgress(t *testing.T) {
 // the waits, every job's lifecycle, and every job's slice count — the
 // property CI's -race job leans on to catch unsynchronized state.
 func TestQuantumDeterminism(t *testing.T) {
-	debugCheckIndex = true
 	DebugVerifyShadows = true
-	defer func() { debugCheckIndex = false; DebugVerifyShadows = false }()
+	defer func() { DebugVerifyShadows = false }()
 
 	const nodes, count = 32, 200
 	run := func(cfg Config, seed int64) Report {

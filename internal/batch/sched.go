@@ -201,7 +201,7 @@ type Config struct {
 // arrivals, Run (or the incremental Step/RunUntil that Engine wraps)
 // drains the queue event by event — job completions, checkpoint
 // settlements, and future arrivals — placing jobs per the configured
-// policy. Its state is the cluster bitmap with its free-range index,
+// policy. Its state is the cluster with its free-range index,
 // the queue of arrived jobs, the running set — one treap keyed by
 // completion event, which is both the loop's event queue and the
 // capacity profile behind shadow and reservation queries — and a heap
@@ -956,7 +956,6 @@ func (s *Scheduler) sliceBoundary(j *Job) {
 // shadow constraint is re-checked at the actual start, so a yield is at
 // worst one wasted suspension, not a misplacement).
 func (s *Scheduler) sliceYields(j *Job) bool {
-	var usedNow, usedFreed []bool // lazy bitmaps: as-is, and with j's nodes freed
 	for _, p := range s.pending.ordered(s.less) {
 		if p == nil {
 			continue
@@ -977,23 +976,13 @@ func (s *Scheduler) sliceYields(j *Job) bool {
 			}
 			continue
 		}
-		if usedNow == nil {
-			usedNow = s.cfg.Cluster.usedCopy()
-			usedFreed = append([]bool(nil), usedNow...)
-			for _, nr := range j.Alloc.Ranges {
-				for i := nr.First; i < nr.First+nr.Count; i++ {
-					usedFreed[i] = false
-				}
-			}
-		}
 		// Both placement probes run with p's own image reservation
 		// lifted (its dispatch spends that memory): counting it would
 		// refuse yields to waiters self-blocked by their image, or
 		// yield for one that could have started without j's nodes.
 		yield := false
 		s.withOwnImageLifted(p, func() {
-			yield = !s.cfg.Cluster.canPlace(usedNow, p.Nodes, p.memNeed) &&
-				s.yieldAdmits(j, p, usedFreed)
+			yield = !s.cfg.Cluster.canPlace(p.Nodes, p.memNeed) && s.yieldAdmits(j, p)
 		})
 		if yield {
 			return true
@@ -1011,18 +1000,21 @@ func (s *Scheduler) sliceYields(j *Job) bool {
 // in the way, j yields to the store tier instead (forceStore) — a
 // suspension whose image immediately blocks the waiter it yielded for
 // would just buy a demotion.
-func (s *Scheduler) yieldAdmits(j, p *Job, usedFreed []bool) bool {
+func (s *Scheduler) yieldAdmits(j, p *Job) bool {
 	c := s.cfg.Cluster
+	mark := len(c.probeLog)
+	c.probeFree(j.Alloc.Ranges...)
+	defer c.probeUndo(mark)
 	if !s.hostEligible(j) {
-		return c.canPlace(usedFreed, p.Nodes, p.memNeed)
+		return c.canPlace(p.Nodes, p.memNeed)
 	}
 	c.reserve(j.Alloc, j.memNeed)
-	ok := c.canPlace(usedFreed, p.Nodes, p.memNeed)
+	ok := c.canPlace(p.Nodes, p.memNeed)
 	c.unreserve(j.Alloc, j.memNeed)
 	if ok {
 		return true
 	}
-	if c.canPlace(usedFreed, p.Nodes, p.memNeed) {
+	if c.canPlace(p.Nodes, p.memNeed) {
 		j.forceStore = true
 		return true
 	}
@@ -1207,13 +1199,12 @@ func (s *Scheduler) countShadow(hd *Job) time.Duration {
 	return s.now
 }
 
-// replayShadow is the full shadow replay: snapshot the bitmap, fire
-// future events in time order, probe placement after each.
+// replayShadow is the full shadow replay: fire future events in time
+// order in the live cluster, probe placement after each, and undo them.
 func (s *Scheduler) replayShadow(hd *Job) time.Duration {
 	k, memNeed := hd.Nodes, hd.memNeed
 	c := s.cfg.Cluster
-	used := c.usedCopy()
-	if c.canPlace(used, k, memNeed) {
+	if c.canPlace(k, memNeed) {
 		return s.now
 	}
 	type shadowEv struct {
@@ -1255,12 +1246,15 @@ func (s *Scheduler) replayShadow(hd *Job) time.Duration {
 		// kind the stable sort keeps the deterministic source order.
 		return evs[i].r != nil && evs[j].r == nil
 	})
-	// canPlace consults the live reservation table (and the trunk-outage
-	// flag), so settlements are simulated by lifting reservations in
-	// place and restoring them before returning.
+	// canPlace consults the live index, reservation table and
+	// trunk-outage flag, so events are simulated in place — completing
+	// gangs and repaired nodes freed as a probe, reservations lifted —
+	// and undone before returning.
 	var lifted []shadowEv
 	trunkWas := c.trunkDown
+	mark := len(c.probeLog)
 	restore := func() {
+		c.probeUndo(mark)
 		for _, e := range lifted {
 			c.reserve(e.alloc, e.bytes)
 		}
@@ -1269,20 +1263,16 @@ func (s *Scheduler) replayShadow(hd *Job) time.Duration {
 	for _, e := range evs {
 		switch {
 		case e.r != nil:
-			for _, nr := range e.r.Alloc.Ranges {
-				for i := nr.First; i < nr.First+nr.Count; i++ {
-					used[i] = false
-				}
-			}
+			c.probeFree(e.r.Alloc.Ranges...)
 		case e.up > 0:
-			used[e.up-1] = false
+			c.probeFree(NodeRange{First: e.up - 1, Count: 1})
 		case e.trunkUp:
 			c.trunkDown = false
 		default:
 			c.unreserve(e.alloc, e.bytes)
 			lifted = append(lifted, e)
 		}
-		if c.canPlace(used, k, memNeed) {
+		if c.canPlace(k, memNeed) {
 			restore()
 			return e.t
 		}

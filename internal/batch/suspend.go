@@ -72,8 +72,7 @@ func (s *Scheduler) demoteFor(j *Job) {
 // evictFor is demoteFor's body, run with j's own image lifted.
 func (s *Scheduler) evictFor(j *Job) {
 	c := s.cfg.Cluster
-	used := c.used // read only: the trial releases below are of memory, not nodes
-	if c.canPlace(used, j.Nodes, j.memNeed) {
+	if c.canPlace(j.Nodes, j.memNeed) {
 		return // placeable already: blocked by policy, not memory
 	}
 	// Memory already on its way out — in-flight demotion writes and
@@ -99,7 +98,7 @@ func (s *Scheduler) evictFor(j *Job) {
 			c.reserve(p.alloc, p.bytes)
 		}
 	}()
-	if c.canPlace(used, j.Nodes, j.memNeed) {
+	if c.canPlace(j.Nodes, j.memNeed) {
 		return // the settlements already in flight will admit j
 	}
 	var images []*Job
@@ -117,7 +116,7 @@ func (s *Scheduler) evictFor(j *Job) {
 	for _, d := range images {
 		c.unreserve(d.Alloc, d.memNeed)
 		picked = append(picked, d)
-		if c.canPlace(used, j.Nodes, j.memNeed) {
+		if c.canPlace(j.Nodes, j.memNeed) {
 			admitted = true
 			break
 		}
@@ -137,7 +136,7 @@ func (s *Scheduler) evictFor(j *Job) {
 	kept := picked[:0]
 	for _, d := range picked {
 		c.reserve(d.Alloc, d.memNeed)
-		if c.canPlace(used, j.Nodes, j.memNeed) {
+		if c.canPlace(j.Nodes, j.memNeed) {
 			continue // stays in RAM
 		}
 		c.unreserve(d.Alloc, d.memNeed)

@@ -6,27 +6,25 @@ import (
 	"gpucluster/internal/lint/analysis"
 )
 
-// DebugCheck keeps the redundant-encoding cross-checks armed where
-// they matter. The scheduler carries two self-verification hooks —
-// debugCheckIndex re-derives the free-range index from the used
-// bitmap after every cluster mutation, and DebugVerifyShadows re-runs
-// the full bitmap replay against every incremental shadow
-// (index.go) — and a property-style test that churns placement and
-// shadows without arming them is only testing half of what it could.
-// The rule: any Test function that drives the shared propertyConfigs
-// matrix must arm at least one of the two hooks in its body (the
+// DebugCheck keeps the redundant-encoding cross-check armed where it
+// matters. The scheduler carries one self-verification hook —
+// DebugVerifyShadows re-runs the full shadow replay against every
+// incremental shadow (index.go) — and a property-style test that
+// churns placement and shadows without arming it is only testing half
+// of what it could. The rule: any Test function that drives the shared
+// propertyConfigs matrix must arm the hook in its body (the
 // index_test.go set-and-defer-reset pattern), or carry a justified
 // //batchlint:allow debugcheck naming the armed run that already
 // covers its matrix.
 var DebugCheck = &analysis.Analyzer{
 	Name: "debugcheck",
-	Doc: "property-style tests over propertyConfigs must arm debugCheckIndex or " +
-		"DebugVerifyShadows (or point at the armed run that covers them)",
+	Doc: "property-style tests over propertyConfigs must arm DebugVerifyShadows " +
+		"(or point at the armed run that covers them)",
 	Run: runDebugCheck,
 }
 
-// debugHooks are the arming globals.
-var debugHooks = map[string]bool{"debugCheckIndex": true, "DebugVerifyShadows": true}
+// debugHook is the arming global.
+const debugHook = "DebugVerifyShadows"
 
 // propertyMatrix is the identifier whose use marks a test as
 // property-style: the shared policy × preempt × quantum × suspend
@@ -55,7 +53,7 @@ func runDebugCheck(pass *analysis.Pass) error {
 					}
 				case *ast.AssignStmt:
 					for _, lhs := range n.Lhs {
-						if id, ok := lhs.(*ast.Ident); ok && debugHooks[id.Name] {
+						if id, ok := lhs.(*ast.Ident); ok && id.Name == debugHook {
 							arms = true
 						}
 					}
@@ -63,7 +61,7 @@ func runDebugCheck(pass *analysis.Pass) error {
 				return true
 			})
 			if usesMatrix && !arms {
-				pass.Reportf(fd.Pos(), "%s sweeps propertyConfigs without arming debugCheckIndex or DebugVerifyShadows; arm them (set-and-defer-reset, see index_test.go) or justify with //batchlint:allow debugcheck -- <which armed run covers this matrix>", fd.Name.Name)
+				pass.Reportf(fd.Pos(), "%s sweeps propertyConfigs without arming DebugVerifyShadows; arm it (set-and-defer-reset, see index_test.go) or justify with //batchlint:allow debugcheck -- <which armed run covers this matrix>", fd.Name.Name)
 			}
 		}
 	}

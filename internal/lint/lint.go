@@ -17,7 +17,7 @@
 //     charge overhead/lost work, or reserve store-link time — new
 //     accounting paths fail the build until audited.
 //   - debugcheck: property-style tests over the shared config matrix
-//     arm the debugCheckIndex/DebugVerifyShadows cross-checks.
+//     arm the DebugVerifyShadows cross-check.
 //
 // A finding can be waived in place with
 //

@@ -1,10 +1,11 @@
 // Package debugcheck is the batchlint debugcheck fixture: tests that
-// sweep the shared propertyConfigs matrix must arm a debug hook.
+// sweep the shared propertyConfigs matrix must arm the debug hook.
 package debugcheck
 
-var debugCheckIndex bool
-
 var DebugVerifyShadows bool
+
+// traceSweeps is not a hook: setting it arms nothing.
+var traceSweeps bool
 
 type config struct{ policy int }
 

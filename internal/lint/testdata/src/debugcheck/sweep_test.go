@@ -1,16 +1,15 @@
 package debugcheck
 
 func TestSweepArmed() {
-	debugCheckIndex = true
-	defer func() { debugCheckIndex = false }()
+	DebugVerifyShadows = true
+	defer func() { DebugVerifyShadows = false }()
 	for range propertyConfigs() {
 	}
 }
 
-func TestSweepBothArmed() {
-	debugCheckIndex = true
-	DebugVerifyShadows = true
-	defer func() { debugCheckIndex = false; DebugVerifyShadows = false }()
+func TestSweepOtherGlobal() { // want `TestSweepOtherGlobal sweeps propertyConfigs without arming DebugVerifyShadows`
+	traceSweeps = true
+	defer func() { traceSweeps = false }()
 	for range propertyConfigs() {
 	}
 }
@@ -20,7 +19,7 @@ func TestSweepUnarmed() { // want `TestSweepUnarmed sweeps propertyConfigs witho
 	}
 }
 
-//batchlint:allow debugcheck -- fixture: TestSweepArmed runs this matrix with the index check armed
+//batchlint:allow debugcheck -- fixture: TestSweepArmed runs this matrix with the shadow check armed
 func TestSweepCovered() {
 	for range propertyConfigs() {
 	}
