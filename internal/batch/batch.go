@@ -26,8 +26,8 @@
 //
 // The hot paths are indexed rather than scanned (index.go): placement
 // enumerates an incrementally maintained free-range set, the running
-// set is one order-statistic treap keyed by completion event — the
-// loop's event queue, which the backfill shadow descends — future
+// set is one slice sorted by completion event — the loop's event
+// queue, which the backfill shadow sums from its earliest end — future
 // arrivals sit in a binary heap until they arrive, and the queue of
 // arrived jobs removes in O(1) via tombstones — so the same event loop that
 // schedules the paper's 32 nodes drains a million-job queue on ten

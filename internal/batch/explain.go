@@ -94,9 +94,6 @@ func (r BlockReason) String() string {
 // numbers stay comparable when one is attached mid-study.
 func (s *Scheduler) beginPass() int {
 	s.passes++
-	if s.met != nil {
-		s.met.passes.Inc()
-	}
 	return s.passes
 }
 

@@ -18,10 +18,10 @@ import (
 //     fragment count is O(1), and the memory-admission count is a
 //     binary search;
 //   - the EASY/conservative shadow: shadowStart replayed every running
-//     job against a bitmap copy per blocked pass — endTreap keeps the
-//     running set in an order-statistic tree keyed by completion event,
-//     so the count-based shadow is one O(log running) prefix-sum descent
-//     and the conservative profile is one in-order walk instead of a
+//     job against a bitmap copy per blocked pass — endList keeps the
+//     running set sorted by completion event, so the count-based shadow
+//     sums node counts from the earliest completion until the deficit is
+//     covered and the conservative profile is one walk instead of a
 //     per-pass sort;
 //   - the next-arrival search: nextEvent scanned every pending job —
 //     arrivalHeap keeps the future arrivals in a binary heap, out of
@@ -229,190 +229,78 @@ func (x *freeIndex) appendRuns(out []NodeRange) []NodeRange {
 	return out
 }
 
-// endTreap is the running set: an order-statistic treap over the
-// running jobs, keyed by completion event (End, ID) with per-subtree
-// node-count sums — the loop's event queue (min, popMin) and the
-// event-sorted capacity profile in one structure. coverTime answers the
-// incremental EASY shadow ("earliest completion instant by which at
-// least deficit nodes have freed") in O(log running); each walks the
-// jobs ascending for the conservative profile, the shadow replay and
-// every listing. Entries are added at dispatch, removed when their
-// event fires or a cancel or fault cuts the gang off, and re-keyed (del,
-// then add) when a checkpoint drain rewrites a completion event.
-type endTreap struct {
-	nodes []endNode
-	free  []int32
-	root  int32
-}
+// endList is the running set: one entry per running gang, sorted
+// latest-first by completion event (End, ID), so the earliest event is
+// the last entry. It is the loop's event queue (min, popMin) and the
+// event-sorted capacity profile in one slice: coverTime answers the
+// count-based EASY shadow by summing node counts from the tail, and each
+// walks the jobs ascending for the conservative profile, the shadow
+// replay and every listing. Entries are added at dispatch, removed when
+// their event fires or a cancel or fault cuts the gang off, and re-keyed
+// (del, then add) when a checkpoint drain rewrites a completion event.
+//
+// An add or a del costs O(R) for R running gangs, the order of the walks
+// the pass already makes over the set; the set is small on every
+// measured workload (at most 304 gangs, 2-79 on average; the traffic
+// table in docs/PERFORMANCE.md), and most completions land near the
+// tail, so an add moves past few entries.
+type endList []endEntry
 
-// endNode keeps its own copy of the key: a re-key deletes under the End
+// endEntry keeps its own copy of the key: a re-key deletes under the End
 // the entry was added with, whatever job.End has become since.
-type endNode struct {
+type endEntry struct {
 	end   time.Duration
 	id    int
 	count int
-	sum   int // subtree total of count
-	prio  uint64
 	job   *Job
-	l, r  int32
 }
 
-func (t *endTreap) init() { t.root = -1 }
-
-func (t *endTreap) len() int { return len(t.nodes) - len(t.free) }
-
-// treapPrio derives a deterministic heap priority from the entry key —
-// replays insert the same keys in the same order, so the tree shape
-// (and every downstream iteration) is reproducible.
-func treapPrio(end time.Duration, id int) uint64 {
-	z := uint64(end) ^ uint64(id)*0x9e3779b97f4a7c15
-	z ^= z >> 30
-	z *= 0xbf58476d1ce4e5b9
-	z ^= z >> 27
-	z *= 0x94d049bb133111eb
-	return z ^ z>>31
+// before reports whether the entry's event fires before (end, id).
+func (e *endEntry) before(end time.Duration, id int) bool {
+	return e.end < end || (e.end == end && e.id < id)
 }
 
-func (t *endTreap) sumOf(h int32) int {
-	if h < 0 {
-		return 0
-	}
-	return t.nodes[h].sum
-}
-
-func (t *endTreap) update(h int32) {
-	n := &t.nodes[h]
-	n.sum = n.count + t.sumOf(n.l) + t.sumOf(n.r)
-}
-
-func (t *endTreap) keyLess(end time.Duration, id int, h int32) bool {
-	n := &t.nodes[h]
-	if end != n.end {
-		return end < n.end
-	}
-	return id < n.id
-}
-
-func (t *endTreap) rotRight(h int32) int32 {
-	l := t.nodes[h].l
-	t.nodes[h].l = t.nodes[l].r
-	t.nodes[l].r = h
-	t.update(h)
-	t.update(l)
-	return l
-}
-
-func (t *endTreap) rotLeft(h int32) int32 {
-	r := t.nodes[h].r
-	t.nodes[h].r = t.nodes[r].l
-	t.nodes[r].l = h
-	t.update(h)
-	t.update(r)
-	return r
-}
+func (l endList) len() int { return len(l) }
 
 // add inserts running job j under its current completion event
-// (j.End, j.ID), freeing j.Alloc.Count nodes when it fires.
-func (t *endTreap) add(j *Job) {
-	var idx int32
-	if n := len(t.free); n > 0 {
-		idx = t.free[n-1]
-		t.free = t.free[:n-1]
-	} else {
-		t.nodes = append(t.nodes, endNode{})
-		idx = int32(len(t.nodes) - 1)
+// (j.End, j.ID), freeing j.Alloc.Count nodes when it fires. The entry
+// sinks from the tail past every entry that fires earlier.
+func (l *endList) add(j *Job) {
+	x := endEntry{end: j.End, id: j.ID, count: j.Alloc.Count, job: j}
+	*l = append(*l, x)
+	e := *l
+	i := len(e) - 1
+	for ; i > 0 && e[i-1].before(x.end, x.id); i-- {
+		e[i] = e[i-1]
 	}
-	n := j.Alloc.Count
-	t.nodes[idx] = endNode{end: j.End, id: j.ID, count: n, sum: n, prio: treapPrio(j.End, j.ID), job: j, l: -1, r: -1}
-	t.root = t.insert(t.root, idx)
-}
-
-func (t *endTreap) insert(h, x int32) int32 {
-	if h < 0 {
-		return x
-	}
-	if t.keyLess(t.nodes[x].end, t.nodes[x].id, h) {
-		t.nodes[h].l = t.insert(t.nodes[h].l, x)
-		if t.nodes[t.nodes[h].l].prio < t.nodes[h].prio {
-			return t.rotRight(h)
-		}
-	} else {
-		t.nodes[h].r = t.insert(t.nodes[h].r, x)
-		if t.nodes[t.nodes[h].r].prio < t.nodes[h].prio {
-			return t.rotLeft(h)
-		}
-	}
-	t.update(h)
-	return h
+	e[i] = x
 }
 
 // del removes the event keyed (end, id); it panics if the key is
-// absent — the scheduler and the treap must never disagree about the
+// absent — the scheduler and the list must never disagree about the
 // running set, and a silent miss here would surface as a wrong shadow
 // far from the bug.
-func (t *endTreap) del(end time.Duration, id int) {
-	found := false
-	t.root = t.remove(t.root, end, id, &found)
-	if !found {
+func (l *endList) del(end time.Duration, id int) {
+	e := *l
+	i := len(e) - 1
+	for i >= 0 && e[i].before(end, id) {
+		i--
+	}
+	if i < 0 || e[i].end != end || e[i].id != id {
 		panic(fmt.Sprintf("batch: end index: no event (%v, job %d)", end, id))
 	}
-}
-
-func (t *endTreap) remove(h int32, end time.Duration, id int, found *bool) int32 {
-	if h < 0 {
-		return -1
-	}
-	n := &t.nodes[h]
-	if end == n.end && id == n.id {
-		*found = true
-		h = t.sink(h)
-		return h
-	}
-	if t.keyLess(end, id, h) {
-		t.nodes[h].l = t.remove(t.nodes[h].l, end, id, found)
-	} else {
-		t.nodes[h].r = t.remove(t.nodes[h].r, end, id, found)
-	}
-	t.update(h)
-	return h
-}
-
-// sink rotates h down until it is a leaf, then frees it.
-func (t *endTreap) sink(h int32) int32 {
-	n := &t.nodes[h]
-	switch {
-	case n.l < 0 && n.r < 0:
-		n.job = nil // a free slot must not keep a finished job alive
-		t.free = append(t.free, h)
-		return -1
-	case n.l < 0 || (n.r >= 0 && t.nodes[n.r].prio < t.nodes[n.l].prio):
-		r := t.rotLeft(h)
-		t.nodes[r].l = t.sink(h)
-		t.update(r)
-		return r
-	default:
-		l := t.rotRight(h)
-		t.nodes[l].r = t.sink(h)
-		t.update(l)
-		return l
-	}
+	copy(e[i:], e[i+1:])
+	e[len(e)-1] = endEntry{} // a vacated slot must not keep a finished job alive
+	*l = e[:len(e)-1]
 }
 
 // coverTime returns the earliest event instant by which the cumulative
 // freed-node count reaches deficit — the incremental EASY shadow. ok is
 // false when even every tracked completion frees too few nodes.
-func (t *endTreap) coverTime(deficit int) (time.Duration, bool) {
-	h := t.root
-	for h >= 0 {
-		n := &t.nodes[h]
-		if ls := t.sumOf(n.l); ls >= deficit {
-			h = n.l
-		} else {
-			deficit -= ls + n.count
-			if deficit <= 0 {
-				return n.end, true
-			}
-			h = n.r
+func (l endList) coverTime(deficit int) (time.Duration, bool) {
+	for i := len(l) - 1; i >= 0; i-- {
+		if deficit -= l[i].count; deficit <= 0 {
+			return l[i].end, true
 		}
 	}
 	return 0, false
@@ -420,59 +308,32 @@ func (t *endTreap) coverTime(deficit int) (time.Duration, bool) {
 
 // min returns the job whose completion event is earliest, nil when
 // nothing runs.
-func (t *endTreap) min() *Job {
-	h := t.root
-	if h < 0 {
+func (l endList) min() *Job {
+	if len(l) == 0 {
 		return nil
 	}
-	for t.nodes[h].l >= 0 {
-		h = t.nodes[h].l
-	}
-	return t.nodes[h].job
+	return l[len(l)-1].job
 }
 
-// popMin removes and returns the job whose completion event is
-// earliest if that event is due by at, in one walk down the left spine;
-// nil when nothing runs or the earliest event is later.
-func (t *endTreap) popMin(at time.Duration) *Job {
-	var j *Job
-	if t.root >= 0 {
-		t.root = t.popLeftmost(t.root, at, &j)
+// popMin removes and returns the job whose completion event is earliest
+// if that event is due by at; nil when nothing runs or the earliest
+// event is later.
+func (l *endList) popMin(at time.Duration) *Job {
+	e := *l
+	if len(e) == 0 || e[len(e)-1].end > at {
+		return nil
 	}
+	j := e[len(e)-1].job
+	e[len(e)-1] = endEntry{} // a vacated slot must not keep a finished job alive
+	*l = e[:len(e)-1]
 	return j
 }
 
-// popLeftmost removes the leftmost entry of subtree h when it is due by
-// at, storing its job in *out, and returns the subtree's new root. The
-// leftmost entry has no left child, so its right subtree takes its place
-// and the heap order holds without rotations.
-func (t *endTreap) popLeftmost(h int32, at time.Duration, out **Job) int32 {
-	n := &t.nodes[h]
-	if n.l >= 0 {
-		n.l = t.popLeftmost(n.l, at, out)
-		if *out != nil {
-			t.update(h)
-		}
-		return h
-	}
-	if n.end > at {
-		return h
-	}
-	*out = n.job
-	n.job = nil // a free slot must not keep a finished job alive
-	t.free = append(t.free, h)
-	return n.r
-}
-
 // each visits every running job ascending by (End, ID). fn must not
-// add to or delete from the treap.
-func (t *endTreap) each(fn func(j *Job)) { t.walk(t.root, fn) }
-
-func (t *endTreap) walk(h int32, fn func(j *Job)) {
-	for h >= 0 {
-		t.walk(t.nodes[h].l, fn)
-		fn(t.nodes[h].job)
-		h = t.nodes[h].r
+// add to or delete from the list.
+func (l endList) each(fn func(j *Job)) {
+	for i := len(l) - 1; i >= 0; i-- {
+		fn(l[i].job)
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 )
 
 // Property tests for the datacenter-scale index structures (index.go):
-// the free-range index, the end-event treap, and the arrival heap each
+// the free-range index, the running set, and the arrival heap each
 // answer a question the scheduler could also answer by brute force, so
 // every test here cross-checks the index against a linear-scan
 // reference. The free-range index is the cluster's only record of
@@ -278,7 +278,7 @@ func checkOccupancy(t *testing.T, s *Scheduler) {
 // explanation probe (classifyStart) runs too, and DebugVerifyShadows
 // re-runs the full replay
 // against every incremental count-based EASY shadow (any drift panics
-// inside the run). After each drain the end-event treap must be empty —
+// inside the run). After each drain the running set must be empty —
 // every dispatch pushed exactly one completion event and every
 // completion, drain, and cancellation popped it.
 func TestIndexPropertyAcrossPolicies(t *testing.T) {
@@ -663,16 +663,15 @@ func BenchmarkDenseStream(b *testing.B) {
 	}
 }
 
-// TestEndTreapOrderStatistics drives the running-set treap through
-// random add / keyed del / re-key / popMin traffic (popMin first asked
-// an instant before the earliest event, which must pop nothing) and
-// checks min, each, len and coverTime against a sorted-slice model after
-// every operation.
-// Ends are drawn from 50 instants, so equal End broken by ID is the
-// common case, not the corner.
-func TestEndTreapOrderStatistics(t *testing.T) {
-	var tr endTreap
-	tr.init()
+// TestEndListOrderStatistics drives the running set through random add
+// / keyed del / re-key / popMin traffic (popMin first asked an instant
+// before the earliest event, which must pop nothing) and checks min,
+// each, len and coverTime against a sorted copy of the model after every
+// operation. Ends are drawn from 50 instants, so equal End broken by ID
+// is the common case, not the corner; a re-key keeps its End one time in
+// eight.
+func TestEndListOrderStatistics(t *testing.T) {
+	var l endList
 	var ref []*Job // the model: the same jobs, order irrelevant
 	rng := rand.New(rand.NewSource(7))
 	drop := func(i int) {
@@ -680,7 +679,7 @@ func TestEndTreapOrderStatistics(t *testing.T) {
 		ref = ref[:len(ref)-1]
 	}
 
-	check := func() {
+	check := func(op int) {
 		t.Helper()
 		sorted := append([]*Job(nil), ref...)
 		sort.Slice(sorted, func(i, k int) bool {
@@ -691,20 +690,20 @@ func TestEndTreapOrderStatistics(t *testing.T) {
 		})
 		// each must visit exactly the model's jobs ascending by (End, ID).
 		i := 0
-		tr.each(func(j *Job) {
+		l.each(func(j *Job) {
 			if i >= len(sorted) || j != sorted[i] {
-				t.Fatalf("each entry %d: got job %d ending %v, model has %d jobs", i, j.ID, j.End, len(sorted))
+				t.Fatalf("op %d: each entry %d: got job %d ending %v, model has %d jobs", op, i, j.ID, j.End, len(sorted))
 			}
 			i++
 		})
-		if i != len(sorted) || tr.len() != len(sorted) {
-			t.Fatalf("each visited %d jobs, len() %d, model holds %d", i, tr.len(), len(sorted))
+		if i != len(sorted) || l.len() != len(sorted) {
+			t.Fatalf("op %d: each visited %d jobs, len() %d, model holds %d", op, i, l.len(), len(sorted))
 		}
-		switch m := tr.min(); {
+		switch m := l.min(); {
 		case len(sorted) == 0 && m != nil:
-			t.Fatalf("min of an empty treap = job %d", m.ID)
+			t.Fatalf("op %d: min of an empty list = job %d", op, m.ID)
 		case len(sorted) > 0 && m != sorted[0]:
-			t.Fatalf("min = %v, model's earliest is job %d ending %v", m, sorted[0].ID, sorted[0].End)
+			t.Fatalf("op %d: min = %v, model's earliest is job %d ending %v", op, m, sorted[0].ID, sorted[0].End)
 		}
 		// coverTime(d) must be the earliest instant where the prefix sum
 		// of the node counts each() yields, in its order, reaches d.
@@ -725,9 +724,9 @@ func TestEndTreapOrderStatistics(t *testing.T) {
 					break
 				}
 			}
-			gotAt, gotOK := tr.coverTime(d)
+			gotAt, gotOK := l.coverTime(d)
 			if gotOK != wantOK || (gotOK && gotAt != wantAt) {
-				t.Fatalf("coverTime(%d): got (%v,%v), want (%v,%v)", d, gotAt, gotOK, wantAt, wantOK)
+				t.Fatalf("op %d: coverTime(%d): got (%v,%v), want (%v,%v)", op, d, gotAt, gotOK, wantAt, wantOK)
 			}
 		}
 	}
@@ -739,24 +738,26 @@ func TestEndTreapOrderStatistics(t *testing.T) {
 			j := &Job{ID: nextID, End: time.Duration(rng.Intn(50)) * time.Second}
 			j.Alloc.Count = 1 + rng.Intn(64)
 			nextID++
-			tr.add(j)
+			l.add(j)
 			ref = append(ref, j)
 		case r < 5: // cancel or fault: keyed delete of any entry
 			i := rng.Intn(len(ref))
-			tr.del(ref[i].End, ref[i].ID)
+			l.del(ref[i].End, ref[i].ID)
 			drop(i)
 		case r < 6: // checkpoint drain: del under the old End, add under the new
 			j := ref[rng.Intn(len(ref))]
-			tr.del(j.End, j.ID)
-			j.End = time.Duration(rng.Intn(50)) * time.Second
-			tr.add(j)
-		default: // the event loop: pop the earliest once it is due
-			want := tr.min()
-			if got := tr.popMin(want.End - 1); got != nil {
-				t.Fatalf("popMin before %v returned job %d", want.End, got.ID)
+			l.del(j.End, j.ID)
+			if rng.Intn(8) != 0 { // else a re-key to the same End
+				j.End = time.Duration(rng.Intn(50)) * time.Second
 			}
-			if got := tr.popMin(want.End); got != want {
-				t.Fatalf("popMin returned %v, min was %v", got, want)
+			l.add(j)
+		default: // the event loop: pop the earliest once it is due
+			want := l.min()
+			if got := l.popMin(want.End - 1); got != nil {
+				t.Fatalf("op %d: popMin before %v returned job %d", op, want.End, got.ID)
+			}
+			if got := l.popMin(want.End); got != want {
+				t.Fatalf("op %d: popMin returned %v, min was %v", op, got, want)
 			}
 			for i, j := range ref {
 				if j == want {
@@ -765,23 +766,30 @@ func TestEndTreapOrderStatistics(t *testing.T) {
 				}
 			}
 		}
-		if op%10 == 0 {
-			check()
-		}
+		check(op)
 	}
-	check()
-	for tr.popMin(Forever) != nil {
+	for l.popMin(Forever) != nil {
 	}
-	if tr.len() != 0 || tr.min() != nil {
-		t.Fatalf("drained treap: len %d, min %v", tr.len(), tr.min())
+	if l.len() != 0 || l.min() != nil {
+		t.Fatalf("drained list: len %d, min %v", l.len(), l.min())
 	}
-	// A miss is a scheduler bug and must not pass silently.
-	defer func() {
-		if recover() == nil {
-			t.Fatal("del of an absent key did not panic")
-		}
-	}()
-	tr.del(time.Second, 1)
+	// A miss is a scheduler bug and must not pass silently: an absent
+	// key, and an End that is present under a different ID.
+	mustPanic := func(what string, fn func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("del of %s did not panic", what)
+			}
+		}()
+		fn()
+	}
+	mustPanic("an absent key", func() { l.del(time.Second, 1) })
+	j := &Job{ID: 5, End: time.Second}
+	j.Alloc.Count = 1
+	l.add(j)
+	mustPanic("an End present under another ID", func() { l.del(time.Second, 4) })
+	mustPanic("an End present under another ID", func() { l.del(time.Second, 6) })
 }
 
 // TestBackfillDepth pins the depth limit's contract: a depth at least

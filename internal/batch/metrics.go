@@ -351,9 +351,10 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 // registry lookups. All series carry the policy label; the fair-share
 // usage gauges add the user.
 type schedMetrics struct {
-	reg  *Registry
-	base Labels
-	pub  Counters // the totals as last published (publish)
+	reg       *Registry
+	base      Labels
+	pub       Counters // the totals as last published (publish)
+	pubPasses int      // s.passes as last published
 
 	submitted  *Counter // batch_jobs_submitted_total
 	completed  *Counter // batch_jobs_completed_total
@@ -419,11 +420,12 @@ func newSchedMetrics(reg *Registry, pol Policy) *schedMetrics {
 }
 
 // publish refreshes the queue-depth and nodes-down gauges and raises
-// each series that mirrors a scheduler total — Counters is the one copy
-// — by what the total has grown since the last call (so a registry
-// shared by several schedulers sums them, as it does the counters
-// incremented in place). Called after every sweep, which follows every
-// fault and every event the loop handles, and at a cancellation.
+// each series that mirrors a scheduler total — Counters and the pass
+// count are the one copy — by what the total has grown since the last
+// call (so a registry shared by several schedulers sums them, as it
+// does the counters incremented in place). Called after every sweep,
+// which follows every fault and every event the loop handles, and at a
+// cancellation.
 func (m *schedMetrics) publish(s *Scheduler) {
 	m.queueDepth.Set(float64(s.queued()))
 	m.nodesDown.Set(float64(s.cfg.Cluster.downCount))
@@ -437,7 +439,8 @@ func (m *schedMetrics) publish(s *Scheduler) {
 	m.trunkOutages.Add(float64(c.TrunkOutages - p.TrunkOutages))
 	m.lostWork.Add((c.LostWork - p.LostWork).Seconds())
 	m.banks.Add(float64(c.Banks - p.Banks))
-	m.pub = c
+	m.passes.Add(float64(s.passes - m.pubPasses))
+	m.pub, m.pubPasses = c, s.passes
 }
 
 // usageGauge returns the per-user fair-share usage gauge, registering

@@ -165,8 +165,8 @@ func TestSchedulerMetricsIntegration(t *testing.T) {
 	if v := get("batch_demotions_total").Value; int(v) != rep.Demotions {
 		t.Fatalf("demotions = %v, report says %d", v, rep.Demotions)
 	}
-	if v := get("batch_scheduler_passes_total").Value; v <= 0 {
-		t.Fatal("no scheduler passes counted")
+	if v := get("batch_scheduler_passes_total").Value; v <= 0 || int(v) != s.passes {
+		t.Fatalf("scheduler passes = %v, scheduler counted %d", v, s.passes)
 	}
 	if wait := get("batch_job_wait_seconds"); wait.Count != uint64(len(jobs)) {
 		t.Fatalf("wait histogram saw %d jobs, want %d", wait.Count, len(jobs))

@@ -202,7 +202,7 @@ type Config struct {
 // drains the queue event by event — job completions, checkpoint
 // settlements, and future arrivals — placing jobs per the configured
 // policy. Its state is the cluster with its free-range index,
-// the queue of arrived jobs, the running set — one treap keyed by
+// the queue of arrived jobs, the running set — one slice sorted by
 // completion event, which is both the loop's event queue and the
 // capacity profile behind shadow and reservation queries — and a heap
 // of future arrivals (index.go). A queued job is in exactly one of the
@@ -212,7 +212,7 @@ type Scheduler struct {
 	cfg          Config
 	now          time.Duration
 	pending      queue     // arrived jobs waiting to start
-	running      endTreap  // the running set, keyed by completion event (index.go)
+	running      endList   // the running set, sorted by completion event (index.go)
 	finished     []*Job    // terminal jobs still held: all of them, or none once a Retirer takes them (retire.go)
 	tot          JobTotals // what the jobs already retired add to a report (report.go); zero with no Retirer
 	retirer      Retirer   // where terminal jobs go instead of finished; nil = keep them (retire.go)
@@ -273,7 +273,6 @@ func New(cfg Config) *Scheduler {
 	cfg.HostSuspendCost = costHook(cfg.HostSuspendCost, DefaultHostSuspendCost)
 	cfg.HostResumeCost = costHook(cfg.HostResumeCost, DefaultHostResumeCost)
 	s := &Scheduler{cfg: cfg, nextID: 1, usage: make(map[string]*usage), byID: make(map[int]*Job)}
-	s.running.init()
 	s.link.duplex = cfg.StoreDuplex
 	s.less = s.jobLess
 	s.rec = cfg.Recorder
@@ -1159,10 +1158,11 @@ func (s *Scheduler) shadowStart(hd *Job) (shadow time.Duration) {
 // divergent specs, no resident images), no in-flight demotions or
 // migration pins, and a head whose per-node need fits the default
 // spec — any k free nodes admit the head, so the shadow is a pure
-// counting question and the running set's treap answers it in
-// O(log running) (countShadow). Everything else falls back to the
-// full replay. DebugVerifyShadows runs both and panics on disagreement;
-// the property suite keeps it on (index_test.go).
+// counting question and the running set answers it by summing node
+// counts from its earliest completion (countShadow). Everything else
+// falls back to the full replay. DebugVerifyShadows runs both and
+// panics on disagreement; the property suite keeps it on
+// (index_test.go).
 func (s *Scheduler) shadowStartLifted(hd *Job) time.Duration {
 	c := s.cfg.Cluster
 	if c.nConstrained == 0 && c.downCount == 0 && !c.trunkDown &&
@@ -1181,7 +1181,8 @@ func (s *Scheduler) shadowStartLifted(hd *Job) time.Duration {
 // countShadow is the incremental EASY shadow for the uniform fast path:
 // the head places as soon as enough nodes are free, so the reservation
 // is the earliest completion instant by which the free count reaches
-// hd.Nodes — a prefix-sum descent of the end-time treap. Exactly
+// hd.Nodes — a prefix sum over the running set in completion order,
+// stopped at the first entry that covers the deficit. Exactly
 // replayShadow's answer when its gate holds: the replay's events are
 // then completions only, processed in the same (End, ID) order, and its
 // per-event canPlace degenerates to the same count comparison.
