@@ -3,7 +3,6 @@ package batch
 import (
 	"encoding/binary"
 	"hash/fnv"
-	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -16,39 +15,10 @@ func newTestCluster(n int) *Cluster {
 	return NewCluster(n, netsim.GigabitSwitch(n))
 }
 
-// checkNoOverlap reconstructs per-node occupancy from completed jobs'
-// run segments (preempted jobs hold several gangs over disjoint
-// intervals) and fails on any instant where two gangs share a node.
 // occupy commits the named window [first, first+k) on c: how a test
 // lays out an occupancy without going through the placement ranking.
 func occupy(c *Cluster, first, k int) Allocation {
 	return c.commit(candidate{single: NodeRange{First: first, Count: k}, crosses: c.windowCrossesTrunk(first, k)})
-}
-
-func checkNoOverlap(t *testing.T, jobs []*Job, nodes int) {
-	t.Helper()
-	type span struct{ start, end time.Duration }
-	perNode := make([][]span, nodes)
-	for _, j := range jobs {
-		segments := j.Segments()
-		if len(segments) == 0 {
-			t.Fatalf("%s finished with no run segments", j)
-		}
-		for _, seg := range segments {
-			for _, i := range seg.Alloc.Ranges.Nodes() {
-				perNode[i] = append(perNode[i], span{seg.Start, seg.End})
-			}
-		}
-	}
-	for n, spans := range perNode {
-		sort.Slice(spans, func(i, k int) bool { return spans[i].start < spans[k].start })
-		for i := 1; i < len(spans); i++ {
-			if spans[i].start < spans[i-1].end {
-				t.Fatalf("node %d double-booked: [%v,%v) overlaps [%v,%v)",
-					n, spans[i-1].start, spans[i-1].end, spans[i].start, spans[i].end)
-			}
-		}
-	}
 }
 
 func submitAll(t *testing.T, s *Scheduler, jobs []*Job) {
@@ -73,7 +43,7 @@ func TestSchedule1000MixedJobs(t *testing.T) {
 		}
 	}
 	for _, pol := range []Policy{FIFO, Backfill} {
-		s := New(Config{Cluster: newTestCluster(nodes), Policy: pol})
+		s := newChecked(t, Config{Cluster: newTestCluster(nodes), Policy: pol})
 		submitAll(t, s, SyntheticMix(7, 1200, nodes))
 		rep := s.Run()
 		if len(rep.Jobs) != 1200 {
@@ -87,7 +57,6 @@ func TestSchedule1000MixedJobs(t *testing.T) {
 				t.Fatalf("%v: %s has bad lifecycle times %v/%v/%v", pol, j, j.Submit, j.Start, j.End)
 			}
 		}
-		checkNoOverlap(t, rep.Jobs, nodes)
 		if rep.Utilization <= 0 || rep.Utilization > 1 {
 			t.Fatalf("%v: utilization %.3f out of range", pol, rep.Utilization)
 		}
@@ -116,7 +85,7 @@ func skewedWorkload() []*Job {
 
 func TestBackfillBeatsFIFOOnSkewedWorkload(t *testing.T) {
 	run := func(pol Policy) Report {
-		s := New(Config{Cluster: newTestCluster(32), Policy: pol})
+		s := newChecked(t, Config{Cluster: newTestCluster(32), Policy: pol})
 		submitAll(t, s, skewedWorkload())
 		return s.Run()
 	}
@@ -145,7 +114,6 @@ func TestBackfillBeatsFIFOOnSkewedWorkload(t *testing.T) {
 	if hb, hf := headStart(back), headStart(fifo); hb > hf {
 		t.Fatalf("backfill delayed the reserved head: %v > %v", hb, hf)
 	}
-	checkNoOverlap(t, back.Jobs, 32)
 }
 
 func TestFIFOHeadOfLineBlocking(t *testing.T) {
@@ -249,21 +217,20 @@ func TestContiguousAllocationAndTrunk(t *testing.T) {
 // stretches past it must be turned away, not allowed to delay the
 // reserved head.
 func TestBackfillRespectsTrunkStretchedReservation(t *testing.T) {
-	s := New(Config{Cluster: newTestCluster(32), Policy: Backfill, TrunkSlowdown: 2})
+	s := newChecked(t, Config{Cluster: newTestCluster(32), Policy: Backfill, TrunkSlowdown: 2})
 	base := &Job{Name: "base", Nodes: 20, Est: 100 * time.Second, Priority: 9}
 	head := &Job{Name: "head", Nodes: 32, Est: 100 * time.Second, Priority: 5}
 	// 60s estimate passes the raw shadow check (0+60 <= 100) but its
 	// only possible range [20,30) crosses the trunk: stretched to 120s.
 	cand := &Job{Name: "candidate", Nodes: 10, Est: 60 * time.Second, Priority: 0}
 	submitAll(t, s, []*Job{base, head, cand})
-	rep := s.Run()
+	s.Run()
 	if head.Start != 100*time.Second {
 		t.Fatalf("reserved head started at %v, want exactly its 100s shadow", head.Start)
 	}
 	if cand.Start < head.Start {
 		t.Fatalf("trunk-stretched candidate backfilled at %v ahead of the reservation", cand.Start)
 	}
-	checkNoOverlap(t, rep.Jobs, 32)
 }
 
 func TestTrunkSlowdownStretchesRuntime(t *testing.T) {
@@ -348,7 +315,7 @@ func TestReportString(t *testing.T) {
 }
 
 func TestActualJitterKeepsInvariant(t *testing.T) {
-	s := New(Config{
+	s := newChecked(t, Config{
 		Cluster: newTestCluster(8),
 		Policy:  Backfill,
 		Actual: func(j *Job, est time.Duration) time.Duration {
@@ -364,5 +331,4 @@ func TestActualJitterKeepsInvariant(t *testing.T) {
 	if len(rep.Jobs) != 200 {
 		t.Fatalf("finished %d of 200", len(rep.Jobs))
 	}
-	checkNoOverlap(t, rep.Jobs, 8)
 }

@@ -9,42 +9,15 @@ import (
 
 // Mid-run cancellation tests: a cancel at any lifecycle point — queued,
 // running, mid-drain, mid-restore — must free exactly the resources the
-// job held and keep the banked-progress invariant: every canceled job's
-// node-holding time equals the work it actually completed plus the
-// overhead charged to it.
-
-// checkCanceledAccounting asserts busy ≡ banked work + overhead for a
-// canceled job (the Done-job invariant with doneWork standing in for
-// the full estimate).
-func checkCanceledAccounting(t *testing.T, j *Job) {
-	t.Helper()
-	if j.State != Canceled {
-		t.Fatalf("%s ended %v, want canceled", j, j.State)
-	}
-	diff := j.BusyTime() - j.doneWork - j.CheckpointOverhead()
-	if diff < 0 {
-		diff = -diff
-	}
-	if diff > 5*time.Millisecond {
-		t.Fatalf("%s busy %v != banked %v + overhead %v (diff %v)",
-			j, j.BusyTime(), j.doneWork, j.CheckpointOverhead(), diff)
-	}
-	segments := j.Segments()
-	for i, seg := range segments {
-		if seg.End < seg.Start {
-			t.Fatalf("%s segment %d runs backwards: %+v", j, i, seg)
-		}
-		if i > 0 && seg.Start < segments[i-1].End {
-			t.Fatalf("%s resident twice across cancel: segments %d/%d", j, i-1, i)
-		}
-	}
-}
+// job held and keep the banked-progress invariant, which checkSchedule
+// certifies: a canceled job's node-holding time equals the work it
+// actually completed plus the overhead charged to it.
 
 // TestCancelQueuedJob withdraws a job that never dispatched: it leaves
 // the queue immediately, holds no nodes, and the machine schedules as
 // if it never existed.
 func TestCancelQueuedJob(t *testing.T) {
-	s := New(Config{Cluster: newTestCluster(4)})
+	s := newChecked(t, Config{Cluster: newTestCluster(4)})
 	running := &Job{Name: "holds", Kind: KindPDE, Nodes: 4, Est: 10 * time.Second}
 	waiting := &Job{Name: "waits", Kind: KindPDE, Nodes: 4, Est: 10 * time.Second}
 	submitAll(t, s, []*Job{running, waiting})
@@ -65,7 +38,6 @@ func TestCancelQueuedJob(t *testing.T) {
 	if rep.Makespan != 10*time.Second {
 		t.Fatalf("canceled job distorted the schedule: makespan %v", rep.Makespan)
 	}
-	checkCanceledAccounting(t, waiting)
 	if waiting.BusyTime() != 0 {
 		t.Fatalf("never-dispatched job shows busy time %v", waiting.BusyTime())
 	}
@@ -75,7 +47,7 @@ func TestCancelQueuedJob(t *testing.T) {
 // cancel instant (the waiter starts right there), elapsed progress and
 // overhead stay accounted, and the checkpoint image is discarded.
 func TestCancelRunningGang(t *testing.T) {
-	s := New(Config{Cluster: newTestCluster(4)})
+	s := newChecked(t, Config{Cluster: newTestCluster(4)})
 	victim := &Job{Name: "victim", Kind: KindPDE, Nodes: 4, Est: time.Hour}
 	waiter := &Job{Name: "waiter", Kind: KindPDE, Nodes: 4, Est: 10 * time.Second, Submit: 2 * time.Second}
 	submitAll(t, s, []*Job{victim, waiter})
@@ -99,7 +71,6 @@ func TestCancelRunningGang(t *testing.T) {
 	if rep.Canceled != 1 {
 		t.Fatalf("report counts %d canceled", rep.Canceled)
 	}
-	checkCanceledAccounting(t, victim)
 	if victim.BusyTime() != 2*time.Second {
 		t.Fatalf("victim busy %v, want the 2s it actually held", victim.BusyTime())
 	}
@@ -111,7 +82,7 @@ func TestCancelRunningGang(t *testing.T) {
 // the preemptor's wave settles normally.
 func TestCancelMidDrain(t *testing.T) {
 	ck, rs := fixedCosts(500*time.Millisecond, 200*time.Millisecond)
-	s := New(Config{Cluster: newTestCluster(4), Preempt: true, CheckpointCost: ck, RestoreCost: rs})
+	s := newChecked(t, Config{Cluster: newTestCluster(4), Preempt: true, CheckpointCost: ck, RestoreCost: rs})
 	low := &Job{Name: "low", Kind: KindPDE, Nodes: 4, Priority: 0, Est: time.Hour}
 	high := &Job{Name: "high", Kind: KindPDE, Nodes: 4, Priority: 5, Est: 10 * time.Second, Submit: 2 * time.Second}
 	submitAll(t, s, []*Job{low, high})
@@ -142,7 +113,6 @@ func TestCancelMidDrain(t *testing.T) {
 	if rep.Canceled != 1 || rep.PreemptEvents != 1 {
 		t.Fatalf("report: %d canceled, %d preempt events", rep.Canceled, rep.PreemptEvents)
 	}
-	checkCanceledAccounting(t, low)
 }
 
 // TestCancelMidRestore cancels a preempted job inside its restore
@@ -151,7 +121,7 @@ func TestCancelMidDrain(t *testing.T) {
 // time exactly equal to charged overhead plus banked work.
 func TestCancelMidRestore(t *testing.T) {
 	ck, rs := fixedCosts(500*time.Millisecond, 30*time.Second)
-	s := New(Config{Cluster: newTestCluster(4), Preempt: true, CheckpointCost: ck, RestoreCost: rs})
+	s := newChecked(t, Config{Cluster: newTestCluster(4), Preempt: true, CheckpointCost: ck, RestoreCost: rs})
 	low := &Job{Name: "low", Kind: KindPDE, Nodes: 4, Priority: 0, Est: time.Hour}
 	high := &Job{Name: "high", Kind: KindPDE, Nodes: 4, Priority: 5, Est: 10 * time.Second, Submit: 2 * time.Second}
 	submitAll(t, s, []*Job{low, high})
@@ -185,7 +155,6 @@ func TestCancelMidRestore(t *testing.T) {
 	if rep.Canceled != 1 {
 		t.Fatalf("report counts %d canceled", rep.Canceled)
 	}
-	checkCanceledAccounting(t, low)
 	if rep.RestoreWait < 0 {
 		t.Fatalf("restore-wait went negative after refund: %v", rep.RestoreWait)
 	}
@@ -221,10 +190,9 @@ func TestCancelErrors(t *testing.T) {
 
 // TestCancelPropertySweep drives the full crossed configuration matrix
 // with cancels injected at three lifecycle points mid-run — a queued
-// job, a running gang, and a draining victim — and re-checks the
-// property-suite invariants: canceled jobs keep busy ≡ banked work +
-// overhead, surviving jobs keep the full Done invariant, and no node is
-// ever double-booked across the cancels.
+// job, a running gang, and a draining victim — and certifies each run
+// (checkSchedule): canceled jobs keep busy ≡ banked work + overhead,
+// surviving jobs finish, and no node is double-booked across the cancels.
 func TestCancelPropertySweep(t *testing.T) {
 	DebugVerifyShadows = true
 	defer func() { DebugVerifyShadows = false }()
@@ -235,7 +203,7 @@ func TestCancelPropertySweep(t *testing.T) {
 		name := fmt.Sprintf("%v/preempt=%v/quantum=%v/host=%v", cfg.Policy, cfg.Preempt, cfg.Quantum, cfg.SuspendToHost)
 		t.Run(name, func(t *testing.T) {
 			cfg.Cluster = newTestCluster(nodes)
-			s := New(cfg)
+			s := newChecked(t, cfg)
 			submitAll(t, s, SyntheticStream(3, count, nodes, 5*time.Second))
 			canceled := make(map[int]bool)
 			cancelOne := func(pick func() *Job) {
@@ -287,34 +255,9 @@ func TestCancelPropertySweep(t *testing.T) {
 			if rep.Canceled != len(canceled) {
 				t.Fatalf("report counts %d canceled, test issued %d", rep.Canceled, len(canceled))
 			}
-			// A job canceled before its first dispatch has no run
-			// segments; the occupancy reconstruction covers the rest.
-			ran := make([]*Job, 0, len(rep.Jobs))
 			for _, j := range rep.Jobs {
-				if len(j.Segments()) > 0 {
-					ran = append(ran, j)
-				} else if j.State != Canceled {
-					t.Fatalf("%s finished with no run segments", j)
-				}
-			}
-			checkNoOverlap(t, ran, nodes)
-			for _, j := range rep.Jobs {
-				if canceled[j.ID] {
-					checkCanceledAccounting(t, j)
-					continue
-				}
-				if j.State != Done {
+				if !canceled[j.ID] && j.State != Done {
 					t.Fatalf("%s ended %v", j, j.State)
-				}
-				if want := j.TimeSlices() + j.Preemptions() + 1; len(j.Segments()) != want {
-					t.Fatalf("%s has %d segments, want %d", j, len(j.Segments()), want)
-				}
-				diff := j.BusyTime() - j.Estimate() - j.CheckpointOverhead()
-				if diff < 0 {
-					diff = -diff
-				}
-				if diff > 5*time.Millisecond {
-					t.Fatalf("%s busy %v != est %v + overhead %v", j, j.BusyTime(), j.Estimate(), j.CheckpointOverhead())
 				}
 			}
 		})

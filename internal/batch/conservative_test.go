@@ -181,19 +181,18 @@ func TestConservativeSearchesPerJob(t *testing.T) {
 // is the horizon, R's end, and it starts when the node is repaired.
 func TestHorizonReservationDownNode(t *testing.T) {
 	const sec = time.Second
-	s := New(Config{Cluster: newTestCluster(4), Policy: Conservative,
+	s := newChecked(t, Config{Cluster: newTestCluster(4), Policy: Conservative,
 		Faults: &FaultPlan{Crashes: []NodeFault{{Node: 3, At: 10 * sec, Repair: time.Hour}}}})
 	r := ruleJob("R", 2, 1, 100*sec, 0)
 	h := ruleJob("H", 4, 0, 10*sec, 20*sec)
 	submitAll(t, s, []*Job{r, h})
-	rep := s.Run()
+	s.Run()
 	if h.promise != 100*sec {
 		t.Fatalf("H reserved at %v, want 100s (the profile's horizon)", h.promise)
 	}
 	if h.State != Done || h.Start != time.Hour+10*sec {
 		t.Fatalf("H %v from %v, want done from 1h0m10s (the repair)", h.State, h.Start)
 	}
-	checkNoOverlap(t, rep.Jobs, 4)
 }
 
 // TestHorizonReservationPinnedImage pins the second way: suspended to
@@ -206,7 +205,7 @@ func TestHorizonReservationPinnedImage(t *testing.T) {
 	const sec = time.Second
 	ck, rs := fixedCosts(10*sec, 5*sec)
 	hs, hr := fixedHostCosts(sec, sec)
-	s := New(Config{Cluster: memSqueezedCluster(3), Policy: Conservative,
+	s := newChecked(t, Config{Cluster: memSqueezedCluster(3), Policy: Conservative,
 		Preempt: true, SuspendToHost: true,
 		CheckpointCost: ck, RestoreCost: rs, HostSuspendCost: hs, HostResumeCost: hr})
 	big := [3]int{256, 256, 120} // ~63 MB per node
@@ -225,5 +224,4 @@ func TestHorizonReservationPinnedImage(t *testing.T) {
 	if rep.HostSuspends != 1 || rep.Demotions != 1 {
 		t.Fatalf("host suspensions %d / demotions %d, want 1 / 1", rep.HostSuspends, rep.Demotions)
 	}
-	checkNoOverlap(t, rep.Jobs, 3)
 }

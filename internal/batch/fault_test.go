@@ -11,16 +11,12 @@ import (
 // Fault-injection property tests: seeded failure storms (node crashes
 // with repair times, whole-trunk outages) run across the full crossed
 // policy/preemption/quantum/suspend matrix, with and without proactive
-// checkpointing. The invariants extend the base property suite's:
-//
-//  1. exact loss accounting — busy ≡ work + overhead + lost work, with
-//     lost work exactly the wall time destroyed since the last banked
-//     History boundary;
-//  2. placement respects faults — no run segment overlaps a down
-//     window of a node it occupies, and capacity/single-residency hold
-//     while nodes die and repair mid-schedule;
-//  3. determinism — the same mix, policy, and FaultPlan seed replayed
-//     twice produces bit-identical reports and event streams.
+// checkpointing. checkSchedule certifies each run: busy ≡ work +
+// overhead + lost work, with lost work exactly the wall time destroyed
+// since the last banked History boundary, and no run segment on a node
+// inside its down window. Determinism is pinned here: the same mix,
+// policy, and FaultPlan seed replayed twice produces bit-identical
+// reports and event streams.
 
 // stormPlan is the seeded storm used by the property tests: sized so a
 // 32-node property mix sees a steady trickle of node crashes plus the
@@ -45,137 +41,9 @@ func stormConfigs(seed int64) []Config {
 	return cfgs
 }
 
-// downWindows reconstructs per-node down intervals from the recorded
-// EvNodeDown events (elided already-repaired faults never appear).
-func downWindows(events []Event) map[int][]Segment {
-	wins := map[int][]Segment{}
-	for _, ev := range events {
-		if ev.Kind != EvNodeDown {
-			continue
-		}
-		for _, n := range ev.Alloc.Nodes() {
-			if n >= 0 {
-				wins[n] = append(wins[n], Segment{Start: ev.From, End: ev.To})
-			}
-		}
-	}
-	return wins
-}
-
-// planWindows derives the per-node down intervals straight from the
-// compiled plan, for recorder-less runs. Stricter than downWindows: it
-// includes windows the scheduler elided — but an elided window had no
-// outstanding work anywhere inside it (the event loop stops at every
-// fault instant while work exists), so no run segment can overlap one.
-func planWindows(plan *FaultPlan, nodes int) map[int][]Segment {
-	wins := map[int][]Segment{}
-	for _, ev := range plan.compile(nodes) {
-		if ev.kind == faultNodeDown {
-			wins[ev.node] = append(wins[ev.node], Segment{Start: ev.at, End: ev.until})
-		}
-	}
-	return wins
-}
-
-// checkNoRunDuringDown asserts no job held a downed node: every run
-// segment on a node is disjoint from every recorded down window of that
-// node. A gang killed by the fault ends its segment exactly at the down
-// instant, which is disjoint.
-func checkNoRunDuringDown(t *testing.T, jobs []*Job, wins map[int][]Segment) {
-	t.Helper()
-	for _, j := range jobs {
-		for _, seg := range j.Segments() {
-			for _, n := range seg.Alloc.Ranges.Nodes() {
-				for _, w := range wins[n] {
-					if seg.Start < w.End && seg.End > w.Start {
-						t.Fatalf("%s ran [%v,%v) on node %d inside down window [%v,%v)",
-							j, seg.Start, seg.End, n, w.Start, w.End)
-					}
-				}
-			}
-		}
-	}
-}
-
-// checkFaultBalance asserts the storm invariants on one finished run
-// and returns (kills, banks) for the caller's vacuity aggregation.
-// events may be nil for recorder-less runs (stream checks skipped).
-func checkFaultBalance(t *testing.T, rep Report, count int, events []Event, wins map[int][]Segment) (int, int) {
-	t.Helper()
-	if len(rep.Jobs) != count || rep.Failed != 0 {
-		t.Fatalf("finished %d of %d jobs, %d failed", len(rep.Jobs), count, rep.Failed)
-	}
-	checkNoOverlap(t, rep.Jobs, len(rep.NodeBusy))
-	checkNoRunDuringDown(t, rep.Jobs, wins)
-	var lost time.Duration
-	faults, banks, faulted := 0, 0, 0
-	for _, j := range rep.Jobs {
-		if j.State != Done {
-			t.Fatalf("%s ended %v", j, j.State)
-		}
-		if want := j.TimeSlices() + j.Preemptions() + j.Faults() + j.Banks() + 1; len(j.Segments()) != want {
-			t.Fatalf("%s has %d segments, want %d (%d slices + %d preempts + %d faults + %d banks + final)",
-				j, len(j.Segments()), want, j.TimeSlices(), j.Preemptions(), j.Faults(), j.Banks())
-		}
-		// Exact loss accounting: node-holding time is true work plus
-		// charged overhead plus exactly the work the storm destroyed.
-		// Slack only for the millisecond floor on degenerate segments.
-		diff := j.BusyTime() - j.Estimate() - j.CheckpointOverhead() - j.LostWork()
-		if diff < 0 {
-			diff = -diff
-		}
-		if slack := 5*time.Millisecond + time.Duration(j.Faults()+j.Banks())*time.Millisecond; diff > slack {
-			t.Fatalf("%s busy %v != est %v + overhead %v + lost %v (diff %v)",
-				j, j.BusyTime(), j.Estimate(), j.CheckpointOverhead(), j.LostWork(), diff)
-		}
-		lost += j.LostWork()
-		faults += j.Faults()
-		banks += j.Banks()
-		if j.Faults() > 0 {
-			faulted++
-		}
-	}
-	if lost != rep.LostWork {
-		t.Fatalf("per-job lost work sums to %v, report says %v", lost, rep.LostWork)
-	}
-	if faults != rep.FaultKills || banks != rep.Banks || faulted != rep.Faulted {
-		t.Fatalf("per-job counters (%d kills, %d banks, %d faulted) disagree with report (%d, %d, %d)",
-			faults, banks, faulted, rep.FaultKills, rep.Banks, rep.Faulted)
-	}
-	// The event stream must carry every kill and bank, typed.
-	if events != nil {
-		evKills, evBanks := 0, 0
-		for _, ev := range events {
-			if ev.Kind == EvSegmentEnd && ev.Detail == "fault" {
-				evKills++
-			}
-			if ev.Kind == EvSegmentEnd && ev.Detail == "bank" {
-				evBanks++
-			}
-		}
-		if evKills != rep.FaultKills || evBanks != rep.Banks {
-			t.Fatalf("stream has %d fault segment-ends and %d bank settles, report counts %d and %d",
-				evKills, rep.FaultKills, evBanks, rep.Banks)
-		}
-	}
-	if rep.NodeFaults > 0 {
-		if rep.Availability <= 0 || rep.Availability >= 1 {
-			t.Fatalf("%d node faults but availability %.4f not in (0,1)", rep.NodeFaults, rep.Availability)
-		}
-		if rep.NodeDownTime <= 0 {
-			t.Fatalf("%d node faults but zero node down-time", rep.NodeFaults)
-		}
-	}
-	if rep.Goodput <= 0 {
-		t.Fatalf("goodput %.4f not positive for a drained run", rep.Goodput)
-	}
-	return faults, banks
-}
-
 // TestFaultStormProperties runs the seeded storm across the crossed
-// configuration matrix, with proactive checkpointing off and on, and
-// asserts the loss-accounting, placement, and capacity invariants. The
-// final vacuity guard proves the storm actually killed running gangs
+// configuration matrix, with proactive checkpointing off and on, each
+// run certified by checkSchedule. The final vacuity guard proves the storm actually killed running gangs
 // and (with the knob on) actually banked proactive checkpoints —
 // without it every invariant above could pass on a storm that never
 // connected.
@@ -187,26 +55,16 @@ func TestFaultStormProperties(t *testing.T) {
 		name := fmt.Sprintf("%v/preempt=%v/quantum=%v/host=%v/ckpt=%v",
 			cfg.Policy, cfg.Preempt, cfg.Quantum, cfg.SuspendToHost, cfg.CheckpointInterval)
 		t.Run(name, func(t *testing.T) {
-			rec := &MemRecorder{}
 			cfg.Cluster = newTestCluster(nodes)
-			cfg.Recorder = rec
-			s := New(cfg)
+			s := newChecked(t, cfg)
 			submitAll(t, s, SyntheticStream(2, count, nodes, 5*time.Second))
 			rep := s.Run()
-			kills, banks := checkFaultBalance(t, rep, count, rec.Events(), downWindows(rec.Events()))
-			totalKills += kills
+			if len(rep.Jobs) != count || rep.Failed != 0 {
+				t.Fatalf("finished %d of %d jobs, %d failed", len(rep.Jobs), count, rep.Failed)
+			}
+			totalKills += rep.FaultKills
 			if cfg.CheckpointInterval > 0 {
-				totalBanks += banks
-			}
-			var totalBusy time.Duration
-			for i, b := range rep.NodeBusy {
-				if b < 0 || b > rep.Makespan {
-					t.Fatalf("node %d busy %v exceeds makespan %v", i, b, rep.Makespan)
-				}
-				totalBusy += b
-			}
-			if limit := time.Duration(nodes) * rep.Makespan; totalBusy > limit {
-				t.Fatalf("total busy %v exceeds machine capacity %v", totalBusy, limit)
+				totalBanks += rep.Banks
 			}
 		})
 	}
@@ -287,7 +145,7 @@ func TestFaultStormDeterminism(t *testing.T) {
 func TestTrunkOutageKillsCrossingGangs(t *testing.T) {
 	plan := &FaultPlan{Trunks: []TrunkFault{{At: 30 * time.Second, Duration: 10 * time.Second}}}
 	rec := &MemRecorder{}
-	s := New(Config{
+	s := newChecked(t, Config{
 		Cluster:  newTestCluster(32),
 		Policy:   FIFO,
 		Faults:   plan,
@@ -337,7 +195,7 @@ func TestCheckpointIntervalGoodput(t *testing.T) {
 	plan := &FaultPlan{Crashes: []NodeFault{{Node: 0, At: 60 * time.Second, Repair: 5 * time.Second}}}
 	run := func(interval time.Duration) Report {
 		ck, rs := fixedCosts(time.Second, 500*time.Millisecond)
-		s := New(Config{
+		s := newChecked(t, Config{
 			Cluster:            newTestCluster(8),
 			Policy:             FIFO,
 			CheckpointCost:     ck,
@@ -469,7 +327,7 @@ func TestNegativeCostHooksPriceZero(t *testing.T) {
 					name := fmt.Sprintf("preempt=%v/quantum=%v/host=%v/faults=%v", preempt, quantum, suspend, plan != nil)
 					t.Run(name, func(t *testing.T) {
 						rec := &MemRecorder{}
-						s := New(Config{
+						s := newChecked(t, Config{
 							Cluster:            tight(),
 							Policy:             Backfill,
 							Preempt:            preempt,
@@ -485,7 +343,9 @@ func TestNegativeCostHooksPriceZero(t *testing.T) {
 						})
 						submitAll(t, s, SyntheticStream(3, count, nodes, time.Second))
 						rep := s.Run()
-						checkFaultBalance(t, rep, count, rec.Events(), downWindows(rec.Events()))
+						if len(rep.Jobs) != count || rep.Failed != 0 {
+							t.Fatalf("finished %d of %d jobs, %d failed", len(rep.Jobs), count, rep.Failed)
+						}
 						for _, j := range rep.Jobs {
 							if j.CheckpointOverhead() != 0 {
 								t.Fatalf("%s charged %v of overhead", j, j.CheckpointOverhead())

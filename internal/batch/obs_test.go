@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"os"
 	"reflect"
-	"sort"
 	"testing"
 	"time"
 )
@@ -219,210 +218,6 @@ func TestEventStreamDeterminism(t *testing.T) {
 			})
 		}
 	}
-}
-
-// TestRecorderLifecycleCoverage drives a contended run (preemption,
-// time-slicing, suspend-to-host, staggered arrivals) and checks the
-// recorded stream is a complete, consistent account of the schedule:
-// every job submits and completes exactly once, dispatches pair with
-// segment ends that reproduce Segments, drains match the report's
-// suspension counts, and the store link's directions never double-book.
-func TestRecorderLifecycleCoverage(t *testing.T) {
-	const nodes = 32
-	rec := &MemRecorder{}
-	s := New(Config{
-		Cluster:       newTestCluster(nodes),
-		Policy:        Backfill,
-		TrunkSlowdown: 1.1,
-		Preempt:       true,
-		Quantum:       300 * time.Second,
-		SuspendToHost: true,
-		Recorder:      rec,
-	})
-	jobs := SyntheticStream(3, 150, nodes, 5*time.Second)
-	submitAll(t, s, jobs)
-	rep := s.Run()
-	events := rec.Events()
-	if len(rep.Events) != len(events) {
-		t.Fatalf("report copied %d events, recorder holds %d", len(rep.Events), len(events))
-	}
-
-	counts := map[int]map[EventKind]int{}
-	type iv struct{ from, to time.Duration }
-	var segs = map[int][]iv{}
-	var writes, reads []iv
-	cancelled := map[[2]int64]bool{} // (job, readStart µs) bookings released mid-restore
-	drains, requeues, hostSuspends := 0, 0, 0
-	lastPass := 0
-	for _, ev := range events {
-		if counts[ev.Job] == nil {
-			counts[ev.Job] = map[EventKind]int{}
-		}
-		counts[ev.Job][ev.Kind]++
-		switch ev.Kind {
-		case EvSegmentEnd:
-			segs[ev.Job] = append(segs[ev.Job], iv{ev.From, ev.To})
-		case EvStoreWrite:
-			writes = append(writes, iv{ev.From, ev.To})
-		case EvStoreRead:
-			if ev.Detail == "cancel" {
-				cancelled[[2]int64{int64(ev.Job), int64(ev.From)}] = true
-			} else {
-				reads = append(reads, iv{ev.From, ev.To})
-			}
-		case EvDrainBegin:
-			drains++
-		case EvRequeue:
-			requeues++
-		case EvHostSuspend:
-			hostSuspends++
-		case EvBlocked:
-			if ev.Pass < lastPass {
-				t.Fatalf("pass numbers regressed: %d after %d", ev.Pass, lastPass)
-			}
-			lastPass = ev.Pass
-			if ev.Reason == ReasonNone {
-				t.Fatalf("EvBlocked for job %d carries ReasonNone", ev.Job)
-			}
-		}
-	}
-
-	for _, j := range rep.Jobs {
-		c := counts[j.ID]
-		if c[EvSubmit] != 1 || c[EvComplete] != 1 {
-			t.Fatalf("job %d: %d submits, %d completes (want exactly 1 each)", j.ID, c[EvSubmit], c[EvComplete])
-		}
-		segments := j.Segments()
-		if c[EvDispatch] != len(segments) || c[EvSegmentEnd] != len(segments) {
-			t.Fatalf("job %d: %d dispatches, %d segment ends, %d segments",
-				j.ID, c[EvDispatch], c[EvSegmentEnd], len(segments))
-		}
-		for i, seg := range segments {
-			if got := segs[j.ID][i]; got.from != seg.Start || got.to != seg.End {
-				t.Fatalf("job %d segment %d: events say [%v,%v), Segments says [%v,%v)",
-					j.ID, i, got.from, got.to, seg.Start, seg.End)
-			}
-		}
-	}
-	if want := rep.PreemptEvents + rep.SliceEvents; drains != want {
-		t.Fatalf("%d EvDrainBegin events, report counts %d suspensions", drains, want)
-	}
-	if drains != requeues {
-		t.Fatalf("%d drains but %d requeues", drains, requeues)
-	}
-	if hostSuspends != rep.HostSuspends {
-		t.Fatalf("%d EvHostSuspend events, report counts %d", hostSuspends, rep.HostSuspends)
-	}
-	if drains == 0 || hostSuspends == 0 || len(writes) == 0 || len(reads) == 0 {
-		t.Fatalf("contended run exercised too little: drains=%d hostSuspends=%d writes=%d reads=%d",
-			drains, hostSuspends, len(writes), len(reads))
-	}
-
-	// A direction's transfers serialize on its timeline, so recorded
-	// intervals must never overlap. Cancelled read bookings gave their
-	// tail back — a later read may legitimately start inside one — so
-	// they are excluded above.
-	checkSerial := func(name string, ivs []iv) {
-		sort.Slice(ivs, func(i, k int) bool { return ivs[i].from < ivs[k].from })
-		for i := 1; i < len(ivs); i++ {
-			if ivs[i].from < ivs[i-1].to {
-				t.Fatalf("store-link %s direction double-booked: [%v,%v) overlaps [%v,%v)",
-					name, ivs[i-1].from, ivs[i-1].to, ivs[i].from, ivs[i].to)
-			}
-		}
-	}
-	checkSerial("write", writes)
-	kept := reads[:0]
-	for _, r := range reads {
-		keep := true
-		for key := range cancelled {
-			if time.Duration(key[1]) == r.from {
-				keep = false
-				break
-			}
-		}
-		if keep {
-			kept = append(kept, r)
-		}
-	}
-	checkSerial("read", kept)
-}
-
-// TestSegmentsMatchEventLog is the differential test of the derived final
-// segment. Over randomSweepCase configurations (policy × preempt ×
-// quantum × suspend-to-host × fault plan × ...), half of them canceling
-// a job every few rounds and a third failing every fifth job at
-// completion, each job's Segments — the stored History plus, for a Done
-// or Failed job, the segment read off Alloc, segStart and End — must
-// equal the segments rebuilt from its recorded EvSegmentEnd events:
-// every site that ends a segment records one, and only a "run" end is
-// not stored.
-func TestSegmentsMatchEventLog(t *testing.T) {
-	configs := 1200
-	if testing.Short() {
-		configs = 300
-	}
-	ends := map[string]int{}
-	failed, canceled := 0, 0
-	for seed := int64(1); seed <= int64(configs); seed++ {
-		c := randomSweepCase(seed)
-		rec := &MemRecorder{}
-		cfg := c.cfg
-		cfg.Cluster, cfg.Recorder = c.cluster(), rec
-		if seed%3 == 0 {
-			cfg.Execute = execFunc(func(j *Job, _ Allocation) (string, error) {
-				if j.ID%5 == 0 {
-					return "", errTestBoom
-				}
-				return "ok", nil
-			})
-		}
-		s := New(cfg)
-		var jobs []*Job
-		for _, j := range c.jobs() {
-			if s.Submit(j) == nil {
-				jobs = append(jobs, j)
-			}
-		}
-		for round := 1; round < sweepRoundCap && s.Step(); round++ {
-			if seed%2 == 0 && round%13 == 0 {
-				s.Cancel(jobs[round*7%len(jobs)].ID) // a terminal job refuses; that is fine
-			}
-		}
-		rebuilt := map[int][]Segment{}
-		for _, ev := range rec.Events() {
-			if ev.Kind != EvSegmentEnd {
-				continue
-			}
-			count := 0
-			for _, r := range ev.Alloc {
-				count += r.Count
-			}
-			alloc := Allocation{Ranges: ev.Alloc, Count: count, CrossesTrunk: cfg.Cluster.rangesCrossTrunk(ev.Alloc)}
-			rebuilt[ev.Job] = append(rebuilt[ev.Job], Segment{Alloc: alloc, Start: ev.From, End: ev.To, Preempted: ev.Detail != "run"})
-			ends[ev.Detail]++
-		}
-		for _, j := range jobs {
-			if got, want := j.Segments(), rebuilt[j.ID]; !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s: %s (%v) has segments\n  %+v\nthe event log says\n  %+v", c.name, j, j.State, got, want)
-			}
-			switch j.State {
-			case Failed:
-				failed++
-			case Canceled:
-				canceled++
-			}
-		}
-	}
-	for _, d := range []string{"run", "drain", "fault", "cancel", "bank"} {
-		if ends[d] == 0 {
-			t.Errorf("no segment ended in %q: the comparison is vacuous there", d)
-		}
-	}
-	if failed == 0 || canceled == 0 {
-		t.Errorf("%d failed and %d canceled jobs: a terminal state went unexercised", failed, canceled)
-	}
-	t.Logf("%d configurations: segment ends %v, %d failed, %d canceled jobs", configs, ends, failed, canceled)
 }
 
 // TestReportTimeline covers the Report.Timeline accessor: the per-job

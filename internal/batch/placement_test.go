@@ -45,10 +45,10 @@ func trunkRejectionJobs() (jobs []*Job, head, cand *Job) {
 // not cross the trunk, before the head's 120 s reservation, and the
 // reserved head still starts exactly at its shadow.
 func TestBackfillTakesNonCrossingWindow(t *testing.T) {
-	s := New(Config{Cluster: newTestCluster(32), Policy: Backfill, TrunkSlowdown: 2})
+	s := newChecked(t, Config{Cluster: newTestCluster(32), Policy: Backfill, TrunkSlowdown: 2})
 	jobs, head, cand := trunkRejectionJobs()
 	submitAll(t, s, jobs)
-	rep := s.Run()
+	s.Run()
 	if !cand.Backfilled() {
 		t.Fatal("the candidate was not backfilled")
 	}
@@ -61,7 +61,6 @@ func TestBackfillTakesNonCrossingWindow(t *testing.T) {
 	if head.Start != 120*time.Second {
 		t.Fatalf("reserved head started at %v, want its 120s shadow", head.Start)
 	}
-	checkNoOverlap(t, rep.Jobs, 32)
 }
 
 // TestEASYInvariantProperty asserts, over random mixes, that no
@@ -71,7 +70,7 @@ func TestBackfillTakesNonCrossingWindow(t *testing.T) {
 func TestEASYInvariantProperty(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		rec := &MemRecorder{}
-		s := New(Config{
+		s := newChecked(t, Config{
 			Cluster:       newTestCluster(32),
 			Policy:        Backfill,
 			TrunkSlowdown: 1.5,
@@ -94,7 +93,6 @@ func TestEASYInvariantProperty(t *testing.T) {
 					seed, j, j.End, b, ok)
 			}
 		}
-		checkNoOverlap(t, rep.Jobs, 32)
 	}
 }
 
@@ -152,14 +150,13 @@ func TestNonContiguousAssembly(t *testing.T) {
 
 	// Scheduler-level: the split gang starts as soon as enough
 	// fragments free up (10s), not when a contiguous window does (100s).
-	s := New(Config{Cluster: NewCluster(8, netsim.GigabitSwitch(8)), Policy: FIFO})
+	s := newChecked(t, Config{Cluster: NewCluster(8, netsim.GigabitSwitch(8)), Policy: FIFO})
 	short := &Job{Name: "short", Kind: KindPDE, Nodes: 3, Est: 10 * time.Second, Priority: 9}
 	long := &Job{Name: "long", Kind: KindPDE, Nodes: 3, Est: 100 * time.Second, Priority: 8}
 	tail := &Job{Name: "tail", Kind: KindPDE, Nodes: 2, Est: 10 * time.Second, Priority: 7}
 	wide := &Job{Name: "wide", Kind: KindPDE, Nodes: 5, Est: 20 * time.Second, Priority: 0}
 	submitAll(t, s, []*Job{short, long, tail, wide})
-	rep := s.Run()
-	checkNoOverlap(t, rep.Jobs, 8)
+	s.Run()
 	if wide.Start != 10*time.Second {
 		t.Fatalf("the wide job started at %v, want 10s on fragments", wide.Start)
 	}

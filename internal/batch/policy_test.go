@@ -61,7 +61,7 @@ func runMix(t *testing.T, pol Policy, seed int64, n int, preempt bool) Report {
 
 func runMixSlowdown(t *testing.T, pol Policy, seed int64, n int, preempt bool, slowdown float64, rec Recorder) Report {
 	t.Helper()
-	s := New(Config{
+	s := newChecked(t, Config{
 		Cluster:       newTestCluster(32),
 		Policy:        pol,
 		TrunkSlowdown: slowdown,
@@ -151,7 +151,6 @@ func TestShadowInvariantAllPolicies(t *testing.T) {
 					}
 				}
 			}
-			checkNoOverlap(t, rep.Jobs, 32)
 		}
 	}
 	// Conservative promises, in the exact regime (reserved durations
@@ -164,7 +163,6 @@ func TestShadowInvariantAllPolicies(t *testing.T) {
 					seed, j, j.Start, p)
 			}
 		}
-		checkNoOverlap(t, rep.Jobs, 32)
 	}
 }
 
@@ -189,7 +187,7 @@ func TestConservativeNeverDelaysEarlierJobs(t *testing.T) {
 		return jobs
 	}
 	run := func(pol Policy) ([]*Job, Report) {
-		s := New(Config{Cluster: newTestCluster(32), Policy: pol})
+		s := newChecked(t, Config{Cluster: newTestCluster(32), Policy: pol})
 		jobs := mk()
 		submitAll(t, s, jobs)
 		return jobs, s.Run()
@@ -206,7 +204,6 @@ func TestConservativeNeverDelaysEarlierJobs(t *testing.T) {
 	if repC.Backfilled == 0 {
 		t.Fatal("conservative never backfilled the fillers")
 	}
-	checkNoOverlap(t, repC.Jobs, 32)
 }
 
 // TestFairShareReordersByDecayedUsage gives one user a long head start
@@ -237,7 +234,7 @@ func TestFairShareReordersByDecayedUsage(t *testing.T) {
 		return sum / time.Duration(len(jobs))
 	}
 	run := func(pol Policy) (time.Duration, time.Duration, Report) {
-		s := New(Config{Cluster: newTestCluster(32), Policy: pol})
+		s := newChecked(t, Config{Cluster: newTestCluster(32), Policy: pol})
 		heavy, light, all := mk()
 		submitAll(t, s, all)
 		rep := s.Run()
@@ -258,7 +255,6 @@ func TestFairShareReordersByDecayedUsage(t *testing.T) {
 		t.Fatalf("usage accounting inverted: hog %v, fair %v",
 			rep.UserNodeTime["hog"], rep.UserNodeTime["fair"])
 	}
-	checkNoOverlap(t, rep.Jobs, 32)
 }
 
 // TestUsageDecayHalfLife pins the decay arithmetic: after exactly one
@@ -283,7 +279,7 @@ func TestUsageDecayHalfLife(t *testing.T) {
 // canonical skewed shape it must beat FIFO's makespan.
 func TestConservativeBeatsFIFOOnSkewedWorkload(t *testing.T) {
 	run := func(pol Policy) Report {
-		s := New(Config{Cluster: newTestCluster(32), Policy: pol})
+		s := newChecked(t, Config{Cluster: newTestCluster(32), Policy: pol})
 		submitAll(t, s, skewedWorkload())
 		return s.Run()
 	}
@@ -294,5 +290,4 @@ func TestConservativeBeatsFIFOOnSkewedWorkload(t *testing.T) {
 	if cons.Backfilled == 0 {
 		t.Fatal("conservative never backfilled")
 	}
-	checkNoOverlap(t, cons.Jobs, 32)
 }

@@ -28,7 +28,7 @@ func TestPreemptionReducesHighPriorityWait(t *testing.T) {
 	}
 	run := func(preempt bool) (Report, *Job, *Job) {
 		ck, rs := fixedCosts(ckpt, restore)
-		s := New(Config{
+		s := newChecked(t, Config{
 			Cluster: newTestCluster(32), Policy: Backfill,
 			Preempt: preempt, CheckpointCost: ck, RestoreCost: rs,
 		})
@@ -37,7 +37,7 @@ func TestPreemptionReducesHighPriorityWait(t *testing.T) {
 		return s.Run(), low, high
 	}
 
-	easyRep, _, easyHigh := run(false)
+	_, _, easyHigh := run(false)
 	if easyHigh.Wait() != 590*time.Second {
 		t.Fatalf("non-preemptive EASY high-priority wait %v, want 590s behind the hog", easyHigh.Wait())
 	}
@@ -77,8 +77,6 @@ func TestPreemptionReducesHighPriorityWait(t *testing.T) {
 	if !strings.Contains(rep.String(), "preemption: 1 jobs preempted") {
 		t.Fatalf("report missing preemption line:\n%s", rep)
 	}
-	checkNoOverlap(t, rep.Jobs, 32)
-	checkNoOverlap(t, easyRep.Jobs, 32)
 }
 
 // TestPreemptionSuspendsLowestPriorityGangs pins victim selection: with
@@ -89,7 +87,7 @@ func TestPreemptionReducesHighPriorityWait(t *testing.T) {
 // (20s + 2s + 2s), not at their maximum.
 func TestPreemptionSuspendsLowestPriorityGangs(t *testing.T) {
 	ck, rs := fixedCosts(2*time.Second, time.Second)
-	s := New(Config{Cluster: newTestCluster(32), Policy: Backfill,
+	s := newChecked(t, Config{Cluster: newTestCluster(32), Policy: Backfill,
 		Preempt: true, CheckpointCost: ck, RestoreCost: rs})
 	keep := &Job{Name: "keep", Nodes: 8, Priority: 5, Est: 500 * time.Second}
 	vict1 := &Job{Name: "vict1", Nodes: 12, Priority: 1, Est: 500 * time.Second}
@@ -130,26 +128,24 @@ func TestPreemptionSuspendsLowestPriorityGangs(t *testing.T) {
 			t.Fatalf("%s ended %v", j, j.State)
 		}
 	}
-	checkNoOverlap(t, rep.Jobs, 32)
 }
 
 // TestPreemptionNeverSuspendsEqualOrHigherPriority asserts the strict
 // inequality: a blocked job cannot preempt gangs of its own priority.
 func TestPreemptionNeverSuspendsEqualOrHigherPriority(t *testing.T) {
 	ck, rs := fixedCosts(2*time.Second, time.Second)
-	s := New(Config{Cluster: newTestCluster(8), Policy: Backfill,
+	s := newChecked(t, Config{Cluster: newTestCluster(8), Policy: Backfill,
 		Preempt: true, CheckpointCost: ck, RestoreCost: rs})
 	running := &Job{Name: "running", Nodes: 8, Priority: 5, Est: 100 * time.Second}
 	same := &Job{Name: "same", Nodes: 8, Priority: 5, Est: 10 * time.Second, Submit: time.Second}
 	submitAll(t, s, []*Job{running, same})
-	rep := s.Run()
+	s.Run()
 	if running.Preemptions() != 0 {
 		t.Fatal("equal-priority gang was preempted")
 	}
 	if same.Start != 100*time.Second {
 		t.Fatalf("equal-priority arrival started at %v, want 100s", same.Start)
 	}
-	checkNoOverlap(t, rep.Jobs, 8)
 }
 
 // TestPreemptedWorkloadCheckpointRestore runs real workloads through a
@@ -160,7 +156,7 @@ func TestPreemptedWorkloadCheckpointRestore(t *testing.T) {
 	for _, kind := range []JobKind{KindLBM, KindPDE, KindCG} {
 		run := func(preempt bool) (*Job, Report) {
 			ck, rs := fixedCosts(2*time.Second, time.Second)
-			s := New(Config{
+			s := newChecked(t, Config{
 				Cluster: newTestCluster(4), Policy: Backfill,
 				Preempt: preempt, CheckpointCost: ck, RestoreCost: rs,
 				Execute: SimExecutor{},
@@ -200,7 +196,6 @@ func TestPreemptedWorkloadCheckpointRestore(t *testing.T) {
 			t.Fatalf("%v: segmented run diverged from uninterrupted run:\n  %s\n  %s",
 				kind, victim.Detail, straight.Detail)
 		}
-		checkNoOverlap(t, rep.Jobs, 4)
 	}
 }
 
@@ -210,7 +205,7 @@ func TestPreemptedWorkloadCheckpointRestore(t *testing.T) {
 // instead of charging checkpoint+restore for nothing.
 func TestPreemptionSkipsNearlyFinishedVictims(t *testing.T) {
 	ck, rs := fixedCosts(5*time.Second, 3*time.Second)
-	s := New(Config{Cluster: newTestCluster(8), Policy: Backfill,
+	s := newChecked(t, Config{Cluster: newTestCluster(8), Policy: Backfill,
 		Preempt: true, CheckpointCost: ck, RestoreCost: rs})
 	// 4s of work left when the urgent job arrives: less than the 5s
 	// drain, so preemption cannot help.
@@ -225,7 +220,6 @@ func TestPreemptionSkipsNearlyFinishedVictims(t *testing.T) {
 	if urgent.Start != 100*time.Second {
 		t.Fatalf("urgent started at %v, want 100s (victim's natural completion)", urgent.Start)
 	}
-	checkNoOverlap(t, rep.Jobs, 8)
 }
 
 // TestFairSharePreemptionRespectsDisciplineOrder pins the anti-thrash
@@ -236,7 +230,7 @@ func TestPreemptionSkipsNearlyFinishedVictims(t *testing.T) {
 // checkpoint/restore cycles on a small machine.
 func TestFairSharePreemptionRespectsDisciplineOrder(t *testing.T) {
 	ck, rs := fixedCosts(2*time.Second, time.Second)
-	s := New(Config{Cluster: newTestCluster(4), Policy: FairShare,
+	s := newChecked(t, Config{Cluster: newTestCluster(4), Policy: FairShare,
 		Preempt: true, CheckpointCost: ck, RestoreCost: rs})
 	// The heavy user burns usage first, so the light user's job leads
 	// the fair-share order despite its lower priority.
@@ -257,7 +251,6 @@ func TestFairSharePreemptionRespectsDisciplineOrder(t *testing.T) {
 	if rep.PreemptEvents != 0 {
 		t.Fatalf("%d preempt events, want none", rep.PreemptEvents)
 	}
-	checkNoOverlap(t, rep.Jobs, 4)
 }
 
 // TestDefaultCheckpointCostScalesWithFootprint sanity-checks the cost

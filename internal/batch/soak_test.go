@@ -46,10 +46,9 @@ func TestSoakTraceMatchesGenerator(t *testing.T) {
 
 // TestSoakTraceReplay replays the bundled >= 2,000-job trace under
 // every policy with time-slicing on, plus the FIFO run-to-completion
-// baseline, and asserts the schedule-level invariants: every job
-// finishes, no node is double-booked across thousands of suspension/
-// resume cycles, utilization stays physical, and time-slicing is never
-// worse than FIFO on makespan for this trace.
+// baseline: every job finishes, each run is certified by checkSchedule
+// across thousands of suspension/resume cycles, and time-slicing is
+// never worse than FIFO on makespan for this trace.
 func TestSoakTraceReplay(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak replay skipped in -short mode")
@@ -70,7 +69,7 @@ func TestSoakTraceReplay(t *testing.T) {
 	}
 	run := func(pol Policy, quantum time.Duration) Report {
 		jobs, actual := TraceJobs(recs, soakNodes)
-		s := New(Config{
+		s := newChecked(t, Config{
 			Cluster:       newTestCluster(soakNodes),
 			Policy:        pol,
 			Actual:        actual,
@@ -82,13 +81,6 @@ func TestSoakTraceReplay(t *testing.T) {
 		if len(rep.Jobs) != len(recs) || rep.Failed != 0 {
 			t.Fatalf("%v quantum=%v: finished %d of %d jobs, %d failed",
 				pol, quantum, len(rep.Jobs), len(recs), rep.Failed)
-		}
-		checkNoOverlap(t, rep.Jobs, soakNodes)
-		if rep.Utilization <= 0 || rep.Utilization > 1 {
-			t.Fatalf("%v quantum=%v: utilization %.3f out of range", pol, quantum, rep.Utilization)
-		}
-		if rep.Makespan <= 0 {
-			t.Fatalf("%v quantum=%v: zero makespan", pol, quantum)
 		}
 		return rep
 	}
@@ -120,11 +112,10 @@ func TestSoakTraceReplay(t *testing.T) {
 // failure storm — hundreds of node crashes with repair times across the
 // multi-hour schedule, proactive checkpointing on — for every policy
 // with time-slicing, and asserts the fault invariants at soak scale:
-// every job still reaches a terminal state, busy time balances exactly
-// against work + overhead + lost work, no gang ever runs inside a down
-// window, and the storm demonstrably connected (gangs killed, banks
-// settled). TrunkSlowdown and Actual stay off so the balance is exact
-// rather than stretch-approximated.
+// every job still finishes, checkSchedule certifies each run — busy
+// time balances exactly against work + overhead + lost work, no gang
+// ever runs inside a down window — and the storm demonstrably connected
+// (gangs killed, banks settled).
 func TestSoakStormReplay(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak storm replay skipped in -short mode")
@@ -134,12 +125,11 @@ func TestSoakStormReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	plan := GenFaultPlan(soakSeed, soakNodes, 24*time.Hour, 4*time.Hour)
-	wins := planWindows(plan, soakNodes)
 	ck, rs := fixedCosts(time.Second, 500*time.Millisecond)
 	kills, banks := 0, 0
 	for _, pol := range Policies() {
 		jobs, _ := TraceJobs(recs, soakNodes)
-		s := New(Config{
+		s := newChecked(t, Config{
 			Cluster:        newTestCluster(soakNodes),
 			Policy:         pol,
 			Quantum:        300 * time.Second,
@@ -152,9 +142,11 @@ func TestSoakStormReplay(t *testing.T) {
 		})
 		submitAll(t, s, jobs)
 		rep := s.Run()
-		k, b := checkFaultBalance(t, rep, len(recs), nil, wins)
-		kills += k
-		banks += b
+		if len(rep.Jobs) != len(recs) || rep.Failed != 0 {
+			t.Fatalf("%v: finished %d of %d jobs, %d failed", pol, len(rep.Jobs), len(recs), rep.Failed)
+		}
+		kills += rep.FaultKills
+		banks += rep.Banks
 	}
 	if kills == 0 || banks == 0 {
 		t.Fatalf("vacuity: soak storm connected too little (%d kills, %d banks)", kills, banks)

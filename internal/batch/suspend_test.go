@@ -23,7 +23,7 @@ func TestSuspendToHostSkipsStoreRoundTrip(t *testing.T) {
 	run := func(suspend bool) (*Job, *Job, Report) {
 		ck, rs := fixedCosts(10*time.Second, 5*time.Second)
 		hs, hr := fixedHostCosts(time.Second, time.Second)
-		s := New(Config{Cluster: newTestCluster(8), Policy: Backfill,
+		s := newChecked(t, Config{Cluster: newTestCluster(8), Policy: Backfill,
 			Preempt: true, SuspendToHost: suspend,
 			CheckpointCost: ck, RestoreCost: rs,
 			HostSuspendCost: hs, HostResumeCost: hr})
@@ -31,7 +31,6 @@ func TestSuspendToHostSkipsStoreRoundTrip(t *testing.T) {
 		u := &Job{Name: "u", Nodes: 8, Priority: 9, Est: 30 * time.Second, Submit: 10 * time.Second}
 		submitAll(t, s, []*Job{v, u})
 		rep := s.Run()
-		checkNoOverlap(t, rep.Jobs, 8)
 		return v, u, rep
 	}
 
@@ -51,10 +50,6 @@ func TestSuspendToHostSkipsStoreRoundTrip(t *testing.T) {
 	if rep.DrainWait != 0 || rep.RestoreWait != 0 {
 		t.Fatalf("link waits %v/%v, want zero — suspend-to-host bypasses the store link",
 			rep.DrainWait, rep.RestoreWait)
-	}
-	if v.BusyTime() != v.Estimate()+v.CheckpointOverhead() {
-		t.Fatalf("victim busy %v != est %v + overhead %v",
-			v.BusyTime(), v.Estimate(), v.CheckpointOverhead())
 	}
 	if !strings.Contains(rep.String(), "suspend-to-host: 1 in-RAM suspensions") {
 		t.Fatalf("report missing suspend-to-host line:\n%s", rep)
@@ -87,7 +82,7 @@ func TestSuspendToHostDemotionPaysSkippedDrain(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		c.SetSpec(i, NodeSpec{GPUs: 1, MemBytes: 100 << 20, Group: c.Spec(i).Group})
 	}
-	s := New(Config{Cluster: c, Policy: Backfill,
+	s := newChecked(t, Config{Cluster: c, Policy: Backfill,
 		Preempt: true, SuspendToHost: true,
 		CheckpointCost: ck, RestoreCost: rs,
 		HostSuspendCost: hs, HostResumeCost: hr})
@@ -126,10 +121,6 @@ func TestSuspendToHostDemotionPaysSkippedDrain(t *testing.T) {
 	if got := v.CheckpointOverhead(); got != 6*time.Second {
 		t.Fatalf("demoted job overhead %v, want 6s (1s host drain + 5s store restore)", got)
 	}
-	if v.BusyTime() != v.Estimate()+v.CheckpointOverhead() {
-		t.Fatalf("v busy %v != est %v + overhead %v", v.BusyTime(), v.Estimate(), v.CheckpointOverhead())
-	}
-	checkNoOverlap(t, rep.Jobs, 2)
 }
 
 // TestHostImageMigratesWhenHomeNodesTaken pins the migration path: a
@@ -140,7 +131,7 @@ func TestSuspendToHostDemotionPaysSkippedDrain(t *testing.T) {
 func TestHostImageMigratesWhenHomeNodesTaken(t *testing.T) {
 	ck, rs := fixedCosts(10*time.Second, 5*time.Second)
 	hs, hr := fixedHostCosts(time.Second, time.Second)
-	s := New(Config{Cluster: newTestCluster(16), Policy: Backfill,
+	s := newChecked(t, Config{Cluster: newTestCluster(16), Policy: Backfill,
 		Preempt: true, SuspendToHost: true,
 		CheckpointCost: ck, RestoreCost: rs,
 		HostSuspendCost: hs, HostResumeCost: hr})
@@ -169,10 +160,6 @@ func TestHostImageMigratesWhenHomeNodesTaken(t *testing.T) {
 	if got := v.CheckpointOverhead(); got != 15*time.Second {
 		t.Fatalf("migrated job overhead %v, want 15s (1s host drain + 9s write-out + 5s restore)", got)
 	}
-	if v.BusyTime() != v.Estimate()+v.CheckpointOverhead() {
-		t.Fatalf("v busy %v != est %v + overhead %v", v.BusyTime(), v.Estimate(), v.CheckpointOverhead())
-	}
-	checkNoOverlap(t, rep.Jobs, 16)
 }
 
 // TestWaveAdmissionForcesStoreWhenImageBlocksBeneficiary pins the
@@ -188,7 +175,7 @@ func TestWaveAdmissionForcesStoreWhenImageBlocksBeneficiary(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		c.SetSpec(i, NodeSpec{GPUs: 1, MemBytes: 100 << 20, Group: c.Spec(i).Group})
 	}
-	s := New(Config{Cluster: c, Policy: Backfill,
+	s := newChecked(t, Config{Cluster: c, Policy: Backfill,
 		Preempt: true, SuspendToHost: true,
 		CheckpointCost: ck, RestoreCost: rs,
 		HostSuspendCost: hs, HostResumeCost: hr})
@@ -214,10 +201,6 @@ func TestWaveAdmissionForcesStoreWhenImageBlocksBeneficiary(t *testing.T) {
 	if got := v.CheckpointOverhead(); got != 15*time.Second {
 		t.Fatalf("victim overhead %v, want 15s (full store drain + restore)", got)
 	}
-	if v.BusyTime() != v.Estimate()+v.CheckpointOverhead() {
-		t.Fatalf("v busy %v != est %v + overhead %v", v.BusyTime(), v.Estimate(), v.CheckpointOverhead())
-	}
-	checkNoOverlap(t, rep.Jobs, 2)
 }
 
 // TestDemotionEvictsOnlyNeededImages pins the smallest-sufficient-set
@@ -233,7 +216,7 @@ func TestDemotionEvictsOnlyNeededImages(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		c.SetSpec(i, NodeSpec{GPUs: 1, MemBytes: 100 << 20, Group: c.Spec(i).Group})
 	}
-	s := New(Config{Cluster: c, Policy: Backfill,
+	s := newChecked(t, Config{Cluster: c, Policy: Backfill,
 		Preempt: true, SuspendToHost: true,
 		CheckpointCost: ck, RestoreCost: rs,
 		HostSuspendCost: hs, HostResumeCost: hr})
@@ -289,13 +272,6 @@ func TestDemotionEvictsOnlyNeededImages(t *testing.T) {
 	if got := b.CheckpointOverhead(); got != 6*time.Second {
 		t.Fatalf("demoted image's overhead %v, want 6s (host drain + store restore)", got)
 	}
-	for _, x := range []*Job{a, b, j, filler} {
-		if x.BusyTime() != x.Estimate()+x.CheckpointOverhead() {
-			t.Fatalf("%s busy %v != est %v + overhead %v",
-				x, x.BusyTime(), x.Estimate(), x.CheckpointOverhead())
-		}
-	}
-	checkNoOverlap(t, rep.Jobs, 4)
 }
 
 // memSqueezedCluster returns an n-node cluster whose nodes carry
@@ -318,7 +294,7 @@ func memSqueezedCluster(n int) *Cluster {
 func TestForcedStoreTierRespectsFutileGuard(t *testing.T) {
 	ck, rs := fixedCosts(10*time.Second, 5*time.Second)
 	hs, hr := fixedHostCosts(time.Second, time.Second)
-	s := New(Config{Cluster: memSqueezedCluster(2), Policy: Backfill,
+	s := newChecked(t, Config{Cluster: memSqueezedCluster(2), Policy: Backfill,
 		Preempt: true, SuspendToHost: true,
 		CheckpointCost: ck, RestoreCost: rs,
 		HostSuspendCost: hs, HostResumeCost: hr})
@@ -338,7 +314,6 @@ func TestForcedStoreTierRespectsFutileGuard(t *testing.T) {
 	if j.Start != 500*time.Second {
 		t.Fatalf("beneficiary started %v, want 500s (victim's natural completion)", j.Start)
 	}
-	checkNoOverlap(t, rep.Jobs, 2)
 }
 
 // TestSliceYieldFlipRespectsFutileGuard is the quantum-boundary mirror:
@@ -348,7 +323,7 @@ func TestForcedStoreTierRespectsFutileGuard(t *testing.T) {
 func TestSliceYieldFlipRespectsFutileGuard(t *testing.T) {
 	ck, rs := fixedCosts(10*time.Second, 5*time.Second)
 	hs, hr := fixedHostCosts(time.Second, time.Second)
-	s := New(Config{Cluster: memSqueezedCluster(2), Policy: Backfill,
+	s := newChecked(t, Config{Cluster: memSqueezedCluster(2), Policy: Backfill,
 		Quantum: 300 * time.Second, SuspendToHost: true,
 		CheckpointCost: ck, RestoreCost: rs,
 		HostSuspendCost: hs, HostResumeCost: hr})
@@ -367,7 +342,6 @@ func TestSliceYieldFlipRespectsFutileGuard(t *testing.T) {
 	if a.End != 303*time.Second || b.Start != 303*time.Second {
 		t.Fatalf("a ended %v / b started %v, want 303s run-out and handoff", a.End, b.Start)
 	}
-	checkNoOverlap(t, rep.Jobs, 2)
 }
 
 // TestWaveForceStoreIsMinimized pins the flip minimization: a wave
@@ -377,7 +351,7 @@ func TestSliceYieldFlipRespectsFutileGuard(t *testing.T) {
 func TestWaveForceStoreIsMinimized(t *testing.T) {
 	ck, rs := fixedCosts(10*time.Second, 5*time.Second)
 	hs, hr := fixedHostCosts(time.Second, time.Second)
-	s := New(Config{Cluster: memSqueezedCluster(4), Policy: Backfill,
+	s := newChecked(t, Config{Cluster: memSqueezedCluster(4), Policy: Backfill,
 		Preempt: true, SuspendToHost: true,
 		CheckpointCost: ck, RestoreCost: rs,
 		HostSuspendCost: hs, HostResumeCost: hr})
@@ -413,7 +387,6 @@ func TestWaveForceStoreIsMinimized(t *testing.T) {
 	if rep.Demotions != 0 {
 		t.Fatalf("%d demotions, want none (the tier was planned, not corrected)", rep.Demotions)
 	}
-	checkNoOverlap(t, rep.Jobs, 4)
 }
 
 // TestMidRestorePreemptionNeverSuspendsToHost pins the state-location
@@ -424,7 +397,7 @@ func TestWaveForceStoreIsMinimized(t *testing.T) {
 func TestMidRestorePreemptionNeverSuspendsToHost(t *testing.T) {
 	ck, rs := fixedCosts(10*time.Second, 10*time.Second)
 	hs, hr := fixedHostCosts(time.Second, time.Second)
-	s := New(Config{Cluster: memSqueezedCluster(2), Policy: Backfill,
+	s := newChecked(t, Config{Cluster: memSqueezedCluster(2), Policy: Backfill,
 		Preempt: true, SuspendToHost: true,
 		CheckpointCost: ck, RestoreCost: rs,
 		HostSuspendCost: hs, HostResumeCost: hr})
@@ -450,10 +423,6 @@ func TestMidRestorePreemptionNeverSuspendsToHost(t *testing.T) {
 	if v.End != 573*time.Second {
 		t.Fatalf("v ended %v, want 573s (re-dispatch at 73s + 10s store restore + 490s)", v.End)
 	}
-	if v.BusyTime() != v.Estimate()+v.CheckpointOverhead() {
-		t.Fatalf("v busy %v != est %v + overhead %v", v.BusyTime(), v.Estimate(), v.CheckpointOverhead())
-	}
-	checkNoOverlap(t, rep.Jobs, 2)
 }
 
 // TestMigrationPreemptedDuringWriteLegKeepsStatsExact pins the
@@ -464,7 +433,7 @@ func TestMidRestorePreemptionNeverSuspendsToHost(t *testing.T) {
 func TestMigrationPreemptedDuringWriteLegKeepsStatsExact(t *testing.T) {
 	ck, rs := fixedCosts(10*time.Second, 5*time.Second)
 	hs, hr := fixedHostCosts(time.Second, time.Second)
-	s := New(Config{Cluster: newTestCluster(16), Policy: Backfill,
+	s := newChecked(t, Config{Cluster: newTestCluster(16), Policy: Backfill,
 		Preempt: true, SuspendToHost: true,
 		CheckpointCost: ck, RestoreCost: rs,
 		HostSuspendCost: hs, HostResumeCost: hr})
@@ -492,10 +461,6 @@ func TestMigrationPreemptedDuringWriteLegKeepsStatsExact(t *testing.T) {
 	if v.End != 574*time.Second {
 		t.Fatalf("v ended %v, want 574s (re-dispatch at 79s + 5s store restore + 490s)", v.End)
 	}
-	if v.BusyTime() != v.Estimate()+v.CheckpointOverhead() {
-		t.Fatalf("v busy %v != est %v + overhead %v", v.BusyTime(), v.Estimate(), v.CheckpointOverhead())
-	}
-	checkNoOverlap(t, rep.Jobs, 16)
 }
 
 // TestEvictionWindowDoesNotCascade pins the in-flight-settlement
@@ -506,7 +471,7 @@ func TestMigrationPreemptedDuringWriteLegKeepsStatsExact(t *testing.T) {
 func TestEvictionWindowDoesNotCascade(t *testing.T) {
 	ck, rs := fixedCosts(10*time.Second, 5*time.Second)
 	hs, hr := fixedHostCosts(time.Second, time.Second)
-	s := New(Config{Cluster: memSqueezedCluster(2), Policy: Backfill,
+	s := newChecked(t, Config{Cluster: memSqueezedCluster(2), Policy: Backfill,
 		Preempt: true, SuspendToHost: true,
 		CheckpointCost: ck, RestoreCost: rs,
 		HostSuspendCost: hs, HostResumeCost: hr})
@@ -546,13 +511,6 @@ func TestEvictionWindowDoesNotCascade(t *testing.T) {
 		t.Fatalf("noise started %v (backfilled=%v), want a backfill at 78s inside the window",
 			noise.Start, noise.Backfilled())
 	}
-	for _, x := range []*Job{v1, v2, j, noise} {
-		if x.BusyTime() != x.Estimate()+x.CheckpointOverhead() {
-			t.Fatalf("%s busy %v != est %v + overhead %v",
-				x, x.BusyTime(), x.Estimate(), x.CheckpointOverhead())
-		}
-	}
-	checkNoOverlap(t, rep.Jobs, 2)
 }
 
 // TestPropertyMixEngagesSuspendToHost guards the property crossing
@@ -586,7 +544,7 @@ func TestSampleTraceSuspendToHostCutsOverhead(t *testing.T) {
 	}
 	run := func(suspend bool) Report {
 		jobs, actual := TraceJobs(recs, 32)
-		s := New(Config{Cluster: newTestCluster(32), Policy: Backfill,
+		s := newChecked(t, Config{Cluster: newTestCluster(32), Policy: Backfill,
 			Actual: actual, Preempt: true, Quantum: 300 * time.Second,
 			SuspendToHost: suspend})
 		submitAll(t, s, jobs)
@@ -595,7 +553,6 @@ func TestSampleTraceSuspendToHostCutsOverhead(t *testing.T) {
 			t.Fatalf("suspend=%v: finished %d of %d jobs, %d failed",
 				suspend, len(rep.Jobs), len(recs), rep.Failed)
 		}
-		checkNoOverlap(t, rep.Jobs, 32)
 		return rep
 	}
 	store := run(false)

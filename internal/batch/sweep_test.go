@@ -1,8 +1,14 @@
 package batch
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"os"
+	"runtime"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -31,8 +37,9 @@ type sweepCase struct {
 }
 
 // sweepRoundCap stops a configuration that does not drain (checkpoint
-// thrash the scheduler has no guard against is a known way not to) so
-// that it fails its test instead of hanging it.
+// thrash the scheduler has no guard against is a known way not to:
+// ROADMAP item 16, seeds 3781, 9154 and 10112) so that it fails its
+// test, or stays "capped" in the identity corpus, instead of hanging.
 const sweepRoundCap = 500000
 
 // sweepOutcome is what the two sides must agree on.
@@ -115,9 +122,9 @@ func (a sweepOutcome) diff(b sweepOutcome) string {
 // Actual jitter × memory layout × fault plan × mix/stream, one in eight
 // with a recorder attached. The second draw chose between two placement
 // engines while there were two; it is still taken, and discarded, so
-// that a seed generates the case it always has — seeds 3781 and 9154
-// remain the conservative + Preempt checkpoint thrash on heterogeneous
-// memory that ROADMAP item 2 (b) records.
+// that a seed generates the case it always has — seeds 3781, 9154 and
+// 10112 remain the conservative + Preempt checkpoint thrash on
+// heterogeneous memory that ROADMAP item 16 records.
 func randomSweepCase(seed int64) sweepCase {
 	rng := rand.New(rand.NewSource(seed))
 	pick := func(n int) int { return rng.Intn(n) }
@@ -219,6 +226,166 @@ func TestSingleSweepMatchesRestartPerStart(t *testing.T) {
 		t.Fatal("the sweep never saved a pass: the comparison is vacuous")
 	}
 	t.Logf("%d configurations: %d sweeps, %d passes fewer than restart-per-start", configs, swept, saved)
+}
+
+// identityCorpus holds one line per randomSweepCase seed: the seed, how
+// the run ended ("drained", or "capped" and the rounds taken), its event
+// count and the first 64 bits of the SHA-256 of its stream.
+const identityCorpus = "testdata/identity/sweep.txt"
+
+// identityRun is one corpus seed run to its end through Step, with rec
+// attached (reset first, so one recorder's buffer serves every seed): on
+// even seeds a job is canceled every 13 rounds, on seeds divisible by 3
+// every fifth job fails at completion, so canceled and failed jobs are
+// certified too.
+type identityRun struct {
+	name   string
+	cfg    Config // as run, cluster and recorder attached
+	jobs   []*Job // the submitted jobs the cluster admitted
+	events []Event
+	rep    Report
+	rounds int
+	capped bool
+}
+
+func runIdentity(seed int64, rec *MemRecorder) identityRun {
+	c := randomSweepCase(seed)
+	rec.Reset()
+	r := identityRun{name: c.name, cfg: c.cfg, rounds: 1}
+	r.cfg.Cluster, r.cfg.Recorder = c.cluster(), rec
+	if seed%3 == 0 {
+		r.cfg.Execute = execFunc(func(j *Job, _ Allocation) (string, error) {
+			if j.ID%5 == 0 {
+				return "", errTestBoom
+			}
+			return "ok", nil
+		})
+	}
+	s := New(r.cfg)
+	for _, j := range c.jobs() {
+		if s.Submit(j) == nil {
+			r.jobs = append(r.jobs, j)
+		}
+	}
+	for ; r.rounds < sweepRoundCap && s.Step(); r.rounds++ {
+		if seed%2 == 0 && r.rounds%13 == 0 {
+			s.Cancel(r.jobs[r.rounds*7%len(r.jobs)].ID) // a terminal job refuses; that is fine
+		}
+	}
+	r.capped = r.rounds == sweepRoundCap
+	r.events, r.rep = rec.Events(), s.report()
+	return r
+}
+
+// line is the run's corpus line. The hash covers each event's time,
+// kind, reason, job, From/To, node ranges and detail, not its pass
+// number.
+func (r identityRun) line(seed int64) string {
+	var b []byte
+	for _, ev := range r.events {
+		b = binary.LittleEndian.AppendUint64(b, uint64(ev.Time))
+		b = append(b, byte(ev.Kind), byte(ev.Reason))
+		for _, v := range []int64{int64(ev.Job), int64(ev.From), int64(ev.To), int64(len(ev.Alloc))} {
+			b = binary.LittleEndian.AppendUint64(b, uint64(v))
+		}
+		for _, nr := range ev.Alloc {
+			b = binary.LittleEndian.AppendUint64(b, uint64(nr.First))
+			b = binary.LittleEndian.AppendUint64(b, uint64(nr.Count))
+		}
+		b = append(binary.LittleEndian.AppendUint64(b, uint64(len(ev.Detail))), ev.Detail...)
+	}
+	outcome := "drained"
+	if r.capped {
+		outcome = fmt.Sprintf("capped %d", r.rounds)
+	}
+	sum := sha256.Sum256(b)
+	return fmt.Sprintf("%d %s %d %x", seed, outcome, len(r.events), sum[:8])
+}
+
+// TestScheduleIdentityCorpus certifies every corpus seed's stream with
+// checkSchedule and requires its line to equal the committed one: a
+// change of any schedule the generator draws shows as a changed line.
+// REGEN_IDENTITY=1 rewrites the file; -short, and a -race build (ten
+// times slower, and there for interleavings, not schedules), compare
+// its first 300 lines. The vacuity guard wants every event kind, every
+// way a segment ends and at least one failed and one canceled job.
+func TestScheduleIdentityCorpus(t *testing.T) {
+	seeds := 2000
+	if testing.Short() || raceBuild() {
+		seeds = 300
+	}
+	got := make([]string, seeds)
+	ends, kinds := map[string]int{}, map[EventKind]int{}
+	failed, canceled := 0, 0
+	var mu sync.Mutex // guards the tallies
+	// The seeds are independent runs: one worker per CPU, each with its
+	// own recorder, takes them from seedc.
+	seedc := make(chan int64)
+	var wg sync.WaitGroup
+	for w := 0; w < runtime.GOMAXPROCS(0); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rec := &MemRecorder{}
+			for seed := range seedc {
+				r := runIdentity(seed, rec)
+				if err := checkSchedule(r.cfg, r.jobs, r.events, r.rep); err != nil {
+					t.Errorf("%s: %v", r.name, err)
+				}
+				got[seed-1] = r.line(seed)
+				mu.Lock()
+				for _, ev := range r.events {
+					if kinds[ev.Kind]++; ev.Kind == EvSegmentEnd {
+						ends[ev.Detail]++
+					}
+				}
+				failed, canceled = failed+r.rep.Failed, canceled+r.rep.Canceled
+				mu.Unlock()
+			}
+		}()
+	}
+	for seed := int64(1); seed <= int64(seeds); seed++ {
+		seedc <- seed
+	}
+	close(seedc)
+	wg.Wait()
+	if os.Getenv("REGEN_IDENTITY") != "" {
+		if err := os.WriteFile(identityCorpus, []byte(strings.Join(got, "\n")+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	disk, err := os.ReadFile(identityCorpus)
+	if err != nil {
+		t.Fatalf("%v (run with REGEN_IDENTITY=1 to generate)", err)
+	}
+	want := strings.Split(strings.TrimSuffix(string(disk), "\n"), "\n")
+	if len(want) < seeds {
+		t.Fatalf("%s has %d lines, want %d", identityCorpus, len(want), seeds)
+	}
+	changed := 0
+	for i, line := range got {
+		if line != want[i] {
+			if changed++; changed <= 10 {
+				t.Errorf("schedule changed: %s, committed %s", line, want[i])
+			}
+		}
+	}
+	if changed > 0 {
+		t.Errorf("%d of %d seeds changed; regenerate with REGEN_IDENTITY=1 after an intentional change", changed, seeds)
+	}
+	for _, d := range []string{"run", "drain", "fault", "cancel", "bank"} {
+		if ends[d] == 0 {
+			t.Errorf("no segment ended in %q: the corpus is vacuous there", d)
+		}
+	}
+	for k := range eventKindNames {
+		if kinds[EventKind(k)] == 0 {
+			t.Errorf("no %v event: the corpus is vacuous there", EventKind(k))
+		}
+	}
+	if failed == 0 || canceled == 0 {
+		t.Errorf("%d failed and %d canceled jobs: a terminal state went unexercised", failed, canceled)
+	}
 }
 
 // ruleCluster is the named cases' machine: n nodes with the trunk

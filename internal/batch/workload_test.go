@@ -93,7 +93,7 @@ func TestFailedJobStillReleasesNodes(t *testing.T) {
 }
 
 func TestMixedBatchExecutesEndToEnd(t *testing.T) {
-	s := New(Config{
+	s := newChecked(t, Config{
 		Cluster: newTestCluster(6),
 		Policy:  Backfill,
 		Execute: SimExecutor{TracerParticles: 200},
@@ -111,7 +111,6 @@ func TestMixedBatchExecutesEndToEnd(t *testing.T) {
 			t.Errorf("%s: %v (%v)", j, j.State, j.Err)
 		}
 	}
-	checkNoOverlap(t, rep.Jobs, 6)
 	if rep.Makespan <= 0 || rep.Utilization <= 0 {
 		t.Fatalf("degenerate report: makespan %v utilization %v", rep.Makespan, rep.Utilization)
 	}

@@ -66,64 +66,6 @@ func (l *Lattice) curvedBounce(i, o, c int, q float32) float32 {
 	return inv*l.Post[o][c] + (2*q-1)*inv*l.Post[i][c]
 }
 
-// SphereLinks marks the solid cells of a sphere (center cx,cy,cz, radius
-// r, in cell units) and records the exact link intersection fractions for
-// every fluid cell adjacent to it — the Mei et al. representation of a
-// curved boundary on the lattice.
-func (l *Lattice) SphereLinks(cx, cy, cz, r float32) {
-	inside := func(x, y, z int) bool {
-		dx := float32(x) - cx
-		dy := float32(y) - cy
-		dz := float32(z) - cz
-		return dx*dx+dy*dy+dz*dz <= r*r
-	}
-	for z := 0; z < l.NZ; z++ {
-		for y := 0; y < l.NY; y++ {
-			for x := 0; x < l.NX; x++ {
-				if inside(x, y, z) {
-					l.SetSolid(x, y, z, true)
-				}
-			}
-		}
-	}
-	for z := 0; z < l.NZ; z++ {
-		for y := 0; y < l.NY; y++ {
-			for x := 0; x < l.NX; x++ {
-				if inside(x, y, z) {
-					continue
-				}
-				for i := 1; i < Q; i++ {
-					nx, ny, nz := x+C[i][0], y+C[i][1], z+C[i][2]
-					if nx < 0 || nx >= l.NX || ny < 0 || ny >= l.NY || nz < 0 || nz >= l.NZ {
-						continue
-					}
-					if !inside(nx, ny, nz) {
-						continue
-					}
-					// Solve |p + t*c - center| = r for t in (0, 1].
-					px := float32(x) - cx
-					py := float32(y) - cy
-					pz := float32(z) - cz
-					dx := float32(C[i][0])
-					dy := float32(C[i][1])
-					dz := float32(C[i][2])
-					a := dx*dx + dy*dy + dz*dz
-					b := 2 * (px*dx + py*dy + pz*dz)
-					cc := px*px + py*py + pz*pz - r*r
-					disc := b*b - 4*a*cc
-					if disc <= 0 {
-						continue
-					}
-					t := (-b - sqrt32(disc)) / (2 * a)
-					if t > 0 && t <= 1 {
-						l.SetLinkQ(x, y, z, i, t)
-					}
-				}
-			}
-		}
-	}
-}
-
 func sqrt32(x float32) float32 {
 	return float32(math.Sqrt(float64(x)))
 }

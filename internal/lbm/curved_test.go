@@ -38,7 +38,7 @@ func poiseuilleError(t *testing.T, q float32, analyticQ float32) float64 {
 	for s := 0; s < 6000; s++ {
 		l.Step()
 	}
-	nu := float64(Viscosity(tau))
+	nu := float64(viscosity(tau))
 	yBot := -float64(analyticQ)
 	yTop := float64(H-1) + float64(analyticQ)
 	var maxErr, maxU float64
@@ -121,7 +121,7 @@ func TestHalfQEqualsPlainBounceBack(t *testing.T) {
 
 func TestSphereLinksGeometry(t *testing.T) {
 	l := New(16, 16, 16, 0.8)
-	l.SphereLinks(8, 8, 8, 3.2)
+	sphereLinks(l, 8, 8, 8, 3.2)
 	if !l.IsSolid(8, 8, 8) {
 		t.Fatal("sphere center should be solid")
 	}
@@ -154,7 +154,7 @@ func TestSphereFlowStable(t *testing.T) {
 	l := New(24, 16, 16, 0.7)
 	l.Faces[FaceXNeg] = FaceSpec{Type: Inlet, U: vecmath.Vec3{0.03, 0, 0}}
 	l.Faces[FaceXPos] = FaceSpec{Type: Outflow}
-	l.SphereLinks(10, 8, 8, 3.5)
+	sphereLinks(l, 10, 8, 8, 3.5)
 	l.Init(1, vecmath.Vec3{0.03, 0, 0})
 	for s := 0; s < 400; s++ {
 		l.Step()
@@ -191,5 +191,63 @@ func TestSetLinkQValidation(t *testing.T) {
 			}()
 			f()
 		}()
+	}
+}
+
+// sphereLinks marks the solid cells of a sphere (center cx,cy,cz, radius
+// r, in cell units) and records the exact link intersection fractions for
+// every fluid cell adjacent to it — the Mei et al. representation of a
+// curved boundary on the lattice.
+func sphereLinks(l *Lattice, cx, cy, cz, r float32) {
+	inside := func(x, y, z int) bool {
+		dx := float32(x) - cx
+		dy := float32(y) - cy
+		dz := float32(z) - cz
+		return dx*dx+dy*dy+dz*dz <= r*r
+	}
+	for z := 0; z < l.NZ; z++ {
+		for y := 0; y < l.NY; y++ {
+			for x := 0; x < l.NX; x++ {
+				if inside(x, y, z) {
+					l.SetSolid(x, y, z, true)
+				}
+			}
+		}
+	}
+	for z := 0; z < l.NZ; z++ {
+		for y := 0; y < l.NY; y++ {
+			for x := 0; x < l.NX; x++ {
+				if inside(x, y, z) {
+					continue
+				}
+				for i := 1; i < Q; i++ {
+					nx, ny, nz := x+C[i][0], y+C[i][1], z+C[i][2]
+					if nx < 0 || nx >= l.NX || ny < 0 || ny >= l.NY || nz < 0 || nz >= l.NZ {
+						continue
+					}
+					if !inside(nx, ny, nz) {
+						continue
+					}
+					// Solve |p + t*c - center| = r for t in (0, 1].
+					px := float32(x) - cx
+					py := float32(y) - cy
+					pz := float32(z) - cz
+					dx := float32(C[i][0])
+					dy := float32(C[i][1])
+					dz := float32(C[i][2])
+					a := dx*dx + dy*dy + dz*dz
+					b := 2 * (px*dx + py*dy + pz*dz)
+					cc := px*px + py*py + pz*pz - r*r
+					disc := b*b - 4*a*cc
+					if disc <= 0 {
+						continue
+					}
+					t := (-b - sqrt32(disc)) / (2 * a)
+					if t > 0 && t <= 1 {
+						l.SetLinkQ(x, y, z, i, t)
+					}
+				}
+			}
+		}
 	}
 }

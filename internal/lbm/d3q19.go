@@ -50,13 +50,6 @@ var Opp = [Q]int{0, 2, 1, 4, 3, 6, 5, 8, 7, 10, 9, 12, 11, 14, 13, 16, 15, 18, 1
 // CsSq is the lattice speed of sound squared, c_s^2 = 1/3.
 const CsSq = 1.0 / 3.0
 
-// Viscosity returns the kinematic viscosity implied by relaxation time
-// tau: nu = (tau - 1/2) * c_s^2.
-func Viscosity(tau float32) float32 { return (tau - 0.5) * CsSq }
-
-// TauForViscosity returns the relaxation time that yields viscosity nu.
-func TauForViscosity(nu float32) float32 { return nu/CsSq + 0.5 }
-
 // Feq fills out[0:Q] with the full equilibrium distribution. Every
 // entry rounds as w_i rho ((base + 3 c.u) + 4.5 (c.u)^2) with
 // base = 1 - 1.5 u.u does, c.u summed over x, y, z in that order — the

@@ -268,25 +268,3 @@ func (l *Lattice) TotalMass() float64 {
 	}
 	return sum
 }
-
-// TotalMomentum sums rho*u over interior fluid cells.
-func (l *Lattice) TotalMomentum() [3]float64 {
-	var m [3]float64
-	var f [Q]float32
-	for z := 0; z < l.NZ; z++ {
-		for y := 0; y < l.NY; y++ {
-			for x := 0; x < l.NX; x++ {
-				if l.Solid[l.Idx(x, y, z)] {
-					continue
-				}
-				l.Gather(&f, x, y, z)
-				for i := 0; i < Q; i++ {
-					m[0] += float64(f[i]) * float64(C[i][0])
-					m[1] += float64(f[i]) * float64(C[i][1])
-					m[2] += float64(f[i]) * float64(C[i][2])
-				}
-			}
-		}
-	}
-	return m
-}

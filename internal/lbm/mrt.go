@@ -113,21 +113,6 @@ func NewMRT(tau float32) *MRT {
 	return m
 }
 
-// NewMRTAsBGK builds an MRT operator with every kinetic rate equal to
-// 1/tau; it must reproduce BGK exactly (up to rounding), which the tests
-// assert.
-func NewMRTAsBGK(tau float32) *MRT {
-	m := NewMRT(tau)
-	omega := 1 / tau
-	for a := 0; a < Q; a++ {
-		if a == MomRho || a == MomJx || a == MomJy || a == MomJz {
-			continue
-		}
-		m.S[a] = omega
-	}
-	return m
-}
-
 // Collide implements CollisionOp: relax each moment of (f - feq) at its
 // own rate.
 func (m *MRT) Collide(f, post *[Q]float32, rho, ux, uy, uz float32) {

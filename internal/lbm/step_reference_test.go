@@ -87,7 +87,7 @@ func (tc stepCase) build(rng *rand.Rand) (got, want *Lattice) {
 	cell := func() (x, y, z int) { return rng.Intn(l.NX), rng.Intn(l.NY), rng.Intn(l.NZ) }
 	if tc.curved {
 		x, y, z := cell()
-		l.SphereLinks(float32(x)+rng.Float32(), float32(y)+rng.Float32(), float32(z)+rng.Float32(), 0.7+1.5*rng.Float32())
+		sphereLinks(l, float32(x)+rng.Float32(), float32(y)+rng.Float32(), float32(z)+rng.Float32(), 0.7+1.5*rng.Float32())
 		// Links the sphere does not produce: any fraction on any side,
 		// against a solid neighbor or not, with or without fluid upstream.
 		for k := 0; k < 6; k++ {

@@ -32,8 +32,10 @@ var Accounting = &analysis.Analyzer{
 }
 
 // auditedAccounting is the allowlist: every function that currently
-// moves the books, each audited against the balance by the pinning
-// suites (property_test.go, cancel_test.go, fault_test.go). Adding a
+// moves the books, each audited against the balance by checkSchedule
+// (internal/batch/check_test.go), which certifies every run of the
+// property, cancel, fault and soak suites and of the identity corpus
+// from its events alone. Adding a
 // name here is a statement that the new path keeps
 // busy ≡ work + overhead + lost-work exact — say why in the PR.
 var auditedAccounting = map[string]bool{

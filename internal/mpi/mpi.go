@@ -1,6 +1,6 @@
 // Package mpi is a message-passing runtime in the style of the MPI subset
-// the paper's parallel LBM uses: point-to-point Send/Recv with tags,
-// pairwise SendRecv exchange, Barrier, and small collectives. Ranks are
+// the paper's parallel LBM uses: point-to-point Send/Recv with tags and
+// small collectives. Ranks are
 // goroutines inside one process; channels replace the Gigabit Ethernet
 // switch for the functional simulation, while byte/message accounting is
 // recorded so the network model (package netsim / perfmodel) can attach
@@ -42,7 +42,6 @@ type RankStats struct {
 type World struct {
 	size    int
 	queues  [][]chan message // queues[dst][src]
-	barrier *cyclicBarrier
 	stats   []RankStats
 	timeout time.Duration
 }
@@ -63,15 +62,14 @@ func NewWorld(size int, opts ...Option) *World {
 	w := &World{
 		size:    size,
 		queues:  make([][]chan message, size),
-		barrier: newCyclicBarrier(size),
 		stats:   make([]RankStats, size),
 		timeout: 30 * time.Second,
 	}
 	for dst := range w.queues {
 		w.queues[dst] = make([]chan message, size)
 		for src := range w.queues[dst] {
-			// Eager buffering: pairwise exchanges (SendRecv) must not
-			// deadlock, and the LBM schedule keeps at most a few
+			// Eager buffering: pairwise exchanges (both sides Send,
+			// then Recv) must not deadlock, and the LBM schedule keeps at most a few
 			// messages outstanding per pair.
 			w.queues[dst][src] = make(chan message, 16)
 		}
@@ -112,8 +110,6 @@ func (w *World) Run(body func(c *Comm)) {
 			defer func() {
 				if p := recover(); p != nil {
 					panics <- fmt.Sprintf("rank %d: %v", rank, p)
-					// Unblock peers waiting on this rank.
-					w.barrier.abort()
 				}
 			}()
 			watchdog := time.NewTimer(w.timeout)
@@ -211,22 +207,6 @@ func (c *Comm) Recv(src, tag int) []float32 {
 	return m.data
 }
 
-// SendRecv exchanges payloads with a peer: sends sendData with tag and
-// receives the peer's payload with the same tag. This is the primitive of
-// the paper's pairwise communication schedule (Figure 7), where in each
-// scheduled step certain pairs of nodes exchange data.
-func (c *Comm) SendRecv(peer, tag int, sendData []float32) []float32 {
-	c.Send(peer, tag, sendData)
-	return c.Recv(peer, tag)
-}
-
-// Barrier blocks until every rank of the world has entered it; it models
-// the paper's MPI_Barrier-based schedule synchronization (used below 16
-// nodes).
-func (c *Comm) Barrier() {
-	c.world.barrier.await()
-}
-
 // Bcast broadcasts data from root: root's data is returned on every rank.
 func (c *Comm) Bcast(root int, data []float32) []float32 {
 	const tag = -1000 // internal tag range
@@ -275,14 +255,6 @@ func Max(a, b float32) float32 {
 	return b
 }
 
-// Min is the minimum reduce operator.
-func Min(a, b float32) float32 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // Allreduce reduces data elementwise across all ranks and returns the
 // reduced vector on every rank. Reduction happens in rank order at rank 0
 // so the result is deterministic regardless of goroutine scheduling.
@@ -303,51 +275,4 @@ func (c *Comm) Allreduce(data []float32, op ReduceOp) []float32 {
 		return c.Bcast(0, acc)
 	}
 	return c.Bcast(0, nil)
-}
-
-// cyclicBarrier is a reusable all-rank barrier.
-type cyclicBarrier struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	size    int
-	count   int
-	round   int
-	aborted bool
-}
-
-func newCyclicBarrier(size int) *cyclicBarrier {
-	b := &cyclicBarrier{size: size}
-	b.cond = sync.NewCond(&b.mu)
-	return b
-}
-
-func (b *cyclicBarrier) await() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.aborted {
-		panic("mpi: barrier aborted (another rank panicked)")
-	}
-	round := b.round
-	b.count++
-	if b.count == b.size {
-		b.count = 0
-		b.round++
-		b.cond.Broadcast()
-		return
-	}
-	for b.round == round && !b.aborted {
-		b.cond.Wait()
-	}
-	if b.aborted {
-		panic("mpi: barrier aborted (another rank panicked)")
-	}
-}
-
-// abort releases all waiters with a panic; called when a rank dies so the
-// rest do not hang.
-func (b *cyclicBarrier) abort() {
-	b.mu.Lock()
-	b.aborted = true
-	b.cond.Broadcast()
-	b.mu.Unlock()
 }

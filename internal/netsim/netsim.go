@@ -243,14 +243,3 @@ func (n *Network) StepTimes(pairs []Exchange, ready []time.Duration) []time.Dura
 	}
 	return done
 }
-
-// MaxTime returns the maximum of a time vector; zero for empty input.
-func MaxTime(ts []time.Duration) time.Duration {
-	var m time.Duration
-	for _, t := range ts {
-		if t > m {
-			m = t
-		}
-	}
-	return m
-}

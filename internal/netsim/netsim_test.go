@@ -181,16 +181,6 @@ func TestInvalidTransfersPanic(t *testing.T) {
 	}
 }
 
-func TestMaxTime(t *testing.T) {
-	if MaxTime(nil) != 0 {
-		t.Error("empty max should be 0")
-	}
-	ts := []time.Duration{3, 9, 1}
-	if MaxTime(ts) != 9 {
-		t.Errorf("max = %v", MaxTime(ts))
-	}
-}
-
 // TestTransferTrunkCrossingTiming pins down the Transfer-level trunk
 // arithmetic: a flow with exactly one endpoint behind the stacking
 // trunk serializes at trunk rate, while flows local to either switch

@@ -2,6 +2,7 @@ package perfmodel
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -289,7 +290,7 @@ func (h Hardware) netTimeWalk(g sched.NodeGrid, sub [3]int, opt Options) time.Du
 		for _, p := range st.Pairs {
 			exs = append(exs, netsim.Exchange{A: p.A, B: p.B, Bytes: stepBytes(st.Axis, sub)})
 		}
-		total += netsim.MaxTime(net.StepTimes(exs, make([]time.Duration, n)))
+		total += slices.Max(net.StepTimes(exs, make([]time.Duration, n)))
 		pairsTotal += len(st.Pairs)
 	}
 	cong := pairsTotal

@@ -269,53 +269,3 @@ func Build(g NodeGrid, p Pattern) []Step {
 	}
 	return steps
 }
-
-func forEachPosition(g NodeGrid, visit func(i, j, k int)) {
-	for k := 0; k < g.PZ; k++ {
-		for j := 0; j < g.PY; j++ {
-			for i := 0; i < g.PX; i++ {
-				visit(i, j, k)
-			}
-		}
-	}
-}
-
-// Neighbors returns the axial neighbor count of each rank — the quantity
-// that drives GPU<->CPU border-transfer cost in the performance model.
-func Neighbors(g NodeGrid) []int {
-	out := make([]int, g.Size())
-	forEachPosition(g, func(i, j, k int) {
-		n := 0
-		if i > 0 {
-			n++
-		}
-		if i < g.PX-1 {
-			n++
-		}
-		if j > 0 {
-			n++
-		}
-		if j < g.PY-1 {
-			n++
-		}
-		if k > 0 {
-			n++
-		}
-		if k < g.PZ-1 {
-			n++
-		}
-		out[g.Rank(i, j, k)] = n
-	})
-	return out
-}
-
-// MaxNeighbors returns the maximum axial neighbor count over all ranks:
-// per dimension an interior rank has two neighbors, a rank of a
-// two-wide dimension one.
-func MaxNeighbors(g NodeGrid) int {
-	m := 0
-	for _, extent := range [3]int{g.PX, g.PY, g.PZ} {
-		m += min(extent-1, 2)
-	}
-	return m
-}

@@ -169,27 +169,6 @@ func TestDirectCoversDiagonalPairs(t *testing.T) {
 	})
 }
 
-func TestNeighbors(t *testing.T) {
-	g := NodeGrid{3, 3, 1}
-	n := Neighbors(g)
-	// Corner has 2, edge 3, center 4.
-	if n[g.Rank(0, 0, 0)] != 2 {
-		t.Errorf("corner neighbors = %d", n[g.Rank(0, 0, 0)])
-	}
-	if n[g.Rank(1, 0, 0)] != 3 {
-		t.Errorf("edge neighbors = %d", n[g.Rank(1, 0, 0)])
-	}
-	if n[g.Rank(1, 1, 0)] != 4 {
-		t.Errorf("center neighbors = %d", n[g.Rank(1, 1, 0)])
-	}
-	if MaxNeighbors(g) != 4 {
-		t.Errorf("max = %d", MaxNeighbors(g))
-	}
-	if MaxNeighbors(NodeGrid{1, 1, 1}) != 0 {
-		t.Errorf("single node should have 0 neighbors")
-	}
-}
-
 // Property: for random small grids the indirect schedule is disjoint per
 // step and covers each axial adjacency exactly once.
 func TestScheduleProperty(t *testing.T) {
@@ -419,14 +398,13 @@ func TestBuildAllocatesOncePerStep(t *testing.T) {
 	}
 }
 
-func TestMaxNeighborsMatchesNeighbors(t *testing.T) {
-	for _, g := range testGrids() {
-		want := 0
-		for _, n := range Neighbors(g) {
-			want = max(want, n)
-		}
-		if got := MaxNeighbors(g); got != want {
-			t.Errorf("MaxNeighbors(%v) = %d, want %d", g, got, want)
+// forEachPosition visits every grid position in rank order.
+func forEachPosition(g NodeGrid, visit func(i, j, k int)) {
+	for k := 0; k < g.PZ; k++ {
+		for j := 0; j < g.PY; j++ {
+			for i := 0; i < g.PX; i++ {
+				visit(i, j, k)
+			}
 		}
 	}
 }

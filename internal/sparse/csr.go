@@ -1,10 +1,10 @@
 // Package sparse implements the sparse linear algebra layer Section 6
 // calls for: "implicit finite differences and FEM require the solution
 // of a large sparse linear system Ax = y". It provides CSR matrices,
-// the iterative solvers ported to GPUs by Krueger & Westermann and Bolz
-// et al. (conjugate gradient, Jacobi, Gauss-Seidel), a GPU matvec using
-// indirection textures, and the cluster decomposition of matrix and
-// vector with proxy points exactly as Figures 14 and 15 describe.
+// the conjugate-gradient solver ported to GPUs by Krueger & Westermann
+// and Bolz et al., a GPU matvec using indirection textures, and the
+// cluster decomposition of matrix and vector with proxy points exactly
+// as Figures 14 and 15 describe.
 package sparse
 
 import (

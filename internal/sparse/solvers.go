@@ -55,92 +55,3 @@ func CG(a *CSR, b []float32, tol float64, maxIter int) ([]float32, SolveStats) {
 	st.Converged = st.Residual <= tol
 	return x, st
 }
-
-// Jacobi iterates x_{k+1} = D^{-1}(b - (A - D) x_k) until the relative
-// residual meets tol or maxIter is reached.
-func Jacobi(a *CSR, b []float32, tol float64, maxIter int) ([]float32, SolveStats) {
-	d := a.Diagonal()
-	for i, v := range d {
-		if v == 0 {
-			panic(fmt.Sprintf("sparse: Jacobi needs nonzero diagonal (row %d)", i))
-		}
-	}
-	x := make([]float32, a.Rows)
-	xn := make([]float32, a.Rows)
-	bnorm := Norm2(b)
-	if bnorm == 0 {
-		return x, SolveStats{Converged: true}
-	}
-	var st SolveStats
-	for st.Iterations = 0; st.Iterations < maxIter; st.Iterations++ {
-		for r := 0; r < a.Rows; r++ {
-			var off float32
-			for k := a.RowPtr[r]; k < a.RowPtr[r+1]; k++ {
-				if a.ColIdx[k] != r {
-					off += a.Val[k] * x[a.ColIdx[k]]
-				}
-			}
-			xn[r] = (b[r] - off) / d[r]
-		}
-		x, xn = xn, x
-		if st.Iterations%8 == 7 {
-			st.Residual = residual(a, x, b) / bnorm
-			if st.Residual <= tol {
-				st.Converged = true
-				st.Iterations++
-				return x, st
-			}
-		}
-	}
-	st.Residual = residual(a, x, b) / bnorm
-	st.Converged = st.Residual <= tol
-	return x, st
-}
-
-// GaussSeidel iterates with immediate updates (the smoother of Bolz et
-// al.'s GPU multigrid, reference [3] of the paper).
-func GaussSeidel(a *CSR, b []float32, tol float64, maxIter int) ([]float32, SolveStats) {
-	d := a.Diagonal()
-	for i, v := range d {
-		if v == 0 {
-			panic(fmt.Sprintf("sparse: Gauss-Seidel needs nonzero diagonal (row %d)", i))
-		}
-	}
-	x := make([]float32, a.Rows)
-	bnorm := Norm2(b)
-	if bnorm == 0 {
-		return x, SolveStats{Converged: true}
-	}
-	var st SolveStats
-	for st.Iterations = 0; st.Iterations < maxIter; st.Iterations++ {
-		for r := 0; r < a.Rows; r++ {
-			var off float32
-			for k := a.RowPtr[r]; k < a.RowPtr[r+1]; k++ {
-				if a.ColIdx[k] != r {
-					off += a.Val[k] * x[a.ColIdx[k]]
-				}
-			}
-			x[r] = (b[r] - off) / d[r]
-		}
-		if st.Iterations%8 == 7 {
-			st.Residual = residual(a, x, b) / bnorm
-			if st.Residual <= tol {
-				st.Converged = true
-				st.Iterations++
-				return x, st
-			}
-		}
-	}
-	st.Residual = residual(a, x, b) / bnorm
-	st.Converged = st.Residual <= tol
-	return x, st
-}
-
-func residual(a *CSR, x, b []float32) float64 {
-	ax := a.MulVec(x)
-	r := make([]float32, len(b))
-	for i := range r {
-		r[i] = b[i] - ax[i]
-	}
-	return Norm2(r)
-}

@@ -27,32 +27,6 @@ type ProbField interface {
 	Probs(x, y, z int, out *[lbm.Q]float32) bool
 }
 
-// latticeField adapts a serial lattice, using the exact distributions.
-type latticeField struct{ l *lbm.Lattice }
-
-// FromLattice builds a ProbField from the exact velocity distributions
-// of a serial lattice.
-func FromLattice(l *lbm.Lattice) ProbField { return latticeField{l} }
-
-func (a latticeField) Dims() (int, int, int) { return a.l.NX, a.l.NY, a.l.NZ }
-
-func (a latticeField) Probs(x, y, z int, out *[lbm.Q]float32) bool {
-	if a.l.IsSolid(x, y, z) {
-		return false
-	}
-	var f [lbm.Q]float32
-	a.l.Gather(&f, x, y, z)
-	rho, _, _, _ := lbm.Moments(&f)
-	if rho <= 0 {
-		return false
-	}
-	inv := 1 / rho
-	for i := 0; i < lbm.Q; i++ {
-		out[i] = f[i] * inv
-	}
-	return true
-}
-
 // macroField derives probabilities from gathered density/velocity fields
 // through the equilibrium distribution — the form usable with cluster or
 // GPU backends whose raw distributions stay distributed. For the smooth,
