@@ -641,14 +641,15 @@ func (c *scheduleCheck) finish(rep Report) error {
 // TestCheckScheduleRejects proves the checker: a corpus run with faults,
 // a half-duplex store link and host images is certified as recorded,
 // and each row edits its stream or its report once, after which
-// checkSchedule must fail naming the clause the edit breaks.
+// checkSchedule must fail naming the clause the edit breaks. Every
+// clause has a row.
 func TestCheckScheduleRejects(t *testing.T) {
 	r := runIdentity(1776, &MemRecorder{})
 	if err := checkSchedule(r.cfg, r.jobs, r.events, r.rep); err != nil {
 		t.Fatalf("the recorded run fails: %v", err)
 	}
 	// find is the index of the first event ok accepts.
-	find := func(evs []Event, ok func(i int, ev Event) bool) int {
+	find := func(t *testing.T, evs []Event, ok func(i int, ev Event) bool) int {
 		for i, ev := range evs {
 			if ok(i, ev) {
 				return i
@@ -659,10 +660,10 @@ func TestCheckScheduleRejects(t *testing.T) {
 	}
 	rows := []struct {
 		name, clause string
-		edit         func(evs []Event, rep *Report) []Event
+		edit         func(t *testing.T, evs []Event, rep *Report) []Event
 	}{
-		{"a segment end moved 1 ns into the next gang's segment", "residency", func(evs []Event, _ *Report) []Event {
-			i := find(evs, func(i int, ev Event) bool {
+		{"a segment end moved 1 ns into the next gang's segment", "residency", func(t *testing.T, evs []Event, _ *Report) []Event {
+			i := find(t, evs, func(i int, ev Event) bool {
 				for _, d := range evs[i+1:] {
 					if ev.Kind != EvSegmentEnd || ev.Detail != "cancel" || d.Time != ev.Time {
 						return false
@@ -678,9 +679,9 @@ func TestCheckScheduleRejects(t *testing.T) {
 			evs[i].To++
 			return evs
 		}},
-		{"a segment inside a down window", "residency", func(evs []Event, _ *Report) []Event {
+		{"a segment inside a down window", "residency", func(t *testing.T, evs []Event, _ *Report) []Event {
 			var held NodeRanges
-			i := find(evs, func(_ int, down Event) bool {
+			i := find(t, evs, func(_ int, down Event) bool {
 				for _, ev := range evs {
 					if down.Kind == EvNodeDown && ev.Kind == EvSegmentEnd && ev.From < down.Time && ev.To > down.Time {
 						held = ev.Alloc[:1]
@@ -692,9 +693,9 @@ func TestCheckScheduleRejects(t *testing.T) {
 			evs[i].Alloc = NodeRanges{{First: held[0].First, Count: 1}}
 			return evs
 		}},
-		{"two overlapping half-duplex transfers", "link", func(evs []Event, _ *Report) []Event {
+		{"two overlapping half-duplex transfers", "link", func(t *testing.T, evs []Event, _ *Report) []Event {
 			var write time.Duration
-			i := find(evs, func(_ int, ev Event) bool {
+			i := find(t, evs, func(_ int, ev Event) bool {
 				if ev.Kind == EvStoreWrite {
 					write = ev.To
 				}
@@ -703,25 +704,42 @@ func TestCheckScheduleRejects(t *testing.T) {
 			evs[i].From--
 			return evs
 		}},
-		{"a duplicate EvComplete", "terminal", func(evs []Event, _ *Report) []Event {
-			i := find(evs, func(_ int, ev Event) bool { return ev.Kind == EvComplete })
+		{"a duplicate EvComplete", "terminal", func(t *testing.T, evs []Event, _ *Report) []Event {
+			i := find(t, evs, func(_ int, ev Event) bool { return ev.Kind == EvComplete })
 			return append(evs[:i+1], evs[i:]...)
 		}},
-		{"NodeBusy off by 1 ns", "report", func(evs []Event, rep *Report) []Event {
+		{"NodeBusy off by 1 ns", "report", func(_ *testing.T, evs []Event, rep *Report) []Event {
 			rep.NodeBusy = append([]time.Duration(nil), rep.NodeBusy...)
 			rep.NodeBusy[0]++
 			return evs
 		}},
-		{"a dropped EvDemoteEnd", "memory", func(evs []Event, _ *Report) []Event {
-			i := find(evs, func(_ int, ev Event) bool { return ev.Kind == EvDemoteEnd })
+		{"a dropped EvDemoteEnd", "memory", func(t *testing.T, evs []Event, _ *Report) []Event {
+			i := find(t, evs, func(_ int, ev Event) bool { return ev.Kind == EvDemoteEnd })
 			return append(evs[:i], evs[i+1:]...)
+		}},
+		{"a run segment ending 1 ns late", "progress", func(t *testing.T, evs []Event, _ *Report) []Event {
+			i := find(t, evs, func(_ int, ev Event) bool { return ev.Kind == EvSegmentEnd && ev.Detail == "run" })
+			evs[i].To++
+			return evs
+		}},
+		{"a segment end that does not start at its dispatch", "segments", func(t *testing.T, evs []Event, _ *Report) []Event {
+			i := find(t, evs, func(_ int, ev Event) bool { return ev.Kind == EvSegmentEnd && ev.From > 0 })
+			evs[i].From--
+			return evs
+		}},
+		{"an event before its predecessor", "stream", func(t *testing.T, evs []Event, _ *Report) []Event {
+			i := find(t, evs, func(i int, ev Event) bool { return i > 0 && ev.Time > evs[i-1].Time })
+			evs[i].Time = evs[i-1].Time - 1
+			return evs
 		}},
 	}
 	for _, row := range rows {
-		rep := r.rep
-		evs := row.edit(append([]Event(nil), r.events...), &rep)
-		if err := checkSchedule(r.cfg, r.jobs, evs, rep); err == nil || !strings.HasPrefix(err.Error(), row.clause+":") {
-			t.Errorf("%s: checkSchedule says %v, want a %s violation", row.name, err, row.clause)
-		}
+		t.Run(row.name, func(t *testing.T) {
+			rep := r.rep
+			evs := row.edit(t, append([]Event(nil), r.events...), &rep)
+			if err := checkSchedule(r.cfg, r.jobs, evs, rep); err == nil || !strings.HasPrefix(err.Error(), row.clause+":") {
+				t.Errorf("checkSchedule says %v, want a %s violation", err, row.clause)
+			}
+		})
 	}
 }
