@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"slices"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -14,11 +15,15 @@ import (
 // 5(2), 2011): it checks the run's outputs — the recorded events and the
 // Report — against its inputs — the Config's cluster, fault plan, store
 // duplex, trunk stretch and Actual hook, and the submitted jobs — and
-// shares no code with the scheduler. It folds the stream (scheduleCheck),
-// so any prefix of a run is checkable. A violation names its clause:
+// shares no code with the scheduler but FaultPlan.compile, which merges
+// the plan's intervals into down windows. It folds the stream
+// (scheduleCheck), so any prefix of a run is checkable. A violation
+// names its clause:
 //
-//   - residency: no node holds two gangs at once, and no segment
-//     overlaps its node's down window or, crossing the trunk, an outage;
+//   - residency: no node holds two gangs at once, no segment overlaps a
+//     down window the fault plan gives its node or, crossing the trunk,
+//     an outage, each recorded fault is a planned window, and a fault end
+//     has a fault that cut it;
 //   - link: neither store-link direction is oversubscribed (HalfDuplex
 //     is one timeline), and a restore reads no image before it is
 //     written;
@@ -82,6 +87,7 @@ type scheduleCheck struct {
 	link     [2]time.Duration // where the write and the read timeline free
 	read     int              // the read timeline: 1, or 0 on a half-duplex link
 	trunk    window           // the last trunk outage
+	plan     map[int][]window // the fault plan's down windows per node, the trunk's at -1
 	jobs     map[int]*jobFold
 	migrated []jobPin      // home images held until their outbound write ends
 	downTime time.Duration // closed down windows
@@ -93,9 +99,6 @@ type window struct {
 	from, to time.Duration
 	open     bool
 }
-
-// cuts reports whether the window began inside [from, to).
-func (w window) cuts(from, to time.Duration) bool { return w.to > 0 && w.from >= from && w.from < to }
 
 type nodeFold struct {
 	holder       *jobFold
@@ -133,11 +136,26 @@ type jobFold struct {
 
 func newScheduleCheck(cfg Config, spec func(int) *Job) *scheduleCheck {
 	c := &scheduleCheck{cfg: cfg, spec: spec, nodes: make([]nodeFold, cfg.Cluster.Size()), read: 1,
-		jobs: map[int]*jobFold{}, tot: JobTotals{UserNodeTime: map[string]time.Duration{}}}
+		plan: map[int][]window{}, jobs: map[int]*jobFold{}, tot: JobTotals{UserNodeTime: map[string]time.Duration{}}}
 	if cfg.StoreDuplex == HalfDuplex {
 		c.read = 0
 	}
+	for _, f := range cfg.Faults.compile(len(c.nodes)) {
+		if f.kind >= faultNodeDown {
+			c.plan[f.node] = append(c.plan[f.node], window{from: f.at, to: f.until})
+		}
+	}
 	return c
+}
+
+// planned returns the fault plan's down window of node (-1: the trunk)
+// that overlaps [from, to), or the zero window, which ends at 0.
+func (c *scheduleCheck) planned(node int, from, to time.Duration) window {
+	ws := c.plan[node]
+	if i := sort.Search(len(ws), func(i int) bool { return ws[i].to > from }); i < len(ws) && ws[i].from < to {
+		return ws[i]
+	}
+	return window{}
 }
 
 func (c *scheduleCheck) fail(clause string, ev Event, format string, args ...any) {
@@ -285,6 +303,10 @@ func (c *scheduleCheck) submit(ev Event) {
 		c.fail("stream", ev, "not a fresh submission")
 		return
 	}
+	if arrive := max(sp.Submit, ev.Time); ev.From != arrive {
+		c.fail("stream", ev, "arrives at %v, submitted for %v at %v", ev.From, sp.Submit, ev.Time)
+		return
+	}
 	work := sp.Estimate()
 	if c.cfg.Actual != nil {
 		work = max(c.cfg.Actual(sp, work), time.Millisecond)
@@ -347,8 +369,8 @@ func (c *scheduleCheck) transfer(d int, ev Event) {
 }
 
 func (c *scheduleCheck) dispatch(j *jobFold, ev Event) {
-	if j.state != Queued || ev.From < ev.Time || j.lastEnd == "drain" || j.lastEnd == "fault" {
-		c.fail("residency", ev, "dispatched while %v after a %q end, work from %v", j.state, j.lastEnd, ev.From)
+	if j.state != Queued || ev.Time < j.arrive || ev.From < ev.Time || j.lastEnd == "drain" || j.lastEnd == "fault" {
+		c.fail("residency", ev, "dispatched while %v after a %q end, arrived %v, work from %v", j.state, j.lastEnd, j.arrive, ev.From)
 		return
 	}
 	// A resident image resumes at home — "start" when the resume is
@@ -374,13 +396,13 @@ func (c *scheduleCheck) dispatch(j *jobFold, ev Event) {
 	if j.stretch = 1; a.CrossesTrunk && c.cfg.TrunkSlowdown > 1 {
 		j.stretch = c.cfg.TrunkSlowdown
 	}
-	if a.Count != j.nodes || a.CrossesTrunk && c.trunk.open {
-		c.fail("residency", ev, "gang %v for %d nodes, trunk down=%v", ev.Alloc, j.nodes, c.trunk.open)
+	if a.Count != j.nodes || a.CrossesTrunk && c.planned(-1, ev.Time, ev.Time+1).to > 0 {
+		c.fail("residency", ev, "gang %v for %d nodes, across the trunk=%v", ev.Alloc, j.nodes, a.CrossesTrunk)
 		return
 	}
 	for _, i := range ev.Alloc.Nodes() {
 		n := &c.nodes[i]
-		if n.down.open {
+		if c.planned(i, ev.Time, ev.Time+1).to > 0 {
 			c.fail("residency", ev, "node %d is down", i)
 		} else if n.holder != nil || n.freeAt > ev.Time {
 			c.fail("residency", ev, "node %d is held, last released at %v", i, n.freeAt)
@@ -423,16 +445,19 @@ func (c *scheduleCheck) segmentEnd(j *jobFold, ev Event) {
 		c.fail("segments", ev, "[%v,%v) on %v is not the open segment", ev.From, ev.To, ev.Alloc)
 		return
 	}
+	// A fault end is cut by a fault recorded at its end.
+	cut := j.alloc.CrossesTrunk && c.trunk.open && c.trunk.from == ev.To
 	for _, i := range ev.Alloc.Nodes() {
 		n := &c.nodes[i]
-		if n.down.cuts(ev.From, ev.To) {
-			c.fail("residency", ev, "node %d went down at %v", i, n.down.from)
+		if w := c.planned(i, ev.From, ev.To); w.to > 0 {
+			c.fail("residency", ev, "node %d is planned down at %v", i, w.from)
 		}
+		cut = cut || n.down.open && n.down.from == ev.To
 		n.busy += ev.To - ev.From
 		n.freeAt = ev.To
 	}
-	if j.alloc.CrossesTrunk && c.trunk.cuts(ev.From, ev.To) {
-		c.fail("residency", ev, "the trunk went down at %v", c.trunk.from)
+	if w := c.planned(-1, ev.From, ev.To); w.to > 0 && j.alloc.CrossesTrunk {
+		c.fail("residency", ev, "the trunk is planned down at %v", w.from)
 	}
 	switch ev.Detail {
 	case "run":
@@ -455,6 +480,9 @@ func (c *scheduleCheck) segmentEnd(j *jobFold, ev Event) {
 			j.preempts++
 		}
 	case "fault":
+		if !cut {
+			c.fail("residency", ev, "no node or trunk fault cut the gang")
+		}
 		if j.drain.open {
 			j.overhead -= j.drain.to - ev.To
 		} else {
@@ -551,9 +579,10 @@ func (c *scheduleCheck) fault(ev Event) {
 		w = &c.nodes[ev.Alloc[0].First].down
 	}
 	up := ev.Kind == EvNodeUp || ev.Kind == EvTrunkUp
+	p := c.planned(ev.Alloc[0].First, ev.Time, ev.Time+1)
 	switch {
-	case up != w.open || up && ev.Time != w.to:
-		c.fail("residency", ev, "on %v with down window %+v", ev.Alloc, *w)
+	case up != w.open || up && ev.Time != w.to || !up && (ev.From != ev.Time || ev.To != p.to || p.to == 0):
+		c.fail("residency", ev, "on %v with down window %+v, planned %+v", ev.Alloc, *w, p)
 	case up:
 		w.open = false
 		if ev.Kind == EvNodeUp {
@@ -640,12 +669,12 @@ func (c *scheduleCheck) finish(rep Report) error {
 
 // TestCheckScheduleRejects proves the checker: a corpus run with faults,
 // a half-duplex store link and host images is certified as recorded,
-// and each row edits its stream or its report once, after which
-// checkSchedule must fail naming the clause the edit breaks. Every
-// clause has a row.
+// and each row edits its stream, its report or its fault plan once,
+// after which checkSchedule must fail naming the clause the edit breaks.
+// Every clause has a row.
 func TestCheckScheduleRejects(t *testing.T) {
-	r := runIdentity(1776, &MemRecorder{})
-	if err := checkSchedule(r.cfg, r.jobs, r.events, r.rep); err != nil {
+	run := runIdentity(1776, &MemRecorder{})
+	if err := checkSchedule(run.cfg, run.jobs, run.events, run.rep); err != nil {
 		t.Fatalf("the recorded run fails: %v", err)
 	}
 	// find is the index of the first event ok accepts.
@@ -660,84 +689,66 @@ func TestCheckScheduleRejects(t *testing.T) {
 	}
 	rows := []struct {
 		name, clause string
-		edit         func(t *testing.T, evs []Event, rep *Report) []Event
+		edit         func(t *testing.T, r *identityRun)
 	}{
-		{"a segment end moved 1 ns into the next gang's segment", "residency", func(t *testing.T, evs []Event, _ *Report) []Event {
-			i := find(t, evs, func(i int, ev Event) bool {
-				for _, d := range evs[i+1:] {
-					if ev.Kind != EvSegmentEnd || ev.Detail != "cancel" || d.Time != ev.Time {
-						return false
-					}
-					for _, n := range d.Alloc.Nodes() {
-						if d.Kind == EvDispatch && covers(ev.Alloc, n) {
-							return true
-						}
-					}
-				}
-				return false
-			})
-			evs[i].To++
-			return evs
+		{"a segment end moved 1 ns into the next gang's segment", "residency", func(t *testing.T, r *identityRun) {
+			r.events[find(t, r.events, func(i int, ev Event) bool {
+				return ev.Kind == EvSegmentEnd && ev.Detail == "cancel" && slices.ContainsFunc(r.events[i+1:], func(d Event) bool {
+					return d.Kind == EvDispatch && d.Time == ev.To && slices.ContainsFunc(d.Alloc.Nodes(), func(n int) bool { return covers(ev.Alloc, n) })
+				})
+			})].To++
 		}},
-		{"a segment inside a down window", "residency", func(t *testing.T, evs []Event, _ *Report) []Event {
-			var held NodeRanges
-			i := find(t, evs, func(_ int, down Event) bool {
-				for _, ev := range evs {
-					if down.Kind == EvNodeDown && ev.Kind == EvSegmentEnd && ev.From < down.Time && ev.To > down.Time {
-						held = ev.Alloc[:1]
-						return true
-					}
-				}
-				return false
-			})
-			evs[i].Alloc = NodeRanges{{First: held[0].First, Count: 1}}
-			return evs
+		{"a segment inside a down window", "residency", func(t *testing.T, r *identityRun) {
+			seg := r.events[find(t, r.events, func(_ int, ev Event) bool { return ev.Kind == EvSegmentEnd && ev.To-ev.From > 1 })]
+			plan := *r.cfg.Faults
+			plan.Crashes = append(slices.Clip(plan.Crashes), NodeFault{Node: seg.Alloc[0].First, At: seg.From + 1, Repair: 1})
+			r.cfg.Faults = &plan
 		}},
-		{"two overlapping half-duplex transfers", "link", func(t *testing.T, evs []Event, _ *Report) []Event {
+		{"a crash that killed a gang dropped with its repair", "residency", func(t *testing.T, r *identityRun) {
+			i := find(t, r.events, func(i int, ev Event) bool {
+				return ev.Kind == EvNodeDown && r.events[i+1].Kind == EvSegmentEnd && r.events[i+1].Detail == "fault"
+			})
+			up := find(t, r.events, func(k int, ev Event) bool { return k > i && ev.Kind == EvNodeUp && ev.Alloc[0] == r.events[i].Alloc[0] })
+			r.events = slices.Delete(slices.Delete(r.events, up, up+1), i, i+1)
+		}},
+		{"two overlapping half-duplex transfers", "link", func(t *testing.T, r *identityRun) {
 			var write time.Duration
-			i := find(t, evs, func(_ int, ev Event) bool {
+			r.events[find(t, r.events, func(_ int, ev Event) bool {
 				if ev.Kind == EvStoreWrite {
 					write = ev.To
 				}
 				return ev.Kind == EvStoreRead && ev.Detail == "" && ev.From == write && ev.From > ev.Time
-			})
-			evs[i].From--
-			return evs
+			})].From--
 		}},
-		{"a duplicate EvComplete", "terminal", func(t *testing.T, evs []Event, _ *Report) []Event {
-			i := find(t, evs, func(_ int, ev Event) bool { return ev.Kind == EvComplete })
-			return append(evs[:i+1], evs[i:]...)
+		{"a duplicate EvComplete", "terminal", func(t *testing.T, r *identityRun) {
+			i := find(t, r.events, func(_ int, ev Event) bool { return ev.Kind == EvComplete })
+			r.events = slices.Insert(r.events, i, r.events[i])
 		}},
-		{"NodeBusy off by 1 ns", "report", func(_ *testing.T, evs []Event, rep *Report) []Event {
-			rep.NodeBusy = append([]time.Duration(nil), rep.NodeBusy...)
-			rep.NodeBusy[0]++
-			return evs
+		{"NodeBusy off by 1 ns", "report", func(_ *testing.T, r *identityRun) {
+			r.rep.NodeBusy = slices.Clone(r.rep.NodeBusy)
+			r.rep.NodeBusy[0]++
 		}},
-		{"a dropped EvDemoteEnd", "memory", func(t *testing.T, evs []Event, _ *Report) []Event {
-			i := find(t, evs, func(_ int, ev Event) bool { return ev.Kind == EvDemoteEnd })
-			return append(evs[:i], evs[i+1:]...)
+		{"a dropped EvDemoteEnd", "memory", func(t *testing.T, r *identityRun) {
+			i := find(t, r.events, func(_ int, ev Event) bool { return ev.Kind == EvDemoteEnd })
+			r.events = slices.Delete(r.events, i, i+1)
 		}},
-		{"a run segment ending 1 ns late", "progress", func(t *testing.T, evs []Event, _ *Report) []Event {
-			i := find(t, evs, func(_ int, ev Event) bool { return ev.Kind == EvSegmentEnd && ev.Detail == "run" })
-			evs[i].To++
-			return evs
+		{"a run segment ending 1 ns late", "progress", func(t *testing.T, r *identityRun) {
+			r.events[find(t, r.events, func(_ int, ev Event) bool { return ev.Kind == EvSegmentEnd && ev.Detail == "run" })].To++
 		}},
-		{"a segment end that does not start at its dispatch", "segments", func(t *testing.T, evs []Event, _ *Report) []Event {
-			i := find(t, evs, func(_ int, ev Event) bool { return ev.Kind == EvSegmentEnd && ev.From > 0 })
-			evs[i].From--
-			return evs
+		{"a segment end that does not start at its dispatch", "segments", func(t *testing.T, r *identityRun) {
+			r.events[find(t, r.events, func(_ int, ev Event) bool { return ev.Kind == EvSegmentEnd && ev.From > 0 })].From--
 		}},
-		{"an event before its predecessor", "stream", func(t *testing.T, evs []Event, _ *Report) []Event {
-			i := find(t, evs, func(i int, ev Event) bool { return i > 0 && ev.Time > evs[i-1].Time })
-			evs[i].Time = evs[i-1].Time - 1
-			return evs
+		{"an event before its predecessor", "stream", func(t *testing.T, r *identityRun) {
+			i := find(t, r.events, func(i int, ev Event) bool { return i > 0 && ev.Time > r.events[i-1].Time })
+			r.events[i].Time = r.events[i-1].Time - 1
 		}},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
-			rep := r.rep
-			evs := row.edit(t, append([]Event(nil), r.events...), &rep)
-			if err := checkSchedule(r.cfg, r.jobs, evs, rep); err == nil || !strings.HasPrefix(err.Error(), row.clause+":") {
+			r := run
+			r.events = slices.Clone(run.events)
+			row.edit(t, &r)
+			if err := checkSchedule(r.cfg, r.jobs, r.events, r.rep); err == nil || !strings.HasPrefix(err.Error(), row.clause+":") {
 				t.Errorf("checkSchedule says %v, want a %s violation", err, row.clause)
 			}
 		})

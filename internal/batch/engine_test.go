@@ -263,8 +263,9 @@ func TestWallClockMapsTime(t *testing.T) {
 // live-daemon shape. Everything accepted must reach a terminal state,
 // and the engine's virtual timeline must stay internally consistent.
 func TestEngineWallClockDrivesToTerminal(t *testing.T) {
-	e := &Engine{s: newChecked(t, Config{Cluster: newTestCluster(8), Policy: Backfill}),
-		clock: NewWallClock(100_000), kick: make(chan struct{}, 1)} // ~1 virtual day per wall second
+	cfg := Config{Cluster: newTestCluster(8), Policy: Backfill}
+	e := NewEngine(cfg, NewWallClock(100_000)) // ~1 virtual day per wall second
+	e.s = newChecked(t, cfg)
 	e.Start()
 	defer e.Stop()
 	const submitters, each = 4, 5

@@ -141,15 +141,14 @@ func TestFaultStormDeterminism(t *testing.T) {
 // 32-node cluster (trunk behind node 24), a gang allocated [16,32)
 // crosses the trunk and dies when the trunk does; a gang on [0,16)
 // keeps running through the outage; the killed gang cannot re-place
-// across the severed trunk and restarts only at repair.
+// across the severed trunk and restarts only at repair. checkSchedule
+// holds the recorded outage to the plan's window.
 func TestTrunkOutageKillsCrossingGangs(t *testing.T) {
 	plan := &FaultPlan{Trunks: []TrunkFault{{At: 30 * time.Second, Duration: 10 * time.Second}}}
-	rec := &MemRecorder{}
 	s := newChecked(t, Config{
-		Cluster:  newTestCluster(32),
-		Policy:   FIFO,
-		Faults:   plan,
-		Recorder: rec,
+		Cluster: newTestCluster(32),
+		Policy:  FIFO,
+		Faults:  plan,
 	})
 	local := &Job{Name: "local", Kind: KindCG, Nodes: 16, Est: 100 * time.Second}
 	cross := &Job{Name: "cross", Kind: KindCG, Nodes: 16, Est: 100 * time.Second}
@@ -170,19 +169,6 @@ func TestTrunkOutageKillsCrossingGangs(t *testing.T) {
 	}
 	if rep.TrunkOutages != 1 || rep.FaultKills != 1 || rep.LostWork != 30*time.Second {
 		t.Fatalf("report: %d outages, %d kills, lost %v", rep.TrunkOutages, rep.FaultKills, rep.LostWork)
-	}
-	// The outage is typed in the stream with its window.
-	found := false
-	for _, ev := range rec.Events() {
-		if ev.Kind == EvTrunkDown {
-			found = true
-			if ev.From != 30*time.Second || ev.To != 40*time.Second {
-				t.Fatalf("EvTrunkDown window [%v,%v), want [30s,40s)", ev.From, ev.To)
-			}
-		}
-	}
-	if !found {
-		t.Fatal("no EvTrunkDown in the stream")
 	}
 }
 

@@ -226,8 +226,8 @@ func TestEventStreamDeterminism(t *testing.T) {
 func TestReportTimeline(t *testing.T) {
 	rec := &MemRecorder{}
 	rep := sampleTraceRun(t, rec)
-	if len(rep.Jobs) == 0 {
-		t.Fatal("no jobs in sample replay")
+	if len(rep.Jobs) == 0 || len(rep.Events) != len(rec.Events()) {
+		t.Fatalf("%d jobs in sample replay; the report copied %d events, the recorder holds %d", len(rep.Jobs), len(rep.Events), len(rec.Events()))
 	}
 	j := rep.Jobs[0]
 	tl := rep.Timeline(j.ID)

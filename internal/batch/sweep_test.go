@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -244,8 +245,7 @@ type identityRun struct {
 	jobs   []*Job // the submitted jobs the cluster admitted
 	events []Event
 	rep    Report
-	rounds int
-	capped bool
+	rounds int // sweepRoundCap if the run did not drain
 }
 
 func runIdentity(seed int64, rec *MemRecorder) identityRun {
@@ -272,7 +272,6 @@ func runIdentity(seed int64, rec *MemRecorder) identityRun {
 			s.Cancel(r.jobs[r.rounds*7%len(r.jobs)].ID) // a terminal job refuses; that is fine
 		}
 	}
-	r.capped = r.rounds == sweepRoundCap
 	r.events, r.rep = rec.Events(), s.report()
 	return r
 }
@@ -295,7 +294,7 @@ func (r identityRun) line(seed int64) string {
 		b = append(binary.LittleEndian.AppendUint64(b, uint64(len(ev.Detail))), ev.Detail...)
 	}
 	outcome := "drained"
-	if r.capped {
+	if r.rounds == sweepRoundCap {
 		outcome = fmt.Sprintf("capped %d", r.rounds)
 	}
 	sum := sha256.Sum256(b)
@@ -314,40 +313,33 @@ func TestScheduleIdentityCorpus(t *testing.T) {
 	if testing.Short() || raceBuild() {
 		seeds = 300
 	}
+	// The seeds are independent runs: worker w takes every workers-th
+	// one with its own recorder, and tallies the event kinds, the
+	// segment ends and the completions its runs recorded.
 	got := make([]string, seeds)
-	ends, kinds := map[string]int{}, map[EventKind]int{}
-	failed, canceled := 0, 0
-	var mu sync.Mutex // guards the tallies
-	// The seeds are independent runs: one worker per CPU, each with its
-	// own recorder, takes them from seedc.
-	seedc := make(chan int64)
+	workers := runtime.GOMAXPROCS(0)
+	tallies := make([]map[string]int, workers)
 	var wg sync.WaitGroup
-	for w := 0; w < runtime.GOMAXPROCS(0); w++ {
+	for w := range tallies {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			rec := &MemRecorder{}
-			for seed := range seedc {
+			rec, tally := &MemRecorder{}, map[string]int{}
+			for seed := int64(w + 1); seed <= int64(seeds); seed += int64(workers) {
 				r := runIdentity(seed, rec)
 				if err := checkSchedule(r.cfg, r.jobs, r.events, r.rep); err != nil {
 					t.Errorf("%s: %v", r.name, err)
 				}
 				got[seed-1] = r.line(seed)
-				mu.Lock()
 				for _, ev := range r.events {
-					if kinds[ev.Kind]++; ev.Kind == EvSegmentEnd {
-						ends[ev.Detail]++
+					if tally[ev.Kind.String()]++; ev.Kind == EvSegmentEnd || ev.Kind == EvComplete {
+						tally[ev.Kind.String()+" "+ev.Detail]++
 					}
 				}
-				failed, canceled = failed+r.rep.Failed, canceled+r.rep.Canceled
-				mu.Unlock()
 			}
+			tallies[w] = tally
 		}()
 	}
-	for seed := int64(1); seed <= int64(seeds); seed++ {
-		seedc <- seed
-	}
-	close(seedc)
 	wg.Wait()
 	if os.Getenv("REGEN_IDENTITY") != "" {
 		if err := os.WriteFile(identityCorpus, []byte(strings.Join(got, "\n")+"\n"), 0o644); err != nil {
@@ -373,18 +365,15 @@ func TestScheduleIdentityCorpus(t *testing.T) {
 	if changed > 0 {
 		t.Errorf("%d of %d seeds changed; regenerate with REGEN_IDENTITY=1 after an intentional change", changed, seeds)
 	}
-	for _, d := range []string{"run", "drain", "fault", "cancel", "bank"} {
-		if ends[d] == 0 {
-			t.Errorf("no segment ended in %q: the corpus is vacuous there", d)
-		}
-	}
+	kinds := []string{"segment-end run", "segment-end drain", "segment-end fault", "segment-end cancel",
+		"segment-end bank", "complete failed", "complete canceled"}
 	for k := range eventKindNames {
-		if kinds[EventKind(k)] == 0 {
-			t.Errorf("no %v event: the corpus is vacuous there", EventKind(k))
-		}
+		kinds = append(kinds, EventKind(k).String())
 	}
-	if failed == 0 || canceled == 0 {
-		t.Errorf("%d failed and %d canceled jobs: a terminal state went unexercised", failed, canceled)
+	for _, k := range kinds {
+		if !slices.ContainsFunc(tallies, func(tally map[string]int) bool { return tally[k] > 0 }) {
+			t.Errorf("no %s event: the corpus is vacuous there", k)
+		}
 	}
 }
 
