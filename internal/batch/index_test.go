@@ -2,6 +2,7 @@ package batch
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"sort"
@@ -890,25 +891,60 @@ func TestFairShareKeyOrder(t *testing.T) {
 
 // TestQueueTombstones exercises the tombstoned pending queue directly:
 // removal is by slot, ordering skips nils, compaction preserves the
-// stable order and reindexes qpos, and insertion keeps a sorted queue
-// sorted.
+// stable order, and insertion keeps a sorted queue sorted. After every
+// push, remove, insert and ordered(), each block summary the queue
+// keeps equals a recount of its slots, and each job in such a block has
+// its exact slot as qpos; after ordered() no block is stale.
 func TestQueueTombstones(t *testing.T) {
 	var q queue
-	mk := func(id int) *Job { return &Job{ID: id, jobState: jobState{qpos: -1}} }
-	less := func(a, b *Job) bool { return a.ID < b.ID }
-	var ref []*Job
 	rng := rand.New(rand.NewSource(3))
+	mk := func(id int) *Job {
+		return &Job{ID: id, Nodes: 1 + rng.Intn(64), jobState: jobState{qpos: -1,
+			est: time.Duration(1+rng.Intn(900)) * time.Second, doneWork: time.Duration(rng.Intn(600)) * time.Second}}
+	}
+	less := func(a, b *Job) bool { return a.ID < b.ID }
+	check := func(op string, n int, ordered bool) {
+		t.Helper()
+		if ordered && len(q.blocks)*scanBlock < len(q.jobs) {
+			t.Fatalf("after %s %d: %d block summaries for %d slots", op, n, len(q.blocks), len(q.jobs))
+		}
+		for b, got := range q.blocks {
+			want := qblock{minNodes: math.MaxInt, minLeft: math.MaxInt64}
+			for i := b * scanBlock; i < len(q.jobs) && i < (b+1)*scanBlock; i++ {
+				j := q.jobs[i]
+				if j == nil {
+					continue
+				}
+				if j.qpos != i {
+					t.Fatalf("after %s %d: job %d in summarized slot %d has qpos %d", op, n, j.ID, i, j.qpos)
+				}
+				want.live++
+				want.minNodes = min(want.minNodes, j.Nodes)
+				want.minLeft = min(want.minLeft, max(j.est-j.doneWork, time.Millisecond))
+			}
+			if got != want {
+				t.Fatalf("after %s %d: block %d summary %+v, recount %+v", op, n, b, got, want)
+			}
+		}
+	}
+	var ref []*Job
 	for id := 0; id < 500; id++ {
 		j := mk(id * 1000)
 		q.push(j)
+		check("push", id, false)
 		ref = append(ref, j)
 		if rng.Intn(3) == 0 && len(ref) > 0 {
 			i := rng.Intn(len(ref))
 			q.remove(ref[i])
+			check("remove", id, false)
 			ref = append(ref[:i], ref[i+1:]...)
 		}
 		if q.len() != len(ref) {
 			t.Fatalf("queue len %d, reference %d", q.len(), len(ref))
+		}
+		if id%40 == 0 {
+			q.ordered(less)
+			check("ordered", id, true)
 		}
 	}
 	want := append([]*Job(nil), ref...)
@@ -919,6 +955,7 @@ func TestQueueTombstones(t *testing.T) {
 			got = append(got, j)
 		}
 	}
+	check("ordered", 500, true)
 	if len(got) != len(want) {
 		t.Fatalf("ordered yields %d live jobs, want %d", len(got), len(want))
 	}
@@ -926,13 +963,10 @@ func TestQueueTombstones(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("ordered[%d] = job %d, want job %d", i, got[i].ID, want[i].ID)
 		}
-		if got[i].qpos < 0 || q.jobs[got[i].qpos] != got[i] {
-			t.Fatalf("job %d qpos %d does not point back at its slot", got[i].ID, got[i].qpos)
-		}
 	}
-	// Insertion into the sorted queue, between removals: the live slots
-	// stay in order, every qpos stays at or before its job's slot, and a
-	// removal still finds its job.
+	// Insertion into the sorted queue, between removals and orderings:
+	// the live slots stay in order, every qpos stays at or before its
+	// job's slot, and a removal still finds its job.
 	ref = want
 	seen := make(map[int]bool)
 	for n := 0; n < 400; n++ {
@@ -943,11 +977,17 @@ func TestQueueTombstones(t *testing.T) {
 		seen[id] = true
 		j := mk(id)
 		q.insert(j, less)
+		check("insert", n, false)
 		ref = append(ref, j)
 		if rng.Intn(2) == 0 {
 			i := rng.Intn(len(ref))
 			q.remove(ref[i])
+			check("remove", n, false)
 			ref = append(ref[:i], ref[i+1:]...)
+		}
+		if rng.Intn(4) == 0 {
+			q.ordered(less)
+			check("ordered", n, true)
 		}
 		var prev *Job
 		for slot, p := range q.jobs {
@@ -971,5 +1011,57 @@ func TestQueueTombstones(t *testing.T) {
 	q.remove(gone)
 	if q.len() != len(ref) {
 		t.Fatal("removing an absent job changed the queue length")
+	}
+}
+
+// TestBackfillBlockSkipBoundaries pins the two edges of the block skip
+// in passOnce, on 8 nodes: a 6-node hog runs until 100 s (slot 0), the
+// 8-node head blocks behind it (slot 1), 14 three-node gangs close the
+// head's block and 16 fill the next, which the skip jumps. The next
+// block opens with "fit", one node whose estimate ends exactly at the
+// head's reservation, among more wide gangs. With no recorder, fit is
+// backfilled unless BackfillDepth runs out first, and every depth —
+// some ending inside the jumped block — starts the jobs the per-job walk
+// of a recorded run starts.
+func TestBackfillBlockSkipBoundaries(t *testing.T) {
+	const sec = time.Second
+	run := func(depth int, rec Recorder) (started []string) {
+		s := New(Config{Cluster: newTestCluster(8), Policy: Backfill, BackfillDepth: depth, Recorder: rec})
+		jobs := []*Job{ruleJob("hog", 6, 0, 100*sec, 0), ruleJob("head", 8, 0, sec, 0)}
+		for i := 0; i < 46; i++ {
+			name, nodes := fmt.Sprint("wide", i), 3
+			if i == 30 {
+				name, nodes = "fit", 1
+			}
+			jobs = append(jobs, ruleJob(name, nodes, 0, 200*sec, 0))
+		}
+		jobs[32].Est = 100 * sec
+		submitAll(t, s, jobs)
+		if jobs[32].qpos != 32 {
+			t.Fatalf("fit waits at slot %d, want 32: the queue layout moved", jobs[32].qpos)
+		}
+		s.schedulePass()
+		for _, j := range jobs {
+			if j.State == Running {
+				started = append(started, j.Name)
+			}
+		}
+		return started
+	}
+	for _, c := range []struct {
+		depth int
+		fit   bool
+	}{{0, true}, {20, false}, {30, false}, {31, true}, {44, true}} {
+		bare, recorded := run(c.depth, nil), run(c.depth, &MemRecorder{})
+		if !slices.Equal(bare, recorded) {
+			t.Errorf("depth %d: started %v bare, %v with a recorder", c.depth, bare, recorded)
+		}
+		want := []string{"hog"}
+		if c.fit {
+			want = append(want, "fit")
+		}
+		if !slices.Equal(bare, want) {
+			t.Errorf("depth %d: started %v, want %v", c.depth, bare, want)
+		}
 	}
 }

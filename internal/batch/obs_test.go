@@ -261,20 +261,42 @@ func TestReportTimeline(t *testing.T) {
 
 // TestPassOnceZeroAllocNilRecorder pins the zero-cost-when-disabled
 // claim: a scheduling pass over a blocked queue with no recorder and no
-// metrics attached allocates nothing. (The queue is pre-sorted by a
-// warmup pass; the lazily-sorted queue only re-sorts after a mutation.)
+// metrics attached allocates nothing — under FIFO, which stops at the
+// head, and under EASY, whose walk behind the head jumps refused queue
+// blocks (queue.go). (The queue is pre-sorted by a warmup pass; the
+// lazily-sorted queue only re-sorts after a mutation.)
 func TestPassOnceZeroAllocNilRecorder(t *testing.T) {
-	s := New(Config{Cluster: newTestCluster(4), Policy: FIFO})
-	hog := &Job{Name: "hog", Kind: KindLBM, Nodes: 4, Est: time.Hour}
-	blocked := &Job{Name: "blocked", Kind: KindCG, Nodes: 2, Est: time.Minute}
-	submitAll(t, s, []*Job{hog, blocked})
-	s.schedulePass() // hog starts, blocked parks; queue order cached
-	if got := s.pending.len(); got != 1 {
-		t.Fatalf("%d pending jobs after warmup, want 1", got)
-	}
-	if allocs := testing.AllocsPerRun(100, func() { s.passOnce() }); allocs != 0 {
-		t.Fatalf("passOnce with nil recorder allocates %v times per pass, want 0", allocs)
-	}
+	t.Run("FIFO", func(t *testing.T) {
+		s := New(Config{Cluster: newTestCluster(4), Policy: FIFO})
+		hog := &Job{Name: "hog", Kind: KindLBM, Nodes: 4, Est: time.Hour}
+		blocked := &Job{Name: "blocked", Kind: KindCG, Nodes: 2, Est: time.Minute}
+		submitAll(t, s, []*Job{hog, blocked})
+		s.schedulePass() // hog starts, blocked parks; queue order cached
+		if got := s.pending.len(); got != 1 {
+			t.Fatalf("%d pending jobs after warmup, want 1", got)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { s.passOnce() }); allocs != 0 {
+			t.Fatalf("passOnce with nil recorder allocates %v times per pass, want 0", allocs)
+		}
+	})
+	t.Run("Backfill", func(t *testing.T) {
+		// A 6-node hog holds the head's reservation 100 s away; behind
+		// the head, four blocks of 3-node gangs (too wide for the 2 free
+		// nodes) and 1-node ones (too long for the reservation).
+		s := New(Config{Cluster: newTestCluster(8), Policy: Backfill})
+		jobs := []*Job{ruleJob("hog", 6, 0, 100*time.Second, 0), ruleJob("head", 8, 0, time.Second, 0)}
+		for i := 0; i < 4*scanBlock; i++ {
+			jobs = append(jobs, ruleJob("behind", 1+2*(i%2), 0, 200*time.Second, 0))
+		}
+		submitAll(t, s, jobs)
+		s.schedulePass() // hog starts, the rest park; queue order cached
+		if got := s.pending.len(); got != len(jobs)-1 {
+			t.Fatalf("%d pending jobs after warmup, want %d", got, len(jobs)-1)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { s.passOnce() }); allocs != 0 {
+			t.Fatalf("passOnce with nil recorder allocates %v times per pass, want 0", allocs)
+		}
+	})
 }
 
 // TestRingRecorderKeepsTail feeds a RingRecorder and a MemRecorder the

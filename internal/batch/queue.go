@@ -2,7 +2,9 @@ package batch
 
 import (
 	"fmt"
+	"math"
 	"sort"
+	"time"
 )
 
 // queue holds the jobs that have arrived and wait to start; a future
@@ -29,20 +31,67 @@ import (
 // ranging over ordered()'s slice across its own starts. Consumers of
 // ordered() and jobs must skip nil entries.
 //
-// qpos is exact after a sort or a compaction and a lower bound in
-// between: insert shifts the jobs behind the new one right without
-// rewriting theirs, and remove scans forward from it. A job not in the
-// queue has a negative qpos.
+// Each block of scanBlock slots, aligned on the absolute slot index,
+// has a summary (qblock) that lets the backfill walk behind a blocked
+// head jump a block refusing every job in it. A waiting job's bounds
+// are fixed (Nodes is spec; doneWork moves only while a segment runs),
+// so only slot changes move a summary: remove recounts its block; push,
+// insert and compact drop the summaries from the first block they move
+// (a block past the end of blocks is stale), and ordered() recounts them.
+//
+// qpos is exact after every ordered() — a recount writes the qpos of
+// each job it visits — and a lower bound in between: insert shifts the
+// jobs behind the new one right without rewriting theirs, and remove
+// scans forward from it. A job not in the queue has a negative qpos.
 type queue struct {
-	jobs  []*Job
-	first int // jobs[:first] is all tombstones (skipped without rescanning)
-	tombs int // nil entries in jobs
-	dirty bool
+	jobs   []*Job
+	first  int // jobs[:first] is all tombstones (skipped without rescanning)
+	tombs  int // nil entries in jobs
+	dirty  bool
+	blocks []qblock // blocks[b] summarizes jobs[b*scanBlock:][:scanBlock]
+}
+
+// scanBlock is the width of a summarized block: 16 slots walk as fast
+// as 8, and faster than 32 or 64 (docs/PERFORMANCE.md).
+const scanBlock = 16
+
+// qblock summarizes one block of queue slots for the backfill walk.
+type qblock struct {
+	live, minNodes int           // live jobs; the narrowest gang among them
+	minLeft        time.Duration // the shortest estLeft among them
+}
+
+// refuses reports whether no job in the block can backfill: each gang is
+// wider than free, or its remaining estimate alone overruns slack, the
+// time left before the head's reservation. An empty block refuses.
+func (b qblock) refuses(free int, slack time.Duration) bool {
+	return b.minNodes > free || b.minLeft > slack
+}
+
+// summarize recounts block b from its slots and writes the exact qpos
+// of each job in it.
+func (q *queue) summarize(b int) qblock {
+	sum := qblock{minNodes: math.MaxInt, minLeft: math.MaxInt64}
+	for i := b * scanBlock; i < min((b+1)*scanBlock, len(q.jobs)); i++ {
+		if j := q.jobs[i]; j != nil {
+			j.qpos = i
+			sum.live++
+			sum.minNodes = min(sum.minNodes, j.Nodes)
+			sum.minLeft = min(sum.minLeft, j.estLeft())
+		}
+	}
+	return sum
+}
+
+// stale drops the summaries of slot i's block and every block after it.
+func (q *queue) stale(i int) {
+	q.blocks = q.blocks[:min(len(q.blocks), i/scanBlock)]
 }
 
 func (q *queue) push(j *Job) {
 	j.qpos = len(q.jobs)
 	q.jobs = append(q.jobs, j)
+	q.stale(j.qpos)
 	q.dirty = true
 }
 
@@ -67,23 +116,7 @@ func (q *queue) insert(j *Job, less func(a, b *Job) bool) {
 	copy(q.jobs[i+1:], q.jobs[i:])
 	q.jobs[i] = j
 	j.qpos = i
-}
-
-// queueOrder adapts the job slice to sort.Stable while keeping each
-// job's qpos in step with its slot. sort.Stable and sort.SliceStable
-// realize the same (unique) stable permutation, so the resulting order
-// is identical to the pre-tombstone sort.SliceStable call.
-type queueOrder struct {
-	jobs []*Job
-	less func(a, b *Job) bool
-}
-
-func (o queueOrder) Len() int           { return len(o.jobs) }
-func (o queueOrder) Less(i, k int) bool { return o.less(o.jobs[i], o.jobs[k]) }
-func (o queueOrder) Swap(i, k int) {
-	o.jobs[i], o.jobs[k] = o.jobs[k], o.jobs[i]
-	o.jobs[i].qpos = i
-	o.jobs[k].qpos = k
+	q.stale(i)
 }
 
 // ordered returns the pending jobs sorted by less; the slice is owned
@@ -94,14 +127,17 @@ func (o queueOrder) Swap(i, k int) {
 // (fair-share usage) must set dirty when that state changes.
 // Tombstones are squeezed out here once they dominate, so long-lived
 // queues do not accumulate an unbounded nil tail the passes keep
-// re-skipping.
+// re-skipping. Every stale block summary is recounted before return.
 func (q *queue) ordered(less func(a, b *Job) bool) []*Job {
 	if q.dirty {
 		q.compact()
-		sort.Stable(queueOrder{jobs: q.jobs, less: less})
+		sort.SliceStable(q.jobs, func(i, k int) bool { return less(q.jobs[i], q.jobs[k]) })
 		q.dirty = false
 	} else if q.tombs > 64 && q.tombs*2 >= len(q.jobs) {
 		q.compact()
+	}
+	for b := len(q.blocks); b*scanBlock < len(q.jobs); b++ {
+		q.blocks = append(q.blocks, q.summarize(b))
 	}
 	for q.first < len(q.jobs) && q.jobs[q.first] == nil {
 		q.first++
@@ -110,8 +146,10 @@ func (q *queue) ordered(less func(a, b *Job) bool) []*Job {
 }
 
 // remove deletes a queued job by tombstoning its slot, found by a scan
-// forward from qpos; a job with qpos < 0 is not in the queue, and one
-// missing from it is a bug.
+// forward from qpos, and recounts the slot's block unless it is stale:
+// a summary that kept the bounds of a job gone would refuse almost no
+// block. A job with qpos < 0 is not in the queue, and one missing from
+// it is a bug.
 func (q *queue) remove(j *Job) {
 	if j.qpos < 0 {
 		return
@@ -126,17 +164,19 @@ func (q *queue) remove(j *Job) {
 	q.jobs[i] = nil
 	q.tombs++
 	j.qpos = -1
+	if b := i / scanBlock; b < len(q.blocks) {
+		q.blocks[b] = q.summarize(b)
+	}
 }
 
-// compact squeezes tombstones out in place, preserving order and
-// reindexing every qpos.
+// compact squeezes tombstones out in place, preserving order; every
+// summary goes stale, and ordered() rewrites every qpos.
 func (q *queue) compact() {
 	w := 0
 	for _, j := range q.jobs {
 		if j == nil {
 			continue
 		}
-		j.qpos = w
 		q.jobs[w] = j
 		w++
 	}
@@ -145,6 +185,7 @@ func (q *queue) compact() {
 	}
 	q.jobs = q.jobs[:w]
 	q.tombs, q.first = 0, 0
+	q.stale(0)
 }
 
 func (q *queue) len() int { return len(q.jobs) - q.tombs }

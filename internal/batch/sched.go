@@ -563,14 +563,30 @@ func (s *Scheduler) schedulePass() {
 // the free set and only delays the store link — so the sweep goes on
 // behind it unless the blocked head's own standing changed (headMoved).
 // With a recorder attached, every arrived job a sweep examines and
-// skips gets one EvBlocked event classifying the obstacle.
+// skips gets one EvBlocked event classifying the obstacle; without one,
+// the walk behind a blocked head jumps each queue block whose summary
+// refuses every job in it, counting its jobs as examined.
 func (s *Scheduler) passOnce() bool {
 	pass := s.beginPass()
 	var blocked *Job // first eligible job that did not fit
 	var shadow time.Duration
 	scanned := 0 // backfill candidates examined behind the blocked head, this sweep's starts aside
 	jobs := s.pending.ordered(s.less)
-	for i, j := range jobs {
+	base := s.pending.first // jobs[i] is queue slot base+i
+	for i := 0; i < len(jobs); i++ {
+		// ordered() summarized every block, and remove, the one queue
+		// change a sweep makes, keeps its block's summary exact.
+		if slot := base + i; blocked != nil && s.rec == nil && slot%scanBlock == 0 {
+			if b := s.pending.blocks[slot/scanBlock]; b.refuses(s.cfg.Cluster.FreeNodes(), shadow-s.now) {
+				scanned += b.live
+				if depth := s.cfg.BackfillDepth; depth > 0 && scanned > depth {
+					break
+				}
+				i += scanBlock - 1
+				continue
+			}
+		}
+		j := jobs[i]
 		if j == nil {
 			continue // tombstone
 		}

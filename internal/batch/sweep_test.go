@@ -29,8 +29,8 @@ import (
 // so the two sides share nothing.
 type sweepCase struct {
 	name     string
-	cfg      Config // Cluster is set per run, Recorder when record is
-	record   bool   // attach a MemRecorder: the pass then classifies every job it skips
+	cfg      Config // Cluster is set per run, Recorder when record is or on the oracle side
+	record   bool   // attach a MemRecorder to the sweep side: the pass then classifies every job it skips
 	replan   bool   // search every conservative reservation (Scheduler.replanAll)
 	roundCap int    // scheduling rounds before giving up; 0 means sweepRoundCap
 	cluster  func() *Cluster
@@ -61,7 +61,10 @@ func (o sweepOutcome) restarts() int { return o.passes - o.rounds }
 func (c sweepCase) run(oracle bool) sweepOutcome {
 	cfg := c.cfg
 	cfg.Cluster = c.cluster()
-	if c.record {
+	if c.record || oracle {
+		// The oracle always records, so it walks every job behind a
+		// blocked head: the sweep's block skips (queue.go) are held to
+		// the per-job walk whenever the case's draw leaves it bare.
 		cfg.Recorder = &MemRecorder{}
 	}
 	s := New(cfg)
