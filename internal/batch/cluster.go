@@ -99,14 +99,17 @@ func (a Allocation) String() string {
 
 // Cluster is the resource manager's machine state: nodes on the
 // simulated switch, the free-range index (index.go) as the one record
-// of which nodes are allocated, and per-node busy accounting for the
-// utilization report. Placement probes enumerate the index's free runs,
-// so they cost O(free runs) instead of O(nodes); a what-if probe frees
-// nodes in the live index and undoes it (probeFree, probeUndo).
+// of which nodes are allocated, and busy time for the utilization
+// report. Both are kept per range: placement probes enumerate the
+// index's free runs, so they cost O(free runs) instead of O(nodes); a
+// what-if probe frees nodes in the live index and undoes it (probeFree,
+// probeUndo).
 type Cluster struct {
 	nodes []NodeSpec
 	net   netsim.Config
-	busy  []time.Duration
+	// busy is a difference array over node indices, n+1 entries: node
+	// i's busy time is the sum of busy[:i+1] (BusyTimes).
+	busy []time.Duration
 	// reserved holds per-node host memory pinned by suspended-to-host
 	// checkpoint images (see suspend.go): the node may be free for
 	// placement, but only jobs fitting the remaining memory land on it.
@@ -144,10 +147,14 @@ type Cluster struct {
 	// NodesWithMem admission count; SetSpec invalidates it.
 	memSorted []int64
 	memDirty  bool
-	// runBuf and candBuf are scratch for eligibleRuns/candidates, so
-	// steady-state placement probes allocate nothing.
-	runBuf  []NodeRange
-	candBuf []candidate
+	// runBuf and candBuf are scratch for eligibleRuns/candidates, and
+	// asmArena (the assemblies' ranges), asmSort and asmOut for
+	// assemblies, so steady-state placement probes allocate nothing.
+	runBuf   []NodeRange
+	candBuf  []candidate
+	asmArena []NodeRange
+	asmSort  []NodeRange
+	asmOut   [][]NodeRange
 }
 
 // NewCluster builds an n-node cluster attached to the given switch
@@ -159,7 +166,7 @@ func NewCluster(n int, net netsim.Config) *Cluster {
 	c := &Cluster{
 		nodes:    make([]NodeSpec, n),
 		net:      net,
-		busy:     make([]time.Duration, n),
+		busy:     make([]time.Duration, n+1),
 		down:     make([]bool, n),
 		reserved: make([]int64, n),
 		baseMem:  2560 << 20,
@@ -330,9 +337,8 @@ func (c *Cluster) commit(cand candidate) Allocation {
 	return Allocation{Ranges: rs, Count: total, CrossesTrunk: cand.crosses}
 }
 
-// Release frees an allocation and credits each node's busy accounting
-// with the job's runtime; a node already free panics
-// (freeIndex.release).
+// Release frees an allocation and credits its nodes with the job's
+// runtime of busy time; a node already free panics (freeIndex.release).
 func (c *Cluster) Release(a Allocation, ran time.Duration) {
 	for _, r := range a.Ranges {
 		c.idx.release(r.First, r.Count)
@@ -372,12 +378,13 @@ func (c *Cluster) nodeUp(i int) {
 
 // creditBusy credits each node of a with ran of busy time without
 // freeing anything — a proactive checkpoint closes an accounting
-// segment while the gang stays seated on its nodes.
+// segment while the gang stays seated on its nodes. Each range adds ran
+// at its first node and takes it off one past its last, so a credit
+// costs O(ranges), not O(gang nodes).
 func (c *Cluster) creditBusy(a Allocation, ran time.Duration) {
 	for _, r := range a.Ranges {
-		for i := r.First; i < r.First+r.Count; i++ {
-			c.busy[i] += ran
-		}
+		c.busy[r.First] += ran
+		c.busy[r.First+r.Count] -= ran
 	}
 }
 
@@ -402,10 +409,15 @@ func (c *Cluster) probeUndo(mark int) {
 	c.probeLog = c.probeLog[:mark]
 }
 
-// BusyTimes returns a copy of per-node accumulated busy time.
+// BusyTimes returns each node's accumulated busy time, the prefix sums
+// of the difference array creditBusy writes.
 func (c *Cluster) BusyTimes() []time.Duration {
-	out := make([]time.Duration, len(c.busy))
-	copy(out, c.busy)
+	out := make([]time.Duration, len(c.nodes))
+	var sum time.Duration
+	for i := range out {
+		sum += c.busy[i]
+		out[i] = sum
+	}
 	return out
 }
 

@@ -365,6 +365,93 @@ func TestOccupancyMisusePanics(t *testing.T) {
 	}
 }
 
+// TestNodeBusyPerRange drives random multi-range commits, releases and
+// bare busy credits (the proactive bank of a gang that stays seated)
+// and holds BusyTimes after every op to a node-by-node reference: one
+// entry per node, each the sum of the credits that covered it. Gangs
+// include single-node ranges at node 0 and ranges ending on the last
+// node, the two edges of the difference array.
+func TestNodeBusyPerRange(t *testing.T) {
+	const nodes = 67
+	c := newTestCluster(nodes)
+	rng := rand.New(rand.NewSource(7))
+	ref := make([]time.Duration, nodes)
+	used := make([]bool, nodes)
+	var live []Allocation
+	credit := func(a Allocation, ran time.Duration) {
+		for _, i := range a.Ranges.Nodes() {
+			ref[i] += ran
+		}
+	}
+	atZero, atLast := 0, 0
+	for op := 0; op < 3000; op++ {
+		ran := time.Duration(1+rng.Intn(1e6)) * time.Millisecond
+		switch r := rng.Intn(4); {
+		case r < 2: // commit a gang of up to three ranges cut from free runs
+			var rs []NodeRange
+			for _, f := range refRuns(nodes, nodes, func(i int) bool { return !used[i] }) {
+				if len(rs) == 3 || rng.Intn(3) == 0 {
+					continue
+				}
+				lo := f.First + rng.Intn(f.Count)
+				hi := lo + 1 + rng.Intn(f.First+f.Count-lo)
+				switch rng.Intn(4) {
+				case 0: // one node at the run's start
+					lo, hi = f.First, f.First+1
+				case 1: // to the run's end
+					hi = f.First + f.Count
+				}
+				if lo == 0 && hi == 1 {
+					atZero++
+				}
+				if hi == nodes {
+					atLast++
+				}
+				rs = append(rs, NodeRange{First: lo, Count: hi - lo})
+			}
+			if len(rs) == 0 {
+				continue
+			}
+			a := c.commit(candidate{ranges: rs, crosses: c.rangesCrossTrunk(rs)})
+			for _, i := range a.Ranges.Nodes() {
+				used[i] = true
+			}
+			live = append(live, a)
+		case r < 3: // release
+			if len(live) == 0 {
+				continue
+			}
+			i := rng.Intn(len(live))
+			c.Release(live[i], ran)
+			credit(live[i], ran)
+			for _, n := range live[i].Ranges.Nodes() {
+				used[n] = false
+			}
+			live[i] = live[len(live)-1]
+			live = live[:len(live)-1]
+		default: // bank busy time on a seated gang
+			if len(live) == 0 {
+				continue
+			}
+			a := live[rng.Intn(len(live))]
+			c.creditBusy(a, ran)
+			credit(a, ran)
+		}
+		got := c.BusyTimes()
+		if len(got) != c.Size() {
+			t.Fatalf("op %d: BusyTimes has %d entries, the cluster %d nodes", op, len(got), c.Size())
+		}
+		for i := range ref {
+			if got[i] != ref[i] {
+				t.Fatalf("op %d: node %d busy %v, node-by-node reference %v", op, i, got[i], ref[i])
+			}
+		}
+	}
+	if atZero == 0 || atLast == 0 {
+		t.Fatalf("gangs held %d single-node ranges at node 0 and %d ending on the last node, want both", atZero, atLast)
+	}
+}
+
 // nextArrival is the brute-force next arrival: the earliest arrival
 // after now of any job still queued, scanned over every job the
 // scheduler holds.

@@ -262,9 +262,11 @@ func TestReportTimeline(t *testing.T) {
 // TestPassOnceZeroAllocNilRecorder pins the zero-cost-when-disabled
 // claim: a scheduling pass over a blocked queue with no recorder and no
 // metrics attached allocates nothing — under FIFO, which stops at the
-// head, and under EASY, whose walk behind the head jumps refused queue
-// blocks (queue.go). (The queue is pre-sorted by a warmup pass; the
-// lazily-sorted queue only re-sorts after a mutation.)
+// head, under EASY, whose walk behind the head jumps refused queue
+// blocks (queue.go), and under fair-share with the queue re-sorted
+// every pass, as a usage charge that passes another user's key does.
+// (The queue is pre-sorted by a warmup pass; the lazily-sorted queue
+// only re-sorts after a mutation.)
 func TestPassOnceZeroAllocNilRecorder(t *testing.T) {
 	t.Run("FIFO", func(t *testing.T) {
 		s := New(Config{Cluster: newTestCluster(4), Policy: FIFO})
@@ -295,6 +297,27 @@ func TestPassOnceZeroAllocNilRecorder(t *testing.T) {
 		}
 		if allocs := testing.AllocsPerRun(100, func() { s.passOnce() }); allocs != 0 {
 			t.Fatalf("passOnce with nil recorder allocates %v times per pass, want 0", allocs)
+		}
+	})
+	t.Run("FairShare", func(t *testing.T) {
+		s := New(Config{Cluster: newTestCluster(8), Policy: FairShare})
+		jobs := []*Job{ruleJob("hog", 6, 0, 100*time.Second, 0), ruleJob("head", 8, 0, time.Second, 0)}
+		for i := 0; i < 4*scanBlock; i++ {
+			j := ruleJob("behind", 1+2*(i%2), 0, 200*time.Second, 0)
+			j.User = string(rune('a' + i%5))
+			jobs = append(jobs, j)
+		}
+		submitAll(t, s, jobs)
+		s.schedulePass()
+		if got := s.pending.len(); got != len(jobs)-1 {
+			t.Fatalf("%d pending jobs after warmup, want %d", got, len(jobs)-1)
+		}
+		allocs := testing.AllocsPerRun(100, func() {
+			s.pending.dirty = true
+			s.passOnce()
+		})
+		if allocs != 0 {
+			t.Fatalf("passOnce re-sorting the queue allocates %v times per pass, want 0", allocs)
 		}
 	})
 }

@@ -1,7 +1,8 @@
 package batch
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"gpucluster/internal/sched"
 )
@@ -225,7 +226,9 @@ func containsInt(xs []int, v int) bool {
 // deterministic strategies are scored: pack-left (always succeeds when
 // enough nodes are free), largest-fragments-first (fewest ranges), and
 // purely within one interconnect group (avoids the trunk crossing when
-// one side of the switch has enough free ports).
+// one side of the switch has enough free ports). The assemblies live in
+// the cluster's scratch (asmArena, asmOut) and, like candBuf, stay
+// valid until the next candidates call; commit copies the ranges.
 func (c *Cluster) assemblies(runs []NodeRange, k int) [][]NodeRange {
 	free := 0
 	for _, r := range runs {
@@ -234,66 +237,64 @@ func (c *Cluster) assemblies(runs []NodeRange, k int) [][]NodeRange {
 	if free < k {
 		return nil
 	}
-	var out [][]NodeRange
+	c.asmArena, c.asmOut = c.asmArena[:0], c.asmOut[:0]
 
 	// Pack-left: first k eligible nodes in index order.
-	out = append(out, takeNodes(runs, k))
+	c.takeNodes(runs, k)
 
 	// Largest fragments first: fewest ranges; the last fragment is
-	// trimmed from its left edge. Ties break on lower index.
-	byLen := append([]NodeRange(nil), runs...)
-	sort.SliceStable(byLen, func(i, j int) bool {
-		if byLen[i].Count != byLen[j].Count {
-			return byLen[i].Count > byLen[j].Count
+	// trimmed from its left edge. Ties break on lower index, and First
+	// is unique among runs, so the order is strict and an unstable sort
+	// gives the one order there is.
+	c.asmSort = append(c.asmSort[:0], runs...)
+	slices.SortFunc(c.asmSort, func(a, b NodeRange) int {
+		if a.Count != b.Count {
+			return cmp.Compare(b.Count, a.Count)
 		}
-		return byLen[i].First < byLen[j].First
+		return cmp.Compare(a.First, b.First)
 	})
-	if largest := takeNodes(byLen, k); largest != nil {
-		sort.Slice(largest, func(i, j int) bool { return largest[i].First < largest[j].First })
-		out = append(out, largest)
+	if largest := c.takeNodes(c.asmSort, k); largest != nil {
+		slices.SortFunc(largest, func(a, b NodeRange) int { return cmp.Compare(a.First, b.First) })
 	}
 
 	// Pure interconnect group: if either side of the trunk alone has k
 	// free eligible nodes, an assembly confined to it never crosses.
+	// The largest-first pick is in the arena by now, so the sort buffer
+	// is free to hold the clipped runs.
 	if nb := c.net.NonBlockingPorts; nb > 0 && nb < len(c.nodes) {
-		for _, side := range [][2]int{{0, nb}, {nb, len(c.nodes)}} {
-			clipped := make([]NodeRange, 0, len(runs))
+		for _, side := range [2][2]int{{0, nb}, {nb, len(c.nodes)}} {
+			c.asmSort = c.asmSort[:0]
 			for _, r := range runs {
-				lo, hi := r.First, r.First+r.Count
-				if lo < side[0] {
-					lo = side[0]
-				}
-				if hi > side[1] {
-					hi = side[1]
-				}
+				lo, hi := max(r.First, side[0]), min(r.First+r.Count, side[1])
 				if hi > lo {
-					clipped = append(clipped, NodeRange{First: lo, Count: hi - lo})
+					c.asmSort = append(c.asmSort, NodeRange{First: lo, Count: hi - lo})
 				}
 			}
-			if pure := takeNodes(clipped, k); pure != nil {
-				out = append(out, pure)
-			}
+			c.takeNodes(c.asmSort, k)
 		}
 	}
-	return out
+	return c.asmOut
 }
 
 // takeNodes greedily takes k nodes from the given ranges in order,
-// trimming the last one from its left edge; nil if they hold fewer.
-func takeNodes(rs []NodeRange, k int) []NodeRange {
-	taken := make([]NodeRange, 0, len(rs))
-	left := k
+// trimming the last one from its left edge, appends them to the arena
+// and the taken set to asmOut, and returns it; nil, with nothing
+// appended, if the ranges hold fewer. The set is capped at its length,
+// so an append to it cannot write over the arena's next assembly.
+func (c *Cluster) takeNodes(rs []NodeRange, k int) []NodeRange {
+	from, left := len(c.asmArena), k
 	for _, r := range rs {
-		take := r.Count
-		if take > left {
-			take = left
-		}
-		taken = append(taken, NodeRange{First: r.First, Count: take})
+		take := min(r.Count, left)
+		c.asmArena = append(c.asmArena, NodeRange{First: r.First, Count: take})
 		left -= take
 		if left == 0 {
+			n := len(c.asmArena)
+			taken := c.asmArena[from:n:n]
+			c.asmOut = append(c.asmOut, taken)
 			return taken
 		}
 	}
+	c.asmArena = c.asmArena[:from]
 	return nil
 }
 

@@ -162,6 +162,24 @@ func TestNonContiguousAssembly(t *testing.T) {
 	}
 }
 
+// TestCandidatesAssemblyAllocFree pins the fragment-assembly path at
+// zero allocations: on a 64-node machine with every third node taken,
+// no free run is wide enough for 10 nodes, and the trunk (port 24) lies
+// inside it, so pack-left, largest-first and both pure-group strategies
+// all run, building into the cluster's reused scratch.
+func TestCandidatesAssemblyAllocFree(t *testing.T) {
+	c := newTestCluster(64)
+	for i := 0; i < c.Size(); i += 3 {
+		occupy(c, i, 1)
+	}
+	if n := len(c.candidates(10, 0)); n != 4 {
+		t.Fatalf("%d candidates for a 10-node gang over 2-node fragments, want the 4 assemblies", n)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { c.candidates(10, 0) }); allocs != 0 {
+		t.Fatalf("candidates over fragments allocates %v times per call, want 0", allocs)
+	}
+}
+
 // TestHeterogeneousMemoryPlacement pins the granted-nodes memory check:
 // a node with too little memory is skipped by placement instead of
 // being blindly granted per the old Spec(0) shortcut.

@@ -3,6 +3,7 @@ package batch
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 )
@@ -131,7 +132,14 @@ func (q *queue) insert(j *Job, less func(a, b *Job) bool) {
 func (q *queue) ordered(less func(a, b *Job) bool) []*Job {
 	if q.dirty {
 		q.compact()
-		sort.SliceStable(q.jobs, func(i, k int) bool { return less(q.jobs[i], q.jobs[k]) })
+		// The order is strict and total, so a job not before another is
+		// after it. Stable: pdqsort is slower on nearly sorted queues.
+		slices.SortStableFunc(q.jobs, func(a, b *Job) int {
+			if less(a, b) {
+				return -1
+			}
+			return 1
+		})
 		q.dirty = false
 	} else if q.tombs > 64 && q.tombs*2 >= len(q.jobs) {
 		q.compact()
