@@ -272,8 +272,11 @@ func BenchmarkGPUPass(b *testing.B) {
 	dev := gpu.New(gpu.Config{TextureMemory: 64 << 20})
 	tex, _ := dev.NewTexture2D("t", 256, 256)
 	pb, _ := dev.NewPBuffer("p", 256, 256)
-	prog := func(t []gpu.Sampler, x, y int) vecmath.Vec4 {
-		return t[0].Fetch(x-1, y).Add(t[0].Fetch(x+1, y)).Scale(0.5)
+	prog := func(t []gpu.Sampler, y, x0 int, out []vecmath.Vec4) {
+		for k := range out {
+			x := x0 + k
+			out[k] = t[0].Fetch(x-1, y).Add(t[0].Fetch(x+1, y)).Scale(0.5)
+		}
 	}
 	b.SetBytes(256 * 256 * 16)
 	b.ResetTimer()

@@ -144,24 +144,26 @@ func (g *GPUGrid) Step() error {
 		Name:     "life",
 		Target:   g.pb,
 		Textures: []gpu.Sampler{g.tex},
-		Program: func(tex []gpu.Sampler, x, y int) vecmath.Vec4 {
+		Program: func(tex []gpu.Sampler, y, x0 int, out []vecmath.Vec4) {
 			t := tex[0]
-			n := 0
-			for dy := -1; dy <= 1; dy++ {
-				for dx := -1; dx <= 1; dx++ {
-					if dx == 0 && dy == 0 {
-						continue
-					}
-					if t.FetchWrap(x+dx, y+dy)[0] > 0.5 {
-						n++
+			for x := x0; x < x0+len(out); x++ {
+				n := 0
+				for dy := -1; dy <= 1; dy++ {
+					for dx := -1; dx <= 1; dx++ {
+						if dx == 0 && dy == 0 {
+							continue
+						}
+						if t.FetchWrap(x+dx, y+dy)[0] > 0.5 {
+							n++
+						}
 					}
 				}
+				alive := uint8(0)
+				if t.FetchWrap(x, y)[0] > 0.5 {
+					alive = 1
+				}
+				out[x-x0] = vecmath.Vec4{float32(liveRule(alive, n)), 0, 0, 1}
 			}
-			alive := uint8(0)
-			if t.FetchWrap(x, y)[0] > 0.5 {
-				alive = 1
-			}
-			return vecmath.Vec4{float32(liveRule(alive, n)), 0, 0, 1}
 		},
 	}
 	return g.dev.RunAndCopy(pass, g.tex)

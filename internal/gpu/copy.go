@@ -10,7 +10,7 @@ import (
 // rectangle of the destination texture — the glCopyTexSubImage2D of the
 // paper's render-then-copy cycle, used for the small boundary rectangles.
 func (d *Device) CopyRect(pb *PBuffer, dst *Texture2D, r Rect) error {
-	if dst.freed {
+	if pb.freed || dst.freed {
 		return ErrFreed
 	}
 	if pb.w != dst.w || pb.h != dst.h {

@@ -16,8 +16,8 @@ import (
 // the single-GPU lattice at 92^3.
 var ErrOutOfMemory = errors.New("gpu: out of texture memory")
 
-// ErrFreed is returned when an operation references a texture that has
-// been freed.
+// ErrFreed is returned when an operation references a texture or a
+// pbuffer that has been freed.
 var ErrFreed = errors.New("gpu: texture already freed")
 
 // Stats aggregates instrumentation counters for one device. All byte and
@@ -146,8 +146,8 @@ func (d *Device) NewStack(name string, w, h, depth int) (*TextureStack, error) {
 	return s, nil
 }
 
-// Free releases the texture's memory back to the device budget. Freeing
-// twice is an error surfaced via panic in tests through ErrFreed checks.
+// Free releases the texture's memory back to the device budget; every
+// later operation on it returns ErrFreed. Freeing it again is a no-op.
 func (t *Texture2D) Free() {
 	if t == nil || t.freed {
 		return
@@ -212,7 +212,7 @@ func (d *Device) Download(t *Texture2D, dst []float32) ([]float32, error) {
 // (the paper's "results are copied to textures for temporary storage").
 // Sizes must match exactly.
 func (d *Device) CopyToTexture(pb *PBuffer, dst *Texture2D) error {
-	if dst.freed {
+	if pb.freed || dst.freed {
 		return ErrFreed
 	}
 	if pb.w != dst.w || pb.h != dst.h {

@@ -3,6 +3,7 @@ package gpu
 import (
 	"errors"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -215,8 +216,10 @@ func TestPassFullTarget(t *testing.T) {
 	err := d.Run(Pass{
 		Name:   "coords",
 		Target: pb,
-		Program: func(tex []Sampler, x, y int) vecmath.Vec4 {
-			return vecmath.Vec4{float32(x), float32(y), 0, 1}
+		Program: func(tex []Sampler, y, x0 int, out []vecmath.Vec4) {
+			for k := range out {
+				out[k] = vecmath.Vec4{float32(x0 + k), float32(y), 0, 1}
+			}
 		},
 	})
 	if err != nil {
@@ -234,25 +237,64 @@ func TestPassFullTarget(t *testing.T) {
 	}
 }
 
+// TestPassViewportRectangle is the span contract of Run: the program is
+// called once for each viewport row, with x0 the viewport's first
+// column and out exactly the viewport's width, whichever path shades
+// the pass, and texels outside the viewport are untouched. The paper
+// covers boundary regions with small viewport rectangles; the large
+// one fans out over the worker pool.
 func TestPassViewportRectangle(t *testing.T) {
-	// The paper covers boundary regions with small viewport rectangles;
-	// fragments outside the viewport must be untouched.
-	d := testDevice()
-	pb, _ := d.NewPBuffer("out", 8, 8)
-	one := func(tex []Sampler, x, y int) vecmath.Vec4 { return vecmath.Vec4{1, 1, 1, 1} }
-	if err := d.Run(Pass{Target: pb, Program: one, Viewport: Rect{2, 3, 5, 6}}); err != nil {
-		t.Fatal(err)
-	}
-	for y := 0; y < 8; y++ {
-		for x := 0; x < 8; x++ {
-			inside := x >= 2 && x < 5 && y >= 3 && y < 6
-			got := pb.At(x, y)
-			if inside && got[0] != 1 {
-				t.Fatalf("(%d,%d) should be shaded", x, y)
+	for _, tc := range []struct {
+		w, h    int
+		vp      Rect
+		workers int
+	}{
+		{8, 8, Rect{2, 3, 5, 6}, 4},
+		{96, 80, Rect{5, 7, 91, 79}, 4},
+		{96, 80, Rect{5, 7, 91, 79}, 1},
+	} {
+		d := New(Config{TextureMemory: 64 << 20, Workers: tc.workers})
+		pb, _ := d.NewPBuffer("out", tc.w, tc.h)
+		calls := make([]atomic.Int32, tc.h)
+		var bad atomic.Int32
+		span := func(tex []Sampler, y, x0 int, out []vecmath.Vec4) {
+			calls[y].Add(1)
+			if x0 != tc.vp.X0 || len(out) != tc.vp.X1-tc.vp.X0 || cap(out) != len(out) {
+				bad.Add(1)
 			}
-			if !inside && got[0] != 0 {
-				t.Fatalf("(%d,%d) outside viewport was written", x, y)
+			for k := range out {
+				out[k] = vecmath.Vec4{1, float32(x0 + k), float32(y), 0}
 			}
+		}
+		if err := d.Run(Pass{Target: pb, Program: span, Viewport: tc.vp}); err != nil {
+			t.Fatal(err)
+		}
+		if bad.Load() != 0 {
+			t.Errorf("%+v: %d rows had x0 or out other than the viewport's", tc, bad.Load())
+		}
+		for y := range calls {
+			want := int32(0)
+			if y >= tc.vp.Y0 && y < tc.vp.Y1 {
+				want = 1
+			}
+			if got := calls[y].Load(); got != want {
+				t.Errorf("%+v: row %d shaded %d times, want %d", tc, y, got, want)
+			}
+		}
+		for y := 0; y < tc.h; y++ {
+			for x := 0; x < tc.w; x++ {
+				inside := x >= tc.vp.X0 && x < tc.vp.X1 && y >= tc.vp.Y0 && y < tc.vp.Y1
+				want := vecmath.Vec4{}
+				if inside {
+					want = vecmath.Vec4{1, float32(x), float32(y), 0}
+				}
+				if got := pb.At(x, y); got != want {
+					t.Fatalf("%+v: texel (%d,%d) = %v, want %v", tc, x, y, got, want)
+				}
+			}
+		}
+		if d.Stats.Passes != 1 || d.Stats.Fragments != int64(tc.vp.Fragments()) {
+			t.Errorf("%+v: stats = %+v", tc, d.Stats)
 		}
 	}
 }
@@ -271,10 +313,12 @@ func TestPassGather(t *testing.T) {
 	err := d.Run(Pass{
 		Target:   pb,
 		Textures: []Sampler{src},
-		Program: func(tex []Sampler, x, y int) vecmath.Vec4 {
-			s := tex[0].Fetch(x-1, y).Add(tex[0].Fetch(x+1, y)).
-				Add(tex[0].Fetch(x, y-1)).Add(tex[0].Fetch(x, y+1))
-			return s
+		Program: func(tex []Sampler, y, x0 int, out []vecmath.Vec4) {
+			for k := range out {
+				x := x0 + k
+				out[k] = tex[0].Fetch(x-1, y).Add(tex[0].Fetch(x+1, y)).
+					Add(tex[0].Fetch(x, y-1)).Add(tex[0].Fetch(x, y+1))
+			}
 		},
 	})
 	if err != nil {
@@ -291,7 +335,7 @@ func TestPassValidation(t *testing.T) {
 	if err := d.Run(Pass{Target: pb}); err == nil {
 		t.Error("nil program should fail")
 	}
-	p := func(tex []Sampler, x, y int) vecmath.Vec4 { return vecmath.Vec4{} }
+	p := func(tex []Sampler, y, x0 int, out []vecmath.Vec4) {}
 	if err := d.Run(Pass{Program: p}); err == nil {
 		t.Error("nil target should fail")
 	}
@@ -300,6 +344,9 @@ func TestPassValidation(t *testing.T) {
 	}
 	if err := d.Run(Pass{Target: pb, Program: p, Textures: []Sampler{nil}}); err == nil {
 		t.Error("nil bound texture should fail")
+	}
+	if err := d.Run(Pass{Target: pb, Program: p, Textures: []Sampler{(*Texture2D)(nil)}}); err == nil {
+		t.Error("nil *Texture2D bound should fail")
 	}
 	freed, _ := d.NewPBuffer("f", 4, 4)
 	freed.Free()
@@ -312,7 +359,11 @@ func TestCopyToTexture(t *testing.T) {
 	d := testDevice()
 	pb, _ := d.NewPBuffer("out", 4, 4)
 	tex, _ := d.NewTexture2D("dst", 4, 4)
-	p := func(tex []Sampler, x, y int) vecmath.Vec4 { return vecmath.Vec4{float32(x + y), 0, 0, 0} }
+	p := func(tex []Sampler, y, x0 int, out []vecmath.Vec4) {
+		for k := range out {
+			out[k] = vecmath.Vec4{float32(x0 + k + y), 0, 0, 0}
+		}
+	}
 	if err := d.RunAndCopy(Pass{Target: pb, Program: p}, tex); err != nil {
 		t.Fatal(err)
 	}
@@ -337,8 +388,10 @@ func TestPingPongPasses(t *testing.T) {
 		up[4*i] = 1
 	}
 	d.Upload(state, up)
-	double := func(tex []Sampler, x, y int) vecmath.Vec4 {
-		return tex[0].Fetch(x, y).Scale(2)
+	double := func(tex []Sampler, y, x0 int, out []vecmath.Vec4) {
+		for k := range out {
+			out[k] = tex[0].Fetch(x0+k, y).Scale(2)
+		}
 	}
 	for i := 0; i < 10; i++ {
 		if err := d.RunAndCopy(Pass{Target: pb, Textures: []Sampler{state}, Program: double}, state); err != nil {
@@ -351,9 +404,10 @@ func TestPingPongPasses(t *testing.T) {
 }
 
 func TestParallelPassDeterminism(t *testing.T) {
-	// A pass over a large target must produce identical results with 1
-	// worker and many workers.
-	run := func(workers int) []vecmath.Vec4 {
+	// A pass over a large target, whole or through a sub-rectangle
+	// viewport past serialThreshold, must produce identical results with
+	// 1 worker and many workers.
+	run := func(workers int, vp Rect) []vecmath.Vec4 {
 		d := New(Config{TextureMemory: 64 << 20, Workers: workers})
 		src, _ := d.NewTexture2D("src", 128, 128)
 		up := make([]float32, 128*128*4)
@@ -363,15 +417,21 @@ func TestParallelPassDeterminism(t *testing.T) {
 		}
 		d.Upload(src, up)
 		pb, _ := d.NewPBuffer("out", 128, 128)
-		d.Run(Pass{
+		err := d.Run(Pass{
 			Target:   pb,
+			Viewport: vp,
 			Textures: []Sampler{src},
-			Program: func(tex []Sampler, x, y int) vecmath.Vec4 {
-				a := tex[0].Fetch(x-1, y-1)
-				b := tex[0].Fetch(x+1, y+1)
-				return a.Add(b).Scale(0.5)
+			Program: func(tex []Sampler, y, x0 int, out []vecmath.Vec4) {
+				for k := range out {
+					a := tex[0].Fetch(x0+k-1, y-1)
+					b := tex[0].Fetch(x0+k+1, y+1)
+					out[k] = a.Add(b).Scale(0.5)
+				}
 			},
 		})
+		if err != nil {
+			t.Fatal(err)
+		}
 		out := make([]vecmath.Vec4, 128*128)
 		for y := 0; y < 128; y++ {
 			for x := 0; x < 128; x++ {
@@ -380,11 +440,17 @@ func TestParallelPassDeterminism(t *testing.T) {
 		}
 		return out
 	}
-	one := run(1)
-	eight := run(8)
-	for i := range one {
-		if one[i] != eight[i] {
-			t.Fatalf("worker-count nondeterminism at texel %d: %v != %v", i, one[i], eight[i])
+	sub := Rect{3, 9, 117, 124}
+	if sub.Fragments() < serialThreshold {
+		t.Fatalf("viewport %+v has %d fragments, below serialThreshold", sub, sub.Fragments())
+	}
+	for _, vp := range []Rect{{}, sub} {
+		one := run(1, vp)
+		eight := run(8, vp)
+		for i := range one {
+			if one[i] != eight[i] {
+				t.Fatalf("viewport %+v: worker-count nondeterminism at texel %d: %v != %v", vp, i, one[i], eight[i])
+			}
 		}
 	}
 }
@@ -418,6 +484,8 @@ func TestUploadDownloadProperty(t *testing.T) {
 	}
 }
 
+// TestFreedTextureOperations: every operation that names a freed texture
+// or pbuffer returns ErrFreed, moves nothing and counts nothing.
 func TestFreedTextureOperations(t *testing.T) {
 	d := testDevice()
 	tex, _ := d.NewTexture2D("t", 4, 4)
@@ -431,6 +499,32 @@ func TestFreedTextureOperations(t *testing.T) {
 	tex.Free() // double free is a no-op
 	if d.UsedMemory() != 0 {
 		t.Errorf("double free corrupted accounting: %d", d.UsedMemory())
+	}
+
+	pb, _ := d.NewPBuffer("pb", 4, 4)
+	dst, _ := d.NewTexture2D("dst", 4, 4)
+	pb.Free()
+	if err := d.CopyToTexture(pb, dst); !errors.Is(err, ErrFreed) {
+		t.Errorf("copy from freed pbuffer: %v", err)
+	}
+	if err := d.CopyRect(pb, dst, Rect{0, 0, 2, 2}); !errors.Is(err, ErrFreed) {
+		t.Errorf("rect copy from freed pbuffer: %v", err)
+	}
+	if d.Stats.TextureCopies != 0 || d.Stats.CopiedTexels != 0 {
+		t.Errorf("refused copies were counted: %+v", d.Stats)
+	}
+
+	target, _ := d.NewPBuffer("target", 4, 4)
+	fill := func(tex []Sampler, y, x0 int, out []vecmath.Vec4) {
+		for k := range out {
+			out[k] = tex[0].Fetch(x0+k, y)
+		}
+	}
+	if err := d.Run(Pass{Target: target, Textures: []Sampler{dst, tex}, Program: fill}); !errors.Is(err, ErrFreed) {
+		t.Errorf("pass with a freed texture bound: %v", err)
+	}
+	if d.Stats.Passes != 0 || d.Stats.Fragments != 0 {
+		t.Errorf("refused pass was counted: %+v", d.Stats)
 	}
 }
 

@@ -24,12 +24,12 @@ type Sampler interface {
 	Height() int
 }
 
-// FragmentProgram is a user-defined program run once per fragment of a
-// pass's viewport, the Cg fragment program of the paper. It receives the
-// bound textures and its own fragment coordinates and returns the RGBA
-// result for that fragment — and nothing else: no scatter, no pointers,
-// no side effects on other fragments.
-type FragmentProgram func(tex []Sampler, x, y int) vecmath.Vec4
+// FragmentProgram is a user-defined program, the Cg fragment program of
+// the paper, run once per viewport row. It receives the bound textures,
+// the row y and its first column x0, and writes out[k], the RGBA result
+// of fragment (x0+k, y) — and nothing else: out is that row's span of the
+// render target, and textures are read-only, so there is no scatter.
+type FragmentProgram func(tex []Sampler, y, x0 int, out []vecmath.Vec4)
 
 // Rect is a half-open viewport rectangle [X0,X1) x [Y0,Y1). The zero Rect
 // means "the whole render target". Sub-rectangle viewports model the
@@ -105,7 +105,7 @@ type Pass struct {
 	Viewport Rect
 	// Textures are the bound texture units, indexed as given.
 	Textures []Sampler
-	// Program is invoked once per viewport fragment.
+	// Program is invoked once per viewport row.
 	Program FragmentProgram
 }
 
@@ -116,9 +116,9 @@ var errNilProgram = errors.New("gpu: pass has nil program")
 // out.
 const serialThreshold = 4096
 
-// Run executes the pass, shading every fragment of the viewport in
-// parallel across the device's worker pool. It returns an error for
-// malformed passes (nil program, freed or out-of-range target).
+// Run executes the pass, shading every row of the viewport in parallel
+// across the device's worker pool. It returns an error for malformed
+// passes (nil program, freed or out-of-range target, nil or freed texture).
 func (d *Device) Run(p Pass) error {
 	if p.Program == nil {
 		return errNilProgram
@@ -136,8 +136,12 @@ func (d *Device) Run(p Pass) error {
 			p.Name, vp, p.Target.w, p.Target.h)
 	}
 	for i, t := range p.Textures {
-		if t == nil {
+		tex, ok := t.(*Texture2D)
+		if t == nil || ok && tex == nil {
 			return fmt.Errorf("gpu: pass %q: nil texture bound at unit %d", p.Name, i)
+		}
+		if ok && tex.freed {
+			return fmt.Errorf("gpu: pass %q: texture unit %d: %w", p.Name, i, ErrFreed)
 		}
 	}
 
@@ -148,13 +152,9 @@ func (d *Device) Run(p Pass) error {
 		return nil
 	}
 
-	target := p.Target
 	if frags < serialThreshold || d.workers == 1 {
 		for y := vp.Y0; y < vp.Y1; y++ {
-			row := target.data[y*target.w : (y+1)*target.w]
-			for x := vp.X0; x < vp.X1; x++ {
-				row[x] = p.Program(p.Textures, x, y)
-			}
+			p.shadeRow(vp, y)
 		}
 		return nil
 	}
@@ -163,13 +163,18 @@ func (d *Device) Run(p Pass) error {
 	return nil
 }
 
+// shadeRow runs the program over row y of the viewport's span.
+func (p *Pass) shadeRow(vp Rect, y int) {
+	row := p.Target.data[y*p.Target.w:]
+	p.Program(p.Textures, y, vp.X0, row[vp.X0:vp.X1:vp.X1])
+}
+
 // shadeParallel shades the viewport across the worker pool. Rows are
 // claimed by an atomic cursor so uneven program costs (boundary rows vs.
 // interior rows) balance across workers. It is its own function so that
 // what the worker closures capture is heap-allocated here only, and the
 // serial path of Run stays allocation-free.
 func (d *Device) shadeParallel(p Pass, vp Rect) {
-	target := p.Target
 	var next int64 = int64(vp.Y0)
 	var wg sync.WaitGroup
 	workers := d.workers
@@ -185,10 +190,7 @@ func (d *Device) shadeParallel(p Pass, vp Rect) {
 				if y >= vp.Y1 {
 					return
 				}
-				row := target.data[y*target.w : (y+1)*target.w]
-				for x := vp.X0; x < vp.X1; x++ {
-					row[x] = p.Program(p.Textures, x, y)
-				}
+				p.shadeRow(vp, y)
 			}
 		}()
 	}

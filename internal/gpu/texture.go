@@ -15,10 +15,10 @@
 //     asymmetric bandwidth (see package bus).
 //
 // The model enforces the programming-model constraints through the API:
-// programs receive read-only Samplers and return one Vec4. Fragments are
-// executed concurrently by a worker pool (Config.Workers), which is both
-// faithful (the FX 5800 Ultra ran 8 reduced-rate fragment pipes in
-// parallel, its successor 16) and fast.
+// a program reads only Samplers and texel rows and writes one viewport
+// row's span of the render target. Rows are shaded concurrently by a worker
+// pool (Config.Workers), which is both faithful (the FX 5800 Ultra ran 8
+// reduced-rate fragment pipes in parallel, its successor 16) and fast.
 package gpu
 
 import (
@@ -82,6 +82,16 @@ func (t *Texture2D) FetchWrap(x, y int) vecmath.Vec4 {
 	}
 	return t.data[y*t.w+x]
 }
+
+// TexelRow is a read-only view of one texture row, for programs that
+// sweep it: At(x) is Fetch(x, y) without the clamp.
+type TexelRow struct{ texels []vecmath.Vec4 }
+
+// Row returns row y's view; y must lie inside the texture.
+func (t *Texture2D) Row(y int) TexelRow { return TexelRow{t.data[y*t.w : (y+1)*t.w]} }
+
+// At returns texel x of the row.
+func (r TexelRow) At(x int) vecmath.Vec4 { return r.texels[x] }
 
 // At returns the texel at (x, y) without clamping; callers must stay in
 // bounds. It exists for host-side verification code, not for fragment

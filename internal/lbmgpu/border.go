@@ -43,28 +43,30 @@ func (s *Simulator) gatherPass(dim, dir int) gpu.Pass {
 	return gpu.Pass{
 		Name:   "border-gather",
 		Target: s.borderPB[dim],
-		Program: func(_ []gpu.Sampler, fx, fy int) vecmath.Vec4 {
+		Program: func(_ []gpu.Sampler, fy, x0 int, out []vecmath.Vec4) {
 			group := src[:4]
 			if fy >= ph {
 				fy -= ph
 				group = src[4:]
 			}
-			// Texture location of plane cell (fx, fy): the containing
-			// layer and the in-layer coordinates.
-			var layer, tx, ty int
-			switch dim {
-			case 0:
-				layer, tx, ty = fy+1, plane, fx+1
-			case 1:
-				layer, tx, ty = fy+1, fx, plane
-			default:
-				layer, tx, ty = plane, fx, fy
+			for fx := x0; fx < x0+len(out); fx++ {
+				// Texture location of plane cell (fx, fy): the
+				// containing layer and the in-layer coordinates.
+				var layer, tx, ty int
+				switch dim {
+				case 0:
+					layer, tx, ty = fy+1, plane, fx+1
+				case 1:
+					layer, tx, ty = fy+1, fx, plane
+				default:
+					layer, tx, ty = plane, fx, fy
+				}
+				var v vecmath.Vec4
+				for _, d := range group {
+					v[d.to] = d.stack.Layer(layer).Fetch(tx, ty)[d.ch]
+				}
+				out[fx-x0] = v
 			}
-			var out vecmath.Vec4
-			for _, d := range group {
-				out[d.to] = d.stack.Layer(layer).Fetch(tx, ty)[d.ch]
-			}
-			return out
 		},
 	}
 }

@@ -29,10 +29,12 @@
 // buffering the whole lattice, the sweep keeps a two-slice ring buffer of
 // pre-update layers, so the five distribution stacks exist only once.
 //
-// The fragment programs reduce with lbm.Moments and evaluate equilibrium
-// entries with the expression shape and operation order of lbm.Feq, so a
-// GPU-backed node produces bit-identical results — which the tests
-// assert against the CPU lattice, the only oracle.
+// Each program is called once per viewport row; a sweep pass resolves
+// its links' source rows once a row, and only bounce-back is a call. The
+// programs reduce with lbm.Moments and evaluate equilibrium entries with
+// the expression shape and operation order of lbm.Feq, so a GPU-backed
+// node produces bit-identical results — which the tests assert against
+// the CPU lattice, the only oracle.
 //
 // Every pass descriptor (program, viewport, render target) and the
 // border pack/unpack tables are built once in New, so the render path of
@@ -242,7 +244,7 @@ func (s *Simulator) uploadInitialState(l *lbm.Lattice) error {
 		for ty := 0; ty < s.h; ty++ {
 			for tx := 0; tx < s.w; tx++ {
 				c := l.Idx(tx-1, ty-1, z-1)
-				if l.Solid[c] {
+				if solidAfterFill(l, tx-1, ty-1, z-1) {
 					row[k] = 1
 				} else {
 					row[k] = 0
@@ -280,4 +282,21 @@ func (s *Simulator) uploadInitialState(l *lbm.Lattice) error {
 		}
 	}
 	return nil
+}
+
+// solidAfterFill is cell (x, y, z)'s solid flag once the CPU lattice's
+// ghost fill has run: a periodic face's ghost mirrors the far side, traced
+// back through z, y, x (x planes span the interior, y planes the x ghosts
+// too, z planes both) up to the first ghost coordinate of another face.
+func solidAfterFill(l *lbm.Lattice, x, y, z int) bool {
+	c, n := [3]int{x, y, z}, [3]int{l.NX, l.NY, l.NZ}
+	for d := 2; d >= 0; d-- {
+		if c[d] < 0 || c[d] >= n[d] {
+			if l.Faces[2*d+sideOf(min(c[d], 1))].Type != lbm.Periodic {
+				break
+			}
+			c[d] = (c[d] + n[d]) % n[d]
+		}
+	}
+	return l.Solid[l.Idx(c[0], c[1], c[2])]
 }

@@ -3,6 +3,7 @@ package lbmgpu
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 
 	"gpucluster/internal/gpu"
@@ -353,6 +354,59 @@ func TestGPUMatchesCPUAllDistributions(t *testing.T) {
 			})
 		}
 	}
+}
+
+// fuzzFaces are the face kinds FuzzGPUStepMatchesCPU draws from, in the
+// order of its base-5 faces digits.
+var fuzzFaces = [5]lbm.BC{lbm.Periodic, lbm.Wall, lbm.MovingWall, lbm.Inlet, lbm.Outflow}
+
+// FuzzGPUStepMatchesCPU steps a random small lattice on both backends
+// and requires all 19 distributions and the macro fields to agree bit
+// for bit: extents 3 + n%8 per axis, face f the (faces/5^f)%5-th of
+// fuzzFaces with a wall or inflow velocity drawn from seed, and in carry
+// one bit each for a seeded solid mask, a body force and three fragment
+// workers instead of one. testdata/fuzz holds the named seed corpus.
+func FuzzGPUStepMatchesCPU(f *testing.F) {
+	f.Add(uint64(1), uint8(2), uint8(3), uint8(4), uint16(0), uint8(7))
+	f.Fuzz(func(t *testing.T, seed uint64, nx, ny, nz uint8, faces uint16, carry uint8) {
+		rng := rand.New(rand.NewSource(int64(seed)))
+		small := func() float32 { return 0.06 * (rng.Float32() - 0.5) }
+		cpu := lbm.New(3+int(nx%8), 3+int(ny%8), 3+int(nz%8), 0.6+0.1*float32(seed%8))
+		for face, code := 0, int(faces); face < lbm.NumFaces; face, code = face+1, code/5 {
+			spec := lbm.FaceSpec{Type: fuzzFaces[code%5]}
+			if spec.Type == lbm.MovingWall || spec.Type == lbm.Inlet {
+				spec.U = vecmath.Vec3{small(), small(), small()}
+			}
+			if spec.Type == lbm.Inlet || spec.Type == lbm.Outflow {
+				spec.Rho = 1 + small()
+			}
+			cpu.Faces[face] = spec
+		}
+		if carry&1 != 0 {
+			for z := 0; z < cpu.NZ; z++ {
+				for y := 0; y < cpu.NY; y++ {
+					for x := 0; x < cpu.NX; x++ {
+						cpu.SetSolid(x, y, z, rng.Intn(6) == 0)
+					}
+				}
+			}
+		}
+		if carry&2 != 0 {
+			cpu.Force = vecmath.Vec3{small() / 100, small() / 100, small() / 100}
+		}
+		workers := 1
+		if carry&4 != 0 {
+			workers = 3
+		}
+		cpu.Init(1, vecmath.Vec3{small(), small(), small()})
+		sim, err := New(gpu.New(gpu.Config{TextureMemory: 64 << 20, Workers: workers}), cpu)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stepBoth(cpu, sim, 3)
+		assertDistributionsEqual(t, cpu, sim)
+		assertFieldsEqual(t, cpu, sim)
+	})
 }
 
 func TestStepSteadyStateZeroAlloc(t *testing.T) {

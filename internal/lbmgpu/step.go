@@ -176,35 +176,43 @@ func ghostProgram(face lbm.BC, st int, srcLayers [5]*gpu.Texture2D, from gpu.Rec
 	switch face {
 	case lbm.Periodic:
 		srcTex := srcLayers[st]
-		return func(_ []gpu.Sampler, x, y int) vecmath.Vec4 {
-			return srcTex.Fetch(nearest(from, x, y))
+		return func(_ []gpu.Sampler, y, x0 int, out []vecmath.Vec4) {
+			for k := range out {
+				out[k] = srcTex.Fetch(nearest(from, x0+k, y))
+			}
 		}
 	case lbm.Inlet:
-		var out vecmath.Vec4
-		copy(out[:len(own)], feqIn[4*st:])
-		return func(_ []gpu.Sampler, x, y int) vecmath.Vec4 { return out }
+		var v vecmath.Vec4
+		copy(v[:len(own)], feqIn[4*st:])
+		return func(_ []gpu.Sampler, _, _ int, out []vecmath.Vec4) {
+			for k := range out {
+				out[k] = v
+			}
+		}
 	default: // lbm.Outflow
 		// Read the adjacent interior cell's 19 distributions (five
 		// texels) for its moments, then re-anchor this stack's own
 		// channels at the outlet density (same float path as
 		// lbm.fillFace).
-		return func(_ []gpu.Sampler, x, y int) vecmath.Vec4 {
-			sx, sy := nearest(from, x, y)
-			var fp [lbm.Q]float32
-			for k, t := range srcLayers {
-				texel := t.Fetch(sx, sy)
-				copy(fp[4*k:], texel[:])
+		return func(_ []gpu.Sampler, y, x0 int, out []vecmath.Vec4) {
+			for i := range out {
+				sx, sy := nearest(from, x0+i, y)
+				var fp [lbm.Q]float32
+				for k, t := range srcLayers {
+					texel := t.Fetch(sx, sy)
+					copy(fp[4*k:], texel[:])
+				}
+				rhoSrc, ux, uy, uz := lbm.Moments(&fp)
+				base := 1 - 1.5*(ux*ux+uy*uy+uz*uz)
+				var v vecmath.Vec4
+				for ch := range own {
+					lk := &own[ch]
+					feqSrc := lk.equilibrium(rhoSrc, ux, uy, uz, base)
+					feqOut := lk.equilibrium(rhoOut, ux, uy, uz, base)
+					v[ch] = fp[4*st+ch] - feqSrc + feqOut
+				}
+				out[i] = v
 			}
-			rhoSrc, ux, uy, uz := lbm.Moments(&fp)
-			base := 1 - 1.5*(ux*ux+uy*uy+uz*uz)
-			var out vecmath.Vec4
-			for ch := range own {
-				lk := &own[ch]
-				feqSrc := lk.equilibrium(rhoSrc, ux, uy, uz, base)
-				feqOut := lk.equilibrium(rhoOut, ux, uy, uz, base)
-				out[ch] = fp[4*st+ch] - feqSrc + feqOut
-			}
-			return out
 		}
 	}
 }
@@ -246,22 +254,27 @@ func (s *Simulator) newSlicePasses(z int, omega float32, force vecmath.Vec3) sli
 		macro: gpu.Pass{Name: "lbm-macro", Target: s.pbufs[5], Viewport: s.interior, Program: b.macroProgram},
 	}
 	for st := range p.dist {
-		p.dist[st] = gpu.Pass{Name: "lbm-collide", Target: s.pbufs[st], Viewport: s.interior, Program: b.distProgram(st)}
+		p.dist[st] = gpu.Pass{Name: "lbm-collide", Target: s.pbufs[st], Viewport: s.interior, Program: distPass{b, st}.program}
 	}
 	return p
 }
 
-// streamed reconstructs one streamed (pre-collision) distribution at
-// fragment (tx, ty) with bounce-back, matching lbm.Stream's float path
-// exactly.
-func (b *sliceTextures) streamed(lk *link, tx, ty int) float32 {
-	sx, sy := tx+lk.dx, ty+lk.dy
-	src := b.solid[lk.slot].Fetch(sx, sy)
-	if src[0] <= 0.5 {
-		return b.lay[lk.st][lk.slot].Fetch(sx, sy)[lk.ch]
+// srcRows are a link's source rows: solid flags and its stack's texels.
+type srcRows struct{ solid, dist gpu.TexelRow }
+
+// sourceRows resolves the source rows of each of lks for fragment row ty.
+func (b *sliceTextures) sourceRows(rows []srcRows, lks []link, ty int) {
+	for i := range lks {
+		lk := &lks[i]
+		rows[i] = srcRows{b.solid[lk.slot].Row(ty + lk.dy), b.lay[lk.st][lk.slot].Row(ty + lk.dy)}
 	}
+}
+
+// bounced is link lk's streamed value at fragment (tx, ty) when its source
+// texel s is solid: bounce-back in lbm.Stream's float path.
+func (b *sliceTextures) bounced(lk *link, s vecmath.Vec4, tx, ty int) float32 {
 	v := b.lay[lk.ost][1].Fetch(tx, ty)[lk.och]
-	if uw := (vecmath.Vec3{src[1], src[2], src[3]}); uw != (vecmath.Vec3{}) {
+	if uw := (vecmath.Vec3{s[1], s[2], s[3]}); uw != (vecmath.Vec3{}) {
 		cu := lk.cx*uw[0] + lk.cy*uw[1] + lk.cz*uw[2]
 		v += 6 * lk.w * b.oldMacro.Fetch(tx, ty)[0] * cu
 	}
@@ -271,43 +284,68 @@ func (b *sliceTextures) streamed(lk *link, tx, ty int) float32 {
 // macroProgram computes the moments of the streamed state (the CPU's
 // Rho/u cache): the collision input of this step's distribution passes,
 // the wall term's density next step, and the read-back fields.
-func (b *sliceTextures) macroProgram(_ []gpu.Sampler, tx, ty int) vecmath.Vec4 {
-	if b.solid[1].Fetch(tx, ty)[0] > 0.5 {
-		return b.oldMacro.Fetch(tx, ty) // solid cells keep state
+func (b *sliceTextures) macroProgram(_ []gpu.Sampler, ty, x0 int, out []vecmath.Vec4) {
+	var rows [lbm.Q]srcRows
+	b.sourceRows(rows[:], links[:], ty)
+	solid, old := b.solid[1].Row(ty), b.oldMacro.Row(ty)
+	for k := range out {
+		tx := x0 + k
+		if solid.At(tx)[0] > 0.5 {
+			out[k] = old.At(tx) // solid cells keep state
+			continue
+		}
+		var f [lbm.Q]float32
+		for i := range links {
+			lk, sx := &links[i], tx+links[i].dx
+			f[i] = rows[i].dist.At(sx)[lk.ch]
+			if s := rows[i].solid.At(sx); s[0] > 0.5 {
+				f[i] = b.bounced(lk, s, tx, ty)
+			}
+		}
+		rho, ux, uy, uz := lbm.Moments(&f)
+		out[k] = vecmath.Vec4{rho, ux, uy, uz}
 	}
-	var f [lbm.Q]float32
-	for i := range links {
-		f[i] = b.streamed(&links[i], tx, ty)
-	}
-	rho, ux, uy, uz := lbm.Moments(&f)
-	return vecmath.Vec4{rho, ux, uy, uz}
 }
 
-// distProgram returns the stream-and-collide program of stack st: it
-// streams the stack's own links and relaxes them towards their own
-// equilibrium entries at the staged rho, u.
-func (b *sliceTextures) distProgram(st int) gpu.FragmentProgram {
-	own := ownLinks(st)
+// distPass is stack st's stream-and-collide program: its own links,
+// relaxed towards their equilibrium entries at the staged rho, u. It is a
+// method value, not a closure: the compiler did not inline At calls into
+// a closure whose builder it inlined.
+type distPass struct {
+	*sliceTextures
+	st int
+}
+
+func (p distPass) program(_ []gpu.Sampler, ty, x0 int, out []vecmath.Vec4) {
+	b, st, own := p.sliceTextures, p.st, ownLinks(p.st)
 	hasForce := b.force != (vecmath.Vec3{})
-	return func(_ []gpu.Sampler, tx, ty int) vecmath.Vec4 {
-		if b.solid[1].Fetch(tx, ty)[0] > 0.5 {
-			return b.lay[st][1].Fetch(tx, ty) // solid cells keep state
+	var rows [4]srcRows
+	b.sourceRows(rows[:], own, ty)
+	solid, cur, stage := b.solid[1].Row(ty), b.lay[st][1].Row(ty), b.stage.Row(ty)
+	for k := range out {
+		tx := x0 + k
+		if solid.At(tx)[0] > 0.5 {
+			out[k] = cur.At(tx) // solid cells keep state
+			continue
 		}
-		m := b.stage.Fetch(tx, ty)
+		m := stage.At(tx)
 		rho, ux, uy, uz := m[0], m[1], m[2], m[3]
 		base := 1 - 1.5*(ux*ux+uy*uy+uz*uz)
-		var out vecmath.Vec4
+		var v vecmath.Vec4
 		for ch := range own {
-			lk := &own[ch]
-			f := b.streamed(lk, tx, ty)
+			lk, sx := &own[ch], tx+own[ch].dx
+			f := rows[ch].dist.At(sx)[lk.ch]
+			if s := rows[ch].solid.At(sx); s[0] > 0.5 {
+				f = b.bounced(lk, s, tx, ty)
+			}
 			post := f - b.omega*(f-lk.equilibrium(rho, ux, uy, uz, base))
 			if hasForce {
 				ca := lk.cx*b.force[0] + lk.cy*b.force[1] + lk.cz*b.force[2]
 				post += 3 * lk.w * rho * ca
 			}
-			out[ch] = post
+			v[ch] = post
 		}
-		return out
+		out[k] = v
 	}
 }
 

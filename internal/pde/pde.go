@@ -248,12 +248,14 @@ func (g *GPUHeat2D) Step() error {
 		Name:     "heat2d",
 		Target:   g.pb,
 		Textures: []gpu.Sampler{g.tex},
-		Program: func(tex []gpu.Sampler, x, y int) vecmath.Vec4 {
+		Program: func(tex []gpu.Sampler, y, x0 int, out []vecmath.Vec4) {
 			t := tex[0]
-			u := t.FetchWrap(x, y)[0]
-			lap := t.FetchWrap(x-1, y)[0] + t.FetchWrap(x+1, y)[0] +
-				t.FetchWrap(x, y-1)[0] + t.FetchWrap(x, y+1)[0] - 4*u
-			return vecmath.Vec4{u + a*lap, 0, 0, 1}
+			for x := x0; x < x0+len(out); x++ {
+				u := t.FetchWrap(x, y)[0]
+				lap := t.FetchWrap(x-1, y)[0] + t.FetchWrap(x+1, y)[0] +
+					t.FetchWrap(x, y-1)[0] + t.FetchWrap(x, y+1)[0] - 4*u
+				out[x-x0] = vecmath.Vec4{u + a*lap, 0, 0, 1}
+			}
 		},
 	}, g.tex)
 }

@@ -121,20 +121,22 @@ func (g *GPUMatVec) MulVec(x []float32) ([]float32, error) {
 	err := g.dev.Run(gpu.Pass{
 		Name:   "spmv",
 		Target: g.pb,
-		Program: func(_ []gpu.Sampler, px, py int) vecmath.Vec4 {
-			var acc float32
-			for s := 0; s < k; s++ {
-				v := valTex[s].Fetch(px, py)[0]
-				if v == 0 {
-					continue
+		Program: func(_ []gpu.Sampler, py, x0 int, out []vecmath.Vec4) {
+			for px := x0; px < x0+len(out); px++ {
+				var acc float32
+				for s := 0; s < k; s++ {
+					v := valTex[s].Fetch(px, py)[0]
+					if v == 0 {
+						continue
+					}
+					// First fetch: the indirection texture gives the
+					// neighbor's texture coordinates; second fetch: the
+					// neighbor's value.
+					coord := idxTex[s].Fetch(px, py)
+					acc += v * xTex.Fetch(int(coord[0]), int(coord[1]))[0]
 				}
-				// First fetch: the indirection texture gives the
-				// neighbor's texture coordinates; second fetch: the
-				// neighbor's value.
-				coord := idxTex[s].Fetch(px, py)
-				acc += v * xTex.Fetch(int(coord[0]), int(coord[1]))[0]
+				out[px-x0] = vecmath.Vec4{acc, 0, 0, 0}
 			}
-			return vecmath.Vec4{acc, 0, 0, 0}
 		},
 	})
 	if err != nil {
