@@ -36,9 +36,12 @@
 // node produces bit-identical results — which the tests assert against
 // the CPU lattice, the only oracle.
 //
-// Every pass descriptor (program, viewport, render target) and the
-// border pack/unpack tables are built once in New, so the render path of
-// a steady-state Step allocates nothing.
+// The step is one op list, a Plan, built in New from the sub-domain's
+// extents and face kinds alone: each pass with its viewport and render
+// target, each copy, each border read-back and ghost upload. New binds
+// the passes' programs once; Step, PackBorder and UnpackGhost run their
+// spans of the list through one loop and allocate nothing in the steady
+// state, and Plan.Cost prices the same list without a device.
 package lbmgpu
 
 import (
@@ -47,40 +50,30 @@ import (
 
 	"gpucluster/internal/gpu"
 	"gpucluster/internal/lbm"
-	"gpucluster/internal/vecmath"
 )
 
 // Simulator advances one sub-domain of the decomposed LBM lattice on a
 // simulated GPU. It implements cluster.Node.
 type Simulator struct {
 	dev *gpu.Device
+	extents
 
-	nx, ny, nz int // interior cells
-	w, h, d    int // texture dims including ghosts
+	// Every texture, numbered as plan's ops name them: the five
+	// distribution stacks (4 per texel), the macro stack (rho, ux, uy,
+	// uz of the streamed state), the solid stack (r: solid flag, gba:
+	// wall velocity), the pre-update slice ring, the stage (rho, u of
+	// the slice being swept) and the compact border gather targets.
+	texs  []*gpu.Texture2D
+	pbufs [9]*gpu.PBuffer // per-stack render targets, macro, per-dim border
 
-	stacks [5]*gpu.TextureStack // distributions, 4 per texel
-	macro  *gpu.TextureStack    // rho, ux, uy, uz of the streamed state
-	solid  *gpu.TextureStack    // r: solid flag, gba: wall velocity
-	ring   [5][2]*gpu.Texture2D // pre-update slice stash
-	stage  *gpu.Texture2D       // rho, ux, uy, uz of the slice being swept
-	pbufs  [6]*gpu.PBuffer      // per-stack render targets + macro
-
-	border   [3]*gpu.Texture2D // per-dim compact border gather targets
-	borderPB [3]*gpu.PBuffer   // render targets matching the border textures
-
-	// Built once by New from the host lattice's faces, force and tau.
-	interior gpu.Rect          // the sweep viewport: every non-ghost texel
-	bc       [3][]bcPass       // boundary-condition ghost fills per dimension
-	slices   []slicePasses     // the six sweep passes of each interior slice
-	packs    [3][2]gpu.Pass    // border gather pass per (dim, dir)
-	unpacks  [3][2]unpackTable // ghost scatter layout per (dim, dir)
+	plan *Plan // bound to the programs by New
 	// The host side of every border transfer: PackBorder's read-back
 	// and UnpackGhost's rect uploads, which never overlap.
 	scratch []float32
-	// Per (dim, dir), the payload last unpacked there: the buffer the next
+	// Per face, the payload last unpacked there: the buffer the next
 	// PackBorder of that face fills and gives away (the one-owner rule of
 	// package cluster).
-	spare [3][2][]float32
+	spare [lbm.NumFaces][]float32
 }
 
 // New builds a GPU simulator from a configured host lattice (size, tau,
@@ -98,12 +91,8 @@ func New(dev *gpu.Device, cfg *lbm.Lattice) (*Simulator, error) {
 	if cfg.HasCurvedBoundaries() {
 		return nil, errors.New("lbmgpu: interpolated (curved) boundary links are CPU-only")
 	}
-	s := &Simulator{
-		dev: dev,
-		nx:  cfg.NX, ny: cfg.NY, nz: cfg.NZ,
-		w: cfg.NX + 2, h: cfg.NY + 2, d: cfg.NZ + 2,
-	}
-	s.interior = gpu.Rect{X0: 1, Y0: 1, X1: s.nx + 1, Y1: s.ny + 1}
+	p := NewPlan([3]int{cfg.NX, cfg.NY, cfg.NZ}, cfg.Faces)
+	s := &Simulator{dev: dev, extents: p.extents, plan: p}
 	if err := s.allocate(); err != nil {
 		s.free()
 		return nil, err
@@ -112,21 +101,10 @@ func New(dev *gpu.Device, cfg *lbm.Lattice) (*Simulator, error) {
 		s.free()
 		return nil, err
 	}
-	for dim := 0; dim < 3; dim++ {
-		for _, dir := range []int{-1, +1} {
-			side := sideOf(dir)
-			s.bc[dim] = s.appendFacePasses(s.bc[dim], cfg.Faces[2*dim+side], dim, dir < 0)
-			s.packs[dim][side] = s.gatherPass(dim, dir)
-			s.unpacks[dim][side] = s.unpackTable(dim, dir)
-		}
-	}
-	s.slices = make([]slicePasses, s.nz)
-	for z := 1; z <= s.nz; z++ {
-		s.slices[z-1] = s.newSlicePasses(z, 1/cfg.Tau, cfg.Force)
-	}
+	s.bind(1/cfg.Tau, cfg.Force)
 	n := s.w * s.h * 4 // a whole layer, the largest rect UnpackGhost uploads
-	for _, bt := range s.border {
-		n = max(n, bt.Width()*bt.Height()*4)
+	for dim := 0; dim < 3; dim++ {
+		n = max(n, s.borderRect(dim).Fragments()*4)
 	}
 	s.scratch = make([]float32, n)
 	return s, nil
@@ -135,40 +113,22 @@ func New(dev *gpu.Device, cfg *lbm.Lattice) (*Simulator, error) {
 // allocate reserves every texture and pixel buffer of the simulator.
 func (s *Simulator) allocate() error {
 	var err error
-	for i := range s.stacks {
-		if s.stacks[i], err = s.dev.NewStack(fmt.Sprintf("f%d", i), s.w, s.h, s.d); err != nil {
+	s.texs = make([]*gpu.Texture2D, s.border(2)+1)
+	for i := range s.texs {
+		r := s.whole()
+		if b := i - int(s.border(0)); b >= 0 {
+			r = s.borderRect(b)
+		}
+		if s.texs[i], err = s.dev.NewTexture2D(fmt.Sprintf("tex%d", i), r.X1, r.Y1); err != nil {
 			return err
 		}
-	}
-	if s.macro, err = s.dev.NewStack("macro", s.w, s.h, s.d); err != nil {
-		return err
-	}
-	if s.solid, err = s.dev.NewStack("solid", s.w, s.h, s.d); err != nil {
-		return err
-	}
-	for i := range s.ring {
-		for j := range s.ring[i] {
-			if s.ring[i][j], err = s.dev.NewTexture2D(fmt.Sprintf("ring%d_%d", i, j), s.w, s.h); err != nil {
-				return err
-			}
-		}
-	}
-	if s.stage, err = s.dev.NewTexture2D("stage", s.w, s.h); err != nil {
-		return err
 	}
 	for i := range s.pbufs {
-		if s.pbufs[i], err = s.dev.NewPBuffer(fmt.Sprintf("pb%d", i), s.w, s.h); err != nil {
-			return err
+		r := s.whole()
+		if i >= pbBorder {
+			r = s.borderRect(i - pbBorder)
 		}
-	}
-	// Compact border textures: height doubled to hold the fifth
-	// distribution below the packed four (one texture, one read-back).
-	for dim := range s.border {
-		pw, ph := s.planeDims(dim)
-		if s.border[dim], err = s.dev.NewTexture2D(fmt.Sprintf("border%d", dim), pw, 2*ph); err != nil {
-			return err
-		}
-		if s.borderPB[dim], err = s.dev.NewPBuffer(fmt.Sprintf("borderpb%d", dim), pw, 2*ph); err != nil {
+		if s.pbufs[i], err = s.dev.NewPBuffer(fmt.Sprintf("pb%d", i), r.X1, r.Y1); err != nil {
 			return err
 		}
 	}
@@ -177,33 +137,16 @@ func (s *Simulator) allocate() error {
 
 // free releases whatever allocate got as far as reserving.
 func (s *Simulator) free() {
-	for _, st := range s.stacks {
-		if st != nil {
-			st.Free()
-		}
+	for _, t := range s.texs {
+		t.Free()
 	}
-	if s.macro != nil {
-		s.macro.Free()
-	}
-	if s.solid != nil {
-		s.solid.Free()
-	}
-	for i := range s.ring {
-		for _, t := range s.ring[i] {
-			t.Free()
-		}
-	}
-	s.stage.Free()
 	for _, pb := range s.pbufs {
 		pb.Free()
 	}
-	for _, t := range s.border {
-		t.Free()
-	}
-	for _, pb := range s.borderPB {
-		pb.Free()
-	}
 }
+
+// tex returns layer z of stack i.
+func (s *Simulator) tex(i, z int) *gpu.Texture2D { return s.texs[s.layer(i, z)] }
 
 // Device returns the simulator's GPU (for stats inspection).
 func (s *Simulator) Device() *gpu.Device { return s.dev }
@@ -213,72 +156,38 @@ func distStack(i int) int { return i / 4 }
 func distChan(i int) int  { return i % 4 }
 
 // uploadInitialState transfers the host lattice's post-collision state,
-// solid/wall data and initial macroscopic moments to the GPU.
+// solid flags and wall velocities, and initial macroscopic moments
+// (computed with the CPU reference's float path) to the GPU, layer by
+// layer.
 func (s *Simulator) uploadInitialState(l *lbm.Lattice) error {
-	row := make([]float32, s.w*s.h*4)
-	for st := 0; st < 5; st++ {
-		for z := 0; z < s.d; z++ {
-			k := 0
-			for ty := 0; ty < s.h; ty++ {
-				for tx := 0; tx < s.w; tx++ {
-					c := l.Idx(tx-1, ty-1, z-1)
-					for ch := 0; ch < 4; ch++ {
-						i := st*4 + ch
-						if i < lbm.Q {
-							row[k] = l.Post[i][c]
-						} else {
-							row[k] = 0
-						}
-						k++
-					}
-				}
-			}
-			if err := s.dev.Upload(s.stacks[st].Layer(z), row); err != nil {
-				return err
-			}
-		}
+	var rows [7][]float32 // one layer of each stack
+	for i := range rows {
+		rows[i] = make([]float32, s.w*s.h*4)
 	}
-	// Solid flags and wall velocities.
-	for z := 0; z < s.d; z++ {
-		k := 0
-		for ty := 0; ty < s.h; ty++ {
-			for tx := 0; tx < s.w; tx++ {
-				c := l.Idx(tx-1, ty-1, z-1)
-				if solidAfterFill(l, tx-1, ty-1, z-1) {
-					row[k] = 1
-				} else {
-					row[k] = 0
-				}
-				var uw vecmath.Vec3
-				if l.WallU != nil {
-					uw = l.WallU[c]
-				}
-				row[k+1], row[k+2], row[k+3] = uw[0], uw[1], uw[2]
-				k += 4
-			}
-		}
-		if err := s.dev.Upload(s.solid.Layer(z), row); err != nil {
-			return err
-		}
-	}
-	// Macroscopic moments of the initial state, computed with the same
-	// float path as the CPU reference.
 	var f [lbm.Q]float32
 	for z := 0; z < s.d; z++ {
-		k := 0
 		for ty := 0; ty < s.h; ty++ {
 			for tx := 0; tx < s.w; tx++ {
-				c := l.Idx(tx-1, ty-1, z-1)
-				for i := 0; i < lbm.Q; i++ {
+				k, c := 4*(ty*s.w+tx), l.Idx(tx-1, ty-1, z-1)
+				for i := range f {
+					rows[distStack(i)][k+distChan(i)] = l.Post[i][c]
 					f[i] = l.F[i][c]
 				}
-				rho, ux, uy, uz := lbm.Moments(&f)
-				row[k], row[k+1], row[k+2], row[k+3] = rho, ux, uy, uz
-				k += 4
+				m, solid := rows[macroStack][k:k+4], rows[solidStack][k:k+4]
+				m[0], m[1], m[2], m[3] = lbm.Moments(&f)
+				solid[0] = 0
+				if solidAfterFill(l, tx-1, ty-1, z-1) {
+					solid[0] = 1
+				}
+				if l.WallU != nil {
+					copy(solid[1:], l.WallU[c][:])
+				}
 			}
 		}
-		if err := s.dev.Upload(s.macro.Layer(z), row); err != nil {
-			return err
+		for i, row := range rows {
+			if err := s.dev.Upload(s.tex(i, z), row); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
@@ -292,7 +201,7 @@ func solidAfterFill(l *lbm.Lattice, x, y, z int) bool {
 	c, n := [3]int{x, y, z}, [3]int{l.NX, l.NY, l.NZ}
 	for d := 2; d >= 0; d-- {
 		if c[d] < 0 || c[d] >= n[d] {
-			if l.Faces[2*d+sideOf(min(c[d], 1))].Type != lbm.Periodic {
+			if l.Faces[faceOf(d, min(c[d], 1))].Type != lbm.Periodic {
 				break
 			}
 			c[d] = (c[d] + n[d]) % n[d]

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"gpucluster/internal/bus"
 	"gpucluster/internal/gpu"
 	"gpucluster/internal/lbm"
 	"gpucluster/internal/vecmath"
@@ -46,7 +47,7 @@ func assertDistributionsEqual(t *testing.T, cpu *lbm.Lattice, sim *Simulator) {
 			for x := 0; x < cpu.NX; x++ {
 				c := cpu.Idx(x, y, z)
 				for i := 0; i < lbm.Q; i++ {
-					got := sim.stacks[distStack(i)].Layer(z+1).At(x+1, y+1)[distChan(i)]
+					got := sim.tex(distStack(i), z+1).At(x+1, y+1)[distChan(i)]
 					if want := cpu.Post[i][c]; got != want {
 						t.Fatalf("f[%d] mismatch at (%d,%d,%d): gpu %v cpu %v", i, x, y, z, got, want)
 					}
@@ -202,18 +203,8 @@ func TestGPUUnpackRoundTrip(t *testing.T) {
 			sim.UnpackGhost(0, -1, payload)
 		}
 	}
-	cpu.FillGhostDim(0)
-	feed(0)
-	cpu.FillGhostDim(1)
-	cpu.FillGhostDim(2)
-	cpu.Stream()
-	cpu.Collide()
-
-	sim.fillGhostDim(0)
-	feed(0)
-	sim.fillGhostDim(1)
-	sim.fillGhostDim(2)
-	sim.sweep()
+	cpu.StepWithExchange(feed)
+	sim.Step(feed)
 
 	assertFieldsEqual(t, cpu, sim)
 }
@@ -230,30 +221,74 @@ func TestGPUMassConservation(t *testing.T) {
 	}
 }
 
+// TestGPUPassAndTransferAccounting counts a step, a pack and an unpack
+// of an all-periodic 8³ lattice from the paper's design (Sec. 4.2–4.3),
+// written out by hand. A step fills the x and y ghosts one thin
+// rectangle per slice, the z ghosts one whole layer, for each of the
+// five distribution stacks and both faces, every pass with its copy
+// back; then six passes a slice (macro, five distribution) and twelve
+// copies: the stage, five results and the macro layer over the interior,
+// and five whole-layer stashes. A pack is one
+// gather pass, its copy and one read-back of the border texture; an
+// unpack writes back one rect per layer for each stack that receives
+// data, and reads nothing.
 func TestGPUPassAndTransferAccounting(t *testing.T) {
-	_, sim := buildPair(t, 8, 8, 8, 0.8, func(l *lbm.Lattice) {})
+	const n = 8
+	_, sim := buildPair(t, n, n, n, 0.8, func(l *lbm.Lattice) {})
 	dev := sim.Device()
-	p0 := dev.Stats.Passes
 	sim.Step(noExchange)
-	if dev.Stats.Passes <= p0 {
-		t.Error("step executed no passes")
+	count := func(what string, f func(), want gpu.Stats, wantUp, wantDown bus.Stats) {
+		t.Helper()
+		g0, up0, down0 := dev.Stats, dev.Bus().Up, dev.Bus().Down
+		f()
+		g, up, down := dev.Stats, dev.Bus().Up, dev.Bus().Down
+		got := gpu.Stats{Passes: g.Passes - g0.Passes, Fragments: g.Fragments - g0.Fragments,
+			TextureCopies: g.TextureCopies - g0.TextureCopies, CopiedTexels: g.CopiedTexels - g0.CopiedTexels}
+		if got != want {
+			t.Errorf("%s: device %+v, want %+v", what, got, want)
+		}
+		gotUp := bus.Stats{Ops: up.Ops - up0.Ops, Bytes: up.Bytes - up0.Bytes}
+		gotDown := bus.Stats{Ops: down.Ops - down0.Ops, Bytes: down.Bytes - down0.Bytes}
+		if gotUp != wantUp || gotDown != wantDown {
+			t.Errorf("%s: up %+v down %+v, want up %+v down %+v", what, gotUp, gotDown, wantUp, wantDown)
+		}
 	}
-	// A border pack must cost exactly one upstream read.
-	up0 := dev.Bus().Up.Ops
-	sim.PackBorder(0, +1)
-	if got := dev.Bus().Up.Ops - up0; got != 1 {
-		t.Errorf("border pack used %d upstream reads, want 1 (the paper's single gather read)", got)
+	const (
+		layer     = (n + 2) * (n + 2)
+		fillRects = 5 * 2 * (n + n + 1) // x and y: n thin rects a face, z: one layer
+		fillTexel = 5 * 2 * (n*n + n*(n+2) + layer)
+	)
+	count("step", func() { sim.Step(noExchange) }, gpu.Stats{
+		Passes:        fillRects + 6*n,
+		Fragments:     fillTexel + 6*n*n*n,
+		TextureCopies: fillRects + 12*n,
+		CopiedTexels:  fillTexel + 7*n*n*n + 5*n*layer,
+	}, bus.Stats{}, bus.Stats{})
+	// The x border texture: the n×n plane, four distributions above the
+	// fifth, so 2n² texels of 16 B read back in one transfer.
+	count("pack", func() { sim.PackBorder(0, +1) },
+		gpu.Stats{Passes: 1, Fragments: 2 * n * n, TextureCopies: 1, CopiedTexels: 2 * n * n},
+		bus.Stats{Ops: 1, Bytes: 2 * n * n * gpu.TexelBytes}, bus.Stats{})
+	// The five distributions entering through the low x face, c_x = +1
+	// (1, 7, 9, 11 and 13 of lbm.C), sit four to a texel in stacks 0, 1,
+	// 2, 2 and 3 (Figure 5's packing): 4 uploads of an n-texel column a
+	// layer.
+	count("unpack", func() { sim.UnpackGhost(0, -1, make([]float32, 5*n*n)) },
+		gpu.Stats{}, bus.Stats{}, bus.Stats{Ops: 4 * n, Bytes: 4 * n * n * gpu.TexelBytes})
+}
+
+// TestSimulatorFitsPaperCard allocates the whole simulator for an 80³
+// sub-domain, the paper's per-node size, on its card: the seven stacks,
+// the ring, the stage, the six pbuffers and the three border textures
+// with their pbuffers fit in the 86 MB usable (it runs no step).
+func TestSimulatorFitsPaperCard(t *testing.T) {
+	l := lbm.New(80, 80, 80, 0.8)
+	l.Init(1, vecmath.Vec3{})
+	dev := gpu.New(gpu.GeForceFX5800Ultra())
+	if _, err := New(dev, l); err != nil {
+		t.Fatal(err)
 	}
-	// An unpack crosses only the fast downstream direction.
-	down0 := dev.Bus().Down.Ops
-	upBefore := dev.Bus().Up.Ops
-	sim.UnpackGhost(0, -1, make([]float32, 5*8*8))
-	if dev.Bus().Down.Ops == down0 {
-		t.Error("unpack issued no downstream transfers")
-	}
-	if dev.Bus().Up.Ops != upBefore {
-		t.Error("unpack must not read upstream")
-	}
+	t.Logf("80³ sub-domain: %.1f of %.1f MB", float64(dev.UsedMemory())/(1<<20), float64(dev.UsableMemory())/(1<<20))
 }
 
 func TestGPURejectsUnsupportedConfigs(t *testing.T) {
@@ -437,39 +472,6 @@ func TestBorderRoundTripZeroAlloc(t *testing.T) {
 				t.Errorf("dim %d dir %+d: pack + unpack allocates %v times, want 0", dim, dir, allocs)
 			}
 		}
-	}
-}
-
-func TestGPUStatsPerStep(t *testing.T) {
-	// Inlet and outflow on x (thin rectangles per slice), walls on y,
-	// periodic z (whole ghost layers). Passes and fragments are those of
-	// the fused sweep this one replaced; its 178 copies gain one staging
-	// copy of the interior per slice.
-	const nx, ny, nz = 14, 10, 8
-	_, sim := buildPair(t, nx, ny, nz, 0.8, func(l *lbm.Lattice) {
-		l.Faces[lbm.FaceXNeg] = lbm.FaceSpec{Type: lbm.Inlet, U: vecmath.Vec3{0.04, 0, 0}}
-		l.Faces[lbm.FaceXPos] = lbm.FaceSpec{Type: lbm.Outflow}
-		l.Faces[lbm.FaceYNeg] = lbm.FaceSpec{Type: lbm.Wall}
-		l.Faces[lbm.FaceYPos] = lbm.FaceSpec{Type: lbm.Wall}
-	})
-	sim.Step(noExchange)
-	before := sim.Device().Stats
-	sim.Step(noExchange)
-	after := sim.Device().Stats
-	got := gpu.Stats{
-		Passes:        after.Passes - before.Passes,
-		Fragments:     after.Fragments - before.Fragments,
-		TextureCopies: after.TextureCopies - before.TextureCopies,
-		CopiedTexels:  after.CopiedTexels - before.CopiedTexels,
-	}
-	want := gpu.Stats{
-		Passes:        138,
-		Fragments:     9440,
-		TextureCopies: 178 + nz,
-		CopiedTexels:  17120 + nz*nx*ny,
-	}
-	if got != want {
-		t.Errorf("one step cost %+v, want %+v", got, want)
 	}
 }
 

@@ -16,10 +16,10 @@ import (
 
 const statsGolden = "testdata/stats.txt"
 
-// statsCases are the configurations of the step-count golden: the
-// lbm-gpu benchmark workload's tunnel (bench/lbm.go) on its 2x2x1
-// ranks, and three more that between them fill every ghost-face kind
-// and exchange on every axis.
+// statsCases are the configurations of the step-count golden and of the
+// priced plan's pin: the lbm-gpu benchmark workload's tunnel
+// (bench/lbm.go) on its 2x2x1 ranks, and four more that between them
+// fill every ghost-face kind and exchange on every axis.
 var statsCases = []struct {
 	name string
 	cfg  func() cluster.Config
@@ -56,38 +56,51 @@ var statsCases = []struct {
 		cfg.Faces[lbm.FaceYPos] = lbm.FaceSpec{Type: lbm.Wall}
 		return cfg
 	}},
+	// Thin x rectangles per slice, no y ghost fill, whole z layers:
+	// 138 passes, 9,440 fragments, 178 + nz copies, 17,120 + nz·nx·ny
+	// texels copied.
+	{"inlet/outflow 1x1x1", func() cluster.Config {
+		cfg := cluster.Config{Global: [3]int{14, 10, 8}, Grid: sched.NodeGrid{PX: 1, PY: 1, PZ: 1}, Tau: 0.8}
+		cfg.Faces[lbm.FaceXNeg] = lbm.FaceSpec{Type: lbm.Inlet, U: vecmath.Vec3{0.04, 0, 0}}
+		cfg.Faces[lbm.FaceXPos] = lbm.FaceSpec{Type: lbm.Outflow}
+		cfg.Faces[lbm.FaceYNeg] = lbm.FaceSpec{Type: lbm.Wall}
+		cfg.Faces[lbm.FaceYPos] = lbm.FaceSpec{Type: lbm.Wall}
+		return cfg
+	}},
 }
 
-// stepCost is what one rank's device and bus did in one step.
-type stepCost struct {
-	gpu      gpu.Stats
-	up, down bus.Stats
-}
-
-func (c *stepCost) add(o stepCost) {
-	c.gpu = gpu.Stats{
-		Passes:        c.gpu.Passes + o.gpu.Passes,
-		Fragments:     c.gpu.Fragments + o.gpu.Fragments,
-		TextureCopies: c.gpu.TextureCopies + o.gpu.TextureCopies,
-		CopiedTexels:  c.gpu.CopiedTexels + o.gpu.CopiedTexels,
-		Allocations:   c.gpu.Allocations + o.gpu.Allocations,
+func (c *StepCost) add(o StepCost) {
+	c.GPU = gpu.Stats{
+		Passes:        c.GPU.Passes + o.GPU.Passes,
+		Fragments:     c.GPU.Fragments + o.GPU.Fragments,
+		TextureCopies: c.GPU.TextureCopies + o.GPU.TextureCopies,
+		CopiedTexels:  c.GPU.CopiedTexels + o.GPU.CopiedTexels,
+		Allocations:   c.GPU.Allocations + o.GPU.Allocations,
 	}
-	c.up = bus.Stats{Ops: c.up.Ops + o.up.Ops, Bytes: c.up.Bytes + o.up.Bytes, Time: c.up.Time + o.up.Time}
-	c.down = bus.Stats{Ops: c.down.Ops + o.down.Ops, Bytes: c.down.Bytes + o.down.Bytes, Time: c.down.Time + o.down.Time}
+	c.Up = bus.Stats{Ops: c.Up.Ops + o.Up.Ops, Bytes: c.Up.Bytes + o.Up.Bytes, Time: c.Up.Time + o.Up.Time}
+	c.Down = bus.Stats{Ops: c.Down.Ops + o.Down.Ops, Bytes: c.Down.Bytes + o.Down.Bytes, Time: c.Down.Time + o.Down.Time}
 }
 
-func (c stepCost) String() string {
-	return fmt.Sprintf("gpu %+v up %+v down %+v", c.gpu, c.up, c.down)
+func (c StepCost) String() string {
+	return fmt.Sprintf("gpu %+v up %+v down %+v", c.GPU, c.Up, c.Down)
+}
+
+// moved is what a bus direction moved between two readings.
+func moved(after, before bus.Stats) bus.Stats {
+	return bus.Stats{Ops: after.Ops - before.Ops, Bytes: after.Bytes - before.Bytes, Time: after.Time - before.Time}
 }
 
 // stepCosts runs cfg on simulated-GPU ranks for two steps and returns
-// each rank's cost of the second, the steady state.
-func stepCosts(t *testing.T, cfg cluster.Config) []stepCost {
+// each rank's cost of the second, the steady state, and its plan's
+// price on the rank's bus.
+func stepCosts(t *testing.T, cfg cluster.Config) (ran, priced []StepCost) {
 	t.Helper()
 	var devs []*gpu.Device
+	var plans []*Plan
 	cfg.NewNode = func(rank int, sub *lbm.Lattice) (cluster.Node, error) {
 		dev := gpu.New(gpu.Config{TextureMemory: 256 << 20, Workers: 1})
 		devs = append(devs, dev)
+		plans = append(plans, NewPlan([3]int{sub.NX, sub.NY, sub.NZ}, sub.Faces))
 		return New(dev, sub)
 	}
 	sim, err := cluster.New(cfg)
@@ -95,27 +108,27 @@ func stepCosts(t *testing.T, cfg cluster.Config) []stepCost {
 		t.Fatal(err)
 	}
 	sim.Run(1)
-	before := make([]stepCost, len(devs))
+	before := make([]StepCost, len(devs))
 	for r, d := range devs {
-		before[r] = stepCost{d.Stats, d.Bus().Up, d.Bus().Down}
+		before[r] = StepCost{d.Stats, d.Bus().Up, d.Bus().Down}
 	}
 	sim.Run(1)
-	out := make([]stepCost, len(devs))
 	for r, d := range devs {
 		b := before[r]
-		out[r] = stepCost{
-			gpu: gpu.Stats{
-				Passes:        d.Stats.Passes - b.gpu.Passes,
-				Fragments:     d.Stats.Fragments - b.gpu.Fragments,
-				TextureCopies: d.Stats.TextureCopies - b.gpu.TextureCopies,
-				CopiedTexels:  d.Stats.CopiedTexels - b.gpu.CopiedTexels,
-				Allocations:   d.Stats.Allocations - b.gpu.Allocations,
+		ran = append(ran, StepCost{
+			GPU: gpu.Stats{
+				Passes:        d.Stats.Passes - b.GPU.Passes,
+				Fragments:     d.Stats.Fragments - b.GPU.Fragments,
+				TextureCopies: d.Stats.TextureCopies - b.GPU.TextureCopies,
+				CopiedTexels:  d.Stats.CopiedTexels - b.GPU.CopiedTexels,
+				Allocations:   d.Stats.Allocations - b.GPU.Allocations,
 			},
-			up:   moved(d.Bus().Up, b.up),
-			down: moved(d.Bus().Down, b.down),
-		}
+			Up:   moved(d.Bus().Up, b.Up),
+			Down: moved(d.Bus().Down, b.Down),
+		})
+		priced = append(priced, plans[r].Cost(d.Bus()))
 	}
-	return out
+	return ran, priced
 }
 
 // TestStepCountsGolden holds the exact device and bus counts of one
@@ -126,8 +139,9 @@ func stepCosts(t *testing.T, cfg cluster.Config) []stepCost {
 func TestStepCountsGolden(t *testing.T) {
 	var lines []string
 	for _, tc := range statsCases {
-		var sum stepCost
-		for r, c := range stepCosts(t, tc.cfg()) {
+		var sum StepCost
+		ran, _ := stepCosts(t, tc.cfg())
+		for r, c := range ran {
 			lines = append(lines, fmt.Sprintf("%s rank %d: %v", tc.name, r, c))
 			sum.add(c)
 		}
@@ -145,5 +159,20 @@ func TestStepCountsGolden(t *testing.T) {
 	}
 	if got != string(want) {
 		t.Errorf("step counts differ from %s (REGEN_STATS=1 rewrites it after an intentional change):\ngot:\n%swant:\n%s", statsGolden, got, want)
+	}
+}
+
+// TestCostMatchesExecutedStep holds the priced plan to the executed one:
+// for every rank of every statsCases set-up, Plan.Cost of the rank's
+// extents and faces equals what its device and bus did in a steady-state
+// step, passes to bus time, exactly.
+func TestCostMatchesExecutedStep(t *testing.T) {
+	for _, tc := range statsCases {
+		ran, priced := stepCosts(t, tc.cfg())
+		for r := range ran {
+			if priced[r] != ran[r] {
+				t.Errorf("%s rank %d: priced %v\nexecuted %v", tc.name, r, priced[r], ran[r])
+			}
+		}
 	}
 }

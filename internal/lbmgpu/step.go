@@ -13,11 +13,73 @@ import (
 // passes and the cluster exchange callback runs; then the sweep streams
 // and collides the volume slice by slice.
 func (s *Simulator) Step(exchange func(dim int)) {
-	for dim := 0; dim < 3; dim++ {
-		s.fillGhostDim(dim)
+	for dim, sp := range s.plan.fill {
+		s.run(sp)
 		exchange(dim)
 	}
-	s.sweep()
+	s.run(s.plan.sweep)
+}
+
+// passNames label the passes by program, in progKind order.
+var passNames = [...]string{"lbm-ghost-fill", "lbm-macro", "lbm-collide", "border-gather"}
+
+// bind builds the program of every pass of the plan, once, so that
+// running the plan allocates nothing.
+func (s *Simulator) bind(omega float32, force vecmath.Vec3) {
+	swept := make([]*sliceTextures, s.d)
+	for i := range s.plan.ops {
+		o := &s.plan.ops[i]
+		switch {
+		case o.kind != opPass:
+		case o.prog == progGhost:
+			o.program = ghostProgram(s.plan.faces[o.face], int(o.st), s.layers(int(o.z)), s.plan.from[o.face])
+		case o.prog == progGather:
+			o.program = s.gatherProgram(int(o.face))
+		default:
+			if swept[o.z] == nil {
+				swept[o.z] = s.sliceTextures(int(o.z), omega, force)
+			}
+			o.program = swept[o.z].macroProgram
+			if o.prog == progDist {
+				o.program = distPass{swept[o.z], int(o.st)}.program
+			}
+		}
+	}
+}
+
+// run executes the plan's ops of sp in order: the one loop that Step,
+// PackBorder and UnpackGhost share. A download lands in the scratch; an
+// upload takes its rectangle's cells from the payload its face last
+// received.
+func (s *Simulator) run(sp span) {
+	for i := sp.lo; i < sp.hi; i++ {
+		o := &s.plan.ops[i]
+		r := o.rect.Rect()
+		switch o.kind {
+		case opPass:
+			must(s.dev.Run(gpu.Pass{Name: passNames[o.prog], Target: s.pbufs[o.dst], Viewport: r, Program: o.program}))
+		case opCopy:
+			must(s.dev.CopyRect(s.pbufs[o.src], s.texs[o.dst], r))
+		case opStash:
+			must(s.dev.CopyTexture(s.texs[o.src], s.texs[o.dst]))
+		case opDownload:
+			_, err := s.dev.Download(s.texs[o.src], s.scratch)
+			must(err)
+		case opUpload:
+			n := r.Fragments()
+			buf, cells := s.scratch[:4*n], s.spare[o.face][o.off:][:5*n]
+			for c := 0; c < n; c++ {
+				for ch, k := range o.chans {
+					v := float32(0)
+					if k >= 0 {
+						v = cells[5*c+int(k)]
+					}
+					buf[4*c+ch] = v
+				}
+			}
+			must(s.dev.UploadRect(s.texs[o.dst], r, buf))
+		}
+	}
 }
 
 // must panics on pass errors: these indicate programming bugs (malformed
@@ -68,112 +130,28 @@ func (lk *link) equilibrium(rho, ux, uy, uz, base float32) float32 {
 	return lk.w * rho * (base + 3*cu + 4.5*cu*cu)
 }
 
-// bcPass is one boundary-condition viewport rectangle: the pass and the
-// texture layer its rectangle is copied back into.
-type bcPass struct {
-	pass gpu.Pass
-	dst  *gpu.Texture2D
-}
-
-// fillGhostDim refreshes the two ghost planes of a dimension from the
-// face boundary conditions, as viewport-rectangle passes (the paper's
-// "multiple small rectangles" covering the boundary regions of each Z
-// slice).
-func (s *Simulator) fillGhostDim(dim int) {
-	for i := range s.bc[dim] {
-		p := &s.bc[dim][i]
-		must(s.dev.Run(p.pass))
-		must(s.dev.CopyRect(p.pass.Target, p.dst, p.pass.Viewport))
-	}
-}
-
 // nearest returns the texel of r nearest to (x, y).
 func nearest(r gpu.Rect, x, y int) (int, int) {
 	return min(max(x, r.X0), r.X1-1), min(max(y, r.Y0), r.Y1-1)
 }
 
-// appendFacePasses appends the ghost-fill passes of one face of dimension
-// dim (neg: the low side): per target layer, one pass for each of the
-// five distribution stacks.
-func (s *Simulator) appendFacePasses(passes []bcPass, spec lbm.FaceSpec, dim int, neg bool) []bcPass {
-	switch spec.Type {
-	case lbm.Ghost, lbm.Wall, lbm.MovingWall:
-		return passes // exchanged externally / realized as solid ghosts
+// layers returns layer z of each distribution stack.
+func (s *Simulator) layers(z int) (t [5]*gpu.Texture2D) {
+	for st := range t {
+		t[st] = s.tex(st, z)
 	}
+	return t
+}
 
-	// Ghost texture coordinate along dim, plus the source coordinate:
-	// the periodic image or the adjacent interior cell.
-	extent := [3]int{s.nx, s.ny, s.nz}[dim]
-	gcoord, wrapcoord, edgecoord := 0, extent, 1
-	if !neg {
-		gcoord, wrapcoord, edgecoord = extent+1, 1, extent
-	}
-	src := edgecoord
-	if spec.Type == lbm.Periodic {
-		src = wrapcoord
-	}
-
-	// A fragment reads the texel nearest to its own coordinates in the
-	// source rectangle: the source plane for x and y faces, and
-	// in-plane the whole layer, or for outflow faces the interior only,
-	// mirroring the CPU reference (ghost-column cells hold only
-	// entering distributions, which do not define moments).
-	from := gpu.Rect{X0: 0, Y0: 0, X1: s.w, Y1: s.h}
-	if spec.Type == lbm.Outflow {
-		from = s.interior
-	}
-
-	// The pass geometry per dim: for x and y faces one thin rectangle
-	// per interior slice; for z faces the whole ghost layer, read from
-	// the source layer.
-	first, last, srcShift := 1, s.nz, 0
-	var vp gpu.Rect
-	switch dim {
-	case 0:
-		from.X0, from.X1 = src, src+1
-		vp = gpu.Rect{X0: gcoord, Y0: 1, X1: gcoord + 1, Y1: s.ny + 1}
-	case 1:
-		from.Y0, from.Y1 = src, src+1
-		vp = gpu.Rect{X0: 0, Y0: gcoord, X1: s.w, Y1: gcoord + 1}
-	default:
-		first, last, srcShift = gcoord, gcoord, src-gcoord
-		vp = gpu.Rect{X0: 0, Y0: 0, X1: s.w, Y1: s.h}
-	}
-
+// ghostProgram returns the program that fills stack st's ghost texels of
+// a face from the source layers.
+func ghostProgram(spec lbm.FaceSpec, st int, srcLayers [5]*gpu.Texture2D, from gpu.Rect) gpu.FragmentProgram {
+	own := ownLinks(st)
 	rhoOut := spec.Rho
 	if rhoOut == 0 {
 		rhoOut = 1
 	}
-	var feqIn [lbm.Q]float32
-	if spec.Type == lbm.Inlet {
-		lbm.Feq(&feqIn, rhoOut, spec.U[0], spec.U[1], spec.U[2])
-	}
-
-	for layer := first; layer <= last; layer++ {
-		var srcLayers [5]*gpu.Texture2D
-		for st := range srcLayers {
-			srcLayers[st] = s.stacks[st].Layer(layer + srcShift)
-		}
-		for st := 0; st < 5; st++ {
-			passes = append(passes, bcPass{
-				pass: gpu.Pass{
-					Name:     "lbm-ghost-fill",
-					Target:   s.pbufs[st],
-					Viewport: vp,
-					Program:  ghostProgram(spec.Type, st, srcLayers, from, feqIn, rhoOut),
-				},
-				dst: s.stacks[st].Layer(layer),
-			})
-		}
-	}
-	return passes
-}
-
-// ghostProgram returns the program that fills stack st's ghost texels of
-// a face of the given type from the source layers.
-func ghostProgram(face lbm.BC, st int, srcLayers [5]*gpu.Texture2D, from gpu.Rect, feqIn [lbm.Q]float32, rhoOut float32) gpu.FragmentProgram {
-	own := ownLinks(st)
-	switch face {
+	switch spec.Type {
 	case lbm.Periodic:
 		srcTex := srcLayers[st]
 		return func(_ []gpu.Sampler, y, x0 int, out []vecmath.Vec4) {
@@ -182,6 +160,8 @@ func ghostProgram(face lbm.BC, st int, srcLayers [5]*gpu.Texture2D, from gpu.Rec
 			}
 		}
 	case lbm.Inlet:
+		var feqIn [lbm.Q]float32
+		lbm.Feq(&feqIn, rhoOut, spec.U[0], spec.U[1], spec.U[2])
 		var v vecmath.Vec4
 		copy(v[:len(own)], feqIn[4*st:])
 		return func(_ []gpu.Sampler, _, _ int, out []vecmath.Vec4) {
@@ -217,12 +197,6 @@ func ghostProgram(face lbm.BC, st int, srcLayers [5]*gpu.Texture2D, from gpu.Rec
 	}
 }
 
-// slicePasses are the six render passes of one interior slice.
-type slicePasses struct {
-	macro gpu.Pass    // 19 links -> rho, u
-	dist  [5]gpu.Pass // own links -> post-collision distributions
-}
-
 // sliceTextures are the texture layers the programs of one slice read,
 // with the collision parameters.
 type sliceTextures struct {
@@ -235,28 +209,23 @@ type sliceTextures struct {
 	force vecmath.Vec3
 }
 
-// newSlicePasses builds the passes of slice z. The slice below has been
-// overwritten by the time z is swept, so its stashed copy is bound.
-func (s *Simulator) newSlicePasses(z int, omega float32, force vecmath.Vec3) slicePasses {
-	b := &sliceTextures{oldMacro: s.macro.Layer(z), stage: s.stage, omega: omega, force: force}
+// sliceTextures binds the layers the programs of slice z read. The slice
+// below has been overwritten by the time z is swept, so its stashed copy
+// is bound.
+func (s *Simulator) sliceTextures(z int, omega float32, force vecmath.Vec3) *sliceTextures {
+	b := &sliceTextures{oldMacro: s.tex(macroStack, z), stage: s.texs[s.stage()], omega: omega, force: force}
 	for st := range b.lay {
-		b.lay[st][0] = s.stacks[st].Layer(0)
+		b.lay[st][0] = s.tex(st, 0)
 		if z > 1 {
-			b.lay[st][0] = s.ring[st][(z-1)%2]
+			b.lay[st][0] = s.texs[s.ring(st, (z-1)%2)]
 		}
-		b.lay[st][1] = s.stacks[st].Layer(z)
-		b.lay[st][2] = s.stacks[st].Layer(z + 1)
+		b.lay[st][1] = s.tex(st, z)
+		b.lay[st][2] = s.tex(st, z+1)
 	}
 	for slot := range b.solid {
-		b.solid[slot] = s.solid.Layer(z - 1 + slot)
+		b.solid[slot] = s.tex(solidStack, z-1+slot)
 	}
-	p := slicePasses{
-		macro: gpu.Pass{Name: "lbm-macro", Target: s.pbufs[5], Viewport: s.interior, Program: b.macroProgram},
-	}
-	for st := range p.dist {
-		p.dist[st] = gpu.Pass{Name: "lbm-collide", Target: s.pbufs[st], Viewport: s.interior, Program: distPass{b, st}.program}
-	}
-	return p
+	return b
 }
 
 // srcRows are a link's source rows: solid flags and its stack's texels.
@@ -346,26 +315,5 @@ func (p distPass) program(_ []gpu.Sampler, ty, x0 int, out []vecmath.Vec4) {
 			v[ch] = post
 		}
 		out[k] = v
-	}
-}
-
-// sweep streams and collides every interior slice, in increasing z, using
-// the two-slice ring buffer to preserve pre-update values of the slice
-// below.
-func (s *Simulator) sweep() {
-	for z := 1; z <= s.nz; z++ {
-		b := &s.slices[z-1]
-		must(s.dev.Run(b.macro))
-		must(s.dev.CopyRect(s.pbufs[5], s.stage, s.interior))
-		for st := range b.dist {
-			must(s.dev.Run(b.dist[st]))
-		}
-
-		// Stash the pre-update slice, then commit the pass results.
-		for st := 0; st < 5; st++ {
-			must(s.dev.CopyTexture(s.stacks[st].Layer(z), s.ring[st][z%2]))
-			must(s.dev.CopyRect(s.pbufs[st], s.stacks[st].Layer(z), s.interior))
-		}
-		must(s.dev.CopyRect(s.pbufs[5], s.macro.Layer(z), s.interior))
 	}
 }
