@@ -16,6 +16,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -116,18 +117,27 @@ func table1() {
 			ms(r.GPUTotal), p.GPUTotalMS,
 			r.Speedup, p.SpeedupFactor)
 	}
+	grids := make([]string, len(pricedNodes))
+	for i, n := range pricedNodes {
+		grids[i] = sched.Arrange2D(n).String()
+	}
 	fmt.Println("GPU<->CPU measured: rank 0's simulated AGP time for one step of the functional simulator")
 	fmt.Println("(its step plan priced at 80^3 by lbmgpu.Plan.Cost, which is pinned equal to the executed")
-	fmt.Println("step; rank 0 of 2x1x1, 2x2x1 and 2x2x2 ranks walled all round; - where not priced)")
+	fmt.Printf("step; rank 0, a corner, of the model's %s grids, walled all round; - where not priced)\n",
+		strings.Join(grids, ", "))
 }
 
-// pricedGPUCPU prices rank 0's step plan at the paper's size on the grids
-// above and returns its GPU<->CPU time, by node count: walls on every
-// side, so the rank exchanges across its high faces of the split
-// dimensions only.
+// pricedNodes are the node counts whose GPU<->CPU cell is priced.
+var pricedNodes = []int{2, 4, 8}
+
+// pricedGPUCPU prices rank 0's step plan at the paper's size on the
+// model's grid (sched.Arrange2D) for each of pricedNodes and returns its
+// GPU<->CPU time, by node count: walls on every side, so the rank
+// exchanges across its high faces of the split dimensions only.
 func pricedGPUCPU() map[int]time.Duration {
 	out := map[int]time.Duration{}
-	for _, g := range []sched.NodeGrid{{PX: 2, PY: 1, PZ: 1}, {PX: 2, PY: 2, PZ: 1}, {PX: 2, PY: 2, PZ: 2}} {
+	for _, nodes := range pricedNodes {
+		g := sched.Arrange2D(nodes)
 		var faces [lbm.NumFaces]lbm.FaceSpec
 		for dim, n := range [3]int{g.PX, g.PY, g.PZ} {
 			faces[2*dim] = lbm.FaceSpec{Type: lbm.Wall}
@@ -137,7 +147,7 @@ func pricedGPUCPU() map[int]time.Duration {
 			}
 		}
 		c := lbmgpu.NewPlan(sub80, faces).Cost(gpu.GeForceFX5800Ultra().Bus)
-		out[g.Size()] = c.Up.Time + c.Down.Time
+		out[nodes] = c.Up.Time + c.Down.Time
 	}
 	return out
 }
@@ -218,8 +228,27 @@ func singleGPU() {
 	r := h.SingleGPU()
 	fmt.Printf("GPU rate: %.2f Mcells/s   CPU rate: %.2f Mcells/s   speedup: %.1fx\n",
 		r.GPUCellsPerSec/1e6, r.CPUCellsPerSec/1e6, r.Speedup)
-	fmt.Printf("texture-memory capacity: %d^3 lattice in 86 MB usable (paper: 92^3)\n", r.MaxLattice)
+	fmt.Printf("texture-memory capacity: %d^3 lattice in the simulator's 86 MB usable (paper: %d^3)\n",
+		simulatorMaxLattice(), perfmodel.PaperMaxLattice)
 	fmt.Println("(paper reports ~8x for the newer FX 5900 Ultra vs a P4 2.53 GHz)")
+}
+
+// simulatorMaxLattice is the largest n for which lbmgpu.New fits an n^3
+// lattice on the paper's card, searched down from the paper's figure.
+// What the simulator allocates depends on the extents alone, so the
+// lattice is left unset (its pages untouched) and nothing is stepped.
+func simulatorMaxLattice() int {
+	for n := perfmodel.PaperMaxLattice; n > 0; n-- {
+		_, err := lbmgpu.New(gpu.New(gpu.GeForceFX5800Ultra()), lbm.New(n, n, n, 0.8))
+		if err == nil {
+			return n
+		}
+		if !errors.Is(err, gpu.ErrOutOfMemory) {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
+	}
+	return 0
 }
 
 func economics() {

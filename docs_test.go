@@ -86,7 +86,7 @@ var (
 	// beside the repository's own.
 	docGoFlags = map[string]bool{"race": true, "fuzz": true, "fuzztime": true, "benchtime": true,
 		"bench": true, "benchmem": true, "run": true, "count": true, "short": true, "cpu": true,
-		"skip": true, "vettool": true, "o": true, "l": true}
+		"skip": true, "o": true, "l": true}
 	// Files a documented command writes, not files the repository holds.
 	docGenerated = map[string]bool{"run.json": true, "plume.ppm": true, "streamlines.ppm": true}
 )

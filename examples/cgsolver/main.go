@@ -13,6 +13,7 @@ import (
 	"gpucluster/internal/fem"
 	"gpucluster/internal/gpu"
 	"gpucluster/internal/mpi"
+	"gpucluster/internal/sched"
 	"gpucluster/internal/sparse"
 )
 
@@ -31,7 +32,7 @@ func main() {
 	// 2. Distributed CG over 4 goroutine-nodes.
 	const ranks = 4
 	got := make([]float32, sys.A.Rows)
-	off, sz := sparse.RowPartition(sys.A.Rows, ranks)
+	off, sz := sched.Partition(sys.A.Rows, ranks)
 	world := mpi.NewWorld(ranks)
 	var distIters int
 	world.Run(func(c *mpi.Comm) {

@@ -279,7 +279,7 @@ func cgAdvance(j *Job, x0 []float32, iters int) ([]float32, sparse.SolveStats, e
 			target[i] = rhs[i] - ax[i]
 		}
 	}
-	off, sz := sparse.RowPartition(A.Rows, ranks)
+	off, sz := sched.Partition(A.Rows, ranks)
 	corr := make([]float32, A.Rows)
 	stats := make([]sparse.SolveStats, ranks)
 	world := mpi.NewWorld(ranks)

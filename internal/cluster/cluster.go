@@ -12,7 +12,7 @@
 //
 // An exchanged payload has exactly one owner at a time and is never
 // copied on its way: the slice a Node's PackBorder returns belongs to the
-// caller, Run hands it to the neighbor rank (mpi.SendOwned), and the
+// caller, Run hands it to the neighbor rank (mpi.Send), and the
 // Node whose UnpackGhost receives it keeps it, as the buffer its next
 // PackBorder of that face fills — the two directions of a face carry
 // equally long payloads. A steady-state step therefore allocates nothing.
@@ -101,27 +101,6 @@ type Block struct {
 	NX, NY, NZ int
 }
 
-// Decompose splits global extent g over p nodes as evenly as possible;
-// returns per-node offsets and sizes. The first (g mod p) nodes get one
-// extra cell.
-func Decompose(g, p int) (offsets, sizes []int) {
-	offsets = make([]int, p)
-	sizes = make([]int, p)
-	base := g / p
-	rem := g % p
-	off := 0
-	for i := 0; i < p; i++ {
-		sz := base
-		if i < rem {
-			sz++
-		}
-		offsets[i] = off
-		sizes[i] = sz
-		off += sz
-	}
-	return
-}
-
 // Sim is a parallel LBM simulation: persistent per-rank blocks plus the
 // message-passing world that connects them.
 type Sim struct {
@@ -152,9 +131,9 @@ func New(cfg Config) (*Sim, error) {
 		}
 	}
 	size := cfg.Grid.Size()
-	xo, xs := Decompose(cfg.Global[0], cfg.Grid.PX)
-	yo, ys := Decompose(cfg.Global[1], cfg.Grid.PY)
-	zo, zs := Decompose(cfg.Global[2], cfg.Grid.PZ)
+	xo, xs := sched.Partition(cfg.Global[0], cfg.Grid.PX)
+	yo, ys := sched.Partition(cfg.Global[1], cfg.Grid.PY)
+	zo, zs := sched.Partition(cfg.Global[2], cfg.Grid.PZ)
 
 	s := &Sim{
 		cfg:    cfg,
@@ -282,10 +261,10 @@ func (s *Sim) Run(steps int) {
 			tagPos := 2 * dim // payload traveling in +dim direction
 			tagNeg := 2*dim + 1
 			if posN[dim] >= 0 {
-				c.SendOwned(posN[dim], tagPos, node.PackBorder(dim, +1))
+				c.Send(posN[dim], tagPos, node.PackBorder(dim, +1))
 			}
 			if negN[dim] >= 0 {
-				c.SendOwned(negN[dim], tagNeg, node.PackBorder(dim, -1))
+				c.Send(negN[dim], tagNeg, node.PackBorder(dim, -1))
 			}
 			if negN[dim] >= 0 {
 				node.UnpackGhost(dim, -1, c.Recv(negN[dim], tagPos))

@@ -10,57 +10,6 @@ import (
 	"gpucluster/internal/vecmath"
 )
 
-func TestDecompose(t *testing.T) {
-	cases := []struct {
-		g, p      int
-		wantSizes []int
-	}{
-		{10, 2, []int{5, 5}},
-		{10, 3, []int{4, 3, 3}},
-		{7, 4, []int{2, 2, 2, 1}},
-		{5, 1, []int{5}},
-	}
-	for _, c := range cases {
-		off, sz := Decompose(c.g, c.p)
-		total := 0
-		for i := range sz {
-			if sz[i] != c.wantSizes[i] {
-				t.Errorf("Decompose(%d,%d) sizes = %v, want %v", c.g, c.p, sz, c.wantSizes)
-				break
-			}
-			if off[i] != total {
-				t.Errorf("Decompose(%d,%d) offset[%d] = %d, want %d", c.g, c.p, i, off[i], total)
-			}
-			total += sz[i]
-		}
-		if total != c.g {
-			t.Errorf("Decompose(%d,%d) covers %d cells", c.g, c.p, total)
-		}
-	}
-}
-
-func TestDecomposeProperty(t *testing.T) {
-	f := func(g, p uint8) bool {
-		gi := int(g%64) + 1
-		pi := int(p%8) + 1
-		if pi > gi {
-			pi = gi
-		}
-		off, sz := Decompose(gi, pi)
-		total := 0
-		for i := range sz {
-			if sz[i] <= 0 || off[i] != total {
-				return false
-			}
-			total += sz[i]
-		}
-		return total == gi
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
 // serialReference builds a single lbm.Lattice equivalent to cfg and runs
 // it the given number of steps.
 func serialReference(cfg Config, steps int) *lbm.Lattice {
@@ -260,6 +209,34 @@ func TestBorderMessageSizes(t *testing.T) {
 		if st.FloatsSent != 2*wantPerStep {
 			t.Errorf("rank %d sent %d floats, want %d", r, st.FloatsSent, 2*wantPerStep)
 		}
+	}
+}
+
+func TestTunnelTrafficPerStep(t *testing.T) {
+	// The lbm-cpu benchmark's shape: a 32^3 tunnel (inlet and outflow
+	// on x, walls elsewhere) on 2x2x2 ranks of 16^3. Each rank sends
+	// one border a split dimension, 5 links of a plane that includes
+	// the ghosts of the dimensions exchanged before it:
+	// 5*(16*16 + 18*16 + 18*18) = 4,340 floats, 34,720 for all 8.
+	cfg := Config{Global: [3]int{32, 32, 32}, Grid: sched.NodeGrid{PX: 2, PY: 2, PZ: 2}, Tau: 0.8}
+	cfg.Faces[lbm.FaceXNeg] = lbm.FaceSpec{Type: lbm.Inlet, U: vecmath.Vec3{0.04, 0, 0}}
+	cfg.Faces[lbm.FaceXPos] = lbm.FaceSpec{Type: lbm.Outflow}
+	for _, f := range []int{lbm.FaceYNeg, lbm.FaceYPos, lbm.FaceZNeg, lbm.FaceZPos} {
+		cfg.Faces[f] = lbm.FaceSpec{Type: lbm.Wall}
+	}
+	sim, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const steps = 2
+	sim.Run(steps)
+	var msgs, floats int64
+	for _, st := range sim.MPIStats() {
+		msgs += st.MessagesSent
+		floats += st.FloatsSent
+	}
+	if msgs != 24*steps || floats != 34720*steps {
+		t.Errorf("%d steps sent %d messages, %d floats; want %d and %d", steps, msgs, floats, 24*steps, 34720*steps)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"gpucluster/internal/mpi"
+	"gpucluster/internal/sched"
 	"gpucluster/internal/sparse"
 )
 
@@ -103,7 +104,7 @@ func TestDistributedFEMSolveMatchesSerial(t *testing.T) {
 	s := Assemble(NewUnitSquareMesh(12), f)
 	const ranks = 4
 	got := make([]float32, s.A.Rows)
-	off, sz := sparse.RowPartition(s.A.Rows, ranks)
+	off, sz := sched.Partition(s.A.Rows, ranks)
 	world := mpi.NewWorld(ranks)
 	world.Run(func(c *mpi.Comm) {
 		r := c.Rank()

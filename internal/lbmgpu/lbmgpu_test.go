@@ -1,6 +1,7 @@
 package lbmgpu
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -277,18 +278,28 @@ func TestGPUPassAndTransferAccounting(t *testing.T) {
 		gpu.Stats{}, bus.Stats{}, bus.Stats{Ops: 4 * n, Bytes: 4 * n * n * gpu.TexelBytes})
 }
 
-// TestSimulatorFitsPaperCard allocates the whole simulator for an 80³
-// sub-domain, the paper's per-node size, on its card: the seven stacks,
-// the ring, the stage, the six pbuffers and the three border textures
-// with their pbuffers fit in the 86 MB usable (it runs no step).
+// TestSimulatorFitsPaperCard allocates the whole simulator on the paper's
+// card (it sets no state and runs no step): the seven stacks, the ring,
+// the stage, the six pbuffers and the three border textures with their
+// pbuffers fit in the 86 MB usable for an 80³ sub-domain, the paper's
+// per-node size, and up to 89³, the simulator's limit, three cells
+// short of the paper's 92³; 90³ is out of memory.
 func TestSimulatorFitsPaperCard(t *testing.T) {
-	l := lbm.New(80, 80, 80, 0.8)
-	l.Init(1, vecmath.Vec3{})
-	dev := gpu.New(gpu.GeForceFX5800Ultra())
-	if _, err := New(dev, l); err != nil {
-		t.Fatal(err)
+	for _, c := range []struct {
+		n    int
+		fits bool
+	}{{80, true}, {89, true}, {90, false}} {
+		dev := gpu.New(gpu.GeForceFX5800Ultra())
+		_, err := New(dev, lbm.New(c.n, c.n, c.n, 0.8))
+		switch {
+		case c.fits && err != nil:
+			t.Errorf("%d³: %v", c.n, err)
+		case !c.fits && !errors.Is(err, gpu.ErrOutOfMemory):
+			t.Errorf("%d³: err = %v, want gpu.ErrOutOfMemory", c.n, err)
+		case c.fits:
+			t.Logf("%d³ sub-domain: %.1f of %.1f MB", c.n, float64(dev.UsedMemory())/(1<<20), float64(dev.UsableMemory())/(1<<20))
+		}
 	}
-	t.Logf("80³ sub-domain: %.1f of %.1f MB", float64(dev.UsedMemory())/(1<<20), float64(dev.UsableMemory())/(1<<20))
 }
 
 func TestGPURejectsUnsupportedConfigs(t *testing.T) {

@@ -176,3 +176,29 @@ func TestCostMatchesExecutedStep(t *testing.T) {
 		}
 	}
 }
+
+// TestGPUTunnelTrafficPerStep holds the lbm-gpu benchmark's exchange on
+// simulated-GPU ranks: the tunnel of statsCases on 2x2x1 ranks of
+// 16x16x16 sends one border a split dimension from each rank,
+// 5*(16*16 + 18*16) = 2,720 floats, so 8 messages and 10,880 floats a
+// step in all.
+func TestGPUTunnelTrafficPerStep(t *testing.T) {
+	cfg := statsCases[0].cfg()
+	cfg.NewNode = func(rank int, sub *lbm.Lattice) (cluster.Node, error) {
+		return New(gpu.New(gpu.Config{TextureMemory: 256 << 20, Workers: 1}), sub)
+	}
+	sim, err := cluster.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const steps = 2
+	sim.Run(steps)
+	var msgs, floats int64
+	for _, st := range sim.MPIStats() {
+		msgs += st.MessagesSent
+		floats += st.FloatsSent
+	}
+	if msgs != 8*steps || floats != 10880*steps {
+		t.Errorf("%d steps sent %d messages, %d floats; want %d and %d", steps, msgs, floats, 8*steps, 10880*steps)
+	}
+}

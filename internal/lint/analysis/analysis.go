@@ -2,10 +2,9 @@
 // golang.org/x/tools/go/analysis API, just large enough to host the
 // batchlint analyzers (internal/lint). The repo builds with no module
 // dependencies — the real x/tools framework cannot be vendored — so
-// this package mirrors its shape (Analyzer, Pass, Diagnostic) and the
-// cmd/batchlint driver speaks cmd/go's vettool config protocol
-// directly. Analyzers written against this package port to the real
-// framework by swapping the import and the Run signature.
+// this package mirrors its shape (Analyzer, Pass, Diagnostic). Analyzers
+// written against this package port to the real framework by swapping
+// the import and the Run signature.
 package analysis
 
 import (
@@ -23,8 +22,8 @@ type Analyzer struct {
 	// Name identifies the analyzer. It must be a valid Go identifier;
 	// //batchlint:allow directives reference it.
 	Name string
-	// Doc is the one-paragraph description printed by the driver's
-	// -help output and quoted in docs/ARCHITECTURE.md.
+	// Doc is the one-paragraph description quoted in
+	// docs/ARCHITECTURE.md.
 	Doc string
 	// Run applies the check to one unit, reporting findings through
 	// pass.Report. A non-nil error aborts the whole run (reserved for
@@ -41,15 +40,14 @@ type Pass struct {
 	// Fset maps token positions for every file in the unit.
 	Fset *token.FileSet
 	// Files are the parsed files of the unit, including in-package
-	// _test.go files when the unit was built for a test (this matches
-	// what cmd/go hands a vettool).
+	// _test.go files when the unit was built for a test.
 	Files []*ast.File
 	// Pkg is the type-checked package.
 	Pkg *types.Package
 	// TypesInfo holds the Types/Defs/Uses/Selections maps for Files.
 	TypesInfo *types.Info
-	// Report delivers one finding. The driver wires suppression
-	// (//batchlint:allow) and output formatting behind it.
+	// Report delivers one finding. lint.Run wires suppression
+	// (//batchlint:allow) behind it.
 	Report func(Diagnostic)
 }
 

@@ -27,8 +27,8 @@
 // mandatory: a bare //batchlint:allow is itself a finding, so every
 // waiver in the tree documents why the rule does not apply.
 //
-// The driver is cmd/batchlint, run as a go vet -vettool; see the
-// "Static analysis" section of the README.
+// TestRepoClean runs the suite over the scheduler core and its
+// transport; see the "Static analysis" section of the README.
 package lint
 
 import (
@@ -61,16 +61,15 @@ func Analyzers() []*analysis.Analyzer {
 }
 
 // Finding is one surviving diagnostic: analyzer, resolved position,
-// message. The driver prints these in file/line order.
+// message.
 type Finding struct {
 	Analyzer string
 	Pos      token.Position
 	Message  string
 }
 
-// Unit is one type-checked package as handed to the suite: the shape
-// cmd/batchlint reconstructs from a vet config and the test loaders
-// build from source.
+// Unit is one type-checked package as handed to the suite, built from
+// source by linttest's loader.
 type Unit struct {
 	Fset  *token.FileSet
 	Files []*ast.File

@@ -61,9 +61,8 @@ func NewLoader(roots map[string]string) *Loader {
 }
 
 // Load type-checks the package at the import path. includeTests also
-// parses in-package _test.go files into the unit (what cmd/go hands a
-// vettool for a tested package); transitive imports never include
-// tests.
+// parses in-package _test.go files into the unit; transitive imports
+// never include tests.
 func (l *Loader) Load(path string, includeTests bool) (lint.Unit, error) {
 	dir, ok := l.resolve(path)
 	if !ok {

@@ -6,14 +6,13 @@
 // recorded so the network model (package netsim / perfmodel) can attach
 // costs to the same traffic.
 //
-// Semantics: Send copies the payload and is asynchronous up to a bounded
-// buffer (like MPI's eager protocol for small messages); SendOwned hands
-// the payload over instead, so that a payload always has exactly one
-// owner: the sender until the call, the receiver from Recv on. Recv
-// matches by (source, tag) and blocks. A watchdog fails a Send or Recv
-// blocked longer than a configurable timeout so that an incorrect
-// communication schedule deadlocks loudly in tests instead of hanging
-// forever.
+// Semantics: Send hands the payload over without a copy and is
+// asynchronous up to a bounded buffer (like MPI's eager protocol for
+// small messages), so that a payload always has exactly one owner: the
+// sender until the call, the receiver from Recv on. Recv matches by
+// (source, tag) and blocks. A watchdog fails a Send or Recv blocked
+// longer than a configurable timeout so that an incorrect communication
+// schedule deadlocks loudly in tests instead of hanging forever.
 package mpi
 
 import (
@@ -141,18 +140,11 @@ func (c *Comm) Rank() int { return c.rank }
 // Size returns the number of ranks in the world.
 func (c *Comm) Size() int { return c.world.size }
 
-// Send delivers a copy of data to rank dst with the given tag. It blocks
-// only if the destination's mailbox for this source is full.
+// Send delivers data to rank dst with the given tag. It blocks only if
+// the destination's mailbox for this source is full. data itself is
+// delivered, not a copy, and belongs to the receiver from this call on:
+// the caller must neither read nor write it afterwards.
 func (c *Comm) Send(dst, tag int, data []float32) {
-	buf := make([]float32, len(data))
-	copy(buf, data)
-	c.SendOwned(dst, tag, buf)
-}
-
-// SendOwned is Send without the copy: data itself is delivered, and
-// belongs to the receiver from this call on. The caller must neither
-// read nor write it afterwards.
-func (c *Comm) SendOwned(dst, tag int, data []float32) {
 	if dst < 0 || dst >= c.world.size {
 		panic(fmt.Sprintf("mpi: send to invalid rank %d (size %d)", dst, c.world.size))
 	}
@@ -207,24 +199,24 @@ func (c *Comm) Recv(src, tag int) []float32 {
 	return m.data
 }
 
-// Bcast broadcasts data from root: root's data is returned on every rank.
+// Bcast broadcasts data from root: a copy of root's data is returned on
+// every rank, and root's data stays its caller's.
 func (c *Comm) Bcast(root int, data []float32) []float32 {
 	const tag = -1000 // internal tag range
 	if c.rank == root {
 		for r := 0; r < c.world.size; r++ {
 			if r != root {
-				c.Send(r, tag, data)
+				c.Send(r, tag, append([]float32(nil), data...))
 			}
 		}
-		out := make([]float32, len(data))
-		copy(out, data)
-		return out
+		return append([]float32(nil), data...)
 	}
 	return c.Recv(root, tag)
 }
 
-// Gather collects each rank's payload at root; root receives a slice of
-// per-rank payloads ordered by rank, others receive nil.
+// Gather collects a copy of each rank's payload at root; root receives a
+// slice of per-rank payloads ordered by rank, others receive nil. Every
+// rank's data stays its caller's.
 func (c *Comm) Gather(root int, data []float32) [][]float32 {
 	const tag = -1001
 	if c.rank == root {
@@ -237,7 +229,7 @@ func (c *Comm) Gather(root int, data []float32) [][]float32 {
 		}
 		return out
 	}
-	c.Send(root, tag, data)
+	c.Send(root, tag, append([]float32(nil), data...))
 	return nil
 }
 

@@ -21,24 +21,6 @@ func TestSendRecvBasic(t *testing.T) {
 	})
 }
 
-func TestSendCopiesPayload(t *testing.T) {
-	w := NewWorld(2)
-	mutated := make(chan struct{})
-	w.Run(func(c *Comm) {
-		if c.Rank() == 0 {
-			buf := []float32{42}
-			c.Send(1, 0, buf)
-			buf[0] = -1 // mutating after send must not affect delivery
-			close(mutated)
-		} else {
-			<-mutated
-			if got := c.Recv(0, 0); got[0] != 42 {
-				t.Errorf("payload was not copied: %v", got)
-			}
-		}
-	})
-}
-
 func TestRecvAnyTag(t *testing.T) {
 	w := NewWorld(2)
 	w.Run(func(c *Comm) {
@@ -111,6 +93,53 @@ func TestGather(t *testing.T) {
 	})
 }
 
+func TestBcastCopiesPayload(t *testing.T) {
+	// Root's data stays its caller's, and every rank gets an array of
+	// its own: writes on one rank reach no other.
+	data := []float32{1, 2}
+	results := make([][]float32, 3)
+	w := NewWorld(3)
+	w.Run(func(c *Comm) {
+		var in []float32
+		if c.Rank() == 1 {
+			in = data
+		}
+		got := c.Bcast(1, in)
+		got[0] = float32(10 + c.Rank())
+		results[c.Rank()] = got
+	})
+	if data[0] != 1 {
+		t.Errorf("root's data = %v after Bcast, want it untouched", data)
+	}
+	for r, got := range results {
+		if got[0] != float32(10+r) || got[1] != 2 {
+			t.Errorf("rank %d bcast = %v, want [%d 2]", r, got, 10+r)
+		}
+	}
+}
+
+func TestGatherCopiesPayload(t *testing.T) {
+	// Every rank's data, root's included, stays its caller's: root's
+	// gathered parts alias none of them.
+	mine := make([][]float32, 3)
+	var parts [][]float32
+	w := NewWorld(3)
+	w.Run(func(c *Comm) {
+		mine[c.Rank()] = []float32{float32(c.Rank())}
+		if p := c.Gather(0, mine[c.Rank()]); c.Rank() == 0 {
+			parts = p
+		}
+	})
+	for r, p := range parts {
+		if p[0] != float32(r) {
+			t.Errorf("gathered[%d] = %v", r, p)
+		}
+		if &p[0] == &mine[r][0] {
+			t.Errorf("gathered[%d] is rank %d's own array", r, r)
+		}
+	}
+}
+
 func TestAllreduceSum(t *testing.T) {
 	const n = 6
 	w := NewWorld(n)
@@ -140,22 +169,28 @@ func TestAllreduceMaxMin(t *testing.T) {
 }
 
 func TestStatsAccounting(t *testing.T) {
-	w := NewWorld(2)
+	// Each rank counts only what it sent, however many ranks send to
+	// the same destination.
+	w := NewWorld(3)
 	w.Run(func(c *Comm) {
-		if c.Rank() == 0 {
-			c.Send(1, 0, make([]float32, 100))
-			c.Send(1, 1, make([]float32, 50))
+		if c.Rank() < 2 {
+			c.Send(2, 0, make([]float32, 100))
+			c.Send(2, 1, make([]float32, 50))
 		} else {
-			c.Recv(0, 0)
-			c.Recv(0, 1)
+			for src := 0; src < 2; src++ {
+				c.Recv(src, 0)
+				c.Recv(src, 1)
+			}
 		}
 	})
 	s := w.Stats()
-	if s[0].MessagesSent != 2 || s[0].FloatsSent != 150 {
-		t.Errorf("rank 0 stats = %+v", s[0])
+	for r := 0; r < 2; r++ {
+		if s[r].MessagesSent != 2 || s[r].FloatsSent != 150 {
+			t.Errorf("rank %d stats = %+v, want 2 messages of 150 floats", r, s[r])
+		}
 	}
-	if s[1].MessagesSent != 0 {
-		t.Errorf("rank 1 stats = %+v", s[1])
+	if s[2].MessagesSent != 0 {
+		t.Errorf("rank 2 stats = %+v", s[2])
 	}
 }
 
@@ -223,41 +258,18 @@ func TestManyRanksAllToAllNeighbors(t *testing.T) {
 	})
 }
 
-func TestSendOwnedDeliversTheSameArray(t *testing.T) {
+func TestSendDeliversTheSameArray(t *testing.T) {
 	// No copy on the way: the receiver gets the very slice the sender
 	// gave up.
 	buf := []float32{1, 2, 3}
 	w := NewWorld(2)
 	w.Run(func(c *Comm) {
 		if c.Rank() == 0 {
-			c.SendOwned(1, 4, buf)
+			c.Send(1, 4, buf)
 		} else if got := c.Recv(0, 4); len(got) != len(buf) || &got[0] != &buf[0] {
 			t.Errorf("recv = %v at %p, want the sender's slice at %p", got, &got[0], &buf[0])
 		}
 	})
-}
-
-func TestBothSendsCountTheSame(t *testing.T) {
-	w := NewWorld(3)
-	w.Run(func(c *Comm) {
-		switch c.Rank() {
-		case 0:
-			c.Send(2, 0, make([]float32, 100))
-			c.Send(2, 1, make([]float32, 50))
-		case 1:
-			c.SendOwned(2, 0, make([]float32, 100))
-			c.SendOwned(2, 1, make([]float32, 50))
-		default:
-			for src := 0; src < 2; src++ {
-				c.Recv(src, 0)
-				c.Recv(src, 1)
-			}
-		}
-	})
-	s := w.Stats()
-	if s[0] != s[1] || s[0].MessagesSent != 2 || s[0].FloatsSent != 150 {
-		t.Errorf("Send counted %+v, SendOwned %+v, want 2 messages of 150 floats each", s[0], s[1])
-	}
 }
 
 func TestSendTimeoutDetectsFullMailbox(t *testing.T) {
@@ -276,7 +288,7 @@ func TestSendTimeoutDetectsFullMailbox(t *testing.T) {
 	w.Run(func(c *Comm) {
 		if c.Rank() == 0 {
 			for i := 0; i < 1000; i++ {
-				c.SendOwned(1, i, nil)
+				c.Send(1, i, nil)
 			}
 		}
 	})
@@ -307,7 +319,7 @@ func TestWatchdogRearmsAfterAWait(t *testing.T) {
 		} else {
 			for i := 0; i < waits; i++ {
 				time.Sleep(30 * time.Millisecond) // 300ms in all: beyond one timeout
-				c.SendOwned(0, i, nil)
+				c.Send(0, i, nil)
 			}
 		}
 	})

@@ -93,15 +93,17 @@ func Economics() EconomicsRow {
 	}
 }
 
+// PaperMaxLattice is Section 4.2's texture-memory limit: 86 MB of
+// usable texture memory capped a single GPU's lattice at 92^3.
+const PaperMaxLattice = 92
+
 // SingleGPURow captures the Section 4.2 single-GPU result: the GeForce
 // FX 5900 Ultra ran the BGK LBM about 8x faster than a software version
-// on a Pentium IV 2.53 GHz, and 86 MB of texture memory capped the
-// lattice at 92^3.
+// on a Pentium IV 2.53 GHz.
 type SingleGPURow struct {
 	GPUCellsPerSec float64
 	CPUCellsPerSec float64
 	Speedup        float64
-	MaxLattice     int
 }
 
 // SingleGPU derives the single-GPU comparison from the hardware rates.
@@ -110,6 +112,5 @@ func (h Hardware) SingleGPU() SingleGPURow {
 		GPUCellsPerSec: h.GPUCellsPerSec,
 		CPUCellsPerSec: h.CPUCellsPerSec,
 		Speedup:        h.GPUCellsPerSec / h.CPUCellsPerSec,
-		MaxLattice:     92,
 	}
 }

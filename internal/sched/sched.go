@@ -53,6 +53,27 @@ func (g NodeGrid) String() string {
 	return fmt.Sprintf("%dx%dx%d", g.PX, g.PY, g.PZ)
 }
 
+// Partition splits n items (cells of one lattice extent, rows of a
+// matrix) contiguously over p ranks as evenly as possible and returns
+// per-rank offsets and sizes. The first n mod p ranks get one extra
+// item.
+func Partition(n, p int) (offsets, sizes []int) {
+	offsets = make([]int, p)
+	sizes = make([]int, p)
+	base, rem := n/p, n%p
+	off := 0
+	for i := 0; i < p; i++ {
+		sz := base
+		if i < rem {
+			sz++
+		}
+		offsets[i] = off
+		sizes[i] = sz
+		off += sz
+	}
+	return
+}
+
 // Arrange2D factors n nodes into the most square PX x PY x 1 grid with
 // PX >= PY, matching the paper's arrangements (e.g. 30 nodes -> 6x5,
 // 32 -> 8x4, 28 -> 7x4).

@@ -408,3 +408,54 @@ func forEachPosition(g NodeGrid, visit func(i, j, k int)) {
 		}
 	}
 }
+
+func TestDecompose(t *testing.T) {
+	cases := []struct {
+		g, p      int
+		wantSizes []int
+	}{
+		{10, 2, []int{5, 5}},
+		{10, 3, []int{4, 3, 3}},
+		{7, 4, []int{2, 2, 2, 1}},
+		{5, 1, []int{5}},
+	}
+	for _, c := range cases {
+		off, sz := Partition(c.g, c.p)
+		total := 0
+		for i := range sz {
+			if sz[i] != c.wantSizes[i] {
+				t.Errorf("Partition(%d,%d) sizes = %v, want %v", c.g, c.p, sz, c.wantSizes)
+				break
+			}
+			if off[i] != total {
+				t.Errorf("Partition(%d,%d) offset[%d] = %d, want %d", c.g, c.p, i, off[i], total)
+			}
+			total += sz[i]
+		}
+		if total != c.g {
+			t.Errorf("Partition(%d,%d) covers %d cells", c.g, c.p, total)
+		}
+	}
+}
+
+func TestDecomposeProperty(t *testing.T) {
+	f := func(g, p uint8) bool {
+		gi := int(g%64) + 1
+		pi := int(p%8) + 1
+		if pi > gi {
+			pi = gi
+		}
+		off, sz := Partition(gi, pi)
+		total := 0
+		for i := range sz {
+			if sz[i] <= 0 || off[i] != total {
+				return false
+			}
+			total += sz[i]
+		}
+		return total == gi
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"gpucluster/internal/mpi"
+	"gpucluster/internal/sched"
 )
 
 // Distributed matrix-vector multiplication per Figure 15 of the paper:
@@ -13,25 +14,6 @@ import (
 // (local) points plus proxy elements for the neighbor points referenced
 // by off-range columns. Each multiply first refreshes the proxy elements
 // over the network, then runs a purely local matvec.
-
-// RowPartition splits n rows contiguously over p ranks (even split,
-// first ranks take the remainder).
-func RowPartition(n, p int) (offsets, sizes []int) {
-	offsets = make([]int, p)
-	sizes = make([]int, p)
-	base, rem := n/p, n%p
-	off := 0
-	for i := 0; i < p; i++ {
-		sz := base
-		if i < rem {
-			sz++
-		}
-		offsets[i] = off
-		sizes[i] = sz
-		off += sz
-	}
-	return
-}
 
 // DistMatrix is one rank's share of a distributed CSR matrix.
 type DistMatrix struct {
@@ -42,31 +24,26 @@ type DistMatrix struct {
 	// local is the local matrix: columns renumbered into the local
 	// vector layout [local points | proxy points] (Figure 15).
 	local *CSR
-	// proxyOwner/proxyIndex describe each proxy slot: the owning rank
-	// and the index within that rank's local range.
+	// proxyOwner is each proxy slot's owning rank.
 	proxyOwner []int
-	proxyIndex []int
 	// needFrom[r] lists the local indices (at the owner) of elements
 	// this rank needs from rank r; sendTo is the mirror image, built in
 	// Setup: the local element indices rank r wants from us.
 	needFrom map[int][]int
 	sendTo   map[int][]int
-	offsets  []int
-	sizes    []int
 }
 
-// NewDistMatrix extracts rank's share of the global matrix a, renumbering
-// off-range columns into proxy slots.
+// NewDistMatrix extracts rank's share of the global matrix a, rows split
+// by sched.Partition, renumbering off-range columns into proxy slots.
 func NewDistMatrix(a *CSR, rank, ranks int) *DistMatrix {
 	if a.Rows != a.Cols {
 		panic("sparse: distributed matvec needs a square matrix")
 	}
-	offsets, sizes := RowPartition(a.Rows, ranks)
+	offsets, sizes := sched.Partition(a.Rows, ranks)
 	d := &DistMatrix{
 		Rank: rank, Ranks: ranks,
 		RowOffset: offsets[rank], LocalRows: sizes[rank],
 		needFrom: map[int][]int{}, sendTo: map[int][]int{},
-		offsets: offsets, sizes: sizes,
 	}
 	ownerOf := func(col int) int {
 		for r := 0; r < ranks; r++ {
@@ -92,7 +69,6 @@ func NewDistMatrix(a *CSR, rank, ranks int) *DistMatrix {
 					proxySlot[col] = slot
 					owner := ownerOf(col)
 					d.proxyOwner = append(d.proxyOwner, owner)
-					d.proxyIndex = append(d.proxyIndex, col-offsets[owner])
 					d.needFrom[owner] = append(d.needFrom[owner], col-offsets[owner])
 				}
 				lc = d.LocalRows + slot

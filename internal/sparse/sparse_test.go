@@ -8,6 +8,7 @@ import (
 
 	"gpucluster/internal/gpu"
 	"gpucluster/internal/mpi"
+	"gpucluster/internal/sched"
 )
 
 func TestCSRAssembly(t *testing.T) {
@@ -84,12 +85,18 @@ func TestSolversHandleZeroRHS(t *testing.T) {
 }
 
 func TestRowPartition(t *testing.T) {
-	off, sz := RowPartition(10, 3)
-	if sz[0] != 4 || sz[1] != 3 || sz[2] != 3 {
-		t.Errorf("sizes = %v", sz)
+	// NewDistMatrix splits rows contiguously, the first n mod p ranks
+	// one row longer: 10 rows over 3 ranks are 4, 3, 3 at 0, 4, 7.
+	var tr []Triplet
+	for r := 0; r < 10; r++ {
+		tr = append(tr, Triplet{r, r, 1})
 	}
-	if off[0] != 0 || off[1] != 4 || off[2] != 7 {
-		t.Errorf("offsets = %v", off)
+	a := NewCSR(10, 10, tr)
+	for r, want := range [][2]int{{0, 4}, {4, 3}, {7, 3}} {
+		d := NewDistMatrix(a, r, 3)
+		if d.RowOffset != want[0] || d.LocalRows != want[1] {
+			t.Errorf("rank %d: rows %d+%d, want %d+%d", r, d.RowOffset, d.LocalRows, want[0], want[1])
+		}
 	}
 }
 
@@ -99,7 +106,7 @@ func TestDistributedMatVecMatchesSerial(t *testing.T) {
 	want := a.MulVec(x)
 	for _, ranks := range []int{1, 2, 3, 4} {
 		got := make([]float32, a.Rows)
-		off, sz := RowPartition(a.Rows, ranks)
+		off, sz := sched.Partition(a.Rows, ranks)
 		world := mpi.NewWorld(ranks)
 		world.Run(func(c *mpi.Comm) {
 			r := c.Rank()
@@ -125,7 +132,7 @@ func TestDistributedCGMatchesSerial(t *testing.T) {
 	b := a.MulVec(xTrue)
 	for _, ranks := range []int{2, 4} {
 		got := make([]float32, a.Rows)
-		off, sz := RowPartition(a.Rows, ranks)
+		off, sz := sched.Partition(a.Rows, ranks)
 		world := mpi.NewWorld(ranks)
 		world.Run(func(c *mpi.Comm) {
 			r := c.Rank()
