@@ -131,32 +131,39 @@ func BenchmarkAblations(b *testing.B) {
 	}
 }
 
-// BenchmarkSingleNodeCPUStep measures the real CPU reference step (the
-// functional analog of Table 1's CPU column, scaled to 32^3): on the
-// periodic empty box, which never takes a bounce-back branch, and on a
-// wind tunnel (inlet, outflow, four walls and a block on the floor).
-func BenchmarkSingleNodeCPUStep(b *testing.B) {
-	periodic := lbm.New(32, 32, 32, 0.8)
-	tunnel := lbm.New(32, 32, 32, 0.8)
-	tunnel.Faces[lbm.FaceXNeg] = lbm.FaceSpec{Type: lbm.Inlet, U: vecmath.Vec3{0.04, 0, 0}}
-	tunnel.Faces[lbm.FaceXPos] = lbm.FaceSpec{Type: lbm.Outflow}
+// cpuTunnel is the 32^3 wind tunnel of the CPU kernel benchmarks: inlet,
+// outflow, four walls and a block on the floor.
+func cpuTunnel() *lbm.Lattice {
+	l := lbm.New(32, 32, 32, 0.8)
+	l.Faces[lbm.FaceXNeg] = lbm.FaceSpec{Type: lbm.Inlet, U: vecmath.Vec3{0.04, 0, 0}}
+	l.Faces[lbm.FaceXPos] = lbm.FaceSpec{Type: lbm.Outflow}
 	for _, f := range []int{lbm.FaceYNeg, lbm.FaceYPos, lbm.FaceZNeg, lbm.FaceZPos} {
-		tunnel.Faces[f] = lbm.FaceSpec{Type: lbm.Wall}
+		l.Faces[f] = lbm.FaceSpec{Type: lbm.Wall}
 	}
 	for z := 0; z < 20; z++ {
 		for y := 12; y < 20; y++ {
 			for x := 12; x < 20; x++ {
-				tunnel.SetSolid(x, y, z, true)
+				l.SetSolid(x, y, z, true)
 			}
 		}
 	}
+	l.Init(1, vecmath.Vec3{0.02, 0, 0})
+	return l
+}
+
+// BenchmarkSingleNodeCPUStep measures the real CPU reference step (the
+// functional analog of Table 1's CPU column, scaled to 32^3): on the
+// periodic empty box, which never takes a bounce-back branch, and on
+// cpuTunnel.
+func BenchmarkSingleNodeCPUStep(b *testing.B) {
+	periodic := lbm.New(32, 32, 32, 0.8)
+	periodic.Init(1, vecmath.Vec3{0.02, 0, 0})
 	for _, c := range []struct {
 		name string
 		l    *lbm.Lattice
-	}{{"periodic", periodic}, {"tunnel", tunnel}} {
+	}{{"periodic", periodic}, {"tunnel", cpuTunnel()}} {
 		b.Run(c.name, func(b *testing.B) {
 			l := c.l
-			l.Init(1, vecmath.Vec3{0.02, 0, 0})
 			b.SetBytes(int64(l.Cells()) * lbm.Q * 4)
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -212,29 +219,27 @@ func BenchmarkClusterStep(b *testing.B) {
 	}
 }
 
-// BenchmarkCollisionKernel measures the BGK and MRT collision operators.
+// BenchmarkCollisionKernel measures Lattice.Collide, the shipped BGK
+// and MRT kernels, on cpuTunnel a few steps in, per interior cell.
 func BenchmarkCollisionKernel(b *testing.B) {
-	var f, post, feq [lbm.Q]float32
-	lbm.Feq(&f, 1, 0.05, 0.01, -0.02)
-	b.Run("BGK", func(b *testing.B) {
-		omega := float32(1 / 0.8)
-		for i := 0; i < b.N; i++ {
-			rho, ux, uy, uz := lbm.Moments(&f)
-			lbm.Feq(&feq, rho, ux, uy, uz)
-			for k := 0; k < lbm.Q; k++ {
-				post[k] = f[k] - omega*(f[k]-feq[k])
+	for _, c := range []struct {
+		name string
+		op   lbm.CollisionOp
+	}{{"BGK", nil}, {"MRT", lbm.NewMRT(0.8)}} {
+		b.Run(c.name, func(b *testing.B) {
+			l := cpuTunnel()
+			l.Collision = c.op
+			for i := 0; i < 5; i++ {
+				l.Step()
 			}
-		}
-		sink = post
-	})
-	b.Run("MRT", func(b *testing.B) {
-		mrt := lbm.NewMRT(0.8)
-		for i := 0; i < b.N; i++ {
-			rho, ux, uy, uz := lbm.Moments(&f)
-			mrt.Collide(&f, &post, rho, ux, uy, uz)
-		}
-		sink = post
-	})
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				l.Collide()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(l.Cells()), "ns/cell")
+		})
+	}
 }
 
 // BenchmarkBorderExchange measures the pack/exchange/unpack cycle the

@@ -103,10 +103,9 @@ func table1() {
 		"nodes", "CPU total", "GPU comp", "GPU<->CPU", "net nonovl", "GPU total", "speedup")
 	for i, r := range rows {
 		p := perfmodel.PaperTable1[i]
-		m, ok := priced[r.Nodes]
 		cell := "-"
-		if ok {
-			cell = fmt.Sprintf("%.0f", ms(m))
+		if m, ok := priced[r.Nodes]; ok {
+			cell = fmt.Sprintf("%.0f", ms(m.time))
 		}
 		fmt.Printf("%5d | %4.0f / %4.0f | %4.0f / %4.0f %4.0f / %4.0f / %4s %5.0f / %5.0f %4.0f / %4.0f | %4.2f / %4.2f\n",
 			r.Nodes,
@@ -119,37 +118,55 @@ func table1() {
 	}
 	grids := make([]string, len(pricedNodes))
 	for i, n := range pricedNodes {
-		grids[i] = sched.Arrange2D(n).String()
+		grids[i] = fmt.Sprintf("%s (rank %d)", sched.Arrange2D(n), priced[n].rank)
 	}
-	fmt.Println("GPU<->CPU measured: rank 0's simulated AGP time for one step of the functional simulator")
-	fmt.Println("(its step plan priced at 80^3 by lbmgpu.Plan.Cost, which is pinned equal to the executed")
-	fmt.Printf("step; rank 0, a corner, of the model's %s grids, walled all round; - where not priced)\n",
-		strings.Join(grids, ", "))
+	fmt.Println("GPU<->CPU measured: simulated AGP time for one step of the functional simulator on the")
+	fmt.Printf("busiest rank of the model's %s grids, walled all round\n", strings.Join(grids, ", "))
+	fmt.Println("(its step plan priced at 80^3 by lbmgpu.Plan.Cost, pinned equal to the executed step); - where not priced")
 }
 
 // pricedNodes are the node counts whose GPU<->CPU cell is priced.
 var pricedNodes = []int{2, 4, 8}
 
-// pricedGPUCPU prices rank 0's step plan at the paper's size on the
-// model's grid (sched.Arrange2D) for each of pricedNodes and returns its
-// GPU<->CPU time, by node count: walls on every side, so the rank
-// exchanges across its high faces of the split dimensions only.
-func pricedGPUCPU() map[int]time.Duration {
-	out := map[int]time.Duration{}
+// pricedCell is one priced GPU<->CPU cell: the rank whose step moves
+// the most over the bus, the first of them on a tie, and its time.
+type pricedCell struct {
+	rank int
+	time time.Duration
+}
+
+// pricedGPUCPU prices every rank's step plan at the paper's size on the
+// model's grid (sched.Arrange2D) for each of pricedNodes and returns the
+// busiest rank's GPU<->CPU time, by node count: walls on every side, so
+// a rank exchanges across its faces toward the other ranks only.
+func pricedGPUCPU() map[int]pricedCell {
+	out := map[int]pricedCell{}
 	for _, nodes := range pricedNodes {
 		g := sched.Arrange2D(nodes)
-		var faces [lbm.NumFaces]lbm.FaceSpec
-		for dim, n := range [3]int{g.PX, g.PY, g.PZ} {
-			faces[2*dim] = lbm.FaceSpec{Type: lbm.Wall}
-			faces[2*dim+1] = faces[2*dim]
-			if n > 1 {
-				faces[2*dim+1].Type = lbm.Ghost
+		for rank := 0; rank < nodes; rank++ {
+			i, j, k := g.Coords(rank)
+			var faces [lbm.NumFaces]lbm.FaceSpec
+			for dim, n := range [3]int{g.PX, g.PY, g.PZ} {
+				at := [3]int{i, j, k}[dim]
+				faces[2*dim] = rankFace(at > 0)
+				faces[2*dim+1] = rankFace(at < n-1)
+			}
+			c := lbmgpu.NewPlan(sub80, faces).Cost(gpu.GeForceFX5800Ultra().Bus)
+			if t := c.Up.Time + c.Down.Time; rank == 0 || t > out[nodes].time {
+				out[nodes] = pricedCell{rank, t}
 			}
 		}
-		c := lbmgpu.NewPlan(sub80, faces).Cost(gpu.GeForceFX5800Ultra().Bus)
-		out[nodes] = c.Up.Time + c.Down.Time
 	}
 	return out
+}
+
+// rankFace is a rank's face toward another rank (exchanged) or toward
+// the domain's wall.
+func rankFace(inner bool) lbm.FaceSpec {
+	if inner {
+		return lbm.FaceSpec{Type: lbm.Ghost}
+	}
+	return lbm.FaceSpec{Type: lbm.Wall}
 }
 
 func table2() {

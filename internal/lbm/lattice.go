@@ -88,7 +88,8 @@ type Lattice struct {
 	step       int
 
 	// Scratch of the kernels, overwritten by every call: Stream's
-	// per-row summary of Solid and Collide's current cell.
+	// per-row summary of Solid, and the operands of Collide's
+	// CollisionOp call (BGK keeps its cell in locals).
 	rowSolid       []bool
 	cell, cellPost [Q]float32
 }

@@ -428,6 +428,39 @@ func TestStepCount(t *testing.T) {
 	}
 }
 
+// TestStepAllocatesNothing: a step allocates nothing on any collide path
+// (BGK bare, with a uniform Force or a ForceField, and MRT), so neither
+// the fused BGK kernel's locals nor the CollisionOp call's operands move
+// to the heap.
+func TestStepAllocatesNothing(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		set  func(l *Lattice)
+	}{
+		{"BGK", func(*Lattice) {}},
+		{"Force", func(l *Lattice) { l.Force = vecmath.Vec3{1e-4, 0, -2e-5} }},
+		{"ForceField", func(l *Lattice) {
+			l.ForceField = make([]vecmath.Vec3, len(l.Solid))
+			for c := range l.ForceField {
+				l.ForceField[c] = vecmath.Vec3{0, 1e-4, float32(c%3) * 1e-5}
+			}
+		}},
+		{"MRT", func(l *Lattice) { l.Collision = NewMRT(0.8) }},
+	} {
+		l := New(6, 5, 4, 0.8)
+		l.Faces[FaceXNeg] = FaceSpec{Type: Inlet, U: vecmath.Vec3{0.04, 0, 0}}
+		l.Faces[FaceXPos] = FaceSpec{Type: Outflow}
+		l.Faces[FaceZNeg] = FaceSpec{Type: Wall}
+		l.SetSolid(2, 2, 0, true)
+		tc.set(l)
+		l.Init(1, vecmath.Vec3{})
+		l.Step()
+		if allocs := testing.AllocsPerRun(10, l.Step); allocs != 0 {
+			t.Errorf("%s: Step allocates %v times, want 0", tc.name, allocs)
+		}
+	}
+}
+
 // viscosity returns the kinematic viscosity implied by relaxation time
 // tau: nu = (tau - 1/2) * c_s^2.
 func viscosity(tau float32) float32 { return (tau - 0.5) * CsSq }

@@ -42,38 +42,60 @@ func (l *Lattice) StepWithExchange(exchange func(dim int)) {
 // Collide computes post-collision distributions for every interior fluid
 // cell, caching per-cell density. Solid interior cells keep their current
 // distributions (they are never read except through bounce-back, which
-// uses the fluid cell's own post-collision values).
+// uses the fluid cell's own post-collision values). BGK is one pass over
+// the cell's values in locals: each link pair's equilibrium (Feq's pairs,
+// in Feq's order) is relaxed and stored straight to Post, and a body
+// force is added there after either operator.
 func (l *Lattice) Collide() {
 	omega := 1 / l.Tau
 	hasForce := l.Force != [3]float32{} || l.ForceField != nil
-	// The cell's distributions live in the lattice, not on the stack: a
-	// CollisionOp call would move stack arrays to the heap on every call.
-	f, post := &l.cell, &l.cellPost
+	// Copies of the slice headers, which a store to Post[i][c] cannot
+	// alias as far as the compiler knows, unlike the lattice's own.
+	F, Post := l.F, l.Post
 	for z := 0; z < l.NZ; z++ {
 		for y := 0; y < l.NY; y++ {
-			base := l.Idx(0, y, z)
-			for x, solid := range l.Solid[base : base+l.NX] {
+			row := l.Idx(0, y, z)
+			for x, solid := range l.Solid[row : row+l.NX] {
 				if solid {
 					continue
 				}
-				c := base + x
+				c := row + x
+				var f [Q]float32
 				for i := range f {
-					f[i] = l.F[i][c]
+					f[i] = F[i][c]
 				}
-				rho, ux, uy, uz := momentSums(f)
+				rho, ux, uy, uz := momentSums(&f)
 				inv := float32(1) / rho
 				ux *= inv
 				uy *= inv
 				uz *= inv
 				l.Rho[c] = rho
-
 				if l.Collision != nil {
-					l.Collision.Collide(f, post, rho, ux, uy, uz)
-				} else {
-					Feq(post, rho, ux, uy, uz)
-					for i := range post {
-						post[i] = f[i] - omega*(f[i]-post[i])
+					// Through the lattice's scratch: an interface call
+					// would move stack arrays to the heap on every call.
+					l.cell = f
+					l.Collision.Collide(&l.cell, &l.cellPost, rho, ux, uy, uz)
+					for i, p := range l.cellPost {
+						Post[i][c] = p
 					}
+				} else {
+					usq := ux*ux + uy*uy + uz*uz
+					base := 1 - 1.5*usq
+					Post[0][c] = f[0] - omega*(f[0]-W[0]*rho*base)
+					pair := func(i int, cu float32) {
+						fwd, back := feqPair(W[i]*rho, base, cu)
+						Post[i][c] = f[i] - omega*(f[i]-fwd)
+						Post[i+1][c] = f[i+1] - omega*(f[i+1]-back)
+					}
+					pair(1, ux)
+					pair(3, uy)
+					pair(5, uz)
+					pair(7, ux+uy)
+					pair(9, ux-uy)
+					pair(11, ux+uz)
+					pair(13, ux-uz)
+					pair(15, uy+uz)
+					pair(17, uy-uz)
 				}
 				if hasForce {
 					a := l.Force
@@ -81,14 +103,11 @@ func (l *Lattice) Collide() {
 						a = a.Add(l.ForceField[c])
 					}
 					if a != [3]float32{} {
-						for i := range post {
+						for i := range Post {
 							ca := cf[i][0]*a[0] + cf[i][1]*a[1] + cf[i][2]*a[2]
-							post[i] += 3 * W[i] * rho * ca
+							Post[i][c] += 3 * W[i] * rho * ca
 						}
 					}
-				}
-				for i := range post {
-					l.Post[i][c] = post[i]
 				}
 			}
 		}
@@ -233,8 +252,10 @@ func (l *Lattice) linkOffset(i int) int {
 // resolved (curved boundaries).
 func (l *Lattice) bounce(i, c, wall int) float32 {
 	o := Opp[i]
-	if lq := l.LinkQ[c]; lq != nil && lq[o] != 0 {
-		return l.curvedBounce(i, o, c, lq[o])
+	if len(l.LinkQ) != 0 {
+		if lq := l.LinkQ[c]; lq != nil && lq[o] != 0 {
+			return l.curvedBounce(i, o, c, lq[o])
+		}
 	}
 	v := l.Post[o][c]
 	if l.WallU != nil {
