@@ -68,16 +68,57 @@ func TestRunMissingTraceFriendlyError(t *testing.T) {
 
 // TestRunPlainTraceReplay pins the un-instrumented path: no
 // observability flag means no recorder reaches the scheduler (a
-// typed-nil *MemRecorder in the interface field once crashed it).
+// typed-nil *MemRecorder in the interface field once crashed it). The
+// same replay then runs with a fault trace file (-faults, read by
+// batch.LoadFaultPlan: a crash and a trunk outage stretch the makespan)
+// and with a slower checkpoint store (-store-bandwidth, priced by
+// batch.ScaledStoreCosts: the same four checkpoints cost more).
 func TestRunPlainTraceReplay(t *testing.T) {
-	var out, errw strings.Builder
-	code := run([]string{"-trace", "../../examples/traces/sample.swf", "-policy", "easy", "-preempt"},
-		&out, &errw)
-	if code != 0 {
-		t.Fatalf("exit code %d, stderr: %s", code, errw.String())
+	faults := filepath.Join(t.TempDir(), "storm.txt")
+	if err := os.WriteFile(faults, []byte("crash 3 600 1800\ntrunk 1200 300\n"), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(out.String(), "policy easy") {
-		t.Fatalf("report missing from stdout:\n%s", out.String())
+	cases := []struct {
+		args []string
+		want string
+	}{
+		{nil, "policy easy     24 jobs, makespan 59m8s, utilization 80.8%"},
+		{[]string{"-faults", faults}, "policy easy     24 jobs, makespan 1h11m11s, utilization 74.0%"},
+		{[]string{"-store-bandwidth", "30"}, "  preemption: 4 jobs preempted (4 checkpoints), 210ms checkpoint/restore overhead"},
+	}
+	for _, tc := range cases {
+		var out, errw strings.Builder
+		args := append([]string{"-trace", "../../examples/traces/sample.swf", "-policy", "easy", "-preempt"}, tc.args...)
+		if code := run(args, &out, &errw); code != 0 {
+			t.Fatalf("%v: exit code %d, stderr: %s", tc.args, code, errw.String())
+		}
+		if !strings.Contains(out.String(), "\n"+tc.want) {
+			t.Errorf("%v: no line starting %q in the report:\n%s", tc.args, tc.want, out.String())
+		}
+	}
+}
+
+// TestRunSyntheticMix runs the synthetic mix as the README's quick start
+// does: the default FIFO-vs-EASY comparison with its makespan gain
+// column, and -execute -v, which shrinks the jobs, runs each workload
+// on the functional simulators and prints the per-job table with each
+// job's result in the detail column.
+func TestRunSyntheticMix(t *testing.T) {
+	cases := []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-jobs", "20"}, "  easy          makespan     1m1s (+0.0%), utilization  53.8%"},
+		{[]string{"-jobs", "4", "-nodes", "4", "-policy", "easy", "-execute", "-v"}, "  4    lbm-0003   u3     lbm   2      4     0s        203ms     done      lbm 16x8x8 on 2x1x1: 4 steps, mass 1030.6"},
+	}
+	for _, tc := range cases {
+		var out, errw strings.Builder
+		if code := run(tc.args, &out, &errw); code != 0 {
+			t.Fatalf("%v: exit code %d, stderr: %s", tc.args, code, errw.String())
+		}
+		if !strings.Contains(out.String(), "\n"+tc.want) {
+			t.Errorf("%v: no line starting %q in the report:\n%s", tc.args, tc.want, out.String())
+		}
 	}
 }
 

@@ -7,6 +7,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -20,19 +21,53 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the whole command behind a testable seam: flags parse from
+// args, the report prints to stdout, errors print to stderr, and the
+// return value is the process exit code: 2 for a flag the simulation
+// cannot take, 1 for a failure after that.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("lbmsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		nx      = flag.Int("nx", 64, "lattice cells in x")
-		ny      = flag.Int("ny", 48, "lattice cells in y")
-		nz      = flag.Int("nz", 16, "lattice cells in z")
-		nodes   = flag.Int("nodes", 4, "cluster nodes (arranged 2D)")
-		steps   = flag.Int("steps", 100, "time steps")
-		tau     = flag.Float64("tau", 0.6, "BGK relaxation time (>0.5)")
-		backend = flag.String("backend", "cpu", "node backend: cpu | gpu")
-		scene   = flag.String("scene", "channel", "scene: channel | cavity | periodic")
-		mrt     = flag.Bool("mrt", false, "use the MRT collision operator (cpu backend only)")
-		imgPath = flag.String("image", "", "write a mid-height velocity-slice PPM here")
+		nx      = fs.Int("nx", 64, "lattice cells in x")
+		ny      = fs.Int("ny", 48, "lattice cells in y")
+		nz      = fs.Int("nz", 16, "lattice cells in z")
+		nodes   = fs.Int("nodes", 4, "cluster nodes (arranged 2D)")
+		steps   = fs.Int("steps", 100, "time steps")
+		tau     = fs.Float64("tau", 0.6, "BGK relaxation time (>0.5)")
+		backend = fs.String("backend", "cpu", "node backend: cpu | gpu")
+		scene   = fs.String("scene", "channel", "scene: channel | cavity | periodic")
+		mrt     = fs.Bool("mrt", false, "use the MRT collision operator (cpu backend only)")
+		imgPath = fs.String("image", "", "write a mid-height velocity-slice PPM here")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	usage := func(format string, a ...any) int {
+		fmt.Fprintf(stderr, "lbmsim: "+format+"\n", a...)
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "lbmsim:", err)
+		return 1
+	}
+	switch {
+	case *nx <= 0 || *ny <= 0 || *nz <= 0:
+		return usage("-nx %d -ny %d -nz %d: lattice extents must be positive", *nx, *ny, *nz)
+	case *nodes <= 0:
+		return usage("-nodes %d: cluster size must be positive", *nodes)
+	case *steps <= 0:
+		return usage("-steps %d: step count must be positive", *steps)
+	case !(*tau > 0.5):
+		return usage("-tau %v: BGK relaxation time must exceed 0.5", *tau)
+	case *backend != "cpu" && *backend != "gpu":
+		return usage("-backend %q: want cpu or gpu", *backend)
+	case *backend == "gpu" && *mrt:
+		return usage("-mrt is unsupported on the gpu backend")
+	}
 
 	cfg := cluster.Config{
 		Global: [3]int{*nx, *ny, *nz},
@@ -61,30 +96,20 @@ func main() {
 	case "periodic":
 		cfg.Force = vecmath.Vec3{1e-5, 0, 0}
 	default:
-		fmt.Fprintf(os.Stderr, "unknown scene %q\n", *scene)
-		os.Exit(2)
+		return usage("-scene %q: want channel, cavity or periodic", *scene)
 	}
 
 	if *backend == "gpu" {
-		if *mrt {
-			fmt.Fprintln(os.Stderr, "-mrt is unsupported on the gpu backend")
-			os.Exit(2)
-		}
-		cfg.NewNode = func(rank int, sub *lbm.Lattice) (cluster.Node, error) {
-			dev := gpu.New(gpu.Config{
-				Name:          fmt.Sprintf("node%d-gpu", rank),
-				TextureMemory: 512 << 20,
-			})
-			return lbmgpu.New(dev, sub)
+		cfg.NewNode = func(_ int, sub *lbm.Lattice) (cluster.Node, error) {
+			return lbmgpu.New(gpu.New(gpu.Config{TextureMemory: 512 << 20}), sub)
 		}
 	}
 
 	sim, err := cluster.New(cfg)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "error:", err)
-		os.Exit(1)
+		return fail(err)
 	}
-	fmt.Printf("lattice %dx%dx%d, %d nodes (%v), backend=%s, scene=%s, tau=%.2f\n",
+	fmt.Fprintf(stdout, "lattice %dx%dx%d, %d nodes (%v), backend=%s, scene=%s, tau=%.2f\n",
 		*nx, *ny, *nz, cfg.Grid.Size(), cfg.Grid, *backend, *scene, *tau)
 
 	m0 := sim.TotalMass()
@@ -94,11 +119,11 @@ func main() {
 	m1 := sim.TotalMass()
 
 	cells := (*nx) * (*ny) * (*nz)
-	fmt.Printf("%d steps in %v: %.2f Mcells/s, %.1f ms/step\n",
+	fmt.Fprintf(stdout, "%d steps in %v: %.2f Mcells/s, %.1f ms/step\n",
 		*steps, wall.Round(time.Millisecond),
 		float64(cells)*float64(*steps)/wall.Seconds()/1e6,
 		wall.Seconds()*1000/float64(*steps))
-	fmt.Printf("mass: %.1f -> %.1f (drift %.2e)\n", m0, m1, (m1-m0)/m0)
+	fmt.Fprintf(stdout, "mass: %.1f -> %.1f (drift %.2e)\n", m0, m1, (m1-m0)/m0)
 
 	if *imgPath != "" {
 		vel := sim.GatherVelocity()
@@ -111,14 +136,13 @@ func main() {
 		im := vis.RenderStreamlinesTopDown(f, solid, seeds, 4**nx, 4**ny)
 		out, err := os.Create(*imgPath)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "error:", err)
-			os.Exit(1)
+			return fail(err)
 		}
 		defer out.Close()
 		if err := im.WritePPM(out); err != nil {
-			fmt.Fprintln(os.Stderr, "error:", err)
-			os.Exit(1)
+			return fail(err)
 		}
-		fmt.Printf("wrote %s\n", *imgPath)
+		fmt.Fprintf(stdout, "wrote %s\n", *imgPath)
 	}
+	return 0
 }

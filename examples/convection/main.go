@@ -13,7 +13,7 @@ import (
 )
 
 func main() {
-	const nx, ny, nz = 32, 8, 16
+	const nx, ny, nz = 16, 4, 8
 	tau := float32(0.55) // low viscosity: the regime MRT is for
 	l := lbm.New(nx, ny, nz, tau)
 	l.Collision = lbm.NewMRT(tau)
@@ -22,7 +22,7 @@ func main() {
 	l.Init(1, vecmath.Vec3{})
 
 	th := lbm.NewThermal(l, 0.05, 0.5)
-	th.Buoyancy = vecmath.Vec3{0, 0, 3e-3}
+	th.Buoyancy = vecmath.Vec3{0, 0, 1e-2} // overturns the 8-cell layer within 600 steps
 	th.FixedFace[lbm.FaceZNeg] = true
 	th.FaceTemp[lbm.FaceZNeg] = 1 // hot floor
 	th.FixedFace[lbm.FaceZPos] = true
@@ -31,10 +31,10 @@ func main() {
 	// Seed a slight asymmetry so the convection roll has a direction.
 	th.SetTemp(nx/4, ny/2, 1, 1.2)
 
-	for step := 0; step < 1500; step++ {
+	for step := 0; step < 600; step++ {
 		th.Step()
 		l.Step()
-		if step%300 == 299 {
+		if step%150 == 149 {
 			var maxW float32
 			for x := 0; x < nx; x++ {
 				if w := l.Velocity(x, ny/2, nz/2)[2]; w > maxW {

@@ -25,10 +25,10 @@ import (
 func main() {
 	// Synthetic district (91 blocks, ~850 buildings) voxelized onto a
 	// modest lattice. The paper ran 480x400x80 at 3.8 m on 30 nodes;
-	// here 120x80x20 at ~17 m on 4 simulated-GPU nodes.
+	// here 64x40x10 at ~30 m on 4 simulated-GPU nodes.
 	c := city.Generate(city.Config{})
-	const nx, ny, nz = 120, 80, 20
-	spacing := c.WidthM / float64(nx-20)
+	const nx, ny, nz = 64, 40, 10
+	spacing := c.WidthM / float64(nx-8)
 	vox := c.Voxelize(nx, ny, nz, spacing)
 	fmt.Printf("district: %d blocks, %d buildings; lattice %dx%dx%d at %.1f m (%.1f%% solid)\n",
 		c.Blocks, len(c.Buildings), nx, ny, nz, spacing, 100*vox.SolidFraction())
@@ -38,12 +38,8 @@ func main() {
 		Grid:     sched.NodeGrid{PX: 2, PY: 2, PZ: 1},
 		Tau:      0.8,
 		Geometry: vox.Geometry(),
-		NewNode: func(rank int, sub *lbm.Lattice) (cluster.Node, error) {
-			dev := gpu.New(gpu.Config{
-				Name:          fmt.Sprintf("node%d", rank),
-				TextureMemory: 512 << 20,
-			})
-			return lbmgpu.New(dev, sub)
+		NewNode: func(_ int, sub *lbm.Lattice) (cluster.Node, error) {
+			return lbmgpu.New(gpu.New(gpu.Config{TextureMemory: 512 << 20}), sub)
 		},
 	}
 	// Northeasterly wind, as in the paper: inflow on the +x face.
@@ -58,11 +54,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	const flowSteps = 80
+	const flowSteps = 40
 	t0 := time.Now()
 	sim.Run(flowSteps)
-	fmt.Printf("flow: %d steps on %d GPU nodes in %v\n",
-		flowSteps, cfg.Grid.Size(), time.Since(t0).Round(time.Millisecond))
+	fmt.Printf("flow: %d steps on %d GPU nodes\n", flowSteps, cfg.Grid.Size())
+	fmt.Fprintf(os.Stderr, "flow wall time: %v\n", time.Since(t0).Round(time.Millisecond))
 
 	den := sim.GatherDensity()
 	vel := sim.GatherVelocity()
@@ -93,7 +89,7 @@ func main() {
 		}
 	}
 	cloud := tracer.NewCloud(99)
-	cloud.Release(rx, ry, rz, 8000)
+	cloud.Release(rx, ry, rz, 2000)
 	probs := tracer.FromMacro(nx, ny, nz, den, vel, vox.IsSolid)
 	for s := 0; s < 200; s++ {
 		cloud.Step(probs)

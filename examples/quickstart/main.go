@@ -14,8 +14,8 @@ import (
 )
 
 func main() {
-	// A 24^3 cavity: no-slip walls everywhere, the top lid sliding in +x.
-	const n = 24
+	// A 16^3 cavity: no-slip walls everywhere, the top lid sliding in +x.
+	const n = 16
 	configure := func(l *lbm.Lattice) {
 		for f := range l.Faces {
 			l.Faces[f] = lbm.FaceSpec{Type: lbm.Wall}

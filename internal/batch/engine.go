@@ -197,13 +197,6 @@ func (e *Engine) Cancel(id int) error {
 	return err
 }
 
-// Step advances one event (see Scheduler.Step).
-func (e *Engine) Step() bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.s.Step()
-}
-
 // RunUntil processes every event due at or before t.
 func (e *Engine) RunUntil(t time.Duration) {
 	e.mu.Lock()

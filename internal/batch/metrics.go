@@ -113,16 +113,6 @@ type Gauge struct {
 // Set replaces the gauge value.
 func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 
-// Add adjusts the gauge by a (possibly negative) delta.
-func (g *Gauge) Add(v float64) {
-	for {
-		old := g.bits.Load()
-		if g.bits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+v)) {
-			return
-		}
-	}
-}
-
 // Value returns the current value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 

@@ -233,17 +233,3 @@ func (v *Voxelization) FootprintFraction() float64 {
 	}
 	return float64(n) / float64(v.NX*v.NY)
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -88,9 +88,6 @@ func New(cfg Config) *Device {
 	return &Device{cfg: cfg, bus: cfg.Bus, workers: w}
 }
 
-// Name returns the device model name.
-func (d *Device) Name() string { return d.cfg.Name }
-
 // Bus returns the host<->device bus model in use.
 func (d *Device) Bus() *bus.Bus { return d.bus }
 

@@ -184,6 +184,9 @@ func TestStackLayersAndFetch(t *testing.T) {
 	if s.Depth() != 3 || s.Width() != 4 || s.Height() != 4 {
 		t.Fatalf("bad stack dims: %v", s)
 	}
+	if got, want := s.Bytes(), int64(4*4*3*TexelBytes); got != want || d.UsedMemory() != want {
+		t.Fatalf("stack holds %d bytes, device charged %d, want %d", got, d.UsedMemory(), want)
+	}
 	up := make([]float32, 4*4*4)
 	up[0] = 7
 	d.Upload(s.Layer(2), up)

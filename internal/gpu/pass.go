@@ -83,12 +83,6 @@ func (pb *PBuffer) Free() {
 	pb.data = nil
 }
 
-// Width returns the pbuffer width in texels.
-func (pb *PBuffer) Width() int { return pb.w }
-
-// Height returns the pbuffer height in texels.
-func (pb *PBuffer) Height() int { return pb.h }
-
 // At returns the rendered fragment at (x, y); host-side verification only.
 func (pb *PBuffer) At(x, y int) vecmath.Vec4 { return pb.data[y*pb.w+x] }
 

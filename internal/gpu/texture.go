@@ -41,9 +41,6 @@ type Texture2D struct {
 	freed  bool
 }
 
-// Name returns the debug name given at allocation time.
-func (t *Texture2D) Name() string { return t.name }
-
 // Width returns the texture width in texels.
 func (t *Texture2D) Width() int { return t.w }
 
@@ -105,9 +102,6 @@ type TextureStack struct {
 	name   string
 	layers []*Texture2D
 }
-
-// Name returns the debug name given at allocation time.
-func (s *TextureStack) Name() string { return s.name }
 
 // Depth returns the number of layers in the stack.
 func (s *TextureStack) Depth() int { return len(s.layers) }

@@ -79,9 +79,6 @@ func NewWorld(size int, opts ...Option) *World {
 	return w
 }
 
-// Size returns the number of ranks.
-func (w *World) Size() int { return w.size }
-
 // Stats returns a snapshot of per-rank traffic counters.
 func (w *World) Stats() []RankStats {
 	out := make([]RankStats, w.size)
@@ -134,11 +131,8 @@ type Comm struct {
 	watchdog *time.Timer
 }
 
-// Rank returns this rank's id in [0, Size).
+// Rank returns this rank's id in [0, the world's size).
 func (c *Comm) Rank() int { return c.rank }
-
-// Size returns the number of ranks in the world.
-func (c *Comm) Size() int { return c.world.size }
 
 // Send delivers data to rank dst with the given tag. It blocks only if
 // the destination's mailbox for this source is full. data itself is

@@ -130,9 +130,6 @@ func New(cfg Config) *Network {
 	return &Network{cfg: cfg, busyUntil: make([]time.Duration, cfg.Ports)}
 }
 
-// Config returns the network configuration.
-func (n *Network) Config() Config { return n.cfg }
-
 // Reset clears port state and statistics.
 func (n *Network) Reset() {
 	for i := range n.busyUntil {

@@ -57,6 +57,21 @@ var PaperTable2 = []PaperTable2Row{
 	{32, 49.2e6, 21.39, 0.668},
 }
 
+// PaperStrongScalingLattice is the fixed global lattice of Section 4.4's
+// strong-scaling paragraph.
+var PaperStrongScalingLattice = [3]int{160, 160, 80}
+
+// PaperStrongScalingRow is one GPU/CPU speed-up factor that paragraph
+// reports.
+type PaperStrongScalingRow struct {
+	Nodes   int
+	Speedup float64
+}
+
+// PaperStrongScaling is the strong-scaling paragraph of Section 4.4: the
+// speed-up falls from 5.3 at 4 nodes to 2.4 at 16.
+var PaperStrongScaling = []PaperStrongScalingRow{{4, 5.3}, {16, 2.4}}
+
 // Economics of Section 3.
 const (
 	// PaperGPUPeakGFlops is the fragment-stage peak of one FX 5800 Ultra.

@@ -79,7 +79,6 @@ type Particle struct {
 type Cloud struct {
 	Particles []Particle
 	rng       *rand.Rand
-	steps     int
 }
 
 // NewCloud creates an empty cloud with a fixed seed.
@@ -93,9 +92,6 @@ func (c *Cloud) Release(x, y, z, n int) {
 		c.Particles = append(c.Particles, Particle{x, y, z})
 	}
 }
-
-// Steps returns the number of propagation steps taken.
-func (c *Cloud) Steps() int { return c.steps }
 
 // Step propagates every particle one lattice step: sample a link with
 // probability f_i/rho and hop, staying put when the destination is solid
@@ -130,7 +126,6 @@ func (c *Cloud) Step(field ProbField) {
 		}
 		p.X, p.Y, p.Z = nxp, nyp, nzp
 	}
-	c.steps++
 }
 
 // DensityGrid bins particles onto the lattice, producing the contaminant

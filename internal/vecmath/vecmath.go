@@ -52,9 +52,6 @@ func (v Vec4) Sum() float32 { return v[0] + v[1] + v[2] + v[3] }
 // Add returns v + w componentwise.
 func (v Vec3) Add(w Vec3) Vec3 { return Vec3{v[0] + w[0], v[1] + w[1], v[2] + w[2]} }
 
-// Sub returns v - w componentwise.
-func (v Vec3) Sub(w Vec3) Vec3 { return Vec3{v[0] - w[0], v[1] - w[1], v[2] - w[2]} }
-
 // Scale returns s*v.
 func (v Vec3) Scale(s float32) Vec3 { return Vec3{v[0] * s, v[1] * s, v[2] * s} }
 
