@@ -31,8 +31,7 @@
 // arrivals sit in a binary heap until they arrive, and the queue of
 // arrived jobs removes in O(1) via tombstones — so the same event loop that
 // schedules the paper's 32 nodes drains a million-job queue on ten
-// thousand (see docs/PERFORMANCE.md). DebugVerifyShadows cross-checks
-// the incremental shadow against the full replay it replaced.
+// thousand (see docs/PERFORMANCE.md).
 package batch
 
 import (

@@ -194,9 +194,6 @@ func TestCancelErrors(t *testing.T) {
 // (checkSchedule): canceled jobs keep busy ≡ banked work + overhead,
 // surviving jobs finish, and no node is double-booked across the cancels.
 func TestCancelPropertySweep(t *testing.T) {
-	DebugVerifyShadows = true
-	defer func() { DebugVerifyShadows = false }()
-
 	const nodes, count = 32, 150
 	for _, cfg := range propertyConfigs() {
 		cfg := cfg

@@ -48,9 +48,6 @@ func reportsEqual(t *testing.T, a, b Report) {
 // direct Scheduler.Run schedule exactly, across every crossed
 // configuration.
 func TestEngineVirtualMatchesRun(t *testing.T) {
-	DebugVerifyShadows = true
-	defer func() { DebugVerifyShadows = false }()
-
 	const nodes, count = 32, 150
 	for _, cfg := range propertyConfigs() {
 		cfg := cfg

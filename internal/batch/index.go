@@ -28,18 +28,11 @@ import (
 //     the queue until the clock reaches them, so the next event peek
 //     reads its top.
 //
-// DebugVerifyShadows cross-checks the incremental shadow against the
-// full replay; the index property suite (index_test.go) runs it across
-// all four policies with preemption, time-slicing, and suspend-to-host
-// in play, and checks after every event step that the free-range index
-// is exactly the complement of the running gangs and the down nodes.
-
-// DebugVerifyShadows, when set, makes every incremental (count-based)
-// EASY shadow computation also run the full replay it replaced and
-// panic on any disagreement. It exists for tests — the property suite
-// enables it — and costs the old O(running x nodes) replay per blocked
-// pass, so leave it off in production runs.
-var DebugVerifyShadows bool
+// The index property suite (index_test.go) checks after every event
+// step, across all four policies with preemption, time-slicing and
+// suspend-to-host in play, that the free-range index is exactly the
+// complement of the running gangs and the down nodes;
+// TestShadowPathsAgree holds the count-based shadow to the full replay.
 
 // bitset is a two-level bitmap over node indices: words holds the bits,
 // summary marks the non-zero words, so next/prev-set-bit queries skip

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"slices"
 	"sort"
 	"testing"
@@ -19,9 +20,9 @@ import (
 // it: the test's own gangs and down nodes (TestFreeIndexMatchesScan),
 // or the scheduler's running set and down flags (checkOccupancy, after
 // every event step across the crossed policy/preemption/quantum/suspend
-// matrix, with and without a fault storm). DebugVerifyShadows makes
-// every incremental EASY shadow re-run the full replay across the same
-// matrix.
+// matrix, with and without a fault storm). TestShadowPathsAgree runs
+// the same matrix on a machine that takes every EASY shadow through the
+// full replay and holds the two schedules equal.
 
 // refRuns returns the maximal runs of the nodes [0, n) for which ok
 // holds, ascending, each also cut at node cut (n for no cut).
@@ -276,16 +277,11 @@ func checkOccupancy(t *testing.T, s *Scheduler) {
 // TestIndexPropertyAcrossPolicies steps the crossed property matrix,
 // with and without a fault storm, and checks the occupancy oracle after
 // every event step. A recorder is attached, so every blocked job's
-// explanation probe (classifyStart) runs too, and DebugVerifyShadows
-// re-runs the full replay
-// against every incremental count-based EASY shadow (any drift panics
-// inside the run). After each drain the running set must be empty —
-// every dispatch pushed exactly one completion event and every
-// completion, drain, and cancellation popped it.
+// explanation probe (classifyStart) runs too. After each drain the
+// running set must be empty — every dispatch pushed exactly one
+// completion event and every completion, drain, and cancellation
+// popped it.
 func TestIndexPropertyAcrossPolicies(t *testing.T) {
-	DebugVerifyShadows = true
-	defer func() { DebugVerifyShadows = false }()
-
 	const nodes, count = 32, 120
 	for _, base := range propertyConfigs() {
 		for _, faults := range []bool{false, true} {
@@ -320,6 +316,149 @@ func TestIndexPropertyAcrossPolicies(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestShadowPathsAgree holds the count-based EASY shadow (countShadow)
+// to the full replay (replayShadow) by its input. One node a byte
+// larger than the default is constrained (refreshConstrained): it sends
+// every shadow through the replay, every placement through the
+// constrained eligible-run walk and every NodesWithAvail through its
+// per-node loop. Yet no job can tell it apart, because Submit admits
+// none that needs more than the default on a uniform machine. So each
+// drive below, run on the uniform machine and on that one, must record
+// the same event stream and the same report: the crossed property
+// matrix with and without a fault storm, random cancels of arrived,
+// future and running jobs, and Engine ingestion. Each drive must also
+// admit backfills under a reservation, so both shadow paths ran.
+func TestShadowPathsAgree(t *testing.T) {
+	const nodes = 32
+	var cancels [3]int // of arrived, future and running jobs
+	stream := func(seed int64) func(*testing.T, Config) Report {
+		return func(t *testing.T, cfg Config) Report {
+			s := New(cfg)
+			submitAll(t, s, SyntheticStream(seed, 200, nodes, 5*time.Second))
+			return s.Run()
+		}
+	}
+	drives := []struct {
+		name string
+		run  func(*testing.T, Config) Report
+	}{
+		{"stream1", stream(1)},
+		{"stream2", stream(2)},
+		{"stream3", stream(3)},
+		{"cancels", func(t *testing.T, cfg Config) Report {
+			rng := rand.New(rand.NewSource(4))
+			s := New(cfg)
+			for _, j := range SyntheticMix(4, 150, nodes) {
+				if rng.Intn(2) == 0 {
+					j.Submit = s.now + time.Duration(1+rng.Intn(120))*time.Second
+				}
+				if err := s.Submit(j); err != nil {
+					t.Fatalf("submit %s: %v", j, err)
+				}
+				if rng.Intn(4) == 0 {
+					if kind, q := cancelRandom(t, s, rng); q != nil {
+						cancels[kind]++
+					}
+				}
+				s.RunUntil(s.now + time.Duration(rng.Intn(20))*time.Second)
+			}
+			return s.Run()
+		}},
+		{"engine", func(t *testing.T, cfg Config) Report {
+			e := NewEngine(cfg, nil)
+			for i, j := range SyntheticStream(5, 200, nodes, 5*time.Second) {
+				if i%10 == 0 {
+					e.RunUntil(j.Submit)
+				}
+				if _, err := e.Ingest(j); err != nil {
+					t.Fatalf("ingest: %v", err)
+				}
+			}
+			return e.Run()
+		}},
+	}
+	backfills := make(map[string]int)
+	for _, base := range propertyConfigs() {
+		for _, faults := range []bool{false, true} {
+			cfg := base
+			if faults {
+				cfg.Faults = stormPlan(77)
+			}
+			for _, d := range drives {
+				name := fmt.Sprintf("%v/preempt=%v/quantum=%v/host=%v/faults=%v/%s", cfg.Policy, cfg.Preempt, cfg.Quantum, cfg.SuspendToHost, faults, d.name)
+				t.Run(name, func(t *testing.T) {
+					var evs [2][]Event
+					var reps [2]Report
+					for i := range evs {
+						cl := newTestCluster(nodes)
+						if i == 1 {
+							spec := cl.Spec(nodes / 2)
+							spec.MemBytes = cl.baseMem + 1
+							cl.SetSpec(nodes/2, spec)
+						}
+						rec := &MemRecorder{}
+						cfg.Cluster, cfg.Recorder = cl, rec
+						reps[i], evs[i] = d.run(t, cfg), rec.Events()
+						if i == 1 && cl.nConstrained == 0 {
+							t.Fatal("the byte-larger node is not constrained: both runs took the count")
+						}
+					}
+					for k := range min(len(evs[0]), len(evs[1])) {
+						if !reflect.DeepEqual(evs[0][k], evs[1][k]) {
+							t.Fatalf("event %d: count-based run %+v, replay run %+v", k, evs[0][k], evs[1][k])
+						}
+					}
+					if len(evs[0]) != len(evs[1]) {
+						t.Fatalf("count-based run recorded %d events, replay run %d", len(evs[0]), len(evs[1]))
+					}
+					reportsEqual(t, reps[0], reps[1])
+					for _, ev := range evs[1] {
+						if ev.Kind == EvDispatch && ev.To != 0 {
+							backfills[d.name]++
+						}
+					}
+				})
+			}
+		}
+	}
+	for _, d := range drives {
+		if backfills[d.name] == 0 {
+			t.Errorf("%s: no backfill under a reservation anywhere in the matrix: no head was blocked", d.name)
+		}
+	}
+	if slices.Contains(cancels[:], 0) {
+		t.Errorf("cancels of arrived, future and running jobs: %v; one kind never ran", cancels)
+	}
+	t.Logf("backfills under a reservation, per drive: %v; cancels of arrived, future and running jobs: %v", backfills, cancels)
+}
+
+// TestShadowWaitsOutTrunkOutage pins the shadow's trunk clause. During
+// an outage a head can be blocked with enough free nodes when they sit
+// on both sides of the severed trunk: its reservation is the repair
+// instant, not now, so a short job still backfills in front of it. On
+// 32 nodes (trunk behind node 24) a 20-node gang holds one side from
+// 0 s, leaving 4 + 8 free; the trunk fails at 1 s until 100 s; a
+// 10-node head arriving at 2 s fits only across the trunk, and a
+// 2-node, 30 s job arriving at 3 s must start at once.
+func TestShadowWaitsOutTrunkOutage(t *testing.T) {
+	s := newChecked(t, Config{
+		Cluster: newTestCluster(32),
+		Policy:  Backfill,
+		Faults:  &FaultPlan{Trunks: []TrunkFault{{At: time.Second, Duration: 99 * time.Second}}},
+	})
+	wide := &Job{Name: "wide", Kind: KindCG, Nodes: 20, Est: 1000 * time.Second}
+	head := &Job{Name: "head", Kind: KindCG, Nodes: 10, Est: 50 * time.Second, Submit: 2 * time.Second}
+	short := &Job{Name: "short", Kind: KindCG, Nodes: 2, Est: 30 * time.Second, Submit: 3 * time.Second}
+	submitAll(t, s, []*Job{wide, head, short})
+	s.Run()
+	if wide.Alloc.CrossesTrunk || wide.Faults() != 0 {
+		t.Fatalf("the 20-node gang crossed the trunk (%v) or was killed (%d faults)", wide.Alloc, wide.Faults())
+	}
+	if head.Start != 100*time.Second || short.Start != 3*time.Second {
+		t.Fatalf("head started at %v, short at %v; want 100s (trunk repair) and 3s (backfilled)", head.Start, short.Start)
 	}
 }
 
@@ -529,9 +668,6 @@ func TestArrivalHeapMatchesLinearScan(t *testing.T) {
 // operation checks that each queued job lives in exactly one place
 // (checkOneHome).
 func TestQueuedJobHasOneHome(t *testing.T) {
-	DebugVerifyShadows = true
-	defer func() { DebugVerifyShadows = false }()
-
 	const nodes, ops = 16, 300
 	var tally [5]int // future submits; cancels of arrived, future, running jobs; resubmits
 	for _, base := range propertyConfigs() {
@@ -562,22 +698,9 @@ func TestQueuedJobHasOneHome(t *testing.T) {
 								t.Fatalf("submit %s: %v", j, err)
 							}
 						case r < 7:
-							kind := rng.Intn(3) // arrived, future, running
-							var pool []*Job
-							for _, j := range s.byID {
-								arrived := j.State == Queued && j.qpos >= 0
-								future := j.State == Queued && j.qpos < 0
-								if []bool{arrived, future, j.State == Running}[kind] {
-									pool = append(pool, j)
-								}
-							}
-							if len(pool) == 0 {
+							kind, j := cancelRandom(t, s, rng)
+							if j == nil {
 								continue
-							}
-							sort.Slice(pool, func(i, k int) bool { return pool[i].ID < pool[k].ID })
-							j := pool[rng.Intn(len(pool))]
-							if err := s.Cancel(j.ID); err != nil {
-								t.Fatalf("cancel %s: %v", j, err)
 							}
 							tally[1+kind]++
 							if kind == 1 {
@@ -610,6 +733,32 @@ func TestQueuedJobHasOneHome(t *testing.T) {
 		}
 	}
 	t.Logf("future submits, cancels of arrived / future / running jobs, resubmits: %v", tally)
+}
+
+// cancelRandom cancels a job rng draws from one of three pools, also
+// drawn: the arrived queued jobs, the future arrivals or the running
+// jobs (kind 0, 1 or 2). It returns the kind and the job, nil when that
+// pool is empty.
+func cancelRandom(t *testing.T, s *Scheduler, rng *rand.Rand) (int, *Job) {
+	t.Helper()
+	kind := rng.Intn(3)
+	var pool []*Job
+	for _, j := range s.byID {
+		arrived := j.State == Queued && j.qpos >= 0
+		future := j.State == Queued && j.qpos < 0
+		if []bool{arrived, future, j.State == Running}[kind] {
+			pool = append(pool, j)
+		}
+	}
+	if len(pool) == 0 {
+		return kind, nil
+	}
+	sort.Slice(pool, func(i, k int) bool { return pool[i].ID < pool[k].ID })
+	j := pool[rng.Intn(len(pool))]
+	if err := s.Cancel(j.ID); err != nil {
+		t.Fatalf("cancel %s: %v", j, err)
+	}
+	return kind, j
 }
 
 // checkOneHome checks where the scheduler keeps its queued jobs: each

@@ -48,9 +48,6 @@ func propertyConfigs() []Config {
 }
 
 func TestPropertyResidencyCapacityProgress(t *testing.T) {
-	DebugVerifyShadows = true
-	defer func() { DebugVerifyShadows = false }()
-
 	const nodes, count = 32, 200
 	for _, cfg := range propertyConfigs() {
 		cfg := cfg
@@ -75,9 +72,6 @@ func TestPropertyResidencyCapacityProgress(t *testing.T) {
 // the waits, every job's lifecycle, and every job's slice count — the
 // property CI's -race job leans on to catch unsynchronized state.
 func TestQuantumDeterminism(t *testing.T) {
-	DebugVerifyShadows = true
-	defer func() { DebugVerifyShadows = false }()
-
 	const nodes, count = 32, 200
 	run := func(cfg Config, seed int64) Report {
 		cfg.Cluster = newTestCluster(nodes)

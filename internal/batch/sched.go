@@ -1170,26 +1170,26 @@ func (s *Scheduler) shadowStart(hd *Job) (shadow time.Duration) {
 }
 
 // shadowStartLifted is shadowStart's body, run with the head's own
-// image lifted. In the uniform fast path — no constrained nodes (no
-// divergent specs, no resident images), no in-flight demotions or
-// migration pins, and a head whose per-node need fits the default
-// spec — any k free nodes admit the head, so the shadow is a pure
-// counting question and the running set answers it by summing node
-// counts from its earliest completion (countShadow). Everything else
-// falls back to the full replay. DebugVerifyShadows runs both and
-// panics on disagreement; the property suite keeps it on
-// (index_test.go).
+// image lifted. On a uniform machine — no constrained nodes, no down
+// nodes, the trunk up — any k free nodes admit the head, so the shadow
+// is a pure counting question and the running set answers it by
+// summing node counts from its earliest completion (countShadow).
+// Everything else falls back to the full replay. No constrained node
+// implies the rest of what the count needs:
+//   - no in-flight demotion or migration pin holds memory: a
+//     reservation of non-zero bytes marks its nodes constrained until it
+//     settles (a demoting image keeps its reservation to demoteEnd, and
+//     withOwnImageLifted lifts only an image not mid-eviction), and one
+//     of zero bytes changes no canPlace answer;
+//   - the head fits every node: all nodes then carry the default spec,
+//     and Submit admits no job that fewer than Nodes nodes can hold
+//     (SetSpec describes the machine before any submission).
+//
+// TestShadowPathsAgree holds the two paths to the same schedule;
+// TestShadowWaitsOutTrunkOutage pins the trunk clause.
 func (s *Scheduler) shadowStartLifted(hd *Job) time.Duration {
-	c := s.cfg.Cluster
-	if c.nConstrained == 0 && c.downCount == 0 && !c.trunkDown &&
-		len(s.demoting) == 0 && len(s.pinned) == 0 && hd.memNeed <= c.baseMem {
-		t := s.countShadow(hd)
-		if DebugVerifyShadows {
-			if r := s.replayShadow(hd); r != t {
-				panic(fmt.Sprintf("batch: shadow mismatch for job %d: count=%v replay=%v", hd.ID, t, r))
-			}
-		}
-		return t
+	if c := s.cfg.Cluster; c.nConstrained == 0 && c.downCount == 0 && !c.trunkDown {
+		return s.countShadow(hd)
 	}
 	return s.replayShadow(hd)
 }
@@ -1199,9 +1199,10 @@ func (s *Scheduler) shadowStartLifted(hd *Job) time.Duration {
 // is the earliest completion instant by which the free count reaches
 // hd.Nodes — a prefix sum over the running set in completion order,
 // stopped at the first entry that covers the deficit. Exactly
-// replayShadow's answer when its gate holds: the replay's events are
-// then completions only, processed in the same (End, ID) order, and its
-// per-event canPlace degenerates to the same count comparison.
+// replayShadow's answer when its gate holds: the replay's only events
+// that free capacity are then completions, processed in the same
+// (End, ID) order, and its per-event canPlace degenerates to the same
+// count comparison.
 func (s *Scheduler) countShadow(hd *Job) time.Duration {
 	free := s.cfg.Cluster.FreeNodes()
 	if free >= hd.Nodes {

@@ -18,10 +18,6 @@ type Sampler interface {
 	Fetch(x, y int) vecmath.Vec4
 	// FetchWrap returns the texel at (x, y) with repeat addressing.
 	FetchWrap(x, y int) vecmath.Vec4
-	// Width returns the texture width in texels.
-	Width() int
-	// Height returns the texture height in texels.
-	Height() int
 }
 
 // FragmentProgram is a user-defined program, the Cg fragment program of

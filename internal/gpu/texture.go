@@ -41,12 +41,6 @@ type Texture2D struct {
 	freed  bool
 }
 
-// Width returns the texture width in texels.
-func (t *Texture2D) Width() int { return t.w }
-
-// Height returns the texture height in texels.
-func (t *Texture2D) Height() int { return t.h }
-
 // Bytes returns the device memory consumed by the texture.
 func (t *Texture2D) Bytes() int64 { return int64(t.w) * int64(t.h) * TexelBytes }
 

@@ -16,8 +16,6 @@
 //   - accounting: only audited functions may mutate Job.History,
 //     charge overhead/lost work, or reserve store-link time — new
 //     accounting paths fail the build until audited.
-//   - debugcheck: property-style tests over the shared config matrix
-//     arm the DebugVerifyShadows cross-check.
 //
 // A finding can be waived in place with
 //
@@ -56,7 +54,6 @@ func Analyzers() []*analysis.Analyzer {
 		RecorderGuard,
 		LockHeld,
 		Accounting,
-		DebugCheck,
 	}
 }
 

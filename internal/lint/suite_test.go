@@ -30,10 +30,6 @@ func TestAccounting(t *testing.T) {
 	linttest.Run(t, lint.Accounting, "accounting")
 }
 
-func TestDebugCheck(t *testing.T) {
-	linttest.Run(t, lint.DebugCheck, "debugcheck")
-}
-
 // TestAllowMalformed pins the remaining hygiene case want comments
 // cannot express: a directive naming no analyzer at all.
 func TestAllowMalformed(t *testing.T) {
