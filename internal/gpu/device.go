@@ -102,7 +102,8 @@ func (d *Device) UsedMemory() int64 {
 }
 
 // NewTexture2D allocates a w x h RGBA float texture, charging it against
-// the device memory budget.
+// the device memory budget; name labels it in the out-of-memory error
+// and is not kept.
 func (d *Device) NewTexture2D(name string, w, h int) (*Texture2D, error) {
 	if w <= 0 || h <= 0 {
 		return nil, fmt.Errorf("gpu: invalid texture size %dx%d", w, h)
@@ -111,14 +112,13 @@ func (d *Device) NewTexture2D(name string, w, h int) (*Texture2D, error) {
 	d.mu.Lock()
 	if d.used+bytes > d.UsableMemory() {
 		d.mu.Unlock()
-		return nil, fmt.Errorf("%w: need %d bytes, %d of %d used",
-			ErrOutOfMemory, bytes, d.used, d.UsableMemory())
+		return nil, fmt.Errorf("%w: texture %q needs %d bytes, %d of %d used",
+			ErrOutOfMemory, name, bytes, d.used, d.UsableMemory())
 	}
 	d.used += bytes
 	d.Stats.Allocations++
 	d.mu.Unlock()
 	return &Texture2D{
-		name:   name,
 		w:      w,
 		h:      h,
 		data:   make([]vecmath.Vec4, w*h),
@@ -133,7 +133,7 @@ func (d *Device) NewStack(name string, w, h, depth int) (*TextureStack, error) {
 	}
 	s := &TextureStack{name: name, layers: make([]*Texture2D, depth)}
 	for z := range s.layers {
-		t, err := d.NewTexture2D(fmt.Sprintf("%s[%d]", name, z), w, h)
+		t, err := d.NewTexture2D(name, w, h)
 		if err != nil {
 			s.Free() // release the layers allocated so far
 			return nil, err

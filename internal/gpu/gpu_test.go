@@ -3,6 +3,7 @@ package gpu
 import (
 	"errors"
 	"math/rand"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -39,6 +40,10 @@ func TestTextureFetchClamp(t *testing.T) {
 	}
 	if got := tex.Fetch(100, 100); got != tex.Fetch(3, 2) {
 		t.Errorf("overflow should clamp: %v", got)
+	}
+	// A row view reads the same texels, whole or one channel.
+	if row := tex.Row(2); row.At(3) != tex.Fetch(3, 2) || row.Chan(3, 0) != 11 || row.Chan(1, 0) != 9 {
+		t.Errorf("row 2: At(3) = %v, Chan(3, 0) = %v, Chan(1, 0) = %v", row.At(3), row.Chan(3, 0), row.Chan(1, 0))
 	}
 }
 
@@ -134,8 +139,8 @@ func TestMemoryBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.NewTexture2D("toobig", 256, 256); !errors.Is(err, ErrOutOfMemory) {
-		t.Fatalf("expected ErrOutOfMemory, got %v", err)
+	if _, err := d.NewTexture2D("toobig", 256, 256); !errors.Is(err, ErrOutOfMemory) || !strings.Contains(err.Error(), `"toobig"`) {
+		t.Fatalf("expected ErrOutOfMemory naming the texture, got %v", err)
 	}
 	tex.Free()
 	if _, err := d.NewTexture2D("fits-now", 256, 256); err != nil {

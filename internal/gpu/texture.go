@@ -34,7 +34,6 @@ const TexelBytes = 16
 // device memory. Textures are created through a Device so that memory
 // accounting is enforced.
 type Texture2D struct {
-	name   string
 	w, h   int
 	data   []vecmath.Vec4
 	device *Device
@@ -83,6 +82,10 @@ func (t *Texture2D) Row(y int) TexelRow { return TexelRow{t.data[y*t.w : (y+1)*t
 
 // At returns texel x of the row.
 func (r TexelRow) At(x int) vecmath.Vec4 { return r.texels[x] }
+
+// Chan returns channel c of texel x of the row, a swizzled fetch: it
+// reads one float where At copies all four.
+func (r TexelRow) Chan(x, c int) float32 { return r.texels[x][c] }
 
 // At returns the texel at (x, y) without clamping; callers must stay in
 // bounds. It exists for host-side verification code, not for fragment

@@ -3,19 +3,24 @@
 //
 //   - the 19 velocity distributions are packed four-per-texel into 5
 //     stacks of 2D RGBA float textures (Figure 5), plus one stack holding
-//     flow density and velocity and one holding boundary information
-//     (solid flags and wall velocities);
+//     flow density and velocity and one holding boundary information:
+//     r the solid flag, gba a solid cell's wall velocity, or on a fluid
+//     cell (near, 0, 0), near set when one of the cell's link sources is
+//     solid, so that only those cells test their sources for bounce-back;
 //   - each computation step is a set of fragment programs executed as
 //     render passes: small viewport rectangles refresh the boundary
-//     ghost regions, then the volume is swept slice by slice. A slice
-//     takes six passes, each computing only what it outputs: the macro
-//     pass runs first (stream 19 links, reduce to density and velocity)
-//     and is copied into a one-layer staging texture; the five
-//     distribution passes then fetch (rho, u) from it, stream only their
-//     own four links and evaluate only those equilibrium entries. The
-//     pixel-buffer results are copied back into the textures, the
-//     density-and-velocity layer last: until then it holds the previous
-//     step's density, which the moving-wall bounce-back term reads;
+//     ghost regions (an outflow face's first stage its source cells'
+//     moments, as the sweep does a slice's, so that each of its five
+//     stack passes fetches only its own texel), then the volume is swept
+//     slice by slice. A slice takes six passes, each computing only what
+//     it outputs: the macro pass runs first (stream 19 links, reduce to
+//     density and velocity) and is copied into a one-layer staging
+//     texture; the five distribution passes then fetch (rho, u) from it,
+//     stream only their own four links and evaluate only those
+//     equilibrium entries. The pixel-buffer results are copied back into
+//     the textures, the density-and-velocity layer last: until then it
+//     holds the previous step's density, which the moving-wall
+//     bounce-back term reads;
 //   - the state held between steps is the post-collision distribution
 //     field, so the texture contents are exactly the payload of the
 //     cluster border exchange;
@@ -50,6 +55,7 @@ import (
 
 	"gpucluster/internal/gpu"
 	"gpucluster/internal/lbm"
+	"gpucluster/internal/vecmath"
 )
 
 // Simulator advances one sub-domain of the decomposed LBM lattice on a
@@ -61,8 +67,10 @@ type Simulator struct {
 	// Every texture, numbered as plan's ops name them: the five
 	// distribution stacks (4 per texel), the macro stack (rho, ux, uy,
 	// uz of the streamed state), the solid stack (r: solid flag, gba:
-	// wall velocity), the pre-update slice ring, the stage (rho, u of
-	// the slice being swept) and the compact border gather targets.
+	// wall velocity, or a fluid cell's near flag and two zeros), the
+	// pre-update slice ring, the stage (rho, u of the slice being swept,
+	// or of an outflow face's source cells during its fill) and the
+	// compact border gather targets.
 	texs  []*gpu.Texture2D
 	pbufs [9]*gpu.PBuffer // per-stack render targets, macro, per-dim border
 
@@ -158,8 +166,16 @@ func distChan(i int) int  { return i % 4 }
 // uploadInitialState transfers the host lattice's post-collision state,
 // solid flags and wall velocities, and initial macroscopic moments
 // (computed with the CPU reference's float path) to the GPU, layer by
-// layer.
+// layer. A fluid cell's gba channels of the solid stack carry
+// (near, 0, 0) instead of a wall velocity, which only a solid link
+// source is read for.
 func (s *Simulator) uploadInitialState(l *lbm.Lattice) error {
+	// Every texel's solid flag after the fill, layer-major: the r
+	// channel of the solid stack, and what the near flags are read from.
+	flags := make([]bool, s.w*s.h*s.d)
+	for i := range flags {
+		flags[i] = solidAfterFill(l, i%s.w-1, i/s.w%s.h-1, i/(s.w*s.h)-1)
+	}
 	var rows [7][]float32 // one layer of each stack
 	for i := range rows {
 		rows[i] = make([]float32, s.w*s.h*4)
@@ -173,15 +189,19 @@ func (s *Simulator) uploadInitialState(l *lbm.Lattice) error {
 					rows[distStack(i)][k+distChan(i)] = l.Post[i][c]
 					f[i] = l.F[i][c]
 				}
-				m, solid := rows[macroStack][k:k+4], rows[solidStack][k:k+4]
+				m := rows[macroStack][k : k+4]
 				m[0], m[1], m[2], m[3] = lbm.Moments(&f)
-				solid[0] = 0
-				if solidAfterFill(l, tx-1, ty-1, z-1) {
+				var solid vecmath.Vec4
+				switch {
+				case flags[(z*s.h+ty)*s.w+tx]:
 					solid[0] = 1
+					if l.WallU != nil {
+						copy(solid[1:], l.WallU[c][:])
+					}
+				case s.nearWall(flags, tx, ty, z):
+					solid[1] = 1
 				}
-				if l.WallU != nil {
-					copy(solid[1:], l.WallU[c][:])
-				}
+				copy(rows[solidStack][k:k+4], solid[:])
 			}
 		}
 		for i, row := range rows {
@@ -191,6 +211,23 @@ func (s *Simulator) uploadInitialState(l *lbm.Lattice) error {
 		}
 	}
 	return nil
+}
+
+// nearWall reports whether texel (tx, ty, z) is an interior cell one of
+// whose link sources is solid, given every texel's solid flag: the cells
+// whose sweep programs test their sources for bounce-back. Ghost texels
+// are never swept and read false.
+func (e extents) nearWall(flags []bool, tx, ty, z int) bool {
+	if tx < 1 || tx > e.nx || ty < 1 || ty > e.ny || z < 1 || z > e.nz {
+		return false
+	}
+	for i := range links {
+		lk := &links[i]
+		if flags[((z+lk.slot-1)*e.h+ty+lk.dy)*e.w+tx+lk.dx] {
+			return true
+		}
+	}
+	return false
 }
 
 // solidAfterFill is cell (x, y, z)'s solid flag once the CPU lattice's

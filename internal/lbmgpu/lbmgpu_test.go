@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"gpucluster/internal/bus"
+	"gpucluster/internal/cluster"
 	"gpucluster/internal/gpu"
 	"gpucluster/internal/lbm"
 	"gpucluster/internal/vecmath"
@@ -232,7 +233,10 @@ func TestGPUMassConservation(t *testing.T) {
 // and five whole-layer stashes. A pack is one
 // gather pass, its copy and one read-back of the border texture; an
 // unpack writes back one rect per layer for each stack that receives
-// data, and reads nothing.
+// data, and reads nothing. Last, a step with one outflow x face and walls
+// elsewhere: its fill is one thin rect a layer for a moments pass and
+// the five stack passes, each pass with its copy, and nothing crosses
+// the bus.
 func TestGPUPassAndTransferAccounting(t *testing.T) {
 	const n = 8
 	_, sim := buildPair(t, n, n, n, 0.8, func(l *lbm.Lattice) {})
@@ -276,6 +280,22 @@ func TestGPUPassAndTransferAccounting(t *testing.T) {
 	// layer.
 	count("unpack", func() { sim.UnpackGhost(0, -1, make([]float32, 5*n*n)) },
 		gpu.Stats{}, bus.Stats{}, bus.Stats{Ops: 4 * n, Bytes: 4 * n * n * gpu.TexelBytes})
+
+	_, sim = buildPair(t, n, n, n, 0.8, func(l *lbm.Lattice) {
+		for f := range l.Faces {
+			l.Faces[f] = lbm.FaceSpec{Type: lbm.Wall}
+		}
+		l.Faces[lbm.FaceXPos] = lbm.FaceSpec{Type: lbm.Outflow}
+	})
+	dev = sim.Device()
+	sim.Step(noExchange)
+	const outRects = n * (1 + 5) // a moments pass and five stack passes a layer
+	count("outflow step", func() { sim.Step(noExchange) }, gpu.Stats{
+		Passes:        outRects + 6*n,
+		Fragments:     outRects*n + 6*n*n*n,
+		TextureCopies: outRects + 12*n,
+		CopiedTexels:  outRects*n + 7*n*n*n + 5*n*layer,
+	}, bus.Stats{}, bus.Stats{})
 }
 
 // TestSimulatorFitsPaperCard allocates the whole simulator on the paper's
@@ -408,43 +428,11 @@ var fuzzFaces = [5]lbm.BC{lbm.Periodic, lbm.Wall, lbm.MovingWall, lbm.Inlet, lbm
 
 // FuzzGPUStepMatchesCPU steps a random small lattice on both backends
 // and requires all 19 distributions and the macro fields to agree bit
-// for bit: extents 3 + n%8 per axis, face f the (faces/5^f)%5-th of
-// fuzzFaces with a wall or inflow velocity drawn from seed, and in carry
-// one bit each for a seeded solid mask, a body force and three fragment
-// workers instead of one. testdata/fuzz holds the named seed corpus.
+// for bit. testdata/fuzz holds the named seed corpus.
 func FuzzGPUStepMatchesCPU(f *testing.F) {
 	f.Add(uint64(1), uint8(2), uint8(3), uint8(4), uint16(0), uint8(7))
 	f.Fuzz(func(t *testing.T, seed uint64, nx, ny, nz uint8, faces uint16, carry uint8) {
-		rng := rand.New(rand.NewSource(int64(seed)))
-		small := func() float32 { return 0.06 * (rng.Float32() - 0.5) }
-		cpu := lbm.New(3+int(nx%8), 3+int(ny%8), 3+int(nz%8), 0.6+0.1*float32(seed%8))
-		for face, code := 0, int(faces); face < lbm.NumFaces; face, code = face+1, code/5 {
-			spec := lbm.FaceSpec{Type: fuzzFaces[code%5]}
-			if spec.Type == lbm.MovingWall || spec.Type == lbm.Inlet {
-				spec.U = vecmath.Vec3{small(), small(), small()}
-			}
-			if spec.Type == lbm.Inlet || spec.Type == lbm.Outflow {
-				spec.Rho = 1 + small()
-			}
-			cpu.Faces[face] = spec
-		}
-		if carry&1 != 0 {
-			for z := 0; z < cpu.NZ; z++ {
-				for y := 0; y < cpu.NY; y++ {
-					for x := 0; x < cpu.NX; x++ {
-						cpu.SetSolid(x, y, z, rng.Intn(6) == 0)
-					}
-				}
-			}
-		}
-		if carry&2 != 0 {
-			cpu.Force = vecmath.Vec3{small() / 100, small() / 100, small() / 100}
-		}
-		workers := 1
-		if carry&4 != 0 {
-			workers = 3
-		}
-		cpu.Init(1, vecmath.Vec3{small(), small(), small()})
+		cpu, workers := fuzzLattice(seed, nx, ny, nz, faces, carry)
 		sim, err := New(gpu.New(gpu.Config{TextureMemory: 64 << 20, Workers: workers}), cpu)
 		if err != nil {
 			t.Fatal(err)
@@ -453,6 +441,138 @@ func FuzzGPUStepMatchesCPU(f *testing.F) {
 		assertDistributionsEqual(t, cpu, sim)
 		assertFieldsEqual(t, cpu, sim)
 	})
+}
+
+// fuzzLattice is FuzzGPUStepMatchesCPU's initialised lattice and fragment
+// worker count: extents 3 + n%8 per axis, face f the (faces/5^f)%5-th of
+// fuzzFaces with a wall or inflow velocity drawn from seed, and in carry
+// one bit each for a seeded solid mask, a body force and three fragment
+// workers instead of one.
+func fuzzLattice(seed uint64, nx, ny, nz uint8, faces uint16, carry uint8) (*lbm.Lattice, int) {
+	rng := rand.New(rand.NewSource(int64(seed)))
+	small := func() float32 { return 0.06 * (rng.Float32() - 0.5) }
+	l := lbm.New(3+int(nx%8), 3+int(ny%8), 3+int(nz%8), 0.6+0.1*float32(seed%8))
+	for face, code := 0, int(faces); face < lbm.NumFaces; face, code = face+1, code/5 {
+		spec := lbm.FaceSpec{Type: fuzzFaces[code%5]}
+		if spec.Type == lbm.MovingWall || spec.Type == lbm.Inlet {
+			spec.U = vecmath.Vec3{small(), small(), small()}
+		}
+		if spec.Type == lbm.Inlet || spec.Type == lbm.Outflow {
+			spec.Rho = 1 + small()
+		}
+		l.Faces[face] = spec
+	}
+	if carry&1 != 0 {
+		for z := 0; z < l.NZ; z++ {
+			for y := 0; y < l.NY; y++ {
+				for x := 0; x < l.NX; x++ {
+					l.SetSolid(x, y, z, rng.Intn(6) == 0)
+				}
+			}
+		}
+	}
+	if carry&2 != 0 {
+		l.Force = vecmath.Vec3{small() / 100, small() / 100, small() / 100}
+	}
+	workers := 1
+	if carry&4 != 0 {
+		workers = 3
+	}
+	l.Init(1, vecmath.Vec3{small(), small(), small()})
+	return l, workers
+}
+
+// TestNearWallFlag holds the solid stack to what the sweep reads of it.
+// Once the CPU lattice's ghost fill has marked its ghost solids, every
+// interior fluid cell's texel is (0, near, 0, 0), near 1 exactly when one
+// of its link sources is solid, and every solid texel is (1, its wall
+// velocity). The fixtures put solids in the interior, behind walls and
+// moving walls, across a periodic wrap (fuzz corpus entry
+// periodic-solids-wrap) and in the exchange ghosts of the tunnel's ranks.
+func TestNearWallFlag(t *testing.T) {
+	far := 0 // fluid cells with no solid source, over every fixture
+	check := func(name string, l *lbm.Lattice, sim *Simulator) {
+		t.Helper()
+		for dim := 0; dim < 3; dim++ {
+			l.FillGhostDim(dim)
+		}
+		inside := func(x, y, z int) bool { return x >= 0 && x < l.NX && y >= 0 && y < l.NY && z >= 0 && z < l.NZ }
+		byGhost := 0 // fluid cells whose solid sources are all ghosts
+		for z := -1; z <= l.NZ; z++ {
+			for y := -1; y <= l.NY; y++ {
+				for x := -1; x <= l.NX; x++ {
+					c := l.Idx(x, y, z)
+					got := sim.tex(solidStack, z+1).At(x+1, y+1)
+					var want vecmath.Vec4
+					switch {
+					case l.Solid[c]:
+						want[0] = 1
+						if l.WallU != nil {
+							copy(want[1:], l.WallU[c][:])
+						}
+					case !inside(x, y, z):
+						continue // a fluid ghost is never swept
+					default:
+						interior := false
+						for _, ci := range lbm.C {
+							if sx, sy, sz := x-ci[0], y-ci[1], z-ci[2]; l.IsSolid(sx, sy, sz) {
+								want[1] = 1
+								interior = interior || inside(sx, sy, sz)
+							}
+						}
+						if want[1] == 0 {
+							far++
+						} else if !interior {
+							byGhost++
+						}
+					}
+					if got != want {
+						t.Errorf("%s: texel of cell (%d,%d,%d) is %v, want %v", name, x, y, z, got, want)
+					}
+				}
+			}
+		}
+		if byGhost == 0 {
+			t.Errorf("%s: no fluid cell is near a solid ghost only; the fixture does not test the fill", name)
+		}
+	}
+	for _, tc := range flowCases {
+		if tc.name != "walls-obstacle" && tc.name != "moving-wall-cavity" {
+			continue
+		}
+		l := lbm.New(tc.nx, tc.ny, tc.nz, tc.tau)
+		tc.configure(l)
+		l.Init(1, tc.u0)
+		sim, err := New(newDevice(), l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(tc.name, l, sim)
+	}
+	l, _ := fuzzLattice(1, 2, 2, 2, 0, 1) // testdata/fuzz/FuzzGPUStepMatchesCPU/periodic-solids-wrap
+	sim, err := New(newDevice(), l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("periodic-solids-wrap", l, sim)
+
+	cfg := statsCases[0].cfg()
+	var subs []*lbm.Lattice
+	var sims []*Simulator
+	cfg.NewNode = func(rank int, sub *lbm.Lattice) (cluster.Node, error) {
+		sim, err := New(newDevice(), sub)
+		subs, sims = append(subs, sub), append(sims, sim)
+		return sim, err
+	}
+	if _, err := cluster.New(cfg); err != nil {
+		t.Fatal(err)
+	}
+	for r := range sims {
+		check(fmt.Sprintf("%s rank %d", statsCases[0].name, r), subs[r], sims[r])
+	}
+	if far == 0 {
+		t.Error("every fluid cell is near a solid; the fixtures test only one side of the flag")
+	}
 }
 
 func TestStepSteadyStateZeroAlloc(t *testing.T) {

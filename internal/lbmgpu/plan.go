@@ -44,10 +44,11 @@ const (
 type progKind uint8
 
 const (
-	progGhost  progKind = iota // a face's ghost fill for stack st from source layer z
-	progMacro                  // slice z's density and velocity
-	progDist                   // slice z's stack st
-	progGather                 // a face's outgoing distributions
+	progGhost   progKind = iota // a face's ghost fill for stack st from source layer z
+	progMoments                 // an outflow face's source moments from layer z
+	progMacro                   // slice z's density and velocity
+	progDist                    // slice z's stack st
+	progGather                  // a face's outgoing distributions
 )
 
 // op is one device call. Textures and pbuffers are numbered (layer,
@@ -164,7 +165,9 @@ func (p *Plan) add(ops ...op) { p.ops = append(p.ops, ops...) }
 // fillOps appends the ghost-fill passes of face f, each with its copy
 // back: the paper's "multiple small rectangles" covering the boundary
 // regions, per target layer one pass for each of the five distribution
-// stacks.
+// stacks. An outflow face first stages its source cells' moments, as the
+// sweep does its slice's: one pass into the macro pbuffer copied to the
+// stage, which the sweep overwrites before it reads it.
 func (p *Plan) fillOps(f int) {
 	spec := p.faces[f]
 	dim, dir := faceDir(f)
@@ -213,6 +216,10 @@ func (p *Plan) fillOps(f int) {
 	}
 	p.from[f] = from
 	for layer := first; layer <= last; layer++ {
+		if spec.Type == lbm.Outflow {
+			p.add(op{kind: opPass, prog: progMoments, face: int8(f), z: int32(layer + srcShift), dst: pbMacro, rect: boxOf(vp)},
+				op{kind: opCopy, src: pbMacro, dst: p.stage(), rect: boxOf(vp)})
+		}
 		for st := 0; st < 5; st++ {
 			p.add(op{kind: opPass, prog: progGhost, face: int8(f), st: int8(st), z: int32(layer + srcShift), dst: int32(st), rect: boxOf(vp)},
 				op{kind: opCopy, src: int32(st), dst: p.layer(st, layer), rect: boxOf(vp)})

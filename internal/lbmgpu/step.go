@@ -21,7 +21,7 @@ func (s *Simulator) Step(exchange func(dim int)) {
 }
 
 // passNames label the passes by program, in progKind order.
-var passNames = [...]string{"lbm-ghost-fill", "lbm-macro", "lbm-collide", "border-gather"}
+var passNames = [...]string{"lbm-ghost-fill", "lbm-ghost-moments", "lbm-macro", "lbm-collide", "border-gather"}
 
 // bind builds the program of every pass of the plan, once, so that
 // running the plan allocates nothing.
@@ -32,7 +32,9 @@ func (s *Simulator) bind(omega float32, force vecmath.Vec3) {
 		switch {
 		case o.kind != opPass:
 		case o.prog == progGhost:
-			o.program = ghostProgram(s.plan.faces[o.face], int(o.st), s.layers(int(o.z)), s.plan.from[o.face])
+			o.program = ghostProgram(s.plan.faces[o.face], int(o.st), s.layers(int(o.z)), s.plan.from[o.face], s.texs[s.stage()])
+		case o.prog == progMoments:
+			o.program = outflowMoments(s.layers(int(o.z)), s.plan.from[o.face])
 		case o.prog == progGather:
 			o.program = s.gatherProgram(int(o.face))
 		default:
@@ -144,16 +146,17 @@ func (s *Simulator) layers(z int) (t [5]*gpu.Texture2D) {
 }
 
 // ghostProgram returns the program that fills stack st's ghost texels of
-// a face from the source layers.
-func ghostProgram(spec lbm.FaceSpec, st int, srcLayers [5]*gpu.Texture2D, from gpu.Rect) gpu.FragmentProgram {
+// a face from the source layers; an outflow face's reads its source
+// cells' moments from the stage.
+func ghostProgram(spec lbm.FaceSpec, st int, srcLayers [5]*gpu.Texture2D, from gpu.Rect, stage *gpu.Texture2D) gpu.FragmentProgram {
 	own := ownLinks(st)
+	srcTex := srcLayers[st]
 	rhoOut := spec.Rho
 	if rhoOut == 0 {
 		rhoOut = 1
 	}
 	switch spec.Type {
 	case lbm.Periodic:
-		srcTex := srcLayers[st]
 		return func(_ []gpu.Sampler, y, x0 int, out []vecmath.Vec4) {
 			for k := range out {
 				out[k] = srcTex.Fetch(nearest(from, x0+k, y))
@@ -170,29 +173,42 @@ func ghostProgram(spec lbm.FaceSpec, st int, srcLayers [5]*gpu.Texture2D, from g
 			}
 		}
 	default: // lbm.Outflow
-		// Read the adjacent interior cell's 19 distributions (five
-		// texels) for its moments, then re-anchor this stack's own
-		// channels at the outlet density (same float path as
-		// lbm.fillFace).
+		// Re-anchor the adjacent interior cell's own channels of this
+		// stack at the outlet density, at the moments the face's
+		// moments pass staged (same float path as lbm.fillFace).
 		return func(_ []gpu.Sampler, y, x0 int, out []vecmath.Vec4) {
+			staged := stage.Row(y)
 			for i := range out {
-				sx, sy := nearest(from, x0+i, y)
-				var fp [lbm.Q]float32
-				for k, t := range srcLayers {
-					texel := t.Fetch(sx, sy)
-					copy(fp[4*k:], texel[:])
-				}
-				rhoSrc, ux, uy, uz := lbm.Moments(&fp)
+				m, fp := staged.At(x0+i), srcTex.Fetch(nearest(from, x0+i, y))
+				rhoSrc, ux, uy, uz := m[0], m[1], m[2], m[3]
 				base := 1 - 1.5*(ux*ux+uy*uy+uz*uz)
 				var v vecmath.Vec4
 				for ch := range own {
 					lk := &own[ch]
 					feqSrc := lk.equilibrium(rhoSrc, ux, uy, uz, base)
 					feqOut := lk.equilibrium(rhoOut, ux, uy, uz, base)
-					v[ch] = fp[4*st+ch] - feqSrc + feqOut
+					v[ch] = fp[ch] - feqSrc + feqOut
 				}
 				out[i] = v
 			}
+		}
+	}
+}
+
+// outflowMoments returns the program that computes, for each ghost texel
+// of an outflow face, the moments of its source cell: the nearest texel of
+// from in the source layers, all 19 distributions of it.
+func outflowMoments(srcLayers [5]*gpu.Texture2D, from gpu.Rect) gpu.FragmentProgram {
+	return func(_ []gpu.Sampler, y, x0 int, out []vecmath.Vec4) {
+		for i := range out {
+			sx, sy := nearest(from, x0+i, y)
+			var fp [lbm.Q]float32
+			for k, t := range srcLayers {
+				texel := t.Fetch(sx, sy)
+				copy(fp[4*k:], texel[:])
+			}
+			rho, ux, uy, uz := lbm.Moments(&fp)
+			out[i] = vecmath.Vec4{rho, ux, uy, uz}
 		}
 	}
 }
@@ -201,7 +217,7 @@ func ghostProgram(spec lbm.FaceSpec, st int, srcLayers [5]*gpu.Texture2D, from g
 // with the collision parameters.
 type sliceTextures struct {
 	lay      [5][3]*gpu.Texture2D // distributions below (stashed), at, above
-	solid    [3]*gpu.Texture2D    // solid flags and wall velocities, likewise
+	solid    [3]*gpu.Texture2D    // solid, wall velocity or near flags, likewise
 	oldMacro *gpu.Texture2D       // the previous step's rho, u of this slice
 	stage    *gpu.Texture2D       // this step's, once the macro pass ran
 
@@ -252,23 +268,25 @@ func (b *sliceTextures) bounced(lk *link, s vecmath.Vec4, tx, ty int) float32 {
 
 // macroProgram computes the moments of the streamed state (the CPU's
 // Rho/u cache): the collision input of this step's distribution passes,
-// the wall term's density next step, and the read-back fields.
+// the wall term's density next step, and the read-back fields. A fluid
+// cell tests its sources for bounce-back only when its near flag is set.
 func (b *sliceTextures) macroProgram(_ []gpu.Sampler, ty, x0 int, out []vecmath.Vec4) {
 	var rows [lbm.Q]srcRows
 	b.sourceRows(rows[:], links[:], ty)
 	solid, old := b.solid[1].Row(ty), b.oldMacro.Row(ty)
 	for k := range out {
 		tx := x0 + k
-		if solid.At(tx)[0] > 0.5 {
+		if solid.Chan(tx, 0) > 0.5 {
 			out[k] = old.At(tx) // solid cells keep state
 			continue
 		}
+		near := solid.Chan(tx, 1) > 0.5
 		var f [lbm.Q]float32
 		for i := range links {
 			lk, sx := &links[i], tx+links[i].dx
-			f[i] = rows[i].dist.At(sx)[lk.ch]
-			if s := rows[i].solid.At(sx); s[0] > 0.5 {
-				f[i] = b.bounced(lk, s, tx, ty)
+			f[i] = rows[i].dist.Chan(sx, lk.ch)
+			if near && rows[i].solid.Chan(sx, 0) > 0.5 {
+				f[i] = b.bounced(lk, rows[i].solid.At(sx), tx, ty)
 			}
 		}
 		rho, ux, uy, uz := lbm.Moments(&f)
@@ -293,27 +311,29 @@ func (p distPass) program(_ []gpu.Sampler, ty, x0 int, out []vecmath.Vec4) {
 	solid, cur, stage := b.solid[1].Row(ty), b.lay[st][1].Row(ty), b.stage.Row(ty)
 	for k := range out {
 		tx := x0 + k
-		if solid.At(tx)[0] > 0.5 {
+		if solid.Chan(tx, 0) > 0.5 {
 			out[k] = cur.At(tx) // solid cells keep state
 			continue
 		}
+		near := solid.Chan(tx, 1) > 0.5
 		m := stage.At(tx)
 		rho, ux, uy, uz := m[0], m[1], m[2], m[3]
 		base := 1 - 1.5*(ux*ux+uy*uy+uz*uz)
-		var v vecmath.Vec4
+		// The fifth stack's unused channel is never written: it is zero
+		// in every texel and pbuffer fragment from the upload on.
+		o := &out[k]
 		for ch := range own {
 			lk, sx := &own[ch], tx+own[ch].dx
-			f := rows[ch].dist.At(sx)[lk.ch]
-			if s := rows[ch].solid.At(sx); s[0] > 0.5 {
-				f = b.bounced(lk, s, tx, ty)
+			f := rows[ch].dist.Chan(sx, lk.ch)
+			if near && rows[ch].solid.Chan(sx, 0) > 0.5 {
+				f = b.bounced(lk, rows[ch].solid.At(sx), tx, ty)
 			}
 			post := f - b.omega*(f-lk.equilibrium(rho, ux, uy, uz, base))
 			if hasForce {
 				ca := lk.cx*b.force[0] + lk.cy*b.force[1] + lk.cz*b.force[2]
 				post += 3 * lk.w * rho * ca
 			}
-			v[ch] = post
+			o[ch] = post
 		}
-		out[k] = v
 	}
 }
