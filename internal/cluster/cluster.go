@@ -5,14 +5,17 @@
 // dimension by dimension (x, then y including the freshly received x
 // ghosts, then z) so that data bound for second-nearest (diagonal)
 // neighbors travel indirectly in two axial hops, exactly the simplified
-// communication pattern of Figure 7. Nodes are goroutines communicating
-// through package mpi; each node may compute its block on the CPU
-// reference implementation or on a simulated GPU (package lbmgpu via the
-// Node interface).
+// communication pattern of Figure 7. Within a dimension each rank walks
+// the pairwise steps of sched.Build in schedule order, plus one wrap step
+// on a split periodic axis, and trades borders with the step's partner
+// only: send, then receive. Nodes are goroutines communicating through
+// package mpi; each node may compute its block on the CPU reference
+// implementation or on a simulated GPU (package lbmgpu via the Node
+// interface).
 //
 // An exchanged payload has exactly one owner at a time and is never
 // copied on its way: the slice a Node's PackBorder returns belongs to the
-// caller, Run hands it to the neighbor rank (mpi.Send), and the
+// caller, Run hands it to the step's partner (mpi.Send), and the
 // Node whose UnpackGhost receives it keeps it, as the buffer its next
 // PackBorder of that face fills — the two directions of a face carry
 // equally long payloads. A steady-state step therefore allocates nothing.
@@ -107,9 +110,15 @@ type Sim struct {
 	cfg    Config
 	blocks []Block
 	nodes  []Node
-	world  *mpi.World
-	steps  int
+	// links holds each rank's exchanges per dimension, in schedule order.
+	links [][3][]link
+	world *mpi.World
+	steps int
 }
+
+// link is one exchange of a rank: its partner in a schedule step, and the
+// side of the rank's block (dir, -1 or +1) that the partner is on.
+type link struct{ peer, dir int }
 
 // New validates the configuration, builds every rank's sub-lattice
 // (boundary conditions, geometry, ghost solids) and backend, and returns
@@ -169,6 +178,7 @@ func New(cfg Config) (*Sim, error) {
 		}
 		s.nodes[r] = node
 	}
+	s.links = exchangeLinks(cfg)
 	opts := []mpi.Option{}
 	if cfg.Timeout > 0 {
 		opts = append(opts, mpi.WithTimeout(cfg.Timeout))
@@ -232,45 +242,57 @@ func (s *Sim) applyGeometry(sub *lbm.Lattice, blk Block) {
 	}
 }
 
-// neighbor returns the rank adjacent to (i,j,k) on the dim/dir side, or
-// -1 when none exists (accounting for periodic wrap on split dimensions).
-func (s *Sim) neighbor(i, j, k, dim, dir int) int {
-	g := s.cfg.Grid
-	c := [3]int{i, j, k}
-	extent := [3]int{g.PX, g.PY, g.PZ}
-	c[dim] += dir
-	if c[dim] < 0 || c[dim] >= extent[dim] {
-		if s.cfg.Faces[2*dim].Type != lbm.Periodic || extent[dim] == 1 {
-			return -1
-		}
-		c[dim] = (c[dim] + extent[dim]) % extent[dim]
+// exchangeLinks lists every rank's exchanges per dimension in the order
+// of the Fig. 7 schedule (sched.Build, indirect pattern): a pair (A, B) of
+// a step along +dim puts B on A's high side and A on B's low side. A split
+// periodic dimension ends with one wrap step, pairing the last rank of
+// each line with its first.
+func exchangeLinks(cfg Config) [][3][]link {
+	g := cfg.Grid
+	links := make([][3][]link, g.Size())
+	pair := func(dim, a, b int) {
+		links[a][dim] = append(links[a][dim], link{peer: b, dir: +1})
+		links[b][dim] = append(links[b][dim], link{peer: a, dir: -1})
 	}
-	return g.Rank(c[0], c[1], c[2])
+	for _, st := range sched.Build(g, sched.Indirect) {
+		dim := 0
+		for st.Axis[dim] == 0 {
+			dim++
+		}
+		for _, p := range st.Pairs {
+			pair(dim, p.A, p.B)
+		}
+	}
+	extent := [3]int{g.PX, g.PY, g.PZ}
+	for dim := 0; dim < 3; dim++ {
+		if cfg.Faces[2*dim].Type != lbm.Periodic || extent[dim] == 1 {
+			continue
+		}
+		for r := range links {
+			i, j, k := g.Coords(r)
+			c := [3]int{i, j, k}
+			if c[dim] == extent[dim]-1 {
+				c[dim] = 0
+				pair(dim, r, g.Rank(c[0], c[1], c[2]))
+			}
+		}
+	}
+	return links
 }
+
+// tag is the message tag of a dim border payload moving toward dir: 2·dim
+// for +dim, 2·dim+1 for -dim.
+func tag(dim, dir int) int { return 2*dim + (1-dir)/2 }
 
 // Run advances the simulation the given number of steps, spawning one
 // goroutine per rank.
 func (s *Sim) Run(steps int) {
 	s.world.Run(func(c *mpi.Comm) {
-		r := c.Rank()
-		i, j, k := s.cfg.Grid.Coords(r)
-		node := s.nodes[r]
-		negN := [3]int{s.neighbor(i, j, k, 0, -1), s.neighbor(i, j, k, 1, -1), s.neighbor(i, j, k, 2, -1)}
-		posN := [3]int{s.neighbor(i, j, k, 0, +1), s.neighbor(i, j, k, 1, +1), s.neighbor(i, j, k, 2, +1)}
+		node, links := s.nodes[c.Rank()], s.links[c.Rank()]
 		exchange := func(dim int) {
-			tagPos := 2 * dim // payload traveling in +dim direction
-			tagNeg := 2*dim + 1
-			if posN[dim] >= 0 {
-				c.Send(posN[dim], tagPos, node.PackBorder(dim, +1))
-			}
-			if negN[dim] >= 0 {
-				c.Send(negN[dim], tagNeg, node.PackBorder(dim, -1))
-			}
-			if negN[dim] >= 0 {
-				node.UnpackGhost(dim, -1, c.Recv(negN[dim], tagPos))
-			}
-			if posN[dim] >= 0 {
-				node.UnpackGhost(dim, +1, c.Recv(posN[dim], tagNeg))
+			for _, l := range links[dim] {
+				c.Send(l.peer, tag(dim, l.dir), node.PackBorder(dim, l.dir))
+				node.UnpackGhost(dim, l.dir, c.Recv(l.peer, tag(dim, -l.dir)))
 			}
 		}
 		for st := 0; st < steps; st++ {

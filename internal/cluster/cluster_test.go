@@ -1,7 +1,10 @@
 package cluster
 
 import (
+	"fmt"
 	"math"
+	"slices"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -237,6 +240,145 @@ func TestTunnelTrafficPerStep(t *testing.T) {
 	}
 	if msgs != 24*steps || floats != 34720*steps {
 		t.Errorf("%d steps sent %d messages, %d floats; want %d and %d", steps, msgs, floats, 24*steps, 34720*steps)
+	}
+}
+
+// recordingNode is a CPU node that logs, in order, the faces it packs
+// and unpacks, and for each unpacked payload the rank that packed it.
+type recordingNode struct {
+	*CPUNode
+	rank  int
+	log   []string
+	owner *ownerMap
+}
+
+// ownerMap remembers which rank last packed each payload array.
+type ownerMap struct {
+	mu   sync.Mutex
+	rank map[*float32]int
+}
+
+var axisName = [3]string{"x", "y", "z"}
+
+func faceName(dim, dir int) string {
+	if dir > 0 {
+		return axisName[dim] + "+"
+	}
+	return axisName[dim] + "-"
+}
+
+func (n *recordingNode) PackBorder(dim, dir int) []float32 {
+	out := n.CPUNode.PackBorder(dim, dir)
+	n.owner.mu.Lock()
+	n.owner.rank[&out[0]] = n.rank
+	n.owner.mu.Unlock()
+	n.log = append(n.log, "pack "+faceName(dim, dir))
+	return out
+}
+
+func (n *recordingNode) UnpackGhost(dim, dir int, data []float32) {
+	n.owner.mu.Lock()
+	from := n.owner.rank[&data[0]]
+	n.owner.mu.Unlock()
+	n.log = append(n.log, fmt.Sprintf("unpack %s from %d", faceName(dim, dir), from))
+	n.CPUNode.UnpackGhost(dim, dir, data)
+}
+
+// scheduleOrder is the exchange order rank r must follow in one step: per
+// dimension, the steps of sched.Build in order, then on a split periodic
+// dimension the wrap step between each line's last and first rank. In
+// each exchange the rank packs the face toward its partner and unpacks
+// the partner's payload into the ghost plane of that face.
+func scheduleOrder(g sched.NodeGrid, faces [lbm.NumFaces]lbm.FaceSpec, r int) []string {
+	var want []string
+	trade := func(dim, dir, peer int) {
+		want = append(want, "pack "+faceName(dim, dir),
+			fmt.Sprintf("unpack %s from %d", faceName(dim, dir), peer))
+	}
+	steps := sched.Build(g, sched.Indirect)
+	extent := [3]int{g.PX, g.PY, g.PZ}
+	for dim := 0; dim < 3; dim++ {
+		for _, st := range steps {
+			if st.Axis[dim] == 0 {
+				continue
+			}
+			for _, p := range st.Pairs {
+				switch r {
+				case p.A:
+					trade(dim, +1, p.B)
+				case p.B:
+					trade(dim, -1, p.A)
+				}
+			}
+		}
+		if faces[2*dim].Type != lbm.Periodic || extent[dim] == 1 {
+			continue
+		}
+		i, j, k := g.Coords(r)
+		c := [3]int{i, j, k}
+		switch c[dim] {
+		case extent[dim] - 1:
+			c[dim] = 0
+			trade(dim, +1, g.Rank(c[0], c[1], c[2]))
+		case 0:
+			c[dim] = extent[dim] - 1
+			trade(dim, -1, g.Rank(c[0], c[1], c[2]))
+		}
+	}
+	return want
+}
+
+// TestExchangeFollowsSchedule: every rank trades borders with the partner
+// of each Fig. 7 schedule step in turn, packing toward that partner and
+// unpacking what that partner packed before the next step begins.
+func TestExchangeFollowsSchedule(t *testing.T) {
+	var periodic, walls, tunnel [lbm.NumFaces]lbm.FaceSpec // zero faces are Periodic
+	for f := range walls {
+		walls[f] = lbm.FaceSpec{Type: lbm.Wall}
+		tunnel[f] = lbm.FaceSpec{Type: lbm.Wall}
+	}
+	tunnel[lbm.FaceXNeg] = lbm.FaceSpec{Type: lbm.Inlet, U: vecmath.Vec3{0.04, 0, 0}}
+	tunnel[lbm.FaceXPos] = lbm.FaceSpec{Type: lbm.Outflow}
+	cases := []struct {
+		name  string
+		grid  sched.NodeGrid
+		faces [lbm.NumFaces]lbm.FaceSpec
+	}{
+		{"4x1x1 walls", sched.NodeGrid{PX: 4, PY: 1, PZ: 1}, walls},
+		{"4x1x1 periodic", sched.NodeGrid{PX: 4, PY: 1, PZ: 1}, periodic},
+		{"3x2x1 periodic", sched.NodeGrid{PX: 3, PY: 2, PZ: 1}, periodic},
+		{"4x2x1 tunnel", sched.NodeGrid{PX: 4, PY: 2, PZ: 1}, tunnel},
+	}
+	for _, tc := range cases {
+		owner := &ownerMap{rank: map[*float32]int{}}
+		var nodes []*recordingNode
+		cfg := Config{
+			Global: [3]int{12, 6, 4},
+			Grid:   tc.grid,
+			Tau:    0.8,
+			Faces:  tc.faces,
+			NewNode: func(rank int, sub *lbm.Lattice) (Node, error) {
+				n := &recordingNode{CPUNode: &CPUNode{L: sub}, rank: rank, owner: owner}
+				nodes = append(nodes, n)
+				return n, nil
+			},
+		}
+		sim, err := New(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		const steps = 2 // the second reuses the payloads the first unpacked
+		sim.Run(steps)
+		for r, n := range nodes {
+			once := scheduleOrder(tc.grid, tc.faces, r)
+			var want []string
+			for range steps {
+				want = append(want, once...)
+			}
+			if !slices.Equal(n.log, want) {
+				t.Errorf("%s: rank %d exchanged\n  %q\nwant\n  %q", tc.name, r, n.log, want)
+			}
+		}
 	}
 }
 

@@ -72,18 +72,11 @@ func (l *Lattice) BorderLen(dim int) int {
 	return 5 * p.na * p.nb
 }
 
-// PackBorder collects the post-collision distributions leaving the
+// PackBorderInto collects the post-collision distributions leaving the
 // sub-domain through the dim/dir face (dir = +1 for the high face, -1 for
-// the low face) into a new flat slice ready for transmission.
-func (l *Lattice) PackBorder(dim, dir int) []float32 {
-	out := make([]float32, l.BorderLen(dim))
-	l.PackBorderInto(out, dim, dir)
-	return out
-}
-
-// PackBorderInto is PackBorder into the caller's buffer, which must hold
-// exactly BorderLen(dim) floats: plane cells in sweep order, the five
-// distributions of a cell consecutive.
+// the low face) into the caller's buffer, ready for transmission. The
+// buffer must hold exactly BorderLen(dim) floats: plane cells in sweep
+// order, the five distributions of a cell consecutive.
 func (l *Lattice) PackBorderInto(out []float32, dim, dir int) {
 	if len(out) != l.BorderLen(dim) {
 		panic("lbm: border buffer length mismatch")
@@ -107,7 +100,7 @@ func (l *Lattice) PackBorderInto(out []float32, dim, dir int) {
 // UnpackGhost writes a received border payload into the ghost plane on
 // the dim/dir side (dir = -1 for the low ghost plane at coordinate -1,
 // +1 for the high ghost plane at coordinate N). The payload must have
-// been produced by the neighbor's PackBorder with the opposite dir, so
+// been produced by the neighbor's PackBorderInto with the opposite dir, so
 // the distributions stored are those streaming into this sub-domain.
 func (l *Lattice) UnpackGhost(dim, dir int, data []float32) {
 	if len(data) != l.BorderLen(dim) {

@@ -13,7 +13,7 @@ import (
 
 // The differential test of the kernels against reference_test.go: a
 // generated lattice and its deep copy advance side by side, one through
-// StepWithExchange, PackBorder and UnpackGhost, the other through their
+// StepWithExchange, PackBorderInto and UnpackGhost, the other through their
 // reference bodies, and must agree bit for bit over the whole padded
 // arrays after every step.
 
@@ -203,7 +203,8 @@ func (tc stepCase) run(t *testing.T) (compared bool) {
 	var payload, packed [3][2][]float32
 	exchangeGot := func(dim int) {
 		for side, dir := range []int{-1, +1} {
-			packed[dim][side] = got.PackBorder(dim, dir)
+			packed[dim][side] = make([]float32, got.BorderLen(dim))
+			got.PackBorderInto(packed[dim][side], dim, dir)
 			if got.Faces[2*dim+side].Type == Ghost {
 				got.UnpackGhost(dim, dir, payload[dim][side])
 			}
@@ -212,7 +213,7 @@ func (tc stepCase) run(t *testing.T) (compared bool) {
 	exchangeWant := func(dim int) {
 		for side, dir := range []int{-1, +1} {
 			if p, ok := sameBits(packed[dim][side], want.refPackBorder(dim, dir)); !ok {
-				t.Fatalf("%v: step %d: PackBorder(%d, %d) differs at %d", tc, want.StepCount(), dim, dir, p)
+				t.Fatalf("%v: step %d: PackBorderInto(%d, %d) differs at %d", tc, want.StepCount(), dim, dir, p)
 			}
 			if want.Faces[2*dim+side].Type == Ghost {
 				want.refUnpackGhost(dim, dir, payload[dim][side])

@@ -170,7 +170,8 @@ func TestGPUBorderPackMatchesCPU(t *testing.T) {
 	}
 	for dim := 0; dim < 3; dim++ {
 		for _, dir := range []int{-1, +1} {
-			want := cpu.PackBorder(dim, dir)
+			want := make([]float32, cpu.BorderLen(dim))
+			cpu.PackBorderInto(want, dim, dir)
 			got := sim.PackBorder(dim, dir)
 			if len(got) != len(want) {
 				t.Fatalf("dim %d dir %d: length %d != %d", dim, dir, len(got), len(want))

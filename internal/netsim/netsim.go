@@ -1,13 +1,15 @@
 // Package netsim is a virtual-clock model of the cluster interconnect: a
-// Gigabit Ethernet switch with one full-duplex port per node. It
-// reproduces the two empirical observations of Section 4.3 of the paper:
+// Gigabit Ethernet switch with one full-duplex port per node. It prices
+// the pairwise steps of the paper's schedule (Section 4.3, Figure 7), and
+// the two empirical observations of that section read off it:
 //
 //  1. "During the time when a node is sending data to another node, if a
 //     third node tries to send data to either of those nodes, the
 //     interruption will break the smooth data transfer and may
-//     dramatically reduce the performance" — modeled as an interruption
-//     penalty added whenever a transfer is requested at a port that is
-//     already busy.
+//     dramatically reduce the performance" — holds by construction: the
+//     schedule never lets it happen, and StepTimes rejects a step whose
+//     pairs share a port. What leaving the schedule costs is priced by
+//     perfmodel's SyncNone drift term.
 //
 //  2. "Assuming the total communication data size is the same, a
 //     simulation in which each node transfers data to more neighbors has
@@ -42,9 +44,6 @@ type Config struct {
 	// MsgLatency is the fixed cost per message: MPI call overhead,
 	// kernel crossing, switch store-and-forward.
 	MsgLatency time.Duration
-	// InterruptPenalty is the extra cost paid by a transfer that finds
-	// one of its ports busy (the paper's third-node interruption).
-	InterruptPenalty time.Duration
 	// NonBlockingPorts is the number of ports on the primary,
 	// non-blocking switch. Ports at index >= NonBlockingPorts reach the
 	// fabric through a shared trunk. Zero means all ports non-blocking.
@@ -66,7 +65,6 @@ func GigabitSwitch(ports int) Config {
 		LinkBandwidth:    125e6,
 		Efficiency:       0.85,
 		MsgLatency:       120 * time.Microsecond,
-		InterruptPenalty: 2 * time.Millisecond,
 		NonBlockingPorts: 24,
 		TrunkBandwidth:   14e6,
 	}
@@ -105,20 +103,9 @@ func (c Config) ExchangeTime(bytes int64, crossing int) time.Duration {
 	return c.wireTime(bytes, rate)
 }
 
-// Stats aggregates traffic accounting.
-type Stats struct {
-	Transfers     int64
-	Bytes         int64
-	Interruptions int64
-	TrunkFlows    int64
-}
-
-// Network is the switch state: per-port busy horizons on a virtual clock.
+// Network is the switch a schedule step runs on.
 type Network struct {
-	cfg       Config
-	busyUntil []time.Duration
-	// Stats accumulates counters across transfers; read between rounds.
-	Stats Stats
+	cfg Config
 }
 
 // New creates a network from cfg.
@@ -126,16 +113,7 @@ func New(cfg Config) *Network {
 	if cfg.Ports <= 0 {
 		panic(fmt.Sprintf("netsim: invalid port count %d", cfg.Ports))
 	}
-	cfg.Efficiency = cfg.efficiency()
-	return &Network{cfg: cfg, busyUntil: make([]time.Duration, cfg.Ports)}
-}
-
-// Reset clears port state and statistics.
-func (n *Network) Reset() {
-	for i := range n.busyUntil {
-		n.busyUntil[i] = 0
-	}
-	n.Stats = Stats{}
+	return &Network{cfg: cfg}
 }
 
 // crossesTrunk reports whether a flow between ports a and b traverses the
@@ -146,44 +124,6 @@ func (n *Network) crossesTrunk(a, b int) bool {
 		return false
 	}
 	return (a >= n.cfg.NonBlockingPorts) != (b >= n.cfg.NonBlockingPorts)
-}
-
-// Transfer models one unidirectional message of `bytes` from port src to
-// port dst, requested at virtual time `at`. It returns the interval
-// [start, end) during which both ports are occupied. If either port is
-// busy when the request arrives, the transfer is an interruption: it
-// waits for the port and pays the interruption penalty.
-func (n *Network) Transfer(src, dst int, bytes int64, at time.Duration) (start, end time.Duration) {
-	if src < 0 || src >= n.cfg.Ports || dst < 0 || dst >= n.cfg.Ports || src == dst {
-		panic(fmt.Sprintf("netsim: invalid transfer %d -> %d (ports %d)", src, dst, n.cfg.Ports))
-	}
-	start = at
-	interrupted := false
-	if n.busyUntil[src] > start {
-		start = n.busyUntil[src]
-		interrupted = true
-	}
-	if n.busyUntil[dst] > start {
-		start = n.busyUntil[dst]
-		interrupted = true
-	}
-	dur := n.cfg.ExchangeTime(bytes, 0)
-	if n.crossesTrunk(src, dst) {
-		n.Stats.TrunkFlows++
-		if n.cfg.TrunkBandwidth > 0 && n.cfg.TrunkBandwidth < n.cfg.LinkBandwidth {
-			dur = n.cfg.wireTime(bytes, n.cfg.TrunkBandwidth*n.cfg.Efficiency)
-		}
-	}
-	if interrupted {
-		dur += n.cfg.InterruptPenalty
-		n.Stats.Interruptions++
-	}
-	end = start + dur
-	n.busyUntil[src] = end
-	n.busyUntil[dst] = end
-	n.Stats.Transfers++
-	n.Stats.Bytes += bytes
-	return start, end
 }
 
 // Exchange is one bidirectional pairwise exchange of a schedule step: both
@@ -229,14 +169,9 @@ func (n *Network) StepTimes(pairs []Exchange, ready []time.Duration) []time.Dura
 		shared := 0
 		if n.crossesTrunk(p.A, p.B) {
 			shared = crossing
-			if n.cfg.TrunkBandwidth > 0 {
-				n.Stats.TrunkFlows += 2
-			}
 		}
 		end := start + n.cfg.ExchangeTime(p.Bytes, shared)
 		done[p.A], done[p.B] = end, end
-		n.Stats.Transfers += 2
-		n.Stats.Bytes += 2 * p.Bytes
 	}
 	return done
 }

@@ -10,64 +10,15 @@ func smallSwitch(ports int) *Network {
 	return New(cfg)
 }
 
-func TestTransferBasics(t *testing.T) {
-	n := smallSwitch(4)
-	start, end := n.Transfer(0, 1, 125e6/10, 0) // 1/10 s of wire time at peak
-	if start != 0 {
-		t.Errorf("start = %v", start)
-	}
-	// 12.5 MB at 125 MB/s * 0.85 ≈ 117.6 ms, plus latency.
-	if end < 100*time.Millisecond || end > 130*time.Millisecond {
-		t.Errorf("end = %v", end)
-	}
-	if n.Stats.Transfers != 1 || n.Stats.Bytes != 125e5 {
-		t.Errorf("stats = %+v", n.Stats)
-	}
-}
-
-func TestThirdNodeInterruption(t *testing.T) {
-	// The paper's observation (1): a third node sending to a busy node
-	// breaks the smooth transfer. The interrupting transfer must wait
-	// and pay the penalty.
-	n := smallSwitch(4)
-	_, end01 := n.Transfer(0, 1, 1<<20, 0)
-	start21, end21 := n.Transfer(2, 1, 1<<20, 0) // interrupts port 1
-	if start21 != end01 {
-		t.Errorf("interrupting transfer started at %v, want %v", start21, end01)
-	}
-	plain := end01 // duration of an uncontended identical transfer
-	dur21 := end21 - start21
-	if dur21 <= plain {
-		t.Errorf("interrupted transfer (%v) should cost more than clean one (%v)", dur21, plain)
-	}
-	if n.Stats.Interruptions != 1 {
-		t.Errorf("interruptions = %d", n.Stats.Interruptions)
-	}
-}
-
 func TestMoreNeighborsCostMore(t *testing.T) {
 	// The paper's observation (2): the same total volume split across
 	// more neighbors takes longer, because of per-message latency.
 	const total = 1 << 20
-	one := smallSwitch(8)
-	_, endOne := one.Transfer(0, 1, total, 0)
-
-	four := smallSwitch(8)
-	var at time.Duration
-	for i := 1; i <= 4; i++ {
-		_, at = four.Transfer(0, i, total/4, at)
-	}
-	if at <= endOne {
-		t.Errorf("4 messages (%v) should cost more than 1 message (%v)", at, endOne)
-	}
-}
-
-func TestTransferQueuesOnBusySource(t *testing.T) {
-	n := smallSwitch(4)
-	_, end := n.Transfer(0, 1, 1<<20, 0)
-	start2, _ := n.Transfer(0, 2, 1<<20, 0) // same source busy
-	if start2 != end {
-		t.Errorf("second transfer from busy source started at %v, want %v", start2, end)
+	cfg := GigabitSwitch(8)
+	one := cfg.ExchangeTime(total, 0)
+	four := 4 * cfg.ExchangeTime(total/4, 0)
+	if four <= one {
+		t.Errorf("4 messages (%v) should cost more than 1 message (%v)", four, one)
 	}
 }
 
@@ -87,14 +38,26 @@ func TestStepTimesDisjointPairs(t *testing.T) {
 	}
 }
 
+// TestStepTimesRejectsOverlappingPairs: a step whose pairs share a port,
+// pair a port with itself or name one the switch lacks is no schedule
+// step.
 func TestStepTimesRejectsOverlappingPairs(t *testing.T) {
 	n := smallSwitch(4)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("overlapping pairs should panic")
-		}
-	}()
-	n.StepTimes([]Exchange{{0, 1, 10}, {1, 2, 10}}, make([]time.Duration, 4))
+	for _, pairs := range [][]Exchange{
+		{{0, 1, 10}, {1, 2, 10}},
+		{{0, 0, 10}},
+		{{-1, 1, 10}},
+		{{0, 9, 10}},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("step %v should panic", pairs)
+				}
+			}()
+			n.StepTimes(pairs, make([]time.Duration, 4))
+		}()
+	}
 }
 
 func TestStepTimesWaitsForBothPeers(t *testing.T) {
@@ -149,103 +112,48 @@ func TestNoTrunkWhenAllPortsNonBlocking(t *testing.T) {
 	if done[15] != done2[1] {
 		t.Errorf("port index must not matter below NonBlockingPorts: %v vs %v", done[15], done2[1])
 	}
-	if n.Stats.TrunkFlows != 0 {
-		t.Errorf("unexpected trunk flows: %d", n.Stats.TrunkFlows)
-	}
 }
 
-func TestReset(t *testing.T) {
-	n := smallSwitch(4)
-	n.Transfer(0, 1, 1<<20, 0)
-	n.Reset()
-	if n.Stats != (Stats{}) {
-		t.Errorf("stats not cleared: %+v", n.Stats)
-	}
-	start, _ := n.Transfer(0, 1, 1<<10, 0)
-	if start != 0 {
-		t.Errorf("port state not cleared: start = %v", start)
-	}
-}
-
-func TestInvalidTransfersPanic(t *testing.T) {
-	n := smallSwitch(4)
-	for _, c := range []struct{ src, dst int }{{0, 0}, {-1, 1}, {0, 9}} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("transfer %d->%d should panic", c.src, c.dst)
-				}
-			}()
-			n.Transfer(c.src, c.dst, 1, 0)
-		}()
-	}
-}
-
-// TestTransferTrunkCrossingTiming pins down the Transfer-level trunk
-// arithmetic: a flow with exactly one endpoint behind the stacking
-// trunk serializes at trunk rate, while flows local to either switch
-// run at full link rate.
-func TestTransferTrunkCrossingTiming(t *testing.T) {
-	cfg := Config{
+// TestStepTimesTrunkCrossingTiming pins down the trunk arithmetic of a
+// step: a pair with exactly one endpoint behind the stacking trunk
+// serializes at the trunk rate divided among the step's crossing pairs,
+// while pairs local to either switch run at full link rate.
+func TestStepTimesTrunkCrossingTiming(t *testing.T) {
+	n := New(Config{
 		Ports:            8,
 		LinkBandwidth:    100e6,
 		Efficiency:       1,
 		MsgLatency:       time.Millisecond,
 		NonBlockingPorts: 4,
 		TrunkBandwidth:   10e6,
-	}
+	})
 	const bytes = 1_000_000
 	wantLocal := time.Millisecond + 10*time.Millisecond  // 1 MB at 100 MB/s
 	wantTrunk := time.Millisecond + 100*time.Millisecond // 1 MB at 10 MB/s
 
-	n := New(cfg)
-	if _, end := n.Transfer(0, 1, bytes, 0); end != wantLocal {
-		t.Errorf("primary-switch transfer took %v, want %v", end, wantLocal)
+	// The primary-switch pair, one crossing pair, and two ports behind
+	// the trunk that talk locally on the stacked switch.
+	done := n.StepTimes([]Exchange{{0, 1, bytes}, {2, 5, bytes}, {6, 7, bytes}}, make([]time.Duration, 8))
+	for _, c := range []struct {
+		port int
+		want time.Duration
+		what string
+	}{
+		{0, wantLocal, "primary-switch"}, {1, wantLocal, "primary-switch"},
+		{2, wantTrunk, "trunk-crossing"}, {5, wantTrunk, "trunk-crossing"},
+		{6, wantLocal, "stacked-switch local"}, {7, wantLocal, "stacked-switch local"},
+	} {
+		if done[c.port] != c.want {
+			t.Errorf("%s exchange ended port %d at %v, want %v", c.what, c.port, done[c.port], c.want)
+		}
 	}
-	if n.Stats.TrunkFlows != 0 {
-		t.Errorf("local transfer counted %d trunk flows", n.Stats.TrunkFlows)
+	if done[3] != 0 || done[4] != 0 {
+		t.Errorf("idle ports moved: %v %v", done[3], done[4])
 	}
 
-	n = New(cfg)
-	if _, end := n.Transfer(0, 5, bytes, 0); end != wantTrunk {
-		t.Errorf("trunk-crossing transfer took %v, want %v", end, wantTrunk)
-	}
-	if n.Stats.TrunkFlows != 1 {
-		t.Errorf("crossing transfer counted %d trunk flows, want 1", n.Stats.TrunkFlows)
-	}
-
-	// Two ports behind the trunk talk locally on the stacked switch.
-	n = New(cfg)
-	if _, end := n.Transfer(5, 6, bytes, 0); end != wantLocal {
-		t.Errorf("stacked-switch local transfer took %v, want %v", end, wantLocal)
-	}
-}
-
-// TestTransferTrunkCrossingBusyPort checks that a crossing transfer
-// arriving at a busy trunk-side port queues behind it and pays the
-// interruption penalty on top of the trunk serialization time.
-func TestTransferTrunkCrossingBusyPort(t *testing.T) {
-	cfg := Config{
-		Ports:            8,
-		LinkBandwidth:    100e6,
-		Efficiency:       1,
-		MsgLatency:       time.Millisecond,
-		InterruptPenalty: 5 * time.Millisecond,
-		NonBlockingPorts: 4,
-		TrunkBandwidth:   10e6,
-	}
-	n := New(cfg)
-	const bytes = 1_000_000
-	_, firstEnd := n.Transfer(0, 5, bytes, 0)
-	start, end := n.Transfer(1, 5, bytes, 0)
-	if start != firstEnd {
-		t.Errorf("second transfer started %v, want queued until %v", start, firstEnd)
-	}
-	wantDur := time.Millisecond + 100*time.Millisecond + 5*time.Millisecond
-	if got := end - start; got != wantDur {
-		t.Errorf("interrupted crossing transfer took %v, want %v", got, wantDur)
-	}
-	if n.Stats.Interruptions != 1 {
-		t.Errorf("interruptions = %d, want 1", n.Stats.Interruptions)
+	// Two crossing pairs halve each one's share of the trunk.
+	done = n.StepTimes([]Exchange{{0, 4, bytes}, {1, 5, bytes}}, make([]time.Duration, 8))
+	if want := time.Millisecond + 200*time.Millisecond; done[0] != want || done[5] != want {
+		t.Errorf("two crossing exchanges ended at %v and %v, want %v", done[0], done[5], want)
 	}
 }
